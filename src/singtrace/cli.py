@@ -27,15 +27,9 @@ from .harness import (
 )
 from .triples import build_model
 
-_VERB_TO_CHECK = {
-    "chern": "chern",
-    "eigen-sums": "eigen-sums",
-    "heat": "heat",
-    "dixmier": "dixmier",
-    "measure": "measure",
-    "reduce": "reduce",
-    "identity-suite": "identity-suite",
-}
+# verbs that run the check of the same name
+_CHECK_VERBS = ("chern", "eigen-sums", "heat", "dixmier", "measure", "reduce",
+                "identity-suite")
 
 
 def _add_model_flags(parser):
@@ -99,7 +93,7 @@ def main(argv=None):
     p_check = cycle_sub.add_parser("check", help="exact cycle verification")
     _add_model_flags(p_check)
 
-    for verb in _VERB_TO_CHECK:
+    for verb in _CHECK_VERBS:
         p = sub.add_parser(verb)
         _add_model_flags(p)
 
@@ -123,8 +117,8 @@ def main(argv=None):
             report = run(_config_from_args(args, ["cycle"]))
             _print_report(report)
             return 0 if report.all_passed else 1
-        if args.verb in _VERB_TO_CHECK:
-            report = run(_config_from_args(args, [_VERB_TO_CHECK[args.verb]]))
+        if args.verb in _CHECK_VERBS:
+            report = run(_config_from_args(args, [args.verb]))
             _print_report(report)
             return 0 if report.all_passed else 1
         if args.verb == "suite":

@@ -263,36 +263,28 @@ def nc_torus_volume_cycle(model, kappa=1.0):
 # -- realized multilinear maps ---------------------------------------------------
 
 
-def _comm_cache(model):
-    cache = getattr(model, "_hochschild_comm_cache", None)
-    if cache is None:
-        cache = {}
-        model._hochschild_comm_cache = cache
-    return cache
+def _cached(model, key, build):
+    """Look up ``key`` in the model's operator cache; build it once on a miss."""
+    with model._comm_lock:
+        hit = model._comm_cache.get(key)
+        if hit is None:
+            hit = model._comm_cache[key] = build()
+        return hit
+
+
+def _realized(model, word):
+    return Operator(model.realize_word(word), label=model.word_label(word))
 
 
 def _word_comm(model, kind, word):
     """Cached commutator [b, realize(word)] for b in {D, |D|, F}."""
-    cache = _comm_cache(model)
-    key = (kind, word)
-    hit = cache.get(key)
-    if hit is None:
-        mat = model.realize_word(word)
-        op = Operator(mat, label=model.word_label(word))
-        b = {"D": model.D, "delta": model.absD, "F": model.F}[kind]
-        hit = commutator(b, op)
-        cache[key] = hit
-    return hit
+    b = {"D": model.D, "delta": model.absD, "F": model.F}[kind]
+    return _cached(model, (kind, word),
+                   lambda: commutator(b, _realized(model, word)))
 
 
 def _word_op(model, word):
-    cache = _comm_cache(model)
-    key = ("id", word)
-    hit = cache.get(key)
-    if hit is None:
-        hit = Operator(model.realize_word(word), label=model.word_label(word))
-        cache[key] = hit
-    return hit
+    return _cached(model, ("id", word), lambda: _realized(model, word))
 
 
 def _gamma_times(model, op):
@@ -419,13 +411,10 @@ def chern(c, model=None, strict=True):
     sign = (-1.0) ** (c.degree - 1)
     # ch_full is compressed to radius N; nested windows reuse its diagonal
     diag = ch_full.diag()
-    interior = model.interior
-    pos = {int(i): j for j, i in enumerate(interior)}
     history = {}
     for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2), model.N}):
-        idx = _interior_at(model, radius)
-        local = [pos[int(i)] for i in idx if int(i) in pos]
-        history[radius] = complex(sign * 0.5 * diag[local].sum())
+        inside = np.isin(model.interior, _interior_at(model, radius))
+        history[radius] = complex(sign * 0.5 * diag[inside].sum())
     return ChernResult(value=history[model.N], history=history)
 
 

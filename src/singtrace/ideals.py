@@ -14,8 +14,6 @@ record so the tolerance actually used is visible in reports.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +46,6 @@ __all__ = [
     "decay_exponent",
     "ideal_diagnostics",
     "counting_ratio",
-    "series_to_csv",
-    "fit_to_json",
 ]
 
 DEFAULT_RATIO = math.sqrt(2.0)
@@ -374,17 +370,3 @@ def counting_ratio(T, p, ns):
         count = counting_function(T, 1.0 / n)
         out.append(count / float(n) ** p)
     return np.asarray(out)
-
-
-def series_to_csv(series, path):
-    """CSV columns: n, re_sum, im_sum."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re_sum", "im_sum"])
-        for n, s in enumerate(series.sums):
-            writer.writerow([n, repr(s.real), repr(s.imag)])
-
-
-def fit_to_json(fit, path):
-    with open(path, "w") as fh:
-        json.dump(fit.as_dict(), fh, indent=2, sort_keys=True)

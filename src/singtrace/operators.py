@@ -12,12 +12,14 @@ All three behave identically under the algebraic operations; the backend is
 an optimisation detail, never a semantic one.  Spectra are computed with
 LAPACK, after an exact permutation split of the matrix into connected
 components of its nonzero pattern (a similarity transform, so eigenvalues
-are preserved exactly).
+are preserved exactly).  Components of equal size are stacked into one
+(g, s, s) array and solved with one batched LAPACK call per size; functions
+of an operator are reassembled from the stacked eigenvectors in one COO
+build.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +46,6 @@ __all__ = [
     "canonical_order",
     "identity",
     "zeros",
-    "save_operator",
-    "load_operator",
-    "operator_to_csv",
-    "operator_from_csv",
 ]
 
 HERMITIAN_RTOL = 1e-12
@@ -392,66 +390,67 @@ def zeros(dim, label="0"):
 # -- block-split eigen engine --------------------------------------------------
 
 
-def _pattern(T):
-    """Boolean CSR nonzero pattern of T + T^H (symmetrized)."""
-    a = T.sparse() if T.kind != "sparse" else T._data
-    pat = sp.csr_matrix(
-        (np.ones(a.nnz, dtype=np.int8), a.indices.copy(), a.indptr.copy()),
-        shape=a.shape,
-    )
-    return pat + pat.T
+def _component_blocks(T, X=None):
+    """Dense blocks of X (default T) on the connected components of T's pattern.
 
-
-def _component_indices(T):
-    """Index sets of the connected components of T's nonzero pattern."""
-    ncomp, labels = connected_components(_pattern(T), directed=False)
-    if ncomp == 1:
-        return [np.arange(T.dim)]
+    Components are grouped by size s, sizes in order of first appearance.
+    Each group is a pair ``(idx, blocks)``: ``idx`` is the (g, s) array of
+    basis indices of its g components (each row ascending, rows ordered by
+    first index) and ``blocks`` the zero-filled (g, s, s) complex array of
+    X's entries inside them, scattered from one COO view of X.  Entries of X
+    that join two components are dropped.  Below ``_SPLIT_MIN_DIM`` the whole
+    basis is one component.
+    """
+    X = T if X is None else X
+    n = T.dim
+    coo = X.sparse().tocoo()
+    if n < _SPLIT_MIN_DIM:
+        labels = np.zeros(n, dtype=np.intp)
+    else:
+        pat = coo if X is T else T.sparse().tocoo()
+        graph = sp.coo_matrix((np.ones(pat.nnz, dtype=np.int8), (pat.row, pat.col)),
+                              shape=pat.shape)
+        _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    cuts = np.flatnonzero(np.diff(sorted_labels)) + 1
-    return np.split(order, cuts)
-
-
-def _dense_block(T, idx):
-    if T.kind == "dense":
-        return T._data[np.ix_(idx, idx)]
-    return T._data[idx][:, idx].toarray()
-
-
-def _batched_eig(blocks, herm):
-    """Eigenvalues of equally-sized dense blocks via stacked LAPACK calls."""
-    stack = np.stack(blocks)
-    return np.linalg.eigvalsh(stack) if herm else np.linalg.eigvals(stack)
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(n, dtype=np.intp)  # place of each index inside its component
+    pos[order] = np.arange(n) - np.repeat(starts, sizes)
+    row_label = labels[coo.row]
+    inside = row_label == labels[coo.col]
+    row_size = np.where(inside, sizes[row_label], 0)
+    slot = np.empty(sizes.size, dtype=np.intp)
+    uniq, first = np.unique(sizes, return_index=True)
+    groups = []
+    for s in uniq[np.argsort(first)]:
+        comps = np.flatnonzero(sizes == s)
+        slot[comps] = np.arange(comps.size)
+        idx = order[starts[comps][:, None] + np.arange(s)]
+        mine = row_size == s
+        flat = ((slot[row_label[mine]] * s + pos[coo.row[mine]]) * s
+                + pos[coo.col[mine]])
+        blocks = np.zeros(comps.size * s * s, dtype=complex)
+        np.add.at(blocks, flat, coo.data[mine])  # sums duplicates, like toarray
+        groups.append((idx, blocks.reshape(comps.size, s, s)))
+    return groups
 
 
 def _eig_all(T, herm):
     """All eigenvalues of T (unordered), using the component split."""
     if T.kind == "diag":
         return T._data.real.astype(complex) if herm else T._data.copy()
+    parts = []
     try:
-        if T.dim < _SPLIT_MIN_DIM:
-            comps = [np.arange(T.dim)]
-        else:
-            comps = _component_indices(T)
-        if len(comps) == 1:
-            block = T._data if T.kind == "dense" else T._data.toarray()
-            return np.linalg.eigvalsh(block) if herm else np.linalg.eigvals(block)
-        values = []
-        by_size = {}
-        for idx in comps:
-            by_size.setdefault(idx.size, []).append(idx)
-        for size, groups in by_size.items():
-            if size == 1:
-                flat = np.concatenate(groups)
-                diag = T.diag()[flat]
-                values.append(diag.real.astype(complex) if herm else diag)
+        for _, blocks in _component_blocks(T):
+            if blocks.shape[1] == 1:
+                vals = blocks[:, 0, 0]
+                parts.append(vals.real.astype(complex) if herm else vals)
             else:
-                blocks = [_dense_block(T, idx) for idx in groups]
-                values.append(_batched_eig(blocks, herm).ravel())
-        return np.concatenate(values) if values else np.empty(0, dtype=complex)
+                eig = np.linalg.eigvalsh if herm else np.linalg.eigvals
+                parts.append(eig(blocks).ravel())
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
+    return np.concatenate(parts)
 
 
 def _condition_estimate(T):
@@ -481,30 +480,16 @@ def singular_values(T):
     if T.kind == "diag":
         mu = np.sort(np.abs(T._data))[::-1]
         return SingularSequence(mu, label=T.label)
+    parts = []
     try:
-        if T.dim >= _SPLIT_MIN_DIM:
-            comps = _component_indices(T)
-        else:
-            comps = [np.arange(T.dim)]
-        if len(comps) == 1:
-            block = T._data if T.kind == "dense" else T._data.toarray()
-            mu = np.linalg.svd(block, compute_uv=False)
-        else:
-            parts = []
-            by_size = {}
-            for idx in comps:
-                by_size.setdefault(idx.size, []).append(idx)
-            for size, groups in by_size.items():
-                if size == 1:
-                    flat = np.concatenate(groups)
-                    parts.append(np.abs(T.diag()[flat]))
-                else:
-                    stack = np.stack([_dense_block(T, idx) for idx in groups])
-                    parts.append(np.linalg.svd(stack, compute_uv=False).ravel())
-            mu = np.concatenate(parts) if parts else np.empty(0)
-        return SingularSequence(np.sort(mu)[::-1], label=T.label)
+        for _, blocks in _component_blocks(T):
+            if blocks.shape[1] == 1:
+                parts.append(np.abs(blocks[:, 0, 0]))
+            else:
+                parts.append(np.linalg.svd(blocks, compute_uv=False).ravel())
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
+    return SingularSequence(np.sort(np.concatenate(parts))[::-1], label=T.label)
 
 
 def _require_hermitian(T, who):
@@ -513,60 +498,52 @@ def _require_hermitian(T, who):
 
 
 def _hermitian_eig(T):
-    """Eigen decomposition of a hermitian operator, componentwise.
+    """Eigen decomposition of a hermitian operator, grouped by component size.
 
-    Returns a list of (indices, eigenvalues, eigenvectors) triples; for the
-    diagonal backend the eigenvector factor is ``None``.
+    Returns one (idx, w, v) triple per group of :func:`_component_blocks`:
+    basis indices (g, s), eigenvalues (g, s) and eigenvectors (g, s, s).  The
+    eigenvector factor is ``None`` where the eigenbasis is the standard one:
+    the diagonal backend (a single (N, 1) group) and components of size 1.
     """
     if T.kind == "diag":
-        return [(np.arange(T.dim), T._data.real, None)]
-    if T.dim < _SPLIT_MIN_DIM:
-        comps = [np.arange(T.dim)]
-    else:
-        comps = _component_indices(T)
+        return [(np.arange(T.dim)[:, None], T._data.real[:, None], None)]
     out = []
     try:
-        for idx in comps:
-            if idx.size == 1:
-                out.append((idx, T.diag()[idx].real, None))
+        for idx, blocks in _component_blocks(T):
+            if idx.shape[1] == 1:
+                out.append((idx, blocks[:, :, 0].real, None))
             else:
-                w, v = np.linalg.eigh(_dense_block(T, idx))
-                out.append((idx, w, v))
+                out.append((idx, *np.linalg.eigh(blocks)))
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
     return out
 
 
-def _assemble(T, pieces):
-    """Rebuild an operator from per-component dense/diagonal pieces."""
+def _spectral_sum(T, pieces, values):
+    """Data of sum_k f_k v_k v_k^* over the eigenpairs of T, one COO build.
+
+    ``values`` holds f on each group's eigenvalues, shaped like its ``w``;
+    each group of blocks costs one stacked product v diag(f) v^*.
+    """
     if T.kind == "diag":
-        (_, vals), = pieces
-        return vals
-    n = T.dim
-    if T.kind == "dense":
-        out = np.zeros((n, n), dtype=complex)
-        for idx, block in pieces:
-            if block.ndim == 1:
-                out[idx, idx] = block
-            else:
-                out[np.ix_(idx, idx)] = block
-        return out
+        return values[0].ravel()
     rows, cols, data = [], [], []
-    for idx, block in pieces:
-        if block.ndim == 1:
-            rows.append(idx)
-            cols.append(idx)
-            data.append(block)
+    for (idx, _w, v), fw in zip(pieces, values):
+        if v is None:
+            rows.append(idx.ravel())
+            cols.append(idx.ravel())
+            data.append(fw.ravel())
         else:
-            r, c = np.nonzero(block)
-            rows.append(idx[r])
-            cols.append(idx[c])
-            data.append(block[r, c])
-    mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat
+            block = (v * fw[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            rows.append(np.broadcast_to(idx[:, :, None], block.shape).ravel())
+            cols.append(np.broadcast_to(idx[:, None, :], block.shape).ravel())
+            data.append(block.ravel())
+    rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
+    if T.kind == "dense":
+        out = np.zeros((T.dim, T.dim), dtype=complex)
+        out[rows, cols] = data
+        return out
+    return sp.csr_matrix((data, (rows, cols)), shape=(T.dim, T.dim))
 
 
 def _apply_scalar_function(f, w, label):
@@ -577,14 +554,14 @@ def _apply_scalar_function(f, w, label):
             if fw.shape != w.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            fw = np.array([complex(f(x)) for x in w])
+            fw = np.array([complex(f(x)) for x in w.ravel()]).reshape(w.shape)
         except ZeroDivisionError as exc:
             raise DomainError(
                 f"function undefined on the spectrum of {label!r}: {exc}"
             ) from exc
     bad = ~np.isfinite(fw)
     if np.any(bad):
-        culprit = w[np.argmax(bad)]
+        culprit = w.flat[np.argmax(bad)]
         raise DomainError(
             f"function undefined at eigenvalue {culprit!r} of operator {label!r}"
         )
@@ -599,15 +576,9 @@ def hermitian_calculus(T, f, label=None):
     """
     _require_hermitian(T, "hermitian_calculus")
     label = label if label is not None else f"f({T.label})"
-    pieces = []
-    for idx, w, v in _hermitian_eig(T):
-        fw = _apply_scalar_function(f, w, T.label)
-        if v is None:
-            pieces.append((idx, fw))
-        else:
-            pieces.append((idx, (v * fw[None, :]) @ v.conj().T))
-    data = _assemble(T, pieces)
-    return Operator(data, label=label)
+    pieces = _hermitian_eig(T)
+    values = [_apply_scalar_function(f, w, T.label) for _, w, _ in pieces]
+    return Operator(_spectral_sum(T, pieces, values), label=label)
 
 
 def spectral_projection(T, lo, hi, closed_ends=(True, True)):
@@ -618,18 +589,12 @@ def spectral_projection(T, lo, hi, closed_ends=(True, True)):
     """
     _require_hermitian(T, "spectral_projection")
     closed_lo, closed_hi = closed_ends
-    pieces = []
-    for idx, w, v in _hermitian_eig(T):
-        inside_lo = (w >= lo) if closed_lo else (w > lo)
-        inside_hi = (w <= hi) if closed_hi else (w < hi)
-        mask = inside_lo & inside_hi
-        if v is None:
-            pieces.append((idx, mask.astype(complex)))
-        else:
-            vs = v[:, mask]
-            pieces.append((idx, vs @ vs.conj().T))
-    data = _assemble(T, pieces)
-    return Operator(data, label=f"E_{T.label}[{lo},{hi}]", hermitian=True)
+    pieces = _hermitian_eig(T)
+    masks = [(((w >= lo) if closed_lo else (w > lo))
+              & ((w <= hi) if closed_hi else (w < hi))).astype(float)
+             for _, w, _ in pieces]
+    return Operator(_spectral_sum(T, pieces, masks),
+                    label=f"E_{T.label}[{lo},{hi}]", hermitian=True)
 
 
 def counting_function(T, t):
@@ -658,18 +623,13 @@ def phase_modulus(D):
     and F |D| = D; kernel vectors of D receive +1.
     """
     _require_hermitian(D, "phase_modulus")
-    sign_pieces, abs_pieces = [], []
-    for idx, w, v in _hermitian_eig(D):
-        s = np.where(w >= 0.0, 1.0, -1.0)
-        if v is None:
-            sign_pieces.append((idx, s.astype(complex)))
-            abs_pieces.append((idx, np.abs(w).astype(complex)))
-        else:
-            sign_pieces.append((idx, (v * s[None, :]) @ v.conj().T))
-            abs_pieces.append((idx, (v * np.abs(w)[None, :]) @ v.conj().T))
-    F = Operator(_assemble(D, sign_pieces), label=f"phase({D.label})",
+    pieces = _hermitian_eig(D)
+    signs = [np.where(w >= 0.0, 1.0, -1.0) for _, w, _ in pieces]
+    moduli = [np.abs(w) for _, w, _ in pieces]
+    F = Operator(_spectral_sum(D, pieces, signs), label=f"phase({D.label})",
                  hermitian=True, unitary=True)
-    absD = Operator(_assemble(D, abs_pieces), label=f"|{D.label}|", hermitian=True)
+    absD = Operator(_spectral_sum(D, pieces, moduli), label=f"|{D.label}|",
+                    hermitian=True)
     return F, absD
 
 
@@ -686,62 +646,3 @@ def anticommutator(A, B):
 def trace(T):
     """Standard trace: sum of diagonal entries."""
     return complex(T.diag().sum())
-
-
-# -- serialization ---------------------------------------------------------------
-
-_MAGIC = b"STO1"
-_KIND_CODE = {"dense": 0, "diag": 1}
-
-
-def save_operator(T, path):
-    """Binary container: magic, kind byte, dim header, row-major complex doubles."""
-    kind = T.kind
-    if kind == "sparse":
-        if T.dim > 4096:
-            raise OperatorError("binary container stores dense data; operator too large")
-        data, kind = T.matrix(), "dense"
-    else:
-        data = T._data
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _KIND_CODE[kind]))
-        fh.write(struct.pack("<Q", T.dim))
-        fh.write(np.ascontiguousarray(data, dtype=np.complex128).tobytes())
-
-
-def load_operator(path, label=""):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise OperatorError(f"bad magic {magic!r} in {path}")
-        (code,) = struct.unpack("<B", fh.read(1))
-        (dim,) = struct.unpack("<Q", fh.read(8))
-        payload = fh.read()
-        if len(payload) % 16:
-            raise OperatorError(f"truncated payload in {path}")
-        raw = np.frombuffer(payload, dtype=np.complex128)
-    if code == _KIND_CODE["diag"]:
-        if raw.size != dim:
-            raise OperatorError("truncated diagonal payload")
-        return Operator(raw.copy(), label=label)
-    if raw.size != dim * dim:
-        raise OperatorError("truncated dense payload")
-    return Operator(raw.reshape(dim, dim).copy(), label=label)
-
-
-def operator_to_csv(T, path):
-    """Debug CSV dump: interleaved re/im columns (small matrices only)."""
-    if T.dim > 512:
-        raise OperatorError("CSV dump is for small matrices (dim <= 512)")
-    m = T.matrix()
-    flat = np.empty((T.dim, 2 * T.dim))
-    flat[:, 0::2] = m.real
-    flat[:, 1::2] = m.imag
-    np.savetxt(path, flat, delimiter=",")
-
-
-def operator_from_csv(path, label=""):
-    flat = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    m = flat[:, 0::2] + 1j * flat[:, 1::2]
-    return Operator(m, label=label)

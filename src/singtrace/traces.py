@@ -38,6 +38,7 @@ from .ideals import (
 from .operators import (
     ContractViolation,
     OperatorError,
+    _component_blocks,
     _hermitian_eig,
     singular_values,
 )
@@ -209,34 +210,16 @@ def _psd_eigendata(V, who):
 def _transformed_diag(A, V, who):
     """Eigenvalues v_k of V and matrix elements <e_k|A|e_k> in V's eigenbasis."""
     pieces = _psd_eigendata(V, who)
-    n = V.dim
-    v = np.empty(n)
-    a = np.empty(n, dtype=complex)
-    pos = 0
-    a_diag = None
+    v = np.concatenate([np.maximum(w, 0.0).ravel() for _, w, _ in pieces])
     if A is None:
-        a_diag = np.ones(n, dtype=complex)
-    elif V.kind == "diag":
-        a_diag = A.diag().astype(complex)
-    for idx, w, vec in pieces:
-        m = idx.size
-        v[pos:pos + m] = np.maximum(w, 0.0)
-        if a_diag is not None:
-            a[pos:pos + m] = a_diag[idx] if A is not None else 1.0
-        else:
-            sub = _dense_subblock(A, idx)
-            b = sub @ vec
-            a[pos:pos + m] = np.einsum("ij,ij->j", vec.conj(), b)
-        pos += m
-    return v, a
-
-
-def _dense_subblock(A, idx):
-    if A.kind == "dense":
-        return A._data[np.ix_(idx, idx)]
-    if A.kind == "diag":
-        return np.diag(A._data[idx])
-    return A._data[idx][:, idx].toarray()
+        return v, np.ones(v.size, dtype=complex)
+    V._check_dims(A)
+    if V.kind == "diag":
+        return v, A.diag().astype(complex)
+    a = [blocks[:, :, 0] if vec is None
+         else np.einsum("gij,gij->gj", vec.conj(), blocks @ vec)
+         for (_, _, vec), (_, blocks) in zip(pieces, _component_blocks(V, A))]
+    return v, np.concatenate([x.ravel() for x in a])
 
 
 def _heat_weights(v, n, alpha):

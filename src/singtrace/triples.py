@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -161,6 +162,9 @@ class SpectralTripleModel:
         self.theta = float(theta)
         self.metadata = {}
         self._word_cache = {}
+        # realized words and their commutators, shared by the worker threads
+        self._comm_cache = {}
+        self._comm_lock = threading.Lock()
         self.D = None
         self.F = None
         self.absD = None
@@ -414,14 +418,16 @@ def build_nc_torus(N, theta=None, buffer=None):
     # (spinor-swap) block keeps {Gamma, F} = 0 exact, which the character
     # identities need.  The sign(0)=+1 default would inject a rank-2 defect.
     kernel = np.flatnonzero(np.abs(w) == 0)
-    fmat = F.sparse().tolil()
-    for k in kernel:
-        up, dn = k, k + L * L
-        fmat[up, up] = 0.0
-        fmat[dn, dn] = 0.0
-        fmat[up, dn] = 1.0
-        fmat[dn, up] = 1.0
-    model.F = Operator(fmat.tocsr(), label="F", hermitian=True, unitary=True)
+    src = np.concatenate([kernel, kernel + L * L])
+    dst = np.concatenate([kernel + L * L, kernel])
+    fmat = F.sparse().tocoo()
+    keep = ~((fmat.row == fmat.col) & np.isin(fmat.row, src))
+    fmat = sp.csr_matrix(
+        (np.concatenate([fmat.data[keep], np.ones(src.size)]),
+         (np.concatenate([fmat.row[keep], src]),
+          np.concatenate([fmat.col[keep], dst]))),
+        shape=fmat.shape)
+    model.F = Operator(fmat, label="F", hermitian=True, unitary=True)
     gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)]).astype(complex)
     model.Gamma = Operator(gamma, label="Gamma", hermitian=True, unitary=True)
     inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)

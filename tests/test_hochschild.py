@@ -1,10 +1,16 @@
 import json
+import os
+import sys
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singtrace import hochschild
 from singtrace.hochschild import (
     Chain,
     SubsetSpec,
@@ -511,3 +517,43 @@ class TestChainSerialization:
         chain_to_json(c, path)
         back = chain_from_json(circle64, path.read_text())
         assert back.terms == c.terms
+
+
+def test_commutator_cache_builds_each_entry_once(monkeypatch):
+    model = build_circle(16)
+    keys = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
+    calls = Counter()
+    count_lock = threading.Lock()
+    real = hochschild.commutator
+
+    def counting(b, op):
+        with count_lock:
+            calls[(id(b), op.label)] += 1
+        time.sleep(1e-3)  # widen the gap between a cache miss and its insert
+        return real(b, op)
+
+    monkeypatch.setattr(hochschild, "commutator", counting)
+    workers = 4 * (os.cpu_count() or 1)
+    start = threading.Barrier(workers)
+    seen = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(keys))
+        start.wait(timeout=30)
+        seen.append({keys[i]: hochschild._word_comm(model, *keys[i])
+                     for i in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == workers
+    assert len(calls) == len(keys) and set(calls.values()) == {1}
+    assert all(all(s[k] is seen[0][k] for k in keys) for s in seen)

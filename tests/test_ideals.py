@@ -12,14 +12,12 @@ from singtrace.ideals import (
     decay_exponent,
     dyadic_window,
     eigenvalue_partial_sums,
-    fit_to_json,
     geometric_grid,
     holder_product_check,
     ideal_diagnostics,
     log_fit,
     lorentz_norm_m1inf,
     quasi_norm_pinf,
-    series_to_csv,
     universal_measurability_test,
 )
 from singtrace.operators import ContractViolation, Operator
@@ -265,22 +263,3 @@ class TestDiagnostics:
         assert np.all(np.diff(g) > 0)
         lo, hi = dyadic_window(10_000)
         assert lo == 100 and hi < 10_000
-
-
-class TestSerialization:
-    def test_series_csv(self, tmp_path):
-        series = PartialSumSeries(np.array([1 + 1j, 2.5, 3 - 0.5j]))
-        path = tmp_path / "series.csv"
-        series_to_csv(series, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "n,re_sum,im_sum"
-        assert len(rows) == 4
-
-    def test_fit_json(self, tmp_path):
-        fit = log_fit(PartialSumSeries(np.log(np.arange(4096) + 1.0)))
-        path = tmp_path / "fit.json"
-        fit_to_json(fit, path)
-        import json
-
-        payload = json.loads(path.read_text())
-        assert payload["z"][0] == pytest.approx(1.0, abs=1e-9)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from singtrace.operators import (
     ContractViolation,
+    canonical_order,
     DomainError,
     Operator,
     anticommutator,
@@ -14,11 +15,7 @@ from singtrace.operators import (
     eigenvalues,
     hermitian_calculus,
     identity,
-    load_operator,
-    operator_from_csv,
-    operator_to_csv,
     phase_modulus,
-    save_operator,
     singular_values,
     spectral_projection,
     trace,
@@ -272,30 +269,82 @@ def test_phase_modulus_properties_property(seed):
     assert (F @ absD - D).norm_bound() <= 1e-10 * scale
 
 
-class TestSerialization:
-    def test_dense_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        T = Operator(random_complex(rng, 9), label="roundtrip")
-        path = tmp_path / "op.bin"
-        save_operator(T, path)
-        back = load_operator(path, label="roundtrip")
-        assert (T - back).norm_bound() == 0.0
+def permuted_blocks(rng, backend, psd=False):
+    """Randomly permuted block-diagonal hermitian matrix, block sizes {1, 2, 3, 5}.
 
-    def test_diagonal_roundtrip(self, tmp_path):
-        T = Operator(np.array([1.0, 2.0, -3.0j]))
-        path = tmp_path / "diag.bin"
-        save_operator(T, path)
-        back = load_operator(path)
-        assert back.kind == "diag"
-        np.testing.assert_array_equal(back.diag(), T.diag())
+    Returns the operator on the given backend, its dense matrix and the
+    sorted index set of each block, which are the pattern's components.
+    """
+    sizes = rng.permutation([1, 2, 3, 5] * 7)  # dim 77, above the split cutoff
+    perm = rng.permutation(int(sizes.sum()))
+    mat = np.zeros((perm.size, perm.size), dtype=complex)
+    comps = []
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        idx = np.sort(perm[start:start + size])
+        h = random_complex(rng, size)
+        mat[np.ix_(idx, idx)] = h @ h.conj().T if psd else h + h.conj().T
+        comps.append(idx)
+    data = sp.csr_matrix(mat) if backend == "sparse" else mat
+    return Operator(data), mat, comps
 
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        T = Operator(random_complex(rng, 5))
-        path = tmp_path / "op.csv"
-        operator_to_csv(T, path)
-        back = operator_from_csv(path)
-        assert (T - back).norm_bound() <= 1e-12
+
+def reference_calculus(mat, comps, f):
+    """f applied block by block with one dense eigh per component."""
+    out = np.zeros_like(mat)
+    for idx in comps:
+        w, v = np.linalg.eigh(mat[np.ix_(idx, idx)])
+        out[np.ix_(idx, idx)] = (v * f(w)[None, :]) @ v.conj().T
+    return out
+
+
+@pytest.mark.parametrize("backend", ["sparse", "dense"])
+class TestComponentSplitReference:
+    """The grouped split against a plain loop over the known components."""
+
+    def assert_close(self, got, want):
+        gap = np.abs(got.matrix() - want).max()
+        assert gap <= 1e-14 * np.abs(want).max()
+
+    def test_eigenvalues_exact(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(31), backend)
+        want = np.concatenate(
+            [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in comps])
+        np.testing.assert_array_equal(eigenvalues(T).values,
+                                      canonical_order(want.astype(complex)))
+
+    def test_singular_values_exact(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(32), backend)
+        want = np.concatenate([np.linalg.svd(mat[np.ix_(idx, idx)],
+                                             compute_uv=False) for idx in comps])
+        np.testing.assert_array_equal(singular_values(T).mu,
+                                      np.sort(want)[::-1])
+
+    def test_hermitian_calculus(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(33), backend)
+        f = lambda s: np.cos(s) + s ** 2
+        self.assert_close(hermitian_calculus(T, f),
+                          reference_calculus(mat, comps, f))
+
+    def test_spectral_projection(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(34), backend)
+        P = spectral_projection(T, 0.0, np.inf, closed_ends=(False, True))
+        self.assert_close(P, reference_calculus(mat, comps,
+                                                lambda s: (s > 0).astype(float)))
+
+    def test_phase_modulus(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(35), backend)
+        F, absD = phase_modulus(T)
+        self.assert_close(F, reference_calculus(
+            mat, comps, lambda s: np.where(s >= 0, 1.0, -1.0)))
+        self.assert_close(absD, reference_calculus(mat, comps, np.abs))
+
+    def test_counting_function(self, backend):
+        T, mat, comps = permuted_blocks(np.random.default_rng(36), backend,
+                                        psd=True)
+        w = np.concatenate(
+            [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in comps])
+        for t in (0.5, 2.0, 8.0):
+            assert counting_function(T, t) == int(np.count_nonzero(w > t))
 
 
 class TestFlags:
@@ -326,22 +375,3 @@ class TestFlags:
                        shape=(n, n), format="csr")
         T = Operator(2.5 * mat)
         assert T.norm2() == pytest.approx(2.5, rel=1e-6)
-
-
-class TestSerializationErrors:
-    def test_bad_magic(self, tmp_path):
-        from singtrace.operators import OperatorError
-
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(OperatorError):
-            load_operator(path)
-
-    def test_truncated_payload(self, tmp_path):
-        from singtrace.operators import OperatorError
-
-        path = tmp_path / "short.bin"
-        save_operator(Operator(np.ones(4)), path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(OperatorError):
-            load_operator(path)

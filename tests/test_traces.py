@@ -141,6 +141,22 @@ class TestHeatFunctional:
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+    def test_sparse_block_V_with_coefficient(self, torus12):
+        # non-diagonal A against the same V, read in V's eigenbasis from a
+        # dense eigh; A has entries inside and between V's 2x2 blocks
+        m = torus12
+        v = 1.0 / (np.arange(m.dim) + 1.0)
+        V = m.F @ Operator(v) @ m.F
+        A = (m.F + 0.5 * m.realize(m.generators()["U"])
+             + Operator(np.cos(np.arange(m.dim))))
+        grid = np.array([8, 32])
+        got = heat_functional(A, V, 2.0, grid=grid).values
+        w, U = np.linalg.eigh(V.matrix())
+        a = np.einsum("ij,ij->j", U.conj(), A.matrix() @ U)
+        want = [np.sum(a * w * np.exp(-(n * w) ** -2.0)) for n in grid]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
 class TestHeatFit:
     def test_exact_model(self):
         from singtrace.traces import HeatSamples
