@@ -5,8 +5,9 @@ character-theorem run, estimator battery, ...).  ``run`` executes the checks
 requested by an :class:`ExperimentConfig` in a small thread pool (numpy
 releases the GIL inside LAPACK) and assembles a :class:`Report` with one
 record per check plus an environment stamp.  Reports are deterministic for
-a fixed config and seed; the only varying fields are timestamps and
-runtimes, which ``stable_digest`` excludes.
+a fixed config and seed; the only varying fields are runtimes and the
+environment stamp (time, versions, platform, thread count), which
+``stable_digest`` excludes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,9 @@ class ExperimentConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
 
     def digest(self):
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """Hash of every field that can change results (not the ``out`` path)."""
+        text = replace(self, out=None).to_json()
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -143,20 +146,20 @@ class Report:
         return all(r.passed for r in self.records)
 
     def as_dict(self, timing=True):
-        return {
-            "environment": self.environment if timing else {
-                k: v for k, v in self.environment.items()
-                if k not in ("generated_at",)},
+        out = {
             "config_digest": self.config.digest(),
             "all_passed": self.all_passed,
             "records": [r.as_dict(timing=timing) for r in self.records],
         }
+        if timing:
+            out["environment"] = self.environment
+        return out
 
     def to_json(self, timing=True):
         return json.dumps(self.as_dict(timing=timing), indent=2, sort_keys=True)
 
     def stable_digest(self):
-        """Digest of everything except timestamps and runtimes."""
+        """Digest of everything except runtimes and the environment stamp."""
         return hashlib.sha256(self.to_json(timing=False).encode()).hexdigest()
 
     def to_markdown(self):
@@ -382,15 +385,19 @@ def _check_identity_suite(ctx):
     sub["appendix"] = hh.appendix_identity_checks(g, h, model, tol=tol)
     # b o b = 0 on a random chain of degree 3
     rank = model.word_rank
-    def rand_elem():
+    def rand_elem(coeff):
         word = tuple(int(rng.integers(-2, 3)) for _ in range(rank))
-        return model.monomial(word, coeff=complex(rng.standard_normal(),
-                                                  rng.standard_normal()))
+        return model.monomial(word, coeff=coeff())
+    # small nonzero Gaussian-integer coefficients: their products and sums
+    # are exact in double precision, so is_zero() stays an exact test
+    gauss_int = lambda: complex(*rng.choice((-3, -2, -1, 1, 2, 3), size=2))
+    normal = lambda: complex(rng.standard_normal(), rng.standard_normal())
     rand = hh.Chain.from_elements(
-        model, [(1.0, [rand_elem() for _ in range(4)]) for _ in range(3)])
+        model, [(1.0, [rand_elem(gauss_int) for _ in range(4)])
+                for _ in range(3)])
     sub["bb_zero"] = {"passed": hh.boundary(hh.boundary(rand)).is_zero()}
     # Leibniz for [D, .] and [|D|, .] on interior modes
-    a, b = rand_elem(), rand_elem()
+    a, b = rand_elem(normal), rand_elem(normal)
     A, Bv = model.realize(a), model.realize(b)
     AB = model.realize(a * b)
     leib_d = model.interior_norm(

@@ -519,7 +519,7 @@ def _hermitian_eig(T):
     return out
 
 
-def _spectral_sum(T, pieces, values):
+def _assemble(T, pieces, values):
     """Data of sum_k f_k v_k v_k^* over the eigenpairs of T, one COO build.
 
     ``values`` holds f on each group's eigenvalues, shaped like its ``w``;
@@ -578,7 +578,7 @@ def hermitian_calculus(T, f, label=None):
     label = label if label is not None else f"f({T.label})"
     pieces = _hermitian_eig(T)
     values = [_apply_scalar_function(f, w, T.label) for _, w, _ in pieces]
-    return Operator(_spectral_sum(T, pieces, values), label=label)
+    return Operator(_assemble(T, pieces, values), label=label)
 
 
 def spectral_projection(T, lo, hi, closed_ends=(True, True)):
@@ -593,7 +593,7 @@ def spectral_projection(T, lo, hi, closed_ends=(True, True)):
     masks = [(((w >= lo) if closed_lo else (w > lo))
               & ((w <= hi) if closed_hi else (w < hi))).astype(float)
              for _, w, _ in pieces]
-    return Operator(_spectral_sum(T, pieces, masks),
+    return Operator(_assemble(T, pieces, masks),
                     label=f"E_{T.label}[{lo},{hi}]", hermitian=True)
 
 
@@ -626,9 +626,9 @@ def phase_modulus(D):
     pieces = _hermitian_eig(D)
     signs = [np.where(w >= 0.0, 1.0, -1.0) for _, w, _ in pieces]
     moduli = [np.abs(w) for _, w, _ in pieces]
-    F = Operator(_spectral_sum(D, pieces, signs), label=f"phase({D.label})",
+    F = Operator(_assemble(D, pieces, signs), label=f"phase({D.label})",
                  hermitian=True, unitary=True)
-    absD = Operator(_spectral_sum(D, pieces, moduli), label=f"|{D.label}|",
+    absD = Operator(_assemble(D, pieces, moduli), label=f"|{D.label}|",
                     hermitian=True)
     return F, absD
 

@@ -70,13 +70,24 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["all_passed"]
 
-    def test_deterministic_outputs(self):
-        cfg = lambda: ExperimentConfig(model={"name": "circle", "N": 48},
-                                       checks=["identity-suite", "chern"],
-                                       seed=11)
-        d1 = run(cfg()).stable_digest()
-        d2 = run(cfg()).stable_digest()
-        assert d1 == d2
+    def test_deterministic_outputs(self, monkeypatch, tmp_path):
+        cfg = lambda out=None: ExperimentConfig(
+            model={"name": "circle", "N": 48},
+            checks=["identity-suite", "chern"], seed=11, out=out)
+        digests = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SINGTRACE_THREADS", threads)
+            digests.add(run(cfg()).stable_digest())
+        for name in ("first", "second"):
+            digests.add(run(cfg(str(tmp_path / name))).stable_digest())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("seed", [22, 53])
+    def test_identity_suite_exact_for_every_seed(self, seed):
+        # seeds whose float-coefficient chain left ~1e-16 terms in b(b(c))
+        report = run(ExperimentConfig(model={"name": "circle", "N": 256},
+                                      checks=["identity-suite"], seed=seed))
+        assert report.all_passed, report.to_markdown()
 
     def test_seed_changes_randomized_checks(self):
         base = ExperimentConfig(model={"name": "circle", "N": 48},
