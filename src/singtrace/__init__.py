@@ -16,13 +16,11 @@ from .operators import (
     Spectrum,
     anticommutator,
     commutator,
-    counting_function,
     eigenvalues,
     hermitian_calculus,
     identity,
     phase_modulus,
     singular_values,
-    spectral_projection,
     trace,
     zeros,
 )
@@ -32,7 +30,6 @@ from .ideals import (
     PartialSumSeries,
     Verdict,
     eigenvalue_partial_sums,
-    holder_product_check,
     log_fit,
     lorentz_norm_m1inf,
     quasi_norm_pinf,
@@ -62,14 +59,12 @@ from .triples import (
     f_comm,
     invertible_double,
     partial_d,
-    qc_seminorm,
     realize,
     resolvent_weight,
     summability_report,
 )
 from .hochschild import (
     Chain,
-    SubsetSpec,
     appendix_identity_checks,
     bob_identity_check,
     boundary,
@@ -82,7 +77,6 @@ from .hochschild import (
     nc_torus_volume_cycle,
     omega,
     reduction_partial_sum_check,
-    w_m,
     w_subset,
 )
 

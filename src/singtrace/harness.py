@@ -297,16 +297,8 @@ def _check_chern(ctx):
         curves=[("convergence", ["radius", "re", "im"], rows)])
 
 
-def _pairing_series(ctx):
-    q = ctx.chain.degree
-    om = hh.omega(ctx.chain, ctx.model, strict=False)
-    V = ctx.model.compress(triples.resolvent_weight(ctx.model, q))
-    T = om @ V
-    return ideals.eigenvalue_partial_sums(T, label="pairing")
-
-
 def _check_eigen_sums(ctx):
-    series = _pairing_series(ctx)
+    series = hh._pairing_series(ctx.chain, ctx.model)
     ch = hh.chern(ctx.chain, ctx.model, strict=False).value
     tol = ctx.tolerance("sum_tol", max(0.5, 0.25 * abs(ch)))
     verdict = ideals.universal_measurability_test(
@@ -338,7 +330,7 @@ def _check_heat(ctx):
 
 
 def _check_dixmier(ctx):
-    series = _pairing_series(ctx)
+    series = hh._pairing_series(ctx.chain, ctx.model)
     ch = hh.chern(ctx.chain, ctx.model, strict=False).value
     est = traces.dixmier_logmean(series, ctx.scheme,
                                  n_max=ctx.model.reliable_count - 1)
@@ -509,15 +501,14 @@ def _check_concordance(ctx):
     pairwise within their summed reported residuals."""
     model = ctx.model
     q = ctx.chain.degree
-    om = hh.omega(ctx.chain, model, strict=False)
-    V = model.compress(triples.resolvent_weight(model, q))
-    series = ideals.eigenvalue_partial_sums(om @ V, label="pairing")
-    window = model.fit_window()
-    fit = ideals.log_fit(series, window=window)
+    series = hh._pairing_series(ctx.chain, model)
+    fit = ideals.log_fit(series, window=model.fit_window())
     dix = traces.dixmier_logmean(series, ctx.scheme,
                                  n_max=model.reliable_count - 1)
     n_lo, n_hi = 8, max(model.reliable_count // 8, 32)
-    samples = traces.heat_functional(om, V, alpha=1.0 + 1.0 / q,
+    samples = traces.heat_functional(hh.omega(ctx.chain, model, strict=False),
+                                     triples._interior_weight(model, q),
+                                     alpha=1.0 + 1.0 / q,
                                      grid=ideals.geometric_grid(n_lo, n_hi,
                                                                 math.sqrt(2.0)))
     heat = traces.heat_fit(samples)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .ideals import (
     MEASURABLE,
+    _least_squares,
     eigenvalue_partial_sums,
     geometric_grid,
     log_fit,
@@ -37,15 +38,12 @@ from .operators import (
     Operator,
     commutator,
     hermitian_calculus,
-    trace,
 )
 from .traces import measurability_criterion_check
-from .triples import AlgebraElement, invertible_double, resolvent_weight
+from .triples import AlgebraElement, _interior_weight, invertible_double
 
 __all__ = [
     "Chain",
-    "SubsetSpec",
-    "subset_sign_count",
     "boundary",
     "is_cycle",
     "nc_torus_volume_cycle",
@@ -56,7 +54,6 @@ __all__ = [
     "chern",
     "ChernResult",
     "w_subset",
-    "w_m",
     "bob_identity_check",
     "appendix_identity_checks",
     "reduction_partial_sum_check",
@@ -139,29 +136,6 @@ class Chain:
             bits.append(f"{coeff:.3g}{lam}*" + "(x)".join(label(w) for w in words))
         return f"Chain(deg={self.degree}: " + " + ".join(bits[:4]) + (
             " ..." if len(bits) > 4 else "") + ")"
-
-
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A subset of {1..p} with its crossing number n_A (cross-checked)."""
-
-    subset: frozenset
-    n_count: int
-    p: int
-
-    def __post_init__(self):
-        recomputed = subset_sign_count(self.subset, self.p)
-        if recomputed != self.n_count:
-            raise ContractViolation(
-                f"stored n_A={self.n_count} but recomputed {recomputed}"
-            )
-
-
-def subset_sign_count(subset, p):
-    """n_A = #{(i, j): i < j, i in A, j not in A}."""
-    subset = set(subset)
-    return sum(1 for i in range(1, p + 1) for j in range(i + 1, p + 1)
-               if i in subset and j not in subset)
 
 
 def boundary(c):
@@ -263,32 +237,20 @@ def nc_torus_volume_cycle(model, kappa=1.0):
 # -- realized multilinear maps ---------------------------------------------------
 
 
-def _cached(model, key, build):
-    """Look up ``key`` in the model's operator cache; build it once on a miss."""
-    with model._comm_lock:
-        hit = model._comm_cache.get(key)
-        if hit is None:
-            hit = model._comm_cache[key] = build()
-        return hit
+def _factor(model, kind, word):
+    """realize(word) for kind "id", else [b, realize(word)] with b = D, |D|, F
+    for kind "D", "delta", "F"; built once per model."""
+    def build():
+        op = Operator(model.realize_word(word), label=model.word_label(word))
+        if kind == "id":
+            return op
+        b = {"D": model.D, "delta": model.absD, "F": model.F}[kind]
+        return commutator(b, op)
+    return model.derived((kind, word), build)
 
 
-def _realized(model, word):
-    return Operator(model.realize_word(word), label=model.word_label(word))
-
-
-def _word_comm(model, kind, word):
-    """Cached commutator [b, realize(word)] for b in {D, |D|, F}."""
-    b = {"D": model.D, "delta": model.absD, "F": model.F}[kind]
-    return _cached(model, (kind, word),
-                   lambda: commutator(b, _realized(model, word)))
-
-
-def _word_op(model, word):
-    return _cached(model, ("id", word), lambda: _realized(model, word))
-
-
-def _gamma_times(model, op):
-    return op if model.Gamma is None else model.Gamma @ op
+def _chain_key(c):
+    return (c.degree, tuple(sorted(c.terms.items())))
 
 
 def _check_degree(c, model, strict):
@@ -298,70 +260,61 @@ def _check_degree(c, model, strict):
         )
 
 
-def omega(c, model=None, strict=True):
-    """Omega(c) = Gamma a0 prod_{k>=1} [D, a_k], compressed to the interior."""
-    model = model or c.model
-    _check_degree(c, model, strict)
+def _chain_map(c, model, kinds, label, lead=None):
+    """The interior compression of lead Gamma sum_terms coeff lam^m prod_k X_k.
+
+    X_k is the :func:`_factor` of kind ``kinds[k]`` on the word in slot k;
+    ``lead`` and Gamma are left out when None.
+    """
     acc = None
     for (words, m), coeff in sorted(c.terms.items()):
-        piece = _word_op(model, words[0])
-        for w in words[1:]:
-            piece = piece @ _word_comm(model, "D", w)
+        piece = None
+        for kind, w in zip(kinds, words):
+            factor = _factor(model, kind, w)
+            piece = factor if piece is None else piece @ factor
         piece = (coeff * model.eval_phase(m)) * piece
         acc = piece if acc is None else acc + piece
     if acc is None:
         return model.compress(Operator(np.zeros(model.dim, dtype=complex)))
-    return model.compress(_gamma_times(model, acc)).relabel("Omega(c)")
+    if model.Gamma is not None:
+        acc = model.Gamma @ acc
+    if lead is not None:
+        acc = lead @ acc
+    return model.compress(acc).relabel(label)
+
+
+def omega(c, model=None, strict=True):
+    """Omega(c) = Gamma a0 prod_{k>=1} [D, a_k], compressed to the interior."""
+    model = model or c.model
+    _check_degree(c, model, strict)
+    kinds = ("id",) + ("D",) * c.degree
+    return model.derived(("omega", _chain_key(c)),
+                         lambda: _chain_map(c, model, kinds, "Omega(c)"))
 
 
 def w_subset(c, model=None, subset=frozenset(), strict=True):
     """W_A(c) = Gamma a0 prod_k [b_k, a_k] with b_k = |D| on A else F.
 
-    ``subset`` may be any iterable of positions in 1..degree or a validated
-    :class:`SubsetSpec`.
+    ``subset`` may be any iterable of positions in 1..degree.
     """
     model = model or c.model
     _check_degree(c, model, strict)
     q = c.degree
-    if isinstance(subset, SubsetSpec):
-        subset = subset.subset
     subset = frozenset(int(k) for k in subset)
     if any(k < 1 or k > q for k in subset):
         raise ContractViolation(f"subset {sorted(subset)} not within 1..{q}")
-    acc = None
-    for (words, m), coeff in sorted(c.terms.items()):
-        piece = _word_op(model, words[0])
-        for k, w in enumerate(words[1:], start=1):
-            piece = piece @ _word_comm(model, "delta" if k in subset else "F", w)
-        piece = (coeff * model.eval_phase(m)) * piece
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        return model.compress(Operator(np.zeros(model.dim, dtype=complex)))
+    kinds = ("id",) + tuple("delta" if k in subset else "F"
+                            for k in range(1, q + 1))
     label = "W_{" + ",".join(map(str, sorted(subset))) + "}(c)"
-    return model.compress(_gamma_times(model, acc)).relabel(label)
-
-
-def w_m(c, model=None, m=1, strict=True):
-    """W_m(c): the delta-derivation sits in slot m, phase commutators elsewhere."""
-    return w_subset(c, model, frozenset({m}), strict=strict)
+    return model.derived(("W", _chain_key(c), subset),
+                         lambda: _chain_map(c, model, kinds, label))
 
 
 def ch_op(c, model=None, strict=True):
     """ch(c) = F Gamma prod_{k=0..q} [F, a_k], compressed to the interior."""
     model = model or c.model
     _check_degree(c, model, strict)
-    acc = None
-    for (words, m), coeff in sorted(c.terms.items()):
-        piece = None
-        for w in words:
-            factor = _word_comm(model, "F", w)
-            piece = factor if piece is None else piece @ factor
-        piece = (coeff * model.eval_phase(m)) * piece
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        return model.compress(Operator(np.zeros(model.dim, dtype=complex)))
-    out = model.F @ _gamma_times(model, acc)
-    return model.compress(out).relabel("ch(c)")
+    return _chain_map(c, model, ("F",) * (c.degree + 1), "ch(c)", lead=model.F)
 
 
 @dataclass
@@ -407,15 +360,31 @@ def chern(c, model=None, strict=True):
     trace-class convergence of ch(c) is visible in reports.
     """
     model = model or c.model
-    ch_full = ch_op(c, model, strict=strict)
-    sign = (-1.0) ** (c.degree - 1)
-    # ch_full is compressed to radius N; nested windows reuse its diagonal
-    diag = ch_full.diag()
-    history = {}
-    for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2), model.N}):
-        inside = np.isin(model.interior, _interior_at(model, radius))
-        history[radius] = complex(sign * 0.5 * diag[inside].sum())
-    return ChernResult(value=history[model.N], history=history)
+    _check_degree(c, model, strict)
+
+    def build():
+        sign = (-1.0) ** (c.degree - 1)
+        # ch(c) is compressed to radius N; nested windows reuse its diagonal
+        diag = ch_op(c, model, strict=False).diag()
+        history = {}
+        for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2),
+                              model.N}):
+            inside = np.isin(model.interior, _interior_at(model, radius))
+            history[radius] = complex(sign * 0.5 * diag[inside].sum())
+        return ChernResult(value=history[model.N], history=history)
+    return model.derived(("chern", _chain_key(c)), build)
+
+
+def _pairing_series(c, model):
+    """Eigenvalue partial sums of Omega(c) (1+D^2)^{-q/2}, q = degree.
+
+    Built once per model and chain; every estimate of the pairing starts
+    from these sums.
+    """
+    def build():
+        T = omega(c, model, strict=False) @ _interior_weight(model, c.degree)
+        return eigenvalue_partial_sums(T, label="pairing")
+    return model.derived(("pairing", _chain_key(c)), build)
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -466,14 +435,17 @@ def appendix_identity_checks(a1, a2, model=None, tol=1e-10):
 
 
 def _interior_inverse_powers(double):
-    """(|D0|^{-p}, D0^{-1}) on the interior of the invertible double."""
-    absD0_int = double.compress(double.absD)
-    F_int = double.compress(double.F)
-    p = double.p
-    abs_inv_p = hermitian_calculus(absD0_int, lambda x: x ** (-float(p)),
-                                   label="|D0|^-p")
-    abs_inv = hermitian_calculus(absD0_int, lambda x: 1.0 / x, label="|D0|^-1")
-    return abs_inv_p, abs_inv @ F_int  # D0^{-1} = |D0|^{-1} F
+    """(|D0|^{-p}, D0^{-1}) on the interior of the invertible double, built once."""
+    def build():
+        absD0_int = double.compress(double.absD)
+        F_int = double.compress(double.F)
+        p = double.p
+        abs_inv_p = hermitian_calculus(absD0_int, lambda x: x ** (-float(p)),
+                                       label="|D0|^-p")
+        abs_inv = hermitian_calculus(absD0_int, lambda x: 1.0 / x,
+                                     label="|D0|^-1")
+        return abs_inv_p, abs_inv @ F_int  # D0^{-1} = |D0|^{-1} F
+    return double.derived(("inverse_powers",), build)
 
 
 def reduction_partial_sum_check(c, model=None, z_tol=0.1, resid_tol=None):
@@ -509,15 +481,17 @@ def reduction_partial_sum_check(c, model=None, z_tol=0.1, resid_tol=None):
     }
 
 
-def default_s_grid(double, ratio=2.0 ** 0.25, s_max=0.125):
-    """Geometric s-grid inside the truncation-resolution window.
-
-    The floor keeps exp(-(s |D0|)^{p+1}) numerically supported strictly
-    inside the truncation: at the top of the spectrum the weight is at most
-    exp(-8).
-    """
+def _heat_floor(double):
+    """Smallest s at which exp(-(s |D0|)^{p+1}) is at most exp(-8) at the top
+    of the interior spectrum, which keeps the heat weight inside the
+    truncation."""
     d_max = float(np.max(np.abs(double.compress(double.absD).diag().real)))
-    s_min = (8.0 ** (1.0 / (double.p + 1))) / d_max
+    return (8.0 ** (1.0 / (double.p + 1))) / d_max
+
+
+def default_s_grid(double, ratio=2.0 ** 0.25, s_max=0.125):
+    """Geometric s-grid from the resolution floor up to ``s_max``."""
+    s_min = _heat_floor(double)
     if s_min >= s_max:
         raise ContractViolation(
             f"heat s-window empty: floor {s_min:.3g} above ceiling {s_max:.3g}"
@@ -545,10 +519,10 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     _abs_inv_p, d0_inv = _interior_inverse_powers(double)
     X = wp @ d0_inv
     d = double.compress(double.absD).diag().real
-    floor = (8.0 ** (1.0 / (p + 1))) / float(np.max(d))
     if s_grid is None:
         s_grid = default_s_grid(double)
     else:
+        floor = _heat_floor(double)
         s_grid = np.asarray(s_grid, dtype=float)
         low = s_grid < floor
         if np.any(low):
@@ -563,9 +537,7 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     for j, s in enumerate(s_grid):
         values[j] = np.sum(xdiag * np.exp(-(s * d) ** (p + 1)))
     x = np.log(1.0 / s_grid)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = float(np.max(np.abs(values - design @ coef)))
+    coef, resid = _least_squares([x, np.ones_like(x)], values)
     return {
         "s": s_grid.tolist(),
         "values": values.tolist(),
@@ -593,12 +565,9 @@ def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
     even_model = (model.parity == "even")
     parity_match = (even_chain == even_model)
     ch = chern(c, model, strict=False)
-    omega_int = omega(c, model, strict=False)
-    V_int = model.compress(resolvent_weight(model, q))
-    T = omega_int @ V_int
+    series = _pairing_series(c, model)
     window = model.fit_window()
     if not parity_match:
-        series = eigenvalue_partial_sums(T, label="parity run")
         fit = log_fit(series, window=window)
         passed = bool(abs(ch.value) <= parity_ch_tol
                       and abs(fit.z) <= parity_z_tol)
@@ -614,14 +583,14 @@ def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
     if sum_tol is None:
         sum_tol = max(0.5, 0.25 * abs(ch.value))
     z_tol = max(min(0.5 * abs(ch.value), 0.5), 0.02)
-    verdict = universal_measurability_test(T, tol=sum_tol, z_tol=z_tol,
+    verdict = universal_measurability_test(series, tol=sum_tol, z_tol=z_tol,
                                            window=window)
     if alpha is None:
         alpha = 1.0 + 1.0 / q
     n_lo = 8
     n_hi = max(model.reliable_count // 8, 4 * n_lo)
     criterion = measurability_criterion_check(
-        omega_int, V_int, alpha=alpha,
+        omega(c, model, strict=False), _interior_weight(model, q), alpha=alpha,
         heat_grid=geometric_grid(n_lo, n_hi, math.sqrt(2.0)),
         spec_window=window,
     )

@@ -21,9 +21,7 @@ import numpy as np
 
 from .operators import (
     ContractViolation,
-    Operator,
     SingularSequence,
-    counting_function,
     eigenvalues,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "INCONCLUSIVE",
     "quasi_norm_pinf",
     "lorentz_norm_m1inf",
-    "holder_product_check",
     "eigenvalue_partial_sums",
     "geometric_grid",
     "dyadic_window",
@@ -45,7 +42,6 @@ __all__ = [
     "universal_measurability_test",
     "decay_exponent",
     "ideal_diagnostics",
-    "counting_ratio",
 ]
 
 DEFAULT_RATIO = math.sqrt(2.0)
@@ -174,50 +170,6 @@ def lorentz_norm_m1inf(mu):
     return float(np.max(sums / np.log(2.0 + n)))
 
 
-def holder_product_check(factors, c_max=None):
-    """Check the Hoelder bound for a product of operators in L_{p_m,inf}.
-
-    ``factors`` is a sequence of (Operator, p_m) pairs.  The product exponent
-    is 1/p = sum 1/p_m; the reported constant is
-
-        C = ||prod A_m||_{p,inf} / prod ||A_m||_{p_m,inf}.
-
-    The dyadic bound mu(n k, prod A) <= prod mu(k, A_m) gives C <= n^{1/p}
-    exactly at any truncation, which is the default pass threshold.
-    """
-    from .operators import singular_values
-
-    ops = [op for op, _ in factors]
-    ps = [p for _, p in factors]
-    if not ops:
-        raise ContractViolation("holder_product_check needs at least one factor")
-    dim = ops[0].dim
-    for op in ops[1:]:
-        if op.dim != dim:
-            raise ContractViolation("holder_product_check: dimension mismatch")
-    inv_p = sum(1.0 / p for p in ps)
-    p = 1.0 / inv_p
-    prod = ops[0]
-    for op in ops[1:]:
-        prod = prod @ op
-    product_norm = quasi_norm_pinf(singular_values(prod), p)
-    factor_norms = [quasi_norm_pinf(singular_values(op), pm) for op, pm in factors]
-    factor_product = float(np.prod(factor_norms))
-    if c_max is None:
-        c_max = len(ops) ** (1.0 / p) * (1.0 + 1e-9)
-    constant = product_norm / factor_product if factor_product > 0 else 0.0
-    return {
-        "p": p,
-        "exponents": ps,
-        "product_quasi_norm": product_norm,
-        "factor_quasi_norms": factor_norms,
-        "factor_norm_product": factor_product,
-        "constant": constant,
-        "c_max": c_max,
-        "passed": product_norm <= c_max * factor_product or factor_product == 0.0,
-    }
-
-
 def eigenvalue_partial_sums(T, label=None, group_rtol=1e-9):
     """Partial sums of eigenvalues(T) in canonical order.
 
@@ -262,6 +214,25 @@ def dyadic_window(N):
     return lo, min(hi, N - 1)
 
 
+def _least_squares(columns, values):
+    """Least-squares coefficients of ``values`` on the design ``columns``,
+    with the sup norm of the residual."""
+    design = np.column_stack(columns)
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    return coef, float(np.max(np.abs(values - design @ coef)))
+
+
+def _loglog_slope(ns, values):
+    """Slope of log(values) against log(ns) over the positive values;
+    -inf when fewer than three are positive."""
+    ns = np.asarray(ns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keep = values > 0
+    if keep.sum() < 3:
+        return -math.inf
+    return float(np.polyfit(np.log(ns[keep]), np.log(values[keep]), 1)[0])
+
+
 def log_fit(series, window=None, ratio=DEFAULT_RATIO):
     """Fit sums[n] ~ z*log(n+1) + b on a geometric grid inside ``window``.
 
@@ -287,12 +258,9 @@ def log_fit(series, window=None, ratio=DEFAULT_RATIO):
             f"log_fit window [{lo},{hi}] spans {grid.size} grid points; need >= 3"
         )
     x = np.log(grid + 1.0)
-    y = sums[grid]
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    z, intercept = complex(coef[0]), complex(coef[1])
-    resid = float(np.max(np.abs(y - design @ coef)))
-    return LogFit(z=z, intercept=intercept, residual_sup=resid,
+    coef, resid = _least_squares([x, np.ones_like(x)], sums[grid])
+    return LogFit(z=complex(coef[0]), intercept=complex(coef[1]),
+                  residual_sup=resid,
                   window=(int(lo), int(hi)), grid=grid)
 
 
@@ -335,14 +303,7 @@ def decay_exponent(mu, window=None, ratio=DEFAULT_RATIO):
     if window is None:
         window = dyadic_window(N)
     grid = geometric_grid(*window, ratio=ratio)
-    vals = mu[grid]
-    keep = vals > 0
-    if keep.sum() < 3:
-        return -np.inf
-    x = np.log(grid[keep] + 1.0)
-    y = np.log(vals[keep])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return _loglog_slope(grid + 1.0, mu[grid])
 
 
 def ideal_diagnostics(mu, p=1.0, window=None):
@@ -361,12 +322,3 @@ def ideal_diagnostics(mu, p=1.0, window=None):
         fitted_decay_exponent=slope,
         verdicts=verdicts,
     )
-
-
-def counting_ratio(T, p, ns):
-    """n_{|T|}(1/n) / n^p on a grid (bounded iff T is in L_{p,inf})."""
-    out = []
-    for n in ns:
-        count = counting_function(T, 1.0 / n)
-        out.append(count / float(n) ** p)
-    return np.asarray(out)

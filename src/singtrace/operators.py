@@ -36,8 +36,6 @@ __all__ = [
     "DomainError",
     "eigenvalues",
     "singular_values",
-    "spectral_projection",
-    "counting_function",
     "hermitian_calculus",
     "phase_modulus",
     "commutator",
@@ -141,7 +139,8 @@ class Operator:
     ----------
     data : array_like or scipy sparse matrix
         1-d array (interpreted as a diagonal), 2-d square array, or sparse
-        matrix.
+        matrix.  A complex CSR matrix without explicit zeros is wrapped
+        without a copy, so it must not be modified afterwards.
     label : str
         Human-readable tag used in error messages and reports.
     hermitian, unitary : bool or None
@@ -153,8 +152,10 @@ class Operator:
 
     def __init__(self, data, label="", hermitian=None, unitary=None):
         if sp.issparse(data):
-            mat = data.tocsr().astype(complex)
-            mat.eliminate_zeros()
+            mat = data.tocsr().astype(complex, copy=False)
+            if not mat.data.all():
+                mat = mat.copy()
+                mat.eliminate_zeros()
             if mat.shape[0] != mat.shape[1]:
                 raise ContractViolation(f"operator {label!r} is not square")
             diag = mat.diagonal()
@@ -581,41 +582,6 @@ def hermitian_calculus(T, f, label=None):
     return Operator(_assemble(T, pieces, values), label=label)
 
 
-def spectral_projection(T, lo, hi, closed_ends=(True, True)):
-    """Orthogonal projection onto eigenvectors with eigenvalue in [lo, hi].
-
-    ``closed_ends`` selects closed (True) or open (False) interval ends;
-    infinite ends are allowed.
-    """
-    _require_hermitian(T, "spectral_projection")
-    closed_lo, closed_hi = closed_ends
-    pieces = _hermitian_eig(T)
-    masks = [(((w >= lo) if closed_lo else (w > lo))
-              & ((w <= hi) if closed_hi else (w < hi))).astype(float)
-             for _, w, _ in pieces]
-    return Operator(_assemble(T, pieces, masks),
-                    label=f"E_{T.label}[{lo},{hi}]", hermitian=True)
-
-
-def counting_function(T, t):
-    """n_T(t): number of eigenvalues of a psd operator strictly above t > 0."""
-    _require_hermitian(T, "counting_function")
-    if t <= 0:
-        raise ContractViolation("counting_function requires t > 0")
-    count = 0
-    floor = 0.0
-    for _, w, _v in _hermitian_eig(T):
-        floor = min(floor, float(w.min(initial=0.0)))
-        count += int(np.count_nonzero(w > t))
-    scale = 1.0 + T.norm_bound()
-    if floor < -1e-10 * scale:
-        raise ContractViolation(
-            f"counting_function requires a psd operator; {T.label!r} has "
-            f"eigenvalue {floor:.3e}"
-        )
-    return count
-
-
 def phase_modulus(D):
     """Polar data (F, |D|) of a hermitian operator, with sign(0) := +1.
 
@@ -634,8 +600,22 @@ def phase_modulus(D):
 
 
 def commutator(A, B):
-    """[A, B] = AB - BA."""
-    return (A @ B) - (B @ A)
+    """[A, B] = AB - BA.
+
+    With one factor diagonal and the other sparse, the entries
+    (a_i - a_j) b_ij are formed on the sparse factor's pattern in one step.
+    """
+    if {A.kind, B.kind} != {"diag", "sparse"}:
+        return (A @ B) - (B @ A)
+    A._check_dims(B)
+    m = (B if A.kind == "diag" else A)._data
+    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    if A.kind == "diag":
+        data = m.data * A._data[row] - m.data * A._data[m.indices]
+    else:
+        data = m.data * B._data[m.indices] - m.data * B._data[row]
+    return Operator(sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()),
+                                  shape=m.shape))
 
 
 def anticommutator(A, B):

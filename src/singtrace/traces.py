@@ -28,6 +28,8 @@ import numpy as np
 
 from .ideals import (
     PartialSumSeries,
+    _least_squares,
+    _loglog_slope,
     decay_exponent,
     eigenvalue_partial_sums,
     geometric_grid,
@@ -115,14 +117,11 @@ class ExtendedLimitScheme:
             resid = float(np.max(np.abs(values - z)))
             return complex(z), resid
         x = 1.0 / np.log(2.0 + ns)
-        design = np.column_stack([np.ones(ns.size), x])
-        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-        resid = float(np.max(np.abs(values - design @ coef)))
+        coef, resid = _least_squares([np.ones(ns.size), x], values)
         if ns.size >= 4:
             # error bar: difference between first- and second-order
             # extrapolations captures the systematic 1/log^2 tail
-            design2 = np.column_stack([np.ones(ns.size), x, x * x])
-            coef2, *_ = np.linalg.lstsq(design2, values, rcond=None)
+            coef2, _ = _least_squares([np.ones(ns.size), x, x * x], values)
             resid = max(resid, float(abs(coef[0] - coef2[0])))
         return complex(coef[0]), resid
 
@@ -268,9 +267,7 @@ def heat_fit(samples, window=None, window_fraction=0.5):
     if ns.size < 3:
         raise ContractViolation("heat_fit needs at least 3 samples")
     x = np.log(ns)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = float(np.max(np.abs(values - design @ coef)))
+    coef, resid = _least_squares([x, np.ones_like(x)], values)
     return TraceEstimate(
         z=complex(coef[0]), method="heat", residual_sup=resid,
         grid_used={"n_lo": float(ns[0]), "n_hi": float(ns[-1]), "points": int(ns.size)},
@@ -291,15 +288,6 @@ def heat_xi(V, scheme=None, n_max=None):
     z, resid = scheme.apply(window, values, averaging="cesaro_log")
     return TraceEstimate(z=z, method="heat_xi", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
-
-
-def _loglog_slope(ns, values):
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    if keep.sum() < 3:
-        return -math.inf
-    return float(np.polyfit(np.log(ns[keep]), np.log(values[keep]), 1)[0])
 
 
 def lemma_estimate_scalings(V, alpha, grid=None, slack=0.05):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +51,6 @@ __all__ = [
     "partial_d",
     "delta",
     "f_comm",
-    "qc_seminorm",
     "invertible_double",
     "summability_report",
     "resolvent_weight",
@@ -162,9 +162,10 @@ class SpectralTripleModel:
         self.theta = float(theta)
         self.metadata = {}
         self._word_cache = {}
-        # realized words and their commutators, shared by the worker threads
-        self._comm_cache = {}
-        self._comm_lock = threading.Lock()
+        # everything derived from the model (realized words, commutators,
+        # chain maps, weights, the invertible double), shared by the workers
+        self._memo = {}
+        self._memo_lock = threading.Lock()
         self.D = None
         self.F = None
         self.absD = None
@@ -190,6 +191,28 @@ class SpectralTripleModel:
 
     def _realize_word(self, word):
         raise NotImplementedError
+
+    def derived(self, key, build):
+        """``build()``, computed once per model and key.
+
+        The first caller of a key builds it outside the lock, so a build may
+        ask for other keys; concurrent callers of the same key wait for it.
+        A failed build is forgotten, and the next caller tries again.
+        """
+        with self._memo_lock:
+            entry = self._memo.get(key)
+            owner = entry is None
+            if owner:
+                entry = self._memo[key] = Future()
+        if owner:
+            try:
+                entry.set_result(build())
+            except BaseException as exc:
+                with self._memo_lock:
+                    del self._memo[key]
+                entry.set_exception(exc)
+                raise
+        return entry.result()
 
     @property
     def model_id(self):
@@ -494,24 +517,6 @@ def f_comm(a, model=None):
     return commutator(model.F, model.realize(a))
 
 
-def qc_seminorm(a, model=None, n=1, max_order=3):
-    """Seminorm q_n(a): sum over k <= n of ||delta^k(a)|| + ||delta^k([D,a])||.
-
-    Norms are taken on the compressed interior; n is capped by ``max_order``.
-    """
-    model = model or a.model
-    if n > max_order:
-        raise ContractViolation(f"qc_seminorm order {n} exceeds max {max_order}")
-    total = 0.0
-    x = model.realize(a)
-    y = partial_d(a, model)
-    for _ in range(n + 1):
-        total += model.interior_norm(x) + model.interior_norm(y)
-        x = commutator(model.absD, x)
-        y = commutator(model.absD, y)
-    return float(total)
-
-
 def invertible_double(model):
     """Replace D by the invertible D0 = F (1 + D^2)^{1/2}; returns (model', D1).
 
@@ -519,8 +524,12 @@ def invertible_double(model):
     lies in L_{p,inf}; the new triple shares the algebra, phase F and grading.
     On an even model the grading anticommutation acquires a defect supported
     on ker D (the sign(0)=+1 convention), which is finite rank and harmless
-    for partial-sum checks.
+    for partial-sum checks.  Built once per model.
     """
+    return model.derived(("double",), lambda: _build_double(model))
+
+
+def _build_double(model):
     one_plus_sq = (model.D @ model.D) + identity(model.dim)
     root = hermitian_calculus(one_plus_sq, np.sqrt, label="(1+D^2)^{1/2}")
     D0 = model.F @ root
@@ -561,10 +570,15 @@ def resolvent_weight(model, q=None):
                               label=f"(1+D^2)^(-{q}/2)")
 
 
+def _interior_weight(model, q):
+    """The compressed weight (1 + D^2)^{-q/2}, built once per model and q."""
+    return model.derived(("weight", q),
+                         lambda: model.compress(resolvent_weight(model, q)))
+
+
 def summability_report(model):
     """Ideal diagnostics for (1+D^2)^{-p/2} and the generator F-commutators."""
-    V = resolvent_weight(model)
-    mu = singular_values(model.compress(V))
+    mu = singular_values(_interior_weight(model, model.p))
     diag = ideal_diagnostics(mu, p=1.0)
     gen_norms = {}
     for name, g in model.generators().items():

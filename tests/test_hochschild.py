@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from singtrace import hochschild
 from singtrace.hochschild import (
     Chain,
-    SubsetSpec,
     antisymmetrized_cycle,
     appendix_identity_checks,
     bob_identity_check,
@@ -29,18 +28,16 @@ from singtrace.hochschild import (
     nc_torus_volume_cycle,
     omega,
     reduction_partial_sum_check,
-    subset_sign_count,
-    w_m,
     w_subset,
 )
 from singtrace.operators import ContractViolation, Operator, trace
 from singtrace.triples import (
+    SpectralTripleModel,
+    _interior_weight,
     build_circle,
-    build_diagonal_toy,
     build_nc_torus,
     invertible_double,
     realize,
-    resolvent_weight,
 )
 
 
@@ -260,24 +257,6 @@ class TestChern:
 
 
 class TestWMaps:
-    def test_subset_sign_count_single(self):
-        # n_A for A = {m} inside {1..p} is p - m
-        for p in (1, 2, 3, 4):
-            for m in range(1, p + 1):
-                assert subset_sign_count({m}, p) == p - m
-
-    def test_subset_spec_validation(self):
-        SubsetSpec(frozenset({1}), 1, 2)
-        with pytest.raises(ContractViolation):
-            SubsetSpec(frozenset({1}), 0, 2)
-
-    def test_w_subset_accepts_subset_spec(self, circle64):
-        c = circle_winding_cycle(circle64)
-        spec = SubsetSpec(frozenset({1}), 0, 1)
-        a = w_subset(c, circle64, spec)
-        b = w_m(c, circle64, 1)
-        assert (a - b).norm_bound() == 0.0
-
     def test_full_subset_uses_all_deltas(self, torus12):
         c = nc_torus_volume_cycle(torus12)
         manual = None
@@ -296,7 +275,7 @@ class TestWMaps:
 
     def test_circle_w1_is_delta_pattern(self, circle64):
         c = circle_winding_cycle(circle64)
-        got = w_m(c, circle64, 1)
+        got = w_subset(c, circle64, {1})
         k = circle64.modes[circle64.interior]
         want = np.where(k >= 0, 1.0, -1.0)
         np.testing.assert_allclose(got.diag().real, want, atol=1e-12)
@@ -520,28 +499,60 @@ class TestChainSerialization:
 
 
 def test_commutator_cache_builds_each_entry_once(monkeypatch):
-    model = build_circle(16)
-    keys = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
-    calls = Counter()
-    count_lock = threading.Lock()
-    real = hochschild.commutator
+    """Every memo key of a model is built once under a thread pool.
 
-    def counting(b, op):
+    Commutators and the derived pairing objects are requested in random
+    orders; chern's build asks for the F commutators and the pairing series
+    for Omega(c) and the weight, so some builds nest inside others.
+    """
+    model = build_circle(16)
+    c = circle_winding_cycle(model)
+    comms = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
+    derived = {
+        "chern": lambda: chern(c, model),
+        "omega": lambda: omega(c, model),
+        "w_p": lambda: w_subset(c, model, {1}),
+        "weight": lambda: _interior_weight(model, 1),
+        "double": lambda: invertible_double(model),
+        "inverse_powers": lambda: hochschild._interior_inverse_powers(
+            invertible_double(model)[0]),
+        "pairing": lambda: hochschild._pairing_series(c, model),
+    }
+    tasks = comms + list(derived)
+    calls, builds = Counter(), Counter()
+    count_lock = threading.Lock()
+    real_commutator = hochschild.commutator
+    real_derived = SpectralTripleModel.derived
+
+    def counting_commutator(b, op):
         with count_lock:
             calls[(id(b), op.label)] += 1
         time.sleep(1e-3)  # widen the gap between a cache miss and its insert
-        return real(b, op)
+        return real_commutator(b, op)
 
-    monkeypatch.setattr(hochschild, "commutator", counting)
+    def counting_derived(self, key, build):
+        def counted():
+            with count_lock:
+                builds[(id(self), key)] += 1
+            time.sleep(1e-3)
+            return build()
+        return real_derived(self, key, counted)
+
+    monkeypatch.setattr(hochschild, "commutator", counting_commutator)
+    monkeypatch.setattr(SpectralTripleModel, "derived", counting_derived)
     workers = 4 * (os.cpu_count() or 1)
     start = threading.Barrier(workers)
     seen = []
 
+    def get(task):
+        if task in derived:
+            return derived[task]()
+        return hochschild._factor(model, *task)
+
     def work(seed):
-        order = np.random.default_rng(seed).permutation(len(keys))
+        order = np.random.default_rng(seed).permutation(len(tasks))
         start.wait(timeout=30)
-        seen.append({keys[i]: hochschild._word_comm(model, *keys[i])
-                     for i in order})
+        seen.append({tasks[i]: get(tasks[i]) for i in order})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -555,5 +566,9 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == workers
-    assert len(calls) == len(keys) and set(calls.values()) == {1}
-    assert all(all(s[k] is seen[0][k] for k in keys) for s in seen)
+    assert len(calls) == len(comms) and set(calls.values()) == {1}
+    assert set(builds.values()) == {1}
+    assert {key[0] for _, key in builds} >= {
+        "D", "delta", "F", "id", "chern", "omega", "W", "weight", "double",
+        "inverse_powers", "pairing"}
+    assert all(all(s[t] is seen[0][t] for t in tasks) for s in seen)

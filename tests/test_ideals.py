@@ -8,12 +8,10 @@ from singtrace.ideals import (
     INCONCLUSIVE,
     MEASURABLE,
     PartialSumSeries,
-    counting_ratio,
     decay_exponent,
     dyadic_window,
     eigenvalue_partial_sums,
     geometric_grid,
-    holder_product_check,
     ideal_diagnostics,
     log_fit,
     lorentz_norm_m1inf,
@@ -73,40 +71,6 @@ class TestLorentzNorm:
     def test_rank_one(self):
         got = lorentz_norm_m1inf(np.array([1.0, 0.0, 0.0]))
         assert got == pytest.approx(1.0 / np.log(2.0))
-
-
-class TestHolder:
-    def test_two_inverse_sqrt_factors(self):
-        mu = (np.arange(400) + 1.0) ** -0.5
-        A = Operator(mu.astype(complex))
-        rep = holder_product_check([(A, 2.0), (A, 2.0)])
-        assert rep["p"] == pytest.approx(1.0)
-        assert rep["product_quasi_norm"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["factor_norm_product"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["constant"] == pytest.approx(1.0, abs=1e-12)
-        assert rep["passed"]
-
-    def test_zero_factor(self):
-        A = Operator(np.zeros(8, dtype=complex))
-        B = Operator(harmonic(8).astype(complex))
-        rep = holder_product_check([(A, 1.0), (B, 1.0)])
-        assert rep["product_quasi_norm"] == 0.0
-        assert rep["passed"]
-
-    def test_circle_phase_commutators(self, circle64):
-        from singtrace.triples import f_comm
-
-        u = circle64.monomial((1,))
-        A = circle64.compress(f_comm(u, circle64))
-        B = circle64.compress(f_comm(u.adjoint(), circle64))
-        rep = holder_product_check([(A, 1.0), (B, 1.0)])
-        assert rep["p"] == pytest.approx(0.5)
-        assert rep["passed"]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            holder_product_check([(Operator(np.ones(3)), 1.0),
-                                  (Operator(np.ones(4)), 1.0)])
 
 
 class TestPartialSums:
@@ -249,13 +213,6 @@ class TestDiagnostics:
         diag = ideal_diagnostics(harmonic(10_000), p=1.0)
         assert diag.verdicts["weak_lp"]
         assert diag.quasi_norm_pinf == pytest.approx(1.0)
-
-    def test_counting_ratio_bounded_for_weak_l1(self):
-        # Tr E_{|T|}(1/n, inf) = O(n) for harmonic decay
-        T = Operator(harmonic(100_000))
-        ns = geometric_grid(8, 10_000, 2.0)
-        ratios = counting_ratio(T, 1.0, ns)
-        assert ratios.max() <= 2.0
 
     def test_grids_and_windows(self):
         g = geometric_grid(4, 64, 2.0)

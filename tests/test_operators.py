@@ -11,13 +11,11 @@ from singtrace.operators import (
     Operator,
     anticommutator,
     commutator,
-    counting_function,
     eigenvalues,
     hermitian_calculus,
     identity,
     phase_modulus,
     singular_values,
-    spectral_projection,
     trace,
 )
 
@@ -106,50 +104,40 @@ class TestSingularValues:
             singular_values(T).mu, np.sort(np.abs(d))[::-1], atol=1e-10)
 
 
+def indicator(lo, hi, closed_lo=True, closed_hi=True):
+    """The spectral projection E_T[lo, hi] as a function for hermitian_calculus."""
+    return lambda s: (((s >= lo) if closed_lo else (s > lo))
+                      & ((s <= hi) if closed_hi else (s < hi))).astype(float)
+
+
 class TestSpectralProjection:
     def test_closed_left_half_line(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = spectral_projection(T, 0.0, np.inf, closed_ends=(True, True))
+        P = hermitian_calculus(T, indicator(0.0, np.inf))
         np.testing.assert_allclose(P.diag(), [0, 1, 1])
 
     def test_open_left_half_line(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = spectral_projection(T, 0.0, np.inf, closed_ends=(False, True))
+        P = hermitian_calculus(T, indicator(0.0, np.inf, closed_lo=False))
         np.testing.assert_allclose(P.diag(), [0, 0, 1])
 
     def test_above_spectrum_is_zero(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = spectral_projection(T, 5.0, np.inf)
+        P = hermitian_calculus(T, indicator(5.0, np.inf))
         assert P.norm_bound() == 0.0
 
     def test_idempotent_and_commutes(self):
         rng = np.random.default_rng(7)
         H = random_complex(rng, 20)
         T = Operator(H + H.conj().T)
-        P = spectral_projection(T, 0.0, np.inf)
+        P = hermitian_calculus(T, indicator(0.0, np.inf))
         assert (P @ P - P).norm_bound() <= 1e-10
         assert commutator(P, T).norm_bound() <= 1e-9
 
     def test_requires_hermitian(self):
         with pytest.raises(ContractViolation):
-            spectral_projection(Operator(np.array([[0, 1], [0, 0]])), 0, 1)
-
-
-class TestCountingFunction:
-    def test_small_cases(self):
-        T = Operator(np.array([1.0, 0.5, 1 / 3]))
-        assert counting_function(T, 0.4) == 2
-        assert counting_function(T, 2.0) == 0
-
-    def test_harmonic_thousand(self):
-        v = 1.0 / (np.arange(1000) + 1.0)
-        oracle = int(np.sum(v > 1e-2))
-        assert oracle == 99
-        assert counting_function(Operator(v), 1e-2) == oracle
-
-    def test_rejects_negative_spectrum(self):
-        with pytest.raises(ContractViolation):
-            counting_function(Operator(np.array([1.0, -0.5])), 0.1)
+            hermitian_calculus(Operator(np.array([[0, 1], [0, 0]])),
+                               indicator(0, 1))
 
 
 class TestHermitianCalculus:
@@ -167,7 +155,8 @@ class TestHermitianCalculus:
         rng = np.random.default_rng(2)
         H = random_complex(rng, 15)
         T = Operator(H + H.conj().T)
-        P1 = spectral_projection(T, 0.5, np.inf, closed_ends=(False, True))
+        w, v = np.linalg.eigh(T.matrix())
+        P1 = Operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
         P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float))
         assert (P1 - P2).norm_bound() <= 1e-10
 
@@ -242,6 +231,27 @@ class TestAlgebra:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             commutator(identity(3), identity(4))
+        with pytest.raises(ContractViolation):
+            commutator(identity(3), Operator(sp.eye(4, k=1, format="csr")))
+
+    def test_diagonal_sparse_commutator_matches_dense(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        d = Operator(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        S = Operator(sp.random(n, n, density=0.1, random_state=6,
+                               format="csr") * (1 + 2j))
+        for A, B in ((d, S), (S, d)):
+            want = A.matrix() @ B.matrix() - B.matrix() @ A.matrix()
+            got = commutator(A, B)
+            assert got.kind == "sparse"
+            np.testing.assert_allclose(got.matrix(), want, atol=1e-12)
+
+    def test_sparse_input_with_explicit_zeros_left_untouched(self):
+        mat = sp.csr_matrix((np.array([1.0, 0.0, 2.0], dtype=complex),
+                             np.array([1, 0, 0]), np.array([0, 2, 3])),
+                            shape=(2, 2))
+        T = Operator(mat)
+        assert mat.nnz == 3 and T.sparse().nnz == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -327,7 +337,7 @@ class TestComponentSplitReference:
 
     def test_spectral_projection(self, backend):
         T, mat, comps = permuted_blocks(np.random.default_rng(34), backend)
-        P = spectral_projection(T, 0.0, np.inf, closed_ends=(False, True))
+        P = hermitian_calculus(T, indicator(0.0, np.inf, closed_lo=False))
         self.assert_close(P, reference_calculus(mat, comps,
                                                 lambda s: (s > 0).astype(float)))
 
@@ -337,14 +347,6 @@ class TestComponentSplitReference:
         self.assert_close(F, reference_calculus(
             mat, comps, lambda s: np.where(s >= 0, 1.0, -1.0)))
         self.assert_close(absD, reference_calculus(mat, comps, np.abs))
-
-    def test_counting_function(self, backend):
-        T, mat, comps = permuted_blocks(np.random.default_rng(36), backend,
-                                        psd=True)
-        w = np.concatenate(
-            [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in comps])
-        for t in (0.5, 2.0, 8.0):
-            assert counting_function(T, t) == int(np.count_nonzero(w > t))
 
 
 class TestFlags:

@@ -22,7 +22,6 @@ from singtrace.triples import (
     f_comm,
     invertible_double,
     partial_d,
-    qc_seminorm,
     realize,
     resolvent_weight,
     summability_report,
@@ -198,26 +197,6 @@ class TestDerivations:
         d0_inv = abs_inv @ double.F
         rhs = ((fda @ abs_inv) + (da @ d0_inv) + fa) @ double.absD
         assert double.interior_norm(d0 - rhs) <= 1e-10
-
-
-class TestSeminorms:
-    def test_identity_norm_one(self, circle64):
-        assert qc_seminorm(circle64.one(), circle64, 0) == pytest.approx(1.0)
-
-    def test_shift_growth_bounded(self, circle64):
-        u = circle64.monomial((1,))
-        q0 = qc_seminorm(u, circle64, 0)
-        for n in (1, 2, 3):
-            assert qc_seminorm(u, circle64, n) <= (2.0 ** n) * q0 + 1e-9
-
-    def test_toy_flat(self, toy1000):
-        a = toy1000.monomial((2,))
-        q0 = qc_seminorm(a, toy1000, 0)
-        assert qc_seminorm(a, toy1000, 3) == pytest.approx(q0)
-
-    def test_order_cap(self, circle64):
-        with pytest.raises(ContractViolation):
-            qc_seminorm(circle64.one(), circle64, 9)
 
 
 class TestInvertibleDouble:
