@@ -418,7 +418,7 @@ def _check_identity_suite(ctx):
     passed = all(entry["passed"] for entry in sub.values())
     worst = max(
         (v for entry in sub.values() for k, v in entry.items()
-         if isinstance(v, float)), default=0.0)
+         if k != "tol" and isinstance(v, float)), default=0.0)
     return CheckRecord("identity-suite", passed=passed,
                        values={"checks": len(sub)},
                        residuals={"worst_residual": worst}, details=sub)

@@ -89,6 +89,17 @@ class TestRun:
                                       checks=["identity-suite"], seed=seed))
         assert report.all_passed, report.to_markdown()
 
+    def test_identity_suite_worst_residual_is_the_largest_residual(self):
+        report = run(ExperimentConfig(model={"name": "circle", "N": 64},
+                                      checks=["identity-suite"]))
+        (rec,) = report.records
+        d = rec.details
+        largest = max(d["bob"]["residual_norm"],
+                      d["appendix"]["delta_square_residual"],
+                      d["appendix"]["f_delta_residual"],
+                      d["leibniz"]["partial_d"], d["leibniz"]["delta"])
+        assert rec.residuals["worst_residual"] == largest < d["bob"]["tol"]
+
     def test_seed_changes_randomized_checks(self):
         base = ExperimentConfig(model={"name": "circle", "N": 48},
                                 checks=["identity-suite"], seed=1)
