@@ -575,18 +575,22 @@ CHECKS = {
 
 def _max_workers():
     env = os.environ.get("SINGTRACE_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(
+            f"SINGTRACE_THREADS must be an integer, got {env!r}") from None
 
 
 def run(config):
     """Execute the configured checks; returns a Report (writes it if out set)."""
     config.validate()
+    workers = _max_workers()
     ctx = _Context(config)
     names = list(config.checks)  # empty list -> empty passing report
     records = []
-    workers = _max_workers()
 
     def execute(name):
         t0 = time.perf_counter()

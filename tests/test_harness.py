@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +189,12 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg)])
         assert rc == 0
 
+    def test_bad_thread_count_is_a_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SINGTRACE_THREADS", "abc")
+        rc = cli_main(["chern", "--model", "circle", "--N", "16"])
+        assert rc == 2
+        assert "SINGTRACE_THREADS" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         rc = cli_main(["run", "--config", "/nonexistent.json"])
         assert rc == 2
@@ -194,3 +203,16 @@ class TestCli:
         rc = cli_main(["suite", "quick", "--out", str(tmp_path / "rep")])
         assert rc == 0
         assert (tmp_path / "rep" / "report.md").exists()
+
+
+def test_benchmark_layer_names_resolve():
+    """Every function the benchmark traces exists in its singtrace module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    missing = [f"{mod}.{name}" for mod, names in child.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"singtrace.{mod}"), name, None))]
+    assert not missing

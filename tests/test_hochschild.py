@@ -557,11 +557,15 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        # daemon threads, so that a deadlock fails the test instead of
+        # hanging the run
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(workers)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 60
         for t in threads:
-            t.join(timeout=60)
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
