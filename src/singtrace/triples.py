@@ -197,7 +197,8 @@ class SpectralTripleModel:
 
         The first caller of a key builds it outside the lock, so a build may
         ask for other keys; concurrent callers of the same key wait for it.
-        A failed build is forgotten, and the next caller tries again.
+        A failed build is forgotten, and the next caller tries again.  Every
+        caller gets the same object, which none may modify.
         """
         with self._memo_lock:
             entry = self._memo.get(key)
