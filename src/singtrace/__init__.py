@@ -22,7 +22,6 @@ from .operators import (
     phase_modulus,
     singular_values,
     trace,
-    zeros,
 )
 from .ideals import (
     IdealDiagnostics,
@@ -56,7 +55,6 @@ from .triples import (
     build_model,
     build_nc_torus,
     delta,
-    f_comm,
     invertible_double,
     partial_d,
     realize,

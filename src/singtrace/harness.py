@@ -29,7 +29,7 @@ import scipy
 
 from . import hochschild as hh
 from . import ideals, traces, triples
-from .operators import Operator, singular_values
+from .operators import ContractViolation, Operator, singular_values
 
 __all__ = [
     "ConfigError",
@@ -537,7 +537,7 @@ def _check_modulated(ctx):
     N = min(ctx.config.model.get("N", 4096), 4096)
     V = _harmonic_operator(N)
     phases = np.exp(2j * np.pi * ctx.rng.random(N))
-    A = Operator(phases, label="random phases", unitary=True)
+    A = Operator(phases, label="random phases")
     rep = traces.modulated_comparison(A, V)
     return CheckRecord("modulated", passed=rep["passed"],
                        values={"sup_gap": rep["sup_gap"], "tol": rep["tol"]})
@@ -588,7 +588,10 @@ def run(config):
     """Execute the configured checks; returns a Report (writes it if out set)."""
     config.validate()
     workers = _max_workers()
-    ctx = _Context(config)
+    try:
+        ctx = _Context(config)
+    except ContractViolation as exc:  # the config's model, chain or scheme
+        raise ConfigError(str(exc)) from exc
     names = list(config.checks)  # empty list -> empty passing report
     records = []
 

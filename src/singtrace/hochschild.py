@@ -237,18 +237,6 @@ def nc_torus_volume_cycle(model, kappa=1.0):
 # -- realized multilinear maps ---------------------------------------------------
 
 
-def _factor(model, kind, word):
-    """realize(word) for kind "id", else [b, realize(word)] with b = D, |D|, F
-    for kind "D", "delta", "F"; built once per model."""
-    def build():
-        op = Operator(model.realize_word(word), label=model.word_label(word))
-        if kind == "id":
-            return op
-        b = {"D": model.D, "delta": model.absD, "F": model.F}[kind]
-        return commutator(b, op)
-    return model.derived((kind, word), build)
-
-
 def _chain_key(c):
     return (c.degree, tuple(sorted(c.terms.items())))
 
@@ -263,14 +251,14 @@ def _check_degree(c, model, strict):
 def _chain_map(c, model, kinds, label, lead=None):
     """The interior compression of lead Gamma sum_terms coeff lam^m prod_k X_k.
 
-    X_k is the :func:`_factor` of kind ``kinds[k]`` on the word in slot k;
+    X_k is ``model.factor(kinds[k], w_k)`` on the word w_k in slot k;
     ``lead`` and Gamma are left out when None.
     """
     acc = None
     for (words, m), coeff in sorted(c.terms.items()):
         piece = None
         for kind, w in zip(kinds, words):
-            factor = _factor(model, kind, w)
+            factor = model.factor(kind, w)
             piece = factor if piece is None else piece @ factor
         piece = (coeff * model.eval_phase(m)) * piece
         acc = piece if acc is None else acc + piece

@@ -1,15 +1,15 @@
-"""Dense/diagonal/sparse complex operator core.
+"""Diagonal/sparse complex operator core.
 
 Everything downstream (ideal diagnostics, trace estimators, spectral-triple
 models) works with the :class:`Operator` wrapper defined here.  An operator
-stores its matrix in one of three backends:
+stores its matrix in one of two backends:
 
 * ``diag``   -- 1-d array of diagonal entries (fast path, scales to 1e6),
-* ``dense``  -- 2-d complex ndarray,
-* ``sparse`` -- scipy CSR (used by the truncated triple realizations).
+* ``sparse`` -- scipy CSR (used by the truncated triple realizations, and for
+  any 2-d array input that is not exactly diagonal).
 
-All three behave identically under the algebraic operations; the backend is
-an optimisation detail, never a semantic one.  Spectra are computed with
+Both behave identically under the algebraic operations; the backend is an
+optimisation detail, never a semantic one.  Spectra are computed with
 LAPACK, after an exact permutation split of the matrix into connected
 components of its nonzero pattern (a similarity transform, so eigenvalues
 are preserved exactly).  Components of equal size are stacked into one
@@ -43,7 +43,6 @@ __all__ = [
     "trace",
     "canonical_order",
     "identity",
-    "zeros",
 ]
 
 HERMITIAN_RTOL = 1e-12
@@ -133,25 +132,36 @@ class SingularSequence:
 
 
 class Operator:
-    """Immutable complex square operator with structural flags.
+    """Immutable complex square operator with a hermitian flag.
 
     Parameters
     ----------
     data : array_like or scipy sparse matrix
         1-d array (interpreted as a diagonal), 2-d square array, or sparse
-        matrix.  A complex CSR matrix without explicit zeros is wrapped
-        without a copy, so it must not be modified afterwards.
+        matrix.  A 2-d array is stored as CSR; an exactly diagonal matrix,
+        dense or sparse, is stored as its diagonal.  A complex CSR matrix
+        without explicit zeros is wrapped without a copy, so it must not be
+        modified afterwards.
     label : str
         Human-readable tag used in error messages and reports.
-    hermitian, unitary : bool or None
-        Structural flags.  ``None`` means auto-detect (hermitian detection is
-        cheap; unitarity is never auto-detected).
+    hermitian : bool or None
+        ``None`` leaves the :attr:`hermitian` flag to be detected on its
+        first read; ``True`` is checked here and raises
+        :class:`ContractViolation` when the matrix is not hermitian.
     """
 
-    __slots__ = ("_kind", "_data", "label", "hermitian", "unitary")
+    __slots__ = ("_kind", "_data", "label", "_hermitian")
 
-    def __init__(self, data, label="", hermitian=None, unitary=None):
-        if sp.issparse(data):
+    def __init__(self, data, label="", hermitian=None):
+        if not sp.issparse(data):
+            data = np.asarray(data)
+            if data.ndim == 2:
+                data = sp.csr_matrix(data)
+            elif data.ndim != 1:
+                raise ContractViolation("operator data must be 1-d or 2-d")
+        if data.ndim == 1:
+            self._kind, self._data = "diag", data.astype(complex)
+        else:
             mat = data.tocsr().astype(complex, copy=False)
             if not mat.data.all():
                 mat = mat.copy()
@@ -163,49 +173,29 @@ class Operator:
                 self._kind, self._data = "diag", diag
             else:
                 self._kind, self._data = "sparse", mat
-        else:
-            arr = np.asarray(data)
-            if arr.ndim == 1:
-                self._kind, self._data = "diag", arr.astype(complex)
-            elif arr.ndim == 2:
-                if arr.shape[0] != arr.shape[1]:
-                    raise ContractViolation(f"operator {label!r} is not square")
-                arr = arr.astype(complex)
-                if self._dense_is_diagonal(arr):
-                    self._kind, self._data = "diag", np.diag(arr).copy()
-                else:
-                    self._kind, self._data = "dense", arr
-            else:
-                raise ContractViolation("operator data must be 1-d or 2-d")
         self.label = label
-        if hermitian is None:
-            hermitian = self._detect_hermitian()
-        elif hermitian and not self._detect_hermitian():
+        if hermitian and not self._detect_hermitian():
             raise ContractViolation(
                 f"operator {label!r} flagged hermitian but is not (to 1e-12 relative)"
             )
-        self.hermitian = bool(hermitian)
-        self.unitary = bool(unitary) if unitary is not None else False
+        self._hermitian = None if hermitian is None else bool(hermitian)
 
-    # -- construction helpers -------------------------------------------------
+    @property
+    def hermitian(self):
+        """Whether the operator is hermitian to 1e-12 relative.
 
-    @staticmethod
-    def _dense_is_diagonal(arr):
-        if arr.shape[0] > 1:
-            off = arr.copy()
-            np.fill_diagonal(off, 0.0)
-            return not np.any(off)
-        return True
+        Detected on the first read and cached; a concurrent first read
+        detects it twice and stores the same value.
+        """
+        if self._hermitian is None:
+            self._hermitian = self._detect_hermitian()
+        return self._hermitian
 
     def _detect_hermitian(self):
         if self._kind == "diag":
             d = self._data
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
-        if self._kind == "dense":
-            a = self._data
-            scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-            return bool(np.abs(a - a.conj().T).max(initial=0.0) <= HERMITIAN_RTOL * scale)
         a = self._data
         gap = a - a.conj().T
         scale = 1.0 + (np.abs(a.data).max() if a.nnz else 0.0)
@@ -230,14 +220,10 @@ class Operator:
         """Diagonal entries (the full data for diagonal operators)."""
         if self._kind == "diag":
             return self._data
-        if self._kind == "dense":
-            return np.diag(self._data)
         return self._data.diagonal()
 
     def matrix(self):
         """Materialize as a dense ndarray.  Guarded against huge diagonals."""
-        if self._kind == "dense":
-            return self._data
         if self._kind == "sparse":
             return self._data.toarray()
         if self.dim > 46341:  # dense would exceed 32 GB
@@ -249,17 +235,12 @@ class Operator:
     def sparse(self):
         if self._kind == "sparse":
             return self._data
-        if self._kind == "diag":
-            return sp.diags(self._data, format="csr", dtype=complex)
-        return sp.csr_matrix(self._data)
+        return sp.diags(self._data, format="csr", dtype=complex)
 
     def norm_bound(self):
         """Cheap upper bound on the operator 2-norm."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
-        if self._kind == "dense":
-            a = np.abs(self._data)
-            return float(np.sqrt(a.sum(axis=0).max(initial=0.0) * a.sum(axis=1).max(initial=0.0)))
         a = self._data
         absa = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
         one = absa.sum(axis=0).max() if a.nnz else 0.0
@@ -270,8 +251,6 @@ class Operator:
         """Operator 2-norm (largest singular value)."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
-        if self._kind == "dense":
-            return float(np.linalg.norm(self._data, 2)) if self.dim else 0.0
         if self.dim <= 4096:
             return float(np.linalg.norm(self._data.toarray(), 2)) if self.dim else 0.0
         from scipy.sparse.linalg import svds
@@ -285,19 +264,16 @@ class Operator:
             return self.norm_bound()
 
     def adjoint(self):
-        if self._kind == "diag":
-            return Operator(self._data.conj(), label=f"{self.label}*",
-                            hermitian=self.hermitian, unitary=self.unitary)
-        if self._kind == "dense":
-            return Operator(self._data.conj().T, label=f"{self.label}*",
-                            hermitian=self.hermitian, unitary=self.unitary)
-        return Operator(self._data.conj().T.tocsr(), label=f"{self.label}*",
-                        hermitian=self.hermitian, unitary=self.unitary)
+        data = self._data.conj()
+        out = Operator(data if self._kind == "diag" else data.T.tocsr(),
+                       label=f"{self.label}*")
+        out._hermitian = self._hermitian
+        return out
 
     def relabel(self, label):
         out = Operator.__new__(Operator)
         out._kind, out._data = self._kind, self._data
-        out.label, out.hermitian, out.unitary = label, self.hermitian, self.unitary
+        out.label, out._hermitian = label, self._hermitian
         return out
 
     def restrict(self, indices):
@@ -305,8 +281,6 @@ class Operator:
         indices = np.asarray(indices)
         if self._kind == "diag":
             return Operator(self._data[indices], label=self.label)
-        if self._kind == "dense":
-            return Operator(self._data[np.ix_(indices, indices)], label=self.label)
         return Operator(self._data[indices][:, indices], label=self.label)
 
     # -- arithmetic ------------------------------------------------------------
@@ -326,19 +300,9 @@ class Operator:
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data * b._data)
         if a._kind == "diag":
-            if b._kind == "dense":
-                return Operator(a._data[:, None] * b._data)
             return Operator(sp.csr_matrix(b._data.multiply(a._data[:, None])))
         if b._kind == "diag":
-            if a._kind == "dense":
-                return Operator(a._data * b._data[None, :])
             return Operator(sp.csr_matrix(a._data.multiply(b._data[None, :])))
-        if a._kind == "sparse" and b._kind == "sparse":
-            return Operator(a._data @ b._data)
-        if a._kind == "sparse":
-            return Operator(a._data @ b._data)
-        if b._kind == "sparse":
-            return Operator((b._data.T @ a._data.T).T)
         return Operator(a._data @ b._data)
 
     def __add__(self, other):
@@ -348,8 +312,6 @@ class Operator:
         a, b = self, other
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data + b._data)
-        if "dense" in (a._kind, b._kind):
-            return Operator(a._as_dense_like() + b._as_dense_like())
         return Operator(a.sparse() + b.sparse())
 
     def __sub__(self, other):
@@ -364,28 +326,15 @@ class Operator:
     def __neg__(self):
         return (-1.0) * self
 
-    def _as_dense_like(self):
-        if self._kind == "dense":
-            return self._data
-        if self._kind == "diag":
-            return np.diag(self._data)
-        return self._data.toarray()
-
     def __repr__(self):
         flags = [self._kind]
         if self.hermitian:
             flags.append("hermitian")
-        if self.unitary:
-            flags.append("unitary")
         return f"Operator({self.label!r}, dim={self.dim}, {'/'.join(flags)})"
 
 
 def identity(dim, label="1"):
-    return Operator(np.ones(dim, dtype=complex), label=label, unitary=True)
-
-
-def zeros(dim, label="0"):
-    return Operator(np.zeros(dim, dtype=complex), label=label)
+    return Operator(np.ones(dim, dtype=complex), label=label)
 
 
 # -- block-split eigen engine --------------------------------------------------
@@ -540,10 +489,6 @@ def _assemble(T, pieces, values):
             cols.append(np.broadcast_to(idx[:, None, :], block.shape).ravel())
             data.append(block.ravel())
     rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
-    if T.kind == "dense":
-        out = np.zeros((T.dim, T.dim), dtype=complex)
-        out[rows, cols] = data
-        return out
     return sp.csr_matrix((data, (rows, cols)), shape=(T.dim, T.dim))
 
 
@@ -593,7 +538,7 @@ def phase_modulus(D):
     signs = [np.where(w >= 0.0, 1.0, -1.0) for _, w, _ in pieces]
     moduli = [np.abs(w) for _, w, _ in pieces]
     F = Operator(_assemble(D, pieces, signs), label=f"phase({D.label})",
-                 hermitian=True, unitary=True)
+                 hermitian=True)
     absD = Operator(_assemble(D, pieces, moduli), label=f"|{D.label}|",
                     hermitian=True)
     return F, absD

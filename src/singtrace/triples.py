@@ -50,7 +50,6 @@ __all__ = [
     "realize",
     "partial_d",
     "delta",
-    "f_comm",
     "invertible_double",
     "summability_report",
     "resolvent_weight",
@@ -257,6 +256,17 @@ class SpectralTripleModel:
             self._word_cache[word] = cached
         return cached
 
+    def factor(self, kind, word):
+        """realize(word) for kind "id", else [b, realize(word)] with b = D, |D|, F
+        for kind "D", "delta", "F"; built once per model."""
+        def build():
+            op = Operator(self.realize_word(word), label=self.word_label(word))
+            if kind == "id":
+                return op
+            b = {"D": self.D, "delta": self.absD, "F": self.F}[kind]
+            return commutator(b, op)
+        return self.derived((kind, word), build)
+
     def realize(self, a):
         """Realize an algebra element as a (sparse) working-dimension Operator."""
         if a.is_zero():
@@ -451,9 +461,9 @@ def build_nc_torus(N, theta=None, buffer=None):
          (np.concatenate([fmat.row[keep], src]),
           np.concatenate([fmat.col[keep], dst]))),
         shape=fmat.shape)
-    model.F = Operator(fmat, label="F", hermitian=True, unitary=True)
+    model.F = Operator(fmat, label="F", hermitian=True)
     gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)]).astype(complex)
-    model.Gamma = Operator(gamma, label="Gamma", hermitian=True, unitary=True)
+    model.Gamma = Operator(gamma, label="Gamma", hermitian=True)
     inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)
     model.interior = np.flatnonzero(np.concatenate([inside, inside]))
     model.reliable_count = 2 * int(np.count_nonzero(n1 ** 2 + n2 ** 2 <= N * N))
@@ -510,12 +520,6 @@ def delta(a, model=None):
     """The derivation [|D|, a] on the working dimension."""
     model = model or a.model
     return commutator(model.absD, model.realize(a))
-
-
-def f_comm(a, model=None):
-    """The phase commutator [F, a] on the working dimension."""
-    model = model or a.model
-    return commutator(model.F, model.realize(a))
 
 
 def invertible_double(model):
@@ -583,9 +587,9 @@ def summability_report(model):
     diag = ideal_diagnostics(mu, p=1.0)
     gen_norms = {}
     for name, g in model.generators().items():
-        fg = model.compress(f_comm(g, model))
-        fdg = model.compress(
-            commutator(model.F, commutator(model.absD, model.realize(g))))
+        ((word, _),) = g.terms  # a generator is one unit monomial
+        fg = model.compress(model.factor("F", word))
+        fdg = model.compress(commutator(model.F, model.factor("delta", word)))
         gen_norms[f"[F,{name}]"] = quasi_norm_pinf(singular_values(fg), model.p)
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
             singular_values(fdg), model.p)

@@ -182,6 +182,24 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, config", [
+        (["chern", "--model", "circle", "--N", "4"], None),
+        (["run"], {"model": {"name": "circle", "N": 16}, "chain": "volume",
+                   "checks": ["cycle"]}),
+        (["run"], {"model": {"name": "circle", "N": 16},
+                   "scheme": {"ratio": 0.5}, "checks": ["cycle"]}),
+    ], ids=["small-N", "chain-for-other-model", "scheme-ratio"])
+    def test_bad_model_chain_or_scheme_is_a_config_error(
+            self, argv, config, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_run_config(self, tmp_path, capsys):
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps({"model": {"name": "circle", "N": 32},

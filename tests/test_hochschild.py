@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singtrace import hochschild
+from singtrace import hochschild, triples
 from singtrace.hochschild import (
     Chain,
     antisymmetrized_cycle,
@@ -521,7 +521,7 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
     tasks = comms + list(derived)
     calls, builds = Counter(), Counter()
     count_lock = threading.Lock()
-    real_commutator = hochschild.commutator
+    real_commutator = triples.commutator
     real_derived = SpectralTripleModel.derived
 
     def counting_commutator(b, op):
@@ -538,7 +538,7 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
             return build()
         return real_derived(self, key, counted)
 
-    monkeypatch.setattr(hochschild, "commutator", counting_commutator)
+    monkeypatch.setattr(triples, "commutator", counting_commutator)
     monkeypatch.setattr(SpectralTripleModel, "derived", counting_derived)
     workers = 4 * (os.cpu_count() or 1)
     start = threading.Barrier(workers)
@@ -547,7 +547,7 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
     def get(task):
         if task in derived:
             return derived[task]()
-        return hochschild._factor(model, *task)
+        return model.factor(*task)
 
     def work(seed):
         order = np.random.default_rng(seed).permutation(len(tasks))

@@ -358,6 +358,30 @@ class TestFlags:
         T = Operator(np.diag([1.0, 2.0]))
         assert T.kind == "diag"
 
+    def test_dense_input_stored_as_csr(self):
+        T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert T.kind == "sparse"
+        np.testing.assert_array_equal(T.matrix(), [[1.0, 2.0], [0.0, 3.0]])
+
+    def test_hermitian_detected_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = Operator._detect_hermitian
+
+        def counting(self):
+            calls.append(self.label)
+            return real(self)
+
+        monkeypatch.setattr(Operator, "_detect_hermitian", counting)
+        T = Operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        T.relabel("S")
+        assert calls == []
+        assert T.hermitian
+        assert len(calls) == 1
+        assert T.hermitian
+        # relabel and adjoint carry the cached flag
+        assert T.relabel("S").hermitian and T.adjoint().hermitian
+        assert len(calls) == 1
+
     def test_sparse_input(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         T = Operator(mat)

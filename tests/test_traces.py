@@ -240,7 +240,7 @@ class TestModulated:
     def test_random_phase_diagonal(self):
         rng = np.random.default_rng(42)
         N = 4096
-        A = Operator(np.exp(2j * np.pi * rng.random(N)), unitary=True)
+        A = Operator(np.exp(2j * np.pi * rng.random(N)))
         rep = modulated_comparison(A, harmonic_op(N))
         assert rep["passed"]
 

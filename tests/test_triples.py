@@ -19,7 +19,6 @@ from singtrace.triples import (
     build_model,
     build_nc_torus,
     delta,
-    f_comm,
     invertible_double,
     partial_d,
     realize,
@@ -37,7 +36,7 @@ class TestCircle:
 
     def test_phase_commutator_rank_one(self, circle64):
         u = circle64.monomial((1,))
-        fu = f_comm(u, circle64)
+        fu = commutator(circle64.F, circle64.realize(u))
         mat = fu.sparse()
         assert mat.nnz == 1
         center = circle64.dim // 2  # index of mode 0
@@ -111,7 +110,7 @@ class TestToy:
         a = toy1000.monomial((3,), coeff=2.0 - 1j)
         assert partial_d(a, toy1000).norm_bound() == 0.0
         assert delta(a, toy1000).norm_bound() == 0.0
-        assert f_comm(a, toy1000).norm_bound() == 0.0
+        assert commutator(toy1000.F, toy1000.realize(a)).norm_bound() == 0.0
 
     def test_weight_is_harmonic_like(self, toy1000):
         mu = singular_values(resolvent_weight(toy1000, 1)).mu
