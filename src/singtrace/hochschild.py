@@ -39,7 +39,7 @@ from .operators import (
     commutator,
     hermitian_calculus,
 )
-from .traces import measurability_criterion_check
+from .traces import _heat_kernel, measurability_criterion_check
 from .triples import AlgebraElement, _interior_weight, invertible_double
 
 __all__ = [
@@ -523,7 +523,7 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     xdiag = X.diag()
     values = np.empty(s_grid.size, dtype=complex)
     for j, s in enumerate(s_grid):
-        values[j] = np.sum(xdiag * np.exp(-(s * d) ** (p + 1)))
+        values[j] = np.sum(xdiag * _heat_kernel(s * d, p + 1))
     x = np.log(1.0 / s_grid)
     coef, resid = _least_squares([x, np.ones_like(x)], values)
     return {

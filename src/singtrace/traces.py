@@ -221,10 +221,25 @@ def _transformed_diag(A, V, who):
     return v, np.concatenate([x.ravel() for x in a])
 
 
-def _heat_weights(v, n, alpha):
-    with np.errstate(divide="ignore"):
-        expo = (n * v) ** (-alpha)
-    return np.exp(-expo)  # v = 0 -> weight 0 (kernel convention)
+# exp(-t) is exactly +0.0 in double precision for t > 745.14 (and subnormal
+# from 708 on), so above this cut the heat kernel is known without pow or exp
+_HEAT_ZERO = 1000.0
+
+
+def _heat_kernel(x, e):
+    """exp(-x**e) for x >= 0, evaluated only where x**e < ``_HEAT_ZERO``.
+
+    Every other entry is exactly 0.0, as the full formula gives there (with
+    x = 0 and e < 0 too: the kernel vanishes on ker V), so the result equals
+    ``np.exp(-x ** e)`` bit for bit.  A NaN entry stays live and gives NaN.
+    """
+    cut = _HEAT_ZERO ** (1.0 / e)
+    live = ~(x <= cut) if e < 0 else ~(x >= cut)
+    if live.all():
+        return np.exp(-x ** e)
+    out = np.zeros(x.shape)
+    out[live] = np.exp(-x[live] ** e)
+    return out
 
 
 def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
@@ -244,7 +259,7 @@ def heat_functional(A, V, alpha, grid=None):
     av = a * v
     values = np.empty(grid.size, dtype=complex)
     for j, n in enumerate(grid):
-        values[j] = np.sum(av * _heat_weights(v, float(n), alpha))
+        values[j] = np.sum(av * _heat_kernel(float(n) * v, -alpha))
     label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
 
@@ -284,7 +299,7 @@ def heat_xi(V, scheme=None, n_max=None):
     window = scheme.window(grid)
     values = np.empty(window.size, dtype=complex)
     for j, n in enumerate(window):
-        values[j] = np.sum(_heat_weights(v, float(n), 1.0)) / float(n)
+        values[j] = np.sum(_heat_kernel(float(n) * v, -1.0)) / float(n)
     z, resid = scheme.apply(window, values, averaging="cesaro_log")
     return TraceEstimate(z=z, method="heat_xi", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
@@ -309,7 +324,7 @@ def lemma_estimate_scalings(V, alpha, grid=None, slack=0.05):
     saturating = np.empty(grid.size)
     counting = np.empty(grid.size)
     for j, n in enumerate(grid):
-        w = _heat_weights(v, float(n), alpha)
+        w = _heat_kernel(float(n) * v, -alpha)
         saturating[j] = float(np.sum(va * (1.0 - w)))
         counting[j] = float(np.sum(w))
     slope_sat = _loglog_slope(grid, saturating)
@@ -375,12 +390,14 @@ def cesaro_cutoff_comparison(A, V, alpha, scheme=None, n_max=None):
         n_max = max(V.dim // 8, scheme.n_min * 2)
     grid = scheme.grid(n_max)
     window = scheme.window(grid)
+    av = a * v
     heat_vals = np.empty(window.size, dtype=complex)
     cut_vals = np.empty(window.size, dtype=complex)
     for j, n in enumerate(window):
         n = float(n)
-        heat_vals[j] = np.sum(a * v * _heat_weights(v, n, alpha)) / math.log(n)
-        cut_vals[j] = np.sum(a * np.maximum(v - 1.0 / n, 0.0)) / math.log(n)
+        log_n = math.log(n)
+        heat_vals[j] = np.sum(av * _heat_kernel(n * v, -alpha)) / log_n
+        cut_vals[j] = np.sum(a * np.maximum(v - 1.0 / n, 0.0)) / log_n
     z_heat, r_heat = scheme.apply(window, heat_vals)
     z_cut, r_cut = scheme.apply(window, cut_vals)
     return {

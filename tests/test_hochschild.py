@@ -408,6 +408,21 @@ class TestHeatCycle:
         rep = heat_cycle_trace(c, torus16)
         assert abs(rep["z"] - ch) <= 0.15 * abs(ch)
 
+    def test_values_equal_unmasked_heat_sums(self, circle64):
+        # s up to 1 puts (s d)^2 above the kernel's underflow cut at the top
+        # of the interior spectrum; every sample must equal the full formula
+        c = circle_winding_cycle(circle64)
+        s_grid = np.array([0.05, 0.1, 0.25, 0.5, 1.0])
+        rep = heat_cycle_trace(c, circle64, s_grid=s_grid)
+        double, _ = invertible_double(circle64)
+        p = double.p
+        wp = w_subset(c, double, frozenset({p}))
+        xdiag = (wp @ hochschild._interior_inverse_powers(double)[1]).diag()
+        d = double.compress(double.absD).diag().real
+        assert np.any((s_grid[-1] * d) ** (p + 1) >= 1000.0)
+        want = [np.sum(xdiag * np.exp(-(s * d) ** (p + 1))) for s in s_grid]
+        assert np.array_equal(rep["values"], want)
+
     def test_floor_exclusion_warns(self, circle64):
         c = circle_winding_cycle(circle64)
         with pytest.warns(UserWarning):

@@ -5,6 +5,7 @@ from singtrace.operators import ContractViolation, Operator, identity, singular_
 from singtrace.traces import (
     BranchError,
     ExtendedLimitScheme,
+    _heat_kernel,
     cesaro_cutoff_comparison,
     dixmier_logmean,
     heat_fit,
@@ -155,6 +156,68 @@ class TestHeatFunctional:
         a = np.einsum("ij,ij->j", U.conj(), A.matrix() @ U)
         want = [np.sum(a * w * np.exp(-(n * w) ** -2.0)) for n in grid]
         np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def unmasked_heat(x, e):
+    """exp(-x**e) over every entry, as the heat loops computed it before the
+    underflow cut."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(-x ** e)
+
+
+class TestHeatKernel:
+    EXPONENTS = [-1, -1.5, -2, 2, 3]
+
+    @staticmethod
+    def unsorted_with_zeros():
+        rng = np.random.default_rng(11)
+        v = np.concatenate([1.0 / (np.arange(3000) + 1.0), np.zeros(9)])
+        return rng.permutation(v)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_equals_unmasked_formula_on_every_regime(self, e):
+        v = self.unsorted_with_zeros()
+        pos = v > 0
+        cut = 1000.0 ** (1.0 / e)  # x**e = 1000 at x = cut
+        # scales at which every positive entry is cut, some are, none is
+        if e < 0:
+            scales = (0.5 * cut, 40.0 * cut, 6000.0 * cut)
+        else:
+            scales = (6000.0 * cut, 40.0 * cut, 0.5 * cut)
+        live_share = []
+        for s in scales:
+            x = s * v
+            got = _heat_kernel(x, e)
+            assert np.array_equal(got, unmasked_heat(x, e))
+            live_share.append(np.mean((x[pos] ** e) < 1000.0))
+        assert live_share[0] == 0.0 and 0.0 < live_share[1] < 1.0
+        assert live_share[2] == 1.0
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_subnormal_band_is_evaluated(self, e):
+        # x**e in (708, 745]: exp(-x**e) is subnormal, not zero, so a cut at
+        # or below 745 would change these weights
+        t = np.linspace(708.5, 745.0, 64)
+        x = np.concatenate([t ** (1.0 / e), [0.0]])
+        want = unmasked_heat(x, e)
+        assert np.all(want[:-1] > 0.0) and np.all(want[:-1] < 2.3e-308)
+        assert np.array_equal(_heat_kernel(x, e), want)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_nan_stays_nan(self, e):
+        x = np.array([np.nan, 0.0, 0.5, 1e6])
+        got = _heat_kernel(x, e)
+        assert np.isnan(got[0])
+        np.testing.assert_array_equal(got[1:], unmasked_heat(x[1:], e))
+
+    def test_heat_functional_equals_unmasked_sums(self):
+        v = self.unsorted_with_zeros()
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        grid = np.array([8, 64, 512, 4096])
+        got = heat_functional(Operator(a), Operator(v), 2.0, grid=grid).values
+        want = [np.sum(a * v * unmasked_heat(float(n) * v, -2.0)) for n in grid]
+        assert np.array_equal(got, want)
 
 
 class TestHeatFit:
