@@ -25,7 +25,6 @@ from .harness import (
     run,
     suite,
 )
-from .triples import build_model
 
 # verbs that run the check of the same name
 _CHECK_VERBS = ("chern", "eigen-sums", "heat", "dixmier", "measure", "reduce",
@@ -110,7 +109,7 @@ def main(argv=None):
 
     try:
         if args.verb == "model" and args.action == "build":
-            model = build_model(args.model, args.N, theta=args.theta, p=args.p)
+            model = _config_from_args(args, []).validate().build_model()
             print(model.descriptor_json())
             return 0
         if args.verb == "cycle" and args.action == "check":

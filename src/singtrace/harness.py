@@ -79,11 +79,33 @@ class ExperimentConfig:
             raise ConfigError("config.model must carry at least a 'name'")
         if self.model["name"] not in ("circle", "nc_torus", "toy"):
             raise ConfigError(f"unknown model {self.model['name']!r}")
+        N = self.model.get("N", 64)
+        if not isinstance(N, int) or isinstance(N, bool):
+            raise ConfigError(f"model N must be an integer, got {N!r}")
+        for key in ("theta", "p", "buffer"):
+            value = self.model.get(key)
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(
+                    f"model {key} must be a finite number, got {value!r}")
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
         return self
+
+    def build_model(self):
+        """The model this config names; a parameter its builder rejects is a
+        :class:`ConfigError`."""
+        spec = self.model
+        try:
+            return triples.build_model(
+                spec["name"], spec.get("N", 64), theta=spec.get("theta"),
+                p=spec.get("p"), buffer=spec.get("buffer"))
+        except ContractViolation as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
@@ -258,10 +280,7 @@ def _load_chain(model, spec):
 class _Context:
     def __init__(self, config):
         self.config = config
-        spec = dict(config.model)
-        self.model = triples.build_model(
-            spec["name"], spec.get("N", 64), theta=spec.get("theta"),
-            p=spec.get("p"), buffer=spec.get("buffer"))
+        self.model = config.build_model()
         self.chain = _load_chain(self.model, config.chain)
         self.rng = np.random.default_rng(config.seed)
         sch = dict(config.scheme)
@@ -590,7 +609,7 @@ def run(config):
     workers = _max_workers()
     try:
         ctx = _Context(config)
-    except ContractViolation as exc:  # the config's model, chain or scheme
+    except ContractViolation as exc:  # the config's chain or scheme
         raise ConfigError(str(exc)) from exc
     names = list(config.checks)  # empty list -> empty passing report
     records = []

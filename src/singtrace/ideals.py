@@ -129,10 +129,6 @@ class Verdict:
     tol: float
     notes: str = ""
 
-    @property
-    def measurable(self):
-        return self.kind == MEASURABLE
-
     def as_dict(self):
         return {
             "kind": self.kind,

@@ -139,7 +139,8 @@ class Operator:
     data : array_like or scipy sparse matrix
         1-d array (interpreted as a diagonal), 2-d square array, or sparse
         matrix.  A 2-d array is stored as CSR; an exactly diagonal matrix,
-        dense or sparse, is stored as its diagonal.  A complex CSR matrix
+        dense or sparse, is stored as its diagonal, unless it has no nonzero
+        entry: an exact zero stays an empty CSR matrix.  A complex CSR matrix
         without explicit zeros is wrapped without a copy, so it must not be
         modified afterwards.
     label : str
@@ -169,7 +170,7 @@ class Operator:
             if mat.shape[0] != mat.shape[1]:
                 raise ContractViolation(f"operator {label!r} is not square")
             diag = mat.diagonal()
-            if mat.nnz == np.count_nonzero(diag):
+            if mat.nnz and mat.nnz == np.count_nonzero(diag):
                 self._kind, self._data = "diag", diag
             else:
                 self._kind, self._data = "sparse", mat
@@ -211,10 +212,6 @@ class Operator:
     @property
     def kind(self):
         return self._kind
-
-    @property
-    def diagonal_flag(self):
-        return self._kind == "diag"
 
     def diag(self):
         """Diagonal entries (the full data for diagonal operators)."""
@@ -389,6 +386,8 @@ def _eig_all(T, herm):
     """All eigenvalues of T (unordered), using the component split."""
     if T.kind == "diag":
         return T._data.real.astype(complex) if herm else T._data.copy()
+    if T._data.nnz == 0:
+        return np.zeros(T.dim, dtype=complex)
     parts = []
     try:
         for _, blocks in _component_blocks(T):
@@ -430,6 +429,8 @@ def singular_values(T):
     if T.kind == "diag":
         mu = np.sort(np.abs(T._data))[::-1]
         return SingularSequence(mu, label=T.label)
+    if T._data.nnz == 0:
+        return SingularSequence(np.zeros(T.dim), label=T.label)
     parts = []
     try:
         for _, blocks in _component_blocks(T):
@@ -547,9 +548,14 @@ def phase_modulus(D):
 def commutator(A, B):
     """[A, B] = AB - BA.
 
-    With one factor diagonal and the other sparse, the entries
-    (a_i - a_j) b_ij are formed on the sparse factor's pattern in one step.
+    Two diagonal factors commute, so their commutator is the exact zero,
+    returned as an empty sparse operator.  With one factor diagonal and the
+    other sparse, the entries (a_i - a_j) b_ij are formed on the sparse
+    factor's pattern in one step.
     """
+    if A.kind == "diag" and B.kind == "diag":
+        A._check_dims(B)
+        return Operator(sp.csr_matrix((A.dim, A.dim), dtype=complex))
     if {A.kind, B.kind} != {"diag", "sparse"}:
         return (A @ B) - (B @ A)
     A._check_dims(B)

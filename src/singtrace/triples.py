@@ -81,12 +81,6 @@ class AlgebraElement:
     def model_id(self):
         return self.model.model_id
 
-    @property
-    def band_width(self):
-        if not self.terms:
-            return 0
-        return max(self.model.word_band(word) for word, _ in self.terms)
-
     def is_zero(self):
         return not self.terms
 

@@ -184,11 +184,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, config", [
         (["chern", "--model", "circle", "--N", "4"], None),
+        (["model", "build", "--model", "circle", "--N", "4"], None),
         (["run"], {"model": {"name": "circle", "N": 16}, "chain": "volume",
                    "checks": ["cycle"]}),
         (["run"], {"model": {"name": "circle", "N": 16},
                    "scheme": {"ratio": 0.5}, "checks": ["cycle"]}),
-    ], ids=["small-N", "chain-for-other-model", "scheme-ratio"])
+    ], ids=["small-N", "model-build-small-N", "chain-for-other-model",
+            "scheme-ratio"])
     def test_bad_model_chain_or_scheme_is_a_config_error(
             self, argv, config, tmp_path, capsys):
         if config is not None:
@@ -199,6 +201,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, model", [
+        (["run"], {"name": "circle", "N": "big"}),
+        (["run"], {"name": "circle", "N": True}),
+        (["run"], {"name": "circle", "N": 16.0}),
+        (["run"], {"name": "nc_torus", "N": 16, "theta": float("inf")}),
+        (["run"], {"name": "toy", "N": 1000, "p": "2"}),
+        (["run"], {"name": "circle", "N": 16, "buffer": float("nan")}),
+        (["chern", "--model", "nc_torus", "--N", "16", "--theta", "nan"], None),
+        (["model", "build", "--model", "nc_torus", "--N", "16",
+          "--theta", "inf"], None),
+    ], ids=["N-string", "N-bool", "N-float", "theta-inf", "p-string",
+            "buffer-nan", "chern-theta-nan", "model-build-theta-inf"])
+    def test_bad_model_parameter_is_a_config_error(
+            self, argv, model, tmp_path, capsys):
+        if model is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"model": model, "checks": ["chern"]}))
+            argv = argv + ["--config", str(cfg)]
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: model ")
 
     def test_run_config(self, tmp_path, capsys):
         cfg = tmp_path / "ok.json"

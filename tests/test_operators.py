@@ -246,6 +246,20 @@ class TestAlgebra:
             assert got.kind == "sparse"
             np.testing.assert_allclose(got.matrix(), want, atol=1e-12)
 
+    def test_diagonal_commutator_is_an_empty_sparse_operator(self):
+        rng = np.random.default_rng(7)
+        n = 100
+        # a real diagonal (as D, |D| and F of every model) against a complex
+        # one: AB - BA is exactly zero too
+        A = Operator(rng.standard_normal(n))
+        B = Operator(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = commutator(A, B)
+        assert got.kind == "sparse" and got.sparse().nnz == 0
+        np.testing.assert_array_equal(got.matrix(),
+                                      ((A @ B) - (B @ A)).matrix())
+        with pytest.raises(ContractViolation):
+            commutator(A, identity(n + 1))
+
     def test_sparse_input_with_explicit_zeros_left_untouched(self):
         mat = sp.csr_matrix((np.array([1.0, 0.0, 2.0], dtype=complex),
                              np.array([1, 0, 0]), np.array([0, 2, 3])),
@@ -357,6 +371,27 @@ class TestFlags:
     def test_exact_diagonal_dense_compacts(self):
         T = Operator(np.diag([1.0, 2.0]))
         assert T.kind == "diag"
+
+    @pytest.mark.parametrize("data", [np.zeros((3, 3)),
+                                      sp.csr_matrix((3, 3), dtype=complex),
+                                      sp.diags(np.zeros(3), format="csr")],
+                             ids=["dense", "empty-csr", "explicit-zeros"])
+    def test_exact_zero_stays_sparse(self, data):
+        T = Operator(data)
+        assert T.kind == "sparse" and T.sparse().nnz == 0
+        np.testing.assert_array_equal(T.diag(), np.zeros(3))
+
+    def test_exact_zero_spectra_skip_the_split(self, monkeypatch):
+        from singtrace import operators
+
+        def no_split(*args):
+            raise AssertionError("component split on an exact zero")
+
+        monkeypatch.setattr(operators, "_component_blocks", no_split)
+        n = 4 * operators._SPLIT_MIN_DIM
+        Z = Operator(sp.csr_matrix((n, n), dtype=complex))
+        np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
+        np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
 
     def test_dense_input_stored_as_csr(self):
         T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
