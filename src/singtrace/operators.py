@@ -5,8 +5,9 @@ models) works with the :class:`Operator` wrapper defined here.  An operator
 stores its matrix in one of two backends:
 
 * ``diag``   -- 1-d array of diagonal entries (fast path, scales to 1e6),
-* ``sparse`` -- scipy CSR (used by the truncated triple realizations, and for
-  any 2-d array input that is not exactly diagonal).
+* ``sparse`` -- scipy CSR (used by the truncated triple realizations, for
+  any 2-d array input that is not exactly diagonal, and for an exact zero,
+  which is stored as an empty CSR matrix).
 
 Both behave identically under the algebraic operations; the backend is an
 optimisation detail, never a semantic one.  Spectra are computed with
@@ -248,12 +249,12 @@ class Operator:
         """Operator 2-norm (largest singular value)."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
-        if self.dim <= 4096:
-            return float(np.linalg.norm(self._data.toarray(), 2)) if self.dim else 0.0
-        from scipy.sparse.linalg import svds
-
         if self._data.nnz == 0:
             return 0.0
+        if self.dim <= 4096:
+            return float(np.linalg.norm(self._data.toarray(), 2))
+        from scipy.sparse.linalg import svds
+
         try:
             s = svds(self._data, k=1, return_singular_vectors=False)
             return float(s[0])

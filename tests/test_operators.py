@@ -381,17 +381,19 @@ class TestFlags:
         assert T.kind == "sparse" and T.sparse().nnz == 0
         np.testing.assert_array_equal(T.diag(), np.zeros(3))
 
-    def test_exact_zero_spectra_skip_the_split(self, monkeypatch):
+    def test_exact_zero_skips_split_and_dense_norm(self, monkeypatch):
         from singtrace import operators
 
-        def no_split(*args):
-            raise AssertionError("component split on an exact zero")
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization of an exact zero")
 
-        monkeypatch.setattr(operators, "_component_blocks", no_split)
+        monkeypatch.setattr(operators, "_component_blocks", refuse)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
         n = 4 * operators._SPLIT_MIN_DIM
         Z = Operator(sp.csr_matrix((n, n), dtype=complex))
         np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
         np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
+        assert Z.norm2() == 0.0
 
     def test_dense_input_stored_as_csr(self):
         T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
