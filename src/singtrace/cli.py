@@ -51,7 +51,6 @@ def _config_from_args(args, checks):
     if args.tol_identity is not None:
         tolerances["identity"] = args.tol_identity
     if args.tol_z is not None:
-        tolerances["diag_z"] = args.tol_z
         tolerances["heat_rel"] = args.tol_z
     if args.tol_residual is not None:
         tolerances["sum_tol"] = args.tol_residual

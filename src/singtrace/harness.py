@@ -94,6 +94,13 @@ class ExperimentConfig:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        read = {key for name in self.checks
+                for key in TOLERANCE_KEYS.get(name, ())}
+        unread = sorted(set(self.tolerances) - read)
+        if unread:
+            raise ConfigError(
+                f"tolerance keys {unread} are read by none of the requested "
+                f"checks; they read: {sorted(read)}")
         return self
 
     def build_model(self):
@@ -524,12 +531,10 @@ def _check_concordance(ctx):
     fit = ideals.log_fit(series, window=model.fit_window())
     dix = traces.dixmier_logmean(series, ctx.scheme,
                                  n_max=model.reliable_count - 1)
-    n_lo, n_hi = 8, max(model.reliable_count // 8, 32)
     samples = traces.heat_functional(hh.omega(ctx.chain, model, strict=False),
                                      triples._interior_weight(model, q),
                                      alpha=1.0 + 1.0 / q,
-                                     grid=ideals.geometric_grid(n_lo, n_hi,
-                                                                math.sqrt(2.0)))
+                                     grid=hh._pairing_heat_grid(model))
     heat = traces.heat_fit(samples)
     ests = {"partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),
@@ -572,6 +577,21 @@ def _check_cutoff(ctx):
         values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]},
         residuals={"gap": rep["gap"]})
 
+
+# the keys each check reads through _Context.tolerance; a config may set
+# only keys that one of its checks reads
+TOLERANCE_KEYS = {
+    "chern": ("chern_convergence",),
+    "eigen-sums": ("sum_tol",),
+    "heat": ("heat_rel",),
+    "dixmier": ("dixmier_rel",),
+    "identity-suite": ("identity",),
+    "summability": ("decay_slope",),
+    "diag-oracles": ("diag_z", "alt_z"),
+    "scheme-robustness": ("scheme_drift",),
+    "concordance": ("concordance_floor",),
+    "cutoff": ("cutoff_gap",),
+}
 
 CHECKS = {
     "cycle": _check_cycle,

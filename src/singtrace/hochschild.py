@@ -39,7 +39,11 @@ from .operators import (
     commutator,
     hermitian_calculus,
 )
-from .traces import _heat_kernel, measurability_criterion_check
+from .traces import (
+    _heat_sums,
+    _sorted_spectrum,
+    measurability_criterion_check,
+)
 from .triples import AlgebraElement, _interior_weight, invertible_double
 
 __all__ = [
@@ -506,7 +510,6 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     wp = w_subset(c, double, frozenset({p}))
     _abs_inv_p, d0_inv = _interior_inverse_powers(double)
     X = wp @ d0_inv
-    d = double.compress(double.absD).diag().real
     if s_grid is None:
         s_grid = default_s_grid(double)
     else:
@@ -520,10 +523,9 @@ def heat_cycle_trace(c, model=None, s_grid=None):
             s_grid = s_grid[~low]
     if s_grid.size < 3:
         raise ContractViolation("heat_cycle_trace needs >= 3 usable s points")
-    xdiag = X.diag()
-    values = np.empty(s_grid.size, dtype=complex)
-    for j, s in enumerate(s_grid):
-        values[j] = np.sum(xdiag * _heat_kernel(s * d, p + 1))
+    d, xdiag = _sorted_spectrum(double.compress(double.absD).diag().real,
+                                X.diag())
+    values = _heat_sums(d, xdiag, s_grid, p + 1).astype(complex)
     x = np.log(1.0 / s_grid)
     coef, resid = _least_squares([x, np.ones_like(x)], values)
     return {
@@ -533,6 +535,12 @@ def heat_cycle_trace(c, model=None, s_grid=None):
         "intercept": complex(coef[1]),
         "residual_sup": resid,
     }
+
+
+def _pairing_heat_grid(model):
+    """Heat grid for a pairing on ``model``: n from 8 up to the reliable
+    count over 8 (at least 32), ratio sqrt(2)."""
+    return geometric_grid(8, max(model.reliable_count // 8, 32), math.sqrt(2.0))
 
 
 def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
@@ -575,11 +583,9 @@ def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
                                            window=window)
     if alpha is None:
         alpha = 1.0 + 1.0 / q
-    n_lo = 8
-    n_hi = max(model.reliable_count // 8, 4 * n_lo)
     criterion = measurability_criterion_check(
         omega(c, model, strict=False), _interior_weight(model, q), alpha=alpha,
-        heat_grid=geometric_grid(n_lo, n_hi, math.sqrt(2.0)),
+        heat_grid=_pairing_heat_grid(model),
         spec_window=window,
     )
     gap_spec = abs(verdict.z - ch.value)

@@ -207,11 +207,12 @@ def _psd_eigendata(V, who):
 
 
 def _transformed_diag(A, V, who):
-    """Eigenvalues v_k of V and matrix elements <e_k|A|e_k> in V's eigenbasis."""
+    """Eigenvalues v_k of V and matrix elements <e_k|A|e_k> in V's eigenbasis
+    (None for A = None, the identity)."""
     pieces = _psd_eigendata(V, who)
     v = np.concatenate([np.maximum(w, 0.0).ravel() for _, w, _ in pieces])
     if A is None:
-        return v, np.ones(v.size, dtype=complex)
+        return v, None
     V._check_dims(A)
     if V.kind == "diag":
         return v, A.diag().astype(complex)
@@ -224,28 +225,64 @@ def _transformed_diag(A, V, who):
 # exp(-t) is exactly +0.0 in double precision for t > 745.14 (and subnormal
 # from 708 on), so above this cut the heat kernel is known without pow or exp
 _HEAT_ZERO = 1000.0
+# relative widening of a live slice past its computed edge: the entries it
+# adds have x**e above 999.99, so their weight is 0.0
+_EDGE_MARGIN = 1e-9
 
 
-def _heat_kernel(x, e):
-    """exp(-x**e) for x >= 0, evaluated only where x**e < ``_HEAT_ZERO``.
+def _sorted_spectrum(v, *coeffs):
+    """``v`` in ascending order (stable sort, NaN last) and each coefficient
+    vector gathered into the same order; a None coefficient stays None."""
+    order = np.argsort(v, kind="stable")
+    return (v[order],) + tuple(None if c is None else c[order] for c in coeffs)
 
-    Every other entry is exactly 0.0, as the full formula gives there (with
-    x = 0 and e < 0 too: the kernel vanishes on ker V), so the result equals
-    ``np.exp(-x ** e)`` bit for bit.  A NaN entry stays live and gives NaN.
+
+def _live_slice(vs, s, e):
+    """Index of ascending ``vs`` outside which exp(-(s v)**e) is exactly 0.0.
+
+    The live entries ((s v)**e < ``_HEAT_ZERO``) are a suffix of ``vs`` for
+    e < 0 (this leaves out ker V, where the kernel vanishes) and a prefix for
+    e > 0.  NaNs sort last and are always kept, so a NaN makes every sum NaN.
     """
-    cut = _HEAT_ZERO ** (1.0 / e)
-    live = ~(x <= cut) if e < 0 else ~(x >= cut)
-    if live.all():
-        return np.exp(-x ** e)
-    out = np.zeros(x.shape)
-    out[live] = np.exp(-x[live] ** e)
-    return out
+    edge = _HEAT_ZERO ** (1.0 / e) / s
+    if e < 0:
+        lo = int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN)))
+        return slice(lo, vs.size)
+    hi = int(np.searchsorted(vs, edge * (1.0 + _EDGE_MARGIN), side="right"))
+    if vs.size and np.isnan(vs[-1]):
+        return np.r_[0:hi, int(np.searchsorted(vs, np.nan)):vs.size]
+    return slice(0, hi)
+
+
+def _heat_weights(vs, scales, e):
+    """Yield (live index, weights) per scale s: the weights are
+    ``np.exp(-(s * v) ** e)`` on the live index of ascending ``vs``, bit for
+    bit the full formula's there, and every other weight is exactly 0.0."""
+    for s in scales:
+        s = float(s)
+        live = _live_slice(vs, s, e)
+        yield live, np.exp(-(s * vs[live]) ** e)
+
+
+def _heat_sums(vs, c, scales, e):
+    """sum_k c_k exp(-(s v_k)**e) for each s in ``scales``, summed over the
+    live slice of ascending ``vs`` only; ``c`` is in the same order, and None
+    means every c_k = 1."""
+    return np.array([np.sum(w if c is None else c[live] * w)
+                     for live, w in _heat_weights(vs, scales, e)])
 
 
 def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
     """Geometric grid kept below dim/8 so truncation tails stay negligible."""
     n_max = max(dim // 8, n_min * 2)
     return geometric_grid(n_min, n_max, ratio)
+
+
+def _scheme_heat_grid(scheme, dim, n_max=None):
+    """The scheme's grid up to ``n_max``, by default the heat grid's edge."""
+    if n_max is None:
+        return default_heat_grid(dim, scheme.ratio, scheme.n_min)
+    return scheme.grid(n_max)
 
 
 def heat_functional(A, V, alpha, grid=None):
@@ -256,10 +293,9 @@ def heat_functional(A, V, alpha, grid=None):
     if grid is None:
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
-    av = a * v
-    values = np.empty(grid.size, dtype=complex)
-    for j, n in enumerate(grid):
-        values[j] = np.sum(av * _heat_kernel(float(n) * v, -alpha))
+    v, a = _sorted_spectrum(v, a)
+    av = v if a is None else a * v
+    values = _heat_sums(v, av, grid, -alpha).astype(complex)
     label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
 
@@ -293,13 +329,9 @@ def heat_xi(V, scheme=None, n_max=None):
     """xi(n) = (1/n) Tr(exp(-(nV)^-1)), averaged with the Cesaro-log mean."""
     scheme = scheme or ExtendedLimitScheme()
     v, _ = _transformed_diag(None, V, "heat_xi")
-    if n_max is None:
-        n_max = max(V.dim // 8, scheme.n_min * 2)
-    grid = scheme.grid(n_max)
-    window = scheme.window(grid)
-    values = np.empty(window.size, dtype=complex)
-    for j, n in enumerate(window):
-        values[j] = np.sum(_heat_kernel(float(n) * v, -1.0)) / float(n)
+    v, = _sorted_spectrum(v)
+    window = scheme.window(_scheme_heat_grid(scheme, V.dim, n_max))
+    values = _heat_sums(v, None, window, -1.0) / window
     z, resid = scheme.apply(window, values, averaging="cesaro_log")
     return TraceEstimate(z=z, method="heat_xi", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
@@ -320,12 +352,19 @@ def lemma_estimate_scalings(V, alpha, grid=None, slack=0.05):
     if grid is None:
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
+    v, = _sorted_spectrum(v)
     va = v ** alpha
+    # below its live slice every weight is 0.0 and 1 - w is 1: add that head
+    # of va segment by segment, never as sum(va) - sum(va * w), which cancels
+    heads = {}
+    total, prev = 0.0, 0
+    for lo in sorted({_live_slice(v, float(n), -alpha).start for n in grid}):
+        total += float(np.sum(va[prev:lo]))
+        heads[lo], prev = total, lo
     saturating = np.empty(grid.size)
     counting = np.empty(grid.size)
-    for j, n in enumerate(grid):
-        w = _heat_kernel(float(n) * v, -alpha)
-        saturating[j] = float(np.sum(va * (1.0 - w)))
+    for j, (live, w) in enumerate(_heat_weights(v, grid, -alpha)):
+        saturating[j] = heads[live.start] + float(np.sum(va[live] * (1.0 - w)))
         counting[j] = float(np.sum(w))
     slope_sat = _loglog_slope(grid, saturating)
     slope_count = _loglog_slope(grid, counting)
@@ -385,19 +424,18 @@ def modulated_comparison(A, V, grid=None, tol=None):
 def cesaro_cutoff_comparison(A, V, alpha, scheme=None, n_max=None):
     """Scheme averages of Tr(AV e^{-(nV)^-a})/log n vs Tr(A (V-1/n)_+)/log n."""
     scheme = scheme or ExtendedLimitScheme()
-    v, a = _transformed_diag(A, V, "cesaro_cutoff_comparison")
-    if n_max is None:
-        n_max = max(V.dim // 8, scheme.n_min * 2)
-    grid = scheme.grid(n_max)
-    window = scheme.window(grid)
-    av = a * v
-    heat_vals = np.empty(window.size, dtype=complex)
+    v, a = _sorted_spectrum(*_transformed_diag(A, V, "cesaro_cutoff_comparison"))
+    window = scheme.window(_scheme_heat_grid(scheme, V.dim, n_max))
+    log_n = np.array([math.log(float(n)) for n in window])
+    heat_vals = _heat_sums(v, v if a is None else a * v, window, -alpha) / log_n
     cut_vals = np.empty(window.size, dtype=complex)
     for j, n in enumerate(window):
-        n = float(n)
-        log_n = math.log(n)
-        heat_vals[j] = np.sum(av * _heat_kernel(n * v, -alpha)) / log_n
-        cut_vals[j] = np.sum(a * np.maximum(v - 1.0 / n, 0.0)) / log_n
+        # (v - 1/n)_+ is nonzero exactly on the slice v > 1/n (and NaN)
+        t = 1.0 / float(n)
+        k = int(np.searchsorted(v, t, side="right"))
+        excess = v[k:] - t
+        cut_vals[j] = np.sum(excess if a is None else a[k:] * excess)
+    cut_vals /= log_n
     z_heat, r_heat = scheme.apply(window, heat_vals)
     z_cut, r_cut = scheme.apply(window, cut_vals)
     return {

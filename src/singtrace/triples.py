@@ -475,6 +475,10 @@ def build_diagonal_toy(N, decay_exponent=1):
     p = int(decay_exponent)
     if p < 1:
         raise ContractViolation("build_diagonal_toy requires p >= 1")
+    # the smallest N at which every check runs at p = 1: below it the heat
+    # check's s-window holds fewer than 3 points
+    if N < 32:
+        raise ContractViolation("build_diagonal_toy requires N >= 32")
     model = _ToyModel("toy", N, 0, p=p, parity="odd")
     model.dim = int(N)
     k = np.arange(N, dtype=float)

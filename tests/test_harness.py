@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from singtrace import harness
 from singtrace.cli import main as cli_main
 from singtrace.harness import (
     CHECKS,
+    TOLERANCE_KEYS,
     ConfigError,
     ExperimentConfig,
     builtin_chain,
@@ -226,6 +228,53 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: model ")
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--model", "toy", "--N", "0"],
+        ["measure", "--model", "toy", "--N", "2"],
+        ["measure", "--model", "toy", "--N", "-3"],
+        ["chern", "--model", "toy", "--N", "0"],
+        ["heat", "--model", "toy", "--N", "31"],
+        ["model", "build", "--model", "toy", "--N", "31"],
+    ], ids=["measure-0", "measure-2", "measure-negative", "chern-0",
+            "heat-31", "model-build-31"])
+    def test_degenerate_toy_size_is_a_config_error(self, argv, capsys):
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == ["config error: build_diagonal_toy requires N >= 32"]
+
+    def test_smallest_toy_runs_every_check(self, monkeypatch):
+        monkeypatch.setenv("SINGTRACE_THREADS", "1")
+        report = run(ExperimentConfig(model={"name": "toy", "N": 32},
+                                      checks=list(CHECKS)))
+        assert len(report.records) == len(CHECKS)
+
+    @pytest.mark.parametrize("tolerances, rc", [
+        ({"nonsense": 1}, 2),
+        ({"heat_rel": 0.2}, 2),
+        ({"chern_convergence": 0.2, "nonsense": 1}, 2),
+        ({"chern_convergence": 0.2}, 0),
+    ], ids=["misspelt", "read-by-another-check", "one-of-two-unread", "read"])
+    def test_tolerance_key_must_be_read_by_a_requested_check(
+            self, tolerances, rc, tmp_path, capsys):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
+                                   "checks": ["chern"],
+                                   "tolerances": tolerances}))
+        assert cli_main(["run", "--config", str(cfg)]) == rc
+        err = capsys.readouterr().err.splitlines()
+        if rc == 2:
+            assert len(err) == 1 and err[0].startswith(
+                "config error: tolerance keys ")
+            assert "nonsense" in err[0] or "heat_rel" in err[0]
+
+    def test_tolerance_flags_reach_the_check_they_name(self, capsys):
+        assert cli_main(["heat", "--model", "circle", "--N", "64",
+                         "--tol-z", "0.2"]) == 0
+        assert cli_main(["chern", "--model", "circle", "--N", "32",
+                         "--tol-z", "0.2"]) == 2
+
     def test_run_config(self, tmp_path, capsys):
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps({"model": {"name": "circle", "N": 32},
@@ -247,6 +296,37 @@ class TestCli:
         rc = cli_main(["suite", "quick", "--out", str(tmp_path / "rep")])
         assert rc == 0
         assert (tmp_path / "rep" / "report.md").exists()
+
+
+def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
+    """TOLERANCE_KEYS is exactly the set of ``ctx.tolerance`` reads, check by
+    check, over ``suite quick`` and the checks it leaves out."""
+    monkeypatch.setenv("SINGTRACE_THREADS", "1")
+    current, reads = [], set()
+    real_tolerance = harness._Context.tolerance
+
+    def tolerance(ctx, key, default):
+        reads.add((current[-1], key))
+        return real_tolerance(ctx, key, default)
+
+    def recording(name, check):
+        def wrapped(ctx):
+            current.append(name)
+            return check(ctx)
+        return wrapped
+
+    monkeypatch.setattr(harness._Context, "tolerance", tolerance)
+    for name, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name, recording(name, check))
+    suite("quick")
+    ran = set(current)
+    rest = [name for name in CHECKS if name not in ran]
+    assert sorted(rest) == ["concordance", "dixmier", "eigen-sums",
+                            "modulated"]
+    run(ExperimentConfig(model={"name": "circle", "N": 256}, checks=rest))
+    assert set(current) == set(CHECKS)
+    assert reads == {(name, key) for name, keys in TOLERANCE_KEYS.items()
+                     for key in keys}
 
 
 def test_benchmark_layer_names_resolve():

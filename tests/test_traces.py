@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from singtrace import traces
 from singtrace.operators import ContractViolation, Operator, identity, singular_values
 from singtrace.traces import (
     BranchError,
     ExtendedLimitScheme,
-    _heat_kernel,
+    _heat_sums,
+    _heat_weights,
+    _sorted_spectrum,
     cesaro_cutoff_comparison,
     dixmier_logmean,
     heat_fit,
@@ -161,11 +166,22 @@ class TestHeatFunctional:
 def unmasked_heat(x, e):
     """exp(-x**e) over every entry, as the heat loops computed it before the
     underflow cut."""
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.exp(-x ** e)
 
 
+def fsum_reference(c, w):
+    """Correctly rounded sum_k c_k w_k and the scale sum_k |c_k w_k|."""
+    terms = np.asarray(c * w, dtype=complex)
+    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return total, math.fsum(np.abs(terms))
+
+
 class TestHeatKernel:
+    """The sorted-spectrum heat engine: ``_heat_weights`` evaluates only the
+    live slice, and every weight equals the unmasked formula bit for bit;
+    sums run over the slice, so they are checked against ``math.fsum``."""
+
     EXPONENTS = [-1, -1.5, -2, 2, 3]
 
     @staticmethod
@@ -174,50 +190,119 @@ class TestHeatKernel:
         v = np.concatenate([1.0 / (np.arange(3000) + 1.0), np.zeros(9)])
         return rng.permutation(v)
 
+    @staticmethod
+    def engine_weights(vs, s, e):
+        """Full-length weights on ascending ``vs``: the engine's live weights,
+        0.0 everywhere else."""
+        (live, w), = _heat_weights(vs, [s], e)
+        full = np.zeros(vs.size)
+        full[live] = w
+        return full
+
+    @staticmethod
+    def regime_scales(e):
+        # scales at which every positive entry is cut, some are, none is
+        cut = 1000.0 ** (1.0 / e)  # x**e = 1000 at x = cut
+        if e < 0:
+            return 0.5 * cut, 40.0 * cut, 6000.0 * cut
+        return 6000.0 * cut, 40.0 * cut, 0.5 * cut
+
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_equals_unmasked_formula_on_every_regime(self, e):
         v = self.unsorted_with_zeros()
-        pos = v > 0
-        cut = 1000.0 ** (1.0 / e)  # x**e = 1000 at x = cut
-        # scales at which every positive entry is cut, some are, none is
-        if e < 0:
-            scales = (0.5 * cut, 40.0 * cut, 6000.0 * cut)
-        else:
-            scales = (6000.0 * cut, 40.0 * cut, 0.5 * cut)
+        vs, = _sorted_spectrum(v)
+        assert np.array_equal(vs, np.sort(v))
+        pos = vs > 0
         live_share = []
-        for s in scales:
-            x = s * v
-            got = _heat_kernel(x, e)
-            assert np.array_equal(got, unmasked_heat(x, e))
-            live_share.append(np.mean((x[pos] ** e) < 1000.0))
+        for s in self.regime_scales(e):
+            want = unmasked_heat(s * vs, e)
+            assert np.array_equal(self.engine_weights(vs, s, e), want)
+            live_share.append(np.mean(((s * vs[pos]) ** e) < 1000.0))
         assert live_share[0] == 0.0 and 0.0 < live_share[1] < 1.0
         assert live_share[2] == 1.0
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_subnormal_band_is_evaluated(self, e):
         # x**e in (708, 745]: exp(-x**e) is subnormal, not zero, so a cut at
-        # or below 745 would change these weights
-        t = np.linspace(708.5, 745.0, 64)
-        x = np.concatenate([t ** (1.0 / e), [0.0]])
-        want = unmasked_heat(x, e)
-        assert np.all(want[:-1] > 0.0) and np.all(want[:-1] < 2.3e-308)
-        assert np.array_equal(_heat_kernel(x, e), want)
+        # or below 745 would change these weights; the band around the cut
+        # itself, x**e in [999.99, 1000.01], must come out exactly 0.0
+        t = np.concatenate([np.linspace(708.5, 745.0, 64),
+                            np.linspace(999.99, 1000.01, 64)])
+        vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
+        want = unmasked_heat(vs, e)
+        assert np.sum((want > 0.0) & (want < 2.3e-308)) == 64
+        assert np.array_equal(self.engine_weights(vs, 1.0, e), want)
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_nan_stays_nan(self, e):
-        x = np.array([np.nan, 0.0, 0.5, 1e6])
-        got = _heat_kernel(x, e)
-        assert np.isnan(got[0])
-        np.testing.assert_array_equal(got[1:], unmasked_heat(x[1:], e))
+        v = np.array([0.5, np.nan, 0.0, 1e6, 2.0])
+        c = np.array([1.0, 2.0, 3.0, 4.0, 5.0 + 1.0j])
+        vs, cs = _sorted_spectrum(v, c)
+        assert np.isnan(vs[-1]) and cs[-1] == 2.0
+        for s in self.regime_scales(e):
+            full = self.engine_weights(vs, s, e)
+            assert np.isnan(full[-1])
+            assert np.array_equal(full[:-1], unmasked_heat(s * vs[:-1], e))
+            assert np.all(np.isnan(_heat_sums(vs, cs, [s, 2.0 * s], e)))
+            assert np.all(np.isnan(_heat_sums(vs, None, [s], e)))
 
-    def test_heat_functional_equals_unmasked_sums(self):
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_sums_match_fsum_reference(self, e):
+        v = self.unsorted_with_zeros()
+        rng = np.random.default_rng(13)
+        c = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        scales = self.regime_scales(e)
+        vs, cs = _sorted_spectrum(v, c)
+        for coeff, sorted_coeff in ((c, cs), (np.ones(v.size), None)):
+            got = _heat_sums(vs, sorted_coeff, scales, e)
+            for s, value in zip(scales, got):
+                want, scale = fsum_reference(coeff, unmasked_heat(s * v, e))
+                assert abs(value - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_permuted_spectrum_gives_same_sums(self, e):
+        v = self.unsorted_with_zeros()
+        rng = np.random.default_rng(14)
+        c = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        scales = self.regime_scales(e)
+        perm = rng.permutation(v.size)
+        got = _heat_sums(*_sorted_spectrum(v, c), scales, e)
+        again = _heat_sums(*_sorted_spectrum(v[perm], c[perm]), scales, e)
+        for s, x, y in zip(scales, got, again):
+            _, scale = fsum_reference(c, unmasked_heat(s * v, e))
+            assert abs(x - y) <= 1e-14 * scale
+
+    def test_heat_functional_matches_fsum_of_unmasked_formula(self):
         v = self.unsorted_with_zeros()
         rng = np.random.default_rng(12)
         a = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
         grid = np.array([8, 64, 512, 4096])
         got = heat_functional(Operator(a), Operator(v), 2.0, grid=grid).values
-        want = [np.sum(a * v * unmasked_heat(float(n) * v, -2.0)) for n in grid]
-        assert np.array_equal(got, want)
+        for n, value in zip(grid, got):
+            want, scale = fsum_reference(a * v, unmasked_heat(float(n) * v, -2.0))
+            assert abs(value - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_scalings_saturating_term_matches_fsum(self, alpha, monkeypatch):
+        # the saturating term sums v^a (1 - w): a dead head (w = 0) plus the
+        # live slice; record the series lemma_estimate_scalings fits
+        seen = []
+        real_slope = traces._loglog_slope
+        monkeypatch.setattr(traces, "_loglog_slope",
+                            lambda x, y: seen.append(np.array(y))
+                            or real_slope(x, y))
+        v = self.unsorted_with_zeros()
+        grid = np.array([8, 64, 512, 4096])
+        lemma_estimate_scalings(Operator(v), alpha, grid=grid)
+        saturating, counting = seen[0], seen[1]
+        w = unmasked_heat(float(grid[0]) * v, -alpha)
+        assert np.any((w == 0.0) & (v > 0.0)) and np.any(w > 0.0)
+        for j, n in enumerate(grid):
+            w = unmasked_heat(float(n) * v, -alpha)
+            want, scale = fsum_reference(v ** alpha, 1.0 - w)
+            assert abs(saturating[j] - want.real) <= 1e-14 * scale
+            want, scale = fsum_reference(np.ones(v.size), w)
+            assert abs(counting[j] - want.real) <= 1e-14 * scale
 
 
 class TestHeatFit:
@@ -321,6 +406,28 @@ class TestCutoffComparison:
         rep = cesaro_cutoff_comparison(None, Operator(v), 2.0)
         assert abs(rep["z_heat"]) <= 0.02
         assert abs(rep["z_cutoff"]) <= 0.02
+
+    def test_coefficient_series_match_fsum_of_full_formulas(self):
+        # complex A on a permuted spectrum with a kernel: both series are
+        # summed over sorted slices and must match the storage-order formulas
+        rng = np.random.default_rng(5)
+        v = rng.permutation(np.concatenate([1.0 / (np.arange(4000) + 1.0),
+                                            np.zeros(5)]))
+        a = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        scheme = ExtendedLimitScheme()
+        rep = cesaro_cutoff_comparison(Operator(a), Operator(v), 2.0,
+                                       scheme=scheme)
+        window = scheme.window(scheme.grid(v.size // 8))
+        heat, cut = [], []
+        for n in window:
+            log_n = math.log(n)
+            heat.append(fsum_reference(a * v, unmasked_heat(n * v, -2.0))[0]
+                        / log_n)
+            cut.append(fsum_reference(a, np.maximum(v - 1.0 / n, 0.0))[0]
+                       / log_n)
+        assert abs(rep["z_heat"] - scheme.apply(window, heat)[0]) <= 1e-12
+        assert abs(rep["z_cutoff"] - scheme.apply(window, cut)[0]) <= 1e-12
+        assert rep["grid"]["n_max"] == window[-1]
 
     def test_alpha_independence(self):
         r2 = cesaro_cutoff_comparison(None, harmonic_op(), 2.0)
