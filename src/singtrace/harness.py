@@ -40,6 +40,7 @@ __all__ = [
     "suite",
     "builtin_chain",
     "CHECKS",
+    "TOLERANCE_KEYS",
 ]
 
 
