@@ -535,7 +535,7 @@ def _check_concordance(ctx):
     samples = traces.heat_functional(hh.omega(ctx.chain, model, strict=False),
                                      triples._interior_weight(model, q),
                                      alpha=1.0 + 1.0 / q,
-                                     grid=hh._pairing_heat_grid(model))
+                                     grid=hh._pairing_heat_grid(model, q))
     heat = traces.heat_fit(samples)
     ests = {"partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),

@@ -44,7 +44,12 @@ from .traces import (
     _sorted_spectrum,
     measurability_criterion_check,
 )
-from .triples import AlgebraElement, _interior_weight, invertible_double
+from .triples import (
+    AlgebraElement,
+    _interior_weight,
+    _weight_singular_values,
+    invertible_double,
+)
 
 __all__ = [
     "Chain",
@@ -537,10 +542,23 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     }
 
 
-def _pairing_heat_grid(model):
-    """Heat grid for a pairing on ``model``: n from 8 up to the reliable
-    count over 8 (at least 32), ratio sqrt(2)."""
-    return geometric_grid(8, max(model.reliable_count // 8, 32), math.sqrt(2.0))
+# the heat factor exp(-(n v_R)^-alpha) of the last reliable weight singular
+# value v_R at the top of a pairing's heat grid
+_HEAT_EDGE_EPS = 1e-3
+
+
+def _pairing_heat_grid(model, q):
+    """Heat grid for a degree-q pairing on ``model``, ratio sqrt(2): n from 8
+    up to the n at which the heat factor of v_R is ``_HEAT_EDGE_EPS`` (at
+    least 32).  v_R is the weight's ``reliable_count``-th largest singular
+    value, or its smallest when the reliable count covers the interior, so
+    no sample reaches the modes whose spectrum the cutoff's shape distorts.
+    """
+    mu = _weight_singular_values(model, q).mu
+    v_r = mu[min(model.reliable_count, mu.size) - 1]
+    alpha = 1.0 + 1.0 / q
+    n_hi = math.log(1.0 / _HEAT_EDGE_EPS) ** (-1.0 / alpha) / v_r
+    return geometric_grid(8, max(n_hi, 32), math.sqrt(2.0))
 
 
 def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
@@ -585,7 +603,7 @@ def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
         alpha = 1.0 + 1.0 / q
     criterion = measurability_criterion_check(
         omega(c, model, strict=False), _interior_weight(model, q), alpha=alpha,
-        heat_grid=_pairing_heat_grid(model),
+        heat_grid=_pairing_heat_grid(model, q),
         spec_window=window,
     )
     gap_spec = abs(verdict.z - ch.value)

@@ -579,9 +579,15 @@ def _interior_weight(model, q):
                          lambda: model.compress(resolvent_weight(model, q)))
 
 
+def _weight_singular_values(model, q):
+    """Singular values of the compressed weight, built once per model and q."""
+    return model.derived(("weight_mu", q),
+                         lambda: singular_values(_interior_weight(model, q)))
+
+
 def summability_report(model):
     """Ideal diagnostics for (1+D^2)^{-p/2} and the generator F-commutators."""
-    mu = singular_values(_interior_weight(model, model.p))
+    mu = _weight_singular_values(model, model.p)
     diag = ideal_diagnostics(mu, p=1.0)
     gen_norms = {}
     for name, g in model.generators().items():

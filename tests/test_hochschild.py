@@ -448,6 +448,17 @@ class TestMainTheorem:
         assert abs(ch + 4j * np.pi) <= 0.05 * abs(ch)
         assert rep["passed"]
 
+    def test_torus_heat_residual_falls_with_n(self):
+        # the heat grid stops where the last reliable weight eigenvalue's
+        # heat factor is 1e-3, short of the square's corner modes, so the
+        # heat fit improves with N like the other two estimates
+        resid = []
+        for N in (32, 64, 128):
+            m = build_nc_torus(N)
+            rep = main_theorem_check(nc_torus_volume_cycle(m), m)
+            resid.append(rep["criterion"]["heat_estimate"]["residual_sup"])
+        assert resid[0] > resid[1] > resid[2]
+
     def test_toy_degenerate(self, toy1000):
         w = toy1000.monomial((1,))
         c = Chain.from_elements(toy1000, [(1.0, [w.adjoint(), w])])
