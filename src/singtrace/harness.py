@@ -300,7 +300,9 @@ class _Context:
         self.inputs_digest = hashlib.sha256(stamp.encode()).hexdigest()[:16]
 
     def tolerance(self, key, default):
-        return float(self.tol.get(key, default))
+        """The config's value for ``key`` as a float, else ``default``."""
+        value = self.tol.get(key)
+        return default if value is None else float(value)
 
 
 def _check_cycle(ctx):
@@ -326,11 +328,8 @@ def _check_chern(ctx):
 
 def _check_eigen_sums(ctx):
     series = hh._pairing_series(ctx.chain, ctx.model)
-    ch = hh.chern(ctx.chain, ctx.model, strict=False).value
-    tol = ctx.tolerance("sum_tol", max(0.5, 0.25 * abs(ch)))
-    verdict = ideals.universal_measurability_test(
-        series, tol=tol, z_tol=max(min(0.5 * abs(ch), 0.5), 0.02),
-        window=ctx.model.fit_window())
+    verdict = hh._pairing_verdict(ctx.chain, ctx.model,
+                                  ctx.tolerance("sum_tol", None))
     rows = [(int(n), series.sums[n].real, series.sums[n].imag)
             for n in verdict.fit.grid]
     return CheckRecord(
@@ -357,10 +356,8 @@ def _check_heat(ctx):
 
 
 def _check_dixmier(ctx):
-    series = hh._pairing_series(ctx.chain, ctx.model)
     ch = hh.chern(ctx.chain, ctx.model, strict=False).value
-    est = traces.dixmier_logmean(series, ctx.scheme,
-                                 n_max=ctx.model.reliable_count - 1)
+    est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
     tol = ctx.tolerance("dixmier_rel", 0.15) * max(abs(ch), 1e-12)
     gap = abs(est.z - ch)
     return CheckRecord(
@@ -526,17 +523,10 @@ def _check_scheme_robustness(ctx):
 def _check_concordance(ctx):
     """Partial-sum, heat and Dixmier estimates of one pairing must agree
     pairwise within their summed reported residuals."""
-    model = ctx.model
-    q = ctx.chain.degree
-    series = hh._pairing_series(ctx.chain, model)
-    fit = ideals.log_fit(series, window=model.fit_window())
-    dix = traces.dixmier_logmean(series, ctx.scheme,
-                                 n_max=model.reliable_count - 1)
-    samples = traces.heat_functional(hh.omega(ctx.chain, model, strict=False),
-                                     triples._interior_weight(model, q),
-                                     alpha=1.0 + 1.0 / q,
-                                     grid=hh._pairing_heat_grid(model, q))
-    heat = traces.heat_fit(samples)
+    chain, model = ctx.chain, ctx.model
+    fit = hh._pairing_verdict(chain, model).fit
+    heat = hh._pairing_heat(chain, model)
+    dix = hh._pairing_dixmier(chain, model, ctx.scheme)
     ests = {"partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),
             "dixmier": (dix.z, dix.residual_sup)}

@@ -40,9 +40,12 @@ from .operators import (
     hermitian_calculus,
 )
 from .traces import (
+    _criterion,
     _heat_sums,
     _sorted_spectrum,
-    measurability_criterion_check,
+    dixmier_logmean,
+    heat_fit,
+    heat_functional,
 )
 from .triples import (
     AlgebraElement,
@@ -373,15 +376,54 @@ def chern(c, model=None, strict=True):
 
 
 def _pairing_series(c, model):
-    """Eigenvalue partial sums of Omega(c) (1+D^2)^{-q/2}, q = degree.
-
-    Built once per model and chain; every estimate of the pairing starts
-    from these sums.
-    """
+    """Eigenvalue partial sums of Omega(c) (1+D^2)^{-q/2}, q = degree.  They
+    and the estimates below are built once per model, chain and extra key."""
     def build():
         T = omega(c, model, strict=False) @ _interior_weight(model, c.degree)
         return eigenvalue_partial_sums(T, label="pairing")
     return model.derived(("pairing", _chain_key(c)), build)
+
+
+def _pairing_verdict(c, model, sum_tol=None):
+    """Partial-sum verdict: fit residual below ``sum_tol`` (by default
+    max(0.5, |Ch|/4)), slope nonzero above max(min(|Ch|/2, 0.5), 0.02)."""
+    def build():
+        ch = abs(chern(c, model, strict=False).value)
+        tol = max(0.5, 0.25 * ch) if sum_tol is None else sum_tol
+        return universal_measurability_test(
+            _pairing_series(c, model), tol=tol,
+            z_tol=max(min(0.5 * ch, 0.5), 0.02), window=model.fit_window())
+    return model.derived(("pairing verdict", _chain_key(c), sum_tol), build)
+
+
+# the heat factor of v_R at the top of a pairing's heat grid
+_HEAT_EDGE_EPS = 1e-3
+
+
+def _pairing_heat(c, model):
+    """Heat fit of Tr(Omega(c) V exp(-(nV)^-alpha)), V the weight, alpha =
+    1 + 1/q, on n = 8 .. max(n_hi, 32) at ratio sqrt(2).  At n_hi the heat
+    factor of v_R, the weight's ``reliable_count``-th largest singular value
+    (or its last), is ``_HEAT_EDGE_EPS``, so no sample reaches the modes
+    whose spectrum the shape of the cutoff distorts."""
+    def build():
+        q = c.degree
+        alpha = 1.0 + 1.0 / q
+        mu = _weight_singular_values(model, q).mu
+        v_r = mu[min(model.reliable_count, mu.size) - 1]
+        n_hi = math.log(1.0 / _HEAT_EDGE_EPS) ** (-1.0 / alpha) / v_r
+        samples = heat_functional(
+            omega(c, model, strict=False), _interior_weight(model, q), alpha,
+            grid=geometric_grid(8, max(n_hi, 32), math.sqrt(2.0)))
+        return heat_fit(samples)
+    return model.derived(("pairing heat", _chain_key(c)), build)
+
+
+def _pairing_dixmier(c, model, scheme):
+    """Dixmier log-mean of the partial sums up to the reliable count."""
+    return model.derived(("pairing dixmier", _chain_key(c), scheme), lambda:
+                         dixmier_logmean(_pairing_series(c, model), scheme,
+                                         n_max=model.reliable_count - 1))
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -542,96 +584,51 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     }
 
 
-# the heat factor exp(-(n v_R)^-alpha) of the last reliable weight singular
-# value v_R at the top of a pairing's heat grid
-_HEAT_EDGE_EPS = 1e-3
+# a nonzero Ch(c) must be matched within the relative gap; a vanishing
+# pairing needs |Ch(c)| and the spectral slope below the other two (their
+# finite versions are exact trace identities, so these are tight)
+_CHARACTER_REL_TOL = 0.15
+_VANISHING_CH_TOL = 1e-8
+_VANISHING_Z_TOL = 0.05
 
 
-def _pairing_heat_grid(model, q):
-    """Heat grid for a degree-q pairing on ``model``, ratio sqrt(2): n from 8
-    up to the n at which the heat factor of v_R is ``_HEAT_EDGE_EPS`` (at
-    least 32).  v_R is the weight's ``reliable_count``-th largest singular
-    value, or its smallest when the reliable count covers the interior, so
-    no sample reaches the modes whose spectrum the cutoff's shape distorts.
-    """
-    mu = _weight_singular_values(model, q).mu
-    v_r = mu[min(model.reliable_count, mu.size) - 1]
-    alpha = 1.0 + 1.0 / q
-    n_hi = math.log(1.0 / _HEAT_EDGE_EPS) ** (-1.0 / alpha) / v_r
-    return geometric_grid(8, max(n_hi, 32), math.sqrt(2.0))
-
-
-def main_theorem_check(c, model=None, alpha=None, tol_rel=0.15,
-                       parity_z_tol=0.05, parity_ch_tol=1e-8, sum_tol=None):
+def main_theorem_check(c, model=None):
     """Compare Ch(c) with the spectral and heat estimates of the pairing.
 
     For a chain whose degree parity matches the triple, checks that the
     partial-sum slope of Omega(c)(1+D^2)^{-q/2} and the heat-functional
     slope both reproduce Ch(c).  For a parity-mismatched cycle both Ch(c)
-    and the slope must vanish (the finite versions are exact trace
-    identities, so the tolerances are tight).
+    and the slope must vanish.
     """
     model = model or c.model
     if not is_cycle(c):
         raise ContractViolation("main_theorem_check requires a cycle")
-    q = c.degree
-    even_chain = (q % 2 == 0)
-    even_model = (model.parity == "even")
-    parity_match = (even_chain == even_model)
     ch = chern(c, model, strict=False)
-    series = _pairing_series(c, model)
-    window = model.fit_window()
-    if not parity_match:
-        fit = log_fit(series, window=window)
-        passed = bool(abs(ch.value) <= parity_ch_tol
-                      and abs(fit.z) <= parity_z_tol)
-        return {
-            "mode": "parity_vanishing",
-            "chern": ch.value,
-            "z_spec": fit.z,
-            "passed": passed,
-            "tolerances": {"ch": parity_ch_tol, "z": parity_z_tol},
-            "chern_record": ch.as_dict(),
-            "fit": fit.as_dict(),
-        }
-    if sum_tol is None:
-        sum_tol = max(0.5, 0.25 * abs(ch.value))
-    z_tol = max(min(0.5 * abs(ch.value), 0.5), 0.02)
-    verdict = universal_measurability_test(series, tol=sum_tol, z_tol=z_tol,
-                                           window=window)
-    if alpha is None:
-        alpha = 1.0 + 1.0 / q
-    criterion = measurability_criterion_check(
-        omega(c, model, strict=False), _interior_weight(model, q), alpha=alpha,
-        heat_grid=_pairing_heat_grid(model, q),
-        spec_window=window,
-    )
+    verdict = _pairing_verdict(c, model)
+    vanishes = bool(abs(ch.value) <= _VANISHING_CH_TOL
+                    and abs(verdict.z) <= _VANISHING_Z_TOL)
+    report = {"chern": ch.value, "z_spec": verdict.z,
+              "chern_record": ch.as_dict()}
+    if (c.degree % 2 == 0) != (model.parity == "even"):
+        tolerances = {"ch": _VANISHING_CH_TOL, "z": _VANISHING_Z_TOL}
+        return dict(report, mode="parity_vanishing", passed=vanishes,
+                    tolerances=tolerances, fit=verdict.fit.as_dict())
+    criterion = _criterion(_weight_singular_values(model, c.degree),
+                           _pairing_heat(c, model), _pairing_series(c, model),
+                           model.fit_window())
     gap_spec = abs(verdict.z - ch.value)
     gap_heat = abs(criterion["z_heat"] - ch.value)
-    tol_abs = tol_rel * abs(ch.value)
-    if abs(ch.value) <= parity_ch_tol:
+    tol_abs = _CHARACTER_REL_TOL * abs(ch.value)
+    if abs(ch.value) <= _VANISHING_CH_TOL:
         # degenerate pairing (e.g. the diagonal toy model): 0 = 0
-        passed = bool(abs(verdict.z) <= parity_z_tol and criterion["passed"])
+        passed = vanishes and criterion["passed"]
     else:
-        passed = bool(
-            verdict.kind == MEASURABLE
-            and gap_spec <= tol_abs
-            and gap_heat <= max(tol_abs, criterion["tol"])
-            and criterion["passed"]
-        )
-    return {
-        "mode": "character",
-        "chern": ch.value,
-        "z_spec": verdict.z,
-        "z_heat": criterion["z_heat"],
-        "gap_spec": gap_spec,
-        "gap_heat": gap_heat,
-        "tol_abs": tol_abs,
-        "passed": passed,
-        "verdict": verdict.as_dict(),
-        "criterion": criterion,
-        "chern_record": ch.as_dict(),
-    }
+        passed = bool(verdict.kind == MEASURABLE and gap_spec <= tol_abs
+                      and gap_heat <= max(tol_abs, criterion["tol"])
+                      and criterion["passed"])
+    return dict(report, mode="character", z_heat=criterion["z_heat"],
+                gap_spec=gap_spec, gap_heat=gap_heat, tol_abs=tol_abs,
+                passed=passed, verdict=verdict.as_dict(), criterion=criterion)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -466,8 +466,38 @@ def _classify_branch(mu):
     )
 
 
-def measurability_criterion_check(A, V, alpha=2.0, heat_grid=None,
-                                  spec_window=None, tol_floor=0.02):
+# slack added to the summed fit residuals of the two slopes the criterion
+# compares
+_CRITERION_FLOOR = 0.02
+
+
+def _criterion(mu, heat, series, window):
+    """The measurability criterion from V's singular values ``mu``, the heat
+    estimate ``heat`` of Tr(A V e^{-(nV)^-alpha}) and the eigenvalue partial
+    sums ``series`` of AV, fitted on ``window`` (None: the dyadic window)."""
+    branch, slope = _classify_branch(mu)
+    verdict = universal_measurability_test(series, window=window)
+    z_spec = verdict.z
+    tol = heat.residual_sup + verdict.fit.residual_sup + _CRITERION_FLOOR
+    gap = abs(heat.z - z_spec)
+    return {
+        "branch": branch,
+        "decay_exponent": slope,
+        "z_heat": heat.z,
+        "z_spec": z_spec,
+        "gap": gap,
+        "tol": tol,
+        "passed": bool(gap <= tol),
+        "heat_estimate": heat.as_dict(),
+        "spec_verdict": verdict.as_dict(),
+        "ideal": {
+            "quasi_norm_1inf": quasi_norm_pinf(mu, 1.0),
+            "lorentz_norm": lorentz_norm_m1inf(mu),
+        },
+    }
+
+
+def measurability_criterion_check(A, V, alpha=2.0):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-alpha}) against log n; the spectral
@@ -477,26 +507,6 @@ def measurability_criterion_check(A, V, alpha=2.0, heat_grid=None,
     trace value.
     """
     mu = singular_values(V)
-    branch, slope = _classify_branch(mu)
-    samples = heat_functional(A, V, alpha, grid=heat_grid)
-    z_heat = heat_fit(samples)
+    heat = heat_fit(heat_functional(A, V, alpha))
     product = (A @ V) if A is not None else V
-    verdict = universal_measurability_test(product, window=spec_window)
-    z_spec = verdict.z
-    tol = z_heat.residual_sup + verdict.fit.residual_sup + tol_floor
-    gap = abs(z_heat.z - z_spec)
-    return {
-        "branch": branch,
-        "decay_exponent": slope,
-        "z_heat": z_heat.z,
-        "z_spec": z_spec,
-        "gap": gap,
-        "tol": tol,
-        "passed": bool(gap <= tol),
-        "heat_estimate": z_heat.as_dict(),
-        "spec_verdict": verdict.as_dict(),
-        "ideal": {
-            "quasi_norm_1inf": quasi_norm_pinf(mu, 1.0),
-            "lorentz_norm": lorentz_norm_m1inf(mu),
-        },
-    }
+    return _criterion(mu, heat, eigenvalue_partial_sums(product), None)

@@ -1,12 +1,15 @@
 import importlib
 import importlib.util
 import json
+import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singtrace import harness
+from singtrace import harness, ideals, traces
 from singtrace.cli import main as cli_main
 from singtrace.harness import (
     CHECKS,
@@ -327,6 +330,31 @@ def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
     assert set(current) == set(CHECKS)
     assert reads == {(name, key) for name, keys in TOLERANCE_KEYS.items()
                      for key in keys}
+
+
+def test_pairing_estimates_are_built_once(monkeypatch):
+    """The checks that report an estimate of one pairing read one memoized
+    set of estimates: one eigenproblem of Omega(c)(1+D^2)^{-1/2}, one set of
+    heat samples and one Dixmier log-mean."""
+    calls, lock = Counter(), threading.Lock()
+    modules = [mod for name, mod in list(sys.modules.items())
+               if name.startswith("singtrace")]
+    for fn in (ideals.eigenvalue_partial_sums, traces.heat_functional,
+               traces.dixmier_logmean):
+        def counted(*args, _fn=fn, **kwargs):
+            with lock:
+                calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    report = run(ExperimentConfig(
+        model={"name": "circle", "N": 256},
+        checks=["eigen-sums", "dixmier", "measure", "concordance"]))
+    assert report.all_passed
+    assert calls == {"eigenvalue_partial_sums": 1, "heat_functional": 1,
+                     "dixmier_logmean": 1}
 
 
 def test_benchmark_layer_names_resolve():
