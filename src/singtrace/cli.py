@@ -72,7 +72,8 @@ def _config_from_args(args, checks):
 def _print_report(report):
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
-        vals = ", ".join(f"{k}={v}" for k, v in rec.values.items())
+        vals = rec.details.get("error") or ", ".join(
+            f"{k}={v}" for k, v in rec.values.items())
         print(f"[{status}] {rec.name}: {vals}")
     print(f"all passed: {report.all_passed}")
 

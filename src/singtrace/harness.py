@@ -29,7 +29,12 @@ import scipy
 
 from . import hochschild as hh
 from . import ideals, traces, triples
-from .operators import ContractViolation, Operator, singular_values
+from .operators import (
+    ContractViolation,
+    Operator,
+    OperatorError,
+    singular_values,
+)
 
 __all__ = [
     "ConfigError",
@@ -85,10 +90,7 @@ class ExperimentConfig:
             raise ConfigError(f"model N must be an integer, got {N!r}")
         for key in ("theta", "p", "buffer"):
             value = self.model.get(key)
-            if value is not None and (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if value is not None and not _finite_number(value):
                 raise ConfigError(
                     f"model {key} must be a finite number, got {value!r}")
         for name in self.checks:
@@ -102,6 +104,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tolerance keys {unread} are read by none of the requested "
                 f"checks; they read: {sorted(read)}")
+        for key, value in self.tolerances.items():
+            if not _finite_number(value):
+                raise ConfigError(
+                    f"tolerance {key} must be a finite number, got {value!r}")
         return self
 
     def build_model(self):
@@ -122,6 +128,11 @@ class ExperimentConfig:
         """Hash of every field that can change results (not the ``out`` path)."""
         text = replace(self, out=None).to_json()
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -627,7 +638,11 @@ def run(config):
 
     def execute(name):
         t0 = time.perf_counter()
-        rec = CHECKS[name](ctx)
+        try:
+            rec = CHECKS[name](ctx)
+        except OperatorError as exc:  # e.g. a model too small for the check
+            rec = CheckRecord(name, passed=False,
+                              details={"error": f"{type(exc).__name__}: {exc}"})
         rec.runtime_s = time.perf_counter() - t0
         rec.inputs_digest = ctx.inputs_digest
         return rec

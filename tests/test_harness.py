@@ -1,13 +1,19 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import math
 import sys
+import tempfile
 import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singtrace import harness, ideals, traces
 from singtrace.cli import main as cli_main
@@ -142,10 +148,8 @@ class TestChains:
             builtin_chain(build_circle(16), "moebius")
 
     def test_inline_chain(self):
-        from singtrace.hochschild import chain_to_json, circle_winding_cycle
-
-        m = build_circle(16)
-        inline = json.loads(chain_to_json(circle_winding_cycle(m)))
+        inline = {"degree": 1, "terms": [
+            {"coeff": [1.0, 0.0], "lambda_pow": 0, "tensor": [[-1], [1]]}]}
         report = run(ExperimentConfig(model={"name": "circle", "N": 16},
                                       chain=inline, checks=["cycle"]))
         assert report.all_passed
@@ -272,6 +276,35 @@ class TestCli:
                 "config error: tolerance keys ")
             assert "nonsense" in err[0] or "heat_rel" in err[0]
 
+    @pytest.mark.parametrize("value", ["abc", float("nan"), True],
+                             ids=["string", "nan", "bool"])
+    def test_tolerance_value_must_be_a_finite_number(
+            self, value, tmp_path, capsys):
+        cfg = tmp_path / "tol.json"
+        tolerances = {"chern_convergence": value}
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
+                                   "checks": ["chern"],
+                                   "tolerances": tolerances}))
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            f"config error: tolerance chern_convergence must be a finite "
+            f"number, got {value!r}"]
+
+    @pytest.mark.parametrize("argv, floor", [
+        (["heat", "--model", "circle", "--N", "16"], "0.176"),
+        (["heat", "--model", "toy", "--N", "100", "--p", "2"], "0.199"),
+    ], ids=["circle-16", "toy-100-p2"])
+    def test_check_too_big_for_its_model_fails_cleanly(
+            self, argv, floor, capsys):
+        # the builder accepts the model, but its heat s-window is empty
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            f"[FAIL] heat: ContractViolation: heat s-window empty: floor "
+            f"{floor} above ceiling 0.125", "all passed: False"]
+
     def test_tolerance_flags_reach_the_check_they_name(self, capsys):
         assert cli_main(["heat", "--model", "circle", "--N", "64",
                          "--tol-z", "0.2"]) == 0
@@ -299,6 +332,46 @@ class TestCli:
         rc = cli_main(["suite", "quick", "--out", str(tmp_path / "rep")])
         assert rc == 0
         assert (tmp_path / "rep" / "report.md").exists()
+
+
+# small models on both sides of each builder's floor (circle and torus 8,
+# toy 32)
+_FUZZ_SIZES = {"circle": (6, 24), "nc_torus": (6, 10), "toy": (30, 120)}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_SIZES)))
+    model = {"name": name, "N": draw(st.integers(*_FUZZ_SIZES[name]))}
+    if name == "toy":
+        model["p"] = draw(st.sampled_from([1, 2]))
+    checks = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=3,
+                           unique=True))
+    keys = sorted({key for check in checks
+                   for key in TOLERANCE_KEYS.get(check, ())})
+    values = st.one_of(st.floats(0.0, 1.0), st.floats(), st.booleans(),
+                       st.text(max_size=3))
+    tolerances = draw(st.dictionaries(st.sampled_from(keys), values,
+                                      max_size=2)) if keys else {}
+    return {"model": model, "checks": checks, "tolerances": tolerances}
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=_fuzzed_configs())
+def test_cli_exit_code_contract(config):
+    """Any config exits 0, 1 or 2 without a traceback; a tolerance value
+    that is not a finite number is a configuration error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(["run", "--config", str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if any(isinstance(v, (bool, str)) or not math.isfinite(v)
+           for v in config["tolerances"].values()):
+        assert rc == 2
 
 
 def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
