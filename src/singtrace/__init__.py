@@ -21,7 +21,6 @@ from .operators import (
     identity,
     phase_modulus,
     singular_values,
-    trace,
 )
 from .ideals import (
     IdealDiagnostics,

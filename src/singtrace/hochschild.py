@@ -71,7 +71,6 @@ __all__ = [
     "reduction_partial_sum_check",
     "heat_cycle_trace",
     "main_theorem_check",
-    "chain_to_json",
     "chain_from_json",
 ]
 
@@ -632,26 +631,6 @@ def main_theorem_check(c, model=None):
 
 
 # -- serialization ----------------------------------------------------------------
-
-
-def chain_to_json(c, path=None):
-    payload = {
-        "model": c.model.model_id,
-        "degree": c.degree,
-        "terms": [
-            {
-                "coeff": [coeff.real, coeff.imag],
-                "lambda_pow": m,
-                "tensor": [list(w) for w in words],
-            }
-            for (words, m), coeff in sorted(c.terms.items())
-        ],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def chain_from_json(model, text):

@@ -41,7 +41,6 @@ __all__ = [
     "phase_modulus",
     "commutator",
     "anticommutator",
-    "trace",
     "canonical_order",
     "identity",
 ]
@@ -219,16 +218,6 @@ class Operator:
         if self._kind == "diag":
             return self._data
         return self._data.diagonal()
-
-    def matrix(self):
-        """Materialize as a dense ndarray.  Guarded against huge diagonals."""
-        if self._kind == "sparse":
-            return self._data.toarray()
-        if self.dim > 46341:  # dense would exceed 32 GB
-            raise OperatorError(
-                f"refusing to densify diagonal operator of dim {self.dim}"
-            )
-        return np.diag(self._data)
 
     def sparse(self):
         if self._kind == "sparse":
@@ -573,8 +562,3 @@ def commutator(A, B):
 def anticommutator(A, B):
     """{A, B} = AB + BA."""
     return (A @ B) + (B @ A)
-
-
-def trace(T):
-    """Standard trace: sum of diagonal entries."""
-    return complex(T.diag().sum())

@@ -16,7 +16,6 @@ from singtrace.operators import (
     identity,
     phase_modulus,
     singular_values,
-    trace,
 )
 
 from conftest import random_unitary
@@ -66,7 +65,8 @@ class TestEigenvalues:
         rng = np.random.default_rng(0)
         T = Operator(random_complex(rng, 40))
         total = eigenvalues(T).values.sum()
-        assert abs(total - trace(T)) <= 1e-10 * (1.0 + abs(trace(T)))
+        tr = np.trace(T.sparse().toarray())
+        assert abs(total - tr) <= 1e-10 * (1.0 + abs(tr))
 
 
 class TestSingularValues:
@@ -155,7 +155,7 @@ class TestHermitianCalculus:
         rng = np.random.default_rng(2)
         H = random_complex(rng, 15)
         T = Operator(H + H.conj().T)
-        w, v = np.linalg.eigh(T.matrix())
+        w, v = np.linalg.eigh(T.sparse().toarray())
         P1 = Operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
         P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float))
         assert (P1 - P2).norm_bound() <= 1e-10
@@ -173,7 +173,7 @@ class TestHermitianCalculus:
         T = Operator(H + H.conj().T)
         f = lambda s: np.cos(s) + s ** 2
         got = np.sort(eigenvalues(hermitian_calculus(T, f)).values.real)
-        want = np.sort(f(np.linalg.eigvalsh(T.matrix())))
+        want = np.sort(f(np.linalg.eigvalsh(T.sparse().toarray())))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_domain_error_names_eigenvalue(self):
@@ -206,7 +206,7 @@ class TestPhaseModulus:
         assert (F @ F - eye).norm_bound() <= 1e-10
         assert (F - F.adjoint()).norm_bound() <= 1e-10
         assert (F @ absD - D).norm_bound() <= 1e-10
-        assert min(np.linalg.eigvalsh(absD.matrix())) >= -1e-10
+        assert min(np.linalg.eigvalsh(absD.sparse().toarray())) >= -1e-10
 
 
 class TestAlgebra:
@@ -218,14 +218,12 @@ class TestAlgebra:
     def test_grading_anticommutes_with_dirac(self, torus12):
         assert anticommutator(torus12.Gamma, torus12.D).norm_bound() <= 1e-10
 
-    def test_trace(self):
-        assert trace(Operator(np.diag([1.0, 2.0, 3.0]))) == 6.0
-
     def test_trace_cyclicity(self):
         rng = np.random.default_rng(4)
         A = Operator(random_complex(rng, 30))
         B = Operator(random_complex(rng, 30))
-        ab, ba = trace(A @ B), trace(B @ A)
+        ab = np.trace((A @ B).sparse().toarray())
+        ba = np.trace((B @ A).sparse().toarray())
         assert abs(ab - ba) <= 1e-12 * (1.0 + abs(ab))
 
     def test_dimension_mismatch(self):
@@ -241,10 +239,11 @@ class TestAlgebra:
         S = Operator(sp.random(n, n, density=0.1, random_state=6,
                                format="csr") * (1 + 2j))
         for A, B in ((d, S), (S, d)):
-            want = A.matrix() @ B.matrix() - B.matrix() @ A.matrix()
+            a, b = A.sparse().toarray(), B.sparse().toarray()
             got = commutator(A, B)
             assert got.kind == "sparse"
-            np.testing.assert_allclose(got.matrix(), want, atol=1e-12)
+            np.testing.assert_allclose(got.sparse().toarray(), a @ b - b @ a,
+                                       atol=1e-12)
 
     def test_diagonal_commutator_is_an_empty_sparse_operator(self):
         rng = np.random.default_rng(7)
@@ -255,8 +254,8 @@ class TestAlgebra:
         B = Operator(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         got = commutator(A, B)
         assert got.kind == "sparse" and got.sparse().nnz == 0
-        np.testing.assert_array_equal(got.matrix(),
-                                      ((A @ B) - (B @ A)).matrix())
+        np.testing.assert_array_equal(got.sparse().toarray(),
+                                      ((A @ B) - (B @ A)).sparse().toarray())
         with pytest.raises(ContractViolation):
             commutator(A, identity(n + 1))
 
@@ -326,7 +325,7 @@ class TestComponentSplitReference:
     """The grouped split against a plain loop over the known components."""
 
     def assert_close(self, got, want):
-        gap = np.abs(got.matrix() - want).max()
+        gap = np.abs(got.sparse().toarray() - want).max()
         assert gap <= 1e-14 * np.abs(want).max()
 
     def test_eigenvalues_exact(self, backend):
@@ -398,7 +397,8 @@ class TestFlags:
     def test_dense_input_stored_as_csr(self):
         T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert T.kind == "sparse"
-        np.testing.assert_array_equal(T.matrix(), [[1.0, 2.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(T.sparse().toarray(),
+                                      [[1.0, 2.0], [0.0, 3.0]])
 
     def test_hermitian_detected_once_on_first_read(self, monkeypatch):
         calls = []
@@ -424,13 +424,6 @@ class TestFlags:
         T = Operator(mat)
         assert T.kind == "sparse"
         assert T.hermitian
-
-    def test_huge_diagonal_refuses_densify(self):
-        T = Operator(np.ones(50_000))
-        from singtrace.operators import OperatorError
-
-        with pytest.raises(OperatorError):
-            T.matrix()
 
     def test_sparse_norm2_via_svds(self):
         n = 5000

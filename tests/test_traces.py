@@ -157,8 +157,8 @@ class TestHeatFunctional:
              + Operator(np.cos(np.arange(m.dim))))
         grid = np.array([8, 32])
         got = heat_functional(A, V, 2.0, grid=grid).values
-        w, U = np.linalg.eigh(V.matrix())
-        a = np.einsum("ij,ij->j", U.conj(), A.matrix() @ U)
+        w, U = np.linalg.eigh(V.sparse().toarray())
+        a = np.einsum("ij,ij->j", U.conj(), A.sparse().toarray() @ U)
         want = [np.sum(a * w * np.exp(-(n * w) ** -2.0)) for n in grid]
         np.testing.assert_allclose(got, want, rtol=1e-9)
 

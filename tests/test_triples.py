@@ -258,7 +258,7 @@ class TestInteriorWindow:
             u = model.monomial((1,))
             w = model.monomial((-2,))
             prod = realize(u, model) @ realize(w, model) @ realize(u, model)
-            model._probe = model.compress(prod).matrix()
+            model._probe = model.compress(prod).sparse().toarray()
         np.testing.assert_allclose(small._probe, large._probe, atol=1e-14)
 
 
