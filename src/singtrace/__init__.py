@@ -56,7 +56,6 @@ from .triples import (
     delta,
     invertible_double,
     partial_d,
-    realize,
     resolvent_weight,
     summability_report,
 )

@@ -483,7 +483,7 @@ def _check_diag_oracles(ctx):
     z_xi = traces.heat_xi(V, ctx.scheme)
     z_heat = traces.heat_fit(traces.heat_functional(None, V, 2.0))
     A = Operator(((-1.0) ** np.arange(N)).astype(complex), label="alt signs")
-    alt = traces.measurability_criterion_check(A, V, alpha=2.0)
+    alt = traces.measurability_criterion_check(A, V)
     tol = ctx.tolerance("diag_z", 0.05)
     alt_tol = ctx.tolerance("alt_z", 0.02)
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +183,7 @@ def circle_winding_cycle(model):
     return Chain.from_elements(model, [(1.0, [u.adjoint(), u])])
 
 
-def antisymmetrized_cycle(model, letters, kappa=1.0):
+def antisymmetrized_cycle(model, letters):
     """sum_sigma sgn(sigma) t (x) a_{s(1)} (x) ... with t = (prod letters)^{-1}.
 
     For commuting letters this is exactly closed in any degree; on the torus
@@ -203,7 +202,7 @@ def antisymmetrized_cycle(model, letters, kappa=1.0):
         ((word, m),) = prod.terms.keys()
         inv_word, inv_m = model.word_inverse(word, m)
         t = AlgebraElement(model, {(inv_word, inv_m): 1.0 + 0j})
-        combos.append((kappa * sign, [t] + [letters[i] for i in perm]))
+        combos.append((sign, [t] + [letters[i] for i in perm]))
     return Chain.from_elements(model, combos)
 
 
@@ -224,7 +223,7 @@ def _perm_sign(perm):
     return sign
 
 
-def nc_torus_volume_cycle(model, kappa=1.0):
+def nc_torus_volume_cycle(model):
     """Volume 2-cycle (UV)^{-1} (x) U (x) V - (VU)^{-1} (x) V (x) U.
 
     Each orientation carries the inverse of its own ordered product, which
@@ -240,9 +239,8 @@ def nc_torus_volume_cycle(model, kappa=1.0):
         ((word, m),) = prod.terms.keys()
         inv_word, inv_m = model.word_inverse(word, m)
         t = AlgebraElement(model, {(inv_word, inv_m): 1.0 + 0j})
-        combos.append((kappa * sign, [t, first, second]))
-    c = Chain.from_elements(model, combos)
-    return c
+        combos.append((sign, [t, first, second]))
+    return Chain.from_elements(model, combos)
 
 
 # -- realized multilinear maps ---------------------------------------------------
@@ -282,21 +280,19 @@ def _chain_map(c, model, kinds, label, lead=None):
     return model.compress(acc).relabel(label)
 
 
-def omega(c, model=None, strict=True):
+def omega(c, model, strict=True):
     """Omega(c) = Gamma a0 prod_{k>=1} [D, a_k], compressed to the interior."""
-    model = model or c.model
     _check_degree(c, model, strict)
     kinds = ("id",) + ("D",) * c.degree
     return model.derived(("omega", _chain_key(c)),
                          lambda: _chain_map(c, model, kinds, "Omega(c)"))
 
 
-def w_subset(c, model=None, subset=frozenset(), strict=True):
+def w_subset(c, model, subset=frozenset(), strict=True):
     """W_A(c) = Gamma a0 prod_k [b_k, a_k] with b_k = |D| on A else F.
 
     ``subset`` may be any iterable of positions in 1..degree.
     """
-    model = model or c.model
     _check_degree(c, model, strict)
     q = c.degree
     subset = frozenset(int(k) for k in subset)
@@ -309,9 +305,8 @@ def w_subset(c, model=None, subset=frozenset(), strict=True):
                          lambda: _chain_map(c, model, kinds, label))
 
 
-def ch_op(c, model=None, strict=True):
+def ch_op(c, model, strict=True):
     """ch(c) = F Gamma prod_{k=0..q} [F, a_k], compressed to the interior."""
-    model = model or c.model
     _check_degree(c, model, strict)
     return _chain_map(c, model, ("F",) * (c.degree + 1), "ch(c)", lead=model.F)
 
@@ -346,7 +341,7 @@ def _interior_at(model, radius):
     return np.arange(min(radius, model.dim))
 
 
-def chern(c, model=None, strict=True):
+def chern(c, model, strict=True):
     """Chern character Ch(c) = (-1)^{q-1} (1/2) Tr(ch(c)), q = degree.
 
     The parity sign makes the character equality hold for even and odd
@@ -358,7 +353,6 @@ def chern(c, model=None, strict=True):
     Traces over the nested windows N/4, N/2, N are recorded so the
     trace-class convergence of ch(c) is visible in reports.
     """
-    model = model or c.model
     _check_degree(c, model, strict)
 
     def build():
@@ -428,9 +422,8 @@ def _pairing_dixmier(c, model, scheme):
 # -- identity checks ---------------------------------------------------------------
 
 
-def bob_identity_check(c, model=None, tol=1e-10):
+def bob_identity_check(c, model, tol=1e-10):
     """Interior norm of 2 W_0(c) - [F, F W_0(c)] - (-1)^{q-1} ch(c)."""
-    model = model or c.model
     q = c.degree
     w0 = w_subset(c, model, frozenset(), strict=False)
     chm = ch_op(c, model, strict=False)
@@ -440,7 +433,7 @@ def bob_identity_check(c, model=None, tol=1e-10):
     return {"residual_norm": float(norm), "tol": tol, "passed": bool(norm <= tol)}
 
 
-def appendix_identity_checks(a1, a2, model=None, tol=1e-10):
+def appendix_identity_checks(a1, a2, model, tol=1e-10):
     """The two coboundary-kernel identities for delta^2 and [F, delta(.)].
 
     Checks, on the compressed interior,
@@ -449,7 +442,6 @@ def appendix_identity_checks(a1, a2, model=None, tol=1e-10):
         [F, delta(a1 a2)] = a1 [F, delta(a2)] + [F, delta(a1)] a2
                             + [F, a1] delta(a2) + delta(a1) [F, a2]
     """
-    model = model or a1.model
     A1 = model.realize(a1)
     A2 = model.realize(a2)
     A12 = model.realize(a1 * a2)
@@ -486,14 +478,18 @@ def _interior_inverse_powers(double):
     return double.derived(("inverse_powers",), build)
 
 
-def reduction_partial_sum_check(c, model=None, z_tol=0.1, resid_tol=None):
+# the reduction difference's fitted log-slope must stay within this
+_REDUCTION_Z_TOL = 0.1
+
+
+def reduction_partial_sum_check(c, model):
     """Partial sums of Omega(c)|D0|^{-p} - p W_p(c) D0^{-1} must stay bounded.
 
     Runs on the invertible double; the fitted log-slope must be negligible
-    (|z| <= z_tol) and the fit residual bounded, the finite surrogate for
-    membership in the commutator subspace.
+    (|z| <= ``_REDUCTION_Z_TOL``) and the fit residual at most half of 1 +
+    the largest sampled |partial sum|, the finite surrogate for membership
+    in the commutator subspace.
     """
-    model = model or c.model
     if not is_cycle(c):
         raise ContractViolation("reduction_partial_sum_check requires a cycle")
     double, _d1 = invertible_double(model)
@@ -505,13 +501,12 @@ def reduction_partial_sum_check(c, model=None, z_tol=0.1, resid_tol=None):
     series = eigenvalue_partial_sums(diff, label="reduction difference")
     fit = log_fit(series, window=double.fit_window())
     scale = 1.0 + max(abs(s) for s in series.sums[fit.grid]) if fit.grid.size else 1.0
-    if resid_tol is None:
-        resid_tol = 0.5 * scale
-    passed = bool(abs(fit.z) <= z_tol and fit.residual_sup <= resid_tol)
+    resid_tol = 0.5 * scale
+    passed = bool(abs(fit.z) <= _REDUCTION_Z_TOL and fit.residual_sup <= resid_tol)
     return {
         "z": fit.z,
         "residual_sup": fit.residual_sup,
-        "z_tol": z_tol,
+        "z_tol": _REDUCTION_Z_TOL,
         "resid_tol": float(resid_tol),
         "sum_sup": float(np.max(np.abs(series.sums[fit.grid]))),
         "passed": passed,
@@ -527,9 +522,9 @@ def _heat_floor(double):
     return (8.0 ** (1.0 / (double.p + 1))) / d_max
 
 
-def default_s_grid(double, ratio=2.0 ** 0.25, s_max=0.125):
-    """Geometric s-grid from the resolution floor up to ``s_max``."""
-    s_min = _heat_floor(double)
+def default_s_grid(double):
+    """Geometric s-grid at ratio 2^{1/4} from the resolution floor up to 0.125."""
+    s_min, s_max = _heat_floor(double), 0.125
     if s_min >= s_max:
         raise ContractViolation(
             f"heat s-window empty: floor {s_min:.3g} above ceiling {s_max:.3g}"
@@ -538,17 +533,16 @@ def default_s_grid(double, ratio=2.0 ** 0.25, s_max=0.125):
     s = s_max
     while s >= s_min:
         pts.append(s)
-        s /= ratio
+        s /= 2.0 ** 0.25
     return np.asarray(sorted(pts))
 
 
-def heat_cycle_trace(c, model=None, s_grid=None):
-    """g(s) = Tr(W_p(c) D0^{-1} exp(-(s |D0|)^{p+1})), fitted against log(1/s).
+def heat_cycle_trace(c, model):
+    """g(s) = Tr(W_p(c) D0^{-1} exp(-(s |D0|)^{p+1})), fitted against log(1/s)
+    on :func:`default_s_grid`.
 
-    The fitted slope estimates Ch(c).  Grid points below the resolution
-    floor are excluded with a warning.
+    The fitted slope estimates Ch(c).
     """
-    model = model or c.model
     if not is_cycle(c):
         raise ContractViolation("heat_cycle_trace requires a cycle")
     double, _d1 = invertible_double(model)
@@ -556,17 +550,7 @@ def heat_cycle_trace(c, model=None, s_grid=None):
     wp = w_subset(c, double, frozenset({p}))
     _abs_inv_p, d0_inv = _interior_inverse_powers(double)
     X = wp @ d0_inv
-    if s_grid is None:
-        s_grid = default_s_grid(double)
-    else:
-        floor = _heat_floor(double)
-        s_grid = np.asarray(s_grid, dtype=float)
-        low = s_grid < floor
-        if np.any(low):
-            warnings.warn(
-                f"excluding {int(low.sum())} s-grid points below resolution "
-                f"floor {floor:.3g}", stacklevel=2)
-            s_grid = s_grid[~low]
+    s_grid = default_s_grid(double)
     if s_grid.size < 3:
         raise ContractViolation("heat_cycle_trace needs >= 3 usable s points")
     d, xdiag = _sorted_spectrum(double.compress(double.absD).diag().real,
@@ -591,7 +575,7 @@ _VANISHING_CH_TOL = 1e-8
 _VANISHING_Z_TOL = 0.05
 
 
-def main_theorem_check(c, model=None):
+def main_theorem_check(c, model):
     """Compare Ch(c) with the spectral and heat estimates of the pairing.
 
     For a chain whose degree parity matches the triple, checks that the
@@ -599,7 +583,6 @@ def main_theorem_check(c, model=None):
     slope both reproduce Ch(c).  For a parity-mismatched cycle both Ch(c)
     and the slope must vanish.
     """
-    model = model or c.model
     if not is_cycle(c):
         raise ContractViolation("main_theorem_check requires a cycle")
     ch = chern(c, model, strict=False)

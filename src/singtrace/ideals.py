@@ -166,11 +166,11 @@ def lorentz_norm_m1inf(mu):
     return float(np.max(sums / np.log(2.0 + n)))
 
 
-def eigenvalue_partial_sums(T, label=None, group_rtol=1e-9):
+def eigenvalue_partial_sums(T, label=None):
     """Partial sums of eigenvalues(T) in canonical order.
 
-    Indices where the modulus strictly drops (relative gap above
-    ``group_rtol``) are recorded as tie-group boundaries.
+    Indices where the modulus strictly drops (relative gap above 1e-9) are
+    recorded as tie-group boundaries.
     """
     spec = eigenvalues(T)
     moduli = spec.moduli
@@ -178,7 +178,7 @@ def eigenvalue_partial_sums(T, label=None, group_rtol=1e-9):
     if n == 0:
         return PartialSumSeries(np.empty(0, complex), source_label=label or T.label)
     scale = moduli[0] if moduli[0] > 0 else 1.0
-    drop = moduli[:-1] - moduli[1:] > group_rtol * scale
+    drop = moduli[:-1] - moduli[1:] > 1e-9 * scale
     boundaries = np.concatenate([np.flatnonzero(drop), [n - 1]])
     return PartialSumSeries(np.cumsum(spec.values),
                             source_label=label or T.label,
@@ -229,8 +229,8 @@ def _loglog_slope(ns, values):
     return float(np.polyfit(np.log(ns[keep]), np.log(values[keep]), 1)[0])
 
 
-def log_fit(series, window=None, ratio=DEFAULT_RATIO):
-    """Fit sums[n] ~ z*log(n+1) + b on a geometric grid inside ``window``.
+def log_fit(series, window=None):
+    """Fit sums[n] ~ z*log(n+1) + b on a ratio-sqrt(2) grid inside ``window``.
 
     Grid points snap down to tie-group boundaries, which makes the fit
     exactly invariant under eigenvalue reordering inside equal-modulus
@@ -244,7 +244,7 @@ def log_fit(series, window=None, ratio=DEFAULT_RATIO):
     lo, hi = window
     if hi >= N:
         hi = N - 1
-    grid = geometric_grid(lo, hi, ratio)
+    grid = geometric_grid(lo, hi)
     snapped = np.unique(series.snap(grid))
     # fully degenerate spectra (e.g. the zero operator) collapse under
     # snapping; sums are then constant over ties and the raw grid is safe
@@ -260,8 +260,7 @@ def log_fit(series, window=None, ratio=DEFAULT_RATIO):
                   window=(int(lo), int(hi)), grid=grid)
 
 
-def universal_measurability_test(T, tol=0.5, z_tol=None, window=None,
-                                 ratio=DEFAULT_RATIO):
+def universal_measurability_test(T, tol=0.5, z_tol=None, window=None):
     """Classify T by the log-growth of its eigenvalue partial sums.
 
     Returns a :class:`Verdict`:
@@ -279,7 +278,7 @@ def universal_measurability_test(T, tol=0.5, z_tol=None, window=None,
     else:
         series = eigenvalue_partial_sums(T)
     z_tol = tol if z_tol is None else z_tol
-    fit = log_fit(series, window=window, ratio=ratio)
+    fit = log_fit(series, window=window)
     z = fit.z
     if fit.residual_sup <= tol:
         if abs(z) > z_tol:
@@ -292,24 +291,22 @@ def universal_measurability_test(T, tol=0.5, z_tol=None, window=None,
     )
 
 
-def decay_exponent(mu, window=None, ratio=DEFAULT_RATIO):
+def decay_exponent(mu):
     """Log-log regression slope of mu(k) against (k+1) over a dyadic window."""
     mu = _as_mu(mu)
-    N = mu.size
-    if window is None:
-        window = dyadic_window(N)
-    grid = geometric_grid(*window, ratio=ratio)
+    grid = geometric_grid(*dyadic_window(mu.size))
     return _loglog_slope(grid + 1.0, mu[grid])
 
 
-def ideal_diagnostics(mu, p=1.0, window=None):
-    """Quasi-norm, Lorentz norm and fitted decay exponent for one sequence."""
+def ideal_diagnostics(mu):
+    """Quasi-norm, Lorentz norm and fitted decay exponent of one sequence in
+    L_{1,inf} / M_{1,inf}."""
     mu = _as_mu(mu)
-    qn = quasi_norm_pinf(mu, p)
+    qn = quasi_norm_pinf(mu, 1.0)
     ln = lorentz_norm_m1inf(mu)
-    slope = decay_exponent(mu, window=window)
+    slope = decay_exponent(mu)
     verdicts = {
-        "weak_lp": bool(slope <= -1.0 / p + 0.2),
+        "weak_lp": bool(slope <= -1.0 + 0.2),
         "macaev": bool(np.isfinite(ln)),
     }
     return IdealDiagnostics(

@@ -320,33 +320,30 @@ class Operator:
         return f"Operator({self.label!r}, dim={self.dim}, {'/'.join(flags)})"
 
 
-def identity(dim, label="1"):
-    return Operator(np.ones(dim, dtype=complex), label=label)
+def identity(dim):
+    return Operator(np.ones(dim, dtype=complex), label="1")
 
 
 # -- block-split eigen engine --------------------------------------------------
 
 
-def _component_blocks(T, X=None):
-    """Dense blocks of X (default T) on the connected components of T's pattern.
+def _component_blocks(T):
+    """Dense blocks of T on the connected components of its nonzero pattern.
 
     Components are grouped by size s, sizes in order of first appearance.
     Each group is a pair ``(idx, blocks)``: ``idx`` is the (g, s) array of
     basis indices of its g components (each row ascending, rows ordered by
     first index) and ``blocks`` the zero-filled (g, s, s) complex array of
-    X's entries inside them, scattered from one COO view of X.  Entries of X
-    that join two components are dropped.  Below ``_SPLIT_MIN_DIM`` the whole
-    basis is one component.
+    T's entries inside them, scattered from one COO view of T.  Below
+    ``_SPLIT_MIN_DIM`` the whole basis is one component.
     """
-    X = T if X is None else X
     n = T.dim
-    coo = X.sparse().tocoo()
+    coo = T.sparse().tocoo()
     if n < _SPLIT_MIN_DIM:
         labels = np.zeros(n, dtype=np.intp)
     else:
-        pat = coo if X is T else T.sparse().tocoo()
-        graph = sp.coo_matrix((np.ones(pat.nnz, dtype=np.int8), (pat.row, pat.col)),
-                              shape=pat.shape)
+        graph = sp.coo_matrix((np.ones(coo.nnz, dtype=np.int8), (coo.row, coo.col)),
+                              shape=coo.shape)
         _, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
@@ -354,8 +351,7 @@ def _component_blocks(T, X=None):
     pos = np.empty(n, dtype=np.intp)  # place of each index inside its component
     pos[order] = np.arange(n) - np.repeat(starts, sizes)
     row_label = labels[coo.row]
-    inside = row_label == labels[coo.col]
-    row_size = np.where(inside, sizes[row_label], 0)
+    row_size = sizes[row_label]
     slot = np.empty(sizes.size, dtype=np.intp)
     uniq, first = np.unique(sizes, return_index=True)
     groups = []

@@ -37,13 +37,7 @@ from .ideals import (
     quasi_norm_pinf,
     universal_measurability_test,
 )
-from .operators import (
-    ContractViolation,
-    OperatorError,
-    _component_blocks,
-    _hermitian_eig,
-    singular_values,
-)
+from .operators import ContractViolation, OperatorError, singular_values
 
 __all__ = [
     "ExtendedLimitScheme",
@@ -125,7 +119,7 @@ class ExtendedLimitScheme:
             resid = max(resid, float(abs(coef[0] - coef2[0])))
         return complex(coef[0]), resid
 
-    def describe(self, n_max=None):
+    def describe(self, n_max):
         return {
             "ratio": self.ratio,
             "n_min": self.n_min,
@@ -195,31 +189,25 @@ def dixmier_logmean(mu, scheme=None, n_max=None):
                          grid_used=scheme.describe(int(window[-1])))
 
 
-def _psd_eigendata(V, who):
-    """(eigenvalues, transform) of a psd operator; negatives beyond tolerance fail."""
-    if not V.hermitian:
-        raise ContractViolation(f"{who} requires hermitian psd V, got {V.label!r}")
-    pieces = _hermitian_eig(V)
-    floor = min((float(w.min(initial=0.0)) for _, w, _ in pieces), default=0.0)
+def _psd_diagonal(A, V, who):
+    """The entries v_k of a psd diagonal V (negatives within tolerance
+    clipped to 0) and the diagonal of A (None for A = None, the identity).
+
+    V's eigenbasis is the standard one, so the diagonal of A holds its
+    matrix elements there.  Any other V is a :class:`ContractViolation`.
+    """
+    if V.kind != "diag" or not V.hermitian:
+        raise ContractViolation(
+            f"{who} requires a hermitian psd diagonal V, got {V.label!r}")
+    d = V.diag().real
+    floor = float(d.min(initial=0.0))
     if floor < -1e-10 * (1.0 + V.norm_bound()):
         raise ContractViolation(f"{who}: V has negative eigenvalue {floor:.3e}")
-    return pieces
-
-
-def _transformed_diag(A, V, who):
-    """Eigenvalues v_k of V and matrix elements <e_k|A|e_k> in V's eigenbasis
-    (None for A = None, the identity)."""
-    pieces = _psd_eigendata(V, who)
-    v = np.concatenate([np.maximum(w, 0.0).ravel() for _, w, _ in pieces])
+    v = np.maximum(d, 0.0)
     if A is None:
         return v, None
     V._check_dims(A)
-    if V.kind == "diag":
-        return v, A.diag().astype(complex)
-    a = [blocks[:, :, 0] if vec is None
-         else np.einsum("gij,gij->gj", vec.conj(), blocks @ vec)
-         for (_, _, vec), (_, blocks) in zip(pieces, _component_blocks(V, A))]
-    return v, np.concatenate([x.ravel() for x in a])
+    return v, A.diag().astype(complex)
 
 
 # exp(-t) is exactly +0.0 in double precision for t > 745.14 (and subnormal
@@ -278,18 +266,11 @@ def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
     return geometric_grid(n_min, n_max, ratio)
 
 
-def _scheme_heat_grid(scheme, dim, n_max=None):
-    """The scheme's grid up to ``n_max``, by default the heat grid's edge."""
-    if n_max is None:
-        return default_heat_grid(dim, scheme.ratio, scheme.n_min)
-    return scheme.grid(n_max)
-
-
 def heat_functional(A, V, alpha, grid=None):
     """h(n) = Tr(A V exp(-(nV)^-alpha)) on a grid; exp vanishes on ker V."""
     if not (alpha > 1.0):
         raise ContractViolation("heat_functional requires alpha > 1")
-    v, a = _transformed_diag(A, V, "heat_functional")
+    v, a = _psd_diagonal(A, V, "heat_functional")
     if grid is None:
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
@@ -300,20 +281,16 @@ def heat_functional(A, V, alpha, grid=None):
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
 
 
-def heat_fit(samples, window=None, window_fraction=0.5):
+def heat_fit(samples):
     """Fit h(n) ~ z*log(n) + b over the sampled grid.
 
-    With no explicit window the fit drops the lower ``window_fraction`` of
-    the samples in log position, where pre-asymptotic transients live.
+    The fit drops the lower half of the samples in log position (keeping at
+    least 4), where pre-asymptotic transients live.
     """
     ns = np.asarray(samples.ns, dtype=float)
     values = np.asarray(samples.values, dtype=complex)
-    if window is not None:
-        lo, hi = window
-        keep = (ns >= lo) & (ns <= hi)
-        ns, values = ns[keep], values[keep]
-    elif ns.size > 4:
-        start = min(int(math.floor(ns.size * window_fraction)), ns.size - 4)
+    if ns.size > 4:
+        start = min(ns.size // 2, ns.size - 4)
         ns, values = ns[start:], values[start:]
     if ns.size < 3:
         raise ContractViolation("heat_fit needs at least 3 samples")
@@ -325,33 +302,32 @@ def heat_fit(samples, window=None, window_fraction=0.5):
     )
 
 
-def heat_xi(V, scheme=None, n_max=None):
+def heat_xi(V, scheme=None):
     """xi(n) = (1/n) Tr(exp(-(nV)^-1)), averaged with the Cesaro-log mean."""
     scheme = scheme or ExtendedLimitScheme()
-    v, _ = _transformed_diag(None, V, "heat_xi")
+    v, _ = _psd_diagonal(None, V, "heat_xi")
     v, = _sorted_spectrum(v)
-    window = scheme.window(_scheme_heat_grid(scheme, V.dim, n_max))
+    window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
     values = _heat_sums(v, None, window, -1.0) / window
     z, resid = scheme.apply(window, values, averaging="cesaro_log")
     return TraceEstimate(z=z, method="heat_xi", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
 
 
-def lemma_estimate_scalings(V, alpha, grid=None, slack=0.05):
-    """Log-log slopes of Tr(V^a (1-e^{-(nV)^-a})) and Tr(e^{-(nV)^-a}).
+def lemma_estimate_scalings(V, alpha):
+    """Log-log slopes of Tr(V^a (1-e^{-(nV)^-a})) and Tr(e^{-(nV)^-a}) on the
+    default heat grid.
 
     The first quantity must grow no faster than n^{1-alpha}, the second no
-    faster than n; smaller (steeper decay) always passes.  The report also
-    carries the slope of (1/(n log n)) Tr(e^{-(nV)^-a}), which should trend
-    downward on any window even though its extended limit is only zero
-    asymptotically.
+    faster than n, each up to a slack of 0.05; smaller (steeper decay) always
+    passes.  The report also carries the slope of (1/(n log n))
+    Tr(e^{-(nV)^-a}), which should trend downward on any window even though
+    its extended limit is only zero asymptotically.
     """
     if not (alpha > 1.0):
         raise ContractViolation("lemma_estimate_scalings requires alpha > 1")
-    v, _ = _transformed_diag(None, V, "lemma_estimate_scalings")
-    if grid is None:
-        grid = default_heat_grid(V.dim)
-    grid = np.asarray(grid, dtype=np.int64)
+    v, _ = _psd_diagonal(None, V, "lemma_estimate_scalings")
+    grid = default_heat_grid(V.dim)
     v, = _sorted_spectrum(v)
     va = v ** alpha
     # below its live slice every weight is 0.0 and 1 - w is 1: add that head
@@ -369,38 +345,33 @@ def lemma_estimate_scalings(V, alpha, grid=None, slack=0.05):
     slope_sat = _loglog_slope(grid, saturating)
     slope_count = _loglog_slope(grid, counting)
     xi_trend = _loglog_slope(grid, counting / (grid * np.log(grid)))
+    bound_sat = 1.0 - alpha + 0.05
+    bound_count = 1.0 + 0.05
     return {
         "alpha": alpha,
         "slope_saturating": slope_sat,
         "slope_counting": slope_count,
-        "bound_saturating": 1.0 - alpha + slack,
-        "bound_counting": 1.0 + slack,
+        "bound_saturating": bound_sat,
+        "bound_counting": bound_count,
         "xi_over_nlogn_slope": xi_trend,
         "xi_trend_negative": bool(xi_trend < 0.0),
-        "passed": bool(slope_sat <= 1.0 - alpha + slack
-                       and slope_count <= 1.0 + slack),
+        "passed": bool(slope_sat <= bound_sat and slope_count <= bound_count),
         "grid": {"n_lo": int(grid[0]), "n_hi": int(grid[-1]),
                  "points": int(grid.size)},
     }
 
 
-def modulated_comparison(A, V, grid=None, tol=None):
+def modulated_comparison(A, V):
     """Gap between eigenvalue partial sums of AV and the spectral cutoff trace.
 
-    d(n) = | sum_{k<=n} lambda(k, AV) - Tr(A V E_V[1/n, inf)) | stays O(1)
-    when V is a psd diagonal with harmonic-type decay.
+    d(n) = | sum_{k<=n} lambda(k, AV) - Tr(A V E_V[1/n, inf)) | stays O(1),
+    within 3 ||A||, on n = 8 .. N-1 when V is a psd diagonal with
+    harmonic-type decay.
     """
-    if V.kind != "diag":
-        raise ContractViolation("modulated_comparison requires diagonal V")
-    v = V.diag().real
-    if v.min(initial=0.0) < -1e-12:
-        raise ContractViolation("modulated_comparison requires psd V")
-    a_diag = A.diag().astype(complex)
+    v, a_diag = _psd_diagonal(A, V, "modulated_comparison")
     series = eigenvalue_partial_sums(A @ V, label=f"{A.label}*{V.label}")
     N = series.N
-    if grid is None:
-        grid = geometric_grid(8, N - 1, math.sqrt(2.0))
-    grid = np.asarray(grid, dtype=np.int64)
+    grid = geometric_grid(8, N - 1, math.sqrt(2.0))
     order = np.argsort(v)[::-1]
     v_sorted = v[order]
     av_sorted = np.cumsum(a_diag[order] * v_sorted)
@@ -409,8 +380,7 @@ def modulated_comparison(A, V, grid=None, tol=None):
         m = int(np.searchsorted(-v_sorted, -1.0 / n, side="right"))
         cutoff = av_sorted[m - 1] if m > 0 else 0.0
         gaps[j] = abs(series.sums[n] - cutoff)
-    if tol is None:
-        tol = 3.0 * A.norm2()
+    tol = 3.0 * A.norm2()
     sup = float(gaps.max())
     return {
         "sup_gap": sup,
@@ -421,11 +391,11 @@ def modulated_comparison(A, V, grid=None, tol=None):
     }
 
 
-def cesaro_cutoff_comparison(A, V, alpha, scheme=None, n_max=None):
+def cesaro_cutoff_comparison(A, V, alpha, scheme=None):
     """Scheme averages of Tr(AV e^{-(nV)^-a})/log n vs Tr(A (V-1/n)_+)/log n."""
     scheme = scheme or ExtendedLimitScheme()
-    v, a = _sorted_spectrum(*_transformed_diag(A, V, "cesaro_cutoff_comparison"))
-    window = scheme.window(_scheme_heat_grid(scheme, V.dim, n_max))
+    v, a = _sorted_spectrum(*_psd_diagonal(A, V, "cesaro_cutoff_comparison"))
+    window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
     log_n = np.array([math.log(float(n)) for n in window])
     heat_vals = _heat_sums(v, v if a is None else a * v, window, -alpha) / log_n
     cut_vals = np.empty(window.size, dtype=complex)
@@ -497,16 +467,16 @@ def _criterion(mu, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V, alpha=2.0):
+def measurability_criterion_check(A, V):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
-    The heat route fits Tr(A V e^{-(nV)^-alpha}) against log n; the spectral
+    The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
     trace value.
     """
     mu = singular_values(V)
-    heat = heat_fit(heat_functional(A, V, alpha))
+    heat = heat_fit(heat_functional(A, V, 2.0))
     product = (A @ V) if A is not None else V
     return _criterion(mu, heat, eigenvalue_partial_sums(product), None)

@@ -47,7 +47,6 @@ __all__ = [
     "build_nc_torus",
     "build_diagonal_toy",
     "build_model",
-    "realize",
     "partial_d",
     "delta",
     "invertible_double",
@@ -64,7 +63,8 @@ class AlgebraElement:
     ``terms`` maps (word, lam_power) -> complex coefficient, where ``word``
     is a tuple of lattice exponents and ``lam_power`` an exact integer power
     of the model twist.  All products are symbolic; nothing here touches
-    floating-point phase evaluation until :meth:`realize`.
+    floating-point phase evaluation until
+    :meth:`SpectralTripleModel.realize`.
     """
 
     __slots__ = ("model", "terms")
@@ -221,12 +221,9 @@ class SpectralTripleModel:
             return 1.0 + 0.0j
         return np.exp(2j * np.pi * self.theta * m)
 
-    def monomial(self, word, coeff=1.0, lam_power=0):
+    def monomial(self, word, coeff=1.0):
         word = tuple(int(e) for e in word)
-        return AlgebraElement(self, {(word, int(lam_power)): complex(coeff)})
-
-    def one(self):
-        return self.monomial((0,) * self.word_rank)
+        return AlgebraElement(self, {(word, 0): complex(coeff)})
 
     def generators(self):
         raise NotImplementedError
@@ -503,20 +500,13 @@ def build_model(name, N, theta=None, p=None, buffer=None):
     raise ContractViolation(f"unknown model {name!r}")
 
 
-def realize(a, model=None):
-    model = model or a.model
-    return model.realize(a)
-
-
-def partial_d(a, model=None):
+def partial_d(a, model):
     """The derivation [D, a] on the working dimension."""
-    model = model or a.model
     return commutator(model.D, model.realize(a))
 
 
-def delta(a, model=None):
+def delta(a, model):
     """The derivation [|D|, a] on the working dimension."""
-    model = model or a.model
     return commutator(model.absD, model.realize(a))
 
 
@@ -588,7 +578,7 @@ def _weight_singular_values(model, q):
 def summability_report(model):
     """Ideal diagnostics for (1+D^2)^{-p/2} and the generator F-commutators."""
     mu = _weight_singular_values(model, model.p)
-    diag = ideal_diagnostics(mu, p=1.0)
+    diag = ideal_diagnostics(mu)
     gen_norms = {}
     for name, g in model.generators().items():
         ((word, _),) = g.terms  # a generator is one unit monomial

@@ -37,7 +37,6 @@ from singtrace.triples import (
     build_circle,
     build_nc_torus,
     invertible_double,
-    realize,
 )
 
 
@@ -171,8 +170,8 @@ class TestVolumeCycle:
         assert abs(ch_irr - ch_com) <= 0.02 * abs(ch_irr)
 
     def test_kappa_scaling(self, torus12):
-        c1 = nc_torus_volume_cycle(torus12, kappa=1.0)
-        c3 = nc_torus_volume_cycle(torus12, kappa=3.0)
+        c1 = nc_torus_volume_cycle(torus12)
+        c3 = 3.0 * nc_torus_volume_cycle(torus12)
         assert chern(c3, torus12).value == pytest.approx(
             3.0 * chern(c1, torus12).value)
 
@@ -307,7 +306,7 @@ class TestIdentities:
         assert rep["passed"]
 
     def test_appendix_identity_slot(self, circle64):
-        one = circle64.one()
+        one = circle64.monomial((0,))
         u = circle64.monomial((1,))
         rep = appendix_identity_checks(one, u, circle64)
         assert rep["delta_square_residual"] <= 1e-12
@@ -349,7 +348,7 @@ class TestIdentities:
         c = Chain.from_elements(m, [(1.0, slots)])
         side_symbolic = eval_chain(boundary(c))
         # alternating sum with matrix products instead of word products
-        mats = [realize(s, m) for s in slots]
+        mats = [m.realize(s) for s in slots]
         side_matrix = (
             trace(mats[0] @ mats[1] @ mats[2] @ T0)
             - trace(mats[0] @ (mats[1] @ mats[2]) @ T0)
@@ -376,11 +375,12 @@ class TestReduction:
 
     def test_torus(self, torus16):
         # |z| decays with N (0.14 at N=16, 0.07 at 32, 0.03 at 64); the
-        # default 0.1 gate is an acceptance-scale bound
+        # check's 0.1 gate is an acceptance-scale bound, so at N=16 the two
+        # conditions it gates are asserted with 0.2 on the slope
         rep = reduction_partial_sum_check(nc_torus_volume_cycle(torus16),
-                                          torus16, z_tol=0.2)
-        assert rep["passed"]
+                                          torus16)
         assert abs(rep["z"]) <= 0.2
+        assert rep["residual_sup"] <= rep["resid_tol"]
 
     def test_rejects_non_cycle(self, torus12):
         U = torus12.monomial((1, 0))
@@ -409,14 +409,15 @@ class TestHeatCycle:
         rep = heat_cycle_trace(c, torus16)
         assert abs(rep["z"] - ch) <= 0.15 * abs(ch)
 
-    def test_values_match_fsum_of_unmasked_heat_sums(self, circle64):
-        # s up to 1 puts (s d)^2 above the engine's underflow cut at the top
-        # of the interior spectrum; every sample must match the full formula,
-        # summed exactly, to the rounding of a reordered sum
-        c = circle_winding_cycle(circle64)
-        s_grid = np.array([0.05, 0.1, 0.25, 0.5, 1.0])
-        rep = heat_cycle_trace(c, circle64, s_grid=s_grid)
-        double, _ = invertible_double(circle64)
+    def test_values_match_fsum_of_unmasked_heat_sums(self, circle256):
+        # at N=256 the top of the default s-grid puts (s d)^2 above the
+        # engine's underflow cut at the top of the interior spectrum; every
+        # sample must match the full formula, summed exactly, to the
+        # rounding of a reordered sum
+        c = circle_winding_cycle(circle256)
+        rep = heat_cycle_trace(c, circle256)
+        s_grid = np.asarray(rep["s"])
+        double, _ = invertible_double(circle256)
         p = double.p
         wp = w_subset(c, double, frozenset({p}))
         xdiag = (wp @ hochschild._interior_inverse_powers(double)[1]).diag()
@@ -426,11 +427,6 @@ class TestHeatCycle:
             terms = xdiag * np.exp(-(s * d) ** (p + 1))
             want = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(got - want) <= 1e-14 * math.fsum(np.abs(terms))
-
-    def test_floor_exclusion_warns(self, circle64):
-        c = circle_winding_cycle(circle64)
-        with pytest.warns(UserWarning):
-            heat_cycle_trace(c, circle64, s_grid=[1e-6, 0.02, 0.05, 0.1, 0.12])
 
 
 class TestMainTheorem:
@@ -503,8 +499,8 @@ class TestPerturbationSurrogate:
             m = build_circle(N)
             double, _ = invertible_double(m)
             u = m.monomial((1,))
-            A = realize(u.adjoint(), m)
-            U = realize(u, m)
+            A = m.realize(u.adjoint())
+            U = m.realize(u)
             inv = hermitian_calculus(double.absD, lambda x: 1.0 / x)
             diff = (A @ commutator(m.D, U) @ inv) - (A @ commutator(double.D, U) @ inv)
             norms.append(float(singular_values(m.compress(diff)).mu.sum()))
@@ -522,7 +518,7 @@ class TestChainSerialization:
         ]})
         c = chain_from_json(torus12, text)
         assert c.degree == 2
-        assert c.terms == nc_torus_volume_cycle(torus12, kappa=2.5).terms
+        assert c.terms == (2.5 * nc_torus_volume_cycle(torus12)).terms
 
     def test_winding_cycle_from_literal(self, circle64):
         # lambda_pow defaults to 0, and equal tensors add up

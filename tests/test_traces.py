@@ -120,47 +120,21 @@ class TestHeatFunctional:
         with pytest.raises(ContractViolation):
             heat_functional(None, harmonic_op(100), 1.0)
 
-    def test_dense_V_path(self):
-        # dense psd V with known eigenbasis: results match the diagonal path
-        rng = np.random.default_rng(3)
-        N = 64
-        from conftest import random_unitary
-
-        U = random_unitary(rng, N)
-        v = 1.0 / (np.arange(N) + 1.0)
-        Vd = Operator((U * v[None, :]) @ U.conj().T)
-        grid = np.array([4, 8, 16])
-        dense = heat_functional(None, Vd, 2.0, grid=grid).values
-        diag = heat_functional(None, Operator(v), 2.0, grid=grid).values
-        np.testing.assert_allclose(dense, diag, rtol=1e-9)
-
-    def test_sparse_block_V_path(self, torus12):
-        # sparse psd V with 2x2 mode blocks (conjugate a diagonal by the
-        # torus phase); Tr f(V) is conjugation invariant
+    @pytest.mark.parametrize("call", [
+        lambda V: heat_functional(None, V, 2.0),
+        lambda V: heat_xi(V),
+        lambda V: lemma_estimate_scalings(V, 2.0),
+        lambda V: cesaro_cutoff_comparison(None, V, 2.0),
+    ], ids=["heat_functional", "heat_xi", "lemma_estimate_scalings",
+            "cesaro_cutoff_comparison"])
+    def test_non_diagonal_V_is_rejected(self, call, torus12):
+        # a sparse psd V with 2x2 mode blocks (a diagonal conjugated by the
+        # torus phase): the heat engine takes only a psd diagonal V
         m = torus12
-        v = 1.0 / (np.arange(m.dim) + 1.0)
-        V_blocks = m.F @ Operator(v) @ m.F
-        assert V_blocks.kind == "sparse"
-        grid = np.array([8, 32])
-        got = heat_functional(None, V_blocks, 2.0, grid=grid).values
-        want = heat_functional(None, Operator(v), 2.0, grid=grid).values
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-
-
-    def test_sparse_block_V_with_coefficient(self, torus12):
-        # non-diagonal A against the same V, read in V's eigenbasis from a
-        # dense eigh; A has entries inside and between V's 2x2 blocks
-        m = torus12
-        v = 1.0 / (np.arange(m.dim) + 1.0)
-        V = m.F @ Operator(v) @ m.F
-        A = (m.F + 0.5 * m.realize(m.generators()["U"])
-             + Operator(np.cos(np.arange(m.dim))))
-        grid = np.array([8, 32])
-        got = heat_functional(A, V, 2.0, grid=grid).values
-        w, U = np.linalg.eigh(V.sparse().toarray())
-        a = np.einsum("ij,ij->j", U.conj(), A.sparse().toarray() @ U)
-        want = [np.sum(a * w * np.exp(-(n * w) ** -2.0)) for n in grid]
-        np.testing.assert_allclose(got, want, rtol=1e-9)
+        V = m.F @ Operator(1.0 / (np.arange(m.dim) + 1.0)) @ m.F
+        assert V.kind == "sparse" and V.hermitian
+        with pytest.raises(ContractViolation, match="psd diagonal V"):
+            call(V)
 
 
 def unmasked_heat(x, e):
@@ -292,8 +266,8 @@ class TestHeatKernel:
                             lambda x, y: seen.append(np.array(y))
                             or real_slope(x, y))
         v = self.unsorted_with_zeros()
-        grid = np.array([8, 64, 512, 4096])
-        lemma_estimate_scalings(Operator(v), alpha, grid=grid)
+        grid = traces.default_heat_grid(v.size)
+        lemma_estimate_scalings(Operator(v), alpha)
         saturating, counting = seen[0], seen[1]
         w = unmasked_heat(float(grid[0]) * v, -alpha)
         assert np.any((w == 0.0) & (v > 0.0)) and np.any(w > 0.0)
@@ -437,7 +411,7 @@ class TestCutoffComparison:
 
 class TestMeasurabilityCriterion:
     def test_harmonic_identity_coefficient(self):
-        rep = measurability_criterion_check(None, harmonic_op(), alpha=2.0)
+        rep = measurability_criterion_check(None, harmonic_op())
         assert rep["branch"] == "a"
         assert rep["z_heat"] == pytest.approx(1.0, abs=0.05)
         assert rep["z_spec"] == pytest.approx(1.0, abs=0.05)
@@ -446,7 +420,7 @@ class TestMeasurabilityCriterion:
     def test_alternating_signs_vanish(self):
         N = N_BIG
         A = Operator(((-1.0) ** np.arange(N)).astype(complex))
-        rep = measurability_criterion_check(A, harmonic_op(N), alpha=2.0)
+        rep = measurability_criterion_check(A, harmonic_op(N))
         assert abs(rep["z_heat"]) <= 0.02
         assert abs(rep["z_spec"]) <= 0.02
         assert rep["passed"]
@@ -454,7 +428,7 @@ class TestMeasurabilityCriterion:
     def test_branch_error_when_not_in_either_ideal(self):
         V = Operator((np.arange(50_000) + 1.0) ** -0.25)
         with pytest.raises(BranchError):
-            measurability_criterion_check(None, V, alpha=2.0)
+            measurability_criterion_check(None, V)
 
 
 class TestScheme:

@@ -21,7 +21,6 @@ from singtrace.triples import (
     delta,
     invertible_double,
     partial_d,
-    realize,
     resolvent_weight,
     summability_report,
 )
@@ -31,7 +30,7 @@ class TestCircle:
     def test_shift_raises_mode_exactly(self, circle64):
         u = circle64.monomial((1,))
         du = partial_d(u, circle64)
-        U = realize(u, circle64)
+        U = circle64.realize(u)
         assert circle64.interior_norm(du - U) == 0.0
 
     def test_phase_commutator_rank_one(self, circle64):
@@ -60,15 +59,15 @@ class TestTorus:
         m = build_nc_torus(8, theta=0.0)
         U = m.monomial((1, 0))
         V = m.monomial((0, 1))
-        assert m.interior_norm(realize(U * V - V * U, m)) <= 1e-12
-        gap = commutator(realize(U, m), realize(V, m))
+        assert m.interior_norm(m.realize(U * V - V * U)) <= 1e-12
+        gap = commutator(m.realize(U), m.realize(V))
         assert m.interior_norm(gap) <= 1e-12
 
     def test_twist_relation_on_interior(self, torus12):
         # V U = exp(2 pi i theta) U V, checked on realized matrices
         m = torus12
-        U = realize(m.monomial((1, 0)), m)
-        V = realize(m.monomial((0, 1)), m)
+        U = m.realize(m.monomial((1, 0)))
+        V = m.realize(m.monomial((0, 1)))
         lam = np.exp(2j * np.pi * m.theta)
         gap = (V @ U) - lam * (U @ V)
         assert m.interior_norm(gap) <= 1e-12
@@ -77,7 +76,7 @@ class TestTorus:
         m = torus12
         assert anticommutator(m.Gamma, m.D).norm_bound() == 0.0
         for g in m.generators().values():
-            assert commutator(m.Gamma, realize(g, m)).norm_bound() == 0.0
+            assert commutator(m.Gamma, m.realize(g)).norm_bound() == 0.0
         eye = Operator(np.ones(m.dim, dtype=complex))
         assert (m.Gamma @ m.Gamma - eye).norm_bound() == 0.0
 
@@ -127,31 +126,31 @@ class TestToy:
 
 class TestRealize:
     def test_identity_word(self, circle64):
-        one = circle64.one()
-        got = realize(one, circle64)
+        one = circle64.monomial((0,))
+        got = circle64.realize(one)
         assert (got - Operator(np.ones(circle64.dim, complex))).norm_bound() == 0.0
 
     def test_shift_compose_to_interior_identity(self, circle64):
         u = circle64.monomial((1,))
-        prod = realize(u, circle64) @ realize(u.adjoint(), circle64)
+        prod = circle64.realize(u) @ circle64.realize(u.adjoint())
         eye = Operator(np.ones(circle64.dim, complex))
         assert circle64.interior_norm(prod - eye) == 0.0
 
     def test_empty_element_is_zero(self, circle64):
         zero = circle64.monomial((1,)) - circle64.monomial((1,))
         assert zero.is_zero()
-        assert realize(zero, circle64).norm_bound() == 0.0
+        assert circle64.realize(zero).norm_bound() == 0.0
 
     def test_band_exceeding_buffer_rejected(self, circle64):
         with pytest.raises(ContractViolation):
-            realize(circle64.monomial((circle64.B + 1,)), circle64)
+            circle64.realize(circle64.monomial((circle64.B + 1,)))
 
     def test_symbolic_product_matches_matrix_product_on_interior(self, torus12):
         m = torus12
         a = m.monomial((1, 0), coeff=1.5) + m.monomial((0, -1), coeff=0.5j)
         b = m.monomial((1, 1), coeff=-2.0)
-        sym = realize(a * b, m)
-        mat = realize(a, m) @ realize(b, m)
+        sym = m.realize(a * b)
+        mat = m.realize(a) @ m.realize(b)
         assert m.interior_norm(sym - mat) <= 1e-12
 
 
@@ -172,8 +171,8 @@ class TestDerivations:
         m = build_circle(16)
         a = m.monomial((e1,), coeff=c1 + 0.5j)
         b = m.monomial((e2,), coeff=c2 - 0.25j)
-        A, B = realize(a, m), realize(b, m)
-        ab = realize(a * b, m)
+        A, B = m.realize(a), m.realize(b)
+        ab = m.realize(a * b)
         for der, gen in ((partial_d, m.D), (delta, m.absD)):
             lhs = commutator(gen, ab)
             rhs = (der(a, m) @ B) + (A @ der(b, m))
@@ -185,7 +184,7 @@ class TestDerivations:
         # [D0, a] = ([F, delta(a)] |D0|^-1 + delta(a) D0^-1 + [F, a]) |D0|
         double, _ = invertible_double(circle64)
         a = double.monomial((1,), coeff=1.0) + double.monomial((-2,), coeff=0.5)
-        A = realize(a, double)
+        A = double.realize(a)
         from singtrace.operators import hermitian_calculus
 
         d0 = commutator(double.D, A)
@@ -257,7 +256,7 @@ class TestInteriorWindow:
         for model in (small, large):
             u = model.monomial((1,))
             w = model.monomial((-2,))
-            prod = realize(u, model) @ realize(w, model) @ realize(u, model)
+            prod = model.realize(u) @ model.realize(w) @ model.realize(u)
             model._probe = model.compress(prod).sparse().toarray()
         np.testing.assert_allclose(small._probe, large._probe, atol=1e-14)
 
