@@ -57,7 +57,11 @@ def _config_from_args(args, checks):
     chain = args.chain
     if chain and chain.endswith(".json"):
         with open(chain) as fh:
-            chain = json.load(fh)
+            try:
+                chain = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"chain file {args.chain} is not valid JSON: "
+                                  f"{exc}") from exc
     return ExperimentConfig(
         model={"name": args.model, "N": args.N, "theta": args.theta,
                "p": args.p},

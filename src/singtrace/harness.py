@@ -21,7 +21,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,9 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (unknown check, bad field, ...)."""
 
 
+_MODEL_KEYS = ("name", "N", "theta", "p", "buffer")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -72,6 +75,8 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError("config must be a JSON object")
         known = {"model", "chain", "checks", "scheme", "tolerances", "out", "seed"}
         unknown = set(payload) - known
         if unknown:
@@ -83,20 +88,38 @@ class ExperimentConfig:
     def validate(self):
         if not isinstance(self.model, dict) or "name" not in self.model:
             raise ConfigError("config.model must carry at least a 'name'")
+        unknown = sorted(set(self.model) - set(_MODEL_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown model keys {unknown}; known: {list(_MODEL_KEYS)}")
         if self.model["name"] not in ("circle", "nc_torus", "toy"):
             raise ConfigError(f"unknown model {self.model['name']!r}")
         N = self.model.get("N", 64)
-        if not isinstance(N, int) or isinstance(N, bool):
+        if not _integer(N):
             raise ConfigError(f"model N must be an integer, got {N!r}")
         for key in ("theta", "p", "buffer"):
             value = self.model.get(key)
             if value is not None and not _finite_number(value):
                 raise ConfigError(
                     f"model {key} must be a finite number, got {value!r}")
+        if not isinstance(self.checks, list) or not all(
+                isinstance(name, str) for name in self.checks):
+            raise ConfigError(
+                f"config.checks must be a list of check names, got "
+                f"{self.checks!r}")
         for name in self.checks:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        self._validate_scheme()
+        if not _integer(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(
+                f"config.tolerances must be an object, got {self.tolerances!r}")
         read = {key for name in self.checks
                 for key in TOLERANCE_KEYS.get(name, ())}
         unread = sorted(set(self.tolerances) - read)
@@ -109,6 +132,28 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"tolerance {key} must be a finite number, got {value!r}")
         return self
+
+    def _validate_scheme(self):
+        """Each scheme key is a field of :class:`traces.ExtendedLimitScheme`
+        and has its default's type (a finite number for a float)."""
+        if not isinstance(self.scheme, dict):
+            raise ConfigError(
+                f"config.scheme must be an object, got {self.scheme!r}")
+        defaults = {f.name: f.default
+                    for f in fields(traces.ExtendedLimitScheme)}
+        for key, value in self.scheme.items():
+            if key not in defaults:
+                raise ConfigError(f"unknown scheme key {key!r}; known: "
+                                  f"{sorted(defaults)}")
+            default = defaults[key]
+            if isinstance(default, str):
+                ok, kind = isinstance(value, str), "a string"
+            elif isinstance(default, int):
+                ok, kind = _integer(value) and value >= 1, "a positive integer"
+            else:
+                ok, kind = _finite_number(value), "a finite number"
+            if not ok:
+                raise ConfigError(f"scheme {key} must be {kind}, got {value!r}")
 
     def build_model(self):
         """The model this config names; a parameter its builder rejects is a
@@ -128,6 +173,10 @@ class ExperimentConfig:
         """Hash of every field that can change results (not the ``out`` path)."""
         text = replace(self, out=None).to_json()
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_number(value):
@@ -476,7 +525,7 @@ def _harmonic_operator(N):
 
 
 def _check_diag_oracles(ctx):
-    N = ctx.config.model.get("N", 100_000)
+    N = ctx.model.N
     V = _harmonic_operator(N)
     mu = singular_values(V)
     z_dix = traces.dixmier_logmean(mu, ctx.scheme)
@@ -498,7 +547,7 @@ def _check_diag_oracles(ctx):
 
 
 def _check_scalings(ctx):
-    N = ctx.config.model.get("N", 100_000)
+    N = ctx.model.N
     V = _harmonic_operator(N)
     sub = {}
     ok = True
@@ -515,7 +564,7 @@ def _check_scalings(ctx):
 
 
 def _check_scheme_robustness(ctx):
-    N = ctx.config.model.get("N", 100_000)
+    N = ctx.model.N
     V = _harmonic_operator(N)
     mu = singular_values(V)
     zs = {}
@@ -560,7 +609,7 @@ def _check_concordance(ctx):
 
 
 def _check_modulated(ctx):
-    N = min(ctx.config.model.get("N", 4096), 4096)
+    N = min(ctx.model.N, 4096)
     V = _harmonic_operator(N)
     phases = np.exp(2j * np.pi * ctx.rng.random(N))
     A = Operator(phases, label="random phases")
@@ -570,7 +619,7 @@ def _check_modulated(ctx):
 
 
 def _check_cutoff(ctx):
-    N = ctx.config.model.get("N", 100_000)
+    N = ctx.model.N
     V = _harmonic_operator(N)
     rep = traces.cesaro_cutoff_comparison(None, V, alpha=2.0, scheme=ctx.scheme)
     tol = ctx.tolerance("cutoff_gap", 0.05)

@@ -616,12 +616,35 @@ def main_theorem_check(c, model):
 # -- serialization ----------------------------------------------------------------
 
 
+def _json_int(value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ContractViolation(f"expected an integer, got {value!r}")
+    return value
+
+
 def chain_from_json(model, text):
-    payload = json.loads(text)
-    terms = {}
-    for term in payload["terms"]:
-        words = tuple(tuple(int(e) for e in w) for w in term["tensor"])
-        m = int(term.get("lambda_pow", 0))
-        re, im = term["coeff"]
-        terms[(words, m)] = terms.get((words, m), 0j) + complex(re, im)
-    return Chain(model, payload["degree"], terms)
+    """The chain ``{"degree": q, "terms": [{"coeff": [re, im], "lambda_pow":
+    m, "tensor": [word, ...]}, ...]}`` on ``model`` (``lambda_pow`` 0 when
+    left out).  A malformed payload is a :class:`ContractViolation`."""
+    try:
+        payload = json.loads(text)
+        degree = _json_int(payload["degree"])
+        terms = {}
+        for term in payload["terms"]:
+            words = tuple(tuple(_json_int(e) for e in w) for w in term["tensor"])
+            if any(len(w) != model.word_rank for w in words):
+                raise ContractViolation(
+                    f"a word on {model.name} needs {model.word_rank} exponents")
+            m = _json_int(term.get("lambda_pow", 0))
+            re, im = term["coeff"]
+            coeff = complex(re, im)
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+                raise ContractViolation(f"coefficient {coeff} is not finite")
+            terms[(words, m)] = terms.get((words, m), 0j) + coeff
+    except ContractViolation:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed chain: {exc!r}") from exc
+    if degree < 1:
+        raise ContractViolation(f"chain degree must be >= 1, got {degree}")
+    return Chain(model, degree, terms)

@@ -223,6 +223,9 @@ class SpectralTripleModel:
 
     def monomial(self, word, coeff=1.0):
         word = tuple(int(e) for e in word)
+        if len(word) != self.word_rank:
+            raise ContractViolation(
+                f"word {word} on {self.name} needs {self.word_rank} exponents")
         return AlgebraElement(self, {(word, 0): complex(coeff)})
 
     def generators(self):

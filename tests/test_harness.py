@@ -211,6 +211,50 @@ class TestCli:
         assert rc == 2
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("config, fragment", [
+        ([], "config must be a JSON object"),
+        ({"checks": [["chern"]]}, "config.checks must be a list of check names"),
+        ({"checks": "chern"}, "config.checks must be a list of check names"),
+        ({"scheme": {"bogus": 1}}, "unknown scheme key 'bogus'"),
+        ({"scheme": {"ratio": "abc"}}, "scheme ratio must be a finite number"),
+        ({"scheme": {"n_min": "x"}}, "scheme n_min must be a positive integer"),
+        ({"seed": "x"}, "seed must be a non-negative integer"),
+        ({"tolerances": []}, "config.tolerances must be an object"),
+        ({"out": 5}, "out must be a path string"),
+        ({"chain": {"degree": 1}}, "malformed chain"),
+        ({"chain": {"degree": 1, "terms": [
+            {"coeff": [1, 0], "tensor": [["a"], [1]]}]}},
+         "expected an integer, got 'a'"),
+        ("{not json", "is not valid JSON"),
+        ({"model": {"name": "circle", "n": 128}}, "unknown model keys ['n']"),
+        ({"model": {"name": "nc_torus", "N": 8}, "chain": "winding"},
+         "needs 2 exponents"),
+    ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
+            "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
+            "seed-type", "tolerances-list", "out-type", "chain-no-terms",
+            "chain-tensor-entry", "chain-file-bad-json", "model-key",
+            "circle-chain-on-torus"])
+    def test_malformed_config_field_is_a_config_error(
+            self, config, fragment, tmp_path, capsys):
+        if isinstance(config, str):  # a --chain file holding invalid JSON
+            chain = tmp_path / "bad.json"
+            chain.write_text(config)
+            argv = ["chern", "--model", "circle", "--N", "16",
+                    "--chain", str(chain)]
+        else:
+            if isinstance(config, dict):
+                config = {"model": {"name": "circle", "N": 16},
+                          "checks": ["chern"], **config}
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["run", "--config", str(cfg)]
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert fragment in lines[0]
+
     @pytest.mark.parametrize("argv, model", [
         (["run"], {"name": "circle", "N": "big"}),
         (["run"], {"name": "circle", "N": True}),
@@ -256,6 +300,18 @@ class TestCli:
         report = run(ExperimentConfig(model={"name": "toy", "N": 32},
                                       checks=list(CHECKS)))
         assert len(report.records) == len(CHECKS)
+
+    def test_toy_oracle_checks_read_N_from_the_model(self):
+        # without "N" the model is built at its default size, and the
+        # oracle checks run at that size too
+        checks = ["diag-oracles", "scalings", "scheme-robustness", "cutoff",
+                  "modulated"]
+        records = [
+            json.dumps([dict(r.as_dict(timing=False), inputs_digest=None)
+                        for r in run(ExperimentConfig(
+                            model=model, checks=checks)).records])
+            for model in ({"name": "toy"}, {"name": "toy", "N": 64})]
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize("tolerances, rc", [
         ({"nonsense": 1}, 2),
@@ -337,30 +393,103 @@ class TestCli:
 # small models on both sides of each builder's floor (circle and torus 8,
 # toy 32)
 _FUZZ_SIZES = {"circle": (6, 24), "nc_torus": (6, 10), "toy": (30, 120)}
+# values of the wrong type for every config field
+_ILL_TYPED = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.floats(), st.lists(st.integers(), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(),
+                                       max_size=1))
+_INLINE_CHAINS = [
+    {"degree": 1, "terms": [{"coeff": [1, 0], "tensor": [[-1], [1]]}]},
+    {"degree": 2, "terms": [{"coeff": [1, 0], "lambda_pow": 1,
+                             "tensor": [[-1, -1], [1, 0], [0, 1]]}]},
+]
+_MALFORMED_CHAINS = [
+    {"degree": 1},
+    {"degree": "x", "terms": []},
+    {"degree": 0, "terms": []},
+    {"degree": 1, "terms": "x"},
+    {"degree": 1, "terms": [{"coeff": [1, 0], "tensor": [["a"], [1]]}]},
+    {"degree": 1, "terms": [{"coeff": ["a", 0], "tensor": [[-1], [1]]}]},
+    {"degree": 1, "terms": [{"coeff": [float("nan"), 0],
+                             "tensor": [[-1], [1]]}]},
+]
 
 
 @st.composite
 def _fuzzed_configs(draw):
+    """A config and whether one of its fields is malformed (a wrong type or
+    an unknown key), which must be a configuration error."""
     name = draw(st.sampled_from(sorted(_FUZZ_SIZES)))
     model = {"name": name, "N": draw(st.integers(*_FUZZ_SIZES[name]))}
     if name == "toy":
         model["p"] = draw(st.sampled_from([1, 2]))
+    config = {"model": model}
+    bad = draw(st.booleans())
+    if bad:
+        field = draw(st.sampled_from(
+            ["model", "checks", "check", "scheme", "scheme_key", "seed",
+             "out", "chain", "tolerances"]))
+    else:
+        field = None
     checks = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=3,
                            unique=True))
+    config["checks"] = checks
     keys = sorted({key for check in checks
                    for key in TOLERANCE_KEYS.get(check, ())})
     values = st.one_of(st.floats(0.0, 1.0), st.floats(), st.booleans(),
                        st.text(max_size=3))
-    tolerances = draw(st.dictionaries(st.sampled_from(keys), values,
-                                      max_size=2)) if keys else {}
-    return {"model": model, "checks": checks, "tolerances": tolerances}
+    config["tolerances"] = draw(st.dictionaries(
+        st.sampled_from(keys), values, max_size=2)) if keys else {}
+    if any(isinstance(v, (bool, str)) or not math.isfinite(v)
+           for v in config["tolerances"].values()):
+        bad = True
+    config["scheme"] = draw(st.fixed_dictionaries({}, optional={
+        "ratio": st.floats(1.2, 3.0), "n_min": st.integers(1, 16),
+        "averaging": st.sampled_from(["mean", "cesaro_log", "extrapolate"]),
+        "window_fraction": st.floats(0.0, 1.0)}))
+    config["seed"] = draw(st.integers(0, 2 ** 32))
+    config["chain"] = draw(st.one_of(
+        st.none(), st.sampled_from(["winding", "volume", "toy-volume",
+                                    "parity", "default"]),
+        st.sampled_from(_INLINE_CHAINS)))
+    if field == "model":
+        model["n"] = model["N"]
+    elif field == "checks":
+        config["checks"] = draw(_ILL_TYPED.filter(
+            lambda v: not isinstance(v, list)))
+    elif field == "check":
+        config["checks"] = checks + [draw(_ILL_TYPED.filter(
+            lambda v: not isinstance(v, str)))]
+    elif field == "scheme":
+        config["scheme"] = draw(_ILL_TYPED.filter(
+            lambda v: not isinstance(v, dict)))
+    elif field == "scheme_key":
+        # no scheme field takes None, a bool, a list, an object or a string
+        # of at most 3 characters (no averaging rule is that short)
+        key = draw(st.sampled_from(["ratio", "n_min", "averaging",
+                                    "window_fraction", "bogus"]))
+        config["scheme"][key] = draw(_ILL_TYPED.filter(
+            lambda v: not isinstance(v, float)))
+    elif field == "seed":
+        config["seed"] = draw(st.one_of(_ILL_TYPED, st.integers(max_value=-1)))
+    elif field == "out":
+        config["out"] = draw(_ILL_TYPED.filter(
+            lambda v: v is not None and not isinstance(v, str)))
+    elif field == "chain":
+        config["chain"] = draw(st.sampled_from(_MALFORMED_CHAINS))
+    elif field == "tolerances":
+        config["tolerances"] = draw(_ILL_TYPED.filter(
+            lambda v: not isinstance(v, dict)))
+    return config, bad
 
 
 @settings(max_examples=25, deadline=None)
-@given(config=_fuzzed_configs())
-def test_cli_exit_code_contract(config):
-    """Any config exits 0, 1 or 2 without a traceback; a tolerance value
-    that is not a finite number is a configuration error."""
+@given(case=_fuzzed_configs())
+def test_cli_exit_code_contract(case):
+    """Any config exits 0, 1 or 2 without a traceback; a malformed field
+    (an ill-typed value, an unknown key, a tolerance value that is not a
+    finite number) is a configuration error."""
+    config, bad = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -369,8 +498,7 @@ def test_cli_exit_code_contract(config):
             rc = cli_main(["run", "--config", str(path)])
     assert rc in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    if any(isinstance(v, (bool, str)) or not math.isfinite(v)
-           for v in config["tolerances"].values()):
+    if bad:
         assert rc == 2
 
 
