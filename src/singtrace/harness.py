@@ -547,8 +547,7 @@ def _check_diag_oracles(ctx):
 
 
 def _check_scalings(ctx):
-    N = ctx.model.N
-    V = _harmonic_operator(N)
+    V = _harmonic_operator(ctx.model.N)
     sub = {}
     ok = True
     for alpha in (1.5, 2.0):
@@ -564,8 +563,7 @@ def _check_scalings(ctx):
 
 
 def _check_scheme_robustness(ctx):
-    N = ctx.model.N
-    V = _harmonic_operator(N)
+    V = _harmonic_operator(ctx.model.N)
     mu = singular_values(V)
     zs = {}
     for r in (1.5, 2.0, 3.0):
@@ -619,8 +617,7 @@ def _check_modulated(ctx):
 
 
 def _check_cutoff(ctx):
-    N = ctx.model.N
-    V = _harmonic_operator(N)
+    V = _harmonic_operator(ctx.model.N)
     rep = traces.cesaro_cutoff_comparison(None, V, alpha=2.0, scheme=ctx.scheme)
     tol = ctx.tolerance("cutoff_gap", 0.05)
     return CheckRecord(

@@ -301,6 +301,15 @@ class TestCli:
                                       checks=list(CHECKS)))
         assert len(report.records) == len(CHECKS)
 
+    def test_config_file_that_is_not_utf8_is_a_config_error(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: 'utf-8' codec")
+
     def test_toy_oracle_checks_read_N_from_the_model(self):
         # without "N" the model is built at its default size, and the
         # oracle checks run at that size too
