@@ -154,6 +154,10 @@ class ExperimentConfig:
                 ok, kind = _finite_number(value), "a finite number"
             if not ok:
                 raise ConfigError(f"scheme {key} must be {kind}, got {value!r}")
+        try:
+            traces.ExtendedLimitScheme(**self.scheme)
+        except ContractViolation as exc:  # a value out of range
+            raise ConfigError(str(exc)) from exc
 
     def build_model(self):
         """The model this config names; a parameter its builder rejects is a
@@ -211,18 +215,44 @@ class CheckRecord:
 
 def _jsonable(obj):
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # 'nan', 'inf' or '-inf': reports are strict JSON
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)
+
+
+def _nonfinite_fields(rec):
+    """Dotted names of the non-finite floats in a record's values and
+    residuals (a complex number counts as its parts ``re`` and ``im``)."""
+    found = []
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            items = obj.items()
+        elif isinstance(obj, (list, tuple, np.ndarray)):
+            items = enumerate(obj)
+        elif isinstance(obj, (complex, np.complexfloating)):
+            items = (("re", obj.real), ("im", obj.imag))
+        else:
+            if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+                found.append(path)
+            return
+        for key, value in items:
+            walk(value, f"{path}.{key}")
+
+    walk(rec.values, "values")
+    walk(rec.residuals, "residuals")
+    return found
 
 
 @dataclass
@@ -246,7 +276,8 @@ class Report:
         return out
 
     def to_json(self, timing=True):
-        return json.dumps(self.as_dict(timing=timing), indent=2, sort_keys=True)
+        return json.dumps(self.as_dict(timing=timing), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     def stable_digest(self):
         """Digest of everything except runtimes and the environment stamp."""
@@ -677,7 +708,7 @@ def run(config):
     workers = _max_workers()
     try:
         ctx = _Context(config)
-    except ContractViolation as exc:  # the config's chain or scheme
+    except ContractViolation as exc:  # the config's chain
         raise ConfigError(str(exc)) from exc
     names = list(config.checks)  # empty list -> empty passing report
     records = []
@@ -689,6 +720,10 @@ def run(config):
         except OperatorError as exc:  # e.g. a model too small for the check
             rec = CheckRecord(name, passed=False,
                               details={"error": f"{type(exc).__name__}: {exc}"})
+        nonfinite = _nonfinite_fields(rec)
+        if nonfinite:
+            rec.passed = False
+            rec.details["nonfinite"] = nonfinite
         rec.runtime_s = time.perf_counter() - t0
         rec.inputs_digest = ctx.inputs_digest
         return rec

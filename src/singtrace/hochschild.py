@@ -622,6 +622,11 @@ def _json_int(value):
     return value
 
 
+# largest |lambda_pow| of a chain read from JSON: beyond 2**53 the phase
+# exp(2 pi i theta m) would be taken at float(m), a different integer
+_LAMBDA_POW_MAX = 2 ** 53
+
+
 def chain_from_json(model, text):
     """The chain ``{"degree": q, "terms": [{"coeff": [re, im], "lambda_pow":
     m, "tensor": [word, ...]}, ...]}`` on ``model`` (``lambda_pow`` 0 when
@@ -636,6 +641,9 @@ def chain_from_json(model, text):
                 raise ContractViolation(
                     f"a word on {model.name} needs {model.word_rank} exponents")
             m = _json_int(term.get("lambda_pow", 0))
+            if abs(m) > _LAMBDA_POW_MAX:
+                raise ContractViolation(
+                    "lambda_pow must lie in [-2**53, 2**53]")
             re, im = term["coeff"]
             coeff = complex(re, im)
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):

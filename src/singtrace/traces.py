@@ -59,6 +59,11 @@ class BranchError(OperatorError):
     """V satisfies neither the L_{1,inf} nor the M_{1,inf} diagnostic."""
 
 
+# smallest scheme grid ratio: at most about 100 grid points per e-fold of n
+# (geometric_grid steps from n_min to n_max one ratio at a time)
+_MIN_RATIO = 1.01
+
+
 @dataclass(frozen=True)
 class ExtendedLimitScheme:
     """Finite surrogate for a dilation-invariant extended limit.
@@ -73,8 +78,9 @@ class ExtendedLimitScheme:
     window_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not (self.ratio > 1.0):
-            raise ContractViolation("scheme ratio must exceed 1")
+        if not (self.ratio >= _MIN_RATIO):
+            raise ContractViolation(
+                f"scheme ratio must be at least {_MIN_RATIO}, got {self.ratio!r}")
         if self.averaging not in ("mean", "cesaro_log", "extrapolate"):
             raise ContractViolation(f"unknown averaging {self.averaging!r}")
 
@@ -244,20 +250,57 @@ def _live_slice(vs, s, e):
 
 def _heat_weights(vs, scales, e):
     """Yield (live index, weights) per scale s: the weights are
-    ``np.exp(-(s * v) ** e)`` on the live index of ascending ``vs``, bit for
-    bit the full formula's there, and every other weight is exactly 0.0."""
-    for s in scales:
-        s = float(s)
-        live = _live_slice(vs, s, e)
-        yield live, np.exp(-(s * vs[live]) ** e)
+    ``np.exp(-(s ** e) * v ** e)`` on the live index of ascending ``vs``, and
+    every other weight is exactly 0.0.
+
+    The live sets are nested, so the widest is their union, and ``v ** e`` is
+    taken once over it; for e < 0 it leaves out ker V, so no ``0 ** e`` is
+    taken.  Each weight differs from ``exp(-(s v) ** e)`` only by the
+    rounding of the product ``s**e * v**e``: a relative error of order
+    eps * max(1, (s v)**e).
+    """
+    scales = [float(s) for s in scales]
+    if not scales:
+        return
+    lives = [_live_slice(vs, s, e) for s in scales]
+    union = lives[int(np.argmax(scales) if e < 0 else np.argmin(scales))]
+    x = vs[union] ** e
+    for s, live in zip(scales, lives):
+        if isinstance(union, slice):
+            part = x[live.start - union.start:live.stop - union.start]
+        else:  # a prefix plus the NaN tail (e > 0)
+            part = x[np.searchsorted(union, live)]
+        w = np.multiply(part, -(s ** e))
+        yield live, np.exp(w, out=w)
+
+
+# block length of :func:`_dot`: a sequential sum of this many products, plus
+# the pairwise sum of the block sums, keeps a long heat sum as accurate as
+# np.sum of the products (a BLAS dot of 2**18 decaying terms is not)
+_DOT_BLOCK = 128
+
+
+def _dot(a, w):
+    """sum_k a[..., k] w_k with no full-length temporary: products summed in
+    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise."""
+    m = w.size - w.size % _DOT_BLOCK
+    head = a[..., :m].reshape(*a.shape[:-1], -1, _DOT_BLOCK)
+    blocks = np.einsum("...ij,ij->...i", head, w[:m].reshape(-1, _DOT_BLOCK))
+    return np.sum(blocks, axis=-1) + a[..., m:] @ w[m:]
 
 
 def _heat_sums(vs, c, scales, e):
-    """sum_k c_k exp(-(s v_k)**e) for each s in ``scales``, summed over the
-    live slice of ascending ``vs`` only; ``c`` is in the same order, and None
-    means every c_k = 1."""
-    return np.array([np.sum(w if c is None else c[live] * w)
-                     for live, w in _heat_weights(vs, scales, e)])
+    """sum_k c_k exp(-(s ** e) * v_k ** e) for each s in ``scales``, reduced
+    over the live slice of ascending ``vs`` by :func:`_dot`; ``c`` is in the
+    same order, and None means every c_k = 1.  A complex ``c`` is split once
+    into its real and imaginary rows, so no complex product is formed."""
+    weights = _heat_weights(vs, scales, e)
+    if c is None:
+        return np.array([np.sum(w) for _, w in weights])
+    if not np.iscomplexobj(c):
+        return np.array([_dot(c[live], w) for live, w in weights])
+    rows = np.stack([c.real, c.imag])
+    return np.array([complex(*_dot(rows[:, live], w)) for live, w in weights])
 
 
 def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
@@ -275,7 +318,8 @@ def heat_functional(A, V, alpha, grid=None):
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
     v, a = _sorted_spectrum(v, a)
-    av = v if a is None else a * v
+    # a is this call's sorted copy of A's diagonal, so A V may overwrite it
+    av = v if a is None else np.multiply(a, v, out=a)
     values = _heat_sums(v, av, grid, -alpha).astype(complex)
     label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
@@ -340,8 +384,9 @@ def lemma_estimate_scalings(V, alpha):
     saturating = np.empty(grid.size)
     counting = np.empty(grid.size)
     for j, (live, w) in enumerate(_heat_weights(v, grid, -alpha)):
-        saturating[j] = heads[live.start] + float(np.sum(va[live] * (1.0 - w)))
         counting[j] = float(np.sum(w))
+        np.subtract(1.0, w, out=w)
+        saturating[j] = heads[live.start] + float(_dot(va[live], w))
     slope_sat = _loglog_slope(grid, saturating)
     slope_count = _loglog_slope(grid, counting)
     xi_trend = _loglog_slope(grid, counting / (grid * np.log(grid)))

@@ -96,6 +96,32 @@ class TestRun:
             digests.add(run(cfg(str(tmp_path / name))).stable_digest())
         assert len(digests) == 1
 
+    def test_nonfinite_result_fails_explicitly(self, monkeypatch, tmp_path):
+        def nonfinite(ctx):
+            return harness.CheckRecord(
+                "nonfinite", passed=True,
+                values={"z": complex(1.0, float("nan")), "n": 3},
+                residuals={"gaps": np.array([0.5, np.inf])},
+                details={"note": "finite"})
+
+        def strict(constant):
+            raise ValueError(f"report holds {constant}")
+
+        monkeypatch.setitem(CHECKS, "nonfinite", nonfinite)
+        report = run(ExperimentConfig(model={"name": "circle", "N": 16},
+                                      checks=["nonfinite", "cycle"],
+                                      out=str(tmp_path)))
+        cycle, record = report.records
+        assert cycle.passed and "nonfinite" not in cycle.details
+        assert not record.passed
+        assert record.details == {
+            "note": "finite", "nonfinite": ["values.z.im", "residuals.gaps.1"]}
+        payload = json.loads((tmp_path / "report.json").read_text(),
+                             parse_constant=strict)
+        record = payload["records"][1]
+        assert record["values"]["z"] == {"re": 1.0, "im": "nan"}
+        assert record["residuals"]["gaps"] == [0.5, "inf"]
+
     @pytest.mark.parametrize("seed", [22, 53])
     def test_identity_suite_exact_for_every_seed(self, seed):
         # seeds whose float-coefficient chain left ~1e-16 terms in b(b(c))
@@ -229,11 +255,18 @@ class TestCli:
         ({"model": {"name": "circle", "n": 128}}, "unknown model keys ['n']"),
         ({"model": {"name": "nc_torus", "N": 8}, "chain": "winding"},
          "needs 2 exponents"),
+        ({"scheme": {"ratio": 1.000000001}, "checks": ["dixmier"]},
+         "scheme ratio must be at least 1.01"),
+        ({"model": {"name": "nc_torus", "N": 8}, "chain": {
+            "degree": 2, "terms": [{"coeff": [1, 0], "lambda_pow": 10 ** 400,
+                                    "tensor": [[-1, -1], [1, 0], [0, 1]]}]}},
+         "lambda_pow must lie in [-2**53, 2**53]"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
             "seed-type", "tolerances-list", "out-type", "chain-no-terms",
             "chain-tensor-entry", "chain-file-bad-json", "model-key",
-            "circle-chain-on-torus"])
+            "circle-chain-on-torus", "scheme-ratio-near-1",
+            "chain-lambda-pow-huge"])
     def test_malformed_config_field_is_a_config_error(
             self, config, fragment, tmp_path, capsys):
         if isinstance(config, str):  # a --chain file holding invalid JSON
@@ -436,8 +469,8 @@ def _fuzzed_configs(draw):
     bad = draw(st.booleans())
     if bad:
         field = draw(st.sampled_from(
-            ["model", "checks", "check", "scheme", "scheme_key", "seed",
-             "out", "chain", "tolerances"]))
+            ["model", "checks", "check", "scheme", "scheme_key", "ratio",
+             "seed", "out", "chain", "lambda_pow", "tolerances"]))
     else:
         field = None
     checks = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=3,
@@ -479,6 +512,10 @@ def _fuzzed_configs(draw):
                                     "window_fraction", "bogus"]))
         config["scheme"][key] = draw(_ILL_TYPED.filter(
             lambda v: not isinstance(v, float)))
+    elif field == "ratio":
+        # below the smallest scheme ratio, where the grid loop would not end
+        config["scheme"]["ratio"] = draw(st.floats(1.0, 1.001,
+                                                   exclude_min=True))
     elif field == "seed":
         config["seed"] = draw(st.one_of(_ILL_TYPED, st.integers(max_value=-1)))
     elif field == "out":
@@ -486,6 +523,13 @@ def _fuzzed_configs(draw):
             lambda v: v is not None and not isinstance(v, str)))
     elif field == "chain":
         config["chain"] = draw(st.sampled_from(_MALFORMED_CHAINS))
+    elif field == "lambda_pow":
+        # a well-formed word of the model's rank with |lambda_pow| > 2**53
+        rank = 2 if name == "nc_torus" else 1
+        power = draw(st.integers(2 ** 53 + 1, 10 ** 400))
+        config["chain"] = {"degree": 1, "terms": [{
+            "coeff": [1, 0], "lambda_pow": draw(st.sampled_from([1, -1])) * power,
+            "tensor": [[-1] * rank, [1] * rank]}]}
     elif field == "tolerances":
         config["tolerances"] = draw(_ILL_TYPED.filter(
             lambda v: not isinstance(v, dict)))

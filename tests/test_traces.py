@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from singtrace import traces
+from singtrace.hochschild import circle_winding_cycle, heat_cycle_trace
 from singtrace.operators import ContractViolation, Operator, identity, singular_values
 from singtrace.traces import (
     BranchError,
@@ -144,6 +145,13 @@ def unmasked_heat(x, e):
         return np.exp(-x ** e)
 
 
+def engine_formula(v, s, e):
+    """exp(-(s**e) * v**e) over every entry: the formula the engine evaluates
+    on its live slice, with v**e taken once per call and s**e per scale."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.exp(-(s ** e) * v ** e)
+
+
 def fsum_reference(c, w):
     """Correctly rounded sum_k c_k w_k and the scale sum_k |c_k w_k|."""
     terms = np.asarray(c * w, dtype=complex)
@@ -153,8 +161,9 @@ def fsum_reference(c, w):
 
 class TestHeatKernel:
     """The sorted-spectrum heat engine: ``_heat_weights`` evaluates only the
-    live slice, and every weight equals the unmasked formula bit for bit;
-    sums run over the slice, so they are checked against ``math.fsum``."""
+    live slice, every weight equals the engine's formula on the unmasked
+    spectrum bit for bit and ``exp(-(s v)**e)`` to its rounding; sums run
+    over the slice, so they are checked against ``math.fsum``."""
 
     EXPONENTS = [-1, -1.5, -2, 2, 3]
 
@@ -189,11 +198,47 @@ class TestHeatKernel:
         pos = vs > 0
         live_share = []
         for s in self.regime_scales(e):
-            want = unmasked_heat(s * vs, e)
+            want = engine_formula(vs, s, e)
             assert np.array_equal(self.engine_weights(vs, s, e), want)
             live_share.append(np.mean(((s * vs[pos]) ** e) < 1000.0))
         assert live_share[0] == 0.0 and 0.0 < live_share[1] < 1.0
         assert live_share[2] == 1.0
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_weights_match_scaled_formula_to_rounding(self, e):
+        # the engine takes t = s**e * v**e where the full formula takes
+        # (s v)**e.  With pow and exp within 1 ulp (eps) and each product
+        # rounded within eps/2, the first is t (1 + 2.5 eps), the second
+        # t (1 + (1 + |e|/2) eps), so the two t differ by (3.5 + |e|/2) eps t
+        # and their exps, each rounded within eps, by
+        # (t (3.5 + |e|/2) + 2) eps w <= 7 eps max(1, t) w for |e| <= 3; a
+        # subnormal weight adds at most one subnormal step per rounding
+        eps = np.finfo(float).eps
+        tiny = np.finfo(float).smallest_subnormal
+        v = self.unsorted_with_zeros()
+        vs, = _sorted_spectrum(v)
+        scales = self.regime_scales(e)
+        for s in np.geomspace(min(scales), max(scales), 25):
+            s = float(s)
+            want = unmasked_heat(s * vs, e)
+            with np.errstate(divide="ignore", over="ignore"):
+                t = np.where(want > 0.0, (s * vs) ** e, 1.0)
+            bound = 7.0 * eps * np.maximum(1.0, t) * want + 2.0 * tiny
+            got = self.engine_weights(vs, s, e)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_heat_functions_take_no_power_of_zero(self, circle64):
+        # ker V is dead for every e < 0, so no 0**e reaches a pow
+        v = self.unsorted_with_zeros()
+        V = Operator(v)
+        A = Operator(np.cos(np.arange(v.size)) + 0.5j)
+        with np.errstate(divide="raise", invalid="raise"):
+            heat_functional(A, V, 2.0, grid=np.array([8, 64, 512, 4096]))
+            heat_xi(V)
+            lemma_estimate_scalings(V, 2.0)
+            cesaro_cutoff_comparison(A, V, 2.0)
+            cesaro_cutoff_comparison(None, V, 1.5)
+            heat_cycle_trace(circle_winding_cycle(circle64), circle64)
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_subnormal_band_is_evaluated(self, e):
@@ -216,7 +261,7 @@ class TestHeatKernel:
         for s in self.regime_scales(e):
             full = self.engine_weights(vs, s, e)
             assert np.isnan(full[-1])
-            assert np.array_equal(full[:-1], unmasked_heat(s * vs[:-1], e))
+            assert np.array_equal(full[:-1], engine_formula(vs[:-1], s, e))
             assert np.all(np.isnan(_heat_sums(vs, cs, [s, 2.0 * s], e)))
             assert np.all(np.isnan(_heat_sums(vs, None, [s], e)))
 
@@ -231,6 +276,20 @@ class TestHeatKernel:
             got = _heat_sums(vs, sorted_coeff, scales, e)
             for s, value in zip(scales, got):
                 want, scale = fsum_reference(coeff, unmasked_heat(s * v, e))
+                assert abs(value - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("imag", [0.0, 0.3])
+    def test_long_decaying_sum_matches_fsum_reference(self, imag):
+        # 2**18 terms that decay along ascending v (e > 0, as in the cycle
+        # heat trace); a sequential dot over them drifts past the bound
+        k = np.arange(2 ** 18)
+        v = k + 1.0
+        c = 0.4 + 0.1 * np.cos(k) + 1j * imag * np.sin(k)
+        scales = np.array([1.0, 4.0, 20.0]) / v.size
+        for coeff in (c, c.real):
+            got = _heat_sums(v, coeff, scales, 2)
+            for s, value in zip(scales, got):
+                want, scale = fsum_reference(coeff, unmasked_heat(s * v, 2))
                 assert abs(value - want) <= 1e-14 * scale
 
     @pytest.mark.parametrize("e", EXPONENTS)
@@ -435,8 +494,12 @@ class TestScheme:
     def test_invalid_parameters(self):
         with pytest.raises(ContractViolation):
             ExtendedLimitScheme(ratio=0.9)
+        with pytest.raises(ContractViolation, match="at least 1.01"):
+            ExtendedLimitScheme(ratio=1.000000001)
         with pytest.raises(ContractViolation):
             ExtendedLimitScheme(averaging="median")
+        # the finest grid allowed: about 100 points per e-fold of n
+        assert ExtendedLimitScheme(ratio=1.01).grid(10 ** 6).size == 1020
 
     def test_extrapolate_exact_on_model_sequences(self):
         ns = np.unique(np.geomspace(32, 65536, 30).astype(int)).astype(float)
