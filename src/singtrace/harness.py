@@ -102,6 +102,12 @@ class ExperimentConfig:
             if value is not None and not _finite_number(value):
                 raise ConfigError(
                     f"model {key} must be a finite number, got {value!r}")
+        # below 0 no word fits the buffer, and the working dim can shrink
+        # below the default scheme's heat grid
+        buffer = self.model.get("buffer")
+        if buffer is not None and buffer < 0:
+            raise ConfigError(
+                f"model buffer must be non-negative, got {buffer!r}")
         if not isinstance(self.checks, list) or not all(
                 isinstance(name, str) for name in self.checks):
             raise ConfigError(
@@ -385,6 +391,12 @@ class _Context:
         sch = dict(config.scheme)
         self.scheme = traces.ExtendedLimitScheme(**sch) if sch else \
             traces.ExtendedLimitScheme()
+        # a heat grid reaches max(dim // 8, 2 n_min): past dim it samples
+        # nothing but the truncation tail
+        if 2 * self.scheme.n_min > self.model.dim:
+            raise ConfigError(
+                f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
+                f"2*n_min past the model's dim {self.model.dim}")
         self.tol = dict(config.tolerances)
         stamp = (config.digest() + self.model.model_id
                  + json.dumps(sorted(map(str, self.chain.terms.items()))))

@@ -277,10 +277,8 @@ class SpectralTripleModel:
         return op.restrict(self.interior)
 
     def interior_norm(self, op):
-        comp = self.compress(op)
-        if comp.dim <= 2048:
-            return comp.norm2()
-        return comp.norm_bound()
+        """An upper bound on the 2-norm of ``op`` compressed to the interior."""
+        return self.compress(op).norm_bound()
 
     def fit_window(self):
         """Index window for partial-sum fits on this model's interior spectra.
@@ -424,6 +422,12 @@ def build_circle(N, buffer=None):
     return model
 
 
+def _spinor_offdiag(x):
+    """The operator [[0, diag(x)], [diag(x)*, 0]] on the two spinor halves."""
+    X = sp.diags(x.astype(complex), format="csr")
+    return sp.bmat([[None, X], [X.conj().T, None]], format="csr")
+
+
 def build_nc_torus(N, theta=None, buffer=None):
     """Noncommutative-torus model: twisted Z^2 shifts, spinor-doubled, p=2 even."""
     if N < 8:
@@ -438,31 +442,23 @@ def build_nc_torus(N, theta=None, buffer=None):
     model.dim = 2 * L * L
     model.lattice = (n1, n2)
     w = 1j * n1 - n2  # upper spinor block of D: d1 + i*d2 with d_j = diag(i n_j)
-    W = sp.diags(w.astype(complex), format="csr")
-    D = sp.bmat([[None, W], [W.conj().T, None]], format="csr")
-    model.D = Operator(D, label="D", hermitian=True)
-    F, model.absD = phase_modulus(model.D)
-    # On ker D the polar phase is unconstrained by F|D| = D; the graded
-    # (spinor-swap) block keeps {Gamma, F} = 0 exact, which the character
-    # identities need.  The sign(0)=+1 default would inject a rank-2 defect.
-    kernel = np.flatnonzero(np.abs(w) == 0)
-    src = np.concatenate([kernel, kernel + L * L])
-    dst = np.concatenate([kernel + L * L, kernel])
-    fmat = F.sparse().tocoo()
-    keep = ~((fmat.row == fmat.col) & np.isin(fmat.row, src))
-    fmat = sp.csr_matrix(
-        (np.concatenate([fmat.data[keep], np.ones(src.size)]),
-         (np.concatenate([fmat.row[keep], src]),
-          np.concatenate([fmat.col[keep], dst]))),
-        shape=fmat.shape)
-    model.F = Operator(fmat, label="F", hermitian=True)
+    model.D = Operator(_spinor_offdiag(w), label="D", hermitian=True)
+    # polar data in closed form: |D| = diag(|w|, |w|) and F = offdiag(w/|w|).
+    # On ker D, F|D| = D leaves the phase free; the spinor swap (w/|w| := 1)
+    # keeps {Gamma, F} = 0 exact, which the character identities need.
+    modulus = np.abs(w)
+    model.absD = Operator(np.concatenate([modulus, modulus]), label="|D|",
+                          hermitian=True)
+    unit = np.divide(w, modulus, out=np.ones(w.size, dtype=complex),
+                     where=modulus > 0)
+    model.F = Operator(_spinor_offdiag(unit), label="F", hermitian=True)
     gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)]).astype(complex)
     model.Gamma = Operator(gamma, label="Gamma", hermitian=True)
     inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)
     model.interior = np.flatnonzero(np.concatenate([inside, inside]))
     model.reliable_count = 2 * int(np.count_nonzero(n1 ** 2 + n2 ** 2 <= N * N))
     model.metadata = {
-        "sign0": "+1",
+        "sign0": "spinor swap on ker D",
         "spinor_block": "upper = d1 + i*d2",
         "tau": "i",
         "twist": "V U = exp(2 pi i theta) U V",
@@ -518,9 +514,9 @@ def invertible_double(model):
 
     D1 = D0 - D equals F (|D| + (1+|D|^2)^{1/2})^{-1} (checked to 1e-10) and
     lies in L_{p,inf}; the new triple shares the algebra, phase F and grading.
-    On an even model the grading anticommutation acquires a defect supported
-    on ker D (the sign(0)=+1 convention), which is finite rank and harmless
-    for partial-sum checks.  Built once per model.
+    On the even torus Gamma anticommutes with F (the spinor swap on ker D
+    included) and commutes with D^2, so {Gamma, D0} = 0 exactly.  Built once
+    per model.
     """
     return model.derived(("double",), lambda: _build_double(model))
 

@@ -261,12 +261,16 @@ class TestCli:
             "degree": 2, "terms": [{"coeff": [1, 0], "lambda_pow": 10 ** 400,
                                     "tensor": [[-1, -1], [1, 0], [0, 1]]}]}},
          "lambda_pow must lie in [-2**53, 2**53]"),
+        ({"model": {"name": "toy", "N": 64}, "scheme": {"n_min": 33},
+          "checks": ["cutoff"]},
+         "scheme n_min=33 puts the heat grid's top 2*n_min past the "
+         "model's dim 64"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
             "seed-type", "tolerances-list", "out-type", "chain-no-terms",
             "chain-tensor-entry", "chain-file-bad-json", "model-key",
             "circle-chain-on-torus", "scheme-ratio-near-1",
-            "chain-lambda-pow-huge"])
+            "chain-lambda-pow-huge", "scheme-n_min-past-dim"])
     def test_malformed_config_field_is_a_config_error(
             self, config, fragment, tmp_path, capsys):
         if isinstance(config, str):  # a --chain file holding invalid JSON
@@ -295,11 +299,13 @@ class TestCli:
         (["run"], {"name": "nc_torus", "N": 16, "theta": float("inf")}),
         (["run"], {"name": "toy", "N": 1000, "p": "2"}),
         (["run"], {"name": "circle", "N": 16, "buffer": float("nan")}),
+        (["run"], {"name": "circle", "N": 8, "buffer": -5}),
         (["chern", "--model", "nc_torus", "--N", "16", "--theta", "nan"], None),
         (["model", "build", "--model", "nc_torus", "--N", "16",
           "--theta", "inf"], None),
     ], ids=["N-string", "N-bool", "N-float", "theta-inf", "p-string",
-            "buffer-nan", "chern-theta-nan", "model-build-theta-inf"])
+            "buffer-nan", "buffer-negative", "chern-theta-nan",
+            "model-build-theta-inf"])
     def test_bad_model_parameter_is_a_config_error(
             self, argv, model, tmp_path, capsys):
         if model is not None:
@@ -470,7 +476,7 @@ def _fuzzed_configs(draw):
     if bad:
         field = draw(st.sampled_from(
             ["model", "checks", "check", "scheme", "scheme_key", "ratio",
-             "seed", "out", "chain", "lambda_pow", "tolerances"]))
+             "n_min", "seed", "out", "chain", "lambda_pow", "tolerances"]))
     else:
         field = None
     checks = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=3,
@@ -516,6 +522,9 @@ def _fuzzed_configs(draw):
         # below the smallest scheme ratio, where the grid loop would not end
         config["scheme"]["ratio"] = draw(st.floats(1.0, 1.001,
                                                    exclude_min=True))
+    elif field == "n_min":
+        # a heat grid reaching 2 n_min, past every fuzzed model's dim
+        config["scheme"]["n_min"] = draw(st.integers(10 ** 4, 10 ** 12))
     elif field == "seed":
         config["seed"] = draw(st.one_of(_ILL_TYPED, st.integers(max_value=-1)))
     elif field == "out":
@@ -541,7 +550,8 @@ def _fuzzed_configs(draw):
 def test_cli_exit_code_contract(case):
     """Any config exits 0, 1 or 2 without a traceback; a malformed field
     (an ill-typed value, an unknown key, a tolerance value that is not a
-    finite number) is a configuration error."""
+    finite number, a scheme whose heat grid passes the model's dim) is a
+    configuration error."""
     config, bad = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singtrace.harness import builtin_chain
+from singtrace.hochschild import main_theorem_check
 from singtrace.ideals import quasi_norm_pinf, universal_measurability_test
 from singtrace.operators import (
     ContractViolation,
@@ -87,6 +90,35 @@ class TestTorus:
         assert (m.F @ m.absD - m.D).norm_bound() <= 1e-10
         # graded kernel block: F anticommutes with Gamma everywhere
         assert anticommutator(m.Gamma, m.F).norm_bound() <= 1e-12
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_closed_form_polar_data(self, N):
+        m = build_nc_torus(N)
+        assert m.absD.kind == "diag"
+        assert m.F.sparse().nnz == m.dim  # one entry per row
+        assert anticommutator(m.Gamma, m.F).norm_bound() == 0.0
+        tol = 8 * np.finfo(float).eps * (1.0 + m.D.norm_bound())
+        eye = Operator(np.ones(m.dim, dtype=complex))
+        assert (m.F @ m.F - eye).norm_bound() <= tol
+        assert (m.F @ m.absD - m.D).norm_bound() <= tol
+        # on ker D (mode n = 0, one vector per spinor half) F swaps the halves
+        n1, n2 = m.lattice
+        (k,) = np.flatnonzero((n1 == 0) & (n2 == 0))
+        half = m.dim // 2
+        assert m.absD.diag()[[k, k + half]].tolist() == [0, 0]
+        F = m.F.sparse()
+        for row, col in ((k, k + half), (k + half, k)):
+            assert F[row].indices.tolist() == [col]
+            assert F[row].data.tolist() == [1.0]
+
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_parity_cycle_pairs_to_exact_zero(self, N):
+        # a cycle of the wrong degree parity pairs to zero; with the exact
+        # phase F its Chern value is exactly 0
+        m = build_nc_torus(N)
+        report = main_theorem_check(builtin_chain(m, "parity"), m)
+        assert report["mode"] == "parity_vanishing" and report["passed"]
+        assert report["chern"] == 0j
 
     def test_word_algebra_twist_bookkeeping(self, torus12):
         m = torus12
@@ -259,6 +291,30 @@ class TestInteriorWindow:
             prod = model.realize(u) @ model.realize(w) @ model.realize(u)
             model._probe = model.compress(prod).sparse().toarray()
         np.testing.assert_allclose(small._probe, large._probe, atol=1e-14)
+
+
+class TestInteriorNorm:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_the_dense_two_norm(self, circle64, seed):
+        rng = np.random.default_rng(seed)
+        n = circle64.dim
+        mat = (sp.random(n, n, density=0.05, random_state=rng)
+               + 1j * sp.random(n, n, density=0.05, random_state=rng))
+        op = Operator(mat)
+        dense = circle64.compress(op).sparse().toarray()
+        assert circle64.interior_norm(op) >= np.linalg.norm(dense, 2) - 1e-15
+
+    def test_exact_on_weighted_partial_permutation(self, circle64):
+        # the shape of the circle Leibniz residual: at most one entry per row
+        # and per column, where the bound sqrt(|T|_1 |T|_inf) is the 2-norm
+        n = circle64.dim
+        rng = np.random.default_rng(7)
+        weights = rng.standard_normal(n - 3) * 1e-13
+        op = Operator(sp.diags(weights.astype(complex), offsets=-3,
+                               shape=(n, n), format="csr"))
+        dense = circle64.compress(op).sparse().toarray()
+        exact = np.linalg.norm(dense, 2)
+        assert abs(circle64.interior_norm(op) - exact) <= np.spacing(exact)
 
 
 class TestDescriptor:
