@@ -397,6 +397,14 @@ class _Context:
             raise ConfigError(
                 f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
                 f"2*n_min past the model's dim {self.model.dim}")
+        # these checks build their heat grids on the harmonic diagonal of
+        # dim N, which on the circle and torus is below the working dim
+        on_harmonic = sorted(set(config.checks) & {"cutoff", "diag-oracles"})
+        if on_harmonic and 2 * self.scheme.n_min > self.model.N:
+            raise ConfigError(
+                f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
+                f"2*n_min past N={self.model.N}, the dim of the harmonic "
+                f"diagonal that {on_harmonic} sample")
         self.tol = dict(config.tolerances)
         stamp = (config.digest() + self.model.model_id
                  + json.dumps(sorted(map(str, self.chain.terms.items()))))

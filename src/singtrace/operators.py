@@ -13,7 +13,8 @@ Both behave identically under the algebraic operations; the backend is an
 optimisation detail, never a semantic one.  Spectra are computed with
 LAPACK, after an exact permutation split of the matrix into connected
 components of its nonzero pattern (a similarity transform, so eigenvalues
-are preserved exactly).  Components of equal size are stacked into one
+are preserved exactly; the components are labelled by numpy alone, see
+:func:`_component_labels`).  Components of equal size are stacked into one
 (g, s, s) array and solved with one batched LAPACK call per size; functions
 of an operator are reassembled from the stacked eigenvectors in one COO
 build.
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Operator",
@@ -83,9 +83,15 @@ def canonical_order(values):
 
     Ties (exactly equal moduli) are broken by descending real part, then
     descending imaginary part, so the output is a deterministic total order.
+    With no nonzero imaginary part the modulus is |re| exactly, and the last
+    key ties everywhere, so two real keys give the same order.
     """
     values = np.asarray(values)
-    order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    if values.imag.any():
+        order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    else:
+        re = values.real
+        order = np.lexsort((-re, -np.abs(re)))
     return values[order]
 
 
@@ -140,9 +146,9 @@ class Operator:
         1-d array (interpreted as a diagonal), 2-d square array, or sparse
         matrix.  A 2-d array is stored as CSR; an exactly diagonal matrix,
         dense or sparse, is stored as its diagonal, unless it has no nonzero
-        entry: an exact zero stays an empty CSR matrix.  A complex CSR matrix
-        without explicit zeros is wrapped without a copy, so it must not be
-        modified afterwards.
+        entry: an exact zero stays an empty CSR matrix.  A complex 1-d array,
+        like a complex CSR matrix without explicit zeros, is wrapped without
+        a copy, so it must not be modified afterwards.
     label : str
         Human-readable tag used in error messages and reports.
     hermitian : bool or None
@@ -161,7 +167,7 @@ class Operator:
             elif data.ndim != 1:
                 raise ContractViolation("operator data must be 1-d or 2-d")
         if data.ndim == 1:
-            self._kind, self._data = "diag", data.astype(complex)
+            self._kind, self._data = "diag", data.astype(complex, copy=False)
         else:
             mat = data.tocsr().astype(complex, copy=False)
             if not mat.data.all():
@@ -264,10 +270,16 @@ class Operator:
         return out
 
     def restrict(self, indices):
-        """Compression P T P* onto the given basis indices (in order)."""
+        """Compression P T P* onto the given basis indices (in order).
+
+        An exact zero (an empty CSR matrix) restricts to the empty CSR
+        matrix of the new size without indexing."""
         indices = np.asarray(indices)
         if self._kind == "diag":
             return Operator(self._data[indices], label=self.label)
+        if self._data.nnz == 0:
+            n = indices.size
+            return Operator(sp.csr_matrix((n, n), dtype=complex), label=self.label)
         return Operator(self._data[indices][:, indices], label=self.label)
 
     # -- arithmetic ------------------------------------------------------------
@@ -327,6 +339,31 @@ def identity(dim):
 # -- block-split eigen engine --------------------------------------------------
 
 
+def _component_labels(n, row, col):
+    """Connected-component labels of the undirected graph on ``n`` nodes with
+    edges (row[k], col[k]), numbered 0, 1, ... in order of first node.
+
+    Every node points at a node of its component with no larger index, so
+    the pointers form a forest.  Each pass hooks the larger root of every
+    edge below the smaller one, then jumps pointers until each node points
+    at its root; passes stop once every edge joins two nodes of one root,
+    which is then the component's first node.
+    """
+    parent = np.arange(n)
+    while True:
+        a, b = parent[row], parent[col]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    first = np.cumsum(parent == np.arange(n)) - 1
+    return first[parent]
+
+
 def _component_blocks(T):
     """Dense blocks of T on the connected components of its nonzero pattern.
 
@@ -342,9 +379,7 @@ def _component_blocks(T):
     if n < _SPLIT_MIN_DIM:
         labels = np.zeros(n, dtype=np.intp)
     else:
-        graph = sp.coo_matrix((np.ones(coo.nnz, dtype=np.int8), (coo.row, coo.col)),
-                              shape=coo.shape)
-        _, labels = connected_components(graph, directed=False)
+        labels = _component_labels(n, coo.row, coo.col)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes

@@ -293,7 +293,11 @@ def _heat_sums(vs, c, scales, e):
     """sum_k c_k exp(-(s ** e) * v_k ** e) for each s in ``scales``, reduced
     over the live slice of ascending ``vs`` by :func:`_dot`; ``c`` is in the
     same order, and None means every c_k = 1.  A complex ``c`` is split once
-    into its real and imaginary rows, so no complex product is formed."""
+    into its real and imaginary rows, so no complex product is formed.  A
+    ``c`` with no nonzero entry gives exact zeros with no weight evaluated,
+    unless ``vs`` holds a NaN, which makes every sum NaN."""
+    if c is not None and not c.any() and not (vs.size and np.isnan(vs[-1])):
+        return np.zeros(len(scales), dtype=complex if np.iscomplexobj(c) else float)
     weights = _heat_weights(vs, scales, e)
     if c is None:
         return np.array([np.sum(w) for _, w in weights])

@@ -13,10 +13,10 @@ Three concrete models are provided:
 
 Algebra elements are kept symbolic: finitely supported combinations of
 lattice words, with twist phases tracked as exact integer powers of lam.
-Realization maps a word to a (sparse) shift matrix on the working dimension
-N + B per axis; spectral statistics are read only from the compressed
-interior (modes up to N), which keeps shift-truncation artifacts out of the
-asymptotics.
+Realization maps a word to a sparse shift matrix on the working dimension
+N + B per axis (a toy word to its diagonal, as a 1-d array); spectral
+statistics are read only from the compressed interior (modes up to N),
+which keeps shift-truncation artifacts out of the asymptotics.
 """
 
 from __future__ import annotations
@@ -270,10 +270,15 @@ class SpectralTripleModel:
         for (word, m), coeff in sorted(a.terms.items()):
             piece = self.realize_word(word) * (coeff * self.eval_phase(m))
             acc = piece if acc is None else acc + piece
-        return Operator(sp.csr_matrix(acc), label=repr(a)[:60])
+        return Operator(acc, label=repr(a)[:60])
 
     def compress(self, op):
-        """Restrict to the interior modes (|mode| <= N on every axis)."""
+        """Restrict to the interior modes (|mode| <= N on every axis).
+
+        Where the interior is the whole basis (the toy) this is ``op``
+        itself: operators are immutable, so nothing is copied."""
+        if self.interior.size == self.dim:
+            return op
         return op.restrict(self.interior)
 
     def interior_norm(self, op):
@@ -358,7 +363,7 @@ class _ToyModel(SpectralTripleModel):
     def _realize_word(self, word):
         j = word[0]
         k = np.arange(self.dim)
-        return sp.diags(np.exp(2j * np.pi * j * k / self.dim), format="csr")
+        return np.exp(2j * np.pi * j * k / self.dim)  # the diagonal
 
 
 class _TorusModel(SpectralTripleModel):

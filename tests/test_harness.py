@@ -265,12 +265,16 @@ class TestCli:
           "checks": ["cutoff"]},
          "scheme n_min=33 puts the heat grid's top 2*n_min past the "
          "model's dim 64"),
+        ({"model": {"name": "circle", "N": 64}, "scheme": {"n_min": 60},
+          "checks": ["cutoff", "diag-oracles"]},
+         "scheme n_min=60 puts the heat grid's top 2*n_min past N=64"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
             "seed-type", "tolerances-list", "out-type", "chain-no-terms",
             "chain-tensor-entry", "chain-file-bad-json", "model-key",
             "circle-chain-on-torus", "scheme-ratio-near-1",
-            "chain-lambda-pow-huge", "scheme-n_min-past-dim"])
+            "chain-lambda-pow-huge", "scheme-n_min-past-dim",
+            "scheme-n_min-past-harmonic-N"])
     def test_malformed_config_field_is_a_config_error(
             self, config, fragment, tmp_path, capsys):
         if isinstance(config, str):  # a --chain file holding invalid JSON

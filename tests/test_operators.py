@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from singtrace.operators import (
     ContractViolation,
+    _component_labels,
     canonical_order,
     DomainError,
     Operator,
@@ -43,6 +49,18 @@ class TestEigenvalues:
         vals = np.array([1j, -1j, 1.0, -1.0])
         spec = eigenvalues(Operator(vals))
         np.testing.assert_allclose(spec.values, [1.0, 1j, -1j, -1.0])
+
+    def test_real_input_order_equals_three_key_order(self):
+        # ties of +-x and +-0.0, with the imaginary parts of both signs
+        rng = np.random.default_rng(21)
+        x = rng.choice([2.5, -2.5, 1.0, -1.0, 0.0, -0.0, 7.0], size=400)
+        signed = x.astype(complex)
+        signed.imag[::3] = -0.0
+        for vals in (x, x.astype(complex), signed):
+            full = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+            want = vals[full]
+            got = canonical_order(vals)
+            assert got.tobytes() == want.tobytes()
 
     def test_matches_dense_lapack_on_block_structure(self):
         # the component-split path must agree with a direct dense solve
@@ -425,9 +443,68 @@ class TestFlags:
         assert T.kind == "sparse"
         assert T.hermitian
 
+    def test_complex_diagonal_wrapped_without_copy(self):
+        d = np.exp(1j * np.arange(5.0))
+        assert Operator(d).diag() is d
+        real = np.arange(5.0)
+        T = Operator(real)
+        assert T.diag().dtype == complex and not np.shares_memory(T.diag(), real)
+
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_exact_zero_restricts_to_empty_csr(self, n):
+        Z = Operator(sp.csr_matrix((100, 100), dtype=complex), label="Z")
+        R = Z.restrict(np.arange(n) * (99 // n))
+        assert R.kind == "sparse" and R.sparse().shape == (n, n)
+        assert R.sparse().nnz == 0 and R.label == "Z"
+
     def test_sparse_norm2_via_svds(self):
         n = 5000
         mat = sp.diags(np.ones(n - 1, dtype=complex), offsets=-1,
                        shape=(n, n), format="csr")
         T = Operator(2.5 * mat)
         assert T.norm2() == pytest.approx(2.5, rel=1e-6)
+
+
+@st.composite
+def graphs(draw):
+    """Edge lists (n, row, col): random edges, plus at times a long chain
+    through a random permutation of the nodes."""
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(0, 2 * n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    row, col = rng.integers(0, n, k), rng.integers(0, n, k)
+    if draw(st.booleans()):
+        perm = rng.permutation(n)
+        stop = draw(st.integers(1, n))
+        row = np.concatenate([row, perm[:stop - 1]])
+        col = np.concatenate([col, perm[1:stop]])
+    return n, row, col
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_component_labels_match_scipy(graph):
+    n, row, col = graph
+    mat = sp.coo_matrix((np.ones(row.size), (row, col)), shape=(n, n))
+    _, want = connected_components(mat, directed=False)
+    np.testing.assert_array_equal(_component_labels(n, row, col), want)
+
+
+def test_long_reversed_chain_labels():
+    n = 100_000
+    nodes = np.arange(n)[::-1]
+    labels = _component_labels(n, nodes[:-1], nodes[1:])
+    assert not labels.any()
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    import singtrace
+
+    src = os.path.dirname(os.path.dirname(singtrace.__file__))
+    code = ("import sys, singtrace.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse.csgraph'))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -10,6 +10,7 @@ from singtrace.operators import ContractViolation, Operator, identity, singular_
 from singtrace.traces import (
     BranchError,
     ExtendedLimitScheme,
+    _dot,
     _heat_sums,
     _heat_weights,
     _sorted_spectrum,
@@ -267,6 +268,33 @@ class TestHeatKernel:
             assert np.all(np.isnan(_heat_sums(vs, None, [s], e)))
 
     @pytest.mark.parametrize("e", EXPONENTS)
+    def test_zero_coefficient_skips_weights_bit_for_bit(self, e, monkeypatch):
+        vs, = _sorted_spectrum(self.unsorted_with_zeros())
+        scales = self.regime_scales(e)
+        zeros = np.zeros(vs.size)
+        zeros[::7] = -0.0
+        signed = zeros + 0j
+        signed.imag[::5] = -0.0
+        for c in (zeros, zeros + 0j, signed):
+            # the weighted path, as _heat_sums takes it for a nonzero c
+            rows = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c
+            want = [_dot(rows[..., live], w)
+                    for live, w in _heat_weights(vs, scales, e)]
+            want = np.array([complex(*x) if np.iscomplexobj(c) else x
+                             for x in want])
+            with monkeypatch.context() as m:
+                m.setattr(traces, "_heat_weights", None)
+                got = _heat_sums(vs, c, scales, e)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_zero_coefficient_stays_nan_with_nan_in_v(self, e):
+        vs, = _sorted_spectrum(np.array([0.5, np.nan, 0.0, 1e6, 2.0]))
+        for c in (np.zeros(5), np.zeros(5, dtype=complex)):
+            for s in self.regime_scales(e):
+                assert np.all(np.isnan(_heat_sums(vs, c, [s, 2.0 * s], e)))
+
+    @pytest.mark.parametrize("e", EXPONENTS)
     def test_sums_match_fsum_reference(self, e):
         v = self.unsorted_with_zeros()
         rng = np.random.default_rng(13)
@@ -425,6 +453,30 @@ class TestModulated:
         A = Operator(np.exp(2j * np.pi * rng.random(N)))
         rep = modulated_comparison(A, harmonic_op(N))
         assert rep["passed"]
+
+
+class TestInputsLeftUnchanged:
+    def test_wrapped_diagonals_are_not_written(self):
+        # complex 1-d data is wrapped without a copy, so a function that
+        # wrote into an operator's diag() would change its caller's array
+        from singtrace.ideals import eigenvalue_partial_sums
+
+        rng = np.random.default_rng(31)
+        n = 4096
+        a = np.exp(2j * np.pi * rng.random(n))
+        v = (1.0 / (np.arange(n) + 1.0))[rng.permutation(n)].astype(complex)
+        A, V = Operator(a, label="A"), Operator(v, label="V")
+        assert A.diag() is a and V.diag() is v
+        before = a.copy(), v.copy()
+        heat_functional(A, V, 2.0)
+        heat_functional(None, V, 1.5)
+        cesaro_cutoff_comparison(A, V, 2.0)
+        cesaro_cutoff_comparison(None, V, 2.0)
+        modulated_comparison(A, V)
+        eigenvalue_partial_sums(A)
+        eigenvalue_partial_sums(V)
+        for op, was in zip((A, V), before):
+            assert op.diag().tobytes() == was.tobytes()
 
 
 class TestCutoffComparison:

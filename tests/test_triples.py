@@ -155,6 +155,27 @@ class TestToy:
             assert verdict.kind == "measurable"
             assert verdict.z == pytest.approx(1.0, abs=0.05)
 
+    def test_words_and_elements_stay_diagonal(self, toy1000):
+        k = np.arange(1000)
+        word = toy1000.factor("id", (3,))
+        assert word.kind == "diag"
+        np.testing.assert_allclose(word.diag(), np.exp(2j * np.pi * 3 * k / 1000),
+                                   rtol=0, atol=1e-15)
+        w = toy1000.generators()["w"]
+        a = (2.0 - 1j) * w * w * w + 0.5 * w.adjoint()
+        A = toy1000.realize(a)
+        assert A.kind == "diag"
+        want = ((2.0 - 1j) * np.exp(2j * np.pi * 3 * k / 1000)
+                + 0.5 * np.exp(-2j * np.pi * k / 1000))
+        np.testing.assert_allclose(A.diag(), want, rtol=0, atol=1e-14)
+
+    def test_compress_is_the_identity_on_the_whole_basis(self, toy1000):
+        A = toy1000.realize(toy1000.monomial((2,), coeff=1.5j))
+        C = toy1000.compress(A)
+        assert C.kind == "diag" and C.diag() is A.diag()
+        Z = partial_d(toy1000.monomial((1,)), toy1000)
+        assert toy1000.compress(Z) is Z
+
 
 class TestRealize:
     def test_identity_word(self, circle64):
