@@ -139,7 +139,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
+    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     parser.error("unhandled verb")

@@ -123,6 +123,8 @@ class ExperimentConfig:
                 f"seed must be a non-negative integer, got {self.seed!r}")
         if not (self.out is None or isinstance(self.out, str)):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.out:
+            _check_out(self.out)
         if not isinstance(self.tolerances, dict):
             raise ConfigError(
                 f"config.tolerances must be an object, got {self.tolerances!r}")
@@ -183,6 +185,17 @@ class ExperimentConfig:
         """Hash of every field that can change results (not the ``out`` path)."""
         text = replace(self, out=None).to_json()
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _check_out(out):
+    """A report directory ``out`` whose nearest existing path is not a
+    directory cannot be made: a :class:`ConfigError` before any check runs."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"out {out!r} cannot be made: {str(path)!r} "
+                                  f"exists and is not a directory")
+            return
 
 
 def _integer(value):
@@ -778,6 +791,8 @@ def _merge(reports, config):
 
 def suite(name, out=None, seed=0):
     """Curated runs: 'quick' (N<=512, <60 s) or 'full' (acceptance scale)."""
+    if out:
+        _check_out(out)
     if name == "quick":
         plan = [
             ("circle256", ExperimentConfig(

@@ -84,15 +84,33 @@ def canonical_order(values):
     Ties (exactly equal moduli) are broken by descending real part, then
     descending imaginary part, so the output is a deterministic total order.
     With no nonzero imaginary part the modulus is |re| exactly, and the last
-    key ties everywhere, so two real keys give the same order.
+    key ties everywhere, so two real keys give the same order.  Input that
+    is already in this order is returned itself, as the stable sort would
+    leave it; anything else (a NaN included) is a sorted copy.
     """
     values = np.asarray(values)
     if values.imag.any():
-        order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
+        keys = (values.imag, values.real, np.abs(values))
     else:
-        re = values.real
-        order = np.lexsort((-re, -np.abs(re)))
-    return values[order]
+        keys = (values.real, np.abs(values.real))
+    if _non_increasing(keys):
+        return values
+    return values[np.lexsort(tuple(-k for k in keys))]
+
+
+def _non_increasing(keys):
+    """Whether the rows are in non-increasing lexicographic order of
+    ``keys``, the last key first (as in :func:`np.lexsort`)."""
+    tied = None
+    for key in reversed(keys):
+        ahead, behind = key[:-1], key[1:]
+        ok = ahead >= behind
+        if not (ok.all() if tied is None else ok[tied].all()):
+            return False
+        tied = ahead == behind if tied is None else tied & (ahead == behind)
+        if not tied.any():
+            return True
+    return True
 
 
 @dataclass(frozen=True)
@@ -175,7 +193,7 @@ class Operator:
                 mat.eliminate_zeros()
             if mat.shape[0] != mat.shape[1]:
                 raise ContractViolation(f"operator {label!r} is not square")
-            diag = mat.diagonal()
+            diag = mat.diagonal() if mat.nnz else None
             if mat.nnz and mat.nnz == np.count_nonzero(diag):
                 self._kind, self._data = "diag", diag
             else:

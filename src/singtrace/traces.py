@@ -201,6 +201,7 @@ def _psd_diagonal(A, V, who):
 
     V's eigenbasis is the standard one, so the diagonal of A holds its
     matrix elements there.  Any other V is a :class:`ContractViolation`.
+    The diagonal of A is ``A.diag()`` itself, which must not be written.
     """
     if V.kind != "diag" or not V.hermitian:
         raise ContractViolation(
@@ -213,20 +214,30 @@ def _psd_diagonal(A, V, who):
     if A is None:
         return v, None
     V._check_dims(A)
-    return v, A.diag().astype(complex)
+    return v, A.diag()
 
 
-# exp(-t) is exactly +0.0 in double precision for t > 745.14 (and subnormal
-# from 708 on), so above this cut the heat kernel is known without pow or exp
-_HEAT_ZERO = 1000.0
+# exp(-t) is exactly +0.0 in double precision for t > 745.1332 (and
+# subnormal from 708 on), so above this cut the heat kernel is known without
+# pow or exp
+_HEAT_ZERO = 746.0
 # relative widening of a live slice past its computed edge: the entries it
-# adds have x**e above 999.99, so their weight is 0.0
+# adds have x**e above 745.99, so their weight is 0.0
 _EDGE_MARGIN = 1e-9
 
 
 def _sorted_spectrum(v, *coeffs):
     """``v`` in ascending order (stable sort, NaN last) and each coefficient
-    vector gathered into the same order; a None coefficient stays None."""
+    vector gathered into the same order; a None coefficient stays None.
+
+    The stable argsort is the identity on a non-decreasing ``v`` and the
+    reversal on a strictly decreasing one, so these return the inputs
+    themselves and reversed copies, with no sort.
+    """
+    if np.all(v[:-1] <= v[1:]):
+        return (v,) + coeffs
+    if np.all(v[:-1] > v[1:]):
+        return tuple(None if c is None else c[::-1].copy() for c in (v,) + coeffs)
     order = np.argsort(v, kind="stable")
     return (v[order],) + tuple(None if c is None else c[order] for c in coeffs)
 
@@ -258,6 +269,9 @@ def _heat_weights(vs, scales, e):
     taken.  Each weight differs from ``exp(-(s v) ** e)`` only by the
     rounding of the product ``s**e * v**e``: a relative error of order
     eps * max(1, (s v)**e).
+
+    Every step writes its weights into one buffer of the union's size, so a
+    yielded array is valid only until the next step.
     """
     scales = [float(s) for s in scales]
     if not scales:
@@ -265,12 +279,13 @@ def _heat_weights(vs, scales, e):
     lives = [_live_slice(vs, s, e) for s in scales]
     union = lives[int(np.argmax(scales) if e < 0 else np.argmin(scales))]
     x = vs[union] ** e
+    buf = np.empty_like(x)
     for s, live in zip(scales, lives):
         if isinstance(union, slice):
             part = x[live.start - union.start:live.stop - union.start]
         else:  # a prefix plus the NaN tail (e > 0)
             part = x[np.searchsorted(union, live)]
-        w = np.multiply(part, -(s ** e))
+        w = np.multiply(part, -(s ** e), out=buf[:part.size])
         yield live, np.exp(w, out=w)
 
 
@@ -321,10 +336,13 @@ def heat_functional(A, V, alpha, grid=None):
     if grid is None:
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
-    v, a = _sorted_spectrum(v, a)
-    # a is this call's sorted copy of A's diagonal, so A V may overwrite it
-    av = v if a is None else np.multiply(a, v, out=a)
-    values = _heat_sums(v, av, grid, -alpha).astype(complex)
+    # the zero rule of _heat_sums, taken before the sort and the product
+    if a is not None and not a.any() and not np.isnan(v).any():
+        values = np.zeros(grid.size, dtype=complex)
+    else:
+        v, a = _sorted_spectrum(v, a)
+        av = v if a is None else a * v
+        values = _heat_sums(v, av, grid, -alpha).astype(complex)
     label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
 

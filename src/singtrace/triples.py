@@ -362,6 +362,11 @@ class _ToyModel(SpectralTripleModel):
 
     def _realize_word(self, word):
         j = word[0]
+        # the phases of w^-j are those of w^j negated exactly, and numpy's
+        # exp of a negated phase is the conjugate bit for bit
+        inverse = self._word_cache.get((-j,))
+        if inverse is not None:
+            return np.conj(inverse)
         k = np.arange(self.dim)
         return np.exp(2j * np.pi * j * k / self.dim)  # the diagonal
 

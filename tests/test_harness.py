@@ -296,6 +296,37 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert fragment in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "{dir}"],
+        ["chern", "--model", "circle", "--N", "16", "--chain", "{dir}.json"],
+        ["chern", "--model", "circle", "--N", "16", "--out", "{file}"],
+        ["chern", "--model", "circle", "--N", "16", "--out", "{file}/sub"],
+        ["run", "--config", "{config}", "--out", "{file}"],
+        ["suite", "quick", "--out", "{file}"],
+    ], ids=["config-is-a-directory", "chain-is-a-directory", "out-is-a-file",
+            "out-under-a-file", "run-out-is-a-file", "suite-out-is-a-file"])
+    def test_unusable_path_is_a_config_error(self, argv, tmp_path, capsys,
+                                             monkeypatch):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d.json").mkdir()
+        (tmp_path / "f").write_text("")
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"model": {"name": "circle", "N": 16}, "checks": ["chern"]}))
+        paths = {"dir": tmp_path / "d", "file": tmp_path / "f",
+                 "config": tmp_path / "c.json"}
+        argv = [a.format(**paths) for a in argv]
+
+        def no_context(config):  # an unusable --out is caught before this
+            raise AssertionError("a check context was built")
+
+        monkeypatch.setattr(harness, "_Context", no_context)
+        rc = cli_main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert (tmp_path / "f").read_text() == ""
+
     @pytest.mark.parametrize("argv, model", [
         (["run"], {"name": "circle", "N": "big"}),
         (["run"], {"name": "circle", "N": True}),

@@ -62,6 +62,31 @@ class TestEigenvalues:
             got = canonical_order(vals)
             assert got.tobytes() == want.tobytes()
 
+    def test_ordered_input_is_returned_as_the_sort_leaves_it(self):
+        # ordered input with ties of +-x, +-0.0 and complex ties comes back
+        # itself; one adjacent swap, or a NaN, takes the sort
+        def lexsorted(vals):
+            return vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+
+        rng = np.random.default_rng(23)
+        x = rng.choice([2.5, -2.5, 1.0, -1.0, 0.0, -0.0, 7.0], size=400)
+        signed = x.astype(complex)
+        signed.imag[::3] = -0.0
+        z = rng.choice([3.0, -3.0, 3j, -3j, 1 + 1j, 1 - 1j, -1 + 1j, 0.0,
+                        -0.0], size=400)
+        for vals in (x, x.astype(complex), signed, z):
+            ordered = lexsorted(vals)
+            assert canonical_order(ordered) is ordered
+            for i in rng.integers(0, vals.size - 1, size=30):
+                swapped = ordered.copy()
+                swapped[[i, i + 1]] = swapped[[i + 1, i]]
+                assert (canonical_order(swapped).tobytes()
+                        == lexsorted(swapped).tobytes())
+            with_nan = ordered.copy()
+            with_nan[7] = np.nan
+            assert (canonical_order(with_nan).tobytes()
+                    == lexsorted(with_nan).tobytes())
+
     def test_matches_dense_lapack_on_block_structure(self):
         # the component-split path must agree with a direct dense solve
         rng = np.random.default_rng(5)

@@ -88,6 +88,19 @@ class TestHeatFunctional:
         samples = heat_functional(A, V, 2.0)
         assert np.max(np.abs(samples.values)) == 0.0
 
+    def test_zero_coefficient_returns_zeros_before_the_sort(self, monkeypatch):
+        v = 1.0 / (np.arange(3000) + 1.0)
+        A = Operator(np.zeros(v.size, dtype=complex))
+        grid = np.array([8, 64, 512])
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_sorted_spectrum", None)
+            got = heat_functional(A, Operator(v), 2.0, grid=grid).values
+        assert got.tobytes() == np.zeros(grid.size, dtype=complex).tobytes()
+        v[17] = np.nan
+        V = Operator(v)
+        V._hermitian = True  # a NaN fails the hermitian test itself
+        assert np.all(np.isnan(heat_functional(A, V, 2.0, grid=grid).values))
+
     def test_finite_rank_gives_zero_slope(self):
         v = np.zeros(4096)
         v[:5] = [1.0, 0.8, 0.5, 0.25, 0.1]
@@ -253,6 +266,74 @@ class TestHeatKernel:
         want = unmasked_heat(vs, e)
         assert np.sum((want > 0.0) & (want < 2.3e-308)) == 64
         assert np.array_equal(self.engine_weights(vs, 1.0, e), want)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_underflow_cut_band_is_zero(self, e):
+        # x**e in [745.9, 746.1], on both sides of the cut: exp(-x**e) is
+        # exactly 0.0 there, evaluated or not; in [745.0, 745.2] it turns
+        # from the last subnormal to 0.0, so the cut must lie above it
+        band = np.linspace(745.9, 746.1, 65)
+        t = np.concatenate([np.linspace(745.0, 745.2, 21), band])
+        vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
+        full = self.engine_weights(vs, 1.0, e)
+        assert np.array_equal(full, unmasked_heat(vs, e))
+        pos = vs > 0.0
+        in_band = vs[pos] ** e >= 745.8
+        assert np.sum(in_band) == band.size and not np.any(full[pos][in_band])
+        assert np.any(full[pos][~in_band] > 0.0)
+
+    @pytest.mark.parametrize("v", [
+        np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 3.0]),
+        1.0 / (np.arange(50) + 1.0),
+        np.array([3.0, 1.0, 1.0, 0.5, 0.0, 0.0]),
+        np.array([0.0, -0.0, 0.0, 1.0, 1.0]),
+        np.array([1.0, 0.0, -0.0]),
+        np.array([1.0, -0.0, 0.0]),
+        np.array([2.0, np.nan, 1.0]),
+        np.array([1.0, 2.0, np.nan]),
+        np.array([3.0, 2.0, np.nan]),
+        np.array([np.nan]),
+        np.array([]),
+    ], ids=["ascending-ties", "descending", "descending-ties",
+            "ascending-signed-zeros", "descending-signed-zeros",
+            "descending-signed-zeros-tied", "nan-inside", "nan-last",
+            "descending-nan-last", "nan-alone", "empty"])
+    def test_sorted_spectrum_equals_stable_argsort(self, v):
+        c = np.arange(v.size) - 1j * np.arange(v.size) ** 2
+        order = np.argsort(v, kind="stable")
+        got = _sorted_spectrum(v, c, None)
+        assert got[2] is None
+        for x, want in zip(got, (v[order], c[order])):
+            assert x.tobytes() == want.tobytes()
+
+    def test_sorted_spectrum_returns_ascending_input_itself(self):
+        v = np.linspace(0.0, 1.0, 100)
+        c = v + 1j
+        vs, cs = _sorted_spectrum(v, c)
+        assert vs is v and cs is c
+        vs, cs = _sorted_spectrum(v[::-1], c[::-1])
+        assert not np.shares_memory(vs, v) and not np.shares_memory(cs, c)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_weight_steps_share_one_buffer(self, e):
+        rng = np.random.default_rng(15)
+        v = self.unsorted_with_zeros()
+        c = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        vs, cs = _sorted_spectrum(v, c)
+        scales = np.geomspace(*sorted(self.regime_scales(e)[1:]), 6)
+        steps = [(live, w, w.copy()) for live, w in _heat_weights(vs, scales, e)]
+        shared = [w for _, w, _ in steps if w.size]
+        assert len(shared) >= 2
+        assert all(np.shares_memory(shared[0], w) for w in shared[1:])
+        rows = np.stack([cs.real, cs.imag])
+        want = {
+            "complex": [complex(*_dot(rows[:, live], w)) for live, _, w in steps],
+            "real": [_dot(cs.real[live], w) for live, _, w in steps],
+            "ones": [np.sum(w) for _, _, w in steps],
+        }
+        for name, coeff in (("complex", cs), ("real", cs.real), ("ones", None)):
+            got = _heat_sums(vs, coeff, scales, e)
+            assert got.tobytes() == np.array(want[name]).tobytes()
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_nan_stays_nan(self, e):

@@ -169,6 +169,21 @@ class TestToy:
                 + 0.5 * np.exp(-2j * np.pi * k / 1000))
         np.testing.assert_allclose(A.diag(), want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("N", [32, 33, 4096, 100_000, 1_000_000])
+    def test_inverse_word_is_the_formula_bit_for_bit(self, N):
+        # w^-j is the conjugate of a cached w^j (and w^j of a cached w^-j);
+        # either must equal exp(2 pi i j k / N) as computed directly
+        model = build_diagonal_toy(N, decay_exponent=1)
+        k = np.arange(N)
+        for j in range(1, 6):
+            for first in (j, -j):
+                model._word_cache.clear()
+                model.realize_word((first,))
+                got = model.realize_word((-first,))
+                want = np.exp(2j * np.pi * -first * k / N)
+                assert got.tobytes() == want.tobytes()
+        model._word_cache.clear()
+
     def test_compress_is_the_identity_on_the_whole_basis(self, toy1000):
         A = toy1000.realize(toy1000.monomial((2,), coeff=1.5j))
         C = toy1000.compress(A)
