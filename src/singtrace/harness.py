@@ -54,6 +54,9 @@ class ConfigError(ValueError):
 
 
 _MODEL_KEYS = ("name", "N", "theta", "p", "buffer")
+# the optional model keys each builder reads
+_BUILDER_KEYS = {"circle": ("buffer",), "nc_torus": ("theta", "buffer"),
+                 "toy": ("p",)}
 
 
 @dataclass
@@ -92,16 +95,23 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(
                 f"unknown model keys {unknown}; known: {list(_MODEL_KEYS)}")
-        if self.model["name"] not in ("circle", "nc_torus", "toy"):
-            raise ConfigError(f"unknown model {self.model['name']!r}")
+        name = self.model["name"]
+        if name not in _BUILDER_KEYS:
+            raise ConfigError(f"unknown model {name!r}")
         N = self.model.get("N", 64)
         if not _integer(N):
             raise ConfigError(f"model N must be an integer, got {N!r}")
         for key in ("theta", "p", "buffer"):
             value = self.model.get(key)
+            if value is not None and key not in _BUILDER_KEYS[name]:
+                raise ConfigError(
+                    f"model {key} is not read by the {name} builder")
             if value is not None and not _finite_number(value):
                 raise ConfigError(
                     f"model {key} must be a finite number, got {value!r}")
+        p = self.model.get("p")
+        if p is not None and not (_integer(p) and p >= 1):
+            raise ConfigError(f"model p must be an integer >= 1, got {p!r}")
         # below 0 no word fits the buffer, and the working dim can shrink
         # below the default scheme's heat grid
         buffer = self.model.get("buffer")

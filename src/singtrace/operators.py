@@ -15,9 +15,10 @@ LAPACK, after an exact permutation split of the matrix into connected
 components of its nonzero pattern (a similarity transform, so eigenvalues
 are preserved exactly; the components are labelled by numpy alone, see
 :func:`_component_labels`).  Components of equal size are stacked into one
-(g, s, s) array and solved with one batched LAPACK call per size; functions
-of an operator are reassembled from the stacked eigenvectors in one COO
-build.
+(g, s, s) array and solved with one batched LAPACK call per size.  The
+functional calculus and the polar data take hermitian diagonal operators
+only: every model's D, |D| and F and every function of them are diagonal
+or built in closed form, so f(T) is f on the diagonal entries.
 """
 
 from __future__ import annotations
@@ -219,6 +220,8 @@ class Operator:
     def _detect_hermitian(self):
         if self._kind == "diag":
             d = self._data
+            if not d.imag.any():  # real, NaN entries included
+                return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
         a = self._data
@@ -249,7 +252,7 @@ class Operator:
         return sp.diags(self._data, format="csr", dtype=complex)
 
     def norm_bound(self):
-        """Cheap upper bound on the operator 2-norm."""
+        """Cheap upper bound on the operator 2-norm, exact for a diagonal."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
         a = self._data
@@ -257,22 +260,6 @@ class Operator:
         one = absa.sum(axis=0).max() if a.nnz else 0.0
         inf = absa.sum(axis=1).max() if a.nnz else 0.0
         return float(np.sqrt(one * inf))
-
-    def norm2(self):
-        """Operator 2-norm (largest singular value)."""
-        if self._kind == "diag":
-            return float(np.abs(self._data).max(initial=0.0))
-        if self._data.nnz == 0:
-            return 0.0
-        if self.dim <= 4096:
-            return float(np.linalg.norm(self._data.toarray(), 2))
-        from scipy.sparse.linalg import svds
-
-        try:
-            s = svds(self._data, k=1, return_singular_vectors=False)
-            return float(s[0])
-        except Exception:
-            return self.norm_bound()
 
     def adjoint(self):
         data = self._data.conj()
@@ -386,11 +373,10 @@ def _component_blocks(T):
     """Dense blocks of T on the connected components of its nonzero pattern.
 
     Components are grouped by size s, sizes in order of first appearance.
-    Each group is a pair ``(idx, blocks)``: ``idx`` is the (g, s) array of
-    basis indices of its g components (each row ascending, rows ordered by
-    first index) and ``blocks`` the zero-filled (g, s, s) complex array of
-    T's entries inside them, scattered from one COO view of T.  Below
-    ``_SPLIT_MIN_DIM`` the whole basis is one component.
+    Each group is the zero-filled (g, s, s) complex array of T's entries
+    inside its g components (rows and columns in ascending basis index,
+    components ordered by first index), scattered from one COO view of T.
+    Below ``_SPLIT_MIN_DIM`` the whole basis is one component.
     """
     n = T.dim
     coo = T.sparse().tocoo()
@@ -411,31 +397,23 @@ def _component_blocks(T):
     for s in uniq[np.argsort(first)]:
         comps = np.flatnonzero(sizes == s)
         slot[comps] = np.arange(comps.size)
-        idx = order[starts[comps][:, None] + np.arange(s)]
         mine = row_size == s
         flat = ((slot[row_label[mine]] * s + pos[coo.row[mine]]) * s
                 + pos[coo.col[mine]])
         blocks = np.zeros(comps.size * s * s, dtype=complex)
         np.add.at(blocks, flat, coo.data[mine])  # sums duplicates, like toarray
-        groups.append((idx, blocks.reshape(comps.size, s, s)))
+        groups.append(blocks.reshape(comps.size, s, s))
     return groups
 
 
-def _eig_all(T, herm):
-    """All eigenvalues of T (unordered), using the component split."""
-    if T.kind == "diag":
-        return T._data.real.astype(complex) if herm else T._data.copy()
-    if T._data.nnz == 0:
-        return np.zeros(T.dim, dtype=complex)
-    parts = []
+def _split_values(T, solve, single):
+    """Values of a sparse T, component group by component group: ``solve``
+    on each stacked (g, s, s) group and ``single`` on the g entries of the
+    size-1 components, concatenated.  A LAPACK failure is a
+    :class:`FactorizationError`."""
     try:
-        for _, blocks in _component_blocks(T):
-            if blocks.shape[1] == 1:
-                vals = blocks[:, 0, 0]
-                parts.append(vals.real.astype(complex) if herm else vals)
-            else:
-                eig = np.linalg.eigvalsh if herm else np.linalg.eigvals
-                parts.append(eig(blocks).ravel())
+        parts = [single(b[:, 0, 0]) if b.shape[1] == 1 else solve(b).ravel()
+                 for b in _component_blocks(T)]
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
     return np.concatenate(parts)
@@ -459,7 +437,16 @@ def eigenvalues(T):
     For a hermitian operator the imaginary parts are exactly zero (the
     hermitian LAPACK path is used).
     """
-    vals = _eig_all(T, herm=T.hermitian)
+    herm = T.hermitian
+    if T.kind == "diag":
+        vals = T._data.real.astype(complex) if herm else T._data.copy()
+    elif T._data.nnz == 0:
+        vals = np.zeros(T.dim, dtype=complex)
+    elif herm:
+        vals = _split_values(T, np.linalg.eigvalsh,
+                             lambda d: d.real.astype(complex))
+    else:
+        vals = _split_values(T, np.linalg.eigvals, lambda d: d)
     return Spectrum(canonical_order(vals), label=T.label)
 
 
@@ -470,117 +457,57 @@ def singular_values(T):
         return SingularSequence(mu, label=T.label)
     if T._data.nnz == 0:
         return SingularSequence(np.zeros(T.dim), label=T.label)
-    parts = []
-    try:
-        for _, blocks in _component_blocks(T):
-            if blocks.shape[1] == 1:
-                parts.append(np.abs(blocks[:, 0, 0]))
-            else:
-                parts.append(np.linalg.svd(blocks, compute_uv=False).ravel())
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
-    return SingularSequence(np.sort(np.concatenate(parts))[::-1], label=T.label)
+    mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
+    return SingularSequence(np.sort(mu)[::-1], label=T.label)
 
 
-def _require_hermitian(T, who):
-    if not T.hermitian:
-        raise ContractViolation(f"{who} requires a hermitian operator, got {T.label!r}")
-
-
-def _hermitian_eig(T):
-    """Eigen decomposition of a hermitian operator, grouped by component size.
-
-    Returns one (idx, w, v) triple per group of :func:`_component_blocks`:
-    basis indices (g, s), eigenvalues (g, s) and eigenvectors (g, s, s).  The
-    eigenvector factor is ``None`` where the eigenbasis is the standard one:
-    the diagonal backend (a single (N, 1) group) and components of size 1.
-    """
-    if T.kind == "diag":
-        return [(np.arange(T.dim)[:, None], T._data.real[:, None], None)]
-    out = []
-    try:
-        for idx, blocks in _component_blocks(T):
-            if idx.shape[1] == 1:
-                out.append((idx, blocks[:, :, 0].real, None))
-            else:
-                out.append((idx, *np.linalg.eigh(blocks)))
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
-    return out
-
-
-def _assemble(T, pieces, values):
-    """Data of sum_k f_k v_k v_k^* over the eigenpairs of T, one COO build.
-
-    ``values`` holds f on each group's eigenvalues, shaped like its ``w``;
-    each group of blocks costs one stacked product v diag(f) v^*.
-    """
-    if T.kind == "diag":
-        return values[0].ravel()
-    rows, cols, data = [], [], []
-    for (idx, _w, v), fw in zip(pieces, values):
-        if v is None:
-            rows.append(idx.ravel())
-            cols.append(idx.ravel())
-            data.append(fw.ravel())
-        else:
-            block = (v * fw[:, None, :]) @ v.conj().transpose(0, 2, 1)
-            rows.append(np.broadcast_to(idx[:, :, None], block.shape).ravel())
-            cols.append(np.broadcast_to(idx[:, None, :], block.shape).ravel())
-            data.append(block.ravel())
-    rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
-    return sp.csr_matrix((data, (rows, cols)), shape=(T.dim, T.dim))
+def _real_diagonal(T, who):
+    """The real diagonal entries of a hermitian diagonal T; any other T is a
+    :class:`ContractViolation`."""
+    if T.kind != "diag" or not T.hermitian:
+        raise ContractViolation(
+            f"{who} requires a hermitian diagonal operator, got {T.label!r}")
+    return T._data.real
 
 
 def _apply_scalar_function(f, w, label):
     # out-of-domain points surface as non-finite values, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            fw = np.asarray(f(w), dtype=complex)
-            if fw.shape != w.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            fw = np.array([complex(f(x)) for x in w.ravel()]).reshape(w.shape)
-        except ZeroDivisionError as exc:
-            raise DomainError(
-                f"function undefined on the spectrum of {label!r}: {exc}"
-            ) from exc
+        fw = np.asarray(f(w), dtype=complex)
+    if fw.shape != w.shape:
+        raise ContractViolation(
+            f"function on the spectrum of {label!r} returned shape "
+            f"{fw.shape}, not the spectrum's {w.shape}")
     bad = ~np.isfinite(fw)
-    if np.any(bad):
-        culprit = w.flat[np.argmax(bad)]
-        raise DomainError(
-            f"function undefined at eigenvalue {culprit!r} of operator {label!r}"
-        )
+    if bad.any():
+        raise DomainError(f"function undefined at eigenvalue "
+                          f"{w[np.argmax(bad)]!r} of operator {label!r}")
     return fw
 
 
 def hermitian_calculus(T, f, label=None):
-    """Apply a scalar function to a hermitian operator through its spectrum.
+    """f(T) for a hermitian diagonal T: ``f`` maps the real diagonal entries.
 
-    Eigenvectors are preserved; eigenvalues are mapped through ``f``.
-    Diagonal operators take an O(N) path.
+    ``f`` is vectorized: it takes the array of entries and returns an array
+    of the same shape.  Any other T, or a result of another shape, is a
+    :class:`ContractViolation`; a non-finite value is a :class:`DomainError`.
     """
-    _require_hermitian(T, "hermitian_calculus")
+    w = _real_diagonal(T, "hermitian_calculus")
     label = label if label is not None else f"f({T.label})"
-    pieces = _hermitian_eig(T)
-    values = [_apply_scalar_function(f, w, T.label) for _, w, _ in pieces]
-    return Operator(_assemble(T, pieces, values), label=label)
+    return Operator(_apply_scalar_function(f, w, T.label), label=label)
 
 
 def phase_modulus(D):
-    """Polar data (F, |D|) of a hermitian operator, with sign(0) := +1.
+    """Polar data (F, |D|) of a hermitian diagonal D, with sign(0) := +1.
 
-    F = E_D([0, inf)) - E_D((-inf, 0)) is a self-adjoint unitary with F^2 = 1
-    and F |D| = D; kernel vectors of D receive +1.
+    On the real diagonal d, F = where(d >= 0, 1, -1) and |D| = |d|, so F is
+    a self-adjoint unitary with F^2 = 1 and F |D| = D; kernel vectors of D
+    receive +1.  Any other D is a :class:`ContractViolation`.
     """
-    _require_hermitian(D, "phase_modulus")
-    pieces = _hermitian_eig(D)
-    signs = [np.where(w >= 0.0, 1.0, -1.0) for _, w, _ in pieces]
-    moduli = [np.abs(w) for _, w, _ in pieces]
-    F = Operator(_assemble(D, pieces, signs), label=f"phase({D.label})",
+    d = _real_diagonal(D, "phase_modulus")
+    F = Operator(np.where(d >= 0.0, 1.0, -1.0), label=f"phase({D.label})",
                  hermitian=True)
-    absD = Operator(_assemble(D, pieces, moduli), label=f"|{D.label}|",
-                    hermitian=True)
+    absD = Operator(np.abs(d), label=f"|{D.label}|", hermitian=True)
     return F, absD
 
 

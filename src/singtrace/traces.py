@@ -432,9 +432,12 @@ def modulated_comparison(A, V):
     """Gap between eigenvalue partial sums of AV and the spectral cutoff trace.
 
     d(n) = | sum_{k<=n} lambda(k, AV) - Tr(A V E_V[1/n, inf)) | stays O(1),
-    within 3 ||A||, on n = 8 .. N-1 when V is a psd diagonal with
-    harmonic-type decay.
+    within 3 ||A||, on n = 8 .. N-1 when A is diagonal (any other A is a
+    :class:`ContractViolation`) and V a psd diagonal of harmonic-type decay.
     """
+    if A.kind != "diag":
+        raise ContractViolation(
+            f"modulated_comparison requires a diagonal A, got {A.label!r}")
     v, a_diag = _psd_diagonal(A, V, "modulated_comparison")
     series = eigenvalue_partial_sums(A @ V, label=f"{A.label}*{V.label}")
     N = series.N
@@ -447,7 +450,7 @@ def modulated_comparison(A, V):
         m = int(np.searchsorted(-v_sorted, -1.0 / n, side="right"))
         cutoff = av_sorted[m - 1] if m > 0 else 0.0
         gaps[j] = abs(series.sums[n] - cutoff)
-    tol = 3.0 * A.norm2()
+    tol = 3.0 * A.norm_bound()  # the 2-norm of a diagonal
     sup = float(gaps.max())
     return {
         "sup_gap": sup,

@@ -505,7 +505,7 @@ def build_model(name, N, theta=None, p=None, buffer=None):
     if name == "nc_torus":
         return build_nc_torus(N, theta=theta, buffer=buffer)
     if name == "toy":
-        return build_diagonal_toy(N, decay_exponent=p or 1)
+        return build_diagonal_toy(N, decay_exponent=1 if p is None else p)
     raise ContractViolation(f"unknown model {name!r}")
 
 

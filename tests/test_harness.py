@@ -338,9 +338,21 @@ class TestCli:
         (["chern", "--model", "nc_torus", "--N", "16", "--theta", "nan"], None),
         (["model", "build", "--model", "nc_torus", "--N", "16",
           "--theta", "inf"], None),
+        (["model", "build", "--model", "toy", "--N", "64", "--p", "0"], None),
+        (["run"], {"name": "toy", "N": 1000, "p": -1}),
+        (["run"], {"name": "toy", "N": 1000, "p": 2.7}),
+        (["run"], {"name": "toy", "N": 1000, "p": 2.0}),
+        (["model", "build", "--model", "circle", "--N", "16", "--p", "3"],
+         None),
+        (["chern", "--model", "circle", "--N", "16", "--theta", "0.3"], None),
+        (["run"], {"name": "nc_torus", "N": 16, "p": 2}),
+        (["run"], {"name": "toy", "N": 1000, "theta": 0.3}),
+        (["run"], {"name": "toy", "N": 1000, "buffer": 4}),
     ], ids=["N-string", "N-bool", "N-float", "theta-inf", "p-string",
             "buffer-nan", "buffer-negative", "chern-theta-nan",
-            "model-build-theta-inf"])
+            "model-build-theta-inf", "model-build-toy-p-0", "toy-p-negative",
+            "toy-p-fraction", "toy-p-float", "model-build-circle-p",
+            "chern-circle-theta", "torus-p", "toy-theta", "toy-buffer"])
     def test_bad_model_parameter_is_a_config_error(
             self, argv, model, tmp_path, capsys):
         if model is not None:

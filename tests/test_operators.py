@@ -147,6 +147,13 @@ class TestSingularValues:
             singular_values(T).mu, np.sort(np.abs(d))[::-1], atol=1e-10)
 
 
+def real_diagonal(rng, n):
+    """A random real diagonal operator with a few exact zeros (ker D)."""
+    d = rng.standard_normal(n)
+    d[rng.choice(n, size=n // 4, replace=False)] = 0.0
+    return Operator(d)
+
+
 def indicator(lo, hi, closed_lo=True, closed_hi=True):
     """The spectral projection E_T[lo, hi] as a function for hermitian_calculus."""
     return lambda s: (((s >= lo) if closed_lo else (s > lo))
@@ -170,12 +177,10 @@ class TestSpectralProjection:
         assert P.norm_bound() == 0.0
 
     def test_idempotent_and_commutes(self):
-        rng = np.random.default_rng(7)
-        H = random_complex(rng, 20)
-        T = Operator(H + H.conj().T)
+        T = real_diagonal(np.random.default_rng(7), 20)
         P = hermitian_calculus(T, indicator(0.0, np.inf))
-        assert (P @ P - P).norm_bound() <= 1e-10
-        assert commutator(P, T).norm_bound() <= 1e-9
+        assert (P @ P - P).norm_bound() == 0.0
+        assert commutator(P, T).norm_bound() == 0.0
 
     def test_requires_hermitian(self):
         with pytest.raises(ContractViolation):
@@ -195,29 +200,43 @@ class TestHermitianCalculus:
         np.testing.assert_allclose(out.diag().real, (1 + k ** 2) ** -0.5)
 
     def test_indicator_reproduces_projection(self):
-        rng = np.random.default_rng(2)
-        H = random_complex(rng, 15)
-        T = Operator(H + H.conj().T)
+        T = real_diagonal(np.random.default_rng(2), 15)
         w, v = np.linalg.eigh(T.sparse().toarray())
         P1 = Operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
         P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float))
         assert (P1 - P2).norm_bound() <= 1e-10
 
     def test_identity_function_returns_input(self):
-        rng = np.random.default_rng(9)
-        H = random_complex(rng, 12)
-        T = Operator(H + H.conj().T)
+        T = real_diagonal(np.random.default_rng(9), 12)
         out = hermitian_calculus(T, lambda s: s)
-        assert (out - T).norm_bound() <= 1e-12 * (1 + T.norm_bound())
+        assert out.kind == "diag"
+        np.testing.assert_array_equal(out.diag(), T.diag())
 
     def test_eigenvalue_multiset_mapped(self):
-        rng = np.random.default_rng(13)
-        H = random_complex(rng, 18)
-        T = Operator(H + H.conj().T)
+        T = real_diagonal(np.random.default_rng(13), 18)
         f = lambda s: np.cos(s) + s ** 2
         got = np.sort(eigenvalues(hermitian_calculus(T, f)).values.real)
         want = np.sort(f(np.linalg.eigvalsh(T.sparse().toarray())))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("T", [
+        Operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        Operator(np.array([[1.0, 1j], [-1j, 2.0]])),
+    ], ids=["swap", "dense-hermitian"])
+    def test_non_diagonal_operator_is_a_contract_violation(self, T):
+        assert T.hermitian and T.kind == "sparse"
+        with pytest.raises(ContractViolation, match="hermitian diagonal"):
+            hermitian_calculus(T, np.exp)
+        with pytest.raises(ContractViolation, match="hermitian diagonal"):
+            phase_modulus(T)
+
+    @pytest.mark.parametrize("f", [lambda s: 1.0, np.sum,
+                                   lambda s: s[:, None]],
+                             ids=["constant", "reduction", "reshaped"])
+    def test_result_of_another_shape_is_a_contract_violation(self, f):
+        T = Operator(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ContractViolation, match="returned shape"):
+            hermitian_calculus(T, f)
 
     def test_domain_error_names_eigenvalue(self):
         T = Operator(np.array([0.0, 2.0]))
@@ -241,15 +260,15 @@ class TestPhaseModulus:
         np.testing.assert_allclose(F.diag().real, want)
 
     def test_polar_properties_dense(self):
-        rng = np.random.default_rng(21)
-        H = random_complex(rng, 25)
-        D = Operator(H + H.conj().T)
+        # a dense 2-d array that is exactly diagonal is a diagonal operator
+        d = real_diagonal(np.random.default_rng(21), 25).diag()
+        D = Operator(np.diag(d))
+        assert D.kind == "diag"
         F, absD = phase_modulus(D)
-        eye = identity(25)
-        assert (F @ F - eye).norm_bound() <= 1e-10
-        assert (F - F.adjoint()).norm_bound() <= 1e-10
-        assert (F @ absD - D).norm_bound() <= 1e-10
-        assert min(np.linalg.eigvalsh(absD.sparse().toarray())) >= -1e-10
+        assert (F @ F - identity(25)).norm_bound() == 0.0
+        assert (F - F.adjoint()).norm_bound() == 0.0
+        assert (F @ absD - D).norm_bound() == 0.0
+        assert min(np.linalg.eigvalsh(absD.sparse().toarray())) >= 0.0
 
 
 class TestAlgebra:
@@ -323,19 +342,17 @@ def test_singular_values_unitarily_invariant_property(seed, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 31))
-def test_phase_modulus_properties_property(seed):
-    rng = np.random.default_rng(seed)
-    H = random_complex(rng, 12)
-    D = Operator(H + H.conj().T)
+@given(seed=st.integers(0, 2 ** 31), n=st.integers(1, 40))
+def test_phase_modulus_properties_property(seed, n):
+    D = real_diagonal(np.random.default_rng(seed), n)
     F, absD = phase_modulus(D)
-    eye = identity(12)
-    scale = 1.0 + D.norm_bound()
-    assert (F @ F - eye).norm_bound() <= 1e-10 * scale
-    assert (F @ absD - D).norm_bound() <= 1e-10 * scale
+    assert F.kind == absD.kind == "diag"
+    np.testing.assert_array_equal((F @ F).diag(), np.ones(n))
+    np.testing.assert_array_equal((F @ absD).diag(), D.diag())
+    np.testing.assert_array_equal(F.diag()[D.diag() == 0], 1.0)
 
 
-def permuted_blocks(rng, backend, psd=False):
+def permuted_blocks(rng, backend):
     """Randomly permuted block-diagonal hermitian matrix, block sizes {1, 2, 3, 5}.
 
     Returns the operator on the given backend, its dense matrix and the
@@ -348,28 +365,15 @@ def permuted_blocks(rng, backend, psd=False):
     for start, size in zip(np.cumsum(sizes) - sizes, sizes):
         idx = np.sort(perm[start:start + size])
         h = random_complex(rng, size)
-        mat[np.ix_(idx, idx)] = h @ h.conj().T if psd else h + h.conj().T
+        mat[np.ix_(idx, idx)] = h + h.conj().T
         comps.append(idx)
     data = sp.csr_matrix(mat) if backend == "sparse" else mat
     return Operator(data), mat, comps
 
 
-def reference_calculus(mat, comps, f):
-    """f applied block by block with one dense eigh per component."""
-    out = np.zeros_like(mat)
-    for idx in comps:
-        w, v = np.linalg.eigh(mat[np.ix_(idx, idx)])
-        out[np.ix_(idx, idx)] = (v * f(w)[None, :]) @ v.conj().T
-    return out
-
-
 @pytest.mark.parametrize("backend", ["sparse", "dense"])
 class TestComponentSplitReference:
     """The grouped split against a plain loop over the known components."""
-
-    def assert_close(self, got, want):
-        gap = np.abs(got.sparse().toarray() - want).max()
-        assert gap <= 1e-14 * np.abs(want).max()
 
     def test_eigenvalues_exact(self, backend):
         T, mat, comps = permuted_blocks(np.random.default_rng(31), backend)
@@ -384,25 +388,6 @@ class TestComponentSplitReference:
                                              compute_uv=False) for idx in comps])
         np.testing.assert_array_equal(singular_values(T).mu,
                                       np.sort(want)[::-1])
-
-    def test_hermitian_calculus(self, backend):
-        T, mat, comps = permuted_blocks(np.random.default_rng(33), backend)
-        f = lambda s: np.cos(s) + s ** 2
-        self.assert_close(hermitian_calculus(T, f),
-                          reference_calculus(mat, comps, f))
-
-    def test_spectral_projection(self, backend):
-        T, mat, comps = permuted_blocks(np.random.default_rng(34), backend)
-        P = hermitian_calculus(T, indicator(0.0, np.inf, closed_lo=False))
-        self.assert_close(P, reference_calculus(mat, comps,
-                                                lambda s: (s > 0).astype(float)))
-
-    def test_phase_modulus(self, backend):
-        T, mat, comps = permuted_blocks(np.random.default_rng(35), backend)
-        F, absD = phase_modulus(T)
-        self.assert_close(F, reference_calculus(
-            mat, comps, lambda s: np.where(s >= 0, 1.0, -1.0)))
-        self.assert_close(absD, reference_calculus(mat, comps, np.abs))
 
 
 class TestFlags:
@@ -435,7 +420,6 @@ class TestFlags:
         Z = Operator(sp.csr_matrix((n, n), dtype=complex))
         np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
         np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
-        assert Z.norm2() == 0.0
 
     def test_dense_input_stored_as_csr(self):
         T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
@@ -481,13 +465,6 @@ class TestFlags:
         R = Z.restrict(np.arange(n) * (99 // n))
         assert R.kind == "sparse" and R.sparse().shape == (n, n)
         assert R.sparse().nnz == 0 and R.label == "Z"
-
-    def test_sparse_norm2_via_svds(self):
-        n = 5000
-        mat = sp.diags(np.ones(n - 1, dtype=complex), offsets=-1,
-                       shape=(n, n), format="csr")
-        T = Operator(2.5 * mat)
-        assert T.norm2() == pytest.approx(2.5, rel=1e-6)
 
 
 @st.composite

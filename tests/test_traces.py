@@ -98,7 +98,6 @@ class TestHeatFunctional:
         assert got.tobytes() == np.zeros(grid.size, dtype=complex).tobytes()
         v[17] = np.nan
         V = Operator(v)
-        V._hermitian = True  # a NaN fails the hermitian test itself
         assert np.all(np.isnan(heat_functional(A, V, 2.0, grid=grid).values))
 
     def test_finite_rank_gives_zero_slope(self):
@@ -534,6 +533,12 @@ class TestModulated:
         A = Operator(np.exp(2j * np.pi * rng.random(N)))
         rep = modulated_comparison(A, harmonic_op(N))
         assert rep["passed"]
+
+    def test_non_diagonal_A_is_rejected(self):
+        N = 512
+        A = Operator(sp.eye(N, k=1, format="csr"), label="shift")
+        with pytest.raises(ContractViolation, match="diagonal A"):
+            modulated_comparison(A, harmonic_op(N))
 
 
 class TestInputsLeftUnchanged:
