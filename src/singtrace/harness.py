@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import hochschild as hh
 from . import ideals, traces, triples
@@ -57,6 +56,9 @@ _MODEL_KEYS = ("name", "N", "theta", "p", "buffer")
 # the optional model keys each builder reads
 _BUILDER_KEYS = {"circle": ("buffer",), "nc_torus": ("theta", "buffer"),
                  "toy": ("p",)}
+# identity-suite realizes a * b for words a, b drawn with exponents in
+# [-2, 2], so its words reach 4 modes past the interior
+_IDENTITY_SUITE_BUFFER = 4
 
 
 @dataclass
@@ -127,6 +129,12 @@ class ExperimentConfig:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        # the default buffers (8 on the circle, 4 on the torus) are enough
+        if ("identity-suite" in self.checks and buffer is not None
+                and buffer < _IDENTITY_SUITE_BUFFER):
+            raise ConfigError(
+                f"identity-suite needs model buffer >= "
+                f"{_IDENTITY_SUITE_BUFFER}, got {buffer!r}")
         self._validate_scheme()
         if not _integer(self.seed) or self.seed < 0:
             raise ConfigError(
@@ -359,7 +367,6 @@ def _environment_stamp(config):
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
         "threads": os.environ.get("SINGTRACE_THREADS", ""),
         "seed": config.seed,
@@ -410,7 +417,6 @@ class _Context:
         self.config = config
         self.model = config.build_model()
         self.chain = _load_chain(self.model, config.chain)
-        self.rng = np.random.default_rng(config.seed)
         sch = dict(config.scheme)
         self.scheme = traces.ExtendedLimitScheme(**sch) if sch else \
             traces.ExtendedLimitScheme()
@@ -432,6 +438,11 @@ class _Context:
         stamp = (config.digest() + self.model.model_id
                  + json.dumps(sorted(map(str, self.chain.terms.items()))))
         self.inputs_digest = hashlib.sha256(stamp.encode()).hexdigest()[:16]
+
+    def rng(self):
+        """A generator of its own for each check that draws, seeded by the
+        config, so a check's inputs do not depend on the pool's schedule."""
+        return np.random.default_rng(self.config.seed)
 
     def tolerance(self, key, default):
         """The config's value for ``key`` as a float, else ``default``."""
@@ -524,7 +535,7 @@ def _check_reduce(ctx):
 
 
 def _check_identity_suite(ctx):
-    model, rng = ctx.model, ctx.rng
+    model, rng = ctx.model, ctx.rng()
     tol = ctx.tolerance("identity", 1e-10)
     sub = {}
     c = ctx.chain
@@ -683,7 +694,7 @@ def _check_concordance(ctx):
 def _check_modulated(ctx):
     N = min(ctx.model.N, 4096)
     V = _harmonic_operator(N)
-    phases = np.exp(2j * np.pi * ctx.rng.random(N))
+    phases = np.exp(2j * np.pi * ctx.rng().random(N))
     A = Operator(phases, label="random phases")
     rep = traces.modulated_comparison(A, V)
     return CheckRecord("modulated", passed=rep["passed"],

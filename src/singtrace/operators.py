@@ -1,24 +1,31 @@
-"""Diagonal/sparse complex operator core.
+"""Diagonal and weighted-shift complex operator core.
 
 Everything downstream (ideal diagnostics, trace estimators, spectral-triple
 models) works with the :class:`Operator` wrapper defined here.  An operator
 stores its matrix in one of two backends:
 
 * ``diag``   -- 1-d array of diagonal entries (fast path, scales to 1e6),
-* ``sparse`` -- scipy CSR (used by the truncated triple realizations, for
-  any 2-d array input that is not exactly diagonal, and for an exact zero,
-  which is stored as an empty CSR matrix).
+* ``sparse`` -- a short list of weighted-shift layers, each with at most one
+  entry per row (see the layer section below).  The models' algebras are
+  crossed products: every word, commutator and chain product is a shift
+  times a diagonal weight (times the spinor swap), so it is one layer, and
+  a chain whose terms shift by different amounts is a sum of a few.  An
+  exact zero has no layer.
 
 Both behave identically under the algebraic operations; the backend is an
-optimisation detail, never a semantic one.  Spectra are computed with
-LAPACK, after an exact permutation split of the matrix into connected
-components of its nonzero pattern (a similarity transform, so eigenvalues
-are preserved exactly; the components are labelled by numpy alone, see
-:func:`_component_labels`).  Components of equal size are stacked into one
-(g, s, s) array and solved with one batched LAPACK call per size.  The
-functional calculus and the polar data take hermitian diagonal operators
-only: every model's D, |D| and F and every function of them are diagonal
-or built in closed form, so f(T) is f on the diagonal entries.
+optimisation detail, never a semantic one.  Products are gathers, sums
+merge layers, and entries that cancel to exactly 0 leave the layers, so an
+exact zero stays an exact, empty operator.  The package needs numpy only:
+:meth:`Operator.sparse` imports scipy, for tests that use it as an oracle.
+Spectra are computed with LAPACK, after an exact permutation split of the
+matrix into connected components of its nonzero pattern (a similarity
+transform, so eigenvalues are preserved exactly; the components are
+labelled by numpy alone, see :func:`_component_labels`).  Components of
+equal size are stacked into one (g, s, s) array and solved with one
+batched LAPACK call per size.  The functional calculus and the polar data
+take hermitian diagonal operators only: every model's D, |D| and F and
+every function of them are diagonal or built in closed form, so f(T) is f
+on the diagonal entries.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Operator",
@@ -44,6 +50,7 @@ __all__ = [
     "anticommutator",
     "canonical_order",
     "identity",
+    "weighted_shift",
 ]
 
 HERMITIAN_RTOL = 1e-12
@@ -161,13 +168,17 @@ class Operator:
 
     Parameters
     ----------
-    data : array_like or scipy sparse matrix
-        1-d array (interpreted as a diagonal), 2-d square array, or sparse
-        matrix.  A 2-d array is stored as CSR; an exactly diagonal matrix,
-        dense or sparse, is stored as its diagonal, unless it has no nonzero
-        entry: an exact zero stays an empty CSR matrix.  A complex 1-d array,
-        like a complex CSR matrix without explicit zeros, is wrapped without
-        a copy, so it must not be modified afterwards.
+    data : array_like, sparse matrix or Operator
+        1-d array (interpreted as a diagonal), 2-d square array, any sparse
+        matrix object with a ``tocoo()`` method (a scipy matrix, read
+        without importing scipy), or an Operator, whose matrix is shared.
+        A 2-d or sparse input is split into row-rank layers (layer r holds
+        the r-th entry of every row, in column order), after duplicate
+        entries are summed and exact zeros dropped.  An exactly diagonal
+        matrix, dense or sparse, is stored as its diagonal, unless it has no
+        nonzero entry: an exact zero is a ``sparse`` operator with no layer.
+        A complex 1-d array is wrapped without a copy, so it must not be
+        modified afterwards.
     label : str
         Human-readable tag used in error messages and reports.
     hermitian : bool or None
@@ -176,35 +187,47 @@ class Operator:
         :class:`ContractViolation` when the matrix is not hermitian.
     """
 
-    __slots__ = ("_kind", "_data", "label", "_hermitian")
+    __slots__ = ("_kind", "_data", "_dim", "label", "_hermitian")
 
     def __init__(self, data, label="", hermitian=None):
-        if not sp.issparse(data):
-            data = np.asarray(data)
-            if data.ndim == 2:
-                data = sp.csr_matrix(data)
-            elif data.ndim != 1:
-                raise ContractViolation("operator data must be 1-d or 2-d")
-        if data.ndim == 1:
-            self._kind, self._data = "diag", data.astype(complex, copy=False)
+        if isinstance(data, Operator):
+            self._kind, self._data, self._dim = data._kind, data._data, data._dim
+        elif hasattr(data, "tocoo"):  # a sparse matrix
+            coo = data.tocoo()
+            self._from_entries(coo.shape, coo.row, coo.col, coo.data, label)
         else:
-            mat = data.tocsr().astype(complex, copy=False)
-            if not mat.data.all():
-                mat = mat.copy()
-                mat.eliminate_zeros()
-            if mat.shape[0] != mat.shape[1]:
-                raise ContractViolation(f"operator {label!r} is not square")
-            diag = mat.diagonal() if mat.nnz else None
-            if mat.nnz and mat.nnz == np.count_nonzero(diag):
-                self._kind, self._data = "diag", diag
+            data = np.asarray(data)
+            if data.ndim == 1:
+                self._kind, self._data = "diag", data.astype(complex, copy=False)
+                self._dim = data.size
+            elif data.ndim == 2:
+                index = np.nonzero(data)
+                self._from_entries(data.shape, *index, data[index], label)
             else:
-                self._kind, self._data = "sparse", mat
+                raise ContractViolation("operator data must be 1-d or 2-d")
         self.label = label
         if hermitian and not self._detect_hermitian():
             raise ContractViolation(
                 f"operator {label!r} flagged hermitian but is not (to 1e-12 relative)"
             )
         self._hermitian = None if hermitian is None else bool(hermitian)
+
+    def _from_entries(self, shape, row, col, val, label):
+        if shape[0] != shape[1]:
+            raise ContractViolation(f"operator {label!r} is not square")
+        self._assign(shape[0], _layers_from_entries(shape[0], row, col, val))
+
+    def _assign(self, n, layers):
+        """Store ``layers`` (already pruned) on dim n: one layer whose every
+        entry is diagonal becomes a ``diag`` operator."""
+        self._dim = n
+        if len(layers) == 1:
+            col, val = layers[0]
+            if not ((col != np.arange(n + 1)) & (col != n)).any():
+                # + 0 clears a negative zero, as summing into 0 would
+                self._kind, self._data = "diag", val[:n] + 0
+                return
+        self._kind, self._data = "sparse", tuple(layers)
 
     @property
     def hermitian(self):
@@ -224,17 +247,17 @@ class Operator:
                 return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
-        a = self._data
-        gap = a - a.conj().T
-        scale = 1.0 + (np.abs(a.data).max() if a.nnz else 0.0)
-        top = np.abs(gap.data).max() if gap.nnz else 0.0
+        n, layers = self._dim, self._data
+        scale = 1.0 + max((np.abs(v).max() for _, v in layers), default=0.0)
+        gap = _merge(n, [*layers, *((c, -v) for c, v in _adjoint(n, layers))])
+        top = max((np.abs(v).max() for _, v in gap), default=0.0)
         return bool(top <= HERMITIAN_RTOL * scale)
 
     # -- basic interface -------------------------------------------------------
 
     @property
     def dim(self):
-        return self._data.shape[0] if self._kind != "diag" else self._data.size
+        return self._dim
 
     @property
     def kind(self):
@@ -244,48 +267,63 @@ class Operator:
         """Diagonal entries (the full data for diagonal operators)."""
         if self._kind == "diag":
             return self._data
-        return self._data.diagonal()
+        n = self._dim
+        d = np.zeros(n, dtype=complex)
+        for col, val in self._data:
+            d += np.where(col[:n] == np.arange(n), val[:n], 0)
+        return d
 
     def sparse(self):
-        if self._kind == "sparse":
-            return self._data
-        return sp.diags(self._data, format="csr", dtype=complex)
+        """The matrix as a scipy CSR matrix; scipy is imported here only."""
+        import scipy.sparse as sp
+
+        if self._kind == "diag":
+            return sp.diags(self._data, format="csr", dtype=complex)
+        n = self._dim
+        row, col, val = _entries(n, self._data)
+        return sp.csr_matrix((val, (row, col)), shape=(n, n), dtype=complex)
 
     def norm_bound(self):
-        """Cheap upper bound on the operator 2-norm, exact for a diagonal."""
+        """Cheap upper bound on the operator 2-norm, exact for a diagonal:
+        sqrt(max column sum * max row sum) of the entries' moduli."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
-        a = self._data
-        absa = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-        one = absa.sum(axis=0).max() if a.nnz else 0.0
-        inf = absa.sum(axis=1).max() if a.nnz else 0.0
-        return float(np.sqrt(one * inf))
+        n, layers = self._dim, self._data
+        if not layers:
+            return 0.0
+        rows, cols = 0.0, 0.0
+        for col, val in layers:
+            size = np.abs(val)
+            rows = rows + size
+            cols = cols + np.bincount(col, weights=size, minlength=n + 1)
+        return float(np.sqrt(cols[:n].max() * rows[:n].max()))
 
     def adjoint(self):
-        data = self._data.conj()
-        out = Operator(data if self._kind == "diag" else data.T.tocsr(),
-                       label=f"{self.label}*")
+        if self._kind == "diag":
+            out = Operator(self._data.conj(), label=f"{self.label}*")
+        else:
+            out = _layered(self._dim, _adjoint(self._dim, self._data),
+                           f"{self.label}*")
         out._hermitian = self._hermitian
         return out
 
     def relabel(self, label):
         out = Operator.__new__(Operator)
-        out._kind, out._data = self._kind, self._data
+        out._kind, out._data, out._dim = self._kind, self._data, self._dim
         out.label, out._hermitian = label, self._hermitian
         return out
 
     def restrict(self, indices):
-        """Compression P T P* onto the given basis indices (in order).
-
-        An exact zero (an empty CSR matrix) restricts to the empty CSR
-        matrix of the new size without indexing."""
+        """Compression P T P* onto the given distinct basis indices (in order)."""
         indices = np.asarray(indices)
         if self._kind == "diag":
             return Operator(self._data[indices], label=self.label)
-        if self._data.nnz == 0:
-            n = indices.size
-            return Operator(sp.csr_matrix((n, n), dtype=complex), label=self.label)
-        return Operator(self._data[indices][:, indices], label=self.label)
+        n, m = self._dim, indices.size
+        where = np.full(n + 1, m)  # new index of each old one; m if dropped
+        where[indices] = np.arange(m)
+        layers = [_prune(m, np.append(where[col[indices]], m),
+                         np.append(val[indices], 0)) for col, val in self._data]
+        return _layered(m, layers, self.label)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -296,18 +334,31 @@ class Operator:
                 f"{other.label!r} is {other.dim}"
             )
 
+    def _layers(self):
+        """The layers of this operator; a diagonal is one layer."""
+        if self._kind == "sparse":
+            return self._data
+        d, n = self._data, self._dim
+        col = np.arange(n + 1)
+        col[:n][d == 0] = n
+        return ((col, np.append(d, 0)),)
+
     def __matmul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
         self._check_dims(other)
-        a, b = self, other
+        a, b, n = self, other, self._dim
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data * b._data)
-        if a._kind == "diag":
-            return Operator(sp.csr_matrix(b._data.multiply(a._data[:, None])))
-        if b._kind == "diag":
-            return Operator(sp.csr_matrix(a._data.multiply(b._data[None, :])))
-        return Operator(a._data @ b._data)
+        if a._kind == "diag":  # row i scaled by a_i
+            layers = [_prune(n, col, np.append(val[:n] * a._data, 0))
+                      for col, val in b._data]
+        elif b._kind == "diag":  # column j scaled by b_j
+            layers = [_prune(n, col, val * b._data.take(col, mode="clip"))
+                      for col, val in a._data]
+        else:
+            layers = _product(n, a._data, b._data)
+        return _layered(n, layers)
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -316,16 +367,19 @@ class Operator:
         a, b = self, other
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data + b._data)
-        return Operator(a.sparse() + b.sparse())
+        return _layered(a._dim, _merge(a._dim, [*a._layers(), *b._layers()]))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        return Operator(self._data * scalar, label=self.label)
+        if self._kind == "diag":
+            return Operator(self._data * scalar, label=self.label)
+        n = self._dim
+        layers = [_prune(n, col, val * scalar) for col, val in self._data]
+        return _layered(n, layers, self.label)
 
-    def __mul__(self, scalar):
-        return Operator(self._data * scalar, label=self.label)
+    __mul__ = __rmul__
 
     def __neg__(self):
         return (-1.0) * self
@@ -339,6 +393,180 @@ class Operator:
 
 def identity(dim):
     return Operator(np.ones(dim, dtype=complex), label="1")
+
+
+def weighted_shift(col, val, label):
+    """The operator whose row i holds ``val[i]`` in column ``col[i]``.
+
+    ``col[i] == len(col)`` marks an empty row, as does ``val[i] == 0``.  One
+    such layer is every shift, diagonal weight and spinor swap the models
+    build; one whose entries are all diagonal is a ``diag`` operator.
+    """
+    col = np.asarray(col)
+    n = col.size
+    if (col.ndim != 1 or np.shape(val) != col.shape
+            or not np.issubdtype(col.dtype, np.integer)
+            or (n and not 0 <= col.min() <= col.max() <= n)):
+        raise ContractViolation(
+            f"weighted shift {label!r} needs one column in [0, {n}] and one "
+            f"value per row")
+    layer = _prune(n, np.append(col, n).astype(np.intp, copy=False),
+                   np.append(np.asarray(val, dtype=complex), 0))
+    return _layered(n, [layer], label)
+
+
+# -- weighted-shift layers -----------------------------------------------------
+#
+# A layer on dim n is a pair (col, val) of arrays of length n + 1: row i
+# holds val[i] in column col[i], and col[i] == n marks an empty row, whose
+# val[i] is exactly 0.  Row n is always empty, so a gather through col never
+# leaves the array.  An operator is the sum of its layers, no two of which
+# hold an entry at the same position, and no entry is exactly 0.  Products,
+# sums and the one-step commutator do the complex arithmetic of scipy's CSR
+# product and sum, entry for entry and in the same order, so on the models
+# every result equals scipy's bit for bit (tests/test_weighted_shifts.py).
+
+
+def _layered(n, layers, label=""):
+    """The operator with the given pruned layers on dim n (a layer that
+    pruned to nothing, None, is left out)."""
+    out = Operator.__new__(Operator)
+    out._assign(n, [layer for layer in layers if layer is not None])
+    out.label, out._hermitian = label, None
+    return out
+
+
+def _prune(n, col, val):
+    """The layer (col, val) with its exact zeros made empty rows, or None
+    when no entry is left.  ``val`` is modified in place; ``col`` is not."""
+    empty = col == n
+    dead = val == 0
+    dead |= empty
+    count = np.count_nonzero(dead)
+    if count == n + 1:
+        return None
+    if count != np.count_nonzero(empty):
+        col = np.where(dead, n, col)
+    np.copyto(val, 0, where=dead)
+    return col, val
+
+
+def _cmul(a, b):
+    """0 + a * b entrywise, with the real part ar br - ai bi and the
+    imaginary part ar bi + ai br each rounded step by step, as a compiled
+    sparse product accumulates it (numpy's complex multiply may fuse)."""
+    out = np.empty(a.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(a.real, b.real, out=re)
+    part = a.imag * b.imag
+    re -= part
+    np.multiply(a.real, b.imag, out=im)
+    np.multiply(a.imag, b.real, out=part)
+    im += part
+    out += 0  # clears a negative zero
+    return out
+
+
+def _product(n, left, right):
+    """Pruned layers of (sum of ``left``) @ (sum of ``right``): one pair of
+    gathers per pair of layers, C.col = B.col[A.col] and
+    C.val = A.val * B.val[A.col], then merged."""
+    pairs = [(bc[ac], _cmul(av, bv[ac])) for ac, av in left for bc, bv in right]
+    return [_prune(n, *pairs[0])] if len(pairs) == 1 else _merge(n, pairs)
+
+
+def _merge(n, layers):
+    """Pruned sum of ``layers``, with no two layers holding one position.
+
+    A layer joins the first group whose columns agree with its own wherever
+    both have an entry; its entries at a position that another group holds
+    go to that group.  A group's values are added in order (a lone layer's
+    plus 0, which clears a negative zero as adding an absent entry would).
+    """
+    held = np.full((len(layers), n + 1), n)  # the columns of each group
+    groups = []  # the values added into each group
+    for col, val in layers:
+        g = len(groups)
+        live = col != n
+        same = (held[:g] == col) & live
+        fits = ~((held[:g] != n) & live & ~same).any(axis=1)
+        home = int(np.argmax(fits)) if fits.any() else g
+        for k in np.flatnonzero(same.any(axis=1)):
+            if k != home:
+                groups[k].append(np.where(same[k], val, 0))
+                col, val = np.where(same[k], n, col), np.where(same[k], 0, val)
+        if home == g:
+            groups.append([])
+        groups[home].append(val)
+        np.copyto(held[home], col, where=held[home] == n)
+    out = []
+    for col, vals in zip(held, groups):
+        total = vals[0] + (vals[1] if len(vals) > 1 else 0)
+        for val in vals[2:]:
+            total += val
+        out.append(_prune(n, col.copy(), total))
+    return [layer for layer in out if layer is not None]
+
+
+def _entries(n, layers):
+    """(row, col, val) of every entry, layer by layer."""
+    parts = []
+    for col, val in layers:
+        row = np.flatnonzero(col[:n] != n)
+        parts.append((row, col[row], val[row]))
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                np.zeros(0, dtype=complex))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _layers_from_entries(n, row, col, val):
+    """Row-rank layers of general entries: duplicates are summed, exact
+    zeros dropped, and layer r holds the r-th entry of each row in column
+    order."""
+    row = np.asarray(row, dtype=np.intp)
+    key = row * n + np.asarray(col, dtype=np.intp)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], np.asarray(val, dtype=complex)[order]
+    if key.size:
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        if first.size < key.size:
+            key, val = key[first], np.add.reduceat(val, first)
+    keep = val != 0
+    key, val = key[keep], val[keep]
+    row, col = np.divmod(key, n) if n else (key, key)
+    rank = np.arange(key.size) - np.searchsorted(row, row)
+    layers = []
+    for r in range(rank.max() + 1 if rank.size else 0):
+        mine = rank == r
+        layer_col = np.full(n + 1, n)
+        layer_val = np.zeros(n + 1, dtype=complex)
+        layer_col[row[mine]] = col[mine]
+        layer_val[row[mine]] = val[mine]
+        layers.append((layer_col, layer_val))
+    return layers
+
+
+def _adjoint(n, layers):
+    """Layers of the adjoint: a layer with distinct columns transposes to
+    one layer by a scatter; the others go through their entries."""
+    out, rest = [], []
+    for col, val in layers:
+        row = np.flatnonzero(col[:n] != n)
+        if np.bincount(col[row], minlength=1).max() <= 1:
+            new_col = np.full(n + 1, n)
+            new_val = np.zeros(n + 1, dtype=complex)
+            new_col[col[row]] = row
+            new_val[col[row]] = np.conj(val[row])
+            out.append((new_col, new_val))
+        else:
+            rest.append((col, val))
+    if rest:
+        row, col, val = _entries(n, rest)
+        out += _layers_from_entries(n, col, row, np.conj(val))
+    return out
 
 
 # -- block-split eigen engine --------------------------------------------------
@@ -375,21 +603,21 @@ def _component_blocks(T):
     Components are grouped by size s, sizes in order of first appearance.
     Each group is the zero-filled (g, s, s) complex array of T's entries
     inside its g components (rows and columns in ascending basis index,
-    components ordered by first index), scattered from one COO view of T.
+    components ordered by first index), scattered from T's layer entries.
     Below ``_SPLIT_MIN_DIM`` the whole basis is one component.
     """
     n = T.dim
-    coo = T.sparse().tocoo()
+    rows, cols, vals = _entries(n, T._data)
     if n < _SPLIT_MIN_DIM:
         labels = np.zeros(n, dtype=np.intp)
     else:
-        labels = _component_labels(n, coo.row, coo.col)
+        labels = _component_labels(n, rows, cols)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
     pos = np.empty(n, dtype=np.intp)  # place of each index inside its component
     pos[order] = np.arange(n) - np.repeat(starts, sizes)
-    row_label = labels[coo.row]
+    row_label = labels[rows]
     row_size = sizes[row_label]
     slot = np.empty(sizes.size, dtype=np.intp)
     uniq, first = np.unique(sizes, return_index=True)
@@ -398,10 +626,10 @@ def _component_blocks(T):
         comps = np.flatnonzero(sizes == s)
         slot[comps] = np.arange(comps.size)
         mine = row_size == s
-        flat = ((slot[row_label[mine]] * s + pos[coo.row[mine]]) * s
-                + pos[coo.col[mine]])
+        flat = ((slot[row_label[mine]] * s + pos[rows[mine]]) * s
+                + pos[cols[mine]])
         blocks = np.zeros(comps.size * s * s, dtype=complex)
-        np.add.at(blocks, flat, coo.data[mine])  # sums duplicates, like toarray
+        np.add.at(blocks, flat, vals[mine])  # sums entries at one position
         groups.append(blocks.reshape(comps.size, s, s))
     return groups
 
@@ -440,7 +668,7 @@ def eigenvalues(T):
     herm = T.hermitian
     if T.kind == "diag":
         vals = T._data.real.astype(complex) if herm else T._data.copy()
-    elif T._data.nnz == 0:
+    elif not T._data:
         vals = np.zeros(T.dim, dtype=complex)
     elif herm:
         vals = _split_values(T, np.linalg.eigvalsh,
@@ -455,7 +683,7 @@ def singular_values(T):
     if T.kind == "diag":
         mu = np.sort(np.abs(T._data))[::-1]
         return SingularSequence(mu, label=T.label)
-    if T._data.nnz == 0:
+    if not T._data:
         return SingularSequence(np.zeros(T.dim), label=T.label)
     mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
     return SingularSequence(np.sort(mu)[::-1], label=T.label)
@@ -514,25 +742,30 @@ def phase_modulus(D):
 def commutator(A, B):
     """[A, B] = AB - BA.
 
-    Two diagonal factors commute, so their commutator is the exact zero,
-    returned as an empty sparse operator.  With one factor diagonal and the
-    other sparse, the entries (a_i - a_j) b_ij are formed on the sparse
-    factor's pattern in one step.
+    Two diagonal factors commute, so their commutator is the exact zero, an
+    operator with no layer.  With one factor diagonal (entries a) and the
+    other layered, each layer's entries b_ij become (a_i - a_j) b_ij in one
+    step.
     """
     if A.kind == "diag" and B.kind == "diag":
         A._check_dims(B)
-        return Operator(sp.csr_matrix((A.dim, A.dim), dtype=complex))
+        return _layered(A.dim, [])
     if {A.kind, B.kind} != {"diag", "sparse"}:
         return (A @ B) - (B @ A)
     A._check_dims(B)
-    m = (B if A.kind == "diag" else A)._data
-    row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    if A.kind == "diag":
-        data = m.data * A._data[row] - m.data * A._data[m.indices]
-    else:
-        data = m.data * B._data[m.indices] - m.data * B._data[row]
-    return Operator(sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()),
-                                  shape=m.shape))
+    n = A.dim
+    a = (A if A.kind == "diag" else B)._data
+    layers = []
+    for col, val in (B if A.kind == "diag" else A)._data:
+        at_row = val[:n] * a
+        at_col = val[:n] * a.take(col[:n], mode="clip")
+        out = np.zeros(n + 1, dtype=complex)
+        if A.kind == "diag":
+            np.subtract(at_row, at_col, out=out[:n])
+        else:
+            np.subtract(at_col, at_row, out=out[:n])
+        layers.append(_prune(n, col, out))
+    return _layered(n, layers)
 
 
 def anticommutator(A, B):

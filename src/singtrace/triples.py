@@ -13,10 +13,10 @@ Three concrete models are provided:
 
 Algebra elements are kept symbolic: finitely supported combinations of
 lattice words, with twist phases tracked as exact integer powers of lam.
-Realization maps a word to a sparse shift matrix on the working dimension
-N + B per axis (a toy word to its diagonal, as a 1-d array); spectral
-statistics are read only from the compressed interior (modes up to N),
-which keeps shift-truncation artifacts out of the asymptotics.
+Realization maps a word to a weighted shift Operator on the working
+dimension N + B per axis (a toy word to its diagonal, as a 1-d array);
+spectral statistics are read only from the compressed interior (modes up
+to N), which keeps shift-truncation artifacts out of the asymptotics.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import threading
 from concurrent.futures import Future
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ideals import decay_exponent, ideal_diagnostics, quasi_norm_pinf
 from .operators import (
@@ -38,6 +37,7 @@ from .operators import (
     identity,
     phase_modulus,
     singular_values,
+    weighted_shift,
 )
 
 __all__ = [
@@ -262,10 +262,10 @@ class SpectralTripleModel:
         return self.derived((kind, word), build)
 
     def realize(self, a):
-        """Realize an algebra element as a (sparse) working-dimension Operator."""
+        """Realize an algebra element as a working-dimension Operator."""
         if a.is_zero():
-            mat = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-            return Operator(mat, label="0")
+            return weighted_shift(np.full(self.dim, self.dim),
+                                  np.zeros(self.dim), "0")
         acc = None
         for (word, m), coeff in sorted(a.terms.items()):
             piece = self.realize_word(word) * (coeff * self.eval_phase(m))
@@ -334,12 +334,11 @@ class _CircleModel(SpectralTripleModel):
         return {"u": self.monomial((1,))}
 
     def _realize_word(self, word):
-        k = word[0]
+        # u^k: row i holds 1 in column i - k
         M = self.dim
-        if abs(k) >= M:
-            return sp.csr_matrix((M, M), dtype=complex)
-        return sp.diags(np.ones(M - abs(k), dtype=complex), offsets=-k,
-                        shape=(M, M), format="csr")
+        col = np.arange(M) - word[0]
+        inside = (col >= 0) & (col < M)
+        return weighted_shift(np.where(inside, col, M), inside, "")
 
 
 class _ToyModel(SpectralTripleModel):
@@ -389,28 +388,23 @@ class _TorusModel(SpectralTripleModel):
     def generators(self):
         return {"U": self.monomial((1, 0)), "V": self.monomial((0, 1))}
 
-    def _lattice_shift(self, a, b):
-        """U^a V^b on the lattice factor: e_n -> exp(2 pi i theta b n1) e_{n+(a,b)}."""
-        R = self.N + self.B
-        L = 2 * R + 1
-        n1 = np.arange(max(-R, -R - a), min(R, R - a) + 1)
-        n2 = np.arange(max(-R, -R - b), min(R, R - b) + 1)
-        if n1.size == 0 or n2.size == 0:
-            return sp.csr_matrix((L * L, L * L), dtype=complex)
-        src1, src2 = np.meshgrid(n1, n2, indexing="ij")
-        src = (src1 + R) * L + (src2 + R)
-        dst = (src1 + a + R) * L + (src2 + b + R)
-        phase = np.exp(2j * np.pi * self.theta * b * src1)
-        return sp.csr_matrix(
-            (phase.ravel(), (dst.ravel(), src.ravel())),
-            shape=(L * L, L * L),
-        )
-
     def _realize_word(self, word):
+        """U^a V^b on both spinor halves:
+        e_n -> exp(2 pi i theta b n1) e_{n+(a,b)}."""
         a, b = word
-        lat = self._lattice_shift(a, b)
-        return sp.kron(sp.identity(2, dtype=complex, format="csr"), lat,
-                       format="csr")
+        R = self.N + self.B
+        n1, n2 = self.lattice  # each row's lattice point, the target
+        inside = (np.abs(n1 - a) <= R) & (np.abs(n2 - b) <= R)
+        half = n1.size
+        col = np.where(inside, np.arange(half) - a * (2 * R + 1) - b, 2 * half)
+        # the phase of each source column n1 - a, times the (1+0j) of the
+        # spinor identity factor
+        phase = np.ones(2 * R + 1, dtype=complex) * np.exp(
+            2j * np.pi * self.theta * b * np.arange(-R, R + 1))
+        val = np.where(inside, phase[np.clip(n1 - a + R, 0, 2 * R)], 0)
+        lower = np.where(inside, col + half, col)
+        return weighted_shift(np.concatenate([col, lower]),
+                              np.concatenate([val, val]), "")
 
 
 def build_circle(N, buffer=None):
@@ -432,10 +426,11 @@ def build_circle(N, buffer=None):
     return model
 
 
-def _spinor_offdiag(x):
+def _spinor_offdiag(x, label):
     """The operator [[0, diag(x)], [diag(x)*, 0]] on the two spinor halves."""
-    X = sp.diags(x.astype(complex), format="csr")
-    return sp.bmat([[None, X], [X.conj().T, None]], format="csr")
+    half = np.arange(x.size)
+    return weighted_shift(np.concatenate([half + x.size, half]),
+                          np.concatenate([x, np.conj(x)]), label)
 
 
 def build_nc_torus(N, theta=None, buffer=None):
@@ -452,7 +447,7 @@ def build_nc_torus(N, theta=None, buffer=None):
     model.dim = 2 * L * L
     model.lattice = (n1, n2)
     w = 1j * n1 - n2  # upper spinor block of D: d1 + i*d2 with d_j = diag(i n_j)
-    model.D = Operator(_spinor_offdiag(w), label="D", hermitian=True)
+    model.D = _spinor_offdiag(w, "D")
     # polar data in closed form: |D| = diag(|w|, |w|) and F = offdiag(w/|w|).
     # On ker D, F|D| = D leaves the phase free; the spinor swap (w/|w| := 1)
     # keeps {Gamma, F} = 0 exact, which the character identities need.
@@ -461,7 +456,7 @@ def build_nc_torus(N, theta=None, buffer=None):
                           hermitian=True)
     unit = np.divide(w, modulus, out=np.ones(w.size, dtype=complex),
                      where=modulus > 0)
-    model.F = Operator(_spinor_offdiag(unit), label="F", hermitian=True)
+    model.F = _spinor_offdiag(unit, "F")
     gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)]).astype(complex)
     model.Gamma = Operator(gamma, label="Gamma", hermitian=True)
     inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)
@@ -478,9 +473,11 @@ def build_nc_torus(N, theta=None, buffer=None):
 
 def build_diagonal_toy(N, decay_exponent=1):
     """Diagonal toy model: D = diag((k+1)^{1/p}), commutative diagonal algebra."""
-    p = int(decay_exponent)
-    if p < 1:
-        raise ContractViolation("build_diagonal_toy requires p >= 1")
+    p = decay_exponent
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ContractViolation(
+            f"build_diagonal_toy requires an integer p >= 1, got {p!r}")
+    p = int(p)
     # the smallest N at which every check runs at p = 1: below it the heat
     # check's s-window holds fewer than 3 points
     if N < 32:

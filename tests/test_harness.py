@@ -87,7 +87,8 @@ class TestRun:
     def test_deterministic_outputs(self, monkeypatch, tmp_path):
         cfg = lambda out=None: ExperimentConfig(
             model={"name": "circle", "N": 48},
-            checks=["identity-suite", "chern"], seed=11, out=out)
+            checks=["identity-suite", "chern", "modulated"], seed=11,
+            out=out)
         digests = set()
         for threads in ("1", "2"):
             monkeypatch.setenv("SINGTRACE_THREADS", threads)
@@ -364,6 +365,27 @@ class TestCli:
         assert rc == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: model ")
+
+    @pytest.mark.parametrize("model", [
+        {"name": "circle", "N": 16, "buffer": 3},
+        {"name": "nc_torus", "N": 16, "buffer": 2},
+        {"name": "nc_torus", "N": 16, "buffer": 3.5},
+    ], ids=["circle-3", "torus-2", "torus-3.5"])
+    def test_identity_suite_below_buffer_4_is_a_config_error(
+            self, model, tmp_path, capsys):
+        # its words reach exponent 4; below that it would pass or fail by seed
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"model": model,
+                                   "checks": ["cycle", "identity-suite"]}))
+        rc = cli_main(["run", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(
+            "config error: identity-suite needs model buffer >= 4")
+        ok = dict(model, buffer=4)
+        for seed in range(6):
+            assert run(ExperimentConfig(model=ok, checks=["identity-suite"],
+                                        seed=seed)).all_passed
 
     @pytest.mark.parametrize("argv", [
         ["measure", "--model", "toy", "--N", "0"],

@@ -500,13 +500,18 @@ def test_long_reversed_chain_labels():
     assert not labels.any()
 
 
-def test_cli_import_leaves_out_scipy_linalg():
+def test_cli_suite_quick_loads_no_scipy(tmp_path):
+    # scipy is a test oracle only: neither the import of the CLI nor any
+    # lazy import on the path of `suite quick` may load it
     import singtrace
 
     src = os.path.dirname(os.path.dirname(singtrace.__file__))
-    code = ("import sys, singtrace.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.sparse.csgraph'))))")
+    code = ("import sys, singtrace.cli\n"
+            "rc = singtrace.cli.main(['suite', 'quick', '--out', sys.argv[1]])\n"
+            "print(rc, sorted(m for m in sys.modules\n"
+            "                 if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "quick")],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines()[-1] == "0 []"

@@ -368,3 +368,12 @@ class TestDescriptor:
         assert build_model("toy", 64, p=2).p == 2
         with pytest.raises(ContractViolation):
             build_model("sphere", 10)
+
+    @pytest.mark.parametrize("p", [1.9, 2.7, 2.0, 0, -1, True, "2"])
+    def test_toy_p_must_be_an_integer_at_least_1(self, p):
+        # a non-integral p used to be truncated without a word (1.9 -> 1)
+        with pytest.raises(ContractViolation, match="integer p >= 1"):
+            build_diagonal_toy(64, decay_exponent=p)
+        with pytest.raises(ContractViolation, match="integer p >= 1"):
+            build_model("toy", 64, p=p)
+        assert build_diagonal_toy(64, decay_exponent=np.int64(3)).p == 3

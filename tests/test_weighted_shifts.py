@@ -1,0 +1,227 @@
+"""The weighted-shift layer backend of ``Operator`` against scipy.sparse.
+
+scipy is the oracle here and nowhere in the package.  On the models every
+entry of a product is a single term, so each product, sum and commutator
+the identity suite and the volume cycle form must equal, bit for bit, the
+scipy expression a CSR backend evaluates on the factors' ``.sparse()``.
+General input (rows with several entries) must agree to rounding.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from singtrace import hochschild, operators, triples
+from singtrace.harness import ExperimentConfig, run
+from singtrace.operators import (
+    ContractViolation,
+    Operator,
+    commutator,
+    eigenvalues,
+    weighted_shift,
+)
+
+
+def canonical(mat):
+    """A CSR copy without explicit zeros, with sorted, summed indices; an
+    exactly diagonal matrix gets 0 added to its entries, as reading its
+    diagonal into a ``diag`` operator does."""
+    mat = sp.csr_matrix(mat, dtype=complex, copy=True)
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    if mat.nnz and np.array_equal(rows, mat.indices):
+        mat.data = mat.data + 0
+    return mat
+
+
+def assert_same_bits(op, oracle):
+    got, want = canonical(op.sparse()), canonical(oracle)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def csr_product(X, Y):
+    """X @ Y as a CSR backend forms it: a diagonal factor scales rows or
+    columns in place, two sparse factors go through a sparse product."""
+    if X.kind == "diag":
+        return Y.sparse().multiply(X.diag()[:, None])
+    if Y.kind == "diag":
+        return X.sparse().multiply(Y.diag()[None, :])
+    return X.sparse() @ Y.sparse()
+
+
+def csr_commutator(A, B):
+    """[A, B] with one diagonal factor a: (a_i - a_j) m_ij on the pattern of
+    the other factor m, in one step."""
+    a = (A if A.kind == "diag" else B).diag()
+    m = (B if A.kind == "diag" else A).sparse().tocoo()
+    at_row, at_col = m.data * a[m.row], m.data * a[m.col]
+    data = at_row - at_col if A.kind == "diag" else at_col - at_row
+    return sp.csr_matrix((data, (m.row, m.col)), shape=m.shape)
+
+
+def single_term(*ops):
+    return all(op.kind == "diag" or len(op._data) <= 1 for op in ops)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every product, sum and diagonal/sparse commutator with a layered
+    operand, as (kind, inputs, output)."""
+    calls = []
+    matmul, add = Operator.__matmul__, Operator.__add__
+    comm = operators.commutator
+
+    def record(kind, fn):
+        def wrapped(a, b):
+            out = fn(a, b)
+            if "sparse" in (a.kind, b.kind):
+                calls.append((kind, a, b, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(Operator, "__matmul__", record("product", matmul))
+    monkeypatch.setattr(Operator, "__add__", record("sum", add))
+    for module in (operators, triples, hochschild):
+        monkeypatch.setattr(module, "commutator", record("commutator", comm))
+    return calls
+
+
+@pytest.mark.parametrize("model", [{"name": "circle", "N": 64},
+                                   {"name": "nc_torus", "N": 16}],
+                         ids=["circle64", "torus16"])
+def test_model_operations_equal_the_scipy_oracle(recorded, model):
+    report = run(ExperimentConfig(
+        model=model, checks=["identity-suite", "cycle", "chern", "measure"]))
+    assert report.all_passed
+    kinds = {kind for kind, *_ in recorded}
+    assert kinds == {"product", "sum", "commutator"}
+    checked = 0
+    for kind, a, b, out in recorded:
+        if kind == "product":
+            oracle = csr_product(a, b)
+        elif kind == "sum":
+            oracle = a.sparse() + b.sparse()
+        elif {a.kind, b.kind} == {"diag", "sparse"}:
+            oracle = csr_commutator(a, b)
+        else:
+            continue  # (AB) - (BA), recorded as its parts
+        # every operator these checks form has at most one entry per row
+        assert single_term(a, b)
+        assert_same_bits(out, oracle)
+        checked += 1
+    assert checked > 50
+
+
+def test_model_factors_equal_the_scipy_oracle(torus16):
+    # the realized words against their scipy construction, and each
+    # [b, word] against the one-step formula
+    R, L = torus16.N + torus16.B, 2 * (torus16.N + torus16.B) + 1
+    n1, n2 = torus16.lattice
+    for word in [(0, 0), (1, 0), (0, 1), (-2, 3), (4, -4)]:
+        a, b = word
+        inside = (np.abs(n1 - a) <= R) & (np.abs(n2 - b) <= R)
+        dst = np.flatnonzero(inside)
+        src = dst - a * L - b
+        lat = sp.csr_matrix(
+            (np.exp(2j * np.pi * torus16.theta * b * (n1[dst] - a)), (dst, src)),
+            shape=(L * L, L * L))
+        want = sp.kron(sp.identity(2, dtype=complex, format="csr"), lat)
+        op = torus16.factor("id", word)
+        assert_same_bits(op, want)
+        for kind, b_op in (("D", torus16.D), ("delta", torus16.absD),
+                           ("F", torus16.F)):
+            got = torus16.factor(kind, word)
+            if b_op.kind == "diag":
+                assert_same_bits(got, csr_commutator(b_op, op))
+            else:
+                assert_same_bits(got, b_op.sparse() @ op.sparse()
+                                 - op.sparse() @ b_op.sparse())
+
+
+def random_general(rng, n, hermitian=False):
+    """Complex sparse input with up to 4 entries per row, a few on the
+    diagonal, and exact duplicates of one position."""
+    k = 3 * n
+    row, col = rng.integers(0, n, k), rng.integers(0, n, k)
+    val = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    mat = sp.coo_matrix((val, (row, col)), shape=(n, n)).tocsr()
+    if hermitian:
+        mat = mat + mat.conj().T
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_general_input_agrees_with_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = 90  # above the component-split cutoff
+    X, Y = random_general(rng, n), random_general(rng, n)
+    A, B = Operator(X), Operator(Y)
+    assert A.kind == "sparse" and len(A._data) > 1
+    tol = 1e-14 * (1.0 + abs(X).max() + abs(Y).max())
+    dense = lambda T: T.sparse().toarray()
+
+    def close(got, want, scale=tol):
+        assert np.abs(got - want).max(initial=0.0) <= scale
+
+    close(dense(A), X.toarray())
+    close(dense(A + B), (X + Y).toarray())
+    close(dense(A - B), (X - Y).toarray())
+    close(dense((2 - 1j) * A), ((2 - 1j) * X).toarray())
+    close(dense(A.adjoint()), X.conj().T.toarray())
+    close(A.diag(), X.diagonal())
+    idx = rng.permutation(n)[: n // 2]
+    close(dense(A.restrict(idx)), X[idx][:, idx].toarray())
+    absx = abs(X)
+    bound = np.sqrt(absx.sum(axis=0).max() * absx.sum(axis=1).max())
+    assert abs(A.norm_bound() - bound) <= tol
+    close(dense(A @ B), (X @ Y).toarray(), 1e-14 * (1.0 + abs(X @ Y).max()))
+    H = random_general(rng, n, hermitian=True)
+    T = Operator(H)
+    assert T.hermitian and not A.hermitian
+    want = np.sort(np.linalg.eigvalsh(H.toarray()))
+    got = np.sort(eigenvalues(T).values.real)
+    close(got, want, 1e-14 * (1.0 + np.abs(want).max()))
+    # exact cancellation leaves no entry behind
+    zero = (A + B) - (B + A) + (A - A) + ((A + A) - 2 * A)
+    assert zero.sparse().nnz == 0 and zero.norm_bound() == 0.0
+
+
+def test_mixed_shift_sum_keeps_positions_unique(circle64):
+    # u + u^-2 is two layers; removing each part again is exactly zero,
+    # even where a partial sum holds one position in two layers
+    u = circle64.factor("id", (1,))
+    v = circle64.factor("id", (-2,))
+    mixed = u + 0.5 * v
+    assert mixed.kind == "sparse" and len(mixed._data) == 2
+    d = commutator(circle64.D, mixed)
+    rest = d - commutator(circle64.D, u) - 0.5 * commutator(circle64.D, v)
+    assert rest.sparse().nnz == 0 and rest.norm_bound() == 0.0
+    crossed = (mixed @ mixed) - (u @ u) - 0.5 * (u @ v) - 0.5 * (v @ u)
+    assert abs(crossed.sparse() - 0.25 * (v @ v).sparse()).max() <= 1e-15
+
+
+class TestWeightedShift:
+    def test_shift_and_diagonal(self):
+        S = weighted_shift(np.array([1, 2, 3]), np.array([1.0, 2.0, 0.0]), "S")
+        assert S.kind == "sparse" and S.label == "S"
+        np.testing.assert_array_equal(
+            S.sparse().toarray(), [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+        D = weighted_shift(np.array([0, 3, 2]), np.array([1j, 5.0, 2.0]), "D")
+        assert D.kind == "diag"
+        np.testing.assert_array_equal(D.diag(), [1j, 0, 2])
+        Z = weighted_shift(np.full(4, 4), np.ones(4), "0")
+        assert Z.kind == "sparse" and Z.sparse().nnz == 0
+
+    @pytest.mark.parametrize("col, val", [
+        (np.array([0, 4, 1]), np.ones(3)),
+        (np.array([0, -1, 1]), np.ones(3)),
+        (np.array([0.0, 1.0, 2.0]), np.ones(3)),
+        (np.array([0, 1, 2]), np.ones(2)),
+    ], ids=["past-n", "negative", "float", "short-values"])
+    def test_bad_layer_is_a_contract_violation(self, col, val):
+        with pytest.raises(ContractViolation, match="weighted shift"):
+            weighted_shift(col, val, "bad")
