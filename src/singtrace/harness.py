@@ -605,19 +605,41 @@ def _check_summability(ctx):
         details={"verdicts": diag.verdicts})
 
 
-def _harmonic_operator(N):
-    return Operator(1.0 / (np.arange(N) + 1.0), label="diag(1/(k+1))")
+def _harmonic(model, N):
+    """V = diag(1/(k+1)) of dim N, built once per model and N."""
+    return model.derived(("harmonic", N), lambda: Operator(
+        1.0 / (np.arange(N) + 1.0), label="diag(1/(k+1))"))
+
+
+def _alternating(N):
+    """A = diag((-1)^k) of dim N, whose V-weighted trace vanishes."""
+    signs = np.ones(N, dtype=complex)
+    signs[1::2] = -1.0
+    return Operator(signs, label="alt signs")
+
+
+def _harmonic_heat(model):
+    """Every alpha = 2 heat sum of V = diag(1/(k+1)) on the default heat
+    grid that diag-oracles, scalings and cutoff read (the modulated sums
+    with the alternating signs), from one evaluation of each weight vector;
+    built once per model."""
+    N = model.N
+    return model.derived(("harmonic heat",), lambda: traces._heat_pass(
+        _alternating(N), _harmonic(model, N), 2.0))
 
 
 def _check_diag_oracles(ctx):
     N = ctx.model.N
-    V = _harmonic_operator(N)
+    V = _harmonic(ctx.model, N)
     mu = singular_values(V)
     z_dix = traces.dixmier_logmean(mu, ctx.scheme)
     z_xi = traces.heat_xi(V, ctx.scheme)
-    z_heat = traces.heat_fit(traces.heat_functional(None, V, 2.0))
-    A = Operator(((-1.0) ** np.arange(N)).astype(complex), label="alt signs")
-    alt = traces.measurability_criterion_check(A, V)
+    sums = _harmonic_heat(ctx.model)
+    z_heat = traces.heat_fit(traces.HeatSamples(
+        sums["grid"], sums["heat"].astype(complex), 2.0))
+    alt = traces.measurability_criterion_check(
+        _alternating(N), V,
+        traces.HeatSamples(sums["grid"], sums["modulated"], 2.0))
     tol = ctx.tolerance("diag_z", 0.05)
     alt_tol = ctx.tolerance("alt_z", 0.02)
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
@@ -632,13 +654,12 @@ def _check_diag_oracles(ctx):
 
 
 def _check_scalings(ctx):
-    V = _harmonic_operator(ctx.model.N)
-    sub = {}
-    ok = True
-    for alpha in (1.5, 2.0):
-        rep = traces.lemma_estimate_scalings(V, alpha)
-        sub[f"alpha={alpha}"] = rep
-        ok = ok and rep["passed"] and rep["xi_trend_negative"]
+    V = _harmonic(ctx.model, ctx.model.N)
+    sums = _harmonic_heat(ctx.model)
+    sub = {"alpha=1.5": traces.lemma_estimate_scalings(V, 1.5),
+           "alpha=2.0": traces._scalings_verdict(
+               2.0, sums["grid"], sums["saturating"], sums["counting"])}
+    ok = all(rep["passed"] and rep["xi_trend_negative"] for rep in sub.values())
     return CheckRecord(
         "scalings", passed=bool(ok),
         values={f"slopes_a{alpha}": (sub[f"alpha={alpha}"]["slope_saturating"],
@@ -648,8 +669,7 @@ def _check_scalings(ctx):
 
 
 def _check_scheme_robustness(ctx):
-    V = _harmonic_operator(ctx.model.N)
-    mu = singular_values(V)
+    mu = singular_values(_harmonic(ctx.model, ctx.model.N))
     zs = {}
     for r in (1.5, 2.0, 3.0):
         sch = traces.ExtendedLimitScheme(ratio=r,
@@ -693,7 +713,7 @@ def _check_concordance(ctx):
 
 def _check_modulated(ctx):
     N = min(ctx.model.N, 4096)
-    V = _harmonic_operator(N)
+    V = _harmonic(ctx.model, N)
     phases = np.exp(2j * np.pi * ctx.rng().random(N))
     A = Operator(phases, label="random phases")
     rep = traces.modulated_comparison(A, V)
@@ -702,8 +722,17 @@ def _check_modulated(ctx):
 
 
 def _check_cutoff(ctx):
-    V = _harmonic_operator(ctx.model.N)
-    rep = traces.cesaro_cutoff_comparison(None, V, alpha=2.0, scheme=ctx.scheme)
+    scheme = ctx.scheme
+    window = scheme.window(traces.default_heat_grid(
+        ctx.model.N, scheme.ratio, scheme.n_min))
+    sums = _harmonic_heat(ctx.model)
+    if np.isin(window, sums["grid"]).all():  # the default scheme's window
+        at = np.searchsorted(sums["grid"], window)
+        rep = traces._cutoff_verdict(window, sums["heat"][at],
+                                     sums["cutoff"][at], scheme)
+    else:
+        rep = traces.cesaro_cutoff_comparison(
+            None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
     tol = ctx.tolerance("cutoff_gap", 0.05)
     return CheckRecord(
         "cutoff", passed=bool(rep["gap"] <= tol),

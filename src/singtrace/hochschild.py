@@ -362,7 +362,9 @@ def chern(c, model, strict=True):
         history = {}
         for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2),
                               model.N}):
-            inside = np.isin(model.interior, _interior_at(model, radius))
+            within = np.zeros(model.dim, dtype=bool)
+            within[_interior_at(model, radius)] = True
+            inside = within[model.interior]
             history[radius] = complex(sign * 0.5 * diag[inside].sum())
         return ChernResult(value=history[model.N], history=history)
     return model.derived(("chern", _chain_key(c)), build)

@@ -679,9 +679,14 @@ def eigenvalues(T):
 
 
 def singular_values(T):
-    """Singular values mu(k,T): eigenvalues of |T| in non-increasing order."""
+    """Singular values mu(k,T): eigenvalues of |T| in non-increasing order.
+
+    Moduli of a diagonal T that are already non-increasing are returned
+    after an O(N) check, with no sort; a NaN fails the check."""
     if T.kind == "diag":
-        mu = np.sort(np.abs(T._data))[::-1]
+        mu = np.abs(T._data)
+        if not np.all(mu[:-1] >= mu[1:]):
+            mu = np.sort(mu)[::-1]
         return SingularSequence(mu, label=T.label)
     if not T._data:
         return SingularSequence(np.zeros(T.dim), label=T.label)

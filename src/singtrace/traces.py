@@ -202,6 +202,10 @@ def _psd_diagonal(A, V, who):
     V's eigenbasis is the standard one, so the diagonal of A holds its
     matrix elements there.  Any other V is a :class:`ContractViolation`.
     The diagonal of A is ``A.diag()`` itself, which must not be written.
+
+    A strictly decreasing spectrum that stays so when clipped (a harmonic
+    V) is clipped straight into ascending order, with A's diagonal reversed
+    as a view: that is the order :func:`_sorted_spectrum` gives it.
     """
     if V.kind != "diag" or not V.hermitian:
         raise ContractViolation(
@@ -210,11 +214,14 @@ def _psd_diagonal(A, V, who):
     floor = float(d.min(initial=0.0))
     if floor < -1e-10 * (1.0 + V.norm_bound()):
         raise ContractViolation(f"{who}: V has negative eigenvalue {floor:.3e}")
-    v = np.maximum(d, 0.0)
-    if A is None:
-        return v, None
-    V._check_dims(A)
-    return v, A.diag()
+    a = None
+    if A is not None:
+        V._check_dims(A)
+        a = A.diag()
+    # d[-2] > 0: at most the last entry is clipped, so no two tie at 0
+    if d.size > 1 and d[-2] > 0.0 and np.all(d[:-1] > d[1:]):
+        return np.maximum(d[::-1], 0.0), None if a is None else a[::-1]
+    return np.maximum(d, 0.0), a
 
 
 # exp(-t) is exactly +0.0 in double precision for t > 745.1332 (and
@@ -230,14 +237,11 @@ def _sorted_spectrum(v, *coeffs):
     """``v`` in ascending order (stable sort, NaN last) and each coefficient
     vector gathered into the same order; a None coefficient stays None.
 
-    The stable argsort is the identity on a non-decreasing ``v`` and the
-    reversal on a strictly decreasing one, so these return the inputs
-    themselves and reversed copies, with no sort.
+    The stable argsort is the identity on a non-decreasing ``v``, so that
+    returns the inputs themselves, with no sort.
     """
     if np.all(v[:-1] <= v[1:]):
         return (v,) + coeffs
-    if np.all(v[:-1] > v[1:]):
-        return tuple(None if c is None else c[::-1].copy() for c in (v,) + coeffs)
     order = np.argsort(v, kind="stable")
     return (v[order],) + tuple(None if c is None else c[order] for c in coeffs)
 
@@ -295,31 +299,86 @@ def _heat_weights(vs, scales, e):
 _DOT_BLOCK = 128
 
 
-def _dot(a, w):
+def _dot(a, w, keys=None):
     """sum_k a[..., k] w_k with no full-length temporary: products summed in
-    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise."""
+    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise.
+
+    With ``keys`` the einsum still runs once over every row of the block
+    ``a``, but the tail past the last whole block is reduced once per key (a
+    row index: a dot; a slice of rows: a matrix product), so each key's sum
+    is ``_dot(a[key], w)`` bit for bit; a BLAS matrix-vector tail differs
+    from a dot tail in the last bit.  Returns the list of those sums.
+    """
     m = w.size - w.size % _DOT_BLOCK
     head = a[..., :m].reshape(*a.shape[:-1], -1, _DOT_BLOCK)
     blocks = np.einsum("...ij,ij->...i", head, w[:m].reshape(-1, _DOT_BLOCK))
-    return np.sum(blocks, axis=-1) + a[..., m:] @ w[m:]
+    sums = np.sum(blocks, axis=-1)
+    if keys is None:
+        return sums + a[..., m:] @ w[m:]
+    return [sums[key] + a[key, m:] @ w[m:] for key in keys]
+
+
+def _coefficient_rows(cs):
+    """The coefficient vectors ``cs`` as one block of real rows, and the key
+    of each c in it: its row, or the slice of its real and imaginary rows.
+    A single real c is its own block."""
+    rows, keys = [], []
+    for c in cs:
+        if np.iscomplexobj(c):
+            keys.append(slice(len(rows), len(rows) + 2))
+            rows += [c.real, c.imag]
+        else:
+            keys.append(len(rows))
+            rows.append(c)
+    return (rows[0][None] if len(rows) == 1 else np.stack(rows)), keys
+
+
+def _heat_rows(vs, cs, scales, e, va=None):
+    """sum_k c_k exp(-(s ** e) * v_k ** e) for each coefficient vector c of
+    ``cs`` and each s in ``scales``, from one evaluation of each weight
+    vector; returns one array of sums per c (complex for a complex c).
+
+    ``vs`` is ascending and every c is in its order; None means every
+    c_k = 1, summed by ``np.sum``.  Every other c is a row (a complex c two
+    rows, real and imaginary, so no complex product is formed) of one block
+    that :func:`_dot` reduces over the live slice.  A c with no nonzero
+    entry gives exact zeros with no weight evaluated for it, unless ``vs``
+    holds a NaN, which makes every sum NaN.
+
+    With ``va`` (for e < 0) one more array follows: sum_k va_k (1 - w_k),
+    the head below the live slice, where 1 - w is 1, added segment by
+    segment, never as sum(va) - sum(va * w), which cancels.
+    """
+    nan = bool(vs.size and np.isnan(vs[-1]))
+    out = [np.zeros(len(scales), complex if np.iscomplexobj(c) else float)
+           for c in cs]
+    ones = [i for i, c in enumerate(cs) if c is None]
+    dots = [i for i, c in enumerate(cs) if c is not None and (nan or c.any())]
+    if not (ones or dots or va is not None):
+        return out
+    if dots:
+        block, keys = _coefficient_rows([cs[i] for i in dots])
+    if va is not None:
+        heads, total, prev = {}, 0.0, 0
+        for lo in sorted({_live_slice(vs, float(s), e).start for s in scales}):
+            total += float(np.sum(va[prev:lo]))
+            heads[lo], prev = total, lo
+        out.append(np.empty(len(scales)))
+    for j, (live, w) in enumerate(_heat_weights(vs, scales, e)):
+        for i in ones:
+            out[i][j] = np.sum(w)
+        if dots:
+            for i, key, x in zip(dots, keys, _dot(block[:, live], w, keys)):
+                out[i][j] = complex(*x) if isinstance(key, slice) else x
+        if va is not None:
+            np.subtract(1.0, w, out=w)
+            out[-1][j] = heads[live.start] + float(_dot(va[live], w))
+    return out
 
 
 def _heat_sums(vs, c, scales, e):
-    """sum_k c_k exp(-(s ** e) * v_k ** e) for each s in ``scales``, reduced
-    over the live slice of ascending ``vs`` by :func:`_dot`; ``c`` is in the
-    same order, and None means every c_k = 1.  A complex ``c`` is split once
-    into its real and imaginary rows, so no complex product is formed.  A
-    ``c`` with no nonzero entry gives exact zeros with no weight evaluated,
-    unless ``vs`` holds a NaN, which makes every sum NaN."""
-    if c is not None and not c.any() and not (vs.size and np.isnan(vs[-1])):
-        return np.zeros(len(scales), dtype=complex if np.iscomplexobj(c) else float)
-    weights = _heat_weights(vs, scales, e)
-    if c is None:
-        return np.array([np.sum(w) for _, w in weights])
-    if not np.iscomplexobj(c):
-        return np.array([_dot(c[live], w) for live, w in weights])
-    rows = np.stack([c.real, c.imag])
-    return np.array([complex(*_dot(rows[:, live], w)) for live, w in weights])
+    """:func:`_heat_rows` of the one coefficient vector ``c``."""
+    return _heat_rows(vs, [c], scales, e)[0]
 
 
 def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
@@ -395,20 +454,14 @@ def lemma_estimate_scalings(V, alpha):
     v, _ = _psd_diagonal(None, V, "lemma_estimate_scalings")
     grid = default_heat_grid(V.dim)
     v, = _sorted_spectrum(v)
-    va = v ** alpha
-    # below its live slice every weight is 0.0 and 1 - w is 1: add that head
-    # of va segment by segment, never as sum(va) - sum(va * w), which cancels
-    heads = {}
-    total, prev = 0.0, 0
-    for lo in sorted({_live_slice(v, float(n), -alpha).start for n in grid}):
-        total += float(np.sum(va[prev:lo]))
-        heads[lo], prev = total, lo
-    saturating = np.empty(grid.size)
-    counting = np.empty(grid.size)
-    for j, (live, w) in enumerate(_heat_weights(v, grid, -alpha)):
-        counting[j] = float(np.sum(w))
-        np.subtract(1.0, w, out=w)
-        saturating[j] = heads[live.start] + float(_dot(va[live], w))
+    counting, saturating = _heat_rows(v, [None], grid, -alpha, va=v ** alpha)
+    return _scalings_verdict(alpha, grid, saturating, counting)
+
+
+def _scalings_verdict(alpha, grid, saturating, counting):
+    """The report of :func:`lemma_estimate_scalings` from its sums on
+    ``grid``: ``saturating`` of Tr(V^a (1-e^{-(nV)^-a})) and ``counting``
+    of Tr(e^{-(nV)^-a})."""
     slope_sat = _loglog_slope(grid, saturating)
     slope_count = _loglog_slope(grid, counting)
     xi_trend = _loglog_slope(grid, counting / (grid * np.log(grid)))
@@ -466,18 +519,29 @@ def cesaro_cutoff_comparison(A, V, alpha, scheme=None):
     scheme = scheme or ExtendedLimitScheme()
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "cesaro_cutoff_comparison"))
     window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
-    log_n = np.array([math.log(float(n)) for n in window])
-    heat_vals = _heat_sums(v, v if a is None else a * v, window, -alpha) / log_n
-    cut_vals = np.empty(window.size, dtype=complex)
-    for j, n in enumerate(window):
+    heat = _heat_sums(v, v if a is None else a * v, window, -alpha)
+    return _cutoff_verdict(window, heat, _cutoff_sums(v, a, window), scheme)
+
+
+def _cutoff_sums(v, a, ns):
+    """Tr(A (V - 1/n)_+) for each n of ``ns``, from ascending ``v`` and A's
+    diagonal ``a`` in its order (None: A = 1)."""
+    sums = np.empty(len(ns), dtype=complex)
+    for j, n in enumerate(ns):
         # (v - 1/n)_+ is nonzero exactly on the slice v > 1/n (and NaN)
         t = 1.0 / float(n)
         k = int(np.searchsorted(v, t, side="right"))
         excess = v[k:] - t
-        cut_vals[j] = np.sum(excess if a is None else a[k:] * excess)
-    cut_vals /= log_n
-    z_heat, r_heat = scheme.apply(window, heat_vals)
-    z_cut, r_cut = scheme.apply(window, cut_vals)
+        sums[j] = np.sum(excess if a is None else a[k:] * excess)
+    return sums
+
+
+def _cutoff_verdict(window, heat, cut, scheme):
+    """The report of :func:`cesaro_cutoff_comparison` from its heat sums
+    ``heat`` and cutoff sums ``cut`` on ``window``."""
+    log_n = np.array([math.log(float(n)) for n in window])
+    z_heat, r_heat = scheme.apply(window, heat / log_n)
+    z_cut, r_cut = scheme.apply(window, cut / log_n)
     return {
         "z_heat": z_heat,
         "z_cutoff": z_cut,
@@ -485,6 +549,23 @@ def cesaro_cutoff_comparison(A, V, alpha, scheme=None):
         "residuals": {"heat": r_heat, "cutoff": r_cut},
         "grid": scheme.describe(int(window[-1])),
     }
+
+
+def _heat_pass(A, V, alpha):
+    """The sums on the default heat grid of a psd diagonal V = diag(v) and a
+    diagonal A that :func:`heat_functional`, :func:`lemma_estimate_scalings`
+    and :func:`cesaro_cutoff_comparison` (of the default scheme) take, with
+    each weight vector w = exp(-(nV)^-alpha) evaluated once: ``heat``
+    Tr(V w) and ``modulated`` Tr(A V w), ``counting`` Tr(w) and
+    ``saturating`` Tr(V^alpha (1 - w)), and ``cutoff`` Tr((V - 1/n)_+).
+    Each equals the sum the function takes bit for bit."""
+    v, a = _sorted_spectrum(*_psd_diagonal(A, V, "heat pass"))
+    grid = default_heat_grid(V.dim)
+    counting, heat, modulated, saturating = _heat_rows(
+        v, [None, v, a * v], grid, -alpha, va=v ** alpha)
+    return {"grid": grid, "heat": heat, "modulated": modulated,
+            "counting": counting, "saturating": saturating,
+            "cutoff": _cutoff_sums(v, None, grid)}
 
 
 def _classify_branch(mu):
@@ -537,16 +618,17 @@ def _criterion(mu, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V):
+def measurability_criterion_check(A, V, samples=None):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
-    trace value.
+    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0)``
+    when the caller has them already.
     """
     mu = singular_values(V)
-    heat = heat_fit(heat_functional(A, V, 2.0))
+    heat = heat_fit(heat_functional(A, V, 2.0) if samples is None else samples)
     product = (A @ V) if A is not None else V
     return _criterion(mu, heat, eigenvalue_partial_sums(product), None)

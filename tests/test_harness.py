@@ -690,6 +690,38 @@ def test_pairing_estimates_are_built_once(monkeypatch):
                      "dixmier_logmean": 1}
 
 
+def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
+    """One toy run at N = 10^6 with the benchmark's checks: diag-oracles,
+    scalings and cutoff read one alpha = 2 pass over the harmonic spectrum,
+    so no weight vector exp(-(s v)^e) of one spectrum is evaluated twice
+    (the checks used to evaluate 48.1 M weights, 27.3 M of them distinct)."""
+    seen, lock = Counter(), threading.Lock()
+    real = traces._heat_weights
+
+    def counted(vs, scales, e):
+        spectrum = (vs.size, float(vs[0]), float(vs[-1]))
+        for s, (live, w) in zip(scales, real(vs, scales, e)):
+            with lock:
+                seen[spectrum, e, float(s)] += 1
+                seen["weights"] += w.size
+            yield live, w
+
+    monkeypatch.setattr(traces, "_heat_weights", counted)
+    monkeypatch.setenv("SINGTRACE_THREADS", "2")
+    report = run(ExperimentConfig(
+        model={"name": "toy", "N": 1_000_000},
+        checks=["diag-oracles", "scalings", "scheme-robustness", "cutoff",
+                "modulated", "summability", "measure"]))
+    assert report.all_passed
+    weights = seen.pop("weights")
+    assert max(seen.values()) == 1
+    harmonic = (1_000_000, 1.0 / 1_000_000, 1.0)  # V = diag(1/(k+1))
+    assert {s for spectrum, e, s in seen
+            if spectrum == harmonic and e == -2.0} == set(
+                map(float, traces.default_heat_grid(1_000_000)))
+    assert weights <= 27.4e6
+
+
 def test_benchmark_layer_names_resolve():
     """Every function the benchmark traces exists in its singtrace module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"

@@ -246,6 +246,24 @@ class TestChern:
         assert deltas[-1] <= deltas[0]
         assert deltas[-1] <= 0.05 * abs(got.value)
 
+    @pytest.mark.parametrize("name", ["circle64", "torus12", "toy1000"])
+    def test_window_sums_match_isin_masks(self, name, request):
+        # each nested window's trace sums the interior modes within the
+        # radius; the mask np.isin of the two sorted index arrays gives
+        model = request.getfixturevalue(name)
+        c = {"circle64": circle_winding_cycle, "torus12": nc_torus_volume_cycle,
+             "toy1000": lambda m: Chain.from_elements(
+                 m, [(1.0, [m.monomial((-1,)), m.monomial((1,))])])}[name](model)
+        got = chern(c, model)
+        diag = ch_op(c, model, strict=False).diag()
+        sign = (-1.0) ** (c.degree - 1)
+        assert len(got.history) == 3
+        for radius, value in got.history.items():
+            inside = np.isin(model.interior,
+                             hochschild._interior_at(model, radius))
+            want = complex(sign * 0.5 * diag[inside].sum())
+            assert complex(value) == want
+
     def test_torus_matches_brute_force(self, torus12):
         # fully independent dense reconstruction (own index maps and phases)
         ch_oracle, om_entry = brute_force_torus(

@@ -147,6 +147,32 @@ class TestSingularValues:
             singular_values(T).mu, np.sort(np.abs(d))[::-1], atol=1e-10)
 
 
+    @pytest.mark.parametrize("d, ordered", [
+        (1.0 / (np.arange(1000) + 1.0), True),
+        (np.array([3.0, 2.0, 2.0, -2.0, 1.0, 0.0, 0.0]), True),
+        (np.array([2.0, 1.0 + 1.0j, -1.0j, 0.5, 0.0]), True),
+        (np.array([1.0, 0.0, -0.0, 0.0]), True),
+        (np.array([-0.0, 0.0, -0.0]), True),
+        (np.array([5.0]), True),
+        (np.array([]), True),
+        (np.array([2.0, np.nan, 1.0]), False),
+        (np.array([np.nan, 2.0, 1.0]), False),
+        (np.array([1.0, 2.0, 0.5]), False),
+    ], ids=["harmonic", "tied", "complex-tied", "signed-zeros",
+            "only-zeros", "one", "empty", "nan-inside", "nan-first",
+            "unordered"])
+    def test_diagonal_equals_the_sort_path(self, d, ordered, monkeypatch):
+        # moduli already non-increasing skip the sort (np.sort is taken
+        # away); a NaN or an out-of-order pair takes it, and both paths give
+        # the values of np.sort
+        want = np.sort(np.abs(d))[::-1]
+        T = Operator(d)
+        if ordered:
+            monkeypatch.setattr(np, "sort", None)
+        got = singular_values(T).mu
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+
 def real_diagonal(rng, n):
     """A random real diagonal operator with a few exact zeros (ker D)."""
     d = rng.standard_normal(n)

@@ -313,6 +313,22 @@ class TestHeatKernel:
         vs, cs = _sorted_spectrum(v[::-1], c[::-1])
         assert not np.shares_memory(vs, v) and not np.shares_memory(cs, c)
 
+    def test_decreasing_spectrum_is_clipped_into_ascending_order(self):
+        # a strictly decreasing V comes out of _psd_diagonal ascending, with
+        # A's diagonal a reversed view, so _sorted_spectrum copies nothing
+        d = 1.0 / (np.arange(500) + 1.0)
+        A = Operator(np.cos(np.arange(d.size)) + 1j)
+        v, a = traces._psd_diagonal(A, Operator(d), "test")
+        assert v.tobytes() == d[::-1].tobytes()
+        assert np.shares_memory(a, A.diag())
+        assert a.tobytes() == A.diag()[::-1].tobytes()
+        vs, cs = _sorted_spectrum(v, a)
+        assert vs is v and cs is a
+        # two entries clipped to a tie at 0 keep the stable sort's order
+        d = np.concatenate([d, [-1e-14, -2e-14]])
+        v, _ = traces._psd_diagonal(None, Operator(d), "test")
+        assert v.tobytes() == np.maximum(d, 0.0).tobytes()
+
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_weight_steps_share_one_buffer(self, e):
         rng = np.random.default_rng(15)
@@ -333,6 +349,64 @@ class TestHeatKernel:
         for name, coeff in (("complex", cs), ("real", cs.real), ("ones", None)):
             got = _heat_sums(vs, coeff, scales, e)
             assert got.tobytes() == np.array(want[name]).tobytes()
+
+    @staticmethod
+    def single_row_sums(vs, c, scales, e):
+        """The sums of one coefficient vector alone, step by step: np.sum
+        for c = None, else _dot of its row (real) or of its real and
+        imaginary rows (complex), zeros for a zero c and no NaN in vs."""
+        if c is not None and not c.any() and not np.isnan(vs).any():
+            return np.zeros(len(scales), dtype=c.dtype)
+        rows = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c
+        sums = []
+        for live, w in _heat_weights(vs, scales, e):
+            if c is None:
+                sums.append(np.sum(w))
+            elif np.iscomplexobj(c):
+                sums.append(complex(*_dot(rows[:, live], w)))
+            else:
+                sums.append(_dot(rows[live], w))
+        return np.array(sums, dtype=complex if np.iscomplexobj(c) else float)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-in-v"])
+    def test_rows_equal_single_row_sums_bit_for_bit(self, e, nan):
+        # one block of real, complex, mixed and all-zero rows: the einsum
+        # runs once over the block, and each c gets the sums it gets alone
+        rng = np.random.default_rng(17)
+        for n in (1, 127, 128, 129, 1000, 3009, *rng.integers(2, 6000, 6)):
+            v = rng.permutation(np.concatenate(
+                [1.0 / (np.arange(n) + 1.0), np.zeros(n % 7)]))
+            if nan:
+                v[rng.integers(v.size)] = np.nan
+            real = rng.standard_normal(v.size)
+            cplx = real + 1j * rng.standard_normal(v.size)
+            vs, *cs = _sorted_spectrum(v, real, cplx, real + 0j,
+                                       np.zeros(v.size), np.zeros(v.size, complex))
+            scales = np.geomspace(min(self.regime_scales(e)),
+                                 max(self.regime_scales(e)), 7)
+            blocks = ([None] + cs, cs[::-1], cs[:1], cs[1:2], cs[3:],
+                      [cs[0], cs[2], None, cs[1]])
+            for block in blocks:
+                got = traces._heat_rows(vs, block, scales, e)
+                assert len(got) == len(block)
+                for c, sums in zip(block, got):
+                    want = self.single_row_sums(vs, c, scales, e)
+                    assert sums.dtype == want.dtype
+                    assert sums.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", [-1, -1.5, -2])
+    def test_saturating_sums_do_not_depend_on_the_rows(self, e):
+        rng = np.random.default_rng(18)
+        vs, c = _sorted_spectrum(self.unsorted_with_zeros(),
+                                 rng.standard_normal(3009) + 1j)
+        va = vs ** -e
+        scales = np.geomspace(min(self.regime_scales(e)),
+                                 max(self.regime_scales(e)), 7)
+        alone = traces._heat_rows(vs, [], scales, e, va=va)
+        assert len(alone) == 1
+        got = traces._heat_rows(vs, [None, c, vs], scales, e, va=va)
+        assert got[-1].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_nan_stays_nan(self, e):
