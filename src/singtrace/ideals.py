@@ -152,8 +152,13 @@ def quasi_norm_pinf(mu, p):
     mu = _as_mu(mu)
     if mu.size == 0:
         return 0.0
-    k = np.arange(mu.size, dtype=float)
-    return float(np.max((k + 1.0) ** (1.0 / p) * mu))
+    # in place: one temporary of mu's length, the same bits as
+    # (k + 1.0) ** (1.0 / p) * mu
+    x = np.arange(mu.size, dtype=float)
+    x += 1.0
+    x **= 1.0 / p
+    x *= mu
+    return float(np.max(x))
 
 
 def lorentz_norm_m1inf(mu):
@@ -161,9 +166,13 @@ def lorentz_norm_m1inf(mu):
     mu = _as_mu(mu)
     if mu.size == 0:
         return 0.0
+    # in place: two temporaries of mu's length, the same bits as
+    # cumsum(mu) / log(2.0 + n)
     sums = np.cumsum(mu)
-    n = np.arange(mu.size, dtype=float)
-    return float(np.max(sums / np.log(2.0 + n)))
+    x = np.arange(mu.size, dtype=float)
+    x += 2.0
+    sums /= np.log(x, out=x)
+    return float(np.max(sums))
 
 
 def eigenvalue_partial_sums(T, label=None):

@@ -1,10 +1,12 @@
-"""Diagonal and weighted-shift complex operator core.
+"""Diagonal and weighted-shift operator core.
 
 Everything downstream (ideal diagnostics, trace estimators, spectral-triple
 models) works with the :class:`Operator` wrapper defined here.  An operator
 stores its matrix in one of two backends:
 
 * ``diag``   -- 1-d array of diagonal entries (fast path, scales to 1e6),
+  float64 when the entries are real and complex128 when they are complex,
+  so a real diagonal takes half the memory of a complex one,
 * ``sparse`` -- a short list of weighted-shift layers, each with at most one
   entry per row (see the layer section below).  The models' algebras are
   crossed products: every word, commutator and chain product is a shift
@@ -12,8 +14,11 @@ stores its matrix in one of two backends:
   a chain whose terms shift by different amounts is a sum of a few.  An
   exact zero has no layer.
 
-Both behave identically under the algebraic operations; the backend is an
-optimisation detail, never a semantic one.  Products are gathers, sums
+Both behave identically under the algebraic operations; the backend and the
+dtype are optimisation details, never semantic ones: a product or sum with
+a real diagonal follows numpy's type promotion, which casts it to complex
+exactly, so its result equals the one of the complex diagonal bit for bit
+(up to the sign of a zero imaginary part).  Products are gathers, sums
 merge layers, and entries that cancel to exactly 0 leave the layers, so an
 exact zero stays an exact, empty operator.  The package needs numpy only:
 :meth:`Operator.sparse` imports scipy, for tests that use it as an oracle.
@@ -164,7 +169,7 @@ class SingularSequence:
 
 
 class Operator:
-    """Immutable complex square operator with a hermitian flag.
+    """Immutable square operator, real or complex, with a hermitian flag.
 
     Parameters
     ----------
@@ -177,8 +182,10 @@ class Operator:
         entries are summed and exact zeros dropped.  An exactly diagonal
         matrix, dense or sparse, is stored as its diagonal, unless it has no
         nonzero entry: an exact zero is a ``sparse`` operator with no layer.
-        A complex 1-d array is wrapped without a copy, so it must not be
-        modified afterwards.
+        A 1-d array keeps its kind: a float64 or complex128 array is wrapped
+        without a copy, so it must not be modified afterwards; any other
+        real (integer, boolean, float32) array is stored as float64 and any
+        other complex one as complex128.
     label : str
         Human-readable tag used in error messages and reports.
     hermitian : bool or None
@@ -198,7 +205,8 @@ class Operator:
         else:
             data = np.asarray(data)
             if data.ndim == 1:
-                self._kind, self._data = "diag", data.astype(complex, copy=False)
+                dtype = complex if np.iscomplexobj(data) else float
+                self._kind, self._data = "diag", data.astype(dtype, copy=False)
                 self._dim = data.size
             elif data.ndim == 2:
                 index = np.nonzero(data)
@@ -243,7 +251,8 @@ class Operator:
     def _detect_hermitian(self):
         if self._kind == "diag":
             d = self._data
-            if not d.imag.any():  # real, NaN entries included
+            # real, NaN entries included
+            if not np.iscomplexobj(d) or not d.imag.any():
                 return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
@@ -392,7 +401,7 @@ class Operator:
 
 
 def identity(dim):
-    return Operator(np.ones(dim, dtype=complex), label="1")
+    return Operator(np.ones(dim), label="1")
 
 
 def weighted_shift(col, val, label):
@@ -682,9 +691,13 @@ def singular_values(T):
     """Singular values mu(k,T): eigenvalues of |T| in non-increasing order.
 
     Moduli of a diagonal T that are already non-increasing are returned
-    after an O(N) check, with no sort; a NaN fails the check."""
+    after an O(N) check, with no sort; a NaN fails the check.  A real
+    diagonal with no sign bit set (no negative entry, no -0.0) is its own
+    moduli: ``mu`` is then T's entries themselves, so it must not be
+    written."""
     if T.kind == "diag":
-        mu = np.abs(T._data)
+        d = T._data
+        mu = np.abs(d) if np.iscomplexobj(d) or np.signbit(d).any() else d
         if not np.all(mu[:-1] >= mu[1:]):
             mu = np.sort(mu)[::-1]
         return SingularSequence(mu, label=T.label)
@@ -706,7 +719,8 @@ def _real_diagonal(T, who):
 def _apply_scalar_function(f, w, label):
     # out-of-domain points surface as non-finite values, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray(f(w), dtype=complex)
+        fw = np.asarray(f(w))
+    fw = fw.astype(complex if np.iscomplexobj(fw) else float, copy=False)
     if fw.shape != w.shape:
         raise ContractViolation(
             f"function on the spectrum of {label!r} returned shape "
@@ -722,8 +736,9 @@ def hermitian_calculus(T, f, label=None):
     """f(T) for a hermitian diagonal T: ``f`` maps the real diagonal entries.
 
     ``f`` is vectorized: it takes the array of entries and returns an array
-    of the same shape.  Any other T, or a result of another shape, is a
-    :class:`ContractViolation`; a non-finite value is a :class:`DomainError`.
+    of the same shape; a real result is stored as float64.  Any other T, or
+    a result of another shape, is a :class:`ContractViolation`; a non-finite
+    value is a :class:`DomainError`.
     """
     w = _real_diagonal(T, "hermitian_calculus")
     label = label if label is not None else f"f({T.label})"

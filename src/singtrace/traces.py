@@ -28,6 +28,7 @@ import numpy as np
 
 from .ideals import (
     PartialSumSeries,
+    _as_mu,
     _least_squares,
     _loglog_slope,
     decay_exponent,
@@ -172,14 +173,14 @@ def dixmier_logmean(mu, scheme=None, n_max=None):
     eigenvalue sums of non-normal operators.
     """
     scheme = scheme or ExtendedLimitScheme()
-    snap = None
     if isinstance(mu, PartialSumSeries):
-        sums = mu.sums
-        snap = mu.snap
-    else:
-        from .ideals import _as_mu
+        return _logmean(mu.sums, scheme, n_max, mu.snap)
+    return _logmean(np.cumsum(_as_mu(mu)), scheme, n_max, None)
 
-        sums = np.cumsum(_as_mu(mu))
+
+def _logmean(sums, scheme, n_max, snap):
+    """The estimate of :func:`dixmier_logmean` from the partial sums
+    ``sums``, with the snap of a :class:`PartialSumSeries` (None: none)."""
     N = sums.size
     if n_max is None:
         n_max = N - 1
@@ -201,7 +202,9 @@ def _psd_diagonal(A, V, who):
 
     V's eigenbasis is the standard one, so the diagonal of A holds its
     matrix elements there.  Any other V is a :class:`ContractViolation`.
-    The diagonal of A is ``A.diag()`` itself, which must not be written.
+    The diagonal of A is ``A.diag()`` itself, and so are the entries of V
+    when none has its sign bit set (none is clipped, and no -0.0 becomes
+    +0.0): neither may be written.
 
     A strictly decreasing spectrum that stays so when clipped (a harmonic
     V) is clipped straight into ascending order, with A's diagonal reversed
@@ -221,7 +224,7 @@ def _psd_diagonal(A, V, who):
     # d[-2] > 0: at most the last entry is clipped, so no two tie at 0
     if d.size > 1 and d[-2] > 0.0 and np.all(d[:-1] > d[1:]):
         return np.maximum(d[::-1], 0.0), None if a is None else a[::-1]
-    return np.maximum(d, 0.0), a
+    return (np.maximum(d, 0.0) if np.signbit(d).any() else d), a
 
 
 # exp(-t) is exactly +0.0 in double precision for t > 745.1332 (and
@@ -618,17 +621,17 @@ def _criterion(mu, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V, samples=None):
+def measurability_criterion_check(A, V, samples=None, mu=None):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
-    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0)``
-    when the caller has them already.
+    trace value.  ``samples`` (those of ``heat_functional(A, V, 2.0)``) and
+    ``mu`` (``singular_values(V)``) are taken when the caller has them.
     """
-    mu = singular_values(V)
+    mu = singular_values(V) if mu is None else mu
     heat = heat_fit(heat_functional(A, V, 2.0) if samples is None else samples)
     product = (A @ V) if A is not None else V
     return _criterion(mu, heat, eigenvalue_partial_sums(product), None)

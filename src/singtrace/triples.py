@@ -164,7 +164,7 @@ class SpectralTripleModel:
         self.absD = None
         self.Gamma = None
         self.dim = 0
-        self.interior = None
+        self._interior = None  # the interior indices; None on the toy
         self.reliable_count = 0
 
     # -- word algebra hooks (overridden per geometry) -------------------------
@@ -213,8 +213,16 @@ class SpectralTripleModel:
         return f"{self.name}(N={self.N},B={self.B},theta={self.theta!r})"
 
     @property
+    def interior(self):
+        """The interior basis indices, ascending.  The toy, whose interior is
+        its whole basis, keeps no index array: each read builds it."""
+        if self._interior is None:
+            return np.arange(self.dim)
+        return self._interior
+
+    @property
     def interior_dim(self):
-        return int(self.interior.size)
+        return self.dim if self._interior is None else int(self._interior.size)
 
     def eval_phase(self, m):
         if m == 0:
@@ -277,9 +285,9 @@ class SpectralTripleModel:
 
         Where the interior is the whole basis (the toy) this is ``op``
         itself: operators are immutable, so nothing is copied."""
-        if self.interior.size == self.dim:
+        if self.interior_dim == self.dim:
             return op
-        return op.restrict(self.interior)
+        return op.restrict(self._interior)
 
     def interior_norm(self, op):
         """An upper bound on the 2-norm of ``op`` compressed to the interior."""
@@ -417,11 +425,11 @@ def build_circle(N, buffer=None):
     modes = np.arange(-R, R + 1)
     model.dim = modes.size
     model.modes = modes
-    model.D = Operator(modes.astype(complex), label="D", hermitian=True)
+    model.D = Operator(modes.astype(float), label="D", hermitian=True)
     model.F, model.absD = phase_modulus(model.D)
     model.Gamma = None
-    model.interior = np.flatnonzero(np.abs(modes) <= N)
-    model.reliable_count = model.interior.size
+    model._interior = np.flatnonzero(np.abs(modes) <= N)
+    model.reliable_count = model.interior_dim
     model.metadata = {"sign0": "+1", "basis": "fourier modes -R..R"}
     return model
 
@@ -457,10 +465,10 @@ def build_nc_torus(N, theta=None, buffer=None):
     unit = np.divide(w, modulus, out=np.ones(w.size, dtype=complex),
                      where=modulus > 0)
     model.F = _spinor_offdiag(unit, "F")
-    gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)]).astype(complex)
+    gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)])
     model.Gamma = Operator(gamma, label="Gamma", hermitian=True)
     inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)
-    model.interior = np.flatnonzero(np.concatenate([inside, inside]))
+    model._interior = np.flatnonzero(np.concatenate([inside, inside]))
     model.reliable_count = 2 * int(np.count_nonzero(n1 ** 2 + n2 ** 2 <= N * N))
     model.metadata = {
         "sign0": "spinor swap on ker D",
@@ -485,11 +493,9 @@ def build_diagonal_toy(N, decay_exponent=1):
     model = _ToyModel("toy", N, 0, p=p, parity="odd")
     model.dim = int(N)
     k = np.arange(N, dtype=float)
-    model.D = Operator(((k + 1.0) ** (1.0 / p)).astype(complex), label="D",
-                       hermitian=True)
+    model.D = Operator((k + 1.0) ** (1.0 / p), label="D", hermitian=True)
     model.F, model.absD = phase_modulus(model.D)
     model.Gamma = None
-    model.interior = np.arange(N)
     model.reliable_count = int(N)
     model.metadata = {"sign0": "+1", "decay_exponent": p}
     return model
@@ -547,7 +553,7 @@ def _build_double(model):
         if hasattr(model, attr):
             setattr(double, attr, getattr(model, attr))
     double.dim = model.dim
-    double.interior = model.interior
+    double._interior = model._interior
     double.reliable_count = model.reliable_count
     double._word_cache = model._word_cache
     double.D = D0.relabel("D0")

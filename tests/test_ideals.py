@@ -54,6 +54,22 @@ class TestQuasiNorm:
             scale * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 0.5, 1.5])
+@pytest.mark.parametrize("n", [1, 7, 1000, 100_001])
+def test_norms_in_place_equal_the_formulas_bit_for_bit(p, n):
+    # the in-place norms against their textbook expressions, with the
+    # input left as it was
+    rng = np.random.default_rng(n)
+    mu = np.sort(rng.random(n))[::-1]
+    mu[n // 2:] = 0.0
+    before = mu.copy()
+    k = np.arange(n, dtype=float)
+    assert quasi_norm_pinf(mu, p) == float(np.max((k + 1.0) ** (1.0 / p) * mu))
+    assert lorentz_norm_m1inf(mu) == float(
+        np.max(np.cumsum(mu) / np.log(2.0 + k)))
+    assert mu.tobytes() == before.tobytes()
+
+
 class TestLorentzNorm:
     def test_harmonic_value(self):
         # oracle: direct cumulative sums; sup attained at n=0 with 1/log 2

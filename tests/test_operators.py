@@ -481,9 +481,17 @@ class TestFlags:
     def test_complex_diagonal_wrapped_without_copy(self):
         d = np.exp(1j * np.arange(5.0))
         assert Operator(d).diag() is d
+        narrow = d.astype(np.complex64)
+        assert Operator(narrow).diag().dtype == np.complex128
+
+    def test_real_diagonal_stays_float64_without_copy(self):
         real = np.arange(5.0)
         T = Operator(real)
-        assert T.diag().dtype == complex and not np.shares_memory(T.diag(), real)
+        assert T.diag() is real and T.hermitian
+        for data in (np.arange(5), np.arange(5.0, dtype=np.float32),
+                     np.array([True, False]), [0.5, 2.0]):
+            assert Operator(data).diag().dtype == np.float64
+        assert identity(3).diag().dtype == np.float64
 
     @pytest.mark.parametrize("n", [3, 70])
     def test_exact_zero_restricts_to_empty_csr(self, n):
@@ -491,6 +499,104 @@ class TestFlags:
         R = Z.restrict(np.arange(n) * (99 // n))
         assert R.kind == "sparse" and R.sparse().shape == (n, n)
         assert R.sparse().nnz == 0 and R.label == "Z"
+
+
+def _as_complex(T):
+    """T with a real diagonal cast to complex; any other T itself."""
+    if T.kind == "diag" and not np.iscomplexobj(T.diag()):
+        return Operator(T.diag().astype(complex), label=T.label)
+    return T
+
+
+def _same_bits(got, want):
+    """Real parts bit for bit, imaginary parts up to the sign of a zero."""
+    np.testing.assert_array_equal(np.real(got).view(np.int64),
+                                  np.real(want).view(np.int64))
+    np.testing.assert_array_equal(np.imag(got), np.imag(want))
+
+
+def _assert_same_bits(got, want):
+    """Equal entry for entry: the same kind and layer columns, and
+    :func:`_same_bits` values."""
+    assert (got.kind, got.dim) == (want.kind, want.dim)
+    if got.kind == "diag":
+        _same_bits(got.diag(), want.diag())
+        return
+    assert len(got._data) == len(want._data)
+    for (got_col, got_val), (want_col, want_val) in zip(got._data, want._data):
+        np.testing.assert_array_equal(got_col, want_col)
+        _same_bits(got_val, want_val)
+
+
+_BINARY = {
+    "R@P": lambda r, p: r @ p,
+    "P@R": lambda r, p: p @ r,
+    "R+P": lambda r, p: r + p,
+    "P-R": lambda r, p: p - r,
+    "[R,P]": commutator,
+    "[P,R]": lambda r, p: commutator(p, r),
+    "{R,P}": anticommutator,
+}
+
+
+class TestRealDiagonalParity:
+    """Every operation on a real diagonal gives the bits it gives on the
+    same diagonal stored as complex (numpy casts the real operand to
+    complex exactly), up to the sign of a zero imaginary part."""
+
+    @staticmethod
+    def _operands(model):
+        from singtrace.triples import resolvent_weight
+
+        reals = {"|D|": model.absD, "weight": resolvent_weight(model)}
+        if model.Gamma is None:
+            reals.update({"D": model.D, "F": model.F})
+        else:
+            reals["Gamma"] = model.Gamma
+        words = [model.realize(g) for g in model.generators().values()]
+        rng = np.random.default_rng(5)
+        partners = dict(reals)
+        partners.update({
+            "word": words[0], "words": model.realize(
+                sum(model.generators().values(), model.monomial(
+                    (2,) * model.word_rank))),
+            "[D,word]": commutator(model.D, words[-1]),
+            "phases": Operator(np.exp(2j * np.pi * rng.random(model.dim))),
+        })
+        if model.Gamma is not None:
+            partners.update({"D": model.D, "F": model.F})
+        return reals, partners
+
+    @pytest.mark.parametrize("name", ["circle64", "torus16"])
+    def test_binary_operations(self, name, request):
+        model = request.getfixturevalue(name)
+        reals, partners = self._operands(model)
+        for rname, R in reals.items():
+            assert R.kind == "diag" and R.diag().dtype == np.float64, rname
+            for P in partners.values():
+                for op in _BINARY.values():
+                    got = op(R, P)
+                    want = op(_as_complex(R), _as_complex(P))
+                    _assert_same_bits(got, want)
+                    if name == "circle64":
+                        _same_bits(eigenvalues(got).values,
+                                   eigenvalues(want).values)
+
+    @pytest.mark.parametrize("name", ["circle64", "torus16"])
+    def test_unary_operations(self, name, request):
+        model = request.getfixturevalue(name)
+        reals, _ = self._operands(model)
+        for R in reals.values():
+            C = _as_complex(R)
+            _assert_same_bits(R.adjoint(), C.adjoint())
+            _assert_same_bits(R.restrict(model.interior),
+                              C.restrict(model.interior))
+            _assert_same_bits(2.5 * R, 2.5 * C)
+            _assert_same_bits(-R, -C)
+            _same_bits(eigenvalues(R).values, eigenvalues(C).values)
+            _same_bits(singular_values(R).mu, singular_values(C).mu)
+            assert R.hermitian and C.hermitian
+            assert R.norm_bound() == C.norm_bound()
 
 
 @st.composite

@@ -329,6 +329,27 @@ class TestHeatKernel:
         v, _ = traces._psd_diagonal(None, Operator(d), "test")
         assert v.tobytes() == np.maximum(d, 0.0).tobytes()
 
+    def test_psd_diagonal_clips_only_what_has_a_sign_bit(self):
+        # a psd V with nothing to clip is read in place; a negative within
+        # tolerance or a -0.0 takes the copy np.maximum(d, 0.0)
+        d = np.cos(np.arange(300.0)) ** 2
+        V = Operator(d)
+        v, _ = traces._psd_diagonal(None, V, "test")
+        assert v is d
+        for bad in (-1e-14, -0.0):
+            e = d.copy()
+            e[7] = bad
+            v, _ = traces._psd_diagonal(None, Operator(e), "test")
+            assert not np.shares_memory(v, e)
+            assert v.tobytes() == np.maximum(e, 0.0).tobytes()
+        # the heat functions read V in place and leave it as it was
+        before = d.copy()
+        heat_functional(Operator(np.sin(np.arange(300.0))), V, 2.0)
+        heat_xi(V)
+        lemma_estimate_scalings(V, 1.5)
+        cesaro_cutoff_comparison(None, V, 2.0)
+        assert d.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_weight_steps_share_one_buffer(self, e):
         rng = np.random.default_rng(15)

@@ -191,6 +191,26 @@ class TestToy:
         Z = partial_d(toy1000.monomial((1,)), toy1000)
         assert toy1000.compress(Z) is Z
 
+    @pytest.mark.parametrize("name", ["toy1000", "circle64", "torus12"])
+    def test_only_the_toy_keeps_no_interior_index_array(self, name, request):
+        # the toy's interior is its whole basis: no index array is kept,
+        # and every reader sees the indices 0 .. dim - 1
+        model = request.getfixturevalue(name)
+        assert (model._interior is None) == (name == "toy1000")
+        assert model.interior.dtype.kind == "i"
+        assert model.interior_dim == model.interior.size
+        assert invertible_double(model)[0]._interior is model._interior
+        if name == "toy1000":
+            np.testing.assert_array_equal(model.interior,
+                                          np.arange(model.dim))
+
+    def test_unbuffered_circle_compresses_to_itself(self):
+        # with no buffer the circle's interior is its whole basis too
+        model = build_circle(8, buffer=0)
+        assert model.interior_dim == model.dim
+        A = model.realize(model.monomial((0,)))
+        assert model.compress(A) is A
+
 
 class TestRealize:
     def test_identity_word(self, circle64):
