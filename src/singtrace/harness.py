@@ -611,15 +611,6 @@ def _harmonic(model, N):
         1.0 / (np.arange(N) + 1.0), label="diag(1/(k+1))"))
 
 
-def _harmonic_mu(model, N):
-    """The singular values mu of the harmonic V of dim N and their partial
-    sums, built once per model and N."""
-    def build():
-        mu = singular_values(_harmonic(model, N))
-        return mu, np.cumsum(mu.mu)
-    return model.derived(("harmonic mu", N), build)
-
-
 def _alternating(N):
     """A = diag((-1)^k) of dim N, whose V-weighted trace vanishes."""
     signs = np.ones(N)
@@ -640,15 +631,15 @@ def _harmonic_heat(model):
 def _check_diag_oracles(ctx):
     N = ctx.model.N
     V = _harmonic(ctx.model, N)
-    mu, mu_sums = _harmonic_mu(ctx.model, N)
-    z_dix = traces._logmean(mu_sums, ctx.scheme, None, None)
+    mu = singular_values(V)
+    z_dix = traces.dixmier_logmean(mu, ctx.scheme)
     z_xi = traces.heat_xi(V, ctx.scheme)
     sums = _harmonic_heat(ctx.model)
     z_heat = traces.heat_fit(traces.HeatSamples(
         sums["grid"], sums["heat"].astype(complex), 2.0))
     alt = traces.measurability_criterion_check(
         _alternating(N), V,
-        traces.HeatSamples(sums["grid"], sums["modulated"], 2.0), mu)
+        traces.HeatSamples(sums["grid"], sums["modulated"], 2.0))
     tol = ctx.tolerance("diag_z", 0.05)
     alt_tol = ctx.tolerance("alt_z", 0.02)
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
@@ -678,12 +669,12 @@ def _check_scalings(ctx):
 
 
 def _check_scheme_robustness(ctx):
-    _mu, mu_sums = _harmonic_mu(ctx.model, ctx.model.N)
+    mu = singular_values(_harmonic(ctx.model, ctx.model.N))
     zs = {}
     for r in (1.5, 2.0, 3.0):
         sch = traces.ExtendedLimitScheme(ratio=r,
                                          averaging=ctx.scheme.averaging)
-        zs[r] = traces._logmean(mu_sums, sch, None, None).z
+        zs[r] = traces.dixmier_logmean(mu, sch).z
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
     tol = ctx.tolerance("scheme_drift", 0.02)
     return CheckRecord(

@@ -344,13 +344,17 @@ class Operator:
             )
 
     def _layers(self):
-        """The layers of this operator; a diagonal is one layer."""
+        """The layers of this operator; a diagonal is one layer.  Layer
+        values are complex, a real diagonal's too: :func:`_merge` adds a
+        group's values in place."""
         if self._kind == "sparse":
             return self._data
         d, n = self._data, self._dim
         col = np.arange(n + 1)
         col[:n][d == 0] = n
-        return ((col, np.append(d, 0)),)
+        val = np.zeros(n + 1, dtype=complex)
+        val[:n] = d
+        return ((col, val),)
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):

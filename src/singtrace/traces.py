@@ -28,7 +28,6 @@ import numpy as np
 
 from .ideals import (
     PartialSumSeries,
-    _as_mu,
     _least_squares,
     _loglog_slope,
     decay_exponent,
@@ -173,14 +172,14 @@ def dixmier_logmean(mu, scheme=None, n_max=None):
     eigenvalue sums of non-normal operators.
     """
     scheme = scheme or ExtendedLimitScheme()
+    snap = None
     if isinstance(mu, PartialSumSeries):
-        return _logmean(mu.sums, scheme, n_max, mu.snap)
-    return _logmean(np.cumsum(_as_mu(mu)), scheme, n_max, None)
+        sums = mu.sums
+        snap = mu.snap
+    else:
+        from .ideals import _as_mu
 
-
-def _logmean(sums, scheme, n_max, snap):
-    """The estimate of :func:`dixmier_logmean` from the partial sums
-    ``sums``, with the snap of a :class:`PartialSumSeries` (None: none)."""
+        sums = np.cumsum(_as_mu(mu))
     N = sums.size
     if n_max is None:
         n_max = N - 1
@@ -621,17 +620,17 @@ def _criterion(mu, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V, samples=None, mu=None):
+def measurability_criterion_check(A, V, samples=None):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
-    trace value.  ``samples`` (those of ``heat_functional(A, V, 2.0)``) and
-    ``mu`` (``singular_values(V)``) are taken when the caller has them.
+    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0)``
+    when the caller has them already.
     """
-    mu = singular_values(V) if mu is None else mu
+    mu = singular_values(V)
     heat = heat_fit(heat_functional(A, V, 2.0) if samples is None else samples)
     product = (A @ V) if A is not None else V
     return _criterion(mu, heat, eigenvalue_partial_sums(product), None)

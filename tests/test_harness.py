@@ -735,36 +735,6 @@ def test_benchmark_layer_names_resolve():
     assert not missing
 
 
-def test_toy_run_takes_the_harmonic_mu_and_its_sums_once(monkeypatch):
-    """diag-oracles (with the criterion inside it) and scheme-robustness
-    read one memoized mu of V = diag(1/(k+1)) and its partial sums:
-    singular_values(V) runs once per run (it used to run three times), and
-    the four Dixmier log-means average one partial-sum array (each used to
-    take its own cumsum)."""
-    calls, sums, lock = Counter(), [], threading.Lock()
-    real_sv, real_logmean = harness.singular_values, traces._logmean
-
-    def counted(T):
-        with lock:
-            calls[T.label] += 1
-        return real_sv(T)
-
-    def logmean(partial_sums, *args):
-        with lock:
-            sums.append(partial_sums)
-        return real_logmean(partial_sums, *args)
-
-    for mod in (harness, traces):
-        monkeypatch.setattr(mod, "singular_values", counted)
-    monkeypatch.setattr(traces, "_logmean", logmean)
-    report = run(ExperimentConfig(
-        model={"name": "toy", "N": 4096},
-        checks=["diag-oracles", "scalings", "scheme-robustness", "cutoff"]))
-    assert report.all_passed
-    assert calls["diag(1/(k+1))"] == 1
-    assert len(sums) == 4 and all(s is sums[0] for s in sums)
-
-
 @pytest.mark.parametrize("model, checks", [
     ({"name": "toy", "N": 4096},
      ["diag-oracles", "scalings", "scheme-robustness", "cutoff", "modulated",
@@ -792,8 +762,7 @@ def test_real_diagonals_stay_float64_after_a_run(monkeypatch, model, checks):
     if m.name == "toy":
         V = harness._harmonic(m, m.N)
         ops["V"] = V
-        mu, _sums = harness._harmonic_mu(m, m.N)
-        assert mu.mu is V.diag()  # V is its own singular values
+        assert harness.singular_values(V).mu is V.diag()  # V is its own mu
     for name, op in ops.items():
         assert op.kind == "diag" and op.diag().dtype == np.float64, name
     assert harness._alternating(8).diag().dtype == np.float64

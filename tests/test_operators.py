@@ -524,6 +524,7 @@ def _assert_same_bits(got, want):
         return
     assert len(got._data) == len(want._data)
     for (got_col, got_val), (want_col, want_val) in zip(got._data, want._data):
+        assert got_val.dtype == np.complex128
         np.testing.assert_array_equal(got_col, want_col)
         _same_bits(got_val, want_val)
 
@@ -597,6 +598,31 @@ class TestRealDiagonalParity:
             _same_bits(singular_values(R).mu, singular_values(C).mu)
             assert R.hermitian and C.hermitian
             assert R.norm_bound() == C.norm_bound()
+
+    @pytest.mark.parametrize("name", ["circle64", "torus16"])
+    def test_chained_sums(self, name, request):
+        """Real diagonals added one after another into a layered operator
+        land in one merged group, where each layer's values are added in
+        place: every layer must stay complex for that sum to exist."""
+        model = request.getfixturevalue(name)
+        reals, partners = self._operands(model)
+        for P in partners.values():
+            got, want = P, _as_complex(P)
+            for R in reals.values():
+                got, want = R + got, _as_complex(R) + want
+                _assert_same_bits(got, want)
+
+    def test_real_diagonals_summed_into_one_group(self):
+        M = np.zeros((3, 3), dtype=complex)
+        M[0, 2] = M[2, 0] = 1
+        M[1, 1] = 1j
+        R = Operator(np.array([1.0, 0.0, 2.0])) + Operator(M)
+        got = Operator(np.ones(3)) + R
+        want = (Operator(np.ones(3, dtype=complex))
+                + (Operator(np.array([1, 0, 2], dtype=complex)) + Operator(M)))
+        _assert_same_bits(got, want)
+        np.testing.assert_array_equal(got.sparse().toarray(), np.eye(3) + M
+                                      + np.diag([1.0, 0.0, 2.0]))
 
 
 @st.composite

@@ -190,6 +190,11 @@ class TestToy:
         assert C.kind == "diag" and C.diag() is A.diag()
         Z = partial_d(toy1000.monomial((1,)), toy1000)
         assert toy1000.compress(Z) is Z
+        # with no buffer the circle's interior is its whole basis too
+        circle = build_circle(8, buffer=0)
+        assert circle.interior_dim == circle.dim
+        A = circle.realize(circle.monomial((0,)))
+        assert circle.compress(A) is A
 
     @pytest.mark.parametrize("name", ["toy1000", "circle64", "torus12"])
     def test_only_the_toy_keeps_no_interior_index_array(self, name, request):
@@ -203,13 +208,6 @@ class TestToy:
         if name == "toy1000":
             np.testing.assert_array_equal(model.interior,
                                           np.arange(model.dim))
-
-    def test_unbuffered_circle_compresses_to_itself(self):
-        # with no buffer the circle's interior is its whole basis too
-        model = build_circle(8, buffer=0)
-        assert model.interior_dim == model.dim
-        A = model.realize(model.monomial((0,)))
-        assert model.compress(A) is A
 
 
 class TestRealize:
