@@ -112,37 +112,27 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        if args.verb == "model" and args.action == "build":
+        if args.verb == "model":
             model = _config_from_args(args, []).validate().build_model()
             print(model.descriptor_json())
             return 0
-        if args.verb == "cycle" and args.action == "check":
-            report = run(_config_from_args(args, ["cycle"]))
-            _print_report(report)
-            return 0 if report.all_passed else 1
-        if args.verb in _CHECK_VERBS:
-            report = run(_config_from_args(args, [args.verb]))
-            _print_report(report)
-            return 0 if report.all_passed else 1
         if args.verb == "suite":
             report = suite(args.which, out=args.out, seed=args.seed)
-            _print_report(report)
-            return 0 if report.all_passed else 1
-        if args.verb == "run":
+        elif args.verb == "run":
             with open(args.config) as fh:
                 config = ExperimentConfig.from_json(fh.read())
             if args.out:
                 config.out = args.out
             report = run(config)
-            _print_report(report)
-            return 0 if report.all_passed else 1
-    except ConfigError as exc:
+        else:  # cycle check, or a verb that runs the check of its name
+            check = "cycle" if args.verb == "cycle" else args.verb
+            report = run(_config_from_args(args, [check]))
+    except (ConfigError, FileNotFoundError, IsADirectoryError,
+            UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    parser.error("unhandled verb")
+    _print_report(report)
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -59,6 +59,10 @@ _BUILDER_KEYS = {"circle": ("buffer",), "nc_torus": ("theta", "buffer"),
 # identity-suite realizes a * b for words a, b drawn with exponents in
 # [-2, 2], so its words reach 4 modes past the interior
 _IDENTITY_SUITE_BUFFER = 4
+# the checks that realize the chain's words; cycle decides bc = 0 on the
+# symbols alone
+_CHAIN_CHECKS = {"chern", "eigen-sums", "heat", "dixmier", "measure", "reduce",
+                 "identity-suite", "concordance"}
 
 
 @dataclass
@@ -417,6 +421,19 @@ class _Context:
         self.config = config
         self.model = config.build_model()
         self.chain = _load_chain(self.model, config.chain)
+        # a word the checks realize must fit the buffer: one that does not
+        # is the config's fault, not a failing check
+        words = set()
+        if _CHAIN_CHECKS.intersection(config.checks):
+            words.update(w for ws, _m in self.chain.terms for w in ws)
+        if "summability" in config.checks:
+            words.update(w for g in self.model.generators().values()
+                         for w, _m in g.terms)
+        for word in sorted(words):
+            if self.model.word_band(word) > self.model.B:
+                raise ConfigError(
+                    f"word {self.model.word_label(word)} exceeds buffer "
+                    f"B={self.model.B}")
         sch = dict(config.scheme)
         self.scheme = traces.ExtendedLimitScheme(**sch) if sch else \
             traces.ExtendedLimitScheme()
@@ -825,16 +842,9 @@ def run(config):
 
 
 def _merge(reports, config):
-    records = []
-    for tag, rep in reports:
-        for rec in rep.records:
-            rec = CheckRecord(
-                name=f"{tag}:{rec.name}", passed=rec.passed, values=rec.values,
-                residuals=rec.residuals, details=rec.details,
-                runtime_s=rec.runtime_s, inputs_digest=rec.inputs_digest,
-                curves=rec.curves)
-            records.append(rec)
-    records.sort(key=lambda r: r.name)
+    records = sorted((replace(rec, name=f"{tag}:{rec.name}")
+                      for tag, rep in reports for rec in rep.records),
+                     key=lambda r: r.name)
     return Report(records=records, config=config,
                   environment=_environment_stamp(config))
 

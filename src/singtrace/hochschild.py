@@ -184,11 +184,13 @@ def circle_winding_cycle(model):
 
 
 def antisymmetrized_cycle(model, letters):
-    """sum_sigma sgn(sigma) t (x) a_{s(1)} (x) ... with t = (prod letters)^{-1}.
+    """sum_sigma sgn(sigma) t_sigma (x) a_{s(1)} (x) ... (x) a_{s(q)}, where
+    t_sigma is the inverse of the ordered product a_{s(1)} ... a_{s(q)}.
 
-    For commuting letters this is exactly closed in any degree; on the torus
-    the degree-2 case with letters (U, V) needs the twist-corrected inverse
-    in each orientation, handled by :func:`nc_torus_volume_cycle` instead.
+    Each orientation carries the (twist-corrected) inverse of its own
+    product, so the chain is exactly closed for commuting letters in any
+    degree and, at every twist angle, for the torus letters (U, V): that is
+    :func:`nc_torus_volume_cycle`.
     """
     from itertools import permutations
 
@@ -207,40 +209,15 @@ def antisymmetrized_cycle(model, letters):
 
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """The sign of a permutation: the parity of its inversion count."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def nc_torus_volume_cycle(model):
-    """Volume 2-cycle (UV)^{-1} (x) U (x) V - (VU)^{-1} (x) V (x) U.
-
-    Each orientation carries the inverse of its own ordered product, which
-    makes bc = 0 an exact identity for every twist angle theta.
-    """
-    if model.word_rank != 2:
-        raise ContractViolation("volume cycle requires the torus model")
-    U = model.monomial((1, 0))
-    V = model.monomial((0, 1))
-    combos = []
-    for sign, first, second in ((1.0, U, V), (-1.0, V, U)):
-        prod = first * second
-        ((word, m),) = prod.terms.keys()
-        inv_word, inv_m = model.word_inverse(word, m)
-        t = AlgebraElement(model, {(inv_word, inv_m): 1.0 + 0j})
-        combos.append((sign, [t, first, second]))
-    return Chain.from_elements(model, combos)
+    """Volume 2-cycle (UV)^{-1} (x) U (x) V - (VU)^{-1} (x) V (x) U."""
+    return antisymmetrized_cycle(model, [model.monomial((1, 0)),
+                                         model.monomial((0, 1))])
 
 
 # -- realized multilinear maps ---------------------------------------------------
@@ -331,16 +308,6 @@ class ChernResult:
         }
 
 
-def _interior_at(model, radius):
-    if model.name.startswith("circle"):
-        return np.flatnonzero(np.abs(model.modes) <= radius)
-    if model.name.startswith("nc_torus"):
-        n1, n2 = model.lattice
-        inside = (np.abs(n1) <= radius) & (np.abs(n2) <= radius)
-        return np.flatnonzero(np.concatenate([inside, inside]))
-    return np.arange(min(radius, model.dim))
-
-
 def chern(c, model, strict=True):
     """Chern character Ch(c) = (-1)^{q-1} (1/2) Tr(ch(c)), q = degree.
 
@@ -363,7 +330,7 @@ def chern(c, model, strict=True):
         for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2),
                               model.N}):
             within = np.zeros(model.dim, dtype=bool)
-            within[_interior_at(model, radius)] = True
+            within[model.interior_at(radius)] = True
             inside = within[model.interior]
             history[radius] = complex(sign * 0.5 * diag[inside].sum())
         return ChernResult(value=history[model.N], history=history)
@@ -494,7 +461,7 @@ def reduction_partial_sum_check(c, model):
     """
     if not is_cycle(c):
         raise ContractViolation("reduction_partial_sum_check requires a cycle")
-    double, _d1 = invertible_double(model)
+    double = invertible_double(model)
     p = double.p
     omega_int = omega(c, double)
     wp = w_subset(c, double, frozenset({p}))
@@ -547,7 +514,7 @@ def heat_cycle_trace(c, model):
     """
     if not is_cycle(c):
         raise ContractViolation("heat_cycle_trace requires a cycle")
-    double, _d1 = invertible_double(model)
+    double = invertible_double(model)
     p = double.p
     wp = w_subset(c, double, frozenset({p}))
     _abs_inv_p, d0_inv = _interior_inverse_powers(double)

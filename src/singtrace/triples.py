@@ -21,6 +21,7 @@ to N), which keeps shift-truncation artifacts out of the asymptotics.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import threading
@@ -146,7 +147,7 @@ class AlgebraElement:
 class SpectralTripleModel:
     """A truncated spectral triple: basis geometry, D, F, |D|, grading."""
 
-    def __init__(self, name, N, B, p, parity, theta=0.0):
+    def __init__(self, name, N, B, p, parity, theta):
         self.name = name
         self.N = int(N)
         self.B = int(B)
@@ -183,6 +184,11 @@ class SpectralTripleModel:
         return max((abs(e) for e in word), default=0)
 
     def _realize_word(self, word):
+        raise NotImplementedError
+
+    def interior_at(self, radius):
+        """The basis indices, ascending, of the modes within ``radius``; at
+        N these are the interior."""
         raise NotImplementedError
 
     def derived(self, key, build):
@@ -326,7 +332,10 @@ class SpectralTripleModel:
                 f"p={self.p}, {self.parity}, dim={self.dim})")
 
 
-class _CircleModel(SpectralTripleModel):
+class _RankOneModel(SpectralTripleModel):
+    """A model whose algebra has one unitary generator, named ``letter``:
+    a word is one integer exponent, and words multiply commutatively."""
+
     word_rank = 1
 
     def mul_words(self, w1, w2):
@@ -336,10 +345,17 @@ class _CircleModel(SpectralTripleModel):
         return ((-word[0],), 0)
 
     def word_label(self, word):
-        return f"u^{word[0]}"
+        return f"{self.letter}^{word[0]}"
 
     def generators(self):
-        return {"u": self.monomial((1,))}
+        return {self.letter: self.monomial((1,))}
+
+
+class _CircleModel(_RankOneModel):
+    letter = "u"
+
+    def interior_at(self, radius):
+        return np.flatnonzero(np.abs(self.modes) <= radius)
 
     def _realize_word(self, word):
         # u^k: row i holds 1 in column i - k
@@ -349,23 +365,14 @@ class _CircleModel(SpectralTripleModel):
         return weighted_shift(np.where(inside, col, M), inside, "")
 
 
-class _ToyModel(SpectralTripleModel):
-    word_rank = 1
-
-    def mul_words(self, w1, w2):
-        return ((w1[0] + w2[0],), 0)
-
-    def adjoint_word(self, word):
-        return ((-word[0],), 0)
-
-    def word_label(self, word):
-        return f"w^{word[0]}"
+class _ToyModel(_RankOneModel):
+    letter = "w"
 
     def word_band(self, word):
         return 0  # every toy word is diagonal
 
-    def generators(self):
-        return {"w": self.monomial((1,))}
+    def interior_at(self, radius):
+        return np.arange(min(radius, self.dim))
 
     def _realize_word(self, word):
         j = word[0]
@@ -396,6 +403,11 @@ class _TorusModel(SpectralTripleModel):
     def generators(self):
         return {"U": self.monomial((1, 0)), "V": self.monomial((0, 1))}
 
+    def interior_at(self, radius):
+        n1, n2 = self.lattice
+        inside = (np.abs(n1) <= radius) & (np.abs(n2) <= radius)
+        return np.flatnonzero(np.concatenate([inside, inside]))
+
     def _realize_word(self, word):
         """U^a V^b on both spinor halves:
         e_n -> exp(2 pi i theta b n1) e_{n+(a,b)}."""
@@ -420,7 +432,7 @@ def build_circle(N, buffer=None):
     if N < 8:
         raise ContractViolation("build_circle requires N >= 8")
     B = int(buffer) if buffer is not None else 8
-    model = _CircleModel("circle", N, B, p=1, parity="odd")
+    model = _CircleModel("circle", N, B, p=1, parity="odd", theta=0.0)
     R = N + B
     modes = np.arange(-R, R + 1)
     model.dim = modes.size
@@ -428,7 +440,7 @@ def build_circle(N, buffer=None):
     model.D = Operator(modes.astype(float), label="D", hermitian=True)
     model.F, model.absD = phase_modulus(model.D)
     model.Gamma = None
-    model._interior = np.flatnonzero(np.abs(modes) <= N)
+    model._interior = model.interior_at(N)
     model.reliable_count = model.interior_dim
     model.metadata = {"sign0": "+1", "basis": "fourier modes -R..R"}
     return model
@@ -467,8 +479,7 @@ def build_nc_torus(N, theta=None, buffer=None):
     model.F = _spinor_offdiag(unit, "F")
     gamma = np.concatenate([np.ones(L * L), -np.ones(L * L)])
     model.Gamma = Operator(gamma, label="Gamma", hermitian=True)
-    inside = (np.abs(n1) <= N) & (np.abs(n2) <= N)
-    model._interior = np.flatnonzero(np.concatenate([inside, inside]))
+    model._interior = model.interior_at(N)
     model.reliable_count = 2 * int(np.count_nonzero(n1 ** 2 + n2 ** 2 <= N * N))
     model.metadata = {
         "sign0": "spinor swap on ker D",
@@ -490,7 +501,7 @@ def build_diagonal_toy(N, decay_exponent=1):
     # check's s-window holds fewer than 3 points
     if N < 32:
         raise ContractViolation("build_diagonal_toy requires N >= 32")
-    model = _ToyModel("toy", N, 0, p=p, parity="odd")
+    model = _ToyModel("toy", N, 0, p=p, parity="odd", theta=0.0)
     model.dim = int(N)
     k = np.arange(N, dtype=float)
     model.D = Operator((k + 1.0) ** (1.0 / p), label="D", hermitian=True)
@@ -523,13 +534,14 @@ def delta(a, model):
 
 
 def invertible_double(model):
-    """Replace D by the invertible D0 = F (1 + D^2)^{1/2}; returns (model', D1).
+    """The model with D replaced by the invertible D0 = F (1 + D^2)^{1/2}.
 
     D1 = D0 - D equals F (|D| + (1+|D|^2)^{1/2})^{-1} (checked to 1e-10) and
-    lies in L_{p,inf}; the new triple shares the algebra, phase F and grading.
-    On the even torus Gamma anticommutes with F (the spinor swap on ker D
-    included) and commutes with D^2, so {Gamma, D0} = 0 exactly.  Built once
-    per model.
+    lies in L_{p,inf}.  On the even torus Gamma anticommutes with F (the
+    spinor swap on ker D included) and commutes with D^2, so {Gamma, D0} = 0
+    exactly.  The double is a shallow copy of the model with its own D0,
+    |D0| = (1 + D^2)^{1/2}, name, metadata and memo: it shares the geometry,
+    the realized words, the phase F and the grading.  Built once per model.
     """
     return model.derived(("double",), lambda: _build_double(model))
 
@@ -547,24 +559,12 @@ def _build_double(model):
     if gap > 1e-10 * scale:
         raise ContractViolation(
             f"invertible double closed form violated: residual {gap:.3e}")
-    double = model.__class__(model.name + "+double", model.N, model.B,
-                             model.p, model.parity, model.theta)
-    for attr in ("modes", "lattice"):
-        if hasattr(model, attr):
-            setattr(double, attr, getattr(model, attr))
-    double.dim = model.dim
-    double._interior = model._interior
-    double.reliable_count = model.reliable_count
-    double._word_cache = model._word_cache
-    double.D = D0.relabel("D0")
-    double.absD = root
-    double.F = model.F
-    double.Gamma = model.Gamma
-    double.metadata = dict(model.metadata)
-    double.metadata["double_of"] = model.model_id
-    double.metadata["D1_quasi_norm_p"] = quasi_norm_pinf(
-        singular_values(D1), model.p)
-    return double, D1.relabel("D1")
+    double = copy.copy(model)
+    double.name = model.name + "+double"
+    double.metadata = dict(model.metadata, double_of=model.model_id)
+    double._memo, double._memo_lock = {}, threading.Lock()
+    double.D, double.absD = D0.relabel("D0"), root
+    return double
 
 
 def resolvent_weight(model, q=None):

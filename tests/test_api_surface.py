@@ -17,10 +17,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "singtrace"
 ALLOWED_DEFAULTS = {
     # the console entry point: argparse reads sys.argv when argv is None
     ("cli", "main", "argv"),
-    # the base class's theta is passed through the subclass constructors
-    # (_TorusModel(..., theta=theta)) and by invertible_double's
-    # model.__class__(...), which a callee-name match cannot see
-    ("triples", "SpectralTripleModel.__init__", "theta"),
 }
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singtrace import harness, ideals, traces
+from singtrace import hochschild as hh
 from singtrace.cli import main as cli_main
 from singtrace.harness import (
     CHECKS,
@@ -26,7 +27,7 @@ from singtrace.harness import (
     run,
     suite,
 )
-from singtrace.triples import build_circle
+from singtrace.triples import build_circle, build_model
 
 
 class TestConfig:
@@ -173,6 +174,21 @@ class TestChains:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
             builtin_chain(build_circle(16), "moebius")
+
+    @pytest.mark.parametrize("name, N, extra, chains", [
+        ("circle", 16, {}, ["default", "winding", "parity"]),
+        ("nc_torus", 8, {}, ["default", "volume", "parity"]),
+        ("nc_torus", 8, {"theta": 0.3}, ["volume", "parity"]),
+        ("nc_torus", 8, {"theta": 0.0}, ["volume", "parity"]),
+        ("toy", 32, {}, ["default", "toy-volume", "parity"]),
+        ("toy", 32, {"p": 2}, ["toy-volume"]),
+        ("toy", 32, {"p": 3}, ["toy-volume"]),
+    ], ids=["circle", "torus", "torus-0.3", "torus-0", "toy", "toy-p2",
+            "toy-p3"])
+    def test_every_builtin_chain_is_a_cycle(self, name, N, extra, chains):
+        model = build_model(name, N, **extra)
+        for chain in chains:
+            assert hh.is_cycle(builtin_chain(model, chain)), chain
 
     def test_inline_chain(self):
         inline = {"degree": 1, "terms": [
@@ -365,6 +381,28 @@ class TestCli:
         assert rc == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: model ")
+
+    @pytest.mark.parametrize("config, word", [
+        ({"model": {"name": "nc_torus", "N": 16, "buffer": 0},
+          "checks": ["chern"]}, "U^-1V^-1 exceeds buffer B=0"),
+        ({"model": {"name": "circle", "N": 16, "buffer": 1},
+          "chain": {"degree": 1, "terms": [
+              {"coeff": [1, 0], "tensor": [[-2], [2]]}]},
+          "checks": ["chern", "measure"]}, "u^-2 exceeds buffer B=1"),
+        ({"model": {"name": "circle", "N": 16, "buffer": 0},
+          "checks": ["summability"]}, "u^1 exceeds buffer B=0"),
+    ], ids=["torus-chain", "circle-inline-chain", "circle-generator"])
+    def test_word_wider_than_the_buffer_is_a_config_error(
+            self, config, word, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        rc = cli_main(["run", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"config error: word {word}\n"
+        # cycle decides bc = 0 on the symbols: it realizes no word
+        cfg.write_text(json.dumps(dict(config, checks=["cycle"])))
+        assert cli_main(["run", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("model", [
         {"name": "circle", "N": 16, "buffer": 3},

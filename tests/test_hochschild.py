@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -164,6 +165,12 @@ class TestVolumeCycle:
             m = build_nc_torus(8, theta=theta)
             assert is_cycle(nc_torus_volume_cycle(m))
 
+    def test_perm_sign_is_the_permutation_matrix_determinant(self):
+        for q in range(1, 5):
+            for perm in itertools.permutations(range(q)):
+                det = np.linalg.det(np.eye(q)[list(perm)])
+                assert hochschild._perm_sign(perm) == round(det)
+
     def test_nondegenerate_and_twist_independent(self, torus16):
         m0 = build_nc_torus(16, theta=0.0)
         ch_irr = chern(nc_torus_volume_cycle(torus16), torus16).value
@@ -218,6 +225,17 @@ class TestOmega:
             assert gap.norm_bound() <= 1e-12
 
 
+def _window(model, radius):
+    """The basis mask of the modes within ``radius``, read from each basis
+    vector's coordinates (on the toy, the first ``radius`` modes)."""
+    if model.name == "circle":
+        return np.abs(model.modes) <= radius
+    if model.name == "nc_torus":
+        n1, n2 = (np.tile(n, 2) for n in model.lattice)  # both spinor halves
+        return (np.abs(n1) <= radius) & (np.abs(n2) <= radius)
+    return np.arange(model.dim) < radius
+
+
 class TestChern:
     def test_circle_matches_brute_force(self, circle64):
         oracle = brute_force_circle_chern(64)
@@ -260,9 +278,24 @@ class TestChern:
         assert len(got.history) == 3
         for radius, value in got.history.items():
             inside = np.isin(model.interior,
-                             hochschild._interior_at(model, radius))
+                             np.flatnonzero(_window(model, radius)))
             want = complex(sign * 0.5 * diag[inside].sum())
             assert complex(value) == want
+
+    @pytest.mark.parametrize("name", ["circle64", "torus12", "toy1000"])
+    def test_interior_at_selects_the_modes_within_the_radius(
+            self, name, request):
+        model = request.getfixturevalue(name)
+        for radius in (0, 3, model.N // 4, model.N, model.N + model.B + 1):
+            np.testing.assert_array_equal(
+                model.interior_at(radius),
+                np.flatnonzero(_window(model, radius)))
+        # the builders' interior is the window at N
+        np.testing.assert_array_equal(model.interior_at(model.N),
+                                      model.interior)
+        if name != "toy1000":
+            np.testing.assert_array_equal(model.interior_at(model.N),
+                                          model._interior)
 
     def test_torus_matches_brute_force(self, torus12):
         # fully independent dense reconstruction (own index maps and phases)
@@ -437,7 +470,7 @@ class TestHeatCycle:
         c = circle_winding_cycle(circle256)
         rep = heat_cycle_trace(c, circle256)
         s_grid = np.asarray(rep["s"])
-        double, _ = invertible_double(circle256)
+        double = invertible_double(circle256)
         p = double.p
         wp = w_subset(c, double, frozenset({p}))
         xdiag = (wp @ hochschild._interior_inverse_powers(double)[1]).diag()
@@ -517,7 +550,7 @@ class TestPerturbationSurrogate:
         norms = []
         for N in (32, 64, 128):
             m = build_circle(N)
-            double, _ = invertible_double(m)
+            double = invertible_double(m)
             u = m.monomial((1,))
             A = m.realize(u.adjoint())
             U = m.realize(u)
@@ -567,7 +600,7 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
         "weight": lambda: _interior_weight(model, 1),
         "double": lambda: invertible_double(model),
         "inverse_powers": lambda: hochschild._interior_inverse_powers(
-            invertible_double(model)[0]),
+            invertible_double(model)),
         "pairing": lambda: hochschild._pairing_series(c, model),
     }
     tasks = comms + list(derived)

@@ -204,7 +204,7 @@ class TestToy:
         assert (model._interior is None) == (name == "toy1000")
         assert model.interior.dtype.kind == "i"
         assert model.interior_dim == model.interior.size
-        assert invertible_double(model)[0]._interior is model._interior
+        assert invertible_double(model)._interior is model._interior
         if name == "toy1000":
             np.testing.assert_array_equal(model.interior,
                                           np.arange(model.dim))
@@ -268,7 +268,7 @@ class TestDerivations:
 
     def test_kogom_base_identity_on_double(self, circle64):
         # [D0, a] = ([F, delta(a)] |D0|^-1 + delta(a) D0^-1 + [F, a]) |D0|
-        double, _ = invertible_double(circle64)
+        double = invertible_double(circle64)
         a = double.monomial((1,), coeff=1.0) + double.monomial((-2,), coeff=0.5)
         A = double.realize(a)
         from singtrace.operators import hermitian_calculus
@@ -285,7 +285,8 @@ class TestDerivations:
 
 class TestInvertibleDouble:
     def test_circle_closed_forms(self, circle64):
-        double, D1 = invertible_double(circle64)
+        double = invertible_double(circle64)
+        D1 = double.D - circle64.D
         k = circle64.modes
         sign = np.where(k >= 0, 1.0, -1.0)
         np.testing.assert_allclose(double.D.diag().real,
@@ -297,18 +298,36 @@ class TestInvertibleDouble:
         assert ev.min() >= 1.0
 
     def test_perturbation_in_weak_l1(self, circle64):
-        double, D1 = invertible_double(circle64)
+        # mu(D1) = 1, then 1/(k + sqrt(1 + k^2)) twice for each k >= 1: the
+        # sup of (n+1) mu_n is at the pair k = 1, for every N
+        D1 = invertible_double(circle64).D - circle64.D
         qn = quasi_norm_pinf(singular_values(D1), circle64.p)
-        assert np.isfinite(qn)
-        assert qn == double.metadata["D1_quasi_norm_p"]
+        assert qn == pytest.approx(3.0 / (1.0 + np.sqrt(2.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["circle64", "torus12", "toy1000"])
+    def test_double_is_a_copy_with_its_own_memo(self, name, request):
+        model = request.getfixturevalue(name)
+        double = invertible_double(model)
+        assert type(double) is type(model)
+        for attr in ("F", "Gamma", "_interior", "_word_cache"):
+            assert getattr(double, attr) is getattr(model, attr)
+        assert double.D is not model.D and double.absD is not model.absD
+        assert double.name == model.name + "+double"
+        assert double.metadata == dict(model.metadata,
+                                       double_of=model.model_id)
+        assert double._memo is not model._memo
+        assert double._memo_lock is not model._memo_lock
+        probe = object()
+        assert double.derived(("probe",), lambda: probe) is probe
+        assert ("probe",) not in model._memo
 
     def test_invertible_model_keeps_phase(self, toy1000):
         # toy D is psd with |D| >= 1 already; the double keeps F = identity
-        double, _ = invertible_double(toy1000)
+        double = invertible_double(toy1000)
         assert (double.F - toy1000.F).norm_bound() == 0.0
 
     def test_torus_double(self, torus12):
-        double, D1 = invertible_double(torus12)
+        double = invertible_double(torus12)
         ev = np.abs(double.compress(double.absD).diag().real)
         assert ev.min() >= 1.0
         assert double.F is torus12.F
