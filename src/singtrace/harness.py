@@ -743,8 +743,11 @@ def _check_cutoff(ctx):
     window = scheme.window(traces.default_heat_grid(
         ctx.model.N, scheme.ratio, scheme.n_min))
     sums = _harmonic_heat(ctx.model)
-    if np.isin(window, sums["grid"]).all():  # the default scheme's window
-        at = np.searchsorted(sums["grid"], window)
+    grid = sums["grid"]
+    # whether the sorted grid holds every window point (np.isin would sort
+    # through np.unique, which imports numpy.ma)
+    at = np.minimum(np.searchsorted(grid, window), grid.size - 1)
+    if np.array_equal(grid[at], window):  # the default scheme's window
         rep = traces._cutoff_verdict(window, sums["heat"][at],
                                      sums["cutoff"][at], scheme)
     else:

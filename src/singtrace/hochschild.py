@@ -34,9 +34,9 @@ from .ideals import (
 )
 from .operators import (
     ContractViolation,
-    Operator,
     commutator,
     hermitian_calculus,
+    zero,
 )
 from .traces import (
     _criterion,
@@ -238,18 +238,26 @@ def _chain_map(c, model, kinds, label, lead=None):
     """The interior compression of lead Gamma sum_terms coeff lam^m prod_k X_k.
 
     X_k is ``model.factor(kinds[k], w_k)`` on the word w_k in slot k;
-    ``lead`` and Gamma are left out when None.
+    ``lead`` and Gamma are left out when None.  The commutator factors of a
+    term are taken first: when one is the exact zero, so is the term, and
+    its ``id`` word is not realized.  A zero term is still added, so that
+    the sum rounds as it would with the product formed.
     """
     acc = None
     for (words, m), coeff in sorted(c.terms.items()):
-        piece = None
-        for kind, w in zip(kinds, words):
-            factor = model.factor(kind, w)
-            piece = factor if piece is None else piece @ factor
-        piece = (coeff * model.eval_phase(m)) * piece
+        slots = list(zip(kinds, words))
+        if any(kind != "id" and model.factor(kind, w).is_zero()
+               for kind, w in slots):
+            piece = zero(model.dim)
+        else:
+            piece = None
+            for kind, w in slots:
+                factor = model.factor(kind, w)
+                piece = factor if piece is None else piece @ factor
+            piece = (coeff * model.eval_phase(m)) * piece
         acc = piece if acc is None else acc + piece
-    if acc is None:
-        return model.compress(Operator(np.zeros(model.dim, dtype=complex)))
+    if acc is None:  # no term left
+        acc = zero(model.dim)
     if model.Gamma is not None:
         acc = model.Gamma @ acc
     if lead is not None:

@@ -22,6 +22,7 @@ import numpy as np
 from .operators import (
     ContractViolation,
     SingularSequence,
+    _real_or_complex,
     eigenvalues,
 )
 
@@ -49,7 +50,8 @@ DEFAULT_RATIO = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PartialSumSeries:
-    """Cumulative eigenvalue sums: sums[n] = sum_{k<=n} lambda(k, T).
+    """Cumulative eigenvalue sums: sums[n] = sum_{k<=n} lambda(k, T), float64
+    when the eigenvalues are real and complex128 otherwise.
 
     ``boundaries`` marks the indices n at which a maximal group of
     (numerically) equal-modulus eigenvalues ends.  Partial sums at those
@@ -62,7 +64,7 @@ class PartialSumSeries:
     boundaries: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sums", np.asarray(self.sums, dtype=complex))
+        object.__setattr__(self, "sums", _real_or_complex(self.sums))
         if self.boundaries is not None:
             object.__setattr__(
                 self, "boundaries",
@@ -176,21 +178,27 @@ def lorentz_norm_m1inf(mu):
 
 
 def eigenvalue_partial_sums(T, label=None):
-    """Partial sums of eigenvalues(T) in canonical order.
+    """Partial sums of eigenvalues(T) in canonical order (float64 when T is
+    hermitian).
 
     Indices where the modulus strictly drops (relative gap above 1e-9) are
-    recorded as tie-group boundaries.
+    recorded as tie-group boundaries.  The exact zero (an operator with no
+    layer) takes no eigenvalue: its sums are a read-only view of one 0.0
+    with stride 0, and its one tie group ends at the last index.
     """
+    label = label or T.label
+    n = T.dim
+    if T.is_zero() and n:
+        return PartialSumSeries(np.broadcast_to(np.zeros(1), (n,)),
+                                source_label=label, boundaries=[n - 1])
     spec = eigenvalues(T)
     moduli = spec.moduli
-    n = moduli.size
     if n == 0:
-        return PartialSumSeries(np.empty(0, complex), source_label=label or T.label)
+        return PartialSumSeries(spec.values, source_label=label)
     scale = moduli[0] if moduli[0] > 0 else 1.0
     drop = moduli[:-1] - moduli[1:] > 1e-9 * scale
     boundaries = np.concatenate([np.flatnonzero(drop), [n - 1]])
-    return PartialSumSeries(np.cumsum(spec.values),
-                            source_label=label or T.label,
+    return PartialSumSeries(np.cumsum(spec.values), source_label=label,
                             boundaries=boundaries)
 
 
@@ -208,7 +216,16 @@ def geometric_grid(lo, hi, ratio=DEFAULT_RATIO):
         pts.append(int(math.ceil(x)))
         x *= ratio
     pts.append(hi)
-    return np.unique(np.asarray(pts, dtype=np.int64))
+    return _distinct(np.asarray(pts, dtype=np.int64))
+
+
+def _distinct(x):
+    """The distinct entries of a non-decreasing array, as ``np.unique``
+    returns them, by an adjacent difference (``np.unique`` without
+    ``return_index`` imports ``numpy.ma``, 15 ms, in numpy 2.4)."""
+    if x.size == 0:
+        return x.copy()
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def dyadic_window(N):
@@ -254,7 +271,7 @@ def log_fit(series, window=None):
     if hi >= N:
         hi = N - 1
     grid = geometric_grid(lo, hi)
-    snapped = np.unique(series.snap(grid))
+    snapped = _distinct(series.snap(grid))
     # fully degenerate spectra (e.g. the zero operator) collapse under
     # snapping; sums are then constant over ties and the raw grid is safe
     grid = snapped if snapped.size >= 3 else grid
@@ -263,7 +280,9 @@ def log_fit(series, window=None):
             f"log_fit window [{lo},{hi}] spans {grid.size} grid points; need >= 3"
         )
     x = np.log(grid + 1.0)
-    coef, resid = _least_squares([x, np.ones_like(x)], sums[grid])
+    # the fit of a complex series: a real solve of real sums rounds otherwise
+    coef, resid = _least_squares([x, np.ones_like(x)],
+                                 sums[grid].astype(complex))
     return LogFit(z=complex(coef[0]), intercept=complex(coef[1]),
                   residual_sup=resid,
                   window=(int(lo), int(hi)), grid=grid)

@@ -56,6 +56,7 @@ __all__ = [
     "canonical_order",
     "identity",
     "weighted_shift",
+    "zero",
 ]
 
 HERMITIAN_RTOL = 1e-12
@@ -91,6 +92,13 @@ class DomainError(OperatorError, ValueError):
     """A scalar function was evaluated outside its domain."""
 
 
+def _real_or_complex(x):
+    """``x`` as float64 when it is real and as complex128 when it is complex;
+    an array of either kind is returned itself, with no copy."""
+    x = np.asarray(x)
+    return x.astype(complex if np.iscomplexobj(x) else float, copy=False)
+
+
 def canonical_order(values):
     """Sort eigenvalues by non-increasing modulus.
 
@@ -102,7 +110,7 @@ def canonical_order(values):
     leave it; anything else (a NaN included) is a sorted copy.
     """
     values = np.asarray(values)
-    if values.imag.any():
+    if np.iscomplexobj(values) and values.imag.any():
         keys = (values.imag, values.real, np.abs(values))
     else:
         keys = (values.real, np.abs(values.real))
@@ -128,13 +136,14 @@ def _non_increasing(keys):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of an operator, in canonical order."""
+    """All eigenvalues of an operator, in canonical order: float64 when they
+    are real (a hermitian operator's), complex128 otherwise."""
 
     values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = _real_or_complex(self.values)
         object.__setattr__(self, "values", values)
         moduli = np.abs(values)
         if moduli.size and np.any(moduli[:-1] < moduli[1:] - 1e-30):
@@ -205,8 +214,7 @@ class Operator:
         else:
             data = np.asarray(data)
             if data.ndim == 1:
-                dtype = complex if np.iscomplexobj(data) else float
-                self._kind, self._data = "diag", data.astype(dtype, copy=False)
+                self._kind, self._data = "diag", _real_or_complex(data)
                 self._dim = data.size
             elif data.ndim == 2:
                 index = np.nonzero(data)
@@ -267,6 +275,11 @@ class Operator:
     @property
     def dim(self):
         return self._dim
+
+    def is_zero(self):
+        """Whether this is the exact zero, an operator with no layer (the
+        form of every product, sum and commutator that cancels exactly)."""
+        return self._kind == "sparse" and not self._data
 
     @property
     def kind(self):
@@ -406,6 +419,11 @@ class Operator:
 
 def identity(dim):
     return Operator(np.ones(dim), label="1")
+
+
+def zero(dim):
+    """The exact zero on dim: an operator with no layer, holding no array."""
+    return _layered(dim, [])
 
 
 def weighted_shift(col, val, label):
@@ -675,17 +693,19 @@ def _condition_estimate(T):
 def eigenvalues(T):
     """All eigenvalues of ``T`` with algebraic multiplicity, canonical order.
 
-    For a hermitian operator the imaginary parts are exactly zero (the
-    hermitian LAPACK path is used).
+    For a hermitian operator they are real and float64 (the hermitian LAPACK
+    path is used).  The real diagonal of a hermitian diagonal T that is
+    already in canonical order is returned itself, with no copy, and the
+    spectrum of the exact zero is a read-only view of one 0.0 with stride 0;
+    neither may be written.
     """
+    if T.is_zero():
+        return Spectrum(np.broadcast_to(np.zeros(1), (T.dim,)), label=T.label)
     herm = T.hermitian
     if T.kind == "diag":
-        vals = T._data.real.astype(complex) if herm else T._data.copy()
-    elif not T._data:
-        vals = np.zeros(T.dim, dtype=complex)
+        vals = T._data.real if herm else T._data.copy()
     elif herm:
-        vals = _split_values(T, np.linalg.eigvalsh,
-                             lambda d: d.real.astype(complex))
+        vals = _split_values(T, np.linalg.eigvalsh, lambda d: d.real)
     else:
         vals = _split_values(T, np.linalg.eigvals, lambda d: d)
     return Spectrum(canonical_order(vals), label=T.label)
@@ -705,7 +725,7 @@ def singular_values(T):
         if not np.all(mu[:-1] >= mu[1:]):
             mu = np.sort(mu)[::-1]
         return SingularSequence(mu, label=T.label)
-    if not T._data:
+    if T.is_zero():
         return SingularSequence(np.zeros(T.dim), label=T.label)
     mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
     return SingularSequence(np.sort(mu)[::-1], label=T.label)
@@ -723,8 +743,7 @@ def _real_diagonal(T, who):
 def _apply_scalar_function(f, w, label):
     # out-of-domain points surface as non-finite values, checked below
     with np.errstate(divide="ignore", invalid="ignore"):
-        fw = np.asarray(f(w))
-    fw = fw.astype(complex if np.iscomplexobj(fw) else float, copy=False)
+        fw = _real_or_complex(f(w))
     if fw.shape != w.shape:
         raise ContractViolation(
             f"function on the spectrum of {label!r} returned shape "
@@ -773,7 +792,7 @@ def commutator(A, B):
     """
     if A.kind == "diag" and B.kind == "diag":
         A._check_dims(B)
-        return _layered(A.dim, [])
+        return zero(A.dim)
     if {A.kind, B.kind} != {"diag", "sparse"}:
         return (A @ B) - (B @ A)
     A._check_dims(B)

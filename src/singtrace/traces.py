@@ -28,6 +28,7 @@ import numpy as np
 
 from .ideals import (
     PartialSumSeries,
+    _distinct,
     _least_squares,
     _loglog_slope,
     decay_exponent,
@@ -169,7 +170,9 @@ def dixmier_logmean(mu, scheme=None, n_max=None):
     For a SingularSequence / array this is the scheme average of
     Lambda(n) = (sum_{k<=n} mu(k)) / log(2+n); a PartialSumSeries input
     reuses its (possibly complex) sums, which extends the estimator to the
-    eigenvalue sums of non-normal operators.
+    eigenvalue sums of non-normal operators.  Its sampled sums are divided
+    as complex numbers, real ones too, so real and complex series of equal
+    values round alike.
     """
     scheme = scheme or ExtendedLimitScheme()
     snap = None
@@ -186,10 +189,11 @@ def dixmier_logmean(mu, scheme=None, n_max=None):
     grid = scheme.grid(min(n_max, N - 1))
     window = scheme.window(grid)
     if snap is not None:
-        snapped = np.unique(snap(window))
+        snapped = _distinct(snap(window))
         if snapped.size >= 3:
             window = snapped
-    lam = sums[window] / np.log(2.0 + window)
+    lam = sums[window] if snap is None else sums[window].astype(complex)
+    lam = lam / np.log(2.0 + window)
     z, resid = scheme.apply(window, lam)
     return TraceEstimate(z=z, method="dixmier_logmean", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
@@ -206,8 +210,10 @@ def _psd_diagonal(A, V, who):
     +0.0): neither may be written.
 
     A strictly decreasing spectrum that stays so when clipped (a harmonic
-    V) is clipped straight into ascending order, with A's diagonal reversed
-    as a view: that is the order :func:`_sorted_spectrum` gives it.
+    V) is returned in ascending order, with A's diagonal reversed as a view:
+    that is the order :func:`_sorted_spectrum` gives it.  When its last
+    entry has no sign bit set, nothing is clipped, and V's entries are a
+    reversed view too.
     """
     if V.kind != "diag" or not V.hermitian:
         raise ContractViolation(
@@ -222,7 +228,8 @@ def _psd_diagonal(A, V, who):
         a = A.diag()
     # d[-2] > 0: at most the last entry is clipped, so no two tie at 0
     if d.size > 1 and d[-2] > 0.0 and np.all(d[:-1] > d[1:]):
-        return np.maximum(d[::-1], 0.0), None if a is None else a[::-1]
+        v = d[::-1] if not np.signbit(d[-1]) else np.maximum(d[::-1], 0.0)
+        return v, None if a is None else a[::-1]
     return (np.maximum(d, 0.0) if np.signbit(d).any() else d), a
 
 
@@ -320,19 +327,33 @@ def _dot(a, w, keys=None):
     return [sums[key] + a[key, m:] @ w[m:] for key in keys]
 
 
-def _coefficient_rows(cs):
-    """The coefficient vectors ``cs`` as one block of real rows, and the key
-    of each c in it: its row, or the slice of its real and imaginary rows.
-    A single real c is its own block."""
-    rows, keys = [], []
+def _is_complex(c):
+    """Whether the coefficient vector ``c`` is complex; a pair of real
+    vectors (their product) is not, and is not converted to find out."""
+    return not isinstance(c, tuple) and np.iscomplexobj(c)
+
+
+def _coefficient_rows(cs, n):
+    """The coefficient vectors ``cs`` of length n as one block of real rows,
+    and the key of each c in it: its row, or the slice of its real and
+    imaginary rows.  A pair (a, b) of real vectors stands for a * b, which
+    is written straight into its row.  A single real c is its own block."""
+    if len(cs) == 1 and not (isinstance(cs[0], tuple) or _is_complex(cs[0])):
+        return cs[0][None], [0]
+    keys, rows = [], 0
     for c in cs:
-        if np.iscomplexobj(c):
-            keys.append(slice(len(rows), len(rows) + 2))
-            rows += [c.real, c.imag]
+        wide = _is_complex(c)
+        keys.append(slice(rows, rows + 2) if wide else rows)
+        rows += 2 if wide else 1
+    block = np.empty((rows, n))
+    for c, key in zip(cs, keys):
+        if isinstance(c, tuple):
+            np.multiply(*c, out=block[key])
+        elif isinstance(key, slice):
+            block[key.start], block[key.start + 1] = c.real, c.imag
         else:
-            keys.append(len(rows))
-            rows.append(c)
-    return (rows[0][None] if len(rows) == 1 else np.stack(rows)), keys
+            block[key] = c
+    return block, keys
 
 
 def _heat_rows(vs, cs, scales, e, va=None):
@@ -342,24 +363,28 @@ def _heat_rows(vs, cs, scales, e, va=None):
 
     ``vs`` is ascending and every c is in its order; None means every
     c_k = 1, summed by ``np.sum``.  Every other c is a row (a complex c two
-    rows, real and imaginary, so no complex product is formed) of one block
-    that :func:`_dot` reduces over the live slice.  A c with no nonzero
-    entry gives exact zeros with no weight evaluated for it, unless ``vs``
-    holds a NaN, which makes every sum NaN.
+    rows, real and imaginary, so no complex product is formed; a pair of
+    real vectors their product) of one block that :func:`_dot` reduces over
+    the live slice.  A c with no nonzero entry gives exact zeros with no sum
+    taken for it, unless ``vs`` holds a NaN, which makes every sum NaN.
 
     With ``va`` (for e < 0) one more array follows: sum_k va_k (1 - w_k),
     the head below the live slice, where 1 - w is 1, added segment by
     segment, never as sum(va) - sum(va * w), which cancels.
     """
     nan = bool(vs.size and np.isnan(vs[-1]))
-    out = [np.zeros(len(scales), complex if np.iscomplexobj(c) else float)
+    out = [np.zeros(len(scales), complex if _is_complex(c) else float)
            for c in cs]
     ones = [i for i, c in enumerate(cs) if c is None]
-    dots = [i for i, c in enumerate(cs) if c is not None and (nan or c.any())]
+    dots = [i for i, c in enumerate(cs) if c is not None]
+    if dots:
+        block, keys = _coefficient_rows([cs[i] for i in dots], vs.size)
+        # a row of zeros stays in the block, but no sum is kept for it
+        live = [nan or block[key].any() for key in keys]
+        dots = [i for i, keep in zip(dots, live) if keep]
+        keys = [key for key, keep in zip(keys, live) if keep]
     if not (ones or dots or va is not None):
         return out
-    if dots:
-        block, keys = _coefficient_rows([cs[i] for i in dots])
     if va is not None:
         heads, total, prev = {}, 0.0, 0
         for lo in sorted({_live_slice(vs, float(s), e).start for s in scales}):
@@ -393,14 +418,20 @@ def heat_functional(A, V, alpha, grid=None):
     """h(n) = Tr(A V exp(-(nV)^-alpha)) on a grid; exp vanishes on ker V."""
     if not (alpha > 1.0):
         raise ContractViolation("heat_functional requires alpha > 1")
-    v, a = _psd_diagonal(A, V, "heat_functional")
+    exact_zero = A is not None and A.is_zero()
+    v, a = _psd_diagonal(None if exact_zero else A, V, "heat_functional")
+    if exact_zero:
+        V._check_dims(A)
     if grid is None:
         grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
     # the zero rule of _heat_sums, taken before the sort and the product
-    if a is not None and not a.any() and not np.isnan(v).any():
+    # (and, for the exact zero, before its diagonal is read)
+    if (exact_zero or a is not None and not a.any()) and not np.isnan(v).any():
         values = np.zeros(grid.size, dtype=complex)
     else:
+        if exact_zero:  # V holds a NaN, which makes every sum NaN
+            a = np.zeros(v.size, dtype=complex)
         v, a = _sorted_spectrum(v, a)
         av = v if a is None else a * v
         values = _heat_sums(v, av, grid, -alpha).astype(complex)
@@ -564,7 +595,7 @@ def _heat_pass(A, V, alpha):
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "heat pass"))
     grid = default_heat_grid(V.dim)
     counting, heat, modulated, saturating = _heat_rows(
-        v, [None, v, a * v], grid, -alpha, va=v ** alpha)
+        v, [None, v, (a, v)], grid, -alpha, va=v ** alpha)
     return {"grid": grid, "heat": heat, "modulated": modulated,
             "counting": counting, "saturating": saturating,
             "cutoff": _cutoff_sums(v, None, grid)}

@@ -39,6 +39,7 @@ from .operators import (
     phase_modulus,
     singular_values,
     weighted_shift,
+    zero,
 )
 
 __all__ = [
@@ -266,20 +267,24 @@ class SpectralTripleModel:
 
     def factor(self, kind, word):
         """realize(word) for kind "id", else [b, realize(word)] with b = D, |D|, F
-        for kind "D", "delta", "F"; built once per model."""
+        for kind "D", "delta", "F"; built once per model.
+
+        A word of band 0 is diagonal, so against a diagonal b its commutator
+        is the exact zero, built without realizing the word.
+        """
         def build():
+            if kind != "id":
+                b = {"D": self.D, "delta": self.absD, "F": self.F}[kind]
+                if b.kind == "diag" and self.word_band(word) == 0:
+                    return zero(self.dim)
             op = Operator(self.realize_word(word), label=self.word_label(word))
-            if kind == "id":
-                return op
-            b = {"D": self.D, "delta": self.absD, "F": self.F}[kind]
-            return commutator(b, op)
+            return op if kind == "id" else commutator(b, op)
         return self.derived((kind, word), build)
 
     def realize(self, a):
         """Realize an algebra element as a working-dimension Operator."""
         if a.is_zero():
-            return weighted_shift(np.full(self.dim, self.dim),
-                                  np.zeros(self.dim), "0")
+            return zero(self.dim).relabel("0")
         acc = None
         for (word, m), coeff in sorted(a.terms.items()):
             piece = self.realize_word(word) * (coeff * self.eval_phase(m))

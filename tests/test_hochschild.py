@@ -36,8 +36,10 @@ from singtrace.triples import (
     SpectralTripleModel,
     _interior_weight,
     build_circle,
+    build_diagonal_toy,
     build_nc_torus,
     invertible_double,
+    summability_report,
 )
 
 
@@ -583,12 +585,36 @@ class TestChainSerialization:
         assert back.terms == circle_winding_cycle(circle64).terms
 
 
+def test_toy_checks_realize_no_word_and_hold_no_full_length_sums():
+    # on the toy every [D, a], [|D|, a] and [F, a] is the exact zero, so
+    # summability, chern and measure realize no word, and the pairing's
+    # partial sums are one 0.0 seen with stride 0
+    from singtrace.harness import builtin_chain
+
+    model = build_diagonal_toy(4096)
+    c = builtin_chain(model)
+    summability_report(model)
+    assert chern(c, model).value == 0
+    assert main_theorem_check(c, model)["passed"]
+    assert model._word_cache == {}
+    assert omega(c, model).is_zero()
+    series = [entry.result() for key, entry in model._memo.items()
+              if key[0] == "pairing"]
+    assert len(series) == 1
+    sums = series[0].sums
+    assert sums.size == model.dim and sums.strides == (0,)
+    assert sums.base.size == 1 and not sums.flags.writeable
+    assert series[0].boundaries.tolist() == [model.dim - 1]
+
+
 def test_commutator_cache_builds_each_entry_once(monkeypatch):
     """Every memo key of a model is built once under a thread pool.
 
     Commutators and the derived pairing objects are requested in random
     orders; chern's build asks for the F commutators and the pairing series
-    for Omega(c) and the weight, so some builds nest inside others.
+    for Omega(c) and the weight, so some builds nest inside others.  A word
+    of band 0 is diagonal, so its commutators are exact zeros, built through
+    the memo without a call of ``commutator``.
     """
     model = build_circle(16)
     c = circle_winding_cycle(model)
@@ -655,7 +681,14 @@ def test_commutator_cache_builds_each_entry_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == workers
-    assert len(calls) == len(comms) and set(calls.values()) == {1}
+    b = {"D": model.D, "delta": model.absD, "F": model.F}
+    assert set(calls) == {(id(b[kind]), model.word_label(w))
+                          for kind, w in comms if model.word_band(w) != 0}
+    assert set(calls.values()) == {1}
+    for kind, w in comms:
+        if model.word_band(w) == 0:
+            assert builds[(id(model), (kind, w))] == 1
+            assert seen[0][(kind, w)].is_zero()
     assert set(builds.values()) == {1}
     assert {key[0] for _, key in builds} >= {
         "D", "delta", "F", "id", "chern", "omega", "W", "weight", "double",

@@ -17,8 +17,14 @@ from singtrace.ideals import (
     lorentz_norm_m1inf,
     quasi_norm_pinf,
     universal_measurability_test,
+    _distinct,
 )
-from singtrace.operators import ContractViolation, Operator
+from singtrace.operators import (
+    ContractViolation,
+    Operator,
+    canonical_order,
+    zero,
+)
 
 from conftest import random_unitary
 
@@ -117,6 +123,50 @@ class TestPartialSums:
         real = sums.real
         assert real[0] >= 0
         assert np.all(np.diff(real) >= -1e-10)
+
+    @staticmethod
+    def complex_path(d):
+        """Sums and boundaries of a real diagonal taken in complex arithmetic:
+        the complex eigenvalues in canonical order, their cumsum, and the
+        indices where the modulus drops."""
+        values = canonical_order(d.astype(complex))
+        moduli = np.abs(values)
+        scale = moduli[0] if moduli[0] > 0 else 1.0
+        drop = moduli[:-1] - moduli[1:] > 1e-9 * scale
+        return np.cumsum(values), np.concatenate([np.flatnonzero(drop),
+                                                  [d.size - 1]])
+
+    @pytest.mark.parametrize("case", ["alternating-harmonic", "ties", "nan"])
+    def test_hermitian_sums_are_the_real_parts_of_the_complex_path(self, case):
+        rng = np.random.default_rng(31)
+        n = 5000
+        if case == "alternating-harmonic":
+            d = np.where(np.arange(n) % 2, -1.0, 1.0) / (np.arange(n) + 1.0)
+        else:
+            d = rng.choice([2.5, -2.5, 1.0, -1.0, 0.5, 0.0, -0.0], size=n)
+            if case == "nan":
+                d[1234] = np.nan
+        series = eigenvalue_partial_sums(Operator(d))
+        sums, boundaries = self.complex_path(d)
+        assert series.sums.dtype == np.float64
+        assert series.sums.tobytes() == sums.real.tobytes()
+        assert series.boundaries.tobytes() == boundaries.tobytes()
+
+    def test_exact_zero_sums_are_a_zero_stride_view(self, monkeypatch):
+        from singtrace import ideals
+
+        def refuse(T):
+            raise AssertionError("eigenvalues of the exact zero")
+
+        monkeypatch.setattr(ideals, "eigenvalues", refuse)
+        n = 1000
+        series = eigenvalue_partial_sums(zero(n))
+        sums, boundaries = self.complex_path(np.zeros(n))
+        assert series.sums.strides == (0,) and not series.sums.flags.writeable
+        assert series.sums.tobytes() == sums.real.tobytes()
+        assert series.boundaries.tobytes() == boundaries.tobytes()
+        fit = log_fit(series)
+        assert fit.z == 0 and fit.residual_sup == 0.0
 
 
 class TestLogFit:
@@ -229,6 +279,21 @@ class TestDiagnostics:
         diag = ideal_diagnostics(harmonic(10_000))
         assert diag.verdicts["weak_lp"]
         assert diag.quasi_norm_pinf == pytest.approx(1.0)
+
+    def test_distinct_equals_unique_on_sorted_input(self):
+        rng = np.random.default_rng(37)
+        for x in (np.zeros(0, np.int64), np.array([5]), np.array([3, 3, 3]),
+                  np.sort(rng.integers(0, 50, 200)), np.arange(10)):
+            got = _distinct(x)
+            assert got.dtype == x.dtype
+            assert got.tobytes() == np.unique(x).tobytes()
+        for lo, hi, ratio in ((1, 2, 1.01), (8, 1000, 2 ** 0.5), (3, 3, 2.0)):
+            pts, x = [], float(lo)
+            while x <= hi:
+                pts.append(int(np.ceil(x)))
+                x *= ratio
+            want = np.unique(np.asarray(pts + [hi], dtype=np.int64))
+            assert geometric_grid(lo, hi, ratio).tobytes() == want.tobytes()
 
     def test_grids_and_windows(self):
         g = geometric_grid(4, 64, 2.0)

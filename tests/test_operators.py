@@ -22,6 +22,7 @@ from singtrace.operators import (
     identity,
     phase_modulus,
     singular_values,
+    zero,
 )
 
 from conftest import random_unitary
@@ -103,6 +104,30 @@ class TestEigenvalues:
         mat = mat[np.ix_(perm, perm)]
         got = np.sort_complex(eigenvalues(Operator(sp.csr_matrix(mat))).values)
         np.testing.assert_allclose(np.sort_complex(direct), got, atol=1e-10)
+
+    def test_hermitian_spectra_are_float64(self):
+        # the real parts of the complex path bit for bit, on the diagonal,
+        # layered and split paths; a non-hermitian spectrum stays complex
+        rng = np.random.default_rng(29)
+        H = rng.standard_normal((80, 80))
+        H = H + H.T
+        H[np.abs(H) < 1.0] = 0.0  # several components
+        for T in (Operator(rng.standard_normal(300)), Operator(H),
+                  Operator(H.astype(complex)), zero(100)):
+            assert T.hermitian
+            spec = eigenvalues(T)
+            assert spec.values.dtype == np.float64
+            assert np.array_equal(spec.moduli, np.abs(spec.values))
+        np.testing.assert_allclose(eigenvalues(Operator(H)).values,
+                                   canonical_order(np.linalg.eigvalsh(H)),
+                                   atol=1e-10)
+        T = Operator(random_complex(rng, 20))
+        assert eigenvalues(T).values.dtype == np.complex128
+
+    def test_ordered_hermitian_diagonal_is_its_own_spectrum(self):
+        d = np.array([3.0, -2.0, 1.0, -0.5])
+        assert eigenvalues(Operator(d)).values is d
+        assert eigenvalues(Operator(d[::-1])).values.tobytes() == d.tobytes()
 
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(0)
@@ -447,6 +472,17 @@ class TestFlags:
         np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
         np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
 
+    def test_zero_is_the_layerless_exact_zero(self):
+        Z = zero(5)
+        assert Z.is_zero() and Z.kind == "sparse" and Z.dim == 5
+        assert Z.hermitian and Z.sparse().nnz == 0
+        spec = eigenvalues(Z)
+        assert spec.values.strides == (0,) and spec.values.tolist() == [0.0] * 5
+        assert commutator(Operator(np.arange(5.0)), identity(5)).is_zero()
+        # a diagonal of zeros is stored as a diagonal, not as the exact zero
+        assert not Operator(np.zeros(5)).is_zero()
+        assert not identity(5).is_zero()
+
     def test_dense_input_stored_as_csr(self):
         T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert T.kind == "sparse"
@@ -660,16 +696,20 @@ def test_long_reversed_chain_labels():
 
 def test_cli_suite_quick_loads_no_scipy(tmp_path):
     # scipy is a test oracle only: neither the import of the CLI nor any
-    # lazy import on the path of `suite quick` may load it
+    # lazy import on the path of `suite quick` may load it.  Nor may the run
+    # load numpy.ma (np.unique without return_index does, in numpy 2.4);
+    # numpy 1.x loads it with numpy itself, so only the run's import counts
     import singtrace
 
     src = os.path.dirname(os.path.dirname(singtrace.__file__))
     code = ("import sys, singtrace.cli\n"
+            "ma = 'numpy.ma' in sys.modules\n"
             "rc = singtrace.cli.main(['suite', 'quick', '--out', sys.argv[1]])\n"
             "print(rc, sorted(m for m in sys.modules\n"
-            "                 if m == 'scipy' or m.startswith('scipy.')))")
+            "                 if m == 'scipy' or m.startswith('scipy.')),\n"
+            "      'numpy.ma' in sys.modules and not ma)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "quick")],
                          env=env, check=True, capture_output=True,
                          text=True).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert out.splitlines()[-1] == "0 [] False"

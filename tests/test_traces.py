@@ -6,7 +6,13 @@ import scipy.sparse as sp
 
 from singtrace import traces
 from singtrace.hochschild import circle_winding_cycle, heat_cycle_trace
-from singtrace.operators import ContractViolation, Operator, identity, singular_values
+from singtrace.operators import (
+    ContractViolation,
+    Operator,
+    identity,
+    singular_values,
+    zero,
+)
 from singtrace.traces import (
     BranchError,
     ExtendedLimitScheme,
@@ -99,6 +105,32 @@ class TestHeatFunctional:
         v[17] = np.nan
         V = Operator(v)
         assert np.all(np.isnan(heat_functional(A, V, 2.0, grid=grid).values))
+
+    def test_exact_zero_is_not_read(self, monkeypatch):
+        # the zero rule comes before A's diagonal: an A with no layer gives
+        # exact zeros with only V's diagonal read, and a NaN in V still
+        # makes every sum NaN
+        v = 1.0 / (np.arange(3000) + 1.0)
+        grid = np.array([8, 64, 512])
+        reads = []
+        real_diag = Operator.diag
+
+        def diag(op):
+            reads.append(op.label)
+            return real_diag(op)
+
+        monkeypatch.setattr(Operator, "diag", diag)
+        got = heat_functional(zero(v.size), Operator(v, label="V"), 2.0,
+                              grid=grid).values
+        assert got.tobytes() == np.zeros(grid.size, dtype=complex).tobytes()
+        assert reads == ["V"]
+        v[17] = np.nan
+        got = heat_functional(zero(v.size), Operator(v, label="V"), 2.0,
+                              grid=grid).values
+        assert got.dtype == complex and np.all(np.isnan(got))
+        assert set(reads) == {"V"}
+        with pytest.raises(ContractViolation, match="dimension mismatch"):
+            heat_functional(zero(10), Operator(v), 2.0)
 
     def test_finite_rank_gives_zero_slope(self):
         v = np.zeros(4096)
@@ -416,6 +448,23 @@ class TestHeatKernel:
                     assert sums.dtype == want.dtype
                     assert sums.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_pair_rows_equal_their_products_bit_for_bit(self, e):
+        # a pair (a, b) is written into its row as a * b, and gives the sums
+        # of that product, a zero product included
+        rng = np.random.default_rng(19)
+        vs, a = _sorted_spectrum(self.unsorted_with_zeros(),
+                                 rng.standard_normal(3009))
+        scales = np.geomspace(min(self.regime_scales(e)),
+                              max(self.regime_scales(e)), 7)
+        for cs in ([None, vs, (a, vs)], [(a, vs)],
+                   [(a, np.zeros(vs.size)), vs], [vs + 1j, (vs, a)]):
+            products = [c[0] * c[1] if isinstance(c, tuple) else c for c in cs]
+            got = traces._heat_rows(vs, cs, scales, e)
+            want = traces._heat_rows(vs, products, scales, e)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("e", [-1, -1.5, -2])
     def test_saturating_sums_do_not_depend_on_the_rows(self, e):
         rng = np.random.default_rng(18)
@@ -658,6 +707,29 @@ class TestInputsLeftUnchanged:
         eigenvalue_partial_sums(V)
         for op, was in zip((A, V), before):
             assert op.diag().tobytes() == was.tobytes()
+
+    def test_nothing_writes_the_reversed_view_of_V(self):
+        # a strictly decreasing V with nothing to clip comes out of
+        # _psd_diagonal as a reversed view of its own entries, and A's
+        # diagonal with it; both are read-only here, so a write would raise
+        n = 4096
+        d = 1.0 / (np.arange(n) + 1.0)
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+        d.setflags(write=False)
+        signs.setflags(write=False)
+        A, V = Operator(signs, label="A"), Operator(d, label="V")
+        v, a = traces._psd_diagonal(A, V, "test")
+        assert np.shares_memory(v, d) and v.tobytes() == d[::-1].tobytes()
+        assert np.shares_memory(a, signs)
+        heat_functional(A, V, 2.0)
+        heat_functional(None, V, 1.5)
+        heat_xi(V)
+        lemma_estimate_scalings(V, 1.5)
+        cesaro_cutoff_comparison(A, V, 2.0)
+        modulated_comparison(A, V)
+        measurability_criterion_check(A, V)
+        traces._heat_pass(A, V, 2.0)
+        dixmier_logmean(singular_values(V))
 
 
 class TestCutoffComparison:
