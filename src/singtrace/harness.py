@@ -475,7 +475,7 @@ def _check_cycle(ctx):
 
 
 def _check_chern(ctx):
-    res = hh.chern(ctx.chain, ctx.model, strict=False)
+    res = hh.chern(ctx.chain, ctx.model)
     deltas = res.deltas
     tol = ctx.tolerance("chern_convergence", 0.1)
     converged = (not deltas) or deltas[-1] <= max(tol * abs(res.value), tol)
@@ -504,7 +504,7 @@ def _check_eigen_sums(ctx):
 
 
 def _check_heat(ctx):
-    ch = hh.chern(ctx.chain, ctx.model, strict=False).value
+    ch = hh.chern(ctx.chain, ctx.model).value
     res = hh.heat_cycle_trace(ctx.chain, ctx.model)
     tol = ctx.tolerance("heat_rel", 0.15) * abs(ch)
     gap = abs(res["z"] - ch)
@@ -518,7 +518,7 @@ def _check_heat(ctx):
 
 
 def _check_dixmier(ctx):
-    ch = hh.chern(ctx.chain, ctx.model, strict=False).value
+    ch = hh.chern(ctx.chain, ctx.model).value
     est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
     tol = ctx.tolerance("dixmier_rel", 0.15) * max(abs(ch), 1e-12)
     gap = abs(est.z - ch)
@@ -689,9 +689,7 @@ def _check_scheme_robustness(ctx):
     mu = singular_values(_harmonic(ctx.model, ctx.model.N))
     zs = {}
     for r in (1.5, 2.0, 3.0):
-        sch = traces.ExtendedLimitScheme(ratio=r,
-                                         averaging=ctx.scheme.averaging)
-        zs[r] = traces.dixmier_logmean(mu, sch).z
+        zs[r] = traces.dixmier_logmean(mu, replace(ctx.scheme, ratio=r)).z
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
     tol = ctx.tolerance("scheme_drift", 0.02)
     return CheckRecord(

@@ -227,11 +227,15 @@ def _chain_key(c):
     return (c.degree, tuple(sorted(c.terms.items())))
 
 
-def _check_degree(c, model, strict):
-    if strict and c.degree != model.p:
+def _require_top_cycle(c, model, who):
+    """``c`` must be a cycle of degree p: the checks on the invertible double
+    pair it with |D0|^{-p} and W_p(c).  Any other chain is a
+    :class:`ContractViolation`."""
+    if not is_cycle(c):
+        raise ContractViolation(f"{who} requires a cycle")
+    if c.degree != model.p:
         raise ContractViolation(
-            f"chain degree {c.degree} does not match model p={model.p}"
-        )
+            f"{who}: chain degree {c.degree} does not match model p={model.p}")
 
 
 def _chain_map(c, model, kinds, label, lead=None):
@@ -265,20 +269,18 @@ def _chain_map(c, model, kinds, label, lead=None):
     return model.compress(acc).relabel(label)
 
 
-def omega(c, model, strict=True):
+def omega(c, model):
     """Omega(c) = Gamma a0 prod_{k>=1} [D, a_k], compressed to the interior."""
-    _check_degree(c, model, strict)
     kinds = ("id",) + ("D",) * c.degree
     return model.derived(("omega", _chain_key(c)),
                          lambda: _chain_map(c, model, kinds, "Omega(c)"))
 
 
-def w_subset(c, model, subset=frozenset(), strict=True):
+def w_subset(c, model, subset=frozenset()):
     """W_A(c) = Gamma a0 prod_k [b_k, a_k] with b_k = |D| on A else F.
 
     ``subset`` may be any iterable of positions in 1..degree.
     """
-    _check_degree(c, model, strict)
     q = c.degree
     subset = frozenset(int(k) for k in subset)
     if any(k < 1 or k > q for k in subset):
@@ -290,9 +292,8 @@ def w_subset(c, model, subset=frozenset(), strict=True):
                          lambda: _chain_map(c, model, kinds, label))
 
 
-def ch_op(c, model, strict=True):
+def ch_op(c, model):
     """ch(c) = F Gamma prod_{k=0..q} [F, a_k], compressed to the interior."""
-    _check_degree(c, model, strict)
     return _chain_map(c, model, ("F",) * (c.degree + 1), "ch(c)", lead=model.F)
 
 
@@ -316,7 +317,7 @@ class ChernResult:
         }
 
 
-def chern(c, model, strict=True):
+def chern(c, model):
     """Chern character Ch(c) = (-1)^{q-1} (1/2) Tr(ch(c)), q = degree.
 
     The parity sign makes the character equality hold for even and odd
@@ -328,12 +329,10 @@ def chern(c, model, strict=True):
     Traces over the nested windows N/4, N/2, N are recorded so the
     trace-class convergence of ch(c) is visible in reports.
     """
-    _check_degree(c, model, strict)
-
     def build():
         sign = (-1.0) ** (c.degree - 1)
         # ch(c) is compressed to radius N; nested windows reuse its diagonal
-        diag = ch_op(c, model, strict=False).diag()
+        diag = ch_op(c, model).diag()
         history = {}
         for radius in sorted({max(model.N // 4, 2), max(model.N // 2, 2),
                               model.N}):
@@ -349,7 +348,7 @@ def _pairing_series(c, model):
     """Eigenvalue partial sums of Omega(c) (1+D^2)^{-q/2}, q = degree.  They
     and the estimates below are built once per model, chain and extra key."""
     def build():
-        T = omega(c, model, strict=False) @ _interior_weight(model, c.degree)
+        T = omega(c, model) @ _interior_weight(model, c.degree)
         return eigenvalue_partial_sums(T, label="pairing")
     return model.derived(("pairing", _chain_key(c)), build)
 
@@ -358,7 +357,7 @@ def _pairing_verdict(c, model, sum_tol=None):
     """Partial-sum verdict: fit residual below ``sum_tol`` (by default
     max(0.5, |Ch|/4)), slope nonzero above max(min(|Ch|/2, 0.5), 0.02)."""
     def build():
-        ch = abs(chern(c, model, strict=False).value)
+        ch = abs(chern(c, model).value)
         tol = max(0.5, 0.25 * ch) if sum_tol is None else sum_tol
         return universal_measurability_test(
             _pairing_series(c, model), tol=tol,
@@ -383,7 +382,7 @@ def _pairing_heat(c, model):
         v_r = mu[min(model.reliable_count, mu.size) - 1]
         n_hi = math.log(1.0 / _HEAT_EDGE_EPS) ** (-1.0 / alpha) / v_r
         samples = heat_functional(
-            omega(c, model, strict=False), _interior_weight(model, q), alpha,
+            omega(c, model), _interior_weight(model, q), alpha,
             grid=geometric_grid(8, max(n_hi, 32), math.sqrt(2.0)))
         return heat_fit(samples)
     return model.derived(("pairing heat", _chain_key(c)), build)
@@ -402,8 +401,8 @@ def _pairing_dixmier(c, model, scheme):
 def bob_identity_check(c, model, tol=1e-10):
     """Interior norm of 2 W_0(c) - [F, F W_0(c)] - (-1)^{q-1} ch(c)."""
     q = c.degree
-    w0 = w_subset(c, model, frozenset(), strict=False)
-    chm = ch_op(c, model, strict=False)
+    w0 = w_subset(c, model, frozenset())
+    chm = ch_op(c, model)
     F_int = model.compress(model.F)
     resid = (2.0 * w0) - commutator(F_int, F_int @ w0) - ((-1.0) ** (q - 1)) * chm
     norm = resid.norm_bound()
@@ -462,13 +461,12 @@ _REDUCTION_Z_TOL = 0.1
 def reduction_partial_sum_check(c, model):
     """Partial sums of Omega(c)|D0|^{-p} - p W_p(c) D0^{-1} must stay bounded.
 
-    Runs on the invertible double; the fitted log-slope must be negligible
-    (|z| <= ``_REDUCTION_Z_TOL``) and the fit residual at most half of 1 +
-    the largest sampled |partial sum|, the finite surrogate for membership
-    in the commutator subspace.
+    Runs on the invertible double, for a cycle c of degree p; the fitted
+    log-slope must be negligible (|z| <= ``_REDUCTION_Z_TOL``) and the fit
+    residual at most half of 1 + the largest sampled |partial sum|, the
+    finite surrogate for membership in the commutator subspace.
     """
-    if not is_cycle(c):
-        raise ContractViolation("reduction_partial_sum_check requires a cycle")
+    _require_top_cycle(c, model, "reduction_partial_sum_check")
     double = invertible_double(model)
     p = double.p
     omega_int = omega(c, double)
@@ -515,13 +513,14 @@ def default_s_grid(double):
 
 
 def heat_cycle_trace(c, model):
-    """g(s) = Tr(W_p(c) D0^{-1} exp(-(s |D0|)^{p+1})), fitted against log(1/s)
-    on :func:`default_s_grid`.
+    """g(s) = Tr(W_p(c) D0^{-1} exp(-(s |D0|)^{p+1})) for a cycle c of degree
+    p, fitted against log(1/s) on :func:`default_s_grid`.
 
-    The fitted slope estimates Ch(c).
+    The fitted slope estimates Ch(c).  g is the heat sum of V = |D0|^{-1}
+    (interior |D0| >= 1, so no zero is divided) at n = 1/s with the exponent
+    -(p+1): exp(-(s |D0|)^{p+1}) = exp(-(n V)^{-(p+1)}).
     """
-    if not is_cycle(c):
-        raise ContractViolation("heat_cycle_trace requires a cycle")
+    _require_top_cycle(c, model, "heat_cycle_trace")
     double = invertible_double(model)
     p = double.p
     wp = w_subset(c, double, frozenset({p}))
@@ -530,9 +529,9 @@ def heat_cycle_trace(c, model):
     s_grid = default_s_grid(double)
     if s_grid.size < 3:
         raise ContractViolation("heat_cycle_trace needs >= 3 usable s points")
-    d, xdiag = _sorted_spectrum(double.compress(double.absD).diag().real,
-                                X.diag())
-    values = _heat_sums(d, xdiag, s_grid, p + 1).astype(complex)
+    v, xdiag = _sorted_spectrum(
+        1.0 / double.compress(double.absD).diag().real, X.diag())
+    values = _heat_sums(v, xdiag, 1.0 / s_grid, -(p + 1)).astype(complex)
     x = np.log(1.0 / s_grid)
     coef, resid = _least_squares([x, np.ones_like(x)], values)
     return {
@@ -562,7 +561,7 @@ def main_theorem_check(c, model):
     """
     if not is_cycle(c):
         raise ContractViolation("main_theorem_check requires a cycle")
-    ch = chern(c, model, strict=False)
+    ch = chern(c, model)
     verdict = _pairing_verdict(c, model)
     vanishes = bool(abs(ch.value) <= _VANISHING_CH_TOL
                     and abs(verdict.z) <= _VANISHING_Z_TOL)

@@ -207,13 +207,7 @@ def _psd_diagonal(A, V, who):
     matrix elements there.  Any other V is a :class:`ContractViolation`.
     The diagonal of A is ``A.diag()`` itself, and so are the entries of V
     when none has its sign bit set (none is clipped, and no -0.0 becomes
-    +0.0): neither may be written.
-
-    A strictly decreasing spectrum that stays so when clipped (a harmonic
-    V) is returned in ascending order, with A's diagonal reversed as a view:
-    that is the order :func:`_sorted_spectrum` gives it.  When its last
-    entry has no sign bit set, nothing is clipped, and V's entries are a
-    reversed view too.
+    +0.0): neither may be written.  Both keep V's order.
     """
     if V.kind != "diag" or not V.hermitian:
         raise ContractViolation(
@@ -226,10 +220,6 @@ def _psd_diagonal(A, V, who):
     if A is not None:
         V._check_dims(A)
         a = A.diag()
-    # d[-2] > 0: at most the last entry is clipped, so no two tie at 0
-    if d.size > 1 and d[-2] > 0.0 and np.all(d[:-1] > d[1:]):
-        v = d[::-1] if not np.signbit(d[-1]) else np.maximum(d[::-1], 0.0)
-        return v, None if a is None else a[::-1]
     return (np.maximum(d, 0.0) if np.signbit(d).any() else d), a
 
 
@@ -245,43 +235,40 @@ _EDGE_MARGIN = 1e-9
 def _sorted_spectrum(v, *coeffs):
     """``v`` in ascending order (stable sort, NaN last) and each coefficient
     vector gathered into the same order; a None coefficient stays None.
+    Every heat sum and cutoff sum takes its order from here.
 
     The stable argsort is the identity on a non-decreasing ``v``, so that
-    returns the inputs themselves, with no sort.
+    returns the inputs themselves, and the reversal on a strictly decreasing
+    ``v`` (a harmonic V), so that returns reversed views: neither copies.
     """
     if np.all(v[:-1] <= v[1:]):
         return (v,) + coeffs
+    if np.all(v[:-1] > v[1:]):
+        return tuple(None if c is None else c[::-1] for c in (v,) + coeffs)
     order = np.argsort(v, kind="stable")
     return (v[order],) + tuple(None if c is None else c[order] for c in coeffs)
 
 
 def _live_slice(vs, s, e):
-    """Index of ascending ``vs`` outside which exp(-(s v)**e) is exactly 0.0.
-
-    The live entries ((s v)**e < ``_HEAT_ZERO``) are a suffix of ``vs`` for
-    e < 0 (this leaves out ker V, where the kernel vanishes) and a prefix for
-    e > 0.  NaNs sort last and are always kept, so a NaN makes every sum NaN.
+    """The suffix of ascending ``vs`` outside which exp(-(s v)**e), e < 0,
+    is exactly 0.0: its live entries have (s v)**e < ``_HEAT_ZERO``, so ker V,
+    where the kernel vanishes, is left out.  NaNs sort last and are always
+    kept, so a NaN makes every sum NaN.
     """
     edge = _HEAT_ZERO ** (1.0 / e) / s
-    if e < 0:
-        lo = int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN)))
-        return slice(lo, vs.size)
-    hi = int(np.searchsorted(vs, edge * (1.0 + _EDGE_MARGIN), side="right"))
-    if vs.size and np.isnan(vs[-1]):
-        return np.r_[0:hi, int(np.searchsorted(vs, np.nan)):vs.size]
-    return slice(0, hi)
+    return slice(int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN))), vs.size)
 
 
 def _heat_weights(vs, scales, e):
-    """Yield (live index, weights) per scale s: the weights are
-    ``np.exp(-(s ** e) * v ** e)`` on the live index of ascending ``vs``, and
-    every other weight is exactly 0.0.
+    """Yield (live slice, weights) per scale s: the weights are
+    ``np.exp(-(s ** e) * v ** e)``, e < 0, on the live slice of ascending
+    ``vs``, and every other weight is exactly 0.0.
 
-    The live sets are nested, so the widest is their union, and ``v ** e`` is
-    taken once over it; for e < 0 it leaves out ker V, so no ``0 ** e`` is
-    taken.  Each weight differs from ``exp(-(s v) ** e)`` only by the
-    rounding of the product ``s**e * v**e``: a relative error of order
-    eps * max(1, (s v)**e).
+    The live slices are nested suffixes, so the widest (the largest s) is
+    their union, and ``v ** e`` is taken once over it; it leaves out ker V,
+    so no ``0 ** e`` is taken.  Each weight differs from
+    ``exp(-(s v) ** e)`` only by the rounding of the product
+    ``s**e * v**e``: a relative error of order eps * max(1, (s v)**e).
 
     Every step writes its weights into one buffer of the union's size, so a
     yielded array is valid only until the next step.
@@ -290,14 +277,11 @@ def _heat_weights(vs, scales, e):
     if not scales:
         return
     lives = [_live_slice(vs, s, e) for s in scales]
-    union = lives[int(np.argmax(scales) if e < 0 else np.argmin(scales))]
+    union = lives[int(np.argmax(scales))]
     x = vs[union] ** e
     buf = np.empty_like(x)
     for s, live in zip(scales, lives):
-        if isinstance(union, slice):
-            part = x[live.start - union.start:live.stop - union.start]
-        else:  # a prefix plus the NaN tail (e > 0)
-            part = x[np.searchsorted(union, live)]
+        part = x[live.start - union.start:]
         w = np.multiply(part, -(s ** e), out=buf[:part.size])
         yield live, np.exp(w, out=w)
 
@@ -357,20 +341,21 @@ def _coefficient_rows(cs, n):
 
 
 def _heat_rows(vs, cs, scales, e, va=None):
-    """sum_k c_k exp(-(s ** e) * v_k ** e) for each coefficient vector c of
-    ``cs`` and each s in ``scales``, from one evaluation of each weight
-    vector; returns one array of sums per c (complex for a complex c).
+    """sum_k c_k exp(-(s ** e) * v_k ** e), e < 0, for each coefficient
+    vector c of ``cs`` and each s in ``scales``, from one evaluation of each
+    weight vector; returns one array of sums per c (complex for a complex c).
 
-    ``vs`` is ascending and every c is in its order; None means every
-    c_k = 1, summed by ``np.sum``.  Every other c is a row (a complex c two
-    rows, real and imaginary, so no complex product is formed; a pair of
-    real vectors their product) of one block that :func:`_dot` reduces over
-    the live slice.  A c with no nonzero entry gives exact zeros with no sum
-    taken for it, unless ``vs`` holds a NaN, which makes every sum NaN.
+    ``vs`` is ascending (:func:`_sorted_spectrum`) and every c is in its
+    order; None means every c_k = 1, summed by ``np.sum``.  Every other c is
+    a row (a complex c two rows, real and imaginary, so no complex product is
+    formed; a pair of real vectors their product) of one block that
+    :func:`_dot` reduces over the live slice.  A c with no nonzero entry
+    gives exact zeros with no sum taken for it, unless ``vs`` holds a NaN,
+    which makes every sum NaN.
 
-    With ``va`` (for e < 0) one more array follows: sum_k va_k (1 - w_k),
-    the head below the live slice, where 1 - w is 1, added segment by
-    segment, never as sum(va) - sum(va * w), which cancels.
+    With ``va`` one more array follows: sum_k va_k (1 - w_k), the head below
+    the live slice, where 1 - w is 1, added segment by segment, never as
+    sum(va) - sum(va * w), which cancels.
     """
     nan = bool(vs.size and np.isnan(vs[-1]))
     out = [np.zeros(len(scales), complex if _is_complex(c) else float)
@@ -524,17 +509,16 @@ def modulated_comparison(A, V):
     if A.kind != "diag":
         raise ContractViolation(
             f"modulated_comparison requires a diagonal A, got {A.label!r}")
-    v, a_diag = _psd_diagonal(A, V, "modulated_comparison")
+    v, a = _sorted_spectrum(*_psd_diagonal(A, V, "modulated_comparison"))
     series = eigenvalue_partial_sums(A @ V, label=f"{A.label}*{V.label}")
-    N = series.N
-    grid = geometric_grid(8, N - 1, math.sqrt(2.0))
-    order = np.argsort(v)[::-1]
-    v_sorted = v[order]
-    av_sorted = np.cumsum(a_diag[order] * v_sorted)
+    grid = geometric_grid(8, series.N - 1, math.sqrt(2.0))
+    # suffix sums of a * v, from the top of the spectrum down: the cutoff
+    # trace over the m largest v is tail[m - 1]
+    tail = np.cumsum((a * v)[::-1])
     gaps = np.empty(grid.size)
     for j, n in enumerate(grid):
-        m = int(np.searchsorted(-v_sorted, -1.0 / n, side="right"))
-        cutoff = av_sorted[m - 1] if m > 0 else 0.0
+        m = v.size - int(np.searchsorted(v, 1.0 / n))
+        cutoff = tail[m - 1] if m > 0 else 0.0
         gaps[j] = abs(series.sums[n] - cutoff)
     tol = 3.0 * A.norm_bound()  # the 2-norm of a diagonal
     sup = float(gaps.max())

@@ -98,6 +98,25 @@ class TestRun:
             digests.add(run(cfg(str(tmp_path / name))).stable_digest())
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("scheme", [{"window_fraction": 0.5},
+                                        {"n_min": 32}])
+    def test_scheme_robustness_runs_on_the_config_scheme(self, scheme):
+        # each grid ratio replaces only the ratio of the config's scheme: its
+        # n_min and window_fraction hold for every ratio
+        def zs(sch):
+            (rec,) = run(ExperimentConfig(
+                model={"name": "toy", "N": 10_000},
+                checks=["scheme-robustness"], scheme=sch)).records
+            return rec.values
+        custom = zs(scheme)
+        mu = 1.0 / (np.arange(10_000) + 1.0)
+        assert custom == {
+            f"z_r{r}": traces.dixmier_logmean(
+                mu, traces.ExtendedLimitScheme(ratio=r, **scheme)).z
+            for r in (1.5, 2.0, 3.0)}
+        # at some ratio the scheme moves the window off the default one
+        assert custom != zs({})
+
     def test_nonfinite_result_fails_explicitly(self, monkeypatch, tmp_path):
         def nonfinite(ctx):
             return harness.CheckRecord(

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from singtrace import traces
 from singtrace.hochschild import circle_winding_cycle, heat_cycle_trace
+from singtrace.ideals import eigenvalue_partial_sums
 from singtrace.operators import (
     ContractViolation,
     Operator,
@@ -211,7 +212,8 @@ class TestHeatKernel:
     spectrum bit for bit and ``exp(-(s v)**e)`` to its rounding; sums run
     over the slice, so they are checked against ``math.fsum``."""
 
-    EXPONENTS = [-1, -1.5, -2, 2, 3]
+    # -2 and -3 are the exponents -(p+1) of the cycle heat trace
+    EXPONENTS = [-1, -1.5, -2, -3]
 
     @staticmethod
     def unsorted_with_zeros():
@@ -232,9 +234,7 @@ class TestHeatKernel:
     def regime_scales(e):
         # scales at which every positive entry is cut, some are, none is
         cut = 1000.0 ** (1.0 / e)  # x**e = 1000 at x = cut
-        if e < 0:
-            return 0.5 * cut, 40.0 * cut, 6000.0 * cut
-        return 6000.0 * cut, 40.0 * cut, 0.5 * cut
+        return 0.5 * cut, 40.0 * cut, 6000.0 * cut
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_equals_unmasked_formula_on_every_regime(self, e):
@@ -342,24 +342,42 @@ class TestHeatKernel:
         c = v + 1j
         vs, cs = _sorted_spectrum(v, c)
         assert vs is v and cs is c
+        # a strictly decreasing v: reversed views; any other order: copies
         vs, cs = _sorted_spectrum(v[::-1], c[::-1])
-        assert not np.shares_memory(vs, v) and not np.shares_memory(cs, c)
+        assert np.shares_memory(vs, v) and np.shares_memory(cs, c)
+        assert vs.tobytes() == v.tobytes() and cs.tobytes() == c.tobytes()
+        swapped = np.r_[v[1::-1], v[2:]]
+        vs, cs = _sorted_spectrum(swapped, c)
+        assert not np.shares_memory(vs, swapped) and not np.shares_memory(cs, c)
 
     def test_decreasing_spectrum_is_clipped_into_ascending_order(self):
-        # a strictly decreasing V comes out of _psd_diagonal ascending, with
-        # A's diagonal a reversed view, so _sorted_spectrum copies nothing
+        # _psd_diagonal keeps V's order; _sorted_spectrum turns a strictly
+        # decreasing V and A's diagonal into reversed views, no copy
         d = 1.0 / (np.arange(500) + 1.0)
         A = Operator(np.cos(np.arange(d.size)) + 1j)
         v, a = traces._psd_diagonal(A, Operator(d), "test")
-        assert v.tobytes() == d[::-1].tobytes()
-        assert np.shares_memory(a, A.diag())
-        assert a.tobytes() == A.diag()[::-1].tobytes()
-        vs, cs = _sorted_spectrum(v, a)
-        assert vs is v and cs is a
+        assert v is d and a is A.diag()
+        vs, cs, none = _sorted_spectrum(v, a, None)
+        assert np.shares_memory(vs, d) and np.shares_memory(cs, a)
+        assert vs.tobytes() == d[::-1].tobytes()
+        assert cs.tobytes() == a[::-1].tobytes() and none is None
+        # a clipped last entry: the clipped copy, then its reversed view
+        clipped = np.concatenate([d, [-1e-14]])
+        v, _ = traces._psd_diagonal(None, Operator(clipped), "test")
+        assert v.tobytes() == np.maximum(clipped, 0.0).tobytes()
+        vs, = _sorted_spectrum(v)
+        assert np.shares_memory(vs, v)
+        assert vs.tobytes() == np.sort(np.maximum(clipped, 0.0)).tobytes()
         # two entries clipped to a tie at 0 keep the stable sort's order
-        d = np.concatenate([d, [-1e-14, -2e-14]])
-        v, _ = traces._psd_diagonal(None, Operator(d), "test")
-        assert v.tobytes() == np.maximum(d, 0.0).tobytes()
+        tied = np.concatenate([d, [-1e-14, -2e-14]])
+        v, _ = traces._psd_diagonal(None, Operator(tied), "test")
+        assert v.tobytes() == np.maximum(tied, 0.0).tobytes()
+        c = np.arange(v.size) + 0.5j
+        vs, cs = _sorted_spectrum(v, c)
+        order = np.argsort(v, kind="stable")
+        assert vs.tobytes() == v[order].tobytes()
+        assert cs.tobytes() == c[order].tobytes()
+        assert cs[0] == v.size - 2 + 0.5j and cs[1] == v.size - 1 + 0.5j
 
     def test_psd_diagonal_clips_only_what_has_a_sign_bit(self):
         # a psd V with nothing to clip is read in place; a negative within
@@ -533,16 +551,19 @@ class TestHeatKernel:
 
     @pytest.mark.parametrize("imag", [0.0, 0.3])
     def test_long_decaying_sum_matches_fsum_reference(self, imag):
-        # 2**18 terms that decay along ascending v (e > 0, as in the cycle
-        # heat trace); a sequential dot over them drifts past the bound
+        # 2**18 terms of exp(-(s d)**2) on d = 1, 2, ..., as the cycle heat
+        # trace takes them: the e = -2 weights of v = 1/d at n = 1/s, which
+        # decay towards the bottom of ascending v; a sequential dot over
+        # them drifts past the bound
         k = np.arange(2 ** 18)
-        v = k + 1.0
+        d = k + 1.0
         c = 0.4 + 0.1 * np.cos(k) + 1j * imag * np.sin(k)
-        scales = np.array([1.0, 4.0, 20.0]) / v.size
-        for coeff in (c, c.real):
-            got = _heat_sums(v, coeff, scales, 2)
+        scales = np.array([1.0, 4.0, 20.0]) / d.size
+        vs, *cs = _sorted_spectrum(1.0 / d, c, c.real)
+        for coeff, sorted_coeff in zip((c, c.real), cs):
+            got = _heat_sums(vs, sorted_coeff, 1.0 / scales, -2)
             for s, value in zip(scales, got):
-                want, scale = fsum_reference(coeff, unmasked_heat(s * v, 2))
+                want, scale = fsum_reference(coeff, unmasked_heat(s * d, 2))
                 assert abs(value - want) <= 1e-14 * scale
 
     @pytest.mark.parametrize("e", EXPONENTS)
@@ -678,6 +699,22 @@ class TestModulated:
         rep = modulated_comparison(A, harmonic_op(N))
         assert rep["passed"]
 
+    def test_tied_spectrum_matches_fsum_of_cutoff_traces(self):
+        # V with runs of tied entries, in no order, and a kernel: each gap
+        # is |S(n) - Tr(A V E_V[1/n, inf))| with the cutoff trace summed
+        # exactly over the entries v >= 1/n
+        rng = np.random.default_rng(23)
+        k = np.arange(3000)
+        v = rng.permutation(np.concatenate([1.0 / (k // 4 + 1.0), np.zeros(7)]))
+        a = np.exp(2j * np.pi * rng.random(v.size))
+        A, V = Operator(a), Operator(v)
+        rep = modulated_comparison(A, V)
+        sums = eigenvalue_partial_sums(A @ V).sums
+        for n, gap in zip(rep["ns"], rep["gaps"]):
+            want, _ = fsum_reference(a, np.where(v >= 1.0 / n, v, 0.0))
+            assert abs(gap - abs(sums[n] - want)) <= 1e-12
+        assert rep["passed"]
+
     def test_non_diagonal_A_is_rejected(self):
         N = 512
         A = Operator(sp.eye(N, k=1, format="csr"), label="shift")
@@ -689,8 +726,6 @@ class TestInputsLeftUnchanged:
     def test_wrapped_diagonals_are_not_written(self):
         # complex 1-d data is wrapped without a copy, so a function that
         # wrote into an operator's diag() would change its caller's array
-        from singtrace.ideals import eigenvalue_partial_sums
-
         rng = np.random.default_rng(31)
         n = 4096
         a = np.exp(2j * np.pi * rng.random(n))
@@ -710,7 +745,7 @@ class TestInputsLeftUnchanged:
 
     def test_nothing_writes_the_reversed_view_of_V(self):
         # a strictly decreasing V with nothing to clip comes out of
-        # _psd_diagonal as a reversed view of its own entries, and A's
+        # _sorted_spectrum as a reversed view of its own entries, and A's
         # diagonal with it; both are read-only here, so a write would raise
         n = 4096
         d = 1.0 / (np.arange(n) + 1.0)
@@ -718,7 +753,7 @@ class TestInputsLeftUnchanged:
         d.setflags(write=False)
         signs.setflags(write=False)
         A, V = Operator(signs, label="A"), Operator(d, label="V")
-        v, a = traces._psd_diagonal(A, V, "test")
+        v, a = _sorted_spectrum(*traces._psd_diagonal(A, V, "test"))
         assert np.shares_memory(v, d) and v.tobytes() == d[::-1].tobytes()
         assert np.shares_memory(a, signs)
         heat_functional(A, V, 2.0)
