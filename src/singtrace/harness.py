@@ -630,9 +630,7 @@ def _harmonic(model, N):
 
 def _alternating(N):
     """A = diag((-1)^k) of dim N, whose V-weighted trace vanishes."""
-    signs = np.ones(N)
-    signs[1::2] = -1.0
-    return Operator(signs, label="alt signs")
+    return Operator(traces._alternating_signs(N), label="alt signs")
 
 
 def _harmonic_heat(model):
@@ -642,7 +640,7 @@ def _harmonic_heat(model):
     built once per model."""
     N = model.N
     return model.derived(("harmonic heat",), lambda: traces._heat_pass(
-        _alternating(N), _harmonic(model, N), 2.0))
+        _harmonic(model, N), 2.0))
 
 
 def _check_diag_oracles(ctx):

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_RATIO = math.sqrt(2.0)
+# block length of the running sum of :func:`lorentz_norm_m1inf`
+_CUMSUM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,21 @@ def lorentz_norm_m1inf(mu):
     mu = _as_mu(mu)
     if mu.size == 0:
         return 0.0
-    # in place: two temporaries of mu's length, the same bits as
-    # cumsum(mu) / log(2.0 + n)
-    sums = np.cumsum(mu)
-    x = np.arange(mu.size, dtype=float)
-    x += 2.0
-    sums /= np.log(x, out=x)
-    return float(np.max(sums))
+    # one block at a time, the running sum carried into each block's first
+    # entry: the same bits as cumsum(mu) / log(2.0 + n) (a cumsum adds in
+    # order), with temporaries of one block's length
+    tops, carry = [], 0.0
+    for lo in range(0, mu.size, _CUMSUM_BLOCK):
+        sums = mu[lo:lo + _CUMSUM_BLOCK].copy()
+        if lo:
+            sums[0] += carry
+        np.cumsum(sums, out=sums)
+        carry = sums[-1]
+        x = np.arange(lo, lo + sums.size, dtype=float)
+        x += 2.0
+        sums /= np.log(x, out=x)
+        tops.append(np.max(sums))
+    return float(np.max(tops))
 
 
 def eigenvalue_partial_sums(T, label=None):

@@ -30,12 +30,14 @@ equal size are stacked into one (g, s, s) array and solved with one
 batched LAPACK call per size.  The functional calculus and the polar data
 take hermitian diagonal operators only: every model's D, |D| and F and
 every function of them are diagonal or built in closed form, so f(T) is f
-on the diagonal entries.
+on the diagonal entries.  A psd diagonal D (no entry with its sign bit set)
+is its own |D|, sharing D's array, and its F is the identity as a read-only
+zero-stride view of one 1.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,10 +139,12 @@ def _non_increasing(keys):
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of an operator, in canonical order: float64 when they
-    are real (a hermitian operator's), complex128 otherwise."""
+    are real (a hermitian operator's), complex128 otherwise.  ``moduli`` are
+    their moduli, taken once, for the order check, and kept."""
 
     values: np.ndarray
     label: str = ""
+    moduli: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = _real_or_complex(self.values)
@@ -148,13 +152,10 @@ class Spectrum:
         moduli = np.abs(values)
         if moduli.size and np.any(moduli[:-1] < moduli[1:] - 1e-30):
             raise ValueError("spectrum not ordered by non-increasing modulus")
+        object.__setattr__(self, "moduli", moduli)
 
     def __len__(self):
         return self.values.size
-
-    @property
-    def moduli(self):
-        return np.abs(self.values)
 
 
 @dataclass(frozen=True)
@@ -636,32 +637,56 @@ def _component_blocks(T):
     inside its g components (rows and columns in ascending basis index,
     components ordered by first index), scattered from T's layer entries.
     Below ``_SPLIT_MIN_DIM`` the whole basis is one component.
+
+    Only the nodes that hold an entry are labelled: every other node is a
+    component of its own, a zero 1 x 1 block in the size-1 group, whose
+    components are the nodes outside every larger component, in order.
     """
     n = T.dim
     rows, cols, vals = _entries(n, T._data)
     if n < _SPLIT_MIN_DIM:
+        nodes = np.arange(n)
         labels = np.zeros(n, dtype=np.intp)
     else:
-        labels = _component_labels(n, rows, cols)
+        nodes = np.flatnonzero(np.bincount(np.concatenate([rows, cols]),
+                                           minlength=n))
+        local = np.empty(n, dtype=np.intp)  # each node's place in ``nodes``
+        local[nodes] = np.arange(nodes.size)
+        rows, cols = local[rows], local[cols]
+        labels = _component_labels(nodes.size, rows, cols)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    pos = np.empty(n, dtype=np.intp)  # place of each index inside its component
-    pos[order] = np.arange(n) - np.repeat(starts, sizes)
+    pos = np.empty(nodes.size, dtype=np.intp)  # place inside its component
+    pos[order] = np.arange(nodes.size) - np.repeat(starts, sizes)
     row_label = labels[rows]
     row_size = sizes[row_label]
+    # the first node of each size's first component; the size-1 group holds
+    # every node not coupled to another, the least of them first
+    uniq, at = np.unique(sizes, return_index=True)
+    first = {int(s): int(nodes[order[starts[k]]])
+             for s, k in zip(uniq, at) if s > 1}
+    coupled = nodes[sizes[labels] > 1]
+    if coupled.size < n:
+        gaps = np.flatnonzero(coupled != np.arange(coupled.size))
+        first[1] = int(gaps[0]) if gaps.size else coupled.size
     slot = np.empty(sizes.size, dtype=np.intp)
-    uniq, first = np.unique(sizes, return_index=True)
     groups = []
-    for s in uniq[np.argsort(first)]:
-        comps = np.flatnonzero(sizes == s)
-        slot[comps] = np.arange(comps.size)
+    for s in sorted(first, key=first.get):
         mine = row_size == s
-        flat = ((slot[row_label[mine]] * s + pos[rows[mine]]) * s
-                + pos[cols[mine]])
-        blocks = np.zeros(comps.size * s * s, dtype=complex)
+        if s == 1:
+            count = n - coupled.size
+            here = nodes[rows[mine]]
+            flat = here - np.searchsorted(coupled, here)
+        else:
+            comps = np.flatnonzero(sizes == s)
+            slot[comps] = np.arange(comps.size)
+            count = comps.size
+            flat = ((slot[row_label[mine]] * s + pos[rows[mine]]) * s
+                    + pos[cols[mine]])
+        blocks = np.zeros(count * s * s, dtype=complex)
         np.add.at(blocks, flat, vals[mine])  # sums entries at one position
-        groups.append(blocks.reshape(comps.size, s, s))
+        groups.append(blocks.reshape(count, s, s))
     return groups
 
 
@@ -774,11 +799,18 @@ def phase_modulus(D):
     On the real diagonal d, F = where(d >= 0, 1, -1) and |D| = |d|, so F is
     a self-adjoint unitary with F^2 = 1 and F |D| = D; kernel vectors of D
     receive +1.  Any other D is a :class:`ContractViolation`.
+
+    A psd D with no sign bit set (every d >= 0, no -0.0, no NaN) is its own
+    modulus: |D| then holds d itself, and F the identity as a read-only view
+    of one 1.0 with stride 0, so neither costs a full-length array.
     """
     d = _real_diagonal(D, "phase_modulus")
-    F = Operator(np.where(d >= 0.0, 1.0, -1.0), label=f"phase({D.label})",
-                 hermitian=True)
-    absD = Operator(np.abs(d), label=f"|{D.label}|", hermitian=True)
+    if np.all(d >= 0.0) and not np.signbit(d).any():
+        phase, modulus = np.broadcast_to(np.ones(1), d.shape), d
+    else:
+        phase, modulus = np.where(d >= 0.0, 1.0, -1.0), np.abs(d)
+    F = Operator(phase, label=f"phase({D.label})", hermitian=True)
+    absD = Operator(modulus, label=f"|{D.label}|", hermitian=True)
     return F, absD
 
 

@@ -319,23 +319,31 @@ def _is_complex(c):
 
 def _coefficient_rows(cs, n):
     """The coefficient vectors ``cs`` of length n as one block of real rows,
-    and the key of each c in it: its row, or the slice of its real and
-    imaginary rows.  A pair (a, b) of real vectors stands for a * b, which
-    is written straight into its row.  A single real c is its own block."""
-    if len(cs) == 1 and not (isinstance(cs[0], tuple) or _is_complex(cs[0])):
-        return cs[0][None], [0]
+    and the key of each c in it: None for c = None (every c_k = 1, no row),
+    its row, or the slice of its real and imaginary rows.  A pair (a, b) of
+    real vectors stands for a * b, which is written straight into its row.
+    A single real c is its own block."""
+    vectors = [c for c in cs if c is not None]
+    if len(vectors) == 1 and not (isinstance(vectors[0], tuple)
+                                  or _is_complex(vectors[0])):
+        return vectors[0][None], [None if c is None else 0 for c in cs]
     keys, rows = [], 0
     for c in cs:
-        wide = _is_complex(c)
-        keys.append(slice(rows, rows + 2) if wide else rows)
-        rows += 2 if wide else 1
+        if c is None:
+            keys.append(None)
+        elif _is_complex(c):
+            keys.append(slice(rows, rows + 2))
+            rows += 2
+        else:
+            keys.append(rows)
+            rows += 1
     block = np.empty((rows, n))
     for c, key in zip(cs, keys):
         if isinstance(c, tuple):
             np.multiply(*c, out=block[key])
         elif isinstance(key, slice):
             block[key.start], block[key.start + 1] = c.real, c.imag
-        else:
+        elif key is not None:
             block[key] = c
     return block, keys
 
@@ -357,17 +365,19 @@ def _heat_rows(vs, cs, scales, e, va=None):
     the live slice, where 1 - w is 1, added segment by segment, never as
     sum(va) - sum(va * w), which cancels.
     """
+    return _block_sums(vs, *_coefficient_rows(cs, vs.size), scales, e, va)
+
+
+def _block_sums(vs, block, keys, scales, e, va):
+    """:func:`_heat_rows` of the coefficient block and keys that
+    :func:`_coefficient_rows` returns (``va`` None: no saturating sums)."""
     nan = bool(vs.size and np.isnan(vs[-1]))
-    out = [np.zeros(len(scales), complex if _is_complex(c) else float)
-           for c in cs]
-    ones = [i for i, c in enumerate(cs) if c is None]
-    dots = [i for i, c in enumerate(cs) if c is not None]
-    if dots:
-        block, keys = _coefficient_rows([cs[i] for i in dots], vs.size)
-        # a row of zeros stays in the block, but no sum is kept for it
-        live = [nan or block[key].any() for key in keys]
-        dots = [i for i, keep in zip(dots, live) if keep]
-        keys = [key for key, keep in zip(keys, live) if keep]
+    out = [np.zeros(len(scales), complex if isinstance(key, slice) else float)
+           for key in keys]
+    ones = [i for i, key in enumerate(keys) if key is None]
+    # a row of zeros stays in the block, but no sum is kept for it
+    dots = [i for i, key in enumerate(keys)
+            if key is not None and (nan or block[key].any())]
     if not (ones or dots or va is not None):
         return out
     if va is not None:
@@ -380,8 +390,9 @@ def _heat_rows(vs, cs, scales, e, va=None):
         for i in ones:
             out[i][j] = np.sum(w)
         if dots:
-            for i, key, x in zip(dots, keys, _dot(block[:, live], w, keys)):
-                out[i][j] = complex(*x) if isinstance(key, slice) else x
+            sums = _dot(block[:, live], w, [keys[i] for i in dots])
+            for i, x in zip(dots, sums):
+                out[i][j] = complex(*x) if isinstance(keys[i], slice) else x
         if va is not None:
             np.subtract(1.0, w, out=w)
             out[-1][j] = heads[live.start] + float(_dot(va[live], w))
@@ -568,18 +579,32 @@ def _cutoff_verdict(window, heat, cut, scheme):
     }
 
 
-def _heat_pass(A, V, alpha):
-    """The sums on the default heat grid of a psd diagonal V = diag(v) and a
-    diagonal A that :func:`heat_functional`, :func:`lemma_estimate_scalings`
-    and :func:`cesaro_cutoff_comparison` (of the default scheme) take, with
-    each weight vector w = exp(-(nV)^-alpha) evaluated once: ``heat``
-    Tr(V w) and ``modulated`` Tr(A V w), ``counting`` Tr(w) and
-    ``saturating`` Tr(V^alpha (1 - w)), and ``cutoff`` Tr((V - 1/n)_+).
-    Each equals the sum the function takes bit for bit."""
-    v, a = _sorted_spectrum(*_psd_diagonal(A, V, "heat pass"))
+def _alternating_signs(n):
+    """The diagonal (-1)^k, k = 0 .. n - 1, of the alternating signs."""
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    return signs
+
+
+def _heat_pass(V, alpha):
+    """The sums on the default heat grid of a psd diagonal V = diag(v) and
+    the alternating signs A = diag((-1)^k) that :func:`heat_functional`,
+    :func:`lemma_estimate_scalings` and :func:`cesaro_cutoff_comparison` (of
+    the default scheme) take, with each weight vector w = exp(-(nV)^-alpha)
+    evaluated once: ``heat`` Tr(V w) and ``modulated`` Tr(A V w),
+    ``counting`` Tr(w) and ``saturating`` Tr(V^alpha (1 - w)), and
+    ``cutoff`` Tr((V - 1/n)_+).  Each equals the sum the function takes bit
+    for bit.
+
+    The signs are built here and read only into the row of A V, so they are
+    freed before v**alpha and the weights are taken."""
+    v, _ = _psd_diagonal(None, V, "heat pass")
+    v, signs = _sorted_spectrum(v, _alternating_signs(v.size))
+    block, keys = _coefficient_rows([None, v, (signs, v)], v.size)
+    del signs
     grid = default_heat_grid(V.dim)
-    counting, heat, modulated, saturating = _heat_rows(
-        v, [None, v, (a, v)], grid, -alpha, va=v ** alpha)
+    counting, heat, modulated, saturating = _block_sums(
+        v, block, keys, grid, -alpha, v ** alpha)
     return {"grid": grid, "heat": heat, "modulated": modulated,
             "counting": counting, "saturating": saturating,
             "cutoff": _cutoff_sums(v, None, grid)}

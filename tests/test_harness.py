@@ -779,6 +779,31 @@ def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
     assert weights <= 27.4e6
 
 
+def test_toy_oracles_and_measure_hold_at_most_eight_vectors(monkeypatch):
+    """diag-oracles and measure on the toy at N = 2 * 10^5, one worker: the
+    traced peak stays below 8 vectors of N float64 (8N bytes each).
+
+    Measured: 7.03 units, set inside the alpha = 2 heat pass (the toy's D,
+    which is also its |D|, the harmonic V, the two-row coefficient block,
+    V^2, V^-2 and the weight buffer).  The bound leaves one unit of margin;
+    a copy of |D| or F, a sign vector held through the pass or one more
+    full-length modulus would each cost about one unit."""
+    import tracemalloc
+
+    N = 200_000
+    monkeypatch.setenv("SINGTRACE_THREADS", "1")
+    config = ExperimentConfig(model={"name": "toy", "N": N},
+                              checks=["diag-oracles", "measure"])
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak <= 8 * (8 * N), f"peak {peak / (8 * N):.2f} x 8N bytes"
+
+
 def test_benchmark_layer_names_resolve():
     """Every function the benchmark traces exists in its singtrace module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"

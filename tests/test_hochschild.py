@@ -57,7 +57,7 @@ def brute_force_circle_chern(N=64):
 
 
 def brute_force_torus(R, theta, interior_radius):
-    """From-scratch dense realization of the torus character data.
+    """From-scratch realization of the torus character data.
 
     Rebuilds the whole construction with plain numpy loops (independent
     index maps, phases, polar data) and returns (chern, omega diagonal
@@ -65,70 +65,92 @@ def brute_force_torus(R, theta, interior_radius):
     d1 + i d2, graded phase on ker D, volume cycle with per-orientation
     inverses.
 
-    Only the order of evaluation is chosen for speed: the lattice shifts
-    have at most one entry per row and per column, so a commutator of F
-    with one of them is two gathers; the interior trace of F G X reads only
-    the interior columns of X; and Omega's corner entry is one row pushed
-    through the products.
+    Only the storage and the order of evaluation are chosen for speed and
+    memory.  The lattice shifts and D have at most one entry per row and
+    per column, so each is held as an index map (``dst``, ``val``): column i
+    holds val[i] in row dst[i], and none where dst[i] < 0.  Products with a
+    map are gathers and scatters, and G is held as its diagonal.  F is the
+    one dense matrix.  D couples each mode only with its spinor partner, so F is the
+    eigh sign of D on each of those 2 x 2 blocks.  A commutator [F, a] is
+    applied to a block of columns Z as F (a Z) - a (F Z).  The interior trace
+    of F G X reads only the interior columns of X, and Omega's corner entry
+    is one row pushed through the products.
     """
     L = 2 * R + 1
+    half = L * L
+    n = 2 * half
     n1 = np.repeat(np.arange(-R, R + 1), L)
     n2 = np.tile(np.arange(-R, R + 1), L)
     lam = np.exp(2j * np.pi * theta)
 
     def lat_shift(a, b):
-        M = np.zeros((L * L, L * L), dtype=complex)
+        """The map of kron(eye(2), M), M e_(x, y) = phase e_(x+a, y+b)."""
+        dst = np.full(half, -1)
+        val = np.zeros(half, dtype=complex)
         for i, (x, y) in enumerate(zip(n1, n2)):
             if abs(x + a) <= R and abs(y + b) <= R:
-                j = (x + a + R) * L + (y + b + R)
-                M[j, i] = np.exp(2j * np.pi * theta * b * x)
-        return M
+                dst[i] = (x + a + R) * L + (y + b + R)
+                val[i] = np.exp(2j * np.pi * theta * b * x)
+        return (np.concatenate([dst, np.where(dst >= 0, dst + half, -1)]),
+                np.concatenate([val, val]))
 
-    def spinor(M):
-        return np.kron(np.eye(2), M)
-
-    U = spinor(lat_shift(1, 0))
-    V = spinor(lat_shift(0, 1))
-    t_mat = lam * spinor(lat_shift(-1, -1))   # (U V)^{-1}
-    s_mat = spinor(lat_shift(-1, -1))         # (V U)^{-1}
-    w = 1j * n1 - n2
-    W = np.diag(w)
-    D = np.block([[np.zeros((L * L, L * L)), W],
-                  [W.conj().T, np.zeros((L * L, L * L))]])
-    ww, vv = np.linalg.eigh(D)
-    F = (vv * np.where(ww >= 0, 1.0, -1.0)) @ vv.conj().T
-    del vv
-    k0 = np.flatnonzero((n1 == 0) & (n2 == 0))[0]
-    for up, dn in [(k0, k0 + L * L)]:
-        F[up, up] = F[dn, dn] = 0.0
-        F[up, dn] = F[dn, up] = 1.0
-    G = np.kron(np.diag([1.0, -1.0]), np.eye(L * L))
-
-    def comm(X, M):
-        """X M - M X for an M with at most one entry per row and column."""
-        dst, src = np.nonzero(M)
-        out = np.zeros(X.shape, dtype=complex)
-        out[:, src] = X[:, dst] * M[dst, src]
-        out[dst, :] -= M[dst, src][:, None] * X[src, :]
+    def left(M, Y):
+        """M @ Y for a map M and a vector or matrix Y."""
+        dst, val = M
+        live = dst >= 0
+        out = np.zeros(Y.shape, dtype=complex)
+        out[dst[live]] = (val[live] if Y.ndim == 1 else val[live, None]) * Y[live]
         return out
+
+    def right(Y, M):
+        """Y @ M for a vector or matrix Y and a map M."""
+        dst, val = M
+        live = dst >= 0
+        out = np.zeros(Y.shape[:-1] + dst.shape, dtype=complex)
+        out[..., live] = Y[..., dst[live]] * val[live]
+        return out
+
+    U = lat_shift(1, 0)
+    V = lat_shift(0, 1)
+    shift = lat_shift(-1, -1)
+    t_mat = (shift[0], lam * shift[1])   # (U V)^{-1}
+    s_mat = shift                        # (V U)^{-1}
+    w = 1j * n1 - n2
+    # D = [[0, W], [W*, 0]], W = diag(w): column i of the upper half holds
+    # conj(w_i) in the lower half, column half + i holds w_i in the upper
+    D = (np.concatenate([np.arange(half) + half, np.arange(half)]),
+         np.concatenate([w.conj(), w]))
+    # the 2 x 2 blocks of D on (i, half + i), and F = sign(D) on each
+    blocks = np.zeros((half, 2, 2), dtype=complex)
+    blocks[:, 0, 1], blocks[:, 1, 0] = D[1][half:], D[1][:half]
+    ww, vv = np.linalg.eigh(blocks)
+    fb = (vv * np.where(ww >= 0, 1.0, -1.0)[:, None, :]) @ vv.conj().transpose(0, 2, 1)
+    k0 = np.flatnonzero((n1 == 0) & (n2 == 0))[0]
+    fb[k0] = [[0.0, 1.0], [1.0, 0.0]]   # the spinor swap on ker D
+    up = np.arange(half)
+    F = np.zeros((n, n), dtype=complex)
+    F[up, up], F[up, up + half] = fb[:, 0, 0], fb[:, 0, 1]
+    F[up + half, up], F[up + half, up + half] = fb[:, 1, 0], fb[:, 1, 1]
+    g = np.concatenate([np.ones(half), -np.ones(half)])  # G = diag(g)
 
     inside = (np.abs(n1) <= interior_radius) & (np.abs(n2) <= interior_radius)
     idx = np.flatnonzero(np.concatenate([inside, inside]))
     # the corner entry of Omega = G (t cm(U) cm(V) - s cm(V) cm(U)), with
     # cm(a) = D a - a D taken on one row on the left, one column on the right
     i0 = idx[0]
-    row_cm = lambda r, a: (r @ D) @ a - (r @ a) @ D
-    col_cm = lambda a: D @ a[:, i0] - a @ D[:, i0]
-    om_entry = G[i0, i0] * (row_cm(t_mat[i0], U) @ col_cm(V)
-                            - row_cm(s_mat[i0], V) @ col_cm(U))
-    del D
-    # the interior columns of X = fc(t) fc(U) fc(V) - fc(s) fc(V) fc(U)
-    fc = lambda a: comm(F, a)
-    fU, fV = fc(U), fc(V)
-    X = fc(t_mat) @ (fU @ fV[:, idx])
-    X -= fc(s_mat) @ (fV @ fU[:, idx])
-    del fU, fV
-    GX = np.diag(G)[:, None] * X  # G is diagonal
+    e0 = np.zeros(n)
+    e0[i0] = 1.0
+    row_cm = lambda r, a: right(right(r, D), a) - right(right(r, a), D)
+    col_cm = lambda a: left(D, left(a, e0)) - left(a, left(D, e0))
+    om_entry = g[i0] * (row_cm(right(e0, t_mat), U) @ col_cm(V)
+                        - row_cm(right(e0, s_mat), V) @ col_cm(U))
+    # the interior columns of X = fc(t) fc(U) fc(V) - fc(s) fc(V) fc(U),
+    # fc(a) = F a - a F
+    fc_apply = lambda a, Z: F @ left(a, Z) - left(a, F @ Z)
+    fc_cols = lambda a: right(F, (a[0][idx], a[1][idx])) - left(a, F[:, idx])
+    X = fc_apply(t_mat, fc_apply(U, fc_cols(V)))
+    X -= fc_apply(s_mat, fc_apply(V, fc_cols(U)))
+    GX = g[:, None] * X  # G is diagonal
     sign = (-1.0) ** (2 - 1)  # degree-2 parity normalization
     ch_val = sign * 0.5 * np.einsum("ij,ji->", F[idx], GX)
     return complex(ch_val), complex(om_entry)
@@ -282,6 +304,30 @@ class TestChern:
         c = Chain.from_elements(toy1000, [(1.0, [w.adjoint(), w])])
         assert chern(c, toy1000).value == 0.0
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_exact_zero_ch_reads_no_diagonal(self, degree, monkeypatch):
+        # every toy ch(c) is the exact zero: each window's trace is the
+        # zero sum, with no diagonal and no window index built, and its
+        # bits (the sign of each zero included) are those of the sum
+        model = build_diagonal_toy(64)
+        w = model.monomial((1,))
+        slots = [w.adjoint(), w, w.adjoint()][:degree + 1]
+        c = Chain.from_elements(model, [(1.0, slots)])
+        assert ch_op(c, model).is_zero()
+
+        def refuse(*args):
+            raise AssertionError("read the exact zero's diagonal or a window")
+
+        monkeypatch.setattr(Operator, "diag", refuse)
+        monkeypatch.setattr(type(model), "interior_at", refuse)
+        got = chern(c, model)
+        sign = (-1.0) ** (degree - 1)
+        want = complex(sign * 0.5 * np.zeros(model.dim, dtype=complex).sum())
+        assert set(got.history) == {16, 32, 64}
+        for value in [got.value, *got.history.values()]:
+            assert (np.array([value]).tobytes()
+                    == np.array([want]).tobytes())
+
     def test_wrong_parity_vanishes_exactly(self, circle64):
         c = antisymmetrized_cycle(
             circle64, [circle64.monomial((1,)), circle64.monomial((2,))])
@@ -327,7 +373,8 @@ class TestChern:
                                           model._interior)
 
     def test_torus_matches_brute_force(self, torus12):
-        # fully independent dense reconstruction (own index maps and phases)
+        # fully independent reconstruction (own index maps, phases and
+        # polar data)
         ch_oracle, om_entry = brute_force_torus(
             torus12.N + torus12.B, torus12.theta, torus12.N)
         got = chern(nc_torus_volume_cycle(torus12), torus12)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singtrace import ideals
 from singtrace.ideals import (
     COMMUTATOR_SUBSPACE,
     INCONCLUSIVE,
@@ -93,6 +94,21 @@ class TestLorentzNorm:
     def test_rank_one(self):
         got = lorentz_norm_m1inf(np.array([1.0, 0.0, 0.0]))
         assert got == pytest.approx(1.0 / np.log(2.0))
+
+    def test_blocked_running_sum_equals_cumsum_bit_for_bit(self):
+        # the running sum is carried from block to block; with entries of
+        # mixed magnitudes every partial sum rounds, and a slowly decaying
+        # sequence puts the supremum in the last block
+        B = ideals._CUMSUM_BLOCK
+        rng = np.random.default_rng(29)
+        for n in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+            for mu in (rng.random(n) * 10.0 ** rng.uniform(-8, 2, n),
+                       1.0 / np.sqrt(np.arange(n) + 1.0)):
+                k = np.arange(n, dtype=float)
+                want = (float(np.max(np.cumsum(mu) / np.log(2.0 + k)))
+                        if n else 0.0)
+                got = lorentz_norm_m1inf(mu)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestPartialSums:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from singtrace import operators
 from singtrace.operators import (
     ContractViolation,
     _component_labels,
@@ -24,6 +25,8 @@ from singtrace.operators import (
     singular_values,
     zero,
 )
+
+from singtrace.triples import build_diagonal_toy
 
 from conftest import random_unitary
 
@@ -320,6 +323,33 @@ class TestPhaseModulus:
         assert (F - F.adjoint()).norm_bound() == 0.0
         assert (F @ absD - D).norm_bound() == 0.0
         assert min(np.linalg.eigvalsh(absD.sparse().toarray())) >= 0.0
+
+
+class TestPolarStorage:
+    """A psd diagonal D is its own |D|, and its F is a read-only zero-stride
+    identity; a sign bit anywhere gives fresh arrays."""
+
+    def test_toy_modulus_is_d_and_phase_a_read_only_one(self):
+        model = build_diagonal_toy(1000)
+        d, phase = model.D.diag(), model.F.diag()
+        assert model.absD.diag() is d
+        assert phase.strides == (0,) and not phase.flags.writeable
+        assert phase.tobytes() == np.ones(1000).tobytes()
+        F, absD = phase_modulus(Operator(np.array([0.5, 0.0, 3.0])))
+        assert absD.diag().tobytes() == np.array([0.5, 0.0, 3.0]).tobytes()
+        assert F.diag().strides == (0,)
+
+    @pytest.mark.parametrize("d", [[0.5, -1.0, 3.0], [0.5, -0.0, 3.0],
+                                   [0.5, np.nan, 3.0]],
+                             ids=["negative", "negative-zero", "nan"])
+    def test_sign_bit_or_nan_gives_fresh_arrays(self, d):
+        d = np.array(d)
+        F, absD = phase_modulus(Operator(d))
+        for got, want in ((F.diag(), np.where(d >= 0.0, 1.0, -1.0)),
+                          (absD.diag(), np.abs(d))):
+            assert not np.shares_memory(got, d)
+            assert got.flags.writeable and got.strides == (8,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAlgebra:
@@ -692,6 +722,50 @@ def test_long_reversed_chain_labels():
     nodes = np.arange(n)[::-1]
     labels = _component_labels(n, nodes[:-1], nodes[1:])
     assert not labels.any()
+
+
+def reference_blocks(T):
+    """The component groups of T from scipy's labels of every node: sizes in
+    order of first appearance, components by first index, rows and columns
+    ascending, entries added into zeros."""
+    n = T.dim
+    coo = T.sparse().tocoo()
+    mat = np.zeros((n, n), dtype=complex)
+    mat[coo.row, coo.col] += coo.data
+    pattern = sp.coo_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=(n, n))
+    _, labels = connected_components(pattern, directed=False)
+    groups = {}
+    for k in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == k)
+        groups.setdefault(idx.size, []).append(mat[np.ix_(idx, idx)])
+    return [np.stack(blocks) for blocks in groups.values()]
+
+
+@pytest.mark.parametrize("pattern", [
+    "one-entry", "diagonal-singletons", "node-0-shared", "no-singleton"])
+def test_split_labels_only_touched_nodes(pattern):
+    # nodes with no entry are zero 1 x 1 components: the groups equal those
+    # of a labelling of every node, bit for bit and in the same order
+    rng = np.random.default_rng(41)
+    n = 300
+    mat = np.zeros((n, n), dtype=complex)
+    if pattern == "one-entry":
+        mat[7, 250] = 2.0 - 1.0j
+    elif pattern == "diagonal-singletons":
+        for i, j in rng.integers(0, n, (12, 2)):
+            mat[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
+        mat[[3, 90, 299], [3, 90, 299]] = [1.5, -0.0 - 2.0j, 1.0 - 0.0j]
+    elif pattern == "node-0-shared":
+        mat[0, 1] = mat[1, 2] = mat[2, 0] = 1.0j
+        mat[[5, 200], [200, 5]] = -3.0
+    else:
+        perm = rng.permutation(n)
+        mat[perm[0::2], perm[1::2]] = rng.standard_normal(n // 2)
+    T = Operator(mat)
+    got, want = operators._component_blocks(T), reference_blocks(T)
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_cli_suite_quick_loads_no_scipy(tmp_path):

@@ -763,7 +763,7 @@ class TestInputsLeftUnchanged:
         cesaro_cutoff_comparison(A, V, 2.0)
         modulated_comparison(A, V)
         measurability_criterion_check(A, V)
-        traces._heat_pass(A, V, 2.0)
+        traces._heat_pass(V, 2.0)
         dixmier_logmean(singular_values(V))
 
 
