@@ -10,7 +10,6 @@ Verbs:
     singtrace run --config experiment.json
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-SINGTRACE_THREADS caps the worker pool.
 """
 
 from __future__ import annotations

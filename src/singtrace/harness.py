@@ -2,12 +2,11 @@
 
 A check is a named, self-contained verification (exact identity suite,
 character-theorem run, estimator battery, ...).  ``run`` executes the checks
-requested by an :class:`ExperimentConfig` in a small thread pool (numpy
-releases the GIL inside LAPACK) and assembles a :class:`Report` with one
-record per check plus an environment stamp.  Reports are deterministic for
-a fixed config and seed; the only varying fields are runtimes and the
-environment stamp (time, versions, platform, thread count), which
-``stable_digest`` excludes.
+requested by an :class:`ExperimentConfig` one after another and assembles a
+:class:`Report` with one record per check, sorted by name, plus an
+environment stamp.  Reports are deterministic for a fixed config and seed;
+the only varying fields are runtimes and the environment stamp (time,
+versions, platform), which ``stable_digest`` excludes.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ import csv
 import hashlib
 import json
 import math
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
@@ -372,7 +369,6 @@ def _environment_stamp(config):
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "threads": os.environ.get("SINGTRACE_THREADS", ""),
         "seed": config.seed,
     }
 
@@ -458,7 +454,7 @@ class _Context:
 
     def rng(self):
         """A generator of its own for each check that draws, seeded by the
-        config, so a check's inputs do not depend on the pool's schedule."""
+        config, so a check's inputs do not depend on the other checks listed."""
         return np.random.default_rng(self.config.seed)
 
     def tolerance(self, key, default):
@@ -790,29 +786,15 @@ CHECKS = {
 }
 
 
-def _max_workers():
-    env = os.environ.get("SINGTRACE_THREADS", "")
-    if not env.strip():
-        return min(4, os.cpu_count() or 1)
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(
-            f"SINGTRACE_THREADS must be an integer, got {env!r}") from None
-
-
 def run(config):
     """Execute the configured checks; returns a Report (writes it if out set)."""
     config.validate()
-    workers = _max_workers()
     try:
         ctx = _Context(config)
     except ContractViolation as exc:  # the config's chain
         raise ConfigError(str(exc)) from exc
-    names = list(config.checks)  # empty list -> empty passing report
     records = []
-
-    def execute(name):
+    for name in config.checks:  # empty list -> empty passing report
         t0 = time.perf_counter()
         try:
             rec = CHECKS[name](ctx)
@@ -825,13 +807,7 @@ def run(config):
             rec.details["nonfinite"] = nonfinite
         rec.runtime_s = time.perf_counter() - t0
         rec.inputs_digest = ctx.inputs_digest
-        return rec
-
-    if workers == 1 or len(names) == 1:
-        records = [execute(n) for n in names]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(execute, names))
+        records.append(rec)
     records.sort(key=lambda r: r.name)
     report = Report(records=records, config=config,
                     environment=_environment_stamp(config))

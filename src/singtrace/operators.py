@@ -250,8 +250,7 @@ class Operator:
     def hermitian(self):
         """Whether the operator is hermitian to 1e-12 relative.
 
-        Detected on the first read and cached; a concurrent first read
-        detects it twice and stores the same value.
+        Detected on the first read and cached.
         """
         if self._hermitian is None:
             self._hermitian = self._detect_hermitian()
@@ -743,7 +742,8 @@ def singular_values(T):
     after an O(N) check, with no sort; a NaN fails the check.  A real
     diagonal with no sign bit set (no negative entry, no -0.0) is its own
     moduli: ``mu`` is then T's entries themselves, so it must not be
-    written."""
+    written.  A single layer with distinct columns needs no SVD either:
+    its singular values are its entries' moduli, padded with zeros."""
     if T.kind == "diag":
         d = T._data
         mu = np.abs(d) if np.iscomplexobj(d) or np.signbit(d).any() else d
@@ -752,6 +752,14 @@ def singular_values(T):
         return SingularSequence(mu, label=T.label)
     if T.is_zero():
         return SingularSequence(np.zeros(T.dim), label=T.label)
+    if len(T._data) == 1:
+        _rows, cols, vals = _entries(T.dim, T._data)
+        if np.bincount(cols, minlength=T.dim).max() < 2:
+            # at most one entry per row and per column: T*T is diagonal, so
+            # mu is the entries' moduli and a zero for each empty column
+            mu = np.zeros(T.dim)
+            mu[:vals.size] = np.abs(vals)
+            return SingularSequence(np.sort(mu)[::-1], label=T.label)
     mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
     return SingularSequence(np.sort(mu)[::-1], label=T.label)
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 import copy
 import json
 import math
-import threading
-from concurrent.futures import Future
 
 import numpy as np
 
-from .ideals import decay_exponent, ideal_diagnostics, quasi_norm_pinf
+from .ideals import ideal_diagnostics, quasi_norm_pinf
 from .operators import (
     ContractViolation,
     Operator,
@@ -158,9 +156,8 @@ class SpectralTripleModel:
         self.metadata = {}
         self._word_cache = {}
         # everything derived from the model (realized words, commutators,
-        # chain maps, weights, the invertible double), shared by the workers
+        # chain maps, weights, the invertible double), shared by the checks
         self._memo = {}
-        self._memo_lock = threading.Lock()
         self.D = None
         self.F = None
         self.absD = None
@@ -195,25 +192,13 @@ class SpectralTripleModel:
     def derived(self, key, build):
         """``build()``, computed once per model and key.
 
-        The first caller of a key builds it outside the lock, so a build may
-        ask for other keys; concurrent callers of the same key wait for it.
-        A failed build is forgotten, and the next caller tries again.  Every
-        caller gets the same object, which none may modify.
+        A build may ask for other keys.  A failed build stores nothing, and
+        the next call builds again.  Every caller gets the same object,
+        which none may modify.
         """
-        with self._memo_lock:
-            entry = self._memo.get(key)
-            owner = entry is None
-            if owner:
-                entry = self._memo[key] = Future()
-        if owner:
-            try:
-                entry.set_result(build())
-            except BaseException as exc:
-                with self._memo_lock:
-                    del self._memo[key]
-                entry.set_exception(exc)
-                raise
-        return entry.result()
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def model_id(self):
@@ -567,7 +552,7 @@ def _build_double(model):
     double = copy.copy(model)
     double.name = model.name + "+double"
     double.metadata = dict(model.metadata, double_of=model.model_id)
-    double._memo, double._memo_lock = {}, threading.Lock()
+    double._memo = {}
     double.D, double.absD = D0.relabel("D0"), root
     return double
 
@@ -605,7 +590,7 @@ def summability_report(model):
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
             singular_values(fdg), model.p)
     diag.verdicts.update({
-        "weight_decay_exponent": decay_exponent(mu),
+        "weight_decay_exponent": diag.fitted_decay_exponent,
         "generator_quasi_norms": gen_norms,
     })
     return diag

@@ -7,6 +7,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -85,15 +86,12 @@ class TestRun:
         payload = json.loads((out / "report.json").read_text())
         assert payload["all_passed"]
 
-    def test_deterministic_outputs(self, monkeypatch, tmp_path):
+    def test_deterministic_outputs(self, tmp_path):
         cfg = lambda out=None: ExperimentConfig(
             model={"name": "circle", "N": 48},
             checks=["identity-suite", "chern", "modulated"], seed=11,
             out=out)
-        digests = set()
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SINGTRACE_THREADS", threads)
-            digests.add(run(cfg()).stable_digest())
+        digests = {run(cfg()).stable_digest()}
         for name in ("first", "second"):
             digests.add(run(cfg(str(tmp_path / name))).stable_digest())
         assert len(digests) == 1
@@ -460,8 +458,7 @@ class TestCli:
         lines = captured.err.splitlines()
         assert lines == ["config error: build_diagonal_toy requires N >= 32"]
 
-    def test_smallest_toy_runs_every_check(self, monkeypatch):
-        monkeypatch.setenv("SINGTRACE_THREADS", "1")
+    def test_smallest_toy_runs_every_check(self):
         report = run(ExperimentConfig(model={"name": "toy", "N": 32},
                                       checks=list(CHECKS)))
         assert len(report.records) == len(CHECKS)
@@ -547,12 +544,6 @@ class TestCli:
                                    "checks": ["cycle", "chern"]}))
         rc = cli_main(["run", "--config", str(cfg)])
         assert rc == 0
-
-    def test_bad_thread_count_is_a_config_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("SINGTRACE_THREADS", "abc")
-        rc = cli_main(["chern", "--model", "circle", "--N", "16"])
-        assert rc == 2
-        assert "SINGTRACE_THREADS" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         rc = cli_main(["run", "--config", "/nonexistent.json"])
@@ -694,7 +685,6 @@ def test_cli_exit_code_contract(case):
 def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
     """TOLERANCE_KEYS is exactly the set of ``ctx.tolerance`` reads, check by
     check, over ``suite quick`` and the checks it leaves out."""
-    monkeypatch.setenv("SINGTRACE_THREADS", "1")
     current, reads = [], set()
     real_tolerance = harness._Context.tolerance
 
@@ -726,14 +716,13 @@ def test_pairing_estimates_are_built_once(monkeypatch):
     """The checks that report an estimate of one pairing read one memoized
     set of estimates: one eigenproblem of Omega(c)(1+D^2)^{-1/2}, one set of
     heat samples and one Dixmier log-mean."""
-    calls, lock = Counter(), threading.Lock()
+    calls = Counter()
     modules = [mod for name, mod in list(sys.modules.items())
                if name.startswith("singtrace")]
     for fn in (ideals.eigenvalue_partial_sums, traces.heat_functional,
                traces.dixmier_logmean):
         def counted(*args, _fn=fn, **kwargs):
-            with lock:
-                calls[_fn.__name__] += 1
+            calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
         for mod in modules:
             for attr, value in list(vars(mod).items()):
@@ -747,24 +736,46 @@ def test_pairing_estimates_are_built_once(monkeypatch):
                      "dixmier_logmean": 1}
 
 
+@pytest.mark.parametrize("threads", ["2", "abc"])
+def test_run_starts_no_thread(threads, monkeypatch):
+    """A config's checks run one after another: a run of several checks
+    starts no thread, and SINGTRACE_THREADS, which older releases read as
+    the size of a worker pool, is ignored without a warning or an error."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setenv("SINGTRACE_THREADS", threads)
+    checks = ["identity-suite", "chern", "measure", "heat"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(ExperimentConfig(model={"name": "circle", "N": 64},
+                                      checks=checks))
+    assert report.all_passed
+    assert [rec.name for rec in report.records] == sorted(checks)
+    assert started == []
+
+
 def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
     """One toy run at N = 10^6 with the benchmark's checks: diag-oracles,
     scalings and cutoff read one alpha = 2 pass over the harmonic spectrum,
     so no weight vector exp(-(s v)^e) of one spectrum is evaluated twice
     (the checks used to evaluate 48.1 M weights, 27.3 M of them distinct)."""
-    seen, lock = Counter(), threading.Lock()
+    seen = Counter()
     real = traces._heat_weights
 
     def counted(vs, scales, e):
         spectrum = (vs.size, float(vs[0]), float(vs[-1]))
         for s, (live, w) in zip(scales, real(vs, scales, e)):
-            with lock:
-                seen[spectrum, e, float(s)] += 1
-                seen["weights"] += w.size
+            seen[spectrum, e, float(s)] += 1
+            seen["weights"] += w.size
             yield live, w
 
     monkeypatch.setattr(traces, "_heat_weights", counted)
-    monkeypatch.setenv("SINGTRACE_THREADS", "2")
     report = run(ExperimentConfig(
         model={"name": "toy", "N": 1_000_000},
         checks=["diag-oracles", "scalings", "scheme-robustness", "cutoff",
@@ -779,8 +790,8 @@ def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
     assert weights <= 27.4e6
 
 
-def test_toy_oracles_and_measure_hold_at_most_eight_vectors(monkeypatch):
-    """diag-oracles and measure on the toy at N = 2 * 10^5, one worker: the
+def test_toy_oracles_and_measure_hold_at_most_eight_vectors():
+    """diag-oracles and measure on the toy at N = 2 * 10^5: the
     traced peak stays below 8 vectors of N float64 (8N bytes each).
 
     Measured: 7.03 units, set inside the alpha = 2 heat pass (the toy's D,
@@ -791,7 +802,6 @@ def test_toy_oracles_and_measure_hold_at_most_eight_vectors(monkeypatch):
     import tracemalloc
 
     N = 200_000
-    monkeypatch.setenv("SINGTRACE_THREADS", "1")
     config = ExperimentConfig(model={"name": "toy", "N": N},
                               checks=["diag-oracles", "measure"])
     tracemalloc.start()

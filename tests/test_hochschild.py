@@ -1,10 +1,6 @@
 import itertools
 import json
 import math
-import os
-import sys
-import threading
-import time
 from collections import Counter
 
 import numpy as np
@@ -688,7 +684,7 @@ def test_toy_checks_realize_no_word_and_hold_no_full_length_sums():
     assert main_theorem_check(c, model)["passed"]
     assert model._word_cache == {}
     assert omega(c, model).is_zero()
-    series = [entry.result() for key, entry in model._memo.items()
+    series = [entry for key, entry in model._memo.items()
               if key[0] == "pairing"]
     assert len(series) == 1
     sums = series[0].sums
@@ -698,89 +694,67 @@ def test_toy_checks_realize_no_word_and_hold_no_full_length_sums():
 
 
 def test_commutator_cache_builds_each_entry_once(monkeypatch):
-    """Every memo key of a model is built once under a thread pool.
+    """Every memo key of a model is built once, in any order of requests.
 
-    Commutators and the derived pairing objects are requested in random
-    orders; chern's build asks for the F commutators and the pairing series
-    for Omega(c) and the weight, so some builds nest inside others.  A word
-    of band 0 is diagonal, so its commutators are exact zeros, built through
-    the memo without a call of ``commutator``.
+    Commutators and the derived pairing objects are requested in several
+    random orders, each on a fresh model, then all again; chern's build asks
+    for the F commutators and the pairing series for Omega(c) and the
+    weight, so some builds nest inside others.  A word of band 0 is
+    diagonal, so its commutators are exact zeros, built through the memo
+    without a call of ``commutator``.
     """
-    model = build_circle(16)
-    c = circle_winding_cycle(model)
-    comms = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
-    derived = {
-        "chern": lambda: chern(c, model),
-        "omega": lambda: omega(c, model),
-        "w_p": lambda: w_subset(c, model, {1}),
-        "weight": lambda: _interior_weight(model, 1),
-        "double": lambda: invertible_double(model),
-        "inverse_powers": lambda: hochschild._interior_inverse_powers(
-            invertible_double(model)),
-        "pairing": lambda: hochschild._pairing_series(c, model),
-    }
-    tasks = comms + list(derived)
     calls, builds = Counter(), Counter()
-    count_lock = threading.Lock()
     real_commutator = triples.commutator
     real_derived = SpectralTripleModel.derived
 
     def counting_commutator(b, op):
-        with count_lock:
-            calls[(id(b), op.label)] += 1
-        time.sleep(1e-3)  # widen the gap between a cache miss and its insert
+        calls[(id(b), op.label)] += 1
         return real_commutator(b, op)
 
     def counting_derived(self, key, build):
         def counted():
-            with count_lock:
-                builds[(id(self), key)] += 1
-            time.sleep(1e-3)
+            builds[(id(self), key)] += 1
             return build()
         return real_derived(self, key, counted)
 
     monkeypatch.setattr(triples, "commutator", counting_commutator)
     monkeypatch.setattr(SpectralTripleModel, "derived", counting_derived)
-    workers = 4 * (os.cpu_count() or 1)
-    start = threading.Barrier(workers)
-    seen = []
+    comms = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
+    for seed in range(4):
+        calls.clear()
+        builds.clear()
+        model = build_circle(16)
+        c = circle_winding_cycle(model)
+        derived = {
+            "chern": lambda: chern(c, model),
+            "omega": lambda: omega(c, model),
+            "w_p": lambda: w_subset(c, model, {1}),
+            "weight": lambda: _interior_weight(model, 1),
+            "double": lambda: invertible_double(model),
+            "inverse_powers": lambda: hochschild._interior_inverse_powers(
+                invertible_double(model)),
+            "pairing": lambda: hochschild._pairing_series(c, model),
+        }
+        tasks = comms + list(derived)
 
-    def get(task):
-        if task in derived:
-            return derived[task]()
-        return model.factor(*task)
+        def get(task):
+            if task in derived:
+                return derived[task]()
+            return model.factor(*task)
 
-    def work(seed):
         order = np.random.default_rng(seed).permutation(len(tasks))
-        start.wait(timeout=30)
-        seen.append({tasks[i]: get(tasks[i]) for i in order})
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        # daemon threads, so that a deadlock fails the test instead of
-        # hanging the run
-        threads = [threading.Thread(target=work, args=(i,), daemon=True)
-                   for i in range(workers)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 60
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == workers
-    b = {"D": model.D, "delta": model.absD, "F": model.F}
-    assert set(calls) == {(id(b[kind]), model.word_label(w))
-                          for kind, w in comms if model.word_band(w) != 0}
-    assert set(calls.values()) == {1}
-    for kind, w in comms:
-        if model.word_band(w) == 0:
-            assert builds[(id(model), (kind, w))] == 1
-            assert seen[0][(kind, w)].is_zero()
-    assert set(builds.values()) == {1}
-    assert {key[0] for _, key in builds} >= {
-        "D", "delta", "F", "id", "chern", "omega", "W", "weight", "double",
-        "inverse_powers", "pairing"}
-    assert all(all(s[t] is seen[0][t] for t in tasks) for s in seen)
+        first = {tasks[i]: get(tasks[i]) for i in order}
+        again = {task: get(task) for task in tasks}
+        assert all(again[t] is first[t] for t in tasks)
+        b = {"D": model.D, "delta": model.absD, "F": model.F}
+        assert set(calls) == {(id(b[kind]), model.word_label(w))
+                              for kind, w in comms if model.word_band(w) != 0}
+        assert set(calls.values()) == {1}
+        for kind, w in comms:
+            if model.word_band(w) == 0:
+                assert builds[(id(model), (kind, w))] == 1
+                assert first[(kind, w)].is_zero()
+        assert set(builds.values()) == {1}
+        assert {key[0] for _, key in builds} >= {
+            "D", "delta", "F", "id", "chern", "omega", "W", "weight",
+            "double", "inverse_powers", "pairing"}

@@ -26,7 +26,7 @@ from singtrace.operators import (
     zero,
 )
 
-from singtrace.triples import build_diagonal_toy
+from singtrace.triples import build_diagonal_toy, build_nc_torus
 
 from conftest import random_unitary
 
@@ -200,6 +200,59 @@ class TestSingularValues:
         got = singular_values(T).mu
         monkeypatch.undo()
         assert got.tobytes() == want.tobytes()
+
+def torus_generator_commutators(N):
+    """[F, u] and [F, [|D|, u]] of each torus generator u, compressed to the
+    interior, as the summability check forms them."""
+    model = build_nc_torus(N)
+    ops = []
+    for g in model.generators().values():
+        ((word, _),) = g.terms
+        ops.append(model.compress(model.factor("F", word)))
+        ops.append(model.compress(commutator(model.F,
+                                             model.factor("delta", word))))
+    return ops
+
+
+def svd_by_components(T):
+    return np.sort(operators._split_values(
+        T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs))[::-1]
+
+
+class TestDistinctColumnSingularValues:
+    """A single layer with distinct columns has a diagonal T*T: its singular
+    values are its entries' moduli, found with no component split."""
+
+    @pytest.mark.parametrize("N, oracle", [
+        (8, lambda T: np.linalg.svd(T.sparse().toarray(), compute_uv=False)),
+        (16, svd_by_components),
+    ], ids=["dense-svd-8", "component-svd-16"])
+    def test_torus_commutators_match_the_svd(self, N, oracle, monkeypatch):
+        ops = torus_generator_commutators(N)
+        want = [oracle(T) for T in ops]
+
+        def refuse(T):
+            raise AssertionError("component split of a distinct-column layer")
+
+        monkeypatch.setattr(operators, "_component_blocks", refuse)
+        for T, w in zip(ops, want):
+            assert len(T._data) == 1
+            np.testing.assert_allclose(singular_values(T).mu, w,
+                                       rtol=0, atol=1e-14)
+
+    def test_two_layers_go_through_the_split(self, monkeypatch):
+        fu, _, fv, _ = torus_generator_commutators(8)
+        T = fu + fv  # the shifts of U and V differ: two layers
+        assert len(T._data) == 2
+        calls = []
+        real = operators._component_blocks
+        monkeypatch.setattr(operators, "_component_blocks",
+                            lambda T: calls.append(T) or real(T))
+        mu = singular_values(T).mu
+        assert len(calls) == 1
+        want = np.linalg.svd(T.sparse().toarray(), compute_uv=False)
+        np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
+
 
 def real_diagonal(rng, n):
     """A random real diagonal operator with a few exact zeros (ker D)."""

@@ -316,7 +316,6 @@ class TestInvertibleDouble:
         assert double.metadata == dict(model.metadata,
                                        double_of=model.model_id)
         assert double._memo is not model._memo
-        assert double._memo_lock is not model._memo_lock
         probe = object()
         assert double.derived(("probe",), lambda: probe) is probe
         assert ("probe",) not in model._memo
@@ -333,10 +332,32 @@ class TestInvertibleDouble:
         assert double.F is torus12.F
 
 
+def test_failed_build_is_not_memoized():
+    # a build that raises stores nothing, so the next call builds again; a
+    # build may ask for other keys, and each nested key is stored once
+    model = build_circle(16)
+    attempts = []
+
+    def flaky():
+        attempts.append(model.derived(("inner",), object))
+        if len(attempts) == 1:
+            raise RuntimeError("first attempt")
+        return len(attempts)
+
+    with pytest.raises(RuntimeError):
+        model.derived(("outer",), flaky)
+    assert ("outer",) not in model._memo
+    assert model.derived(("outer",), flaky) == 2
+    assert model.derived(("outer",), flaky) == 2
+    assert attempts[0] is attempts[1] is model._memo[("inner",)]
+
+
 class TestSummability:
     def test_circle_decay_exponent(self, circle256):
         diag = summability_report(circle256)
         assert diag.verdicts["weight_decay_exponent"] == pytest.approx(-1.0, abs=0.1)
+        assert (diag.verdicts["weight_decay_exponent"]
+                == diag.fitted_decay_exponent)
         norms = diag.verdicts["generator_quasi_norms"]
         assert norms["[F,u]"] == pytest.approx(2.0, abs=1e-9)
         assert np.isfinite(norms["[F,delta(u)]"])
