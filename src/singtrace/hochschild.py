@@ -49,6 +49,7 @@ from .traces import (
 from .triples import (
     AlgebraElement,
     _interior_weight,
+    _weight_diagnostics,
     _weight_singular_values,
     invertible_double,
 )
@@ -580,6 +581,7 @@ def main_theorem_check(c, model):
         return dict(report, mode="parity_vanishing", passed=vanishes,
                     tolerances=tolerances, fit=verdict.fit.as_dict())
     criterion = _criterion(_weight_singular_values(model, c.degree),
+                           _weight_diagnostics(model, c.degree),
                            _pairing_heat(c, model), _pairing_series(c, model),
                            model.fit_window())
     gap_spec = abs(verdict.z - ch.value)

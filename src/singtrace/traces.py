@@ -31,11 +31,9 @@ from .ideals import (
     _distinct,
     _least_squares,
     _loglog_slope,
-    decay_exponent,
     eigenvalue_partial_sums,
     geometric_grid,
-    lorentz_norm_m1inf,
-    quasi_norm_pinf,
+    ideal_diagnostics,
     universal_measurability_test,
 )
 from .operators import ContractViolation, OperatorError, singular_values
@@ -227,9 +225,33 @@ def _psd_diagonal(A, V, who):
 # subnormal from 708 on), so above this cut the heat kernel is known without
 # pow or exp
 _HEAT_ZERO = 746.0
-# relative widening of a live slice past its computed edge: the entries it
-# adds have x**e above 745.99, so their weight is 0.0
+# exp(-t) is below the smallest normal double, 2**-1022, for t above this
+# limit; numpy's exp takes about a hundred times longer on such a result
+# than on a normal one, so a weight past it is written as 0.0 unevaluated
+_HEAT_FLUSH = -math.log(np.finfo(float).tiny)
+# relative widening of a slice past its computed edge: the entries a live
+# slice adds have x**e above 745.99, so their weight is 0.0, and those an
+# evaluated range adds have x**e above 708.39, so their weight is subnormal
 _EDGE_MARGIN = 1e-9
+
+
+def _power(x, e):
+    """``x ** e`` as a contiguous array in the order of ``x``.
+
+    numpy picks its pow loop by the strides: on a strided array, a reversed
+    view above all, it runs a scalar loop several times slower than its
+    vector kernel, which also rounds about one result in twenty differently
+    in the last bit.  So a strided ``x`` (a one-entry reversed view too,
+    which numpy flags contiguous) is copied into the result and powered
+    there in place: the bits of ``x.copy() ** e``, with no allocation beyond
+    the result.  A reversed view of a forward result would not do: np.sum,
+    einsum and BLAS add up a reversed view in another order.
+    """
+    if x.strides == (x.itemsize,):
+        return x ** e
+    out = np.empty(x.shape)
+    out[...] = x
+    return np.power(out, e, out=out)
 
 
 def _sorted_spectrum(v, *coeffs):
@@ -249,41 +271,59 @@ def _sorted_spectrum(v, *coeffs):
     return (v[order],) + tuple(None if c is None else c[order] for c in coeffs)
 
 
+def _edge(vs, s, e, limit):
+    """The first index of ascending ``vs`` from which on (s v)**e, e < 0, may
+    be below ``limit``: the edge is moved down by the relative
+    ``_EDGE_MARGIN``, so the rounding of pow leaves out no such entry."""
+    edge = limit ** (1.0 / e) / s
+    return int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN)))
+
+
 def _live_slice(vs, s, e):
     """The suffix of ascending ``vs`` outside which exp(-(s v)**e), e < 0,
     is exactly 0.0: its live entries have (s v)**e < ``_HEAT_ZERO``, so ker V,
     where the kernel vanishes, is left out.  NaNs sort last and are always
-    kept, so a NaN makes every sum NaN.
+    kept, so a NaN makes every sum NaN.  The weights at the bottom of the
+    slice are below 2**-1022; :func:`_heat_weights` writes them as 0.0.
     """
-    edge = _HEAT_ZERO ** (1.0 / e) / s
-    return slice(int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN))), vs.size)
+    return slice(_edge(vs, s, e, _HEAT_ZERO), vs.size)
 
 
 def _heat_weights(vs, scales, e):
     """Yield (live slice, weights) per scale s: the weights are
     ``np.exp(-(s ** e) * v ** e)``, e < 0, on the live slice of ascending
-    ``vs``, and every other weight is exactly 0.0.
+    ``vs`` where that is at least 2**-1022, the smallest normal double, and
+    0.0 everywhere else.
 
-    The live slices are nested suffixes, so the widest (the largest s) is
-    their union, and ``v ** e`` is taken once over it; it leaves out ker V,
-    so no ``0 ** e`` is taken.  Each weight differs from
+    A live slice starts with the entries whose (s v)**e is above
+    ``_HEAT_FLUSH``; their weights, subnormal or 0.0, are written as 0.0
+    with no pow or exp.  That prefix ends ``_EDGE_MARGIN`` early, so it
+    holds only weights below 2**-1022, and the few in the margin stay
+    subnormal.  Such a weight moves no sum of O(1) terms.  The evaluated
+    suffixes are nested, so the widest (the largest s) is their union, and
+    ``v ** e`` is taken once over it, in memory order (:func:`_power`); it
+    leaves out ker V, so no ``0 ** e`` is taken.  Each weight differs from
     ``exp(-(s v) ** e)`` only by the rounding of the product
     ``s**e * v**e``: a relative error of order eps * max(1, (s v)**e).
 
-    Every step writes its weights into one buffer of the union's size, so a
-    yielded array is valid only until the next step.
+    Every step writes its weights into one buffer of the widest live
+    slice's size, so a yielded array is valid only until the next step.
     """
     scales = [float(s) for s in scales]
     if not scales:
         return
     lives = [_live_slice(vs, s, e) for s in scales]
-    union = lives[int(np.argmax(scales))]
-    x = vs[union] ** e
-    buf = np.empty_like(x)
-    for s, live in zip(scales, lives):
-        part = x[live.start - union.start:]
-        w = np.multiply(part, -(s ** e), out=buf[:part.size])
-        yield live, np.exp(w, out=w)
+    starts = [_edge(vs, s, e, _HEAT_FLUSH) for s in scales]
+    widest = int(np.argmax(scales))
+    x = _power(vs[starts[widest]:], e)
+    buf = np.empty(vs.size - lives[widest].start)
+    for s, live, start in zip(scales, lives, starts):
+        w = buf[:live.stop - live.start]
+        w[:start - live.start] = 0.0
+        part = x[start - starts[widest]:]
+        t = np.multiply(part, -(s ** e), out=w[start - live.start:])
+        np.exp(t, out=t)
+        yield live, w
 
 
 # block length of :func:`_dot`: a sequential sum of this many products, plus
@@ -322,10 +362,13 @@ def _coefficient_rows(cs, n):
     and the key of each c in it: None for c = None (every c_k = 1, no row),
     its row, or the slice of its real and imaginary rows.  A pair (a, b) of
     real vectors stands for a * b, which is written straight into its row.
-    A single real c is its own block."""
+    A single real c is its own block, unless it runs backwards in memory (a
+    reversed view): einsum and BLAS add up such a row in another order than
+    the same values stored forward, so it is written into the block too."""
     vectors = [c for c in cs if c is not None]
-    if len(vectors) == 1 and not (isinstance(vectors[0], tuple)
-                                  or _is_complex(vectors[0])):
+    if (len(vectors) == 1 and not (isinstance(vectors[0], tuple)
+                                   or _is_complex(vectors[0]))
+            and vectors[0].strides[0] >= 0):
         return vectors[0][None], [None if c is None else 0 for c in cs]
     keys, rows = [], 0
     for c in cs:
@@ -483,7 +526,8 @@ def lemma_estimate_scalings(V, alpha):
     v, _ = _psd_diagonal(None, V, "lemma_estimate_scalings")
     grid = default_heat_grid(V.dim)
     v, = _sorted_spectrum(v)
-    counting, saturating = _heat_rows(v, [None], grid, -alpha, va=v ** alpha)
+    counting, saturating = _heat_rows(v, [None], grid, -alpha,
+                                      va=_power(v, alpha))
     return _scalings_verdict(alpha, grid, saturating, counting)
 
 
@@ -604,15 +648,15 @@ def _heat_pass(V, alpha):
     del signs
     grid = default_heat_grid(V.dim)
     counting, heat, modulated, saturating = _block_sums(
-        v, block, keys, grid, -alpha, v ** alpha)
+        v, block, keys, grid, -alpha, _power(v, alpha))
     return {"grid": grid, "heat": heat, "modulated": modulated,
             "counting": counting, "saturating": saturating,
             "cutoff": _cutoff_sums(v, None, grid)}
 
 
-def _classify_branch(mu):
-    """'a' when mu decays like 1/(k+1); 'b' when only the log-mean is bounded."""
-    slope = decay_exponent(mu)
+def _classify_branch(mu, slope):
+    """'a' when mu decays like 1/(k+1) (its :func:`decay_exponent` ``slope``
+    is at most -0.8); 'b' when only the log-mean is bounded."""
     if slope <= -0.8:
         return "a", slope
     sums = np.cumsum(mu.mu if hasattr(mu, "mu") else np.asarray(mu))
@@ -634,11 +678,12 @@ def _classify_branch(mu):
 _CRITERION_FLOOR = 0.02
 
 
-def _criterion(mu, heat, series, window):
-    """The measurability criterion from V's singular values ``mu``, the heat
-    estimate ``heat`` of Tr(A V e^{-(nV)^-alpha}) and the eigenvalue partial
-    sums ``series`` of AV, fitted on ``window`` (None: the dyadic window)."""
-    branch, slope = _classify_branch(mu)
+def _criterion(mu, ideal, heat, series, window):
+    """The measurability criterion from V's singular values ``mu`` and their
+    :func:`ideal_diagnostics` ``ideal``, the heat estimate ``heat`` of
+    Tr(A V e^{-(nV)^-alpha}) and the eigenvalue partial sums ``series`` of
+    AV, fitted on ``window`` (None: the dyadic window)."""
+    branch, slope = _classify_branch(mu, ideal.fitted_decay_exponent)
     verdict = universal_measurability_test(series, window=window)
     z_spec = verdict.z
     tol = heat.residual_sup + verdict.fit.residual_sup + _CRITERION_FLOOR
@@ -654,8 +699,8 @@ def _criterion(mu, heat, series, window):
         "heat_estimate": heat.as_dict(),
         "spec_verdict": verdict.as_dict(),
         "ideal": {
-            "quasi_norm_1inf": quasi_norm_pinf(mu, 1.0),
-            "lorentz_norm": lorentz_norm_m1inf(mu),
+            "quasi_norm_1inf": ideal.quasi_norm_pinf,
+            "lorentz_norm": ideal.lorentz_norm,
         },
     }
 
@@ -673,4 +718,5 @@ def measurability_criterion_check(A, V, samples=None):
     mu = singular_values(V)
     heat = heat_fit(heat_functional(A, V, 2.0) if samples is None else samples)
     product = (A @ V) if A is not None else V
-    return _criterion(mu, heat, eigenvalue_partial_sums(product), None)
+    return _criterion(mu, ideal_diagnostics(mu), heat,
+                      eigenvalue_partial_sums(product), None)

@@ -22,6 +22,7 @@ to N), which keeps shift-truncation artifacts out of the asymptotics.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -577,10 +578,16 @@ def _weight_singular_values(model, q):
                          lambda: singular_values(_interior_weight(model, q)))
 
 
+def _weight_diagnostics(model, q):
+    """:func:`ideal_diagnostics` of the compressed weight's singular values,
+    built once per model and q."""
+    return model.derived(("weight_ideal", q), lambda: ideal_diagnostics(
+        _weight_singular_values(model, q)))
+
+
 def summability_report(model):
     """Ideal diagnostics for (1+D^2)^{-p/2} and the generator F-commutators."""
-    mu = _weight_singular_values(model, model.p)
-    diag = ideal_diagnostics(mu)
+    diag = _weight_diagnostics(model, model.p)
     gen_norms = {}
     for name, g in model.generators().items():
         ((word, _),) = g.terms  # a generator is one unit monomial
@@ -589,8 +596,7 @@ def summability_report(model):
         gen_norms[f"[F,{name}]"] = quasi_norm_pinf(singular_values(fg), model.p)
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
             singular_values(fdg), model.p)
-    diag.verdicts.update({
-        "weight_decay_exponent": diag.fitted_decay_exponent,
-        "generator_quasi_norms": gen_norms,
-    })
-    return diag
+    # a copy: the memo entry is shared with the measurability criterion
+    return dataclasses.replace(diag, verdicts=dict(
+        diag.verdicts, weight_decay_exponent=diag.fitted_decay_exponent,
+        generator_quasi_norms=gen_norms))

@@ -693,6 +693,36 @@ def test_toy_checks_realize_no_word_and_hold_no_full_length_sums():
     assert series[0].boundaries.tolist() == [model.dim - 1]
 
 
+@pytest.mark.parametrize("build", [lambda: build_diagonal_toy(4096),
+                                   lambda: build_circle(64)],
+                         ids=["toy", "circle"])
+def test_weight_ideal_norms_are_derived_once(build, monkeypatch):
+    # summability and the measurability criterion of main_theorem_check
+    # read one memo entry for the quasi-norm, the Lorentz norm and the decay
+    # exponent of the weight's singular values: those are read once, by its
+    # ideal_diagnostics, and both reports carry the same numbers
+    from singtrace import ideals
+    from singtrace.harness import builtin_chain
+
+    model = build()
+    c = builtin_chain(model)
+    mu = triples._weight_singular_values(model, c.degree)
+    reads = []
+    real_as_mu = ideals._as_mu
+    monkeypatch.setattr(ideals, "_as_mu", lambda x: reads.append(x is mu)
+                        or real_as_mu(x))
+    diag = summability_report(model)
+    criterion = main_theorem_check(c, model)["criterion"]
+    assert sum(reads) == 1
+    assert criterion["ideal"] == {"quasi_norm_1inf": diag.quasi_norm_pinf,
+                                  "lorentz_norm": diag.lorentz_norm}
+    assert criterion["decay_exponent"] == diag.fitted_decay_exponent
+    # the report is a copy: the memo entry keeps its own verdicts
+    shared = triples._weight_diagnostics(model, c.degree)
+    assert shared is not diag and "generator_quasi_norms" not in shared.verdicts
+    assert summability_report(model).verdicts == diag.verdicts
+
+
 def test_commutator_cache_builds_each_entry_once(monkeypatch):
     """Every memo key of a model is built once, in any order of requests.
 

@@ -185,18 +185,28 @@ class TestHeatFunctional:
             call(V)
 
 
+TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal double
+
+
 def unmasked_heat(x, e):
     """exp(-x**e) over every entry, as the heat loops computed it before the
-    underflow cut."""
+    underflow cut, with pow on a contiguous copy of ``x``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.exp(-x ** e)
+        return np.exp(-np.array(x) ** e)
 
 
 def engine_formula(v, s, e):
     """exp(-(s**e) * v**e) over every entry: the formula the engine evaluates
-    on its live slice, with v**e taken once per call and s**e per scale."""
+    on its live slice, with v**e taken once per call (on a contiguous copy
+    of ``v``) and s**e per scale."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.exp(-(s ** e) * v ** e)
+        return np.exp(-(s ** e) * np.array(v) ** e)
+
+
+def flushed(w):
+    """The engine's weights by contract: ``w`` where it is at least 2**-1022
+    (a NaN too), 0.0 where it is below."""
+    return np.where(w < TINY, 0.0, w)
 
 
 def fsum_reference(c, w):
@@ -206,11 +216,24 @@ def fsum_reference(c, w):
     return total, math.fsum(np.abs(terms))
 
 
+def _bits(x):
+    """Every float of ``x`` (an array, a number or a dict or list of them)
+    by its bytes, so two results compare bit for bit."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, (np.ndarray, float, complex, np.floating)):
+        return np.asarray(x).tobytes()
+    return x
+
+
 class TestHeatKernel:
     """The sorted-spectrum heat engine: ``_heat_weights`` evaluates only the
-    live slice, every weight equals the engine's formula on the unmasked
-    spectrum bit for bit and ``exp(-(s v)**e)`` to its rounding; sums run
-    over the slice, so they are checked against ``math.fsum``."""
+    live slice, every weight of at least 2**-1022 equals the engine's
+    formula on the unmasked spectrum bit for bit and ``exp(-(s v)**e)`` to
+    its rounding, and every smaller one is 0.0; sums run over the slice, so
+    they are checked against ``math.fsum``."""
 
     # -2 and -3 are the exponents -(p+1) of the cycle heat trace
     EXPONENTS = [-1, -1.5, -2, -3]
@@ -237,18 +260,24 @@ class TestHeatKernel:
         return 0.5 * cut, 40.0 * cut, 6000.0 * cut
 
     @pytest.mark.parametrize("e", EXPONENTS)
-    def test_equals_unmasked_formula_on_every_regime(self, e):
+    def test_equals_unmasked_formula_on_every_regime(self, e, monkeypatch):
         v = self.unsorted_with_zeros()
         vs, = _sorted_spectrum(v)
         assert np.array_equal(vs, np.sort(v))
         pos = vs > 0
-        live_share = []
+        live_share, flushed_any = [], False
         for s in self.regime_scales(e):
             want = engine_formula(vs, s, e)
-            assert np.array_equal(self.engine_weights(vs, s, e), want)
+            got = self.engine_weights(vs, s, e)
+            assert np.array_equal(got, flushed(want))
+            flushed_any |= bool(np.any((got == 0.0) & (want > 0.0)))
             live_share.append(np.mean(((s * vs[pos]) ** e) < 1000.0))
+            # with no flush limit below the cut, the formula itself
+            with monkeypatch.context() as m:
+                m.setattr(traces, "_HEAT_FLUSH", traces._HEAT_ZERO)
+                assert np.array_equal(self.engine_weights(vs, s, e), want)
         assert live_share[0] == 0.0 and 0.0 < live_share[1] < 1.0
-        assert live_share[2] == 1.0
+        assert live_share[2] == 1.0 and flushed_any
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_weights_match_scaled_formula_to_rounding(self, e):
@@ -258,9 +287,8 @@ class TestHeatKernel:
         # t (1 + (1 + |e|/2) eps), so the two t differ by (3.5 + |e|/2) eps t
         # and their exps, each rounded within eps, by
         # (t (3.5 + |e|/2) + 2) eps w <= 7 eps max(1, t) w for |e| <= 3; a
-        # subnormal weight adds at most one subnormal step per rounding
+        # weight below 2**-1022 may be written as 0.0
         eps = np.finfo(float).eps
-        tiny = np.finfo(float).smallest_subnormal
         v = self.unsorted_with_zeros()
         vs, = _sorted_spectrum(v)
         scales = self.regime_scales(e)
@@ -269,9 +297,10 @@ class TestHeatKernel:
             want = unmasked_heat(s * vs, e)
             with np.errstate(divide="ignore", over="ignore"):
                 t = np.where(want > 0.0, (s * vs) ** e, 1.0)
-            bound = 7.0 * eps * np.maximum(1.0, t) * want + 2.0 * tiny
+            bound = 7.0 * eps * np.maximum(1.0, t) * want + TINY
             got = self.engine_weights(vs, s, e)
             assert np.all(np.abs(got - want) <= bound)
+            assert np.all(got[want >= 2.0 * TINY] > 0.0)
 
     def test_heat_functions_take_no_power_of_zero(self, circle64):
         # ker V is dead for every e < 0, so no 0**e reaches a pow
@@ -287,31 +316,106 @@ class TestHeatKernel:
             heat_cycle_trace(circle_winding_cycle(circle64), circle64)
 
     @pytest.mark.parametrize("e", EXPONENTS)
-    def test_subnormal_band_is_evaluated(self, e):
-        # x**e in (708, 745]: exp(-x**e) is subnormal, not zero, so a cut at
-        # or below 745 would change these weights; the band around the cut
-        # itself, x**e in [999.99, 1000.01], must come out exactly 0.0
-        t = np.concatenate([np.linspace(708.5, 745.0, 64),
+    def test_subnormal_band_is_flushed(self, e):
+        # x**e in (708.4, 745]: exp(-x**e) is subnormal, so its weight is
+        # 0.0, as it is around the cut, x**e in [999.99, 1000.01]; below
+        # 708.39 every weight is normal and evaluated
+        t = np.concatenate([np.linspace(690.0, 708.39, 64),
+                            np.linspace(708.5, 745.0, 64),
                             np.linspace(999.99, 1000.01, 64)])
         vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
         want = unmasked_heat(vs, e)
-        assert np.sum((want > 0.0) & (want < 2.3e-308)) == 64
-        assert np.array_equal(self.engine_weights(vs, 1.0, e), want)
+        assert np.sum((want > 0.0) & (want < TINY)) == 64
+        assert np.sum(want >= TINY) == 64
+        got = self.engine_weights(vs, 1.0, e)
+        assert np.array_equal(got, flushed(want))
 
     @pytest.mark.parametrize("e", EXPONENTS)
-    def test_underflow_cut_band_is_zero(self, e):
-        # x**e in [745.9, 746.1], on both sides of the cut: exp(-x**e) is
-        # exactly 0.0 there, evaluated or not; in [745.0, 745.2] it turns
-        # from the last subnormal to 0.0, so the cut must lie above it
+    def test_flush_edge_keeps_every_normal_weight(self, e):
+        # x**e within 2e-5 of the flush limit on both sides: a weight of at
+        # least 2**-1022 is its formula, one below that is 0.0 unless x**e
+        # lies in the relative margin past the limit, where it stays the
+        # (subnormal) formula
+        limit = traces._HEAT_FLUSH
+        t = limit + np.linspace(-2e-5, 2e-5, 401)
+        vs, = _sorted_spectrum(t ** (1.0 / e))
+        want = unmasked_heat(vs, e)
+        got = self.engine_weights(vs, 1.0, e)
+        normal = want >= TINY
+        assert 0 < np.sum(normal) < t.size
+        assert np.array_equal(got[normal], want[normal])
+        past = vs ** e > limit * (1.0 + 4.0 * traces._EDGE_MARGIN)
+        assert np.sum(past) > t.size // 3 and not np.any(got[past])
+        assert np.all((got == 0.0) | (got == want))
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_underflow_cut_band_is_zero(self, e, monkeypatch):
+        # x**e in [745.9, 746.1], on both sides of the cut, and in
+        # [745.0, 745.2], where exp(-x**e) turns from the last subnormal to
+        # 0.0: every weight is 0.0.  The live slice still starts below
+        # 745.0 (the cut lies above it), so with no flush limit below the
+        # cut the engine gives the unmasked formula there
         band = np.linspace(745.9, 746.1, 65)
         t = np.concatenate([np.linspace(745.0, 745.2, 21), band])
         vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
-        full = self.engine_weights(vs, 1.0, e)
-        assert np.array_equal(full, unmasked_heat(vs, e))
+        (live, _), = _heat_weights(vs, [1.0], e)
         pos = vs > 0.0
         in_band = vs[pos] ** e >= 745.8
-        assert np.sum(in_band) == band.size and not np.any(full[pos][in_band])
+        assert np.sum(in_band) == band.size
+        assert live.start <= np.flatnonzero(pos)[~in_band].min()
+        assert not np.any(self.engine_weights(vs, 1.0, e))
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_HEAT_FLUSH", traces._HEAT_ZERO)
+            full = self.engine_weights(vs, 1.0, e)
+        assert np.array_equal(full, unmasked_heat(vs, e))
+        assert not np.any(full[pos][in_band])
         assert np.any(full[pos][~in_band] > 0.0)
+
+    def test_flush_moves_no_heat_sum(self, circle64, monkeypatch):
+        # the sums with every weight below 2**-1022 written as 0.0 and with
+        # those weights evaluated (no flush limit below the cut) agree bit
+        # for bit, on the harmonic spectrum and on the circle's |D0|^-1
+        V = harmonic_op()
+        cycle = circle_winding_cycle(circle64)
+        zeros = []
+        real_weights = traces._heat_weights
+
+        def counted(vs, scales, e):
+            for live, w in real_weights(vs, scales, e):
+                zeros[-1] += int(np.count_nonzero(w == 0.0))
+                yield live, w
+
+        monkeypatch.setattr(traces, "_heat_weights", counted)
+        runs = []
+        for limit in (traces._HEAT_FLUSH, traces._HEAT_ZERO):
+            zeros.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(traces, "_HEAT_FLUSH", limit)
+                pass_ = traces._heat_pass(V, 2.0)
+                runs.append(_bits([
+                    [pass_[k] for k in ("heat", "modulated", "counting",
+                                        "saturating")],
+                    lemma_estimate_scalings(V, 1.5),
+                    heat_xi(V).z,
+                    heat_cycle_trace(cycle, circle64)["values"],
+                ]))
+        assert runs[0] == runs[1]
+        assert zeros[0] > zeros[1]
+
+    @pytest.mark.parametrize("stride", [1, -1, 2, -2])
+    def test_power_equals_contiguous_pow(self, stride):
+        # _power of a view in any memory order is the contiguous pow of its
+        # entries, as a contiguous array
+        rng = np.random.default_rng(21)
+        for n in (0, 1, 2, 127, 4096, 2 ** 16 + 7):
+            base = rng.uniform(1e-6, 10.0, abs(stride) * n)
+            base.setflags(write=False)  # a write into x would raise
+            x = base[::stride]
+            assert x.size == n
+            for e in (-3, -2, -1.5, -1, 1.5, 2.0):
+                got = traces._power(x, e)
+                assert got.flags.c_contiguous and got.shape == (n,)
+                assert got.tobytes() == (x.copy() ** e).tobytes()
 
     @pytest.mark.parametrize("v", [
         np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 3.0]),
@@ -765,6 +869,34 @@ class TestInputsLeftUnchanged:
         measurability_criterion_check(A, V)
         traces._heat_pass(V, 2.0)
         dixmier_logmean(singular_values(V))
+
+
+class TestStorageOrder:
+    """A spectrum stored descending (the harmonic V) and the same spectrum
+    stored ascending give every heat and cutoff sum bit for bit: the one
+    comes out of ``_sorted_spectrum`` as a reversed view, the other as
+    itself, and neither pow nor a sum may depend on that."""
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_descending_and_ascending_storage_agree(self, n):
+        d = 1.0 / (np.arange(n) + 1.0)
+        a = np.cos(np.arange(n)) + 0.5j * np.sin(3.0 * np.arange(n))
+        results = []
+        for v, c in ((d, a), (d[::-1].copy(), a[::-1].copy())):
+            V, A = Operator(v), Operator(c)
+            heat = traces._heat_pass(V, 2.0)
+            results.append(_bits([
+                heat_functional(None, V, 1.5).values,
+                heat_functional(None, V, 2.0).values,
+                heat_functional(A, V, 2.0).values,
+                heat_xi(V).z,
+                lemma_estimate_scalings(V, 1.5),
+                lemma_estimate_scalings(V, 2.0),
+                cesaro_cutoff_comparison(None, V, 1.5),
+                cesaro_cutoff_comparison(None, V, 2.0),
+                [heat[k] for k in ("heat", "counting", "saturating", "cutoff")],
+            ]))
+        assert results[0] == results[1]
 
 
 class TestCutoffComparison:
