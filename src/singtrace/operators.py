@@ -62,8 +62,6 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-12
-# below this dimension a pattern split costs more than it saves
-_SPLIT_MIN_DIM = 64
 
 
 class OperatorError(Exception):
@@ -319,15 +317,6 @@ class Operator:
             rows = rows + size
             cols = cols + np.bincount(col, weights=size, minlength=n + 1)
         return float(np.sqrt(cols[:n].max() * rows[:n].max()))
-
-    def adjoint(self):
-        if self._kind == "diag":
-            out = Operator(self._data.conj(), label=f"{self.label}*")
-        else:
-            out = _layered(self._dim, _adjoint(self._dim, self._data),
-                           f"{self.label}*")
-        out._hermitian = self._hermitian
-        return out
 
     def relabel(self, label):
         out = Operator.__new__(Operator)
@@ -635,7 +624,6 @@ def _component_blocks(T):
     Each group is the zero-filled (g, s, s) complex array of T's entries
     inside its g components (rows and columns in ascending basis index,
     components ordered by first index), scattered from T's layer entries.
-    Below ``_SPLIT_MIN_DIM`` the whole basis is one component.
 
     Only the nodes that hold an entry are labelled: every other node is a
     component of its own, a zero 1 x 1 block in the size-1 group, whose
@@ -643,16 +631,12 @@ def _component_blocks(T):
     """
     n = T.dim
     rows, cols, vals = _entries(n, T._data)
-    if n < _SPLIT_MIN_DIM:
-        nodes = np.arange(n)
-        labels = np.zeros(n, dtype=np.intp)
-    else:
-        nodes = np.flatnonzero(np.bincount(np.concatenate([rows, cols]),
-                                           minlength=n))
-        local = np.empty(n, dtype=np.intp)  # each node's place in ``nodes``
-        local[nodes] = np.arange(nodes.size)
-        rows, cols = local[rows], local[cols]
-        labels = _component_labels(nodes.size, rows, cols)
+    nodes = np.flatnonzero(np.bincount(np.concatenate([rows, cols]),
+                                       minlength=n))
+    local = np.empty(n, dtype=np.intp)  # each node's place in ``nodes``
+    local[nodes] = np.arange(nodes.size)
+    rows, cols = local[rows], local[cols]
+    labels = _component_labels(nodes.size, rows, cols)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes

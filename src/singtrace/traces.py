@@ -332,63 +332,14 @@ def _heat_weights(vs, scales, e):
 _DOT_BLOCK = 128
 
 
-def _dot(a, w, keys=None):
+def _dot(a, w):
     """sum_k a[..., k] w_k with no full-length temporary: products summed in
-    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise.
-
-    With ``keys`` the einsum still runs once over every row of the block
-    ``a``, but the tail past the last whole block is reduced once per key (a
-    row index: a dot; a slice of rows: a matrix product), so each key's sum
-    is ``_dot(a[key], w)`` bit for bit; a BLAS matrix-vector tail differs
-    from a dot tail in the last bit.  Returns the list of those sums.
-    """
+    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise,
+    and the tail past the last whole block by one BLAS product."""
     m = w.size - w.size % _DOT_BLOCK
     head = a[..., :m].reshape(*a.shape[:-1], -1, _DOT_BLOCK)
     blocks = np.einsum("...ij,ij->...i", head, w[:m].reshape(-1, _DOT_BLOCK))
-    sums = np.sum(blocks, axis=-1)
-    if keys is None:
-        return sums + a[..., m:] @ w[m:]
-    return [sums[key] + a[key, m:] @ w[m:] for key in keys]
-
-
-def _is_complex(c):
-    """Whether the coefficient vector ``c`` is complex; a pair of real
-    vectors (their product) is not, and is not converted to find out."""
-    return not isinstance(c, tuple) and np.iscomplexobj(c)
-
-
-def _coefficient_rows(cs, n):
-    """The coefficient vectors ``cs`` of length n as one block of real rows,
-    and the key of each c in it: None for c = None (every c_k = 1, no row),
-    its row, or the slice of its real and imaginary rows.  A pair (a, b) of
-    real vectors stands for a * b, which is written straight into its row.
-    A single real c is its own block, unless it runs backwards in memory (a
-    reversed view): einsum and BLAS add up such a row in another order than
-    the same values stored forward, so it is written into the block too."""
-    vectors = [c for c in cs if c is not None]
-    if (len(vectors) == 1 and not (isinstance(vectors[0], tuple)
-                                   or _is_complex(vectors[0]))
-            and vectors[0].strides[0] >= 0):
-        return vectors[0][None], [None if c is None else 0 for c in cs]
-    keys, rows = [], 0
-    for c in cs:
-        if c is None:
-            keys.append(None)
-        elif _is_complex(c):
-            keys.append(slice(rows, rows + 2))
-            rows += 2
-        else:
-            keys.append(rows)
-            rows += 1
-    block = np.empty((rows, n))
-    for c, key in zip(cs, keys):
-        if isinstance(c, tuple):
-            np.multiply(*c, out=block[key])
-        elif isinstance(key, slice):
-            block[key.start], block[key.start + 1] = c.real, c.imag
-        elif key is not None:
-            block[key] = c
-    return block, keys
+    return np.sum(blocks, axis=-1) + a[..., m:] @ w[m:]
 
 
 def _heat_rows(vs, cs, scales, e, va=None):
@@ -397,31 +348,26 @@ def _heat_rows(vs, cs, scales, e, va=None):
     weight vector; returns one array of sums per c (complex for a complex c).
 
     ``vs`` is ascending (:func:`_sorted_spectrum`) and every c is in its
-    order; None means every c_k = 1, summed by ``np.sum``.  Every other c is
-    a row (a complex c two rows, real and imaginary, so no complex product is
-    formed; a pair of real vectors their product) of one block that
-    :func:`_dot` reduces over the live slice.  A c with no nonzero entry
-    gives exact zeros with no sum taken for it, unless ``vs`` holds a NaN,
-    which makes every sum NaN.
+    order; None means every c_k = 1, summed by ``np.sum``.  Every other c
+    is its own row, which :func:`_dot` reduces over the live slice: a real
+    c as one contiguous array (a strided or reversed view is copied, since
+    einsum and BLAS add it up in another order), a complex c as the (2, n)
+    array of its real and imaginary parts, so no complex product is formed.
+    A c with no nonzero entry gives exact zeros with no sum taken for it,
+    unless ``vs`` holds a NaN, which makes every sum NaN.
 
     With ``va`` one more array follows: sum_k va_k (1 - w_k), the head below
     the live slice, where 1 - w is 1, added segment by segment, never as
     sum(va) - sum(va * w), which cancels.
     """
-    return _block_sums(vs, *_coefficient_rows(cs, vs.size), scales, e, va)
-
-
-def _block_sums(vs, block, keys, scales, e, va):
-    """:func:`_heat_rows` of the coefficient block and keys that
-    :func:`_coefficient_rows` returns (``va`` None: no saturating sums)."""
     nan = bool(vs.size and np.isnan(vs[-1]))
-    out = [np.zeros(len(scales), complex if isinstance(key, slice) else float)
-           for key in keys]
-    ones = [i for i, key in enumerate(keys) if key is None]
-    # a row of zeros stays in the block, but no sum is kept for it
-    dots = [i for i, key in enumerate(keys)
-            if key is not None and (nan or block[key].any())]
-    if not (ones or dots or va is not None):
+    rows = [None if c is None else np.stack((c.real, c.imag))
+            if np.iscomplexobj(c) else np.ascontiguousarray(c) for c in cs]
+    out = [np.zeros(len(scales), float if r is None or r.ndim == 1 else complex)
+           for r in rows]
+    summed = [(i, r) for i, r in enumerate(rows)
+              if r is None or nan or r.any()]
+    if not (summed or va is not None):
         return out
     if va is not None:
         heads, total, prev = {}, 0.0, 0
@@ -430,12 +376,12 @@ def _block_sums(vs, block, keys, scales, e, va):
             heads[lo], prev = total, lo
         out.append(np.empty(len(scales)))
     for j, (live, w) in enumerate(_heat_weights(vs, scales, e)):
-        for i in ones:
-            out[i][j] = np.sum(w)
-        if dots:
-            sums = _dot(block[:, live], w, [keys[i] for i in dots])
-            for i, x in zip(dots, sums):
-                out[i][j] = complex(*x) if isinstance(keys[i], slice) else x
+        for i, r in summed:
+            if r is None:
+                out[i][j] = np.sum(w)
+            else:
+                x = _dot(r[..., live], w)
+                out[i][j] = x if r.ndim == 1 else complex(*x)
         if va is not None:
             np.subtract(1.0, w, out=w)
             out[-1][j] = heads[live.start] + float(_dot(va[live], w))
@@ -640,15 +586,18 @@ def _heat_pass(V, alpha):
     ``cutoff`` Tr((V - 1/n)_+).  Each equals the sum the function takes bit
     for bit.
 
-    The signs are built here and read only into the row of A V, so they are
-    freed before v**alpha and the weights are taken."""
+    V's entries and A V are written into one (2, N) array, since two
+    N-length arrays cost later checks thousands of page faults, and the
+    signs are freed before v**alpha and the weights are taken."""
     v, _ = _psd_diagonal(None, V, "heat pass")
     v, signs = _sorted_spectrum(v, _alternating_signs(v.size))
-    block, keys = _coefficient_rows([None, v, (signs, v)], v.size)
+    rows = np.empty((2, v.size))
+    rows[0] = v
+    np.multiply(signs, v, out=rows[1])
     del signs
     grid = default_heat_grid(V.dim)
-    counting, heat, modulated, saturating = _block_sums(
-        v, block, keys, grid, -alpha, _power(v, alpha))
+    counting, heat, modulated, saturating = _heat_rows(
+        v, [None, rows[0], rows[1]], grid, -alpha, va=_power(v, alpha))
     return {"grid": grid, "heat": heat, "modulated": modulated,
             "counting": counting, "saturating": saturating,
             "cutoff": _cutoff_sums(v, None, grid)}

@@ -1,17 +1,21 @@
 """The public surface of ``singtrace`` holds only what the package uses.
 
-Both guards read the source with ``ast``: every name a module exports in
+The guards read the source with ``ast``: every name a module exports in
 ``__all__`` is referenced somewhere in ``src/singtrace`` (outside
 ``__init__.py``, which only re-exports), and every parameter with a default
 is passed, by keyword or by position, in some call in ``src/singtrace`` to a
 callee of that name.  A parameter no caller sets is a fixed value, not an
-option.
+option.  The census of defaulted parameters is pinned, so a new option is
+a deliberate change of this file.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "singtrace"
+
+# parameters with a default over every function in src/ (ROADMAP Aim 2)
+CENSUS = 43
 
 # (module, function, parameter) defaults that no call in src/ passes
 ALLOWED_DEFAULTS = {
@@ -120,3 +124,11 @@ def test_every_default_is_passed_by_some_caller():
                 if not passed and (module, qualname, param) not in ALLOWED_DEFAULTS:
                     unset.append(f"{module}.{qualname}({param})")
     assert not unset, f"defaults no caller in src/ sets: {unset}"
+
+
+def test_default_census():
+    count = sum(len(node.args.defaults)
+                + sum(d is not None for d in node.args.kw_defaults)
+                for tree in _trees().values() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef))
+    assert count == CENSUS

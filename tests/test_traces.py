@@ -518,7 +518,8 @@ class TestHeatKernel:
         rows = np.stack([cs.real, cs.imag])
         want = {
             "complex": [complex(*_dot(rows[:, live], w)) for live, _, w in steps],
-            "real": [_dot(cs.real[live], w) for live, _, w in steps],
+            "real": [_dot(np.ascontiguousarray(cs.real)[live], w)
+                     for live, _, w in steps],
             "ones": [np.sum(w) for _, _, w in steps],
         }
         for name, coeff in (("complex", cs), ("real", cs.real), ("ones", None)):
@@ -546,8 +547,8 @@ class TestHeatKernel:
     @pytest.mark.parametrize("e", EXPONENTS)
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-in-v"])
     def test_rows_equal_single_row_sums_bit_for_bit(self, e, nan):
-        # one block of real, complex, mixed and all-zero rows: the einsum
-        # runs once over the block, and each c gets the sums it gets alone
+        # real, complex, mixed and all-zero rows in any order and company:
+        # each c gets the sums it gets alone
         rng = np.random.default_rng(17)
         for n in (1, 127, 128, 129, 1000, 3009, *rng.integers(2, 6000, 6)):
             v = rng.permutation(np.concatenate(
@@ -569,23 +570,6 @@ class TestHeatKernel:
                     want = self.single_row_sums(vs, c, scales, e)
                     assert sums.dtype == want.dtype
                     assert sums.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("e", EXPONENTS)
-    def test_pair_rows_equal_their_products_bit_for_bit(self, e):
-        # a pair (a, b) is written into its row as a * b, and gives the sums
-        # of that product, a zero product included
-        rng = np.random.default_rng(19)
-        vs, a = _sorted_spectrum(self.unsorted_with_zeros(),
-                                 rng.standard_normal(3009))
-        scales = np.geomspace(min(self.regime_scales(e)),
-                              max(self.regime_scales(e)), 7)
-        for cs in ([None, vs, (a, vs)], [(a, vs)],
-                   [(a, np.zeros(vs.size)), vs], [vs + 1j, (vs, a)]):
-            products = [c[0] * c[1] if isinstance(c, tuple) else c for c in cs]
-            got = traces._heat_rows(vs, cs, scales, e)
-            want = traces._heat_rows(vs, products, scales, e)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("e", [-1, -1.5, -2])
     def test_saturating_sums_do_not_depend_on_the_rows(self, e):
@@ -872,17 +856,20 @@ class TestInputsLeftUnchanged:
 
 
 class TestStorageOrder:
-    """A spectrum stored descending (the harmonic V) and the same spectrum
-    stored ascending give every heat and cutoff sum bit for bit: the one
-    comes out of ``_sorted_spectrum`` as a reversed view, the other as
-    itself, and neither pow nor a sum may depend on that."""
+    """A spectrum stored descending (the harmonic V), the same spectrum
+    stored ascending and stored ascending as complex128 give every heat and
+    cutoff sum bit for bit: the first comes out of ``_sorted_spectrum`` as
+    a reversed view, the second as itself, the third as the stride-16 view
+    of its real parts, and neither pow nor a sum may depend on that."""
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_descending_and_ascending_storage_agree(self, n):
         d = 1.0 / (np.arange(n) + 1.0)
         a = np.cos(np.arange(n)) + 0.5j * np.sin(3.0 * np.arange(n))
         results = []
-        for v, c in ((d, a), (d[::-1].copy(), a[::-1].copy())):
+        storages = ((d, a), (d[::-1].copy(), a[::-1].copy()),
+                    (d[::-1] + 0j, a[::-1].copy()))
+        for v, c in storages:
             V, A = Operator(v), Operator(c)
             heat = traces._heat_pass(V, 2.0)
             results.append(_bits([
@@ -896,7 +883,7 @@ class TestStorageOrder:
                 cesaro_cutoff_comparison(None, V, 2.0),
                 [heat[k] for k in ("heat", "counting", "saturating", "cutoff")],
             ]))
-        assert results[0] == results[1]
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestCutoffComparison:
