@@ -786,15 +786,90 @@ CHECKS = {
 }
 
 
+# the memo entries a check requests and those each entry's build requests
+# are stated as paths for SpectralTripleModel.release: (key,) on the model
+# and (_DOUBLE, key) on its invertible double
+_DOUBLE = ("double",)
+
+
+def _requests(name, ctx):
+    """The memo paths check ``name`` requests itself (not through a build)."""
+    model, chain = ctx.model, ctx.chain
+    ck, q, p, N = hh._chain_key(chain), chain.degree, model.p, model.N
+    sum_tol = ctx.tol.get("sum_tol")  # as _Context.tolerance reads it
+    sum_tol = None if sum_tol is None else float(sum_tol)
+    top = frozenset({p})
+    harmonic = [("harmonic", N), ("harmonic heat",)]
+    keys = {
+        "chern": [("chern", ck)],
+        "eigen-sums": [("pairing", ck), ("pairing verdict", ck, sum_tol)],
+        "heat": [("chern", ck), (_DOUBLE, ("W", ck, top)),
+                 (_DOUBLE, ("inverse_powers",))],
+        "dixmier": [("chern", ck), ("pairing dixmier", ck, ctx.scheme)],
+        "measure": [("chern", ck), ("pairing verdict", ck, None),
+                    ("pairing", ck), ("pairing heat", ck), ("weight_mu", q),
+                    ("weight_ideal", q)],
+        "reduce": [(_DOUBLE, ("omega", ck)), (_DOUBLE, ("W", ck, top)),
+                   (_DOUBLE, ("inverse_powers",))],
+        "identity-suite": [("W", ck, frozenset())] + [
+            ("F", w) for (words, _m), _c in ck[1] for w in words],
+        "summability": [("weight_ideal", p)] + [
+            (kind, w) for g in model.generators().values()
+            for w, _m in g.terms for kind in ("F", "delta")],
+        "diag-oracles": harmonic,
+        "scalings": harmonic,
+        "scheme-robustness": [("harmonic", N)],
+        "concordance": [("pairing verdict", ck, None), ("pairing heat", ck),
+                        ("pairing dixmier", ck, ctx.scheme)],
+        "modulated": [("harmonic", min(N, 4096))],
+        "cutoff": harmonic,
+    }.get(name, [])
+    return [path if path[0] == _DOUBLE else (path,) for path in keys]
+
+
+def _needs(path, N):
+    """The memo paths the build of the entry at ``path`` requests, on the
+    model that holds it; ``N`` is the model's."""
+    owner, key = path[:-1], path[-1]
+    kind, arg = key[0], key[1] if len(key) > 1 else None
+    if kind in ("chern", "omega", "W"):
+        # a chain map: slot k of each term reads the factor of kind kinds[k]
+        q = arg[0]
+        kinds = {"chern": ("F",) * (q + 1),
+                 "omega": ("id",) + ("D",) * q,
+                 "W": ("id",) + tuple("delta" if k in key[-1] else "F"
+                                      for k in range(1, q + 1))}[kind]
+        children = [(kd, w) for (words, _m), _c in arg[1]
+                    for kd, w in zip(kinds, words)]
+    elif kind.startswith("pairing"):
+        q = arg[0]  # the chain's degree
+        children = {
+            "pairing": [("omega", arg), ("weight", q)],
+            "pairing verdict": [("chern", arg), ("pairing", arg)],
+            "pairing heat": [("omega", arg), ("weight", q), ("weight_mu", q)],
+            "pairing dixmier": [("pairing", arg)],
+        }[kind]
+    else:
+        children = {"weight_mu": [("weight", arg)],
+                    "weight_ideal": [("weight_mu", arg)],
+                    "harmonic heat": [("harmonic", N)]}.get(kind, [])
+    return [owner + (child,) for child in children]
+
+
 def run(config):
-    """Execute the configured checks; returns a Report (writes it if out set)."""
+    """Execute the configured checks; returns a Report (writes it if out set).
+
+    After each check, every memo entry of the model and of its invertible
+    double that no later check can read is released (see
+    :meth:`triples.SpectralTripleModel.release`), so the peak of a run holds
+    only what its remaining checks read."""
     config.validate()
     try:
         ctx = _Context(config)
     except ContractViolation as exc:  # the config's chain
         raise ConfigError(str(exc)) from exc
     records = []
-    for name in config.checks:  # empty list -> empty passing report
+    for i, name in enumerate(config.checks):  # none: a passing report
         t0 = time.perf_counter()
         try:
             rec = CHECKS[name](ctx)
@@ -808,6 +883,10 @@ def run(config):
         rec.runtime_s = time.perf_counter() - t0
         rec.inputs_digest = ctx.inputs_digest
         records.append(rec)
+        ctx.model.release(
+            [path for later in config.checks[i + 1:]
+             for path in _requests(later, ctx)],
+            lambda path: _needs(path, ctx.model.N))
     records.sort(key=lambda r: r.name)
     report = Report(records=records, config=config,
                     environment=_environment_stamp(config))

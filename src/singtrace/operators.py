@@ -21,7 +21,11 @@ exactly, so its result equals the one of the complex diagonal bit for bit
 (up to the sign of a zero imaginary part).  Products are gathers, sums
 merge layers, and entries that cancel to exactly 0 leave the layers, so an
 exact zero stays an exact, empty operator.  The package needs numpy only:
-:meth:`Operator.sparse` imports scipy, for tests that use it as an oracle.
+:meth:`Operator.sparse` imports scipy, for tests that use it as an oracle
+and for ``perfbench/child.py``, which takes the torus residuals of the
+``suite-full`` benchmark workload (``F^2 = 1``, ``F|D| = D``,
+``{Gamma, F} = 0``) through it, so moving ``sparse()`` into a test helper
+would make that workload fail until ``child.py`` changes with it.
 Spectra are computed with LAPACK, after an exact permutation split of the
 matrix into connected components of its nonzero pattern (a similarity
 transform, so eigenvalues are preserved exactly; the components are
@@ -116,7 +120,29 @@ def canonical_order(values):
         keys = (values.real, np.abs(values.real))
     if _non_increasing(keys):
         return values
-    return values[np.lexsort(tuple(-k for k in keys))]
+    return values[_descending_order(keys)]
+
+
+def _descending_order(keys):
+    """``np.lexsort`` of the negated ``keys``, bit for bit, from one stable
+    sort on the last key and one lexsort of the runs it leaves tied (NaNs
+    tie with each other, as in ``np.lexsort``)."""
+    *minor, major = keys
+    order = np.argsort(-major, kind="stable")
+    k = major[order]
+    tied = k[1:] == k[:-1]
+    tied |= np.isnan(k[1:]) & np.isnan(k[:-1])
+    at = np.zeros(k.size, dtype=bool)  # the slots in a run of ties
+    at[1:] = tied
+    at[:-1] |= tied
+    del tied
+    at = np.flatnonzero(at)
+    if at.size:
+        # the sorted major key keeps each run together and in place
+        sub, runs = order[at], -k[at]
+        del k
+        order[at] = sub[np.lexsort([-m[sub] for m in minor] + [runs])]
+    return order
 
 
 def _non_increasing(keys):

@@ -158,6 +158,7 @@ class SpectralTripleModel:
         self._word_cache = {}
         # everything derived from the model (realized words, commutators,
         # chain maps, weights, the invertible double), shared by the checks
+        # of a run until the last one that reads it
         self._memo = {}
         self.D = None
         self.F = None
@@ -195,11 +196,52 @@ class SpectralTripleModel:
 
         A build may ask for other keys.  A failed build stores nothing, and
         the next call builds again.  Every caller gets the same object,
-        which none may modify.
+        which none may modify.  An entry stays until :meth:`release` drops
+        it: ``harness.run`` does so after the last check that can read it,
+        and a request after that builds it again.
         """
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def release(self, reads, needs):
+        """Drop every memo entry that no later request can read.
+
+        A path names an entry: ``(key,)`` one of this memo, and
+        ``(key,) + rest`` one of the memo of the model stored at ``key`` (the
+        invertible double).  ``reads`` are the paths that the readers still
+        to come request, and ``needs(path)`` the paths that the build of the
+        entry at ``path`` requests.  An entry that is built is read itself,
+        and one that is not is reached through what its build requests, so
+        what is already built decides what stays: once Omega(c) exists, the
+        commutators it was built from are dead.  A release never causes a
+        second build, as long as ``reads`` and ``needs`` list every request.
+        """
+        live, todo = set(), list(reads)
+        while todo:
+            path = todo.pop()
+            if path in live:
+                continue
+            live.add(path)
+            # an entry of the double is read through the double
+            todo.extend(path[:i] for i in range(1, len(path)))
+            if not self._holds(path):
+                todo.extend(needs(path))
+        self._keep(live)
+
+    def _holds(self, path):
+        head, *rest = path
+        if head not in self._memo:
+            return False
+        return not rest or self._memo[head]._holds(tuple(rest))
+
+    def _keep(self, live):
+        for key, entry in list(self._memo.items()):
+            if (key,) not in live:
+                del self._memo[key]
+            elif isinstance(entry, SpectralTripleModel):
+                entry._keep({path[1:] for path in live
+                             if len(path) > 1 and path[0] == key})
 
     @property
     def model_id(self):

@@ -91,6 +91,37 @@ class TestEigenvalues:
             assert (canonical_order(with_nan).tobytes()
                     == lexsorted(with_nan).tobytes())
 
+    @pytest.mark.parametrize("case", [
+        "tie-heavy", "nan", "signed-zeros", "real-only", "ordered"])
+    def test_one_sort_equals_the_three_key_lexsort(self, case):
+        # one stable sort on the modulus, then a lexsort of the tied runs,
+        # gives np.lexsort's permutation bit for bit: NaNs tie with each
+        # other, +0.0 and -0.0 tie, and already ordered input stays itself
+        rng = np.random.default_rng(31)
+        n = 2000
+        if case == "tie-heavy":  # a few moduli, each on many points
+            vals = rng.choice([3.0, -3.0, 3j, -3j, 0.6 + 0.8j, 0.8 - 0.6j,
+                               -0.6 + 0.8j, -1.0, 1.0, 1j], size=n)
+        elif case == "nan":
+            vals = rng.choice([2.0, -2.0, 2j, np.nan, complex(np.nan, 1.0),
+                               complex(1.0, np.nan), np.inf, -np.inf * 1j],
+                              size=n)
+        elif case == "signed-zeros":
+            vals = rng.choice([0.0, -0.0, 1.0, -1.0], size=n).astype(complex)
+            vals.imag = rng.choice([0.0, -0.0, 1.0], size=n)
+        elif case == "real-only":
+            vals = rng.choice([2.5, -2.5, 0.0, -0.0, np.nan, 7.0], size=n)
+            vals = np.concatenate([vals, rng.standard_normal(n)])
+        else:
+            vals = rng.standard_normal(n) + 1j * rng.choice([0.0, 1.0], n)
+            vals = vals[np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))]
+        for v in (vals, vals[::-1], vals[rng.permutation(vals.size)]):
+            want = v[np.lexsort((-v.imag, -v.real, -np.abs(v)))]
+            got = canonical_order(v)
+            assert got.dtype == v.dtype and got.tobytes() == want.tobytes()
+        if case == "ordered":
+            assert canonical_order(vals) is vals
+
     def test_matches_dense_lapack_on_block_structure(self):
         # the component-split path must agree with a direct dense solve
         rng = np.random.default_rng(5)
