@@ -20,9 +20,11 @@ a real diagonal follows numpy's type promotion, which casts it to complex
 exactly, so its result equals the one of the complex diagonal bit for bit
 (up to the sign of a zero imaginary part).  Products are gathers, sums
 merge layers, and entries that cancel to exactly 0 leave the layers, so an
-exact zero stays an exact, empty operator.  The package needs numpy only:
-:meth:`Operator.sparse` imports scipy, for tests that use it as an oracle
-and for ``perfbench/child.py``, which takes the torus residuals of the
+exact zero stays an exact, empty operator.  An Operator is built from a
+1-d array of diagonal entries, by :func:`weighted_shift`, or by the
+algebra; there is no general-entry constructor.  The package needs numpy
+only: :meth:`Operator.sparse` imports scipy, for tests that use it as an
+oracle and for ``perfbench/child.py``, which takes the torus residuals of the
 ``suite-full`` benchmark workload (``F^2 = 1``, ``F|D| = D``,
 ``{Gamma, F} = 0``) through it, so moving ``sparse()`` into a test helper
 would make that workload fail until ``child.py`` changes with it.
@@ -207,15 +209,11 @@ class Operator:
 
     Parameters
     ----------
-    data : array_like, sparse matrix or Operator
-        1-d array (interpreted as a diagonal), 2-d square array, any sparse
-        matrix object with a ``tocoo()`` method (a scipy matrix, read
-        without importing scipy), or an Operator, whose matrix is shared.
-        A 2-d or sparse input is split into row-rank layers (layer r holds
-        the r-th entry of every row, in column order), after duplicate
-        entries are summed and exact zeros dropped.  An exactly diagonal
-        matrix, dense or sparse, is stored as its diagonal, unless it has no
-        nonzero entry: an exact zero is a ``sparse`` operator with no layer.
+    data : array_like or Operator
+        1-d array of diagonal entries, or an Operator, whose matrix is
+        shared.  Anything else (a 2-d array, a scipy matrix) is a
+        :class:`ContractViolation`: layered operators are built by
+        :func:`weighted_shift` and the algebra.
         A 1-d array keeps its kind: a float64 or complex128 array is wrapped
         without a copy, so it must not be modified afterwards; any other
         real (integer, boolean, float32) array is stored as float64 and any
@@ -233,30 +231,21 @@ class Operator:
     def __init__(self, data, label="", hermitian=None):
         if isinstance(data, Operator):
             self._kind, self._data, self._dim = data._kind, data._data, data._dim
-        elif hasattr(data, "tocoo"):  # a sparse matrix
-            coo = data.tocoo()
-            self._from_entries(coo.shape, coo.row, coo.col, coo.data, label)
         else:
-            data = np.asarray(data)
-            if data.ndim == 1:
-                self._kind, self._data = "diag", _real_or_complex(data)
-                self._dim = data.size
-            elif data.ndim == 2:
-                index = np.nonzero(data)
-                self._from_entries(data.shape, *index, data[index], label)
-            else:
-                raise ContractViolation("operator data must be 1-d or 2-d")
+            array = np.asarray(data)
+            if array.ndim != 1:
+                raise ContractViolation(
+                    f"operator {label!r} needs a 1-d array of diagonal "
+                    f"entries or an Operator, not {type(data).__name__} of "
+                    f"shape {getattr(data, 'shape', array.shape)}")
+            self._kind, self._data = "diag", _real_or_complex(array)
+            self._dim = array.size
         self.label = label
         if hermitian and not self._detect_hermitian():
             raise ContractViolation(
                 f"operator {label!r} flagged hermitian but is not (to 1e-12 relative)"
             )
         self._hermitian = None if hermitian is None else bool(hermitian)
-
-    def _from_entries(self, shape, row, col, val, label):
-        if shape[0] != shape[1]:
-            raise ContractViolation(f"operator {label!r} is not square")
-        self._assign(shape[0], _layers_from_entries(shape[0], row, col, val))
 
     def _assign(self, n, layers):
         """Store ``layers`` (already pruned) on dim n: one layer whose every
@@ -288,11 +277,17 @@ class Operator:
                 return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
-        n, layers = self._dim, self._data
-        scale = 1.0 + max((np.abs(v).max() for _, v in layers), default=0.0)
-        gap = _merge(n, [*layers, *((c, -v) for c, v in _adjoint(n, layers))])
-        top = max((np.abs(v).max() for _, v in gap), default=0.0)
-        return bool(top <= HERMITIAN_RTOL * scale)
+        # T - T* entry by entry: a position holds at most one entry of T and
+        # one of -T*, whose sum has the same bits in either order
+        n = self._dim
+        row, col, val = _entries(n, self._data)
+        scale = 1.0 + np.abs(val).max(initial=0.0)
+        key = np.concatenate([row * n + col, col * n + row])
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], np.concatenate([val, -np.conj(val)])[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        gap = np.add.reduceat(val, first) if val.size else val
+        return bool(np.abs(gap).max(initial=0.0) <= HERMITIAN_RTOL * scale)
 
     # -- basic interface -------------------------------------------------------
 
@@ -467,10 +462,10 @@ def weighted_shift(col, val, label):
 # holds val[i] in column col[i], and col[i] == n marks an empty row, whose
 # val[i] is exactly 0.  Row n is always empty, so a gather through col never
 # leaves the array.  An operator is the sum of its layers, no two of which
-# hold an entry at the same position, and no entry is exactly 0.  Products,
-# sums and the one-step commutator do the complex arithmetic of scipy's CSR
-# product and sum, entry for entry and in the same order, so on the models
-# every result equals scipy's bit for bit (tests/test_weighted_shifts.py).
+# hold an entry at the same position, and no entry is exactly 0.  Products
+# and sums take numpy's complex arithmetic, so their last bits may depend on
+# the CPU's multiply kernel (fused or not); tests/test_weighted_shifts.py
+# bounds them against a compiled CSR product and sum.
 
 
 def _layered(n, layers, label=""):
@@ -497,27 +492,21 @@ def _prune(n, col, val):
     return col, val
 
 
-def _cmul(a, b):
-    """0 + a * b entrywise, with the real part ar br - ai bi and the
-    imaginary part ar bi + ai br each rounded step by step, as a compiled
-    sparse product accumulates it (numpy's complex multiply may fuse)."""
-    out = np.empty(a.shape, dtype=complex)
-    re, im = out.real, out.imag
-    np.multiply(a.real, b.real, out=re)
-    part = a.imag * b.imag
-    re -= part
-    np.multiply(a.real, b.imag, out=im)
-    np.multiply(a.imag, b.real, out=part)
-    im += part
-    out += 0  # clears a negative zero
-    return out
-
-
 def _product(n, left, right):
     """Pruned layers of (sum of ``left``) @ (sum of ``right``): one pair of
     gathers per pair of layers, C.col = B.col[A.col] and
-    C.val = A.val * B.val[A.col], then merged."""
-    pairs = [(bc[ac], _cmul(av, bv[ac])) for ac, av in left for bc, bv in right]
+    C.val = A.val * B.val[A.col], then merged.
+
+    Made for a few layers on each side, as the models' words and chain
+    products have: every pair of layers is formed, and :func:`_merge` holds
+    a (pairs, n + 1) column table, so the cost grows with the product of
+    the layer counts."""
+    # np.multiply keeps the operands in order: ``av * bv[ac]`` would let
+    # numpy reuse a large gathered temporary as the output and form
+    # bv[ac] * av, whose fused imaginary part may round differently.
+    # + 0 clears a negative zero.
+    pairs = [(bc[ac], np.multiply(av, bv[ac]) + 0)
+             for ac, av in left for bc, bv in right]
     return [_prune(n, *pairs[0])] if len(pairs) == 1 else _merge(n, pairs)
 
 
@@ -566,53 +555,6 @@ def _entries(n, layers):
         return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
                 np.zeros(0, dtype=complex))
     return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def _layers_from_entries(n, row, col, val):
-    """Row-rank layers of general entries: duplicates are summed, exact
-    zeros dropped, and layer r holds the r-th entry of each row in column
-    order."""
-    row = np.asarray(row, dtype=np.intp)
-    key = row * n + np.asarray(col, dtype=np.intp)
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], np.asarray(val, dtype=complex)[order]
-    if key.size:
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        if first.size < key.size:
-            key, val = key[first], np.add.reduceat(val, first)
-    keep = val != 0
-    key, val = key[keep], val[keep]
-    row, col = np.divmod(key, n) if n else (key, key)
-    rank = np.arange(key.size) - np.searchsorted(row, row)
-    layers = []
-    for r in range(rank.max() + 1 if rank.size else 0):
-        mine = rank == r
-        layer_col = np.full(n + 1, n)
-        layer_val = np.zeros(n + 1, dtype=complex)
-        layer_col[row[mine]] = col[mine]
-        layer_val[row[mine]] = val[mine]
-        layers.append((layer_col, layer_val))
-    return layers
-
-
-def _adjoint(n, layers):
-    """Layers of the adjoint: a layer with distinct columns transposes to
-    one layer by a scatter; the others go through their entries."""
-    out, rest = [], []
-    for col, val in layers:
-        row = np.flatnonzero(col[:n] != n)
-        if np.bincount(col[row], minlength=1).max() <= 1:
-            new_col = np.full(n + 1, n)
-            new_val = np.zeros(n + 1, dtype=complex)
-            new_col[col[row]] = row
-            new_val[col[row]] = np.conj(val[row])
-            out.append((new_col, new_val))
-        else:
-            rest.append((col, val))
-    if rest:
-        row, col, val = _entries(n, rest)
-        out += _layers_from_entries(n, col, row, np.conj(val))
-    return out
 
 
 # -- block-split eigen engine --------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from singtrace.operators import Operator, _layered
 from singtrace.triples import build_circle, build_diagonal_toy, build_nc_torus
 
 
@@ -33,3 +35,29 @@ def random_unitary(rng, n):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def matrix_operator(M, label="", hermitian=None):
+    """An Operator with the entries of a square 2-d array or scipy matrix.
+
+    Duplicate entries are summed and exact zeros dropped; layer r then holds
+    the r-th entry of every row, in column order.  An exactly diagonal
+    matrix becomes a ``diag`` operator, and one with no entry the exact
+    zero.  ``label`` and ``hermitian`` are passed on to :class:`Operator`.
+    """
+    csr = sp.csr_matrix(M, dtype=complex, copy=True)
+    csr.sum_duplicates()  # sorts each row's columns too
+    csr.eliminate_zeros()
+    n = csr.shape[0]
+    assert csr.shape == (n, n), csr.shape
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    rank = np.arange(csr.nnz) - csr.indptr[rows]
+    layers = []
+    for r in range(rank.max(initial=-1) + 1):
+        mine = rank == r
+        col = np.full(n + 1, n)
+        val = np.zeros(n + 1, dtype=complex)
+        col[rows[mine]] = csr.indices[mine]
+        val[rows[mine]] = csr.data[mine]
+        layers.append((col, val))
+    return Operator(_layered(n, layers), label=label, hermitian=hermitian)

@@ -6,7 +6,8 @@ The guards read the source with ``ast``: every name a module exports in
 is passed, by keyword or by position, in some call in ``src/singtrace`` to a
 callee of that name.  A parameter no caller sets is a fixed value, not an
 option.  The census of defaulted parameters is pinned, so a new option is
-a deliberate change of this file.
+a deliberate change of this file.  scipy is imported in one function
+only, ``Operator.sparse``.
 """
 
 import ast
@@ -132,3 +133,26 @@ def test_default_census():
                 for tree in _trees().values() for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef))
     assert count == CENSUS
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return False
+    return any(name == "scipy" or name.startswith("scipy.") for name in names)
+
+
+def test_scipy_is_imported_in_operator_sparse_only():
+    # the package runs on numpy; scipy serves only Operator.sparse, the
+    # oracle view that tests and the benchmark's residuals read
+    sites = [(module, qualname)
+             for module, tree in _trees().items()
+             for qualname, _callee, _offset, fn in _functions(tree)
+             for node in ast.walk(fn) if _imports_scipy(node)]
+    everywhere = sum(_imports_scipy(node) for tree in _trees().values()
+                     for node in ast.walk(tree))
+    assert sites == [("operators", "Operator.sparse")]
+    assert everywhere == 1

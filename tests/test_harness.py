@@ -30,6 +30,8 @@ from singtrace.harness import (
 )
 from singtrace.triples import build_circle, build_model
 
+import test_golden
+
 
 class TestConfig:
     def test_from_json_roundtrip(self):
@@ -928,12 +930,15 @@ def _memo_recorder(monkeypatch):
 def test_no_memo_entry_is_built_twice_in_a_run(plan, monkeypatch):
     """A run releases each memo entry after its last reader and never builds
     one twice: the statement of what each check and each build requests
-    covers every request, and the digests of both suites do not move."""
+    covers every request, and both suites reproduce their golden records
+    (at the bound of tests/test_golden.py, since the last bits of a complex
+    product may depend on the CPU's multiply kernel)."""
     builds, missed = _memo_recorder(monkeypatch)
     if plan.startswith("suite"):
-        report = suite(plan.split()[1])
-        assert report.stable_digest().startswith(
-            {"suite quick": "3d386964", "suite full": "80833d4e"}[plan])
+        name = plan.split()[1]
+        report = suite(name)
+        golden = json.loads(test_golden._path(name).read_text())
+        assert test_golden.moved(golden, test_golden.snapshot(report)) == []
         reports = [report]
     elif plan == "each check alone":
         reports = [run(ExperimentConfig(

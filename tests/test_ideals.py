@@ -27,7 +27,7 @@ from singtrace.operators import (
     zero,
 )
 
-from conftest import random_unitary
+from conftest import matrix_operator, random_unitary
 
 
 def harmonic(N):
@@ -126,14 +126,14 @@ class TestPartialSums:
         assert np.max(np.abs(series.sums)) <= 1.0 + 1e-12
 
     def test_nilpotent_sums_zero(self):
-        T = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        T = matrix_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         series = eigenvalue_partial_sums(T)
         np.testing.assert_allclose(series.sums, 0.0, atol=1e-14)
 
     def test_psd_sums_real_nonneg_nondecreasing(self):
         rng = np.random.default_rng(17)
         H = rng.standard_normal((40, 40))
-        T = Operator((H @ H.T).astype(complex))
+        T = matrix_operator((H @ H.T).astype(complex))
         sums = eigenvalue_partial_sums(T).sums
         assert np.max(np.abs(sums.imag)) <= 1e-9
         real = sums.real
@@ -269,8 +269,9 @@ class TestMeasurability:
         N = 512
         T = np.diag(harmonic(N)).astype(complex)
         U = random_unitary(rng, N)
-        v1 = universal_measurability_test(Operator(T))
-        v2 = universal_measurability_test(Operator(U @ T @ U.conj().T))
+        v1 = universal_measurability_test(matrix_operator(T))
+        v2 = universal_measurability_test(
+            matrix_operator(U @ T @ U.conj().T))
         assert v1.kind == v2.kind == MEASURABLE
         assert abs(v1.z - v2.z) <= 1e-6
 

@@ -28,7 +28,7 @@ from singtrace.operators import (
 
 from singtrace.triples import build_diagonal_toy, build_nc_torus
 
-from conftest import random_unitary
+from conftest import matrix_operator, random_unitary
 
 
 def random_complex(rng, n):
@@ -46,7 +46,7 @@ class TestEigenvalues:
         np.testing.assert_allclose(spec.values, [3.0, -2j, 1.0])
 
     def test_nilpotent(self):
-        T = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        T = matrix_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         np.testing.assert_allclose(eigenvalues(T).values, [0.0, 0.0], atol=1e-14)
 
     def test_tie_break_real_then_imag(self):
@@ -136,7 +136,8 @@ class TestEigenvalues:
             pos += k
         perm = rng.permutation(n)
         mat = mat[np.ix_(perm, perm)]
-        got = np.sort_complex(eigenvalues(Operator(sp.csr_matrix(mat))).values)
+        T = matrix_operator(sp.csr_matrix(mat))
+        got = np.sort_complex(eigenvalues(T).values)
         np.testing.assert_allclose(np.sort_complex(direct), got, atol=1e-10)
 
     def test_hermitian_spectra_are_float64(self):
@@ -146,16 +147,16 @@ class TestEigenvalues:
         H = rng.standard_normal((80, 80))
         H = H + H.T
         H[np.abs(H) < 1.0] = 0.0  # several components
-        for T in (Operator(rng.standard_normal(300)), Operator(H),
-                  Operator(H.astype(complex)), zero(100)):
+        for T in (Operator(rng.standard_normal(300)), matrix_operator(H),
+                  matrix_operator(H.astype(complex)), zero(100)):
             assert T.hermitian
             spec = eigenvalues(T)
             assert spec.values.dtype == np.float64
             assert np.array_equal(spec.moduli, np.abs(spec.values))
-        np.testing.assert_allclose(eigenvalues(Operator(H)).values,
+        np.testing.assert_allclose(eigenvalues(matrix_operator(H)).values,
                                    canonical_order(np.linalg.eigvalsh(H)),
                                    atol=1e-10)
-        T = Operator(random_complex(rng, 20))
+        T = matrix_operator(random_complex(rng, 20))
         assert eigenvalues(T).values.dtype == np.complex128
 
     def test_ordered_hermitian_diagonal_is_its_own_spectrum(self):
@@ -165,7 +166,7 @@ class TestEigenvalues:
 
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(0)
-        T = Operator(random_complex(rng, 40))
+        T = matrix_operator(random_complex(rng, 40))
         total = eigenvalues(T).values.sum()
         tr = np.trace(T.sparse().toarray())
         assert abs(total - tr) <= 1e-10 * (1.0 + abs(tr))
@@ -177,14 +178,14 @@ class TestSingularValues:
         np.testing.assert_allclose(mu, [1.0, 0.5, 1 / 3])
 
     def test_zero_matrix(self):
-        mu = singular_values(Operator(np.zeros((4, 4)))).mu
+        mu = singular_values(matrix_operator(np.zeros((4, 4)))).mu
         np.testing.assert_allclose(mu, 0.0)
 
     def test_jordan_block(self):
         # oracle: |T| = sqrt(T^H T) = diag(0, 2) by direct computation
         T = np.array([[0.0, 2.0], [0.0, 0.0]])
         oracle = np.sqrt(np.linalg.eigvalsh(T.conj().T @ T))[::-1]
-        mu = singular_values(Operator(T)).mu
+        mu = singular_values(matrix_operator(T)).mu
         np.testing.assert_allclose(mu, oracle, atol=1e-12)
         np.testing.assert_allclose(mu, [2.0, 0.0], atol=1e-12)
 
@@ -193,15 +194,15 @@ class TestSingularValues:
         T = random_complex(rng, 30)
         U = random_unitary(rng, 30)
         W = random_unitary(rng, 30)
-        a = singular_values(Operator(T)).mu
-        b = singular_values(Operator(U @ T @ W)).mu
+        a = singular_values(matrix_operator(T)).mu
+        b = singular_values(matrix_operator(U @ T @ W)).mu
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_normal_matches_eigenvalue_moduli(self):
         rng = np.random.default_rng(3)
         U = random_unitary(rng, 25)
         d = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        T = Operator(U @ np.diag(d) @ U.conj().T)
+        T = matrix_operator(U @ np.diag(d) @ U.conj().T)
         np.testing.assert_allclose(
             singular_values(T).mu, np.sort(np.abs(d))[::-1], atol=1e-10)
 
@@ -322,7 +323,7 @@ class TestSpectralProjection:
 
     def test_requires_hermitian(self):
         with pytest.raises(ContractViolation):
-            hermitian_calculus(Operator(np.array([[0, 1], [0, 0]])),
+            hermitian_calculus(matrix_operator(np.array([[0, 1], [0, 0]])),
                                indicator(0, 1))
 
 
@@ -340,7 +341,7 @@ class TestHermitianCalculus:
     def test_indicator_reproduces_projection(self):
         T = real_diagonal(np.random.default_rng(2), 15)
         w, v = np.linalg.eigh(T.sparse().toarray())
-        P1 = Operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
+        P1 = matrix_operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
         P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float))
         assert (P1 - P2).norm_bound() <= 1e-10
 
@@ -358,8 +359,8 @@ class TestHermitianCalculus:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     @pytest.mark.parametrize("T", [
-        Operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))),
-        Operator(np.array([[1.0, 1j], [-1j, 2.0]])),
+        matrix_operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        matrix_operator(np.array([[1.0, 1j], [-1j, 2.0]])),
     ], ids=["swap", "dense-hermitian"])
     def test_non_diagonal_operator_is_a_contract_violation(self, T):
         assert T.hermitian and T.kind == "sparse"
@@ -400,7 +401,7 @@ class TestPhaseModulus:
     def test_polar_properties_dense(self):
         # a dense 2-d array that is exactly diagonal is a diagonal operator
         d = real_diagonal(np.random.default_rng(21), 25).diag()
-        D = Operator(np.diag(d))
+        D = matrix_operator(np.diag(d))
         assert D.kind == "diag"
         F, absD = phase_modulus(D)
         assert (F @ F - identity(25)).norm_bound() == 0.0
@@ -439,7 +440,7 @@ class TestPolarStorage:
 class TestAlgebra:
     def test_commutator_with_identity(self):
         rng = np.random.default_rng(1)
-        T = Operator(random_complex(rng, 10))
+        T = matrix_operator(random_complex(rng, 10))
         assert commutator(T, identity(10)).norm_bound() == 0.0
 
     def test_grading_anticommutes_with_dirac(self, torus12):
@@ -447,8 +448,8 @@ class TestAlgebra:
 
     def test_trace_cyclicity(self):
         rng = np.random.default_rng(4)
-        A = Operator(random_complex(rng, 30))
-        B = Operator(random_complex(rng, 30))
+        A = matrix_operator(random_complex(rng, 30))
+        B = matrix_operator(random_complex(rng, 30))
         ab = np.trace((A @ B).sparse().toarray())
         ba = np.trace((B @ A).sparse().toarray())
         assert abs(ab - ba) <= 1e-12 * (1.0 + abs(ab))
@@ -457,13 +458,13 @@ class TestAlgebra:
         with pytest.raises(ContractViolation):
             commutator(identity(3), identity(4))
         with pytest.raises(ContractViolation):
-            commutator(identity(3), Operator(sp.eye(4, k=1, format="csr")))
+            commutator(identity(3), matrix_operator(sp.eye(4, k=1)))
 
     def test_diagonal_sparse_commutator_matches_dense(self):
         rng = np.random.default_rng(5)
         n = 40
         d = Operator(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        S = Operator(sp.random(n, n, density=0.1, random_state=6,
+        S = matrix_operator(sp.random(n, n, density=0.1, random_state=6,
                                format="csr") * (1 + 2j))
         for A, B in ((d, S), (S, d)):
             a, b = A.sparse().toarray(), B.sparse().toarray()
@@ -490,7 +491,7 @@ class TestAlgebra:
         mat = sp.csr_matrix((np.array([1.0, 0.0, 2.0], dtype=complex),
                              np.array([1, 0, 0]), np.array([0, 2, 3])),
                             shape=(2, 2))
-        T = Operator(mat)
+        T = matrix_operator(mat)
         assert mat.nnz == 3 and T.sparse().nnz == 2
 
 
@@ -501,8 +502,8 @@ def test_singular_values_unitarily_invariant_property(seed, n):
     T = random_complex(rng, n)
     U = random_unitary(rng, n)
     W = random_unitary(rng, n)
-    a = singular_values(Operator(T)).mu
-    b = singular_values(Operator(U @ T @ W)).mu
+    a = singular_values(matrix_operator(T)).mu
+    b = singular_values(matrix_operator(U @ T @ W)).mu
     np.testing.assert_allclose(a, b, atol=1e-9 * (1 + a[0]))
 
 
@@ -533,7 +534,7 @@ def permuted_blocks(rng, backend):
         mat[np.ix_(idx, idx)] = h + h.conj().T
         comps.append(idx)
     data = sp.csr_matrix(mat) if backend == "sparse" else mat
-    return Operator(data), mat, comps
+    return matrix_operator(data), mat, comps
 
 
 @pytest.mark.parametrize("backend", ["sparse", "dense"])
@@ -558,10 +559,21 @@ class TestComponentSplitReference:
 class TestFlags:
     def test_hermitian_flag_validated(self):
         with pytest.raises(ContractViolation):
-            Operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            matrix_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+
+    @pytest.mark.parametrize("data", [
+        np.eye(3), np.zeros((3, 3)), np.zeros((2, 2, 2)), np.float64(1.0),
+        sp.eye(3, format="csr"), sp.csr_array((3, 3)), sp.diags([1.0, 2.0])],
+        ids=["2-d", "2-d-zero", "3-d", "0-d", "csr-matrix", "csr-array",
+             "dia-matrix"])
+    def test_only_a_diagonal_or_an_operator_is_data(self, data):
+        # general entries have no constructor: layered operators come from
+        # weighted_shift and the algebra
+        with pytest.raises(ContractViolation, match="1-d array"):
+            Operator(data, label="T")
 
     def test_exact_diagonal_dense_compacts(self):
-        T = Operator(np.diag([1.0, 2.0]))
+        T = matrix_operator(np.diag([1.0, 2.0]))
         assert T.kind == "diag"
 
     @pytest.mark.parametrize("data", [np.zeros((3, 3)),
@@ -569,7 +581,7 @@ class TestFlags:
                                       sp.diags(np.zeros(3), format="csr")],
                              ids=["dense", "empty-csr", "explicit-zeros"])
     def test_exact_zero_stays_sparse(self, data):
-        T = Operator(data)
+        T = matrix_operator(data)
         assert T.kind == "sparse" and T.sparse().nnz == 0
         np.testing.assert_array_equal(T.diag(), np.zeros(3))
 
@@ -582,7 +594,7 @@ class TestFlags:
         monkeypatch.setattr(operators, "_component_blocks", refuse)
         monkeypatch.setattr(np.linalg, "norm", refuse)
         n = 256
-        Z = Operator(sp.csr_matrix((n, n), dtype=complex))
+        Z = matrix_operator(sp.csr_matrix((n, n), dtype=complex))
         np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
         np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
 
@@ -598,7 +610,7 @@ class TestFlags:
         assert not identity(5).is_zero()
 
     def test_dense_input_stored_as_csr(self):
-        T = Operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        T = matrix_operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert T.kind == "sparse"
         np.testing.assert_array_equal(T.sparse().toarray(),
                                       [[1.0, 2.0], [0.0, 3.0]])
@@ -612,7 +624,7 @@ class TestFlags:
             return real(self)
 
         monkeypatch.setattr(Operator, "_detect_hermitian", counting)
-        T = Operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        T = matrix_operator(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         T.relabel("S")
         assert calls == []
         assert T.hermitian
@@ -624,7 +636,7 @@ class TestFlags:
 
     def test_sparse_input(self):
         mat = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        T = Operator(mat)
+        T = matrix_operator(mat)
         assert T.kind == "sparse"
         assert T.hermitian
 
@@ -645,7 +657,7 @@ class TestFlags:
 
     @pytest.mark.parametrize("n", [3, 70])
     def test_exact_zero_restricts_to_empty_csr(self, n):
-        Z = Operator(sp.csr_matrix((100, 100), dtype=complex), label="Z")
+        Z = matrix_operator(sp.csr_matrix((100, 100)), label="Z")
         R = Z.restrict(np.arange(n) * (99 // n))
         assert R.kind == "sparse" and R.sparse().shape == (n, n)
         assert R.sparse().nnz == 0 and R.label == "Z"
@@ -766,10 +778,11 @@ class TestRealDiagonalParity:
         M = np.zeros((3, 3), dtype=complex)
         M[0, 2] = M[2, 0] = 1
         M[1, 1] = 1j
-        R = Operator(np.array([1.0, 0.0, 2.0])) + Operator(M)
+        R = Operator(np.array([1.0, 0.0, 2.0])) + matrix_operator(M)
         got = Operator(np.ones(3)) + R
         want = (Operator(np.ones(3, dtype=complex))
-                + (Operator(np.array([1, 0, 2], dtype=complex)) + Operator(M)))
+                + (Operator(np.array([1, 0, 2], dtype=complex))
+                   + matrix_operator(M)))
         _assert_same_bits(got, want)
         np.testing.assert_array_equal(got.sparse().toarray(), np.eye(3) + M
                                       + np.diag([1.0, 0.0, 2.0]))
@@ -845,7 +858,7 @@ def test_split_labels_only_touched_nodes(pattern):
     else:
         perm = rng.permutation(n)
         mat[perm[0::2], perm[1::2]] = rng.standard_normal(n // 2)
-    T = Operator(mat)
+    T = matrix_operator(mat)
     got, want = operators._component_blocks(T), reference_blocks(T)
     assert [g.shape for g in got] == [w.shape for w in want]
     for g, w in zip(got, want):

@@ -31,6 +31,8 @@ from singtrace.traces import (
     modulated_comparison,
 )
 
+from conftest import matrix_operator
+
 N_BIG = 100_000
 
 
@@ -179,7 +181,7 @@ class TestHeatFunctional:
         # a sparse psd V of 2x2 blocks v [[1, 1/2], [1/2, 1]] with harmonic
         # v: the heat engine takes only a psd diagonal V
         v = 1.0 / (np.arange(1000) + 1.0)
-        V = Operator(sp.kron(sp.diags(v), [[1.0, 0.5], [0.5, 1.0]]))
+        V = matrix_operator(sp.kron(sp.diags(v), [[1.0, 0.5], [0.5, 1.0]]))
         assert V.kind == "sparse" and V.hermitian
         with pytest.raises(ContractViolation, match="psd diagonal V"):
             call(V)
@@ -805,7 +807,7 @@ class TestModulated:
 
     def test_non_diagonal_A_is_rejected(self):
         N = 512
-        A = Operator(sp.eye(N, k=1, format="csr"), label="shift")
+        A = matrix_operator(sp.eye(N, k=1), label="shift")
         with pytest.raises(ContractViolation, match="diagonal A"):
             modulated_comparison(A, harmonic_op(N))
 

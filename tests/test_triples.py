@@ -28,6 +28,8 @@ from singtrace.triples import (
     summability_report,
 )
 
+from conftest import matrix_operator
+
 
 class TestCircle:
     def test_shift_raises_mode_exactly(self, circle64):
@@ -394,7 +396,7 @@ class TestInteriorNorm:
         n = circle64.dim
         mat = (sp.random(n, n, density=0.05, random_state=rng)
                + 1j * sp.random(n, n, density=0.05, random_state=rng))
-        op = Operator(mat)
+        op = matrix_operator(mat)
         dense = circle64.compress(op).sparse().toarray()
         assert circle64.interior_norm(op) >= np.linalg.norm(dense, 2) - 1e-15
 
@@ -404,8 +406,8 @@ class TestInteriorNorm:
         n = circle64.dim
         rng = np.random.default_rng(7)
         weights = rng.standard_normal(n - 3) * 1e-13
-        op = Operator(sp.diags(weights.astype(complex), offsets=-3,
-                               shape=(n, n), format="csr"))
+        op = matrix_operator(sp.diags(weights.astype(complex), offsets=-3,
+                                      shape=(n, n)))
         dense = circle64.compress(op).sparse().toarray()
         exact = np.linalg.norm(dense, 2)
         assert abs(circle64.interior_norm(op) - exact) <= np.spacing(exact)
