@@ -368,9 +368,23 @@ def _environment_stamp(config):
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": _platform(),
         "seed": config.seed,
     }
+
+
+def _platform():
+    """``platform.platform()`` without its processor lookup where that is
+    known: on Linux with glibc the string is the system, release, machine
+    and C library, while ``platform.platform()`` also reads
+    ``uname().processor``, which there runs ``uname -p`` in a subprocess
+    (about 10 ms per process) only to drop an empty or repeated answer."""
+    uname = platform.uname()  # its processor is looked up when read
+    libc, version = platform.libc_ver() if uname.system == "Linux" else ("", "")
+    if libc != "glibc":
+        return platform.platform()
+    return "-".join((uname.system, uname.release, uname.machine, "with",
+                     libc + version))
 
 
 # -- builtin chains ---------------------------------------------------------------

@@ -448,18 +448,21 @@ def appendix_identity_checks(a1, a2, model, tol=1e-10):
 
 
 def _interior_inverse_powers(double):
-    """(|D0|^{-p}, D0^{-1}, |D0|, |D0|^{-1}) on the interior of the
-    invertible double, built once."""
+    """(|D0|^{-p}, D0^{-1}, max |D0|, |D0|^{-1}) on the interior of the
+    invertible double, built once.  At p = 1 the first is the last, one
+    array: ``x ** -1.0`` is numpy's reciprocal, ``1.0 / x`` bit for bit.
+    |D0| itself is not kept, only its largest entry, a float."""
     def build():
         absD0_int = double.compress(double.absD)
         F_int = double.compress(double.F)
         p = double.p
-        abs_inv_p = hermitian_calculus(absD0_int, lambda x: x ** (-float(p)),
-                                       label="|D0|^-p")
         abs_inv = hermitian_calculus(absD0_int, lambda x: 1.0 / x,
                                      label="|D0|^-1")
+        abs_inv_p = abs_inv if p == 1 else hermitian_calculus(
+            absD0_int, lambda x: x ** (-float(p)), label="|D0|^-p")
+        d_max = float(np.max(absD0_int.diag().real))  # |D0| >= 1
         # D0^{-1} = |D0|^{-1} F
-        return abs_inv_p, abs_inv @ F_int, absD0_int, abs_inv
+        return abs_inv_p, abs_inv @ F_int, d_max, abs_inv
     return double.derived(("inverse_powers",), build)
 
 
@@ -502,8 +505,7 @@ def _heat_floor(double):
     """Smallest s at which exp(-(s |D0|)^{p+1}) is at most exp(-8) at the top
     of the interior spectrum, which keeps the heat weight inside the
     truncation."""
-    absD0_int = _interior_inverse_powers(double)[2]
-    d_max = float(np.max(np.abs(absD0_int.diag().real)))
+    d_max = _interior_inverse_powers(double)[2]
     return (8.0 ** (1.0 / (double.p + 1))) / d_max
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .operators import (
     ContractViolation,
     SingularSequence,
+    _overlapping_blocks,
     _real_or_complex,
     eigenvalues,
 )
@@ -46,8 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_RATIO = math.sqrt(2.0)
-# block length of the running sum of :func:`lorentz_norm_m1inf`
-_CUMSUM_BLOCK = 1 << 16
+# block length of :func:`quasi_norm_pinf` and of the running sum of
+# :func:`lorentz_norm_m1inf`
+_NORM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,13 +158,16 @@ def quasi_norm_pinf(mu, p):
     mu = _as_mu(mu)
     if mu.size == 0:
         return 0.0
-    # in place: one temporary of mu's length, the same bits as
-    # (k + 1.0) ** (1.0 / p) * mu
-    x = np.arange(mu.size, dtype=float)
-    x += 1.0
-    x **= 1.0 / p
-    x *= mu
-    return float(np.max(x))
+    # one block at a time, in place: the same bits as
+    # (k + 1.0) ** (1.0 / p) * mu, since the max is exact
+    tops = []
+    for lo in range(0, mu.size, _NORM_BLOCK):
+        x = np.arange(lo, min(lo + _NORM_BLOCK, mu.size), dtype=float)
+        x += 1.0
+        x **= 1.0 / p
+        x *= mu[lo:lo + _NORM_BLOCK]
+        tops.append(np.max(x))
+    return float(np.max(tops))
 
 
 def lorentz_norm_m1inf(mu):
@@ -174,8 +179,8 @@ def lorentz_norm_m1inf(mu):
     # entry: the same bits as cumsum(mu) / log(2.0 + n) (a cumsum adds in
     # order), with temporaries of one block's length
     tops, carry = [], 0.0
-    for lo in range(0, mu.size, _CUMSUM_BLOCK):
-        sums = mu[lo:lo + _CUMSUM_BLOCK].copy()
+    for lo in range(0, mu.size, _NORM_BLOCK):
+        sums = mu[lo:lo + _NORM_BLOCK].copy()
         if lo:
             sums[0] += carry
         np.cumsum(sums, out=sums)
@@ -201,15 +206,18 @@ def eigenvalue_partial_sums(T, label=None):
     if T.is_zero() and n:
         return PartialSumSeries(np.broadcast_to(np.zeros(1), (n,)),
                                 source_label=label, boundaries=[n - 1])
-    spec = eigenvalues(T)
-    moduli = spec.moduli
+    values = eigenvalues(T).values
     if n == 0:
-        return PartialSumSeries(spec.values, source_label=label)
-    scale = moduli[0] if moduli[0] > 0 else 1.0
-    drop = moduli[:-1] - moduli[1:] > 1e-9 * scale
-    boundaries = np.concatenate([np.flatnonzero(drop), [n - 1]])
-    return PartialSumSeries(np.cumsum(spec.values), source_label=label,
-                            boundaries=boundaries)
+        return PartialSumSeries(values, source_label=label)
+    top = abs(values[0])
+    gap = 1e-9 * (top if top > 0 else 1.0)
+    # the drops of the moduli, one block at a time
+    drops = []
+    for lo, block in _overlapping_blocks(values):
+        moduli = np.abs(block)
+        drops.append(np.flatnonzero(moduli[:-1] - moduli[1:] > gap) + lo)
+    return PartialSumSeries(np.cumsum(values), source_label=label,
+                            boundaries=np.concatenate(drops + [[n - 1]]))
 
 
 def geometric_grid(lo, hi, ratio=DEFAULT_RATIO):

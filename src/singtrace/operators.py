@@ -43,7 +43,7 @@ zero-stride view of one 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +113,35 @@ def canonical_order(values):
     With no nonzero imaginary part the modulus is |re| exactly, and the last
     key ties everywhere, so two real keys give the same order.  Input that
     is already in this order is returned itself, as the stable sort would
-    leave it; anything else (a NaN included) is a sorted copy.
+    leave it, after a check that takes the keys one block at a time;
+    anything else (a NaN included) is a sorted copy.
     """
     values = np.asarray(values)
-    if np.iscomplexobj(values) and values.imag.any():
-        keys = (values.imag, values.real, np.abs(values))
-    else:
-        keys = (values.real, np.abs(values.real))
-    if _non_increasing(keys):
+    if all(_non_increasing(_order_keys(block))
+           for _, block in _overlapping_blocks(values)):
         return values
-    return values[_descending_order(keys)]
+    return values[_descending_order(_order_keys(values))]
+
+
+# entries whose moduli an order check or the tie boundaries of a spectrum
+# take at a time, so that no full-length moduli array is formed
+_MODULI_BLOCK = 1 << 16
+
+
+def _overlapping_blocks(values):
+    """(lo, values[lo:lo + _MODULI_BLOCK + 1]) for lo = 0, _MODULI_BLOCK,
+    ...: consecutive blocks that share their boundary entry, so that every
+    adjacent pair of entries lies in one block (one block for fewer than
+    two entries)."""
+    for lo in range(0, max(values.size - 1, 1), _MODULI_BLOCK):
+        yield lo, values[lo:lo + _MODULI_BLOCK + 1]
+
+
+def _order_keys(values):
+    """The sort keys of :func:`canonical_order`, the last the major one."""
+    if np.iscomplexobj(values) and values.imag.any():
+        return (values.imag, values.real, np.abs(values))
+    return (values.real, np.abs(values.real))
 
 
 def _descending_order(keys):
@@ -165,20 +184,22 @@ def _non_increasing(keys):
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of an operator, in canonical order: float64 when they
-    are real (a hermitian operator's), complex128 otherwise.  ``moduli`` are
-    their moduli, taken once, for the order check, and kept."""
+    are real (a hermitian operator's), complex128 otherwise.  Their order is
+    checked on the moduli of one block at a time, and no moduli are kept:
+    :func:`ideals.eigenvalue_partial_sums` takes its tie boundaries from
+    them block by block too."""
 
     values: np.ndarray
     label: str = ""
-    moduli: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = _real_or_complex(self.values)
         object.__setattr__(self, "values", values)
-        moduli = np.abs(values)
-        if moduli.size and np.any(moduli[:-1] < moduli[1:] - 1e-30):
-            raise ValueError("spectrum not ordered by non-increasing modulus")
-        object.__setattr__(self, "moduli", moduli)
+        for _, block in _overlapping_blocks(values):
+            moduli = np.abs(block)
+            if np.any(moduli[:-1] < moduli[1:] - 1e-30):
+                raise ValueError(
+                    "spectrum not ordered by non-increasing modulus")
 
     def __len__(self):
         return self.values.size

@@ -212,7 +212,9 @@ def _psd_diagonal(A, V, who):
             f"{who} requires a hermitian psd diagonal V, got {V.label!r}")
     d = V.diag().real
     floor = float(d.min(initial=0.0))
-    if floor < -1e-10 * (1.0 + V.norm_bound()):
+    # the norm, which takes the moduli of all of V, scales the tolerance of
+    # a negative floor only
+    if floor < 0.0 and floor < -1e-10 * (1.0 + V.norm_bound()):
         raise ContractViolation(f"{who}: V has negative eigenvalue {floor:.3e}")
     a = None
     if A is not None:
@@ -289,103 +291,163 @@ def _live_slice(vs, s, e):
     return slice(_edge(vs, s, e, _HEAT_ZERO), vs.size)
 
 
+# block length of the heat sums: a sequential sum of this many products,
+# plus the pairwise sum of the block sums, keeps a long heat sum as accurate
+# as np.sum of the products (a BLAS dot of 2**18 decaying terms is not)
+_DOT_BLOCK = 128
+# entries of the spectrum the heat engine takes at a time: the powers, the
+# weights and the coefficient rows of one window are all its scratch
+_HEAT_WINDOW = 1 << 15
+
+
 def _heat_weights(vs, scales, e):
-    """Yield (live slice, weights) per scale s: the weights are
-    ``np.exp(-(s ** e) * v ** e)``, e < 0, on the live slice of ascending
-    ``vs`` where that is at least 2**-1022, the smallest normal double, and
-    0.0 everywhere else.
+    """Walk ascending ``vs`` in windows of ``_HEAT_WINDOW`` new entries and
+    yield (lo, hi, steps) per window [lo, hi): ``steps`` yields (j, start, w)
+    for each scale s_j that has weights in it, where w are the weights
+    ``np.exp(-(s_j ** e) * v ** e)``, e < 0, of the entries [start,
+    start + w.size).  Each scale's steps cover its live slice in order;
+    every step but the last of a scale holds a whole number of
+    ``_DOT_BLOCK`` blocks counted from the live start, and its last ends at
+    ``vs.size``, so the blocks of a heat sum do not depend on the windows.
 
     A live slice starts with the entries whose (s v)**e is above
     ``_HEAT_FLUSH``; their weights, subnormal or 0.0, are written as 0.0
     with no pow or exp.  That prefix ends ``_EDGE_MARGIN`` early, so it
     holds only weights below 2**-1022, and the few in the margin stay
-    subnormal.  Such a weight moves no sum of O(1) terms.  The evaluated
-    suffixes are nested, so the widest (the largest s) is their union, and
-    ``v ** e`` is taken once over it, in memory order (:func:`_power`); it
-    leaves out ker V, so no ``0 ** e`` is taken.  Each weight differs from
-    ``exp(-(s v) ** e)`` only by the rounding of the product
-    ``s**e * v**e``: a relative error of order eps * max(1, (s v)**e).
+    subnormal.  Such a weight moves no sum of O(1) terms.  ``v ** e`` is
+    taken once per window, in memory order (:func:`_power`), over the
+    entries some scale evaluates; it leaves out ker V, so no ``0 ** e`` is
+    taken.  Each weight differs from ``exp(-(s v) ** e)`` only by the
+    rounding of the product ``s**e * v**e``: a relative error of order
+    eps * max(1, (s v)**e).
 
-    Every step writes its weights into one buffer of the widest live
-    slice's size, so a yielded array is valid only until the next step.
+    Every step writes its weights into one buffer, and each window's steps
+    must be taken before the next window: a yielded array is valid only
+    until the next step.
     """
     scales = [float(s) for s in scales]
-    if not scales:
-        return
-    lives = [_live_slice(vs, s, e) for s in scales]
+    n = vs.size
+    pending = [_live_slice(vs, s, e).start for s in scales]
     starts = [_edge(vs, s, e, _HEAT_FLUSH) for s in scales]
-    widest = int(np.argmax(scales))
-    x = _power(vs[starts[widest]:], e)
-    buf = np.empty(vs.size - lives[widest].start)
-    for s, live, start in zip(scales, lives, starts):
-        w = buf[:live.stop - live.start]
-        w[:start - live.start] = 0.0
-        part = x[start - starts[widest]:]
-        t = np.multiply(part, -(s ** e), out=w[start - live.start:])
-        np.exp(t, out=t)
-        yield live, w
+    factors = [-(s ** e) for s in scales]
+    first = min(starts, default=n)
+    buf = np.empty(_HEAT_WINDOW + _DOT_BLOCK)
+
+    def steps(hi, x, xlo):
+        for j, start in enumerate(pending):
+            end = hi if hi == n else \
+                start + (hi - start) // _DOT_BLOCK * _DOT_BLOCK
+            if end <= start:
+                continue
+            w = buf[:end - start]
+            cut = min(max(starts[j], start), end)
+            w[:cut - start] = 0.0
+            t = np.multiply(x[cut - xlo:end - xlo], factors[j],
+                            out=w[cut - start:])
+            np.exp(t, out=t)
+            pending[j] = end
+            yield j, start, w
+
+    hi = min(pending, default=n)
+    while hi < n:
+        hi = min(hi + _HEAT_WINDOW, n)
+        lo = min(pending)
+        xlo = min(max(lo, first), hi)
+        yield lo, hi, steps(hi, _power(vs[xlo:hi], e), xlo)
 
 
-# block length of :func:`_dot`: a sequential sum of this many products, plus
-# the pairwise sum of the block sums, keeps a long heat sum as accurate as
-# np.sum of the products (a BLAS dot of 2**18 decaying terms is not)
-_DOT_BLOCK = 128
-
-
-def _dot(a, w):
-    """sum_k a[..., k] w_k with no full-length temporary: products summed in
-    blocks of ``_DOT_BLOCK`` by one einsum, the block sums added pairwise,
-    and the tail past the last whole block by one BLAS product."""
-    m = w.size - w.size % _DOT_BLOCK
-    head = a[..., :m].reshape(*a.shape[:-1], -1, _DOT_BLOCK)
-    blocks = np.einsum("...ij,ij->...i", head, w[:m].reshape(-1, _DOT_BLOCK))
-    return np.sum(blocks, axis=-1) + a[..., m:] @ w[m:]
-
-
-def _heat_rows(vs, cs, scales, e, va=None):
+def _heat_rows(vs, cs, scales, e, saturating=False):
     """sum_k c_k exp(-(s ** e) * v_k ** e), e < 0, for each coefficient
     vector c of ``cs`` and each s in ``scales``, from one evaluation of each
     weight vector; returns one array of sums per c (complex for a complex c).
 
     ``vs`` is ascending (:func:`_sorted_spectrum`) and every c is in its
-    order; None means every c_k = 1, summed by ``np.sum``.  Every other c
-    is its own row, which :func:`_dot` reduces over the live slice: a real
-    c as one contiguous array (a strided or reversed view is copied, since
-    einsum and BLAS add it up in another order), a complex c as the (2, n)
-    array of its real and imaginary parts, so no complex product is formed.
-    A c with no nonzero entry gives exact zeros with no sum taken for it,
-    unless ``vs`` holds a NaN, which makes every sum NaN.
+    order: None means every c_k = 1, and a tuple of arrays stands for their
+    product, formed one window at a time.  Each c is its own row, taken a
+    window at a time (:func:`_heat_weights`) into a contiguous array (a
+    strided or reversed view is copied, since einsum and BLAS add it up in
+    another order), a complex c as the (2, window) array of its real and
+    imaginary parts, so no complex product with a weight is formed.  Over
+    each live slice, the products of a row are summed in blocks of
+    ``_DOT_BLOCK`` by one einsum per step, the block sums are added
+    pairwise, and the tail past the last whole block is added by one BLAS
+    product; the weights alone (c = None) are summed the same way by np.sum.
+    A c with no nonzero entry (a tuple with a factor that has none) gives
+    exact zeros with no sum taken for it, unless ``vs`` holds a NaN, which
+    makes every sum NaN.
 
-    With ``va`` one more array follows: sum_k va_k (1 - w_k), the head below
-    the live slice, where 1 - w is 1, added segment by segment, never as
-    sum(va) - sum(va * w), which cancels.
+    With ``saturating`` one more array follows: sum_k v_k**(-e) (1 - w_k),
+    with the head below the live slice, where 1 - w is 1, added segment by
+    segment, never as sum(v**-e) - sum(v**-e * w), which cancels.  Each
+    segment between two live starts is powered and summed whole, a
+    temporary of its length.
     """
-    nan = bool(vs.size and np.isnan(vs[-1]))
-    rows = [None if c is None else np.stack((c.real, c.imag))
-            if np.iscomplexobj(c) else np.ascontiguousarray(c) for c in cs]
-    out = [np.zeros(len(scales), float if r is None or r.ndim == 1 else complex)
-           for r in rows]
-    summed = [(i, r) for i, r in enumerate(rows)
-              if r is None or nan or r.any()]
-    if not (summed or va is not None):
+    n = vs.size
+    nan = bool(n and np.isnan(vs[-1]))
+    cs = [c if c is None or isinstance(c, tuple) else (c,) for c in cs]
+    cplx = [c is not None and np.result_type(*c).kind == "c" for c in cs]
+    out = [np.zeros(len(scales), complex if z else float) for z in cplx]
+    summed = [i for i, c in enumerate(cs)
+              if c is None or nan or all(f.any() for f in c)]
+    if not (summed or saturating):
         return out
-    if va is not None:
+    lives = [_live_slice(vs, float(s), e).start for s in scales]
+    sat = len(cs)  # the index of the saturating row
+    if saturating:
         heads, total, prev = {}, 0.0, 0
-        for lo in sorted({_live_slice(vs, float(s), e).start for s in scales}):
-            total += float(np.sum(va[prev:lo]))
+        for lo in sorted(set(lives)):
+            total += float(np.sum(_power(vs[prev:lo], -e)))
             heads[lo], prev = total, lo
         out.append(np.empty(len(scales)))
-    for j, (live, w) in enumerate(_heat_weights(vs, scales, e)):
-        for i, r in summed:
-            if r is None:
-                out[i][j] = np.sum(w)
-            else:
-                x = _dot(r[..., live], w)
-                out[i][j] = x if r.ndim == 1 else complex(*x)
-        if va is not None:
-            np.subtract(1.0, w, out=w)
-            out[-1][j] = heads[live.start] + float(_dot(va[live], w))
+        summed.append(sat)
+        cplx.append(False)
+    # per row and scale: the block sums of its live slice, and its tail
+    parts = {i: (2,) if cplx[i] else () for i in summed}
+    blocks = {(i, j): np.empty(parts[i] + ((n - live) // _DOT_BLOCK,))
+              for i in summed for j, live in enumerate(lives)}
+    tails = {(i, j): np.zeros(parts[i])
+             for i in summed for j in range(len(lives))}
+    for lo, hi, steps in _heat_weights(vs, scales, e):
+        rows = [_power(vs[lo:hi], -e) if i == sat else None if cs[i] is None
+                else _window_row(cs[i], lo, hi, cplx[i]) for i in summed]
+        for j, start, w in steps:
+            m = w.size - w.size % _DOT_BLOCK
+            ws = w[:m].reshape(-1, _DOT_BLOCK)
+            at = (start - lives[j]) // _DOT_BLOCK
+            for i, r in zip(summed, rows):
+                if i == sat:  # the last row, so w is read no more
+                    np.subtract(1.0, w, out=w)
+                b = blocks[i, j][..., at:at + ws.shape[0]]
+                if r is None:
+                    b[...] = np.sum(ws, axis=-1)
+                    if hi == n:
+                        tails[i, j] = np.sum(w[m:])
+                    continue
+                r = r[..., start - lo:start - lo + w.size]
+                b[...] = np.einsum("...ij,ij->...i", r[..., :m].reshape(
+                    *r.shape[:-1], -1, _DOT_BLOCK), ws)
+                if hi == n:
+                    tails[i, j] = r[..., m:] @ w[m:]
+    for i in summed:
+        for j, live in enumerate(lives):
+            x = np.sum(blocks[i, j], axis=-1) + tails[i, j]
+            out[i][j] = (heads[live] + float(x) if i == sat
+                         else complex(*x) if cplx[i] else x)
     return out
+
+
+def _window_row(c, lo, hi, cplx):
+    """The product of the factors ``c`` on the entries [lo, hi) as one
+    contiguous array, or as the (2, hi - lo) array of its real and
+    imaginary parts when ``cplx``."""
+    x = c[0][lo:hi]
+    for f in c[1:]:
+        x = x * f[lo:hi]
+    if not cplx:
+        return np.ascontiguousarray(x)
+    row = np.empty((2, hi - lo))
+    row[0], row[1] = x.real, x.imag
+    return row
 
 
 def _heat_sums(vs, c, scales, e):
@@ -418,7 +480,7 @@ def heat_functional(A, V, alpha, grid=None):
         if exact_zero:  # V holds a NaN, which makes every sum NaN
             a = np.zeros(v.size, dtype=complex)
         v, a = _sorted_spectrum(v, a)
-        av = v if a is None else a * v
+        av = v if a is None else (a, v)
         values = _heat_sums(v, av, grid, -alpha).astype(complex)
     label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
     return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
@@ -473,7 +535,7 @@ def lemma_estimate_scalings(V, alpha):
     grid = default_heat_grid(V.dim)
     v, = _sorted_spectrum(v)
     counting, saturating = _heat_rows(v, [None], grid, -alpha,
-                                      va=_power(v, alpha))
+                                      saturating=True)
     return _scalings_verdict(alpha, grid, saturating, counting)
 
 
@@ -537,7 +599,7 @@ def cesaro_cutoff_comparison(A, V, alpha, scheme=None):
     scheme = scheme or ExtendedLimitScheme()
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "cesaro_cutoff_comparison"))
     window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
-    heat = _heat_sums(v, v if a is None else a * v, window, -alpha)
+    heat = _heat_sums(v, v if a is None else (a, v), window, -alpha)
     return _cutoff_verdict(window, heat, _cutoff_sums(v, a, window), scheme)
 
 
@@ -570,9 +632,10 @@ def _cutoff_verdict(window, heat, cut, scheme):
 
 
 def _alternating_signs(n):
-    """The diagonal (-1)^k, k = 0 .. n - 1, of the alternating signs."""
-    signs = np.ones(n)
-    signs[1::2] = -1.0
+    """The diagonal (-1)^k, k = 0 .. n - 1, of the alternating signs, as
+    int8: an eighth of the memory of float64, and the same products."""
+    signs = np.ones(n, dtype=np.int8)
+    signs[1::2] = -1
     return signs
 
 
@@ -584,20 +647,12 @@ def _heat_pass(V, alpha):
     evaluated once: ``heat`` Tr(V w) and ``modulated`` Tr(A V w),
     ``counting`` Tr(w) and ``saturating`` Tr(V^alpha (1 - w)), and
     ``cutoff`` Tr((V - 1/n)_+).  Each equals the sum the function takes bit
-    for bit.
-
-    V's entries and A V are written into one (2, N) array, since two
-    N-length arrays cost later checks thousands of page faults, and the
-    signs are freed before v**alpha and the weights are taken."""
+    for bit; A V is formed a window at a time, as every coefficient row."""
     v, _ = _psd_diagonal(None, V, "heat pass")
     v, signs = _sorted_spectrum(v, _alternating_signs(v.size))
-    rows = np.empty((2, v.size))
-    rows[0] = v
-    np.multiply(signs, v, out=rows[1])
-    del signs
     grid = default_heat_grid(V.dim)
     counting, heat, modulated, saturating = _heat_rows(
-        v, [None, rows[0], rows[1]], grid, -alpha, va=_power(v, alpha))
+        v, [None, v, (signs, v)], grid, -alpha, saturating=True)
     return {"grid": grid, "heat": heat, "modulated": modulated,
             "counting": counting, "saturating": saturating,
             "cutoff": _cutoff_sums(v, None, grid)}

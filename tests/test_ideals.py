@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singtrace import ideals
+from singtrace import ideals, operators
 from singtrace.ideals import (
     COMMUTATOR_SUBSPACE,
     INCONCLUSIVE,
@@ -77,6 +77,18 @@ def test_norms_in_place_equal_the_formulas_bit_for_bit(p, n):
     assert mu.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_quasi_norm_blocks_miss_no_entry(p):
+    # quasi_norm_pinf takes one block at a time: a lone entry at either end
+    # of a block, or of the sequence, sets the supremum
+    B = ideals._NORM_BLOCK
+    n = 2 * B + 5
+    for i in (0, B - 1, B, 2 * B - 1, 2 * B, n - 1):
+        mu = np.zeros(n)
+        mu[i] = 0.5
+        assert quasi_norm_pinf(mu, p) == (i + 1.0) ** (1.0 / p) * 0.5
+
+
 class TestLorentzNorm:
     def test_harmonic_value(self):
         # oracle: direct cumulative sums; sup attained at n=0 with 1/log 2
@@ -99,7 +111,7 @@ class TestLorentzNorm:
         # the running sum is carried from block to block; with entries of
         # mixed magnitudes every partial sum rounds, and a slowly decaying
         # sequence puts the supremum in the last block
-        B = ideals._CUMSUM_BLOCK
+        B = ideals._NORM_BLOCK
         rng = np.random.default_rng(29)
         for n in (0, 1, B - 1, B, B + 1, 3 * B + 7):
             for mu in (rng.random(n) * 10.0 ** rng.uniform(-8, 2, n),
@@ -167,6 +179,17 @@ class TestPartialSums:
         assert series.sums.dtype == np.float64
         assert series.sums.tobytes() == sums.real.tobytes()
         assert series.boundaries.tobytes() == boundaries.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_tie_boundaries_do_not_depend_on_the_block(self, block,
+                                                       monkeypatch):
+        # the tie boundaries are taken one block of moduli at a time: with
+        # blocks much shorter than the spectrum, they are still the drops
+        # of the full-length moduli
+        monkeypatch.setattr(operators, "_MODULI_BLOCK", block)
+        for case in ("alternating-harmonic", "ties", "nan"):
+            self.test_hermitian_sums_are_the_real_parts_of_the_complex_path(
+                case)
 
     def test_exact_zero_sums_are_a_zero_stride_view(self, monkeypatch):
         from singtrace import ideals

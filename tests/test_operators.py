@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from singtrace import operators
 from singtrace.operators import (
     ContractViolation,
+    Spectrum,
     _component_labels,
     canonical_order,
     DomainError,
@@ -122,6 +123,28 @@ class TestEigenvalues:
         if case == "ordered":
             assert canonical_order(vals) is vals
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_order_checks_see_every_adjacent_pair(self, block, monkeypatch):
+        # canonical_order and Spectrum check the order on one block of
+        # moduli at a time; a swapped pair anywhere, across a block boundary
+        # too, is out of order
+        monkeypatch.setattr(operators, "_MODULI_BLOCK", block)
+        k = np.arange(23)
+        for ordered in (np.linspace(3.0, 1.0, k.size) * np.exp(1j * k),
+                        np.linspace(3.0, 1.0, k.size) * (-1.0) ** k):
+            assert canonical_order(ordered) is ordered
+            Spectrum(ordered)
+            for i in range(k.size - 1):
+                swapped = ordered.copy()
+                swapped[[i, i + 1]] = swapped[[i + 1, i]]
+                got = canonical_order(swapped)
+                assert got is not swapped
+                assert got.tobytes() == ordered.tobytes()
+                with pytest.raises(ValueError, match="not ordered"):
+                    Spectrum(swapped)
+        for short in (np.array([]), np.array([2.0]), np.array([1.0, 2.0])):
+            assert canonical_order(short).tobytes() == short[::-1].tobytes()
+
     def test_matches_dense_lapack_on_block_structure(self):
         # the component-split path must agree with a direct dense solve
         rng = np.random.default_rng(5)
@@ -152,7 +175,7 @@ class TestEigenvalues:
             assert T.hermitian
             spec = eigenvalues(T)
             assert spec.values.dtype == np.float64
-            assert np.array_equal(spec.moduli, np.abs(spec.values))
+            assert not hasattr(spec, "moduli")  # checked block by block
         np.testing.assert_allclose(eigenvalues(matrix_operator(H)).values,
                                    canonical_order(np.linalg.eigvalsh(H)),
                                    atol=1e-10)

@@ -17,7 +17,6 @@ from singtrace.operators import (
 from singtrace.traces import (
     BranchError,
     ExtendedLimitScheme,
-    _dot,
     _heat_sums,
     _heat_weights,
     _sorted_spectrum,
@@ -211,6 +210,38 @@ def flushed(w):
     return np.where(w < TINY, 0.0, w)
 
 
+def live_weights(vs, scales, e):
+    """(live slice, weights on it) per scale of ``scales``, put together
+    from the steps of ``_heat_weights``, which must cover each live slice
+    in order."""
+    lives = [traces._live_slice(vs, float(s), e) for s in scales]
+    full = [np.full(live.stop - live.start, np.nan) for live in lives]
+    ends = [live.start for live in lives]
+    for lo, hi, steps in _heat_weights(vs, scales, e):
+        for j, start, w in steps:
+            assert start == ends[j] and lo <= start < start + w.size <= hi
+            full[j][start - lives[j].start:][:w.size] = w
+            ends[j] = start + w.size
+    assert ends == [vs.size] * len(lives)
+    return list(zip(lives, full))
+
+
+def block_dot(a, w):
+    """sum_k a[..., k] w_k as the heat engine takes it over a live slice,
+    from full-length inputs: products summed in blocks of ``_DOT_BLOCK`` by
+    one einsum, the block sums added pairwise, and the tail past the last
+    whole block by one BLAS product; the weights alone (a = None) are summed
+    block by block by np.sum."""
+    B = traces._DOT_BLOCK
+    m = w.size - w.size % B
+    ws = w[:m].reshape(-1, B)
+    if a is None:
+        return np.sum(np.sum(ws, axis=-1)) + np.sum(w[m:])
+    head = a[..., :m].reshape(*a.shape[:-1], -1, B)
+    blocks = np.einsum("...ij,ij->...i", head, ws)
+    return np.sum(blocks, axis=-1) + a[..., m:] @ w[m:]
+
+
 def fsum_reference(c, w):
     """Correctly rounded sum_k c_k w_k and the scale sum_k |c_k w_k|."""
     terms = np.asarray(c * w, dtype=complex)
@@ -232,10 +263,10 @@ def _bits(x):
 
 class TestHeatKernel:
     """The sorted-spectrum heat engine: ``_heat_weights`` evaluates only the
-    live slice, every weight of at least 2**-1022 equals the engine's
-    formula on the unmasked spectrum bit for bit and ``exp(-(s v)**e)`` to
-    its rounding, and every smaller one is 0.0; sums run over the slice, so
-    they are checked against ``math.fsum``."""
+    live slice, window by window, every weight of at least 2**-1022 equals
+    the engine's formula on the unmasked spectrum bit for bit and
+    ``exp(-(s v)**e)`` to its rounding, and every smaller one is 0.0; sums
+    run over the slice, so they are checked against ``math.fsum``."""
 
     # -2 and -3 are the exponents -(p+1) of the cycle heat trace
     EXPONENTS = [-1, -1.5, -2, -3]
@@ -250,7 +281,7 @@ class TestHeatKernel:
     def engine_weights(vs, s, e):
         """Full-length weights on ascending ``vs``: the engine's live weights,
         0.0 everywhere else."""
-        (live, w), = _heat_weights(vs, [s], e)
+        (live, w), = live_weights(vs, [s], e)
         full = np.zeros(vs.size)
         full[live] = w
         return full
@@ -360,7 +391,7 @@ class TestHeatKernel:
         band = np.linspace(745.9, 746.1, 65)
         t = np.concatenate([np.linspace(745.0, 745.2, 21), band])
         vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
-        (live, _), = _heat_weights(vs, [1.0], e)
+        (live, _), = live_weights(vs, [1.0], e)
         pos = vs > 0.0
         in_band = vs[pos] ** e >= 745.8
         assert np.sum(in_band) == band.size
@@ -382,10 +413,14 @@ class TestHeatKernel:
         zeros = []
         real_weights = traces._heat_weights
 
-        def counted(vs, scales, e):
-            for live, w in real_weights(vs, scales, e):
+        def count(steps):
+            for j, start, w in steps:
                 zeros[-1] += int(np.count_nonzero(w == 0.0))
-                yield live, w
+                yield j, start, w
+
+        def counted(vs, scales, e):
+            for lo, hi, steps in real_weights(vs, scales, e):
+                yield lo, hi, count(steps)
 
         monkeypatch.setattr(traces, "_heat_weights", counted)
         runs = []
@@ -513,16 +548,18 @@ class TestHeatKernel:
         c = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
         vs, cs = _sorted_spectrum(v, c)
         scales = np.geomspace(*sorted(self.regime_scales(e)[1:]), 6)
-        steps = [(live, w, w.copy()) for live, w in _heat_weights(vs, scales, e)]
-        shared = [w for _, w, _ in steps if w.size]
+        shared = [w for _, _, steps in _heat_weights(vs, scales, e)
+                  for _, _, w in steps if w.size]
         assert len(shared) >= 2
         assert all(np.shares_memory(shared[0], w) for w in shared[1:])
+        steps = live_weights(vs, scales, e)
         rows = np.stack([cs.real, cs.imag])
         want = {
-            "complex": [complex(*_dot(rows[:, live], w)) for live, _, w in steps],
-            "real": [_dot(np.ascontiguousarray(cs.real)[live], w)
-                     for live, _, w in steps],
-            "ones": [np.sum(w) for _, _, w in steps],
+            "complex": [complex(*block_dot(rows[:, live], w))
+                        for live, w in steps],
+            "real": [block_dot(np.ascontiguousarray(cs.real)[live], w)
+                     for live, w in steps],
+            "ones": [block_dot(None, w) for _, w in steps],
         }
         for name, coeff in (("complex", cs), ("real", cs.real), ("ones", None)):
             got = _heat_sums(vs, coeff, scales, e)
@@ -530,20 +567,23 @@ class TestHeatKernel:
 
     @staticmethod
     def single_row_sums(vs, c, scales, e):
-        """The sums of one coefficient vector alone, step by step: np.sum
-        for c = None, else _dot of its row (real) or of its real and
-        imaginary rows (complex), zeros for a zero c and no NaN in vs."""
+        """The sums of one coefficient vector alone, scale by scale, from
+        its full-length row and weights: block_dot of the weights for
+        c = None, of its row (real) or of its real and imaginary rows
+        (complex), zeros for a zero c and no NaN in vs.  A strided real row
+        is copied first, as the engine copies it."""
         if c is not None and not c.any() and not np.isnan(vs).any():
             return np.zeros(len(scales), dtype=c.dtype)
-        rows = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c
+        rows = (np.stack([c.real, c.imag]) if np.iscomplexobj(c)
+                else np.ascontiguousarray(c))
         sums = []
-        for live, w in _heat_weights(vs, scales, e):
+        for live, w in live_weights(vs, scales, e):
             if c is None:
-                sums.append(np.sum(w))
+                sums.append(block_dot(None, w))
             elif np.iscomplexobj(c):
-                sums.append(complex(*_dot(rows[:, live], w)))
+                sums.append(complex(*block_dot(rows[:, live], w)))
             else:
-                sums.append(_dot(rows[live], w))
+                sums.append(block_dot(rows[live], w))
         return np.array(sums, dtype=complex if np.iscomplexobj(c) else float)
 
     @pytest.mark.parametrize("e", EXPONENTS)
@@ -578,13 +618,51 @@ class TestHeatKernel:
         rng = np.random.default_rng(18)
         vs, c = _sorted_spectrum(self.unsorted_with_zeros(),
                                  rng.standard_normal(3009) + 1j)
-        va = vs ** -e
         scales = np.geomspace(min(self.regime_scales(e)),
                                  max(self.regime_scales(e)), 7)
-        alone = traces._heat_rows(vs, [], scales, e, va=va)
+        alone = traces._heat_rows(vs, [], scales, e, saturating=True)
         assert len(alone) == 1
-        got = traces._heat_rows(vs, [None, c, vs], scales, e, va=va)
+        got = traces._heat_rows(vs, [None, c, vs], scales, e,
+                                saturating=True)
         assert got[-1].tobytes() == alone[0].tobytes()
+        # the head below each live slice, where 1 - w is 1, added segment by
+        # segment, and the live slice, from full-length arrays
+        va = vs ** -e
+        steps = live_weights(vs, scales, e)
+        heads, total, prev = {}, 0.0, 0
+        for lo in sorted({live.start for live, _ in steps}):
+            total += float(np.sum(va[prev:lo]))
+            heads[lo], prev = total, lo
+        for j, (live, w) in enumerate(steps):
+            want = heads[live.start] + float(block_dot(va[live], 1.0 - w))
+            assert got[-1][j] == want
+
+    @pytest.mark.parametrize("window", [1, 300, 4096])
+    def test_sums_do_not_depend_on_the_window(self, window, monkeypatch):
+        # live slices that span several windows and start mid-block, and a
+        # window shorter than a block: every sum, the saturating one too,
+        # is the one of one window, and that of full-length rows and weights
+        rng = np.random.default_rng(19)
+        v = rng.permutation(np.concatenate([1.0 / (np.arange(20_000) + 1.0),
+                                            np.zeros(3)]))
+        c = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+        vs, cs = _sorted_spectrum(v, c)
+        e, scales = -2.0, np.geomspace(50.0, 5e4, 9)
+        coeffs = [None, cs, cs.real, (cs.real, vs)]
+        assert vs.size < traces._HEAT_WINDOW
+        want = traces._heat_rows(vs, coeffs, scales, e, saturating=True)
+        sizes = [vs.size - traces._live_slice(vs, s, e).start for s in scales]
+        assert sum(size % traces._DOT_BLOCK != 0 for size in sizes) >= 7
+        assert max(sizes) > 4 * window and min(sizes) < vs.size
+        monkeypatch.setattr(traces, "_HEAT_WINDOW", window)
+        got = traces._heat_rows(vs, coeffs, scales, e, saturating=True)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for c, sums in zip(coeffs[:3], got):
+            assert sums.tobytes() == self.single_row_sums(
+                vs, c, scales, e).tobytes()
+        assert got[3].tobytes() == self.single_row_sums(
+            vs, cs.real * vs, scales, e).tobytes()
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_nan_stays_nan(self, e):
@@ -610,8 +688,8 @@ class TestHeatKernel:
         for c in (zeros, zeros + 0j, signed):
             # the weighted path, as _heat_sums takes it for a nonzero c
             rows = np.stack([c.real, c.imag]) if np.iscomplexobj(c) else c
-            want = [_dot(rows[..., live], w)
-                    for live, w in _heat_weights(vs, scales, e)]
+            want = [block_dot(rows[..., live], w)
+                    for live, w in live_weights(vs, scales, e)]
             want = np.array([complex(*x) if np.iscomplexobj(c) else x
                              for x in want])
             with monkeypatch.context() as m:
@@ -886,6 +964,60 @@ class TestStorageOrder:
                 [heat[k] for k in ("heat", "counting", "saturating", "cutoff")],
             ]))
         assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("order", ["descending", "permuted"])
+def test_heat_pass_equals_each_single_function(order):
+    """Each sum of the one alpha = 2 pass is the sum its function takes,
+    bit for bit, on a V whose live slices span several windows of the heat
+    engine: ``heat`` and ``modulated`` those of heat_functional with A = 1
+    and A = diag((-1)^k), ``counting`` and ``saturating`` the slopes of
+    lemma_estimate_scalings, ``cutoff`` the cutoff sums on the default
+    scheme's window."""
+    n = 3 * traces._HEAT_WINDOW + 77
+    d = 1.0 / (np.arange(n) + 1.0)
+    if order == "permuted":
+        d = d[np.random.default_rng(23).permutation(n)]
+    V, A = Operator(d), Operator(traces._alternating_signs(n))
+    sums = traces._heat_pass(V, 2.0)
+    grid = sums["grid"]
+    assert list(grid) == list(traces.default_heat_grid(n))
+    assert _bits(sums["heat"].astype(complex)) == _bits(
+        heat_functional(None, V, 2.0).values)
+    assert _bits(sums["modulated"].astype(complex)) == _bits(
+        heat_functional(A, V, 2.0).values)
+    assert _bits(traces._scalings_verdict(
+        2.0, grid, sums["saturating"], sums["counting"])) == _bits(
+            lemma_estimate_scalings(V, 2.0))
+    scheme = ExtendedLimitScheme()
+    window = scheme.window(grid)
+    at = np.searchsorted(grid, window)
+    assert _bits(traces._cutoff_verdict(
+        window, sums["heat"][at], sums["cutoff"][at], scheme)) == _bits(
+            cesaro_cutoff_comparison(None, V, 2.0))
+
+
+def test_heat_pass_scratch_stays_below_one_vector():
+    """The alpha = 2 heat pass on the harmonic V at N = 2^20 allocates,
+    over what it is given, less than one vector of N float64 (8N bytes).
+
+    Measured: 0.60 units, the block sums of every sample's live slice
+    (0.22), the powers, weights and rows of a window, and the powers of
+    the longest segment below the live slices; 5.0 units when the pass held
+    its (2, N) coefficient rows, V^2, V^-2 and a weight buffer at full
+    length.  Any full-length scratch array fails the bound."""
+    import tracemalloc
+
+    N = 2 ** 20
+    V = Operator(1.0 / (np.arange(N) + 1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traces._heat_pass(V, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 8 * N, f"scratch {(peak - base) / (8 * N):.2f} x 8N"
 
 
 class TestCutoffComparison:
