@@ -656,8 +656,9 @@ def _harmonic_heat(model):
 def _check_diag_oracles(ctx):
     N = ctx.model.N
     V = _harmonic(ctx.model, N)
-    mu = singular_values(V)
-    z_dix = traces.dixmier_logmean(mu, ctx.scheme)
+    # the partial sums of V's singular values, held for this call only
+    z_dix = traces.dixmier_logmean(
+        ideals.PartialSumSeries(np.cumsum(singular_values(V).mu)), ctx.scheme)
     z_xi = traces.heat_xi(V, ctx.scheme)
     sums = _harmonic_heat(ctx.model)
     z_heat = traces.heat_fit(traces.HeatSamples(
@@ -694,10 +695,12 @@ def _check_scalings(ctx):
 
 
 def _check_scheme_robustness(ctx):
-    mu = singular_values(_harmonic(ctx.model, ctx.model.N))
-    zs = {}
-    for r in (1.5, 2.0, 3.0):
-        zs[r] = traces.dixmier_logmean(mu, replace(ctx.scheme, ratio=r)).z
+    # the partial sums of V's singular values, formed once for the three
+    # ratios and held by this check only
+    sums = ideals.PartialSumSeries(
+        np.cumsum(singular_values(_harmonic(ctx.model, ctx.model.N)).mu))
+    zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
+          for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
     tol = ctx.tolerance("scheme_drift", 0.02)
     return CheckRecord(

@@ -356,7 +356,7 @@ def _pairing_series(c, model):
     and the estimates below are built once per model, chain and extra key."""
     def build():
         T = omega(c, model) @ _interior_weight(model, c.degree)
-        return eigenvalue_partial_sums(T, label="pairing")
+        return eigenvalue_partial_sums(T)
     return model.derived(("pairing", _chain_key(c)), build)
 
 
@@ -485,7 +485,7 @@ def reduction_partial_sum_check(c, model):
     wp = w_subset(c, double, frozenset({p}))
     abs_inv_p, d0_inv, _, _ = _interior_inverse_powers(double)
     diff = (omega_int @ abs_inv_p) - float(p) * (wp @ d0_inv)
-    series = eigenvalue_partial_sums(diff, label="reduction difference")
+    series = eigenvalue_partial_sums(diff)
     fit = log_fit(series, window=double.fit_window())
     scale = 1.0 + max(abs(s) for s in series.sums[fit.grid]) if fit.grid.size else 1.0
     resid_tol = 0.5 * scale

@@ -21,7 +21,6 @@ import numpy as np
 
 from .operators import (
     ContractViolation,
-    SingularSequence,
     _overlapping_blocks,
     _real_or_complex,
     eigenvalues,
@@ -64,7 +63,6 @@ class PartialSumSeries:
     """
 
     sums: np.ndarray
-    source_label: str = ""
     boundaries: np.ndarray = None
 
     def __post_init__(self):
@@ -145,17 +143,11 @@ class Verdict:
         }
 
 
-def _as_mu(mu):
-    if isinstance(mu, SingularSequence):
-        return mu.mu
-    return np.asarray(mu, dtype=float)
-
-
 def quasi_norm_pinf(mu, p):
-    """sup_k (k+1)^{1/p} mu(k): the L_{p,inf} quasi-norm at truncation."""
+    """sup_k (k+1)^{1/p} mu(k) of the singular values ``mu`` (an array): the
+    L_{p,inf} quasi-norm at truncation."""
     if p <= 0:
         raise ContractViolation("quasi_norm_pinf requires p > 0")
-    mu = _as_mu(mu)
     if mu.size == 0:
         return 0.0
     # one block at a time, in place: the same bits as
@@ -171,8 +163,8 @@ def quasi_norm_pinf(mu, p):
 
 
 def lorentz_norm_m1inf(mu):
-    """sup_n (sum_{k<=n} mu(k)) / log(2+n): the Macaev-Dixmier norm."""
-    mu = _as_mu(mu)
+    """sup_n (sum_{k<=n} mu(k)) / log(2+n) of the singular values ``mu``
+    (an array): the Macaev-Dixmier norm."""
     if mu.size == 0:
         return 0.0
     # one block at a time, the running sum carried into each block's first
@@ -192,7 +184,7 @@ def lorentz_norm_m1inf(mu):
     return float(np.max(tops))
 
 
-def eigenvalue_partial_sums(T, label=None):
+def eigenvalue_partial_sums(T):
     """Partial sums of eigenvalues(T) in canonical order (float64 when T is
     hermitian).
 
@@ -201,14 +193,13 @@ def eigenvalue_partial_sums(T, label=None):
     layer) takes no eigenvalue: its sums are a read-only view of one 0.0
     with stride 0, and its one tie group ends at the last index.
     """
-    label = label or T.label
     n = T.dim
     if T.is_zero() and n:
         return PartialSumSeries(np.broadcast_to(np.zeros(1), (n,)),
-                                source_label=label, boundaries=[n - 1])
+                                boundaries=[n - 1])
     values = eigenvalues(T).values
     if n == 0:
-        return PartialSumSeries(values, source_label=label)
+        return PartialSumSeries(values)
     top = abs(values[0])
     gap = 1e-9 * (top if top > 0 else 1.0)
     # the drops of the moduli, one block at a time
@@ -216,7 +207,7 @@ def eigenvalue_partial_sums(T, label=None):
     for lo, block in _overlapping_blocks(values):
         moduli = np.abs(block)
         drops.append(np.flatnonzero(moduli[:-1] - moduli[1:] > gap) + lo)
-    return PartialSumSeries(np.cumsum(values), source_label=label,
+    return PartialSumSeries(np.cumsum(values),
                             boundaries=np.concatenate(drops + [[n - 1]]))
 
 
@@ -270,7 +261,9 @@ def _loglog_slope(ns, values):
     keep = values > 0
     if keep.sum() < 3:
         return -math.inf
-    return float(np.polyfit(np.log(ns[keep]), np.log(values[keep]), 1)[0])
+    x = np.log(ns[keep])
+    coef, _ = _least_squares([x, np.ones_like(x)], np.log(values[keep]))
+    return float(coef[0])
 
 
 def log_fit(series, window=None):
@@ -306,8 +299,9 @@ def log_fit(series, window=None):
                   window=(int(lo), int(hi)), grid=grid)
 
 
-def universal_measurability_test(T, tol=0.5, z_tol=None, window=None):
-    """Classify T by the log-growth of its eigenvalue partial sums.
+def universal_measurability_test(series, tol=0.5, z_tol=None, window=None):
+    """Classify an operator by the log-growth of its eigenvalue partial sums
+    ``series`` (a :class:`PartialSumSeries`).
 
     Returns a :class:`Verdict`:
 
@@ -316,13 +310,7 @@ def universal_measurability_test(T, tol=0.5, z_tol=None, window=None):
     * ``commutator_subspace`` when the residual is below ``tol`` and z is
       negligible -- the partial sums are bounded;
     * ``inconclusive`` otherwise.
-
-    Accepts an Operator or a precomputed PartialSumSeries.
     """
-    if isinstance(T, PartialSumSeries):
-        series = T
-    else:
-        series = eigenvalue_partial_sums(T)
     z_tol = tol if z_tol is None else z_tol
     fit = log_fit(series, window=window)
     z = fit.z
@@ -338,16 +326,16 @@ def universal_measurability_test(T, tol=0.5, z_tol=None, window=None):
 
 
 def decay_exponent(mu):
-    """Log-log regression slope of mu(k) against (k+1) over a dyadic window."""
-    mu = _as_mu(mu)
+    """Log-log regression slope of the singular values ``mu`` (an array)
+    against (k+1) over a dyadic window."""
     grid = geometric_grid(*dyadic_window(mu.size))
     return _loglog_slope(grid + 1.0, mu[grid])
 
 
-def ideal_diagnostics(mu):
-    """Quasi-norm, Lorentz norm and fitted decay exponent of one sequence in
-    L_{1,inf} / M_{1,inf}."""
-    mu = _as_mu(mu)
+def ideal_diagnostics(seq):
+    """Quasi-norm, Lorentz norm and fitted decay exponent of one
+    :class:`SingularSequence` in L_{1,inf} / M_{1,inf}."""
+    mu = seq.mu
     qn = quasi_norm_pinf(mu, 1.0)
     ln = lorentz_norm_m1inf(mu)
     slope = decay_exponent(mu)

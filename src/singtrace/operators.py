@@ -716,7 +716,9 @@ def singular_values(T):
     diagonal with no sign bit set (no negative entry, no -0.0) is its own
     moduli: ``mu`` is then T's entries themselves, so it must not be
     written.  A single layer with distinct columns needs no SVD either:
-    its singular values are its entries' moduli, padded with zeros."""
+    its singular values are its entries' moduli, padded with zeros.  Those
+    of the exact zero (an operator with no layer) are a read-only view of
+    one 0.0 with stride 0, as its eigenvalues are."""
     if T.kind == "diag":
         d = T._data
         mu = np.abs(d) if np.iscomplexobj(d) or np.signbit(d).any() else d
@@ -724,7 +726,8 @@ def singular_values(T):
             mu = np.sort(mu)[::-1]
         return SingularSequence(mu, label=T.label)
     if T.is_zero():
-        return SingularSequence(np.zeros(T.dim), label=T.label)
+        return SingularSequence(np.broadcast_to(np.zeros(1), (T.dim,)),
+                                label=T.label)
     if len(T._data) == 1:
         _rows, cols, vals = _entries(T.dim, T._data)
         if np.bincount(cols, minlength=T.dim).max() < 2:
@@ -761,16 +764,15 @@ def _apply_scalar_function(f, w, label):
     return fw
 
 
-def hermitian_calculus(T, f, label=None):
+def hermitian_calculus(T, f, label):
     """f(T) for a hermitian diagonal T: ``f`` maps the real diagonal entries.
 
     ``f`` is vectorized: it takes the array of entries and returns an array
     of the same shape; a real result is stored as float64.  Any other T, or
     a result of another shape, is a :class:`ContractViolation`; a non-finite
-    value is a :class:`DomainError`.
+    value is a :class:`DomainError`.  The result is labelled ``label``.
     """
     w = _real_diagonal(T, "hermitian_calculus")
-    label = label if label is not None else f"f({T.label})"
     return Operator(_apply_scalar_function(f, w, T.label), label=label)
 
 

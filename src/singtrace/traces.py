@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ideals import (
-    PartialSumSeries,
     _distinct,
     _least_squares,
     _loglog_slope,
@@ -162,36 +161,25 @@ class HeatSamples:
     label: str = ""
 
 
-def dixmier_logmean(mu, scheme=None, n_max=None):
-    """Dixmier log-mean estimate from a singular-value (or partial-sum) input.
-
-    For a SingularSequence / array this is the scheme average of
-    Lambda(n) = (sum_{k<=n} mu(k)) / log(2+n); a PartialSumSeries input
-    reuses its (possibly complex) sums, which extends the estimator to the
-    eigenvalue sums of non-normal operators.  Its sampled sums are divided
-    as complex numbers, real ones too, so real and complex series of equal
+def dixmier_logmean(series, scheme, n_max=None):
+    """Dixmier log-mean estimate from the partial sums ``series`` (a
+    :class:`PartialSumSeries`): the scheme average of
+    Lambda(n) = sums[n] / log(2+n), sampled up to ``n_max`` (default: the
+    last index).  The sums may be complex, which extends the estimator to
+    the eigenvalue sums of non-normal operators; sampled sums are divided as
+    complex numbers, real ones too, so real and complex series of equal
     values round alike.
     """
-    scheme = scheme or ExtendedLimitScheme()
-    snap = None
-    if isinstance(mu, PartialSumSeries):
-        sums = mu.sums
-        snap = mu.snap
-    else:
-        from .ideals import _as_mu
-
-        sums = np.cumsum(_as_mu(mu))
+    sums = series.sums
     N = sums.size
     if n_max is None:
         n_max = N - 1
     grid = scheme.grid(min(n_max, N - 1))
     window = scheme.window(grid)
-    if snap is not None:
-        snapped = _distinct(snap(window))
-        if snapped.size >= 3:
-            window = snapped
-    lam = sums[window] if snap is None else sums[window].astype(complex)
-    lam = lam / np.log(2.0 + window)
+    snapped = _distinct(series.snap(window))
+    if snapped.size >= 3:
+        window = snapped
+    lam = sums[window].astype(complex) / np.log(2.0 + window)
     z, resid = scheme.apply(window, lam)
     return TraceEstimate(z=z, method="dixmier_logmean", residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
@@ -461,16 +449,15 @@ def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
     return geometric_grid(n_min, n_max, ratio)
 
 
-def heat_functional(A, V, alpha, grid=None):
-    """h(n) = Tr(A V exp(-(nV)^-alpha)) on a grid; exp vanishes on ker V."""
+def heat_functional(A, V, alpha, grid):
+    """h(n) = Tr(A V exp(-(nV)^-alpha)) on the integer ``grid``; exp
+    vanishes on ker V."""
     if not (alpha > 1.0):
         raise ContractViolation("heat_functional requires alpha > 1")
     exact_zero = A is not None and A.is_zero()
     v, a = _psd_diagonal(None if exact_zero else A, V, "heat_functional")
     if exact_zero:
         V._check_dims(A)
-    if grid is None:
-        grid = default_heat_grid(V.dim)
     grid = np.asarray(grid, dtype=np.int64)
     # the zero rule of _heat_sums, taken before the sort and the product
     # (and, for the exact zero, before its diagonal is read)
@@ -507,9 +494,9 @@ def heat_fit(samples):
     )
 
 
-def heat_xi(V, scheme=None):
-    """xi(n) = (1/n) Tr(exp(-(nV)^-1)), averaged with the Cesaro-log mean."""
-    scheme = scheme or ExtendedLimitScheme()
+def heat_xi(V, scheme):
+    """xi(n) = (1/n) Tr(exp(-(nV)^-1)) on the window of ``scheme``, averaged
+    with the Cesaro-log mean."""
     v, _ = _psd_diagonal(None, V, "heat_xi")
     v, = _sorted_spectrum(v)
     window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
@@ -573,7 +560,7 @@ def modulated_comparison(A, V):
         raise ContractViolation(
             f"modulated_comparison requires a diagonal A, got {A.label!r}")
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "modulated_comparison"))
-    series = eigenvalue_partial_sums(A @ V, label=f"{A.label}*{V.label}")
+    series = eigenvalue_partial_sums(A @ V)
     grid = geometric_grid(8, series.N - 1, math.sqrt(2.0))
     # suffix sums of a * v, from the top of the spectrum down: the cutoff
     # trace over the m largest v is tail[m - 1]
@@ -594,9 +581,8 @@ def modulated_comparison(A, V):
     }
 
 
-def cesaro_cutoff_comparison(A, V, alpha, scheme=None):
+def cesaro_cutoff_comparison(A, V, alpha, scheme):
     """Scheme averages of Tr(AV e^{-(nV)^-a})/log n vs Tr(A (V-1/n)_+)/log n."""
-    scheme = scheme or ExtendedLimitScheme()
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "cesaro_cutoff_comparison"))
     window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
     heat = _heat_sums(v, v if a is None else (a, v), window, -alpha)
@@ -659,11 +645,12 @@ def _heat_pass(V, alpha):
 
 
 def _classify_branch(mu, slope):
-    """'a' when mu decays like 1/(k+1) (its :func:`decay_exponent` ``slope``
-    is at most -0.8); 'b' when only the log-mean is bounded."""
+    """'a' when the singular values ``mu`` (a SingularSequence) decay like
+    1/(k+1) (their :func:`decay_exponent` ``slope`` is at most -0.8); 'b'
+    when only the log-mean is bounded."""
     if slope <= -0.8:
         return "a", slope
-    sums = np.cumsum(mu.mu if hasattr(mu, "mu") else np.asarray(mu))
+    sums = np.cumsum(mu.mu)
     n = np.arange(sums.size, dtype=float)
     lam = sums / np.log(2.0 + n)
     half = lam[lam.size // 2:]
@@ -709,18 +696,17 @@ def _criterion(mu, ideal, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V, samples=None):
+def measurability_criterion_check(A, V, samples):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
-    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0)``
-    when the caller has them already.
+    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0,
+    grid)`` on the caller's grid.
     """
     mu = singular_values(V)
-    heat = heat_fit(heat_functional(A, V, 2.0) if samples is None else samples)
     product = (A @ V) if A is not None else V
-    return _criterion(mu, ideal_diagnostics(mu), heat,
+    return _criterion(mu, ideal_diagnostics(mu), heat_fit(samples),
                       eigenvalue_partial_sums(product), None)

@@ -408,14 +408,8 @@ class _ToyModel(_RankOneModel):
         return np.arange(min(radius, self.dim))
 
     def _realize_word(self, word):
-        j = word[0]
-        # the phases of w^-j are those of w^j negated exactly, and numpy's
-        # exp of a negated phase is the conjugate bit for bit
-        inverse = self._word_cache.get((-j,))
-        if inverse is not None:
-            return np.conj(inverse)
         k = np.arange(self.dim)
-        return np.exp(2j * np.pi * j * k / self.dim)  # the diagonal
+        return np.exp(2j * np.pi * word[0] * k / self.dim)  # the diagonal
 
 
 class _TorusModel(SpectralTripleModel):
@@ -600,9 +594,8 @@ def _build_double(model):
     return double
 
 
-def resolvent_weight(model, q=None):
-    """(1 + D^2)^{-q/2} for the summability exponent q (default: model p)."""
-    q = model.p if q is None else q
+def resolvent_weight(model, q):
+    """(1 + D^2)^{-q/2} for the summability exponent q."""
     one_plus_sq = (model.D @ model.D) + identity(model.dim)
     return hermitian_calculus(one_plus_sq, lambda x: x ** (-q / 2.0),
                               label=f"(1+D^2)^(-{q}/2)")
@@ -635,9 +628,10 @@ def summability_report(model):
         ((word, _),) = g.terms  # a generator is one unit monomial
         fg = model.compress(model.factor("F", word))
         fdg = model.compress(commutator(model.F, model.factor("delta", word)))
-        gen_norms[f"[F,{name}]"] = quasi_norm_pinf(singular_values(fg), model.p)
+        gen_norms[f"[F,{name}]"] = quasi_norm_pinf(
+            singular_values(fg).mu, model.p)
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
-            singular_values(fdg), model.p)
+            singular_values(fdg).mu, model.p)
     # a copy: the memo entry is shared with the measurability criterion
     return dataclasses.replace(diag, verdicts=dict(
         diag.verdicts, weight_decay_exponent=diag.fitted_decay_exponent,

@@ -27,6 +27,7 @@ from singtrace.hochschild import (
 )
 from singtrace.ideals import (
     MEASURABLE,
+    PartialSumSeries,
     eigenvalue_partial_sums,
     geometric_grid,
     log_fit,
@@ -40,6 +41,7 @@ from singtrace.operators import (
 )
 from singtrace.traces import (
     ExtendedLimitScheme,
+    default_heat_grid,
     dixmier_logmean,
     heat_fit,
     heat_functional,
@@ -129,10 +131,11 @@ def test_criterion_2_diagonal_oracle_suite():
     t0 = time.monotonic()
     N = 100_000
     V = Operator(1.0 / (np.arange(N) + 1.0), label="harmonic")
-    mu = singular_values(V)
-    z_dix = dixmier_logmean(mu).z
-    z_xi = heat_xi(V).z
-    z_heat = heat_fit(heat_functional(None, V, 2.0)).z
+    scheme, grid = ExtendedLimitScheme(), default_heat_grid(N)
+    z_dix = dixmier_logmean(
+        PartialSumSeries(np.cumsum(singular_values(V).mu)), scheme).z
+    z_xi = heat_xi(V, scheme).z
+    z_heat = heat_fit(heat_functional(None, V, 2.0, grid)).z
     slopes_ok = True
     slope_text = []
     for alpha in (1.5, 2.0):
@@ -143,7 +146,8 @@ def test_criterion_2_diagonal_oracle_suite():
         slope_text.append(f"a={alpha}: ({rep['slope_saturating']:.3f}, "
                           f"{rep['slope_counting']:.3f})")
     A = Operator(((-1.0) ** np.arange(N)).astype(complex))
-    alt = measurability_criterion_check(A, V)
+    alt = measurability_criterion_check(
+        A, V, heat_functional(A, V, 2.0, grid))
     elapsed = time.monotonic() - t0
     ok = (abs(z_dix - 1.0) <= 0.05 and abs(z_xi - 1.0) <= 0.05
           and abs(z_heat - 1.0) <= 0.05 and slopes_ok
@@ -160,8 +164,8 @@ def test_criterion_3_circle_character(circle2048):
     t0 = time.monotonic()
     model, c = circle2048
     ch = chern(c, model).value
-    verdict = universal_measurability_test(
-        omega(c, model) @ model.compress(resolvent_weight(model, 1)),
+    verdict = universal_measurability_test(eigenvalue_partial_sums(
+        omega(c, model) @ model.compress(resolvent_weight(model, 1))),
         window=model.fit_window())
     heat = heat_cycle_trace(c, model)
     red = reduction_partial_sum_check(c, model)
@@ -209,7 +213,8 @@ def test_criterion_5_trace_estimator_concordance(circle2048, torus64):
         T = omega(c, model) @ model.compress(resolvent_weight(model, c.degree))
         series = eigenvalue_partial_sums(T)
         fit = log_fit(series, window=model.fit_window())
-        dix = dixmier_logmean(series, n_max=model.reliable_count - 1)
+        dix = dixmier_logmean(series, ExtendedLimitScheme(),
+                              n_max=model.reliable_count - 1)
         samples = heat_functional(
             omega(c, model), model.compress(resolvent_weight(model, c.degree)),
             alpha=1.0 + 1.0 / c.degree,
@@ -223,8 +228,9 @@ def test_criterion_5_trace_estimator_concordance(circle2048, torus64):
     N = 100_000
     V = Operator(1.0 / (np.arange(N) + 1.0))
     fitd = log_fit(eigenvalue_partial_sums(V))
-    dixd = dixmier_logmean(singular_values(V))
-    heatd = heat_fit(heat_functional(None, V, 2.0))
+    dixd = dixmier_logmean(PartialSumSeries(np.cumsum(singular_values(V).mu)),
+                           ExtendedLimitScheme())
+    heatd = heat_fit(heat_functional(None, V, 2.0, default_heat_grid(N)))
     results.append(("diag harmonic", {
         "partial_sum": (fitd.z, fitd.residual_sup),
         "heat": (heatd.z, heatd.residual_sup),
@@ -247,8 +253,9 @@ def test_criterion_6_scheme_robustness(circle2048, torus64):
     drifts = []
     ok = True
     N = 100_000
-    mu = singular_values(Operator(1.0 / (np.arange(N) + 1.0)))
-    zs = [dixmier_logmean(mu, ExtendedLimitScheme(ratio=r)).z
+    sums = PartialSumSeries(np.cumsum(
+        singular_values(Operator(1.0 / (np.arange(N) + 1.0))).mu))
+    zs = [dixmier_logmean(sums, ExtendedLimitScheme(ratio=r)).z
           for r in (1.5, 2.0, 3.0)]
     drift = max(abs(a - b) for a in zs for b in zs)
     drifts.append(f"diag harmonic {drift:.2e}")

@@ -112,10 +112,11 @@ class TestRun:
                 checks=["scheme-robustness"], scheme=sch)).records
             return rec.values
         custom = zs(scheme)
-        mu = 1.0 / (np.arange(10_000) + 1.0)
+        sums = ideals.PartialSumSeries(
+            np.cumsum(1.0 / (np.arange(10_000) + 1.0)))
         assert custom == {
             f"z_r{r}": traces.dixmier_logmean(
-                mu, traces.ExtendedLimitScheme(ratio=r, **scheme)).z
+                sums, traces.ExtendedLimitScheme(ratio=r, **scheme)).z
             for r in (1.5, 2.0, 3.0)}
         # at some ratio the scheme moves the window off the default one
         assert custom != zs({})
@@ -851,6 +852,28 @@ def test_toy_large_checks_hold_at_most_six_vectors():
         tracemalloc.stop()
     assert report.all_passed
     assert peak <= 6 * (8 * N), f"peak {peak / (8 * N):.2f} x 8N bytes"
+
+
+def test_harmonic_partial_sums_are_formed_once_per_check(monkeypatch):
+    """diag-oracles forms the partial sums of the harmonic V once and
+    scheme-robustness once for its three grid ratios: two cumulative sums
+    of V's N entries in all, four when each Dixmier log-mean formed its
+    own.  At N = 10^5 the blocks of the Lorentz norm are shorter than N, so
+    only a sum over all of V is counted."""
+    N = 100_000
+    harmonic = 1.0 / (np.arange(N) + 1.0)
+    real_cumsum = np.cumsum
+    counted = []
+
+    def cumsum(a, *args, **kwargs):
+        counted.append(np.shape(a) == (N,) and np.array_equal(a, harmonic))
+        return real_cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", cumsum)
+    report = run(ExperimentConfig(model={"name": "toy", "N": N},
+                                  checks=["diag-oracles", "scheme-robustness"]))
+    assert report.all_passed
+    assert sum(counted) == 2
 
 
 def test_platform_stamp_equals_platform_platform():

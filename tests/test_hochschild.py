@@ -453,7 +453,7 @@ class TestIdentities:
         m = circle64
         from singtrace.operators import hermitian_calculus
 
-        T0 = hermitian_calculus(m.D, lambda s: np.exp(-0.25 * s ** 2))
+        T0 = hermitian_calculus(m.D, lambda s: np.exp(-0.25 * s ** 2), "T0")
         trace = lambda T: np.trace(T.sparse().toarray())
 
         def theta(words, lam, coeff):
@@ -642,7 +642,7 @@ class TestPerturbationSurrogate:
             u = m.monomial((1,))
             A = m.realize(u.adjoint())
             U = m.realize(u)
-            inv = hermitian_calculus(double.absD, lambda x: 1.0 / x)
+            inv = hermitian_calculus(double.absD, lambda x: 1.0 / x, "|D0|^-1")
             diff = (A @ commutator(m.D, U) @ inv) - (A @ commutator(double.D, U) @ inv)
             norms.append(float(singular_values(m.compress(diff)).mu.sum()))
         assert norms[-1] <= 2.0
@@ -708,9 +708,9 @@ def test_weight_ideal_norms_are_derived_once(build, monkeypatch):
     c = builtin_chain(model)
     mu = triples._weight_singular_values(model, c.degree)
     reads = []
-    real_as_mu = ideals._as_mu
-    monkeypatch.setattr(ideals, "_as_mu", lambda x: reads.append(x is mu)
-                        or real_as_mu(x))
+    real_norm = ideals.lorentz_norm_m1inf
+    monkeypatch.setattr(ideals, "lorentz_norm_m1inf", lambda x: reads.append(
+        x is mu.mu) or real_norm(x))
     diag = summability_report(model)
     criterion = main_theorem_check(c, model)["criterion"]
     assert sum(reads) == 1

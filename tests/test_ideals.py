@@ -23,6 +23,7 @@ from singtrace.ideals import (
 from singtrace.operators import (
     ContractViolation,
     Operator,
+    SingularSequence,
     canonical_order,
     zero,
 )
@@ -250,15 +251,16 @@ class TestLogFit:
 
 class TestMeasurability:
     def test_harmonic_measurable(self):
-        verdict = universal_measurability_test(
-            Operator(harmonic(20_000).astype(complex)))
+        verdict = universal_measurability_test(eigenvalue_partial_sums(
+            Operator(harmonic(20_000).astype(complex))))
         assert verdict.kind == MEASURABLE
         assert verdict.z == pytest.approx(1.0, abs=0.02)
 
     def test_alternating_commutator_subspace(self):
         N = 20_000
         v = ((-1.0) ** np.arange(N)) / (np.arange(N) + 1.0)
-        verdict = universal_measurability_test(Operator(v.astype(complex)))
+        verdict = universal_measurability_test(
+            eigenvalue_partial_sums(Operator(v.astype(complex))))
         assert verdict.kind == COMMUTATOR_SUBSPACE
         assert abs(verdict.z) <= 0.02
 
@@ -284,7 +286,7 @@ class TestMeasurability:
         assert lorentz_norm_m1inf(mu) < 5.0
         assert quasi_norm_pinf(mu, 1.0) >= 8.0  # far above the harmonic 1
         verdict = universal_measurability_test(
-            Operator(mu.astype(complex)), tol=0.5)
+            eigenvalue_partial_sums(Operator(mu.astype(complex))), tol=0.5)
         assert verdict.kind == INCONCLUSIVE
 
     def test_unitary_conjugation_invariance(self):
@@ -292,9 +294,10 @@ class TestMeasurability:
         N = 512
         T = np.diag(harmonic(N)).astype(complex)
         U = random_unitary(rng, N)
-        v1 = universal_measurability_test(matrix_operator(T))
+        v1 = universal_measurability_test(
+            eigenvalue_partial_sums(matrix_operator(T)))
         v2 = universal_measurability_test(
-            matrix_operator(U @ T @ U.conj().T))
+            eigenvalue_partial_sums(matrix_operator(U @ T @ U.conj().T)))
         assert v1.kind == v2.kind == MEASURABLE
         assert abs(v1.z - v2.z) <= 1e-6
 
@@ -306,7 +309,7 @@ class TestMeasurability:
         T = omega(c, circle256) @ circle256.compress(
             resolvent_weight(circle256, 1))
         verdict = universal_measurability_test(
-            T, window=circle256.fit_window())
+            eigenvalue_partial_sums(T), window=circle256.fit_window())
         assert verdict.kind == MEASURABLE
         assert verdict.z == pytest.approx(2.0, abs=0.1)
 
@@ -316,7 +319,7 @@ class TestDiagnostics:
         assert decay_exponent(harmonic(50_000)) == pytest.approx(-1.0, abs=0.01)
 
     def test_ideal_diagnostics_flags(self):
-        diag = ideal_diagnostics(harmonic(10_000))
+        diag = ideal_diagnostics(SingularSequence(harmonic(10_000)))
         assert diag.verdicts["weak_lp"]
         assert diag.quasi_norm_pinf == pytest.approx(1.0)
 

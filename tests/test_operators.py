@@ -204,6 +204,15 @@ class TestSingularValues:
         mu = singular_values(matrix_operator(np.zeros((4, 4)))).mu
         np.testing.assert_allclose(mu, 0.0)
 
+    def test_exact_zero_is_a_zero_stride_view(self):
+        # the exact zero (no layer) has no entry to take: its singular
+        # values are a read-only view of one 0.0 with stride 0, as its
+        # eigenvalues are, not an array of dim zeros
+        n = 1000
+        mu = singular_values(zero(n)).mu
+        assert mu.strides == (0,) and not mu.flags.writeable
+        assert mu.tobytes() == np.zeros(n).tobytes()
+
     def test_jordan_block(self):
         # oracle: |T| = sqrt(T^H T) = diag(0, 2) by direct computation
         T = np.array([[0.0, 2.0], [0.0, 0.0]])
@@ -325,39 +334,42 @@ def indicator(lo, hi, closed_lo=True, closed_hi=True):
 class TestSpectralProjection:
     def test_closed_left_half_line(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = hermitian_calculus(T, indicator(0.0, np.inf))
+        P = hermitian_calculus(T, indicator(0.0, np.inf), "P")
         np.testing.assert_allclose(P.diag(), [0, 1, 1])
 
     def test_open_left_half_line(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = hermitian_calculus(T, indicator(0.0, np.inf, closed_lo=False))
+        P = hermitian_calculus(T, indicator(0.0, np.inf, closed_lo=False),
+                               "P")
         np.testing.assert_allclose(P.diag(), [0, 0, 1])
 
     def test_above_spectrum_is_zero(self):
         T = Operator(np.array([-1.0, 0.0, 2.0]))
-        P = hermitian_calculus(T, indicator(5.0, np.inf))
+        P = hermitian_calculus(T, indicator(5.0, np.inf), "P")
         assert P.norm_bound() == 0.0
 
     def test_idempotent_and_commutes(self):
         T = real_diagonal(np.random.default_rng(7), 20)
-        P = hermitian_calculus(T, indicator(0.0, np.inf))
+        P = hermitian_calculus(T, indicator(0.0, np.inf), "P")
         assert (P @ P - P).norm_bound() == 0.0
         assert commutator(P, T).norm_bound() == 0.0
 
     def test_requires_hermitian(self):
         with pytest.raises(ContractViolation):
             hermitian_calculus(matrix_operator(np.array([[0, 1], [0, 0]])),
-                               indicator(0, 1))
+                               indicator(0, 1), "P")
 
 
 class TestHermitianCalculus:
     def test_gaussian(self):
         T = Operator(np.array([0.0, 1.0]))
-        out = hermitian_calculus(T, lambda s: np.exp(-np.abs(s) ** 2))
+        out = hermitian_calculus(T, lambda s: np.exp(-np.abs(s) ** 2),
+                                 "exp(-T^2)")
         np.testing.assert_allclose(out.diag().real, [1.0, np.exp(-1)])
 
     def test_circle_resolvent_weight(self, circle64):
-        out = hermitian_calculus(circle64.D, lambda s: (1 + s ** 2) ** -0.5)
+        out = hermitian_calculus(circle64.D, lambda s: (1 + s ** 2) ** -0.5,
+                                 "(1+D^2)^(-1/2)")
         k = circle64.modes
         np.testing.assert_allclose(out.diag().real, (1 + k ** 2) ** -0.5)
 
@@ -365,19 +377,19 @@ class TestHermitianCalculus:
         T = real_diagonal(np.random.default_rng(2), 15)
         w, v = np.linalg.eigh(T.sparse().toarray())
         P1 = matrix_operator(v[:, w > 0.5] @ v[:, w > 0.5].conj().T)
-        P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float))
+        P2 = hermitian_calculus(T, lambda s: (s > 0.5).astype(float), "P")
         assert (P1 - P2).norm_bound() <= 1e-10
 
     def test_identity_function_returns_input(self):
         T = real_diagonal(np.random.default_rng(9), 12)
-        out = hermitian_calculus(T, lambda s: s)
+        out = hermitian_calculus(T, lambda s: s, "T")
         assert out.kind == "diag"
         np.testing.assert_array_equal(out.diag(), T.diag())
 
     def test_eigenvalue_multiset_mapped(self):
         T = real_diagonal(np.random.default_rng(13), 18)
         f = lambda s: np.cos(s) + s ** 2
-        got = np.sort(eigenvalues(hermitian_calculus(T, f)).values.real)
+        got = np.sort(eigenvalues(hermitian_calculus(T, f, "f(T)")).values.real)
         want = np.sort(f(np.linalg.eigvalsh(T.sparse().toarray())))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -388,7 +400,7 @@ class TestHermitianCalculus:
     def test_non_diagonal_operator_is_a_contract_violation(self, T):
         assert T.hermitian and T.kind == "sparse"
         with pytest.raises(ContractViolation, match="hermitian diagonal"):
-            hermitian_calculus(T, np.exp)
+            hermitian_calculus(T, np.exp, "exp(T)")
         with pytest.raises(ContractViolation, match="hermitian diagonal"):
             phase_modulus(T)
 
@@ -398,12 +410,12 @@ class TestHermitianCalculus:
     def test_result_of_another_shape_is_a_contract_violation(self, f):
         T = Operator(np.array([0.5, 1.0, 2.0]))
         with pytest.raises(ContractViolation, match="returned shape"):
-            hermitian_calculus(T, f)
+            hermitian_calculus(T, f, "f(T)")
 
     def test_domain_error_names_eigenvalue(self):
         T = Operator(np.array([0.0, 2.0]))
         with pytest.raises(DomainError):
-            hermitian_calculus(T, lambda s: 1.0 / s)
+            hermitian_calculus(T, lambda s: 1.0 / s, "T^-1")
 
 
 class TestPhaseModulus:
@@ -734,7 +746,7 @@ class TestRealDiagonalParity:
     def _operands(model):
         from singtrace.triples import resolvent_weight
 
-        reals = {"|D|": model.absD, "weight": resolvent_weight(model)}
+        reals = {"|D|": model.absD, "weight": resolvent_weight(model, model.p)}
         if model.Gamma is None:
             reals.update({"D": model.D, "F": model.F})
         else:

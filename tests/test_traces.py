@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from singtrace import traces
 from singtrace.hochschild import circle_winding_cycle, heat_cycle_trace
-from singtrace.ideals import eigenvalue_partial_sums
+from singtrace.ideals import PartialSumSeries, eigenvalue_partial_sums
 from singtrace.operators import (
     ContractViolation,
     Operator,
@@ -21,6 +21,7 @@ from singtrace.traces import (
     _heat_weights,
     _sorted_spectrum,
     cesaro_cutoff_comparison,
+    default_heat_grid,
     dixmier_logmean,
     heat_fit,
     heat_functional,
@@ -43,23 +44,42 @@ def trace_class_op(N=N_BIG):
     return Operator(1.0 / (np.arange(N) + 1.0) ** 2, label="harmonic^2")
 
 
+SCHEME = ExtendedLimitScheme()
+
+
+def partial_sums(V):
+    """The partial sums of V's singular values, every index a boundary."""
+    return PartialSumSeries(np.cumsum(singular_values(V).mu))
+
+
+def heat_samples(A, V, alpha):
+    """heat_functional on the default heat grid of V's dimension."""
+    return heat_functional(A, V, alpha, default_heat_grid(V.dim))
+
+
+def criterion(A, V):
+    """measurability_criterion_check on the alpha = 2 heat samples of the
+    default heat grid."""
+    return measurability_criterion_check(A, V, heat_samples(A, V, 2.0))
+
+
 class TestDixmierLogMean:
     def test_harmonic_converges_to_one(self):
-        est = dixmier_logmean(singular_values(harmonic_op()))
+        est = dixmier_logmean(partial_sums(harmonic_op()), SCHEME)
         assert est.method == "dixmier_logmean"
         assert abs(est.z - 1.0) <= 0.02
 
     def test_trace_class_vanishes(self):
-        est = dixmier_logmean(singular_values(trace_class_op()))
+        est = dixmier_logmean(partial_sums(trace_class_op()), SCHEME)
         assert abs(est.z) <= 0.02
 
     def test_homogeneity(self):
-        est = dixmier_logmean(singular_values(harmonic_op(scale=2.0)))
+        est = dixmier_logmean(partial_sums(harmonic_op(scale=2.0)), SCHEME)
         assert abs(est.z - 2.0) <= 0.04
 
     def test_scheme_ratio_robustness(self):
-        mu = singular_values(harmonic_op())
-        zs = [dixmier_logmean(mu, ExtendedLimitScheme(ratio=r)).z
+        sums = partial_sums(harmonic_op())
+        zs = [dixmier_logmean(sums, ExtendedLimitScheme(ratio=r)).z
               for r in (1.5, 2.0, 3.0)]
         drift = max(abs(a - b) for a in zs for b in zs)
         assert drift < 0.02
@@ -67,8 +87,8 @@ class TestDixmierLogMean:
     def test_plain_mean_documents_its_bias(self):
         # the uncorrected window mean retains the gamma/log(n) offset; the
         # oscillation it reports covers that bias
-        mu = singular_values(harmonic_op())
-        est = dixmier_logmean(mu, ExtendedLimitScheme(averaging="mean"))
+        sums = partial_sums(harmonic_op())
+        est = dixmier_logmean(sums, ExtendedLimitScheme(averaging="mean"))
         assert 0.02 <= abs(est.z - 1.0) <= 0.1
         assert est.residual_sup >= 0.005
 
@@ -86,14 +106,14 @@ class TestHeatFunctional:
             assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_harmonic_slope_one(self):
-        samples = heat_functional(None, harmonic_op(), 2.0)
+        samples = heat_samples(None, harmonic_op(), 2.0)
         est = heat_fit(samples)
         assert abs(est.z - 1.0) <= 0.05
 
     def test_zero_coefficient_operator(self):
         V = harmonic_op(1000)
         A = Operator(np.zeros(1000, dtype=complex))
-        samples = heat_functional(A, V, 2.0)
+        samples = heat_samples(A, V, 2.0)
         assert np.max(np.abs(samples.values)) == 0.0
 
     def test_zero_coefficient_returns_zeros_before_the_sort(self, monkeypatch):
@@ -132,12 +152,12 @@ class TestHeatFunctional:
         assert got.dtype == complex and np.all(np.isnan(got))
         assert set(reads) == {"V"}
         with pytest.raises(ContractViolation, match="dimension mismatch"):
-            heat_functional(zero(10), Operator(v), 2.0)
+            heat_samples(zero(10), Operator(v), 2.0)
 
     def test_finite_rank_gives_zero_slope(self):
         v = np.zeros(4096)
         v[:5] = [1.0, 0.8, 0.5, 0.25, 0.1]
-        samples = heat_functional(None, Operator(v), 2.0)
+        samples = heat_samples(None, Operator(v), 2.0)
         est = heat_fit(samples)
         assert abs(est.z) <= 0.02
         # h(n) saturates at Tr(V)
@@ -167,13 +187,13 @@ class TestHeatFunctional:
 
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ContractViolation):
-            heat_functional(None, harmonic_op(100), 1.0)
+            heat_samples(None, harmonic_op(100), 1.0)
 
     @pytest.mark.parametrize("call", [
-        lambda V: heat_functional(None, V, 2.0),
-        lambda V: heat_xi(V),
+        lambda V: heat_samples(None, V, 2.0),
+        lambda V: heat_xi(V, SCHEME),
         lambda V: lemma_estimate_scalings(V, 2.0),
-        lambda V: cesaro_cutoff_comparison(None, V, 2.0),
+        lambda V: cesaro_cutoff_comparison(None, V, 2.0, SCHEME),
     ], ids=["heat_functional", "heat_xi", "lemma_estimate_scalings",
             "cesaro_cutoff_comparison"])
     def test_non_diagonal_V_is_rejected(self, call):
@@ -342,10 +362,10 @@ class TestHeatKernel:
         A = Operator(np.cos(np.arange(v.size)) + 0.5j)
         with np.errstate(divide="raise", invalid="raise"):
             heat_functional(A, V, 2.0, grid=np.array([8, 64, 512, 4096]))
-            heat_xi(V)
+            heat_xi(V, SCHEME)
             lemma_estimate_scalings(V, 2.0)
-            cesaro_cutoff_comparison(A, V, 2.0)
-            cesaro_cutoff_comparison(None, V, 1.5)
+            cesaro_cutoff_comparison(A, V, 2.0, SCHEME)
+            cesaro_cutoff_comparison(None, V, 1.5, SCHEME)
             heat_cycle_trace(circle_winding_cycle(circle64), circle64)
 
     @pytest.mark.parametrize("e", EXPONENTS)
@@ -433,7 +453,7 @@ class TestHeatKernel:
                     [pass_[k] for k in ("heat", "modulated", "counting",
                                         "saturating")],
                     lemma_estimate_scalings(V, 1.5),
-                    heat_xi(V).z,
+                    heat_xi(V, SCHEME).z,
                     heat_cycle_trace(cycle, circle64)["values"],
                 ]))
         assert runs[0] == runs[1]
@@ -535,10 +555,10 @@ class TestHeatKernel:
             assert v.tobytes() == np.maximum(e, 0.0).tobytes()
         # the heat functions read V in place and leave it as it was
         before = d.copy()
-        heat_functional(Operator(np.sin(np.arange(300.0))), V, 2.0)
-        heat_xi(V)
+        heat_samples(Operator(np.sin(np.arange(300.0))), V, 2.0)
+        heat_xi(V, SCHEME)
         lemma_estimate_scalings(V, 1.5)
-        cesaro_cutoff_comparison(None, V, 2.0)
+        cesaro_cutoff_comparison(None, V, 2.0, SCHEME)
         assert d.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("e", EXPONENTS)
@@ -802,20 +822,20 @@ class TestHeatFit:
 
 class TestHeatXi:
     def test_harmonic(self):
-        est = heat_xi(harmonic_op())
+        est = heat_xi(harmonic_op(), SCHEME)
         assert est.method == "heat_xi"
         assert abs(est.z - 1.0) <= 0.05
 
     def test_trace_class(self):
-        assert abs(heat_xi(trace_class_op()).z) <= 0.02
+        assert abs(heat_xi(trace_class_op(), SCHEME).z) <= 0.02
 
     def test_homogeneity_leading_order(self):
-        assert abs(heat_xi(harmonic_op(scale=2.0)).z - 2.0) <= 0.1
+        assert abs(heat_xi(harmonic_op(scale=2.0), SCHEME).z - 2.0) <= 0.1
 
     def test_agrees_with_dixmier_on_powers(self):
         for V in (harmonic_op(), trace_class_op()):
-            a = heat_xi(V).z
-            b = dixmier_logmean(singular_values(V)).z
+            a = heat_xi(V, SCHEME).z
+            b = dixmier_logmean(partial_sums(V), SCHEME).z
             assert abs(a - b) <= 0.05
 
 
@@ -901,10 +921,10 @@ class TestInputsLeftUnchanged:
         A, V = Operator(a, label="A"), Operator(v, label="V")
         assert A.diag() is a and V.diag() is v
         before = a.copy(), v.copy()
-        heat_functional(A, V, 2.0)
-        heat_functional(None, V, 1.5)
-        cesaro_cutoff_comparison(A, V, 2.0)
-        cesaro_cutoff_comparison(None, V, 2.0)
+        heat_samples(A, V, 2.0)
+        heat_samples(None, V, 1.5)
+        cesaro_cutoff_comparison(A, V, 2.0, SCHEME)
+        cesaro_cutoff_comparison(None, V, 2.0, SCHEME)
         modulated_comparison(A, V)
         eigenvalue_partial_sums(A)
         eigenvalue_partial_sums(V)
@@ -924,15 +944,15 @@ class TestInputsLeftUnchanged:
         v, a = _sorted_spectrum(*traces._psd_diagonal(A, V, "test"))
         assert np.shares_memory(v, d) and v.tobytes() == d[::-1].tobytes()
         assert np.shares_memory(a, signs)
-        heat_functional(A, V, 2.0)
-        heat_functional(None, V, 1.5)
-        heat_xi(V)
+        heat_samples(A, V, 2.0)
+        heat_samples(None, V, 1.5)
+        heat_xi(V, SCHEME)
         lemma_estimate_scalings(V, 1.5)
-        cesaro_cutoff_comparison(A, V, 2.0)
+        cesaro_cutoff_comparison(A, V, 2.0, SCHEME)
         modulated_comparison(A, V)
-        measurability_criterion_check(A, V)
+        criterion(A, V)
         traces._heat_pass(V, 2.0)
-        dixmier_logmean(singular_values(V))
+        dixmier_logmean(partial_sums(V), SCHEME)
 
 
 class TestStorageOrder:
@@ -953,14 +973,14 @@ class TestStorageOrder:
             V, A = Operator(v), Operator(c)
             heat = traces._heat_pass(V, 2.0)
             results.append(_bits([
-                heat_functional(None, V, 1.5).values,
-                heat_functional(None, V, 2.0).values,
-                heat_functional(A, V, 2.0).values,
-                heat_xi(V).z,
+                heat_samples(None, V, 1.5).values,
+                heat_samples(None, V, 2.0).values,
+                heat_samples(A, V, 2.0).values,
+                heat_xi(V, SCHEME).z,
                 lemma_estimate_scalings(V, 1.5),
                 lemma_estimate_scalings(V, 2.0),
-                cesaro_cutoff_comparison(None, V, 1.5),
-                cesaro_cutoff_comparison(None, V, 2.0),
+                cesaro_cutoff_comparison(None, V, 1.5, SCHEME),
+                cesaro_cutoff_comparison(None, V, 2.0, SCHEME),
                 [heat[k] for k in ("heat", "counting", "saturating", "cutoff")],
             ]))
         assert results[1] == results[0] and results[2] == results[0]
@@ -983,9 +1003,9 @@ def test_heat_pass_equals_each_single_function(order):
     grid = sums["grid"]
     assert list(grid) == list(traces.default_heat_grid(n))
     assert _bits(sums["heat"].astype(complex)) == _bits(
-        heat_functional(None, V, 2.0).values)
+        heat_samples(None, V, 2.0).values)
     assert _bits(sums["modulated"].astype(complex)) == _bits(
-        heat_functional(A, V, 2.0).values)
+        heat_samples(A, V, 2.0).values)
     assert _bits(traces._scalings_verdict(
         2.0, grid, sums["saturating"], sums["counting"])) == _bits(
             lemma_estimate_scalings(V, 2.0))
@@ -994,7 +1014,7 @@ def test_heat_pass_equals_each_single_function(order):
     at = np.searchsorted(grid, window)
     assert _bits(traces._cutoff_verdict(
         window, sums["heat"][at], sums["cutoff"][at], scheme)) == _bits(
-            cesaro_cutoff_comparison(None, V, 2.0))
+            cesaro_cutoff_comparison(None, V, 2.0, scheme))
 
 
 def test_heat_pass_scratch_stays_below_one_vector():
@@ -1022,7 +1042,7 @@ def test_heat_pass_scratch_stays_below_one_vector():
 
 class TestCutoffComparison:
     def test_harmonic_limits_agree(self):
-        rep = cesaro_cutoff_comparison(None, harmonic_op(), 2.0)
+        rep = cesaro_cutoff_comparison(None, harmonic_op(), 2.0, SCHEME)
         assert rep["z_heat"] == pytest.approx(1.0, abs=0.05)
         assert rep["z_cutoff"] == pytest.approx(1.0, abs=0.05)
         assert rep["gap"] <= 0.05
@@ -1030,7 +1050,7 @@ class TestCutoffComparison:
     def test_finite_rank_both_vanish(self):
         v = np.zeros(50_000)
         v[:4] = [1.0, 0.7, 0.3, 0.1]
-        rep = cesaro_cutoff_comparison(None, Operator(v), 2.0)
+        rep = cesaro_cutoff_comparison(None, Operator(v), 2.0, SCHEME)
         assert abs(rep["z_heat"]) <= 0.02
         assert abs(rep["z_cutoff"]) <= 0.02
 
@@ -1057,14 +1077,14 @@ class TestCutoffComparison:
         assert rep["grid"]["n_max"] == window[-1]
 
     def test_alpha_independence(self):
-        r2 = cesaro_cutoff_comparison(None, harmonic_op(), 2.0)
-        r3 = cesaro_cutoff_comparison(None, harmonic_op(), 3.0)
+        r2 = cesaro_cutoff_comparison(None, harmonic_op(), 2.0, SCHEME)
+        r3 = cesaro_cutoff_comparison(None, harmonic_op(), 3.0, SCHEME)
         assert abs(r2["z_heat"] - r3["z_heat"]) <= 0.02
 
 
 class TestMeasurabilityCriterion:
     def test_harmonic_identity_coefficient(self):
-        rep = measurability_criterion_check(None, harmonic_op())
+        rep = criterion(None, harmonic_op())
         assert rep["branch"] == "a"
         assert rep["z_heat"] == pytest.approx(1.0, abs=0.05)
         assert rep["z_spec"] == pytest.approx(1.0, abs=0.05)
@@ -1073,7 +1093,7 @@ class TestMeasurabilityCriterion:
     def test_alternating_signs_vanish(self):
         N = N_BIG
         A = Operator(((-1.0) ** np.arange(N)).astype(complex))
-        rep = measurability_criterion_check(A, harmonic_op(N))
+        rep = criterion(A, harmonic_op(N))
         assert abs(rep["z_heat"]) <= 0.02
         assert abs(rep["z_spec"]) <= 0.02
         assert rep["passed"]
@@ -1081,7 +1101,7 @@ class TestMeasurabilityCriterion:
     def test_branch_error_when_not_in_either_ideal(self):
         V = Operator((np.arange(50_000) + 1.0) ** -0.25)
         with pytest.raises(BranchError):
-            measurability_criterion_check(None, V)
+            criterion(None, V)
 
 
 class TestScheme:
