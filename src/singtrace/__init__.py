@@ -18,7 +18,6 @@ from .operators import (
     commutator,
     eigenvalues,
     hermitian_calculus,
-    identity,
     phase_modulus,
     singular_values,
 )

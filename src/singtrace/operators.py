@@ -7,22 +7,23 @@ stores its matrix in one of two backends:
 * ``diag``   -- 1-d array of diagonal entries (fast path, scales to 1e6),
   float64 when the entries are real and complex128 when they are complex,
   so a real diagonal takes half the memory of a complex one,
-* ``sparse`` -- a short list of weighted-shift layers, each with at most one
-  entry per row (see the layer section below).  The models' algebras are
-  crossed products: every word, commutator and chain product is a shift
-  times a diagonal weight (times the spinor swap), so it is one layer, and
-  a chain whose terms shift by different amounts is a sum of a few.  An
-  exact zero has no layer.
+* ``sparse`` -- a short tuple of diagonal runs, one per offset, each the
+  span of one diagonal from its first nonzero entry to its last (see the
+  run section below).  The models' algebras are crossed products: every
+  word, commutator and chain product is a shift times a diagonal weight, so
+  it is one run (the torus's spinor swap is two), and a chain whose terms
+  shift by different amounts is a sum of a few.  An exact zero has no run.
 
 Both behave identically under the algebraic operations; the backend and the
 dtype are optimisation details, never semantic ones: a product or sum with
 a real diagonal follows numpy's type promotion, which casts it to complex
 exactly, so its result equals the one of the complex diagonal bit for bit
-(up to the sign of a zero imaginary part).  Products are gathers, sums
-merge layers, and entries that cancel to exactly 0 leave the layers, so an
-exact zero stays an exact, empty operator.  An Operator is built from a
-1-d array of diagonal entries, by :func:`weighted_shift`, or by the
-algebra; there is no general-entry constructor.  The package needs numpy
+(up to the sign of a zero imaginary part).  Products are slice multiplies,
+sums add the runs of one offset, and a run whose entries all cancel to
+exactly 0 is dropped, so an exact zero stays an exact, empty operator.  An
+Operator is built from a 1-d array of diagonal entries, by
+:func:`weighted_shift`, or by the algebra; there is no general-entry
+constructor.  The package needs numpy
 only: :meth:`Operator.sparse` imports scipy, for tests that use it as an
 oracle and for ``perfbench/child.py``, which takes the torus residuals of the
 ``suite-full`` benchmark workload (``F^2 = 1``, ``F|D| = D``,
@@ -62,7 +63,6 @@ __all__ = [
     "commutator",
     "anticommutator",
     "canonical_order",
-    "identity",
     "weighted_shift",
     "zero",
 ]
@@ -233,7 +233,7 @@ class Operator:
     data : array_like or Operator
         1-d array of diagonal entries, or an Operator, whose matrix is
         shared.  Anything else (a 2-d array, a scipy matrix) is a
-        :class:`ContractViolation`: layered operators are built by
+        :class:`ContractViolation`: sparse operators are built by
         :func:`weighted_shift` and the algebra.
         A 1-d array keeps its kind: a float64 or complex128 array is wrapped
         without a copy, so it must not be modified afterwards; any other
@@ -268,17 +268,14 @@ class Operator:
             )
         self._hermitian = None if hermitian is None else bool(hermitian)
 
-    def _assign(self, n, layers):
-        """Store ``layers`` (already pruned) on dim n: one layer whose every
-        entry is diagonal becomes a ``diag`` operator."""
+    def _assign(self, n, runs):
+        """Store ``runs`` (already trimmed) on dim n: one run of offset 0
+        becomes a ``diag`` operator."""
         self._dim = n
-        if len(layers) == 1:
-            col, val = layers[0]
-            if not ((col != np.arange(n + 1)) & (col != n)).any():
-                # + 0 clears a negative zero, as summing into 0 would
-                self._kind, self._data = "diag", val[:n] + 0
-                return
-        self._kind, self._data = "sparse", tuple(layers)
+        if len(runs) == 1 and runs[0][0] == 0:
+            self._kind, self._data = "diag", _diagonal(n, runs)
+            return
+        self._kind, self._data = "sparse", tuple(runs)
 
     @property
     def hermitian(self):
@@ -298,17 +295,18 @@ class Operator:
                 return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
             return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
-        # T - T* entry by entry: a position holds at most one entry of T and
-        # one of -T*, whose sum has the same bits in either order
-        n = self._dim
-        row, col, val = _entries(n, self._data)
-        scale = 1.0 + np.abs(val).max(initial=0.0)
-        key = np.concatenate([row * n + col, col * n + row])
-        order = np.argsort(key, kind="stable")
-        key, val = key[order], np.concatenate([val, -np.conj(val)])[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        gap = np.add.reduceat(val, first) if val.size else val
-        return bool(np.abs(gap).max(initial=0.0) <= HERMITIAN_RTOL * scale)
+        # T - T* run by run: run k holds T[i, i + k], and run -k, read at
+        # row i + k, the conj(T[i + k, i]) that T* puts there
+        runs = self._data
+        bound = HERMITIAN_RTOL * (1.0 + max(
+            (np.abs(v).max() for _k, _lo, v in runs), default=0.0))
+        partner = {k: (lo, v) for k, lo, v in runs}
+        for k, lo, v in runs:
+            plo, pv = partner.get(-k, (lo + k, v[:0]))
+            gap = _add_terms([(lo, v), (plo - k, -np.conj(pv))])[1]
+            if not np.abs(gap).max() <= bound:  # a NaN fails too
+                return False
+        return True
 
     # -- basic interface -------------------------------------------------------
 
@@ -317,7 +315,7 @@ class Operator:
         return self._dim
 
     def is_zero(self):
-        """Whether this is the exact zero, an operator with no layer (the
+        """Whether this is the exact zero, an operator with no run (the
         form of every product, sum and commutator that cancels exactly)."""
         return self._kind == "sparse" and not self._data
 
@@ -329,11 +327,7 @@ class Operator:
         """Diagonal entries (the full data for diagonal operators)."""
         if self._kind == "diag":
             return self._data
-        n = self._dim
-        d = np.zeros(n, dtype=complex)
-        for col, val in self._data:
-            d += np.where(col[:n] == np.arange(n), val[:n], 0)
-        return d
+        return _diagonal(self._dim, [r for r in self._data if r[0] == 0])
 
     def sparse(self):
         """The matrix as a scipy CSR matrix; scipy is imported here only."""
@@ -350,15 +344,15 @@ class Operator:
         sqrt(max column sum * max row sum) of the entries' moduli."""
         if self._kind == "diag":
             return float(np.abs(self._data).max(initial=0.0))
-        n, layers = self._dim, self._data
-        if not layers:
+        n, runs = self._dim, self._data
+        if not runs:
             return 0.0
-        rows, cols = 0.0, 0.0
-        for col, val in layers:
-            size = np.abs(val)
-            rows = rows + size
-            cols = cols + np.bincount(col, weights=size, minlength=n + 1)
-        return float(np.sqrt(cols[:n].max() * rows[:n].max()))
+        rows, cols = np.zeros(n), np.zeros(n)
+        for k, lo, v in runs:
+            size = np.abs(v)
+            rows[lo:lo + size.size] += size
+            cols[lo + k:lo + k + size.size] += size
+        return float(np.sqrt(cols.max() * rows.max()))
 
     def relabel(self, label):
         out = Operator.__new__(Operator)
@@ -371,12 +365,8 @@ class Operator:
         indices = np.asarray(indices)
         if self._kind == "diag":
             return Operator(self._data[indices], label=self.label)
-        n, m = self._dim, indices.size
-        where = np.full(n + 1, m)  # new index of each old one; m if dropped
-        where[indices] = np.arange(m)
-        layers = [_prune(m, np.append(where[col[indices]], m),
-                         np.append(val[indices], 0)) for col, val in self._data]
-        return _layered(m, layers, self.label)
+        terms = _restrict_runs(self._dim, self._data, indices)
+        return _from_runs(indices.size, _runs_of(terms), self.label)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -387,18 +377,13 @@ class Operator:
                 f"{other.label!r} is {other.dim}"
             )
 
-    def _layers(self):
-        """The layers of this operator; a diagonal is one layer.  Layer
-        values are complex, a real diagonal's too: :func:`_merge` adds a
-        group's values in place."""
+    def _runs(self):
+        """The runs of this operator; a diagonal is the run of offset 0 (or
+        none, when every entry is 0), with complex values."""
         if self._kind == "sparse":
             return self._data
-        d, n = self._data, self._dim
-        col = np.arange(n + 1)
-        col[:n][d == 0] = n
-        val = np.zeros(n + 1, dtype=complex)
-        val[:n] = d
-        return ((col, val),)
+        run = _trimmed(0, 0, self._data.astype(complex, copy=False))
+        return () if run is None else (run,)
 
     def __matmul__(self, other):
         if not isinstance(other, Operator):
@@ -408,14 +393,15 @@ class Operator:
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data * b._data)
         if a._kind == "diag":  # row i scaled by a_i
-            layers = [_prune(n, col, np.append(val[:n] * a._data, 0))
-                      for col, val in b._data]
-        elif b._kind == "diag":  # column j scaled by b_j
-            layers = [_prune(n, col, val * b._data.take(col, mode="clip"))
-                      for col, val in a._data]
+            runs = [_trimmed(k, lo, np.multiply(v, a._data[lo:lo + v.size]))
+                    for k, lo, v in b._data]
+        elif b._kind == "diag":  # column i + k scaled by b_(i + k)
+            runs = [_trimmed(k, lo,
+                             np.multiply(v, b._data[lo + k:lo + k + v.size]))
+                    for k, lo, v in a._data]
         else:
-            layers = _product(n, a._data, b._data)
-        return _layered(n, layers)
+            runs = _runs_of(_product(a._data, b._data))
+        return _from_runs(n, runs)
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -424,7 +410,10 @@ class Operator:
         a, b = self, other
         if a._kind == "diag" and b._kind == "diag":
             return Operator(a._data + b._data)
-        return _layered(a._dim, _merge(a._dim, [*a._layers(), *b._layers()]))
+        terms = {}
+        for k, lo, v in (*a._runs(), *b._runs()):
+            terms.setdefault(k, []).append((lo, v))
+        return _from_runs(a._dim, _runs_of(terms))
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -432,9 +421,8 @@ class Operator:
     def __rmul__(self, scalar):
         if self._kind == "diag":
             return Operator(self._data * scalar, label=self.label)
-        n = self._dim
-        layers = [_prune(n, col, val * scalar) for col, val in self._data]
-        return _layered(n, layers, self.label)
+        runs = [_trimmed(k, lo, v * scalar) for k, lo, v in self._data]
+        return _from_runs(self._dim, runs, self.label)
 
     __mul__ = __rmul__
 
@@ -448,21 +436,19 @@ class Operator:
         return f"Operator({self.label!r}, dim={self.dim}, {'/'.join(flags)})"
 
 
-def identity(dim):
-    return Operator(np.ones(dim), label="1")
-
-
 def zero(dim):
-    """The exact zero on dim: an operator with no layer, holding no array."""
-    return _layered(dim, [])
+    """The exact zero on dim: an operator with no run, holding no array."""
+    return _from_runs(dim, [])
 
 
 def weighted_shift(col, val, label):
     """The operator whose row i holds ``val[i]`` in column ``col[i]``.
 
-    ``col[i] == len(col)`` marks an empty row, as does ``val[i] == 0``.  One
-    such layer is every shift, diagonal weight and spinor swap the models
-    build; one whose entries are all diagonal is a ``diag`` operator.
+    ``col[i] == len(col)`` marks an empty row, as does ``val[i] == 0``.  The
+    rows are split by offset ``col[i] - i`` into one run per offset: every
+    shift and diagonal weight the models build is one run, and the torus's
+    spinor swap two.  An operator whose entries are all diagonal is a
+    ``diag`` operator.
     """
     col = np.asarray(col)
     n = col.size
@@ -472,104 +458,151 @@ def weighted_shift(col, val, label):
         raise ContractViolation(
             f"weighted shift {label!r} needs one column in [0, {n}] and one "
             f"value per row")
-    layer = _prune(n, np.append(col, n).astype(np.intp, copy=False),
-                   np.append(np.asarray(val, dtype=complex), 0))
-    return _layered(n, [layer], label)
+    val = np.asarray(val)
+    rows = np.flatnonzero((col != n) & (val != 0))
+    terms = _by_offset(rows, col[rows] - rows, val[rows])
+    return _from_runs(n, _runs_of(terms), label)
 
 
-# -- weighted-shift layers -----------------------------------------------------
+# -- diagonal runs -------------------------------------------------------------
 #
-# A layer on dim n is a pair (col, val) of arrays of length n + 1: row i
-# holds val[i] in column col[i], and col[i] == n marks an empty row, whose
-# val[i] is exactly 0.  Row n is always empty, so a gather through col never
-# leaves the array.  An operator is the sum of its layers, no two of which
-# hold an entry at the same position, and no entry is exactly 0.  Products
+# A run on dim n is a triple (k, lo, v): row i holds v[i - lo] in column
+# i + k, for lo <= i < lo + v.size, and every row and column it reaches lies
+# in [0, n).  v is complex, and its first and last entries are nonzero; an
+# entry inside may be 0 (of either sign), which every reader takes as no
+# entry: entries are read by adding them into 0, and the eigen engine and
+# ``sparse()`` skip them.  An operator is the sum of its runs, no two of
+# which share an offset, so no two hold an entry at one position.  Products
 # and sums take numpy's complex arithmetic, so their last bits may depend on
 # the CPU's multiply kernel (fused or not); tests/test_weighted_shifts.py
 # bounds them against a compiled CSR product and sum.
 
 
-def _layered(n, layers, label=""):
-    """The operator with the given pruned layers on dim n (a layer that
-    pruned to nothing, None, is left out)."""
+def _from_runs(n, runs, label=""):
+    """The operator with the given trimmed runs on dim n (a run that
+    trimmed to nothing, None, is left out)."""
     out = Operator.__new__(Operator)
-    out._assign(n, [layer for layer in layers if layer is not None])
+    out._assign(n, [run for run in runs if run is not None])
     out.label, out._hermitian = label, None
     return out
 
 
-def _prune(n, col, val):
-    """The layer (col, val) with its exact zeros made empty rows, or None
-    when no entry is left.  ``val`` is modified in place; ``col`` is not."""
-    empty = col == n
-    dead = val == 0
-    dead |= empty
-    count = np.count_nonzero(dead)
-    if count == n + 1:
+def _trimmed(k, lo, v):
+    """The run (k, lo, v) cut to its first and last nonzero entry (a copy),
+    or None when no entry is left; a run already so cut is itself."""
+    if v.size and v[0] != 0 and v[-1] != 0:
+        return k, lo, v
+    live = v != 0
+    if not live.any():
         return None
-    if count != np.count_nonzero(empty):
-        col = np.where(dead, n, col)
-    np.copyto(val, 0, where=dead)
-    return col, val
+    first, end = int(live.argmax()), v.size - int(live[::-1].argmax())
+    return k, lo + first, v[first:end].copy()
 
 
-def _product(n, left, right):
-    """Pruned layers of (sum of ``left``) @ (sum of ``right``): one pair of
-    gathers per pair of layers, C.col = B.col[A.col] and
-    C.val = A.val * B.val[A.col], then merged.
-
-    Made for a few layers on each side, as the models' words and chain
-    products have: every pair of layers is formed, and :func:`_merge` holds
-    a (pairs, n + 1) column table, so the cost grows with the product of
-    the layer counts."""
-    # np.multiply keeps the operands in order: ``av * bv[ac]`` would let
-    # numpy reuse a large gathered temporary as the output and form
-    # bv[ac] * av, whose fused imaginary part may round differently.
-    # + 0 clears a negative zero.
-    pairs = [(bc[ac], np.multiply(av, bv[ac]) + 0)
-             for ac, av in left for bc, bv in right]
-    return [_prune(n, *pairs[0])] if len(pairs) == 1 else _merge(n, pairs)
+def _add_terms(parts):
+    """The span (lo, values) of the sum of the spans ``parts``: each position
+    adds its terms into 0, in the order given (a lone span is itself)."""
+    if len(parts) == 1:
+        return parts[0]
+    lo = min(at for at, _v in parts)
+    total = np.zeros(max(at + v.size for at, v in parts) - lo, dtype=complex)
+    for at, v in parts:
+        total[at - lo:at - lo + v.size] += v
+    return lo, total
 
 
-def _merge(n, layers):
-    """Pruned sum of ``layers``, with no two layers holding one position.
-
-    A layer joins the first group whose columns agree with its own wherever
-    both have an entry; its entries at a position that another group holds
-    go to that group.  A group's values are added in order (a lone layer's
-    plus 0, which clears a negative zero as adding an absent entry would).
-    """
-    held = np.full((len(layers), n + 1), n)  # the columns of each group
-    groups = []  # the values added into each group
-    for col, val in layers:
-        g = len(groups)
-        live = col != n
-        same = (held[:g] == col) & live
-        fits = ~((held[:g] != n) & live & ~same).any(axis=1)
-        home = int(np.argmax(fits)) if fits.any() else g
-        for k in np.flatnonzero(same.any(axis=1)):
-            if k != home:
-                groups[k].append(np.where(same[k], val, 0))
-                col, val = np.where(same[k], n, col), np.where(same[k], 0, val)
-        if home == g:
-            groups.append([])
-        groups[home].append(val)
-        np.copyto(held[home], col, where=held[home] == n)
-    out = []
-    for col, vals in zip(held, groups):
-        total = vals[0] + (vals[1] if len(vals) > 1 else 0)
-        for val in vals[2:]:
-            total += val
-        out.append(_prune(n, col.copy(), total))
-    return [layer for layer in out if layer is not None]
+def _runs_of(terms):
+    """The trimmed runs of ``terms``, a dict from offset to the spans
+    (lo, values) to add on that diagonal, in order."""
+    return [_trimmed(k, *_add_terms(parts)) for k, parts in terms.items()]
 
 
-def _entries(n, layers):
-    """(row, col, val) of every entry, layer by layer."""
+def _product(left, right):
+    """The terms of (sum of ``left``) @ (sum of ``right``): for each pair of
+    runs, in order, the product of their values over the rows where both
+    hold an entry, on the diagonal of the sum of their offsets."""
+    terms = {}
+    for ka, la, va in left:
+        for kb, lb, vb in right:
+            # row i of A meets row i + ka of B
+            lo = max(la, lb - ka)
+            hi = min(la + va.size, lb + vb.size - ka)
+            if lo < hi:
+                # np.multiply keeps the operands in order (A's first), as
+                # the fused imaginary part of b * a may round differently;
+                # + 0 clears a negative zero
+                v = np.multiply(va[lo - la:hi - la],
+                                vb[lo + ka - lb:hi + ka - lb])
+                v += 0
+                terms.setdefault(ka + kb, []).append((lo, v))
+    return terms
+
+
+def _by_offset(rows, shift, val):
+    """The terms of the entries val[j] at (rows[j], rows[j] + shift[j]), for
+    ascending rows: one span per offset, in order of first row, with zeros
+    at the rows inside it that hold no entry.  ``val`` is a fresh array
+    (a gather), so a complex one is kept as a span with no copy."""
+    terms = {}
+    while rows.size:
+        k = int(shift[0])
+        mine = shift == k
+        at, v = (rows, val) if mine.all() else (rows[mine], val[mine])
+        lo, size = int(at[0]), int(at[-1]) - int(at[0]) + 1
+        if at.size == size:
+            span = v.astype(complex, copy=False)
+        else:
+            span = np.zeros(size, dtype=complex)
+            span[at - lo] = v
+        terms.setdefault(k, []).append((lo, span))
+        rows, shift, val = rows[~mine], shift[~mine], val[~mine]
+    return terms
+
+
+def _restrict_runs(n, runs, indices):
+    """The terms of P T P* for distinct ``indices`` in any order.  On a
+    window [s, s + m) of the basis every run keeps its offset, and its
+    values are a view; otherwise each entry moves to its row's and column's
+    new indices, and each run splits by new offset where that offset
+    varies."""
+    m = indices.size
+    terms = {}
+    if m and indices[-1] - indices[0] == m - 1 and np.all(
+            indices[1:] > indices[:-1]):
+        s = int(indices[0])
+        for k, lo, v in runs:
+            first = max(lo, s, s - k)
+            end = min(lo + v.size, s + m, s + m - k)
+            if first < end:
+                terms[k] = [(first - s, v[first - lo:end - lo])]
+        return terms
+    where = np.full(n, -1)  # new index of each old one; -1 if dropped
+    where[indices] = np.arange(m)
+    for k, lo, v in runs:
+        rows = np.flatnonzero((indices >= lo) & (indices < lo + v.size))
+        old = indices[rows]
+        cols = where[old + k]
+        kept = cols >= 0
+        rows, cols, old = rows[kept], cols[kept], old[kept]
+        for d, parts in _by_offset(rows, cols - rows, v[old - lo]).items():
+            terms.setdefault(d, []).extend(parts)
+    return terms
+
+
+def _diagonal(n, runs):
+    """The n diagonal entries held by ``runs`` of offset 0, added into 0."""
+    d = np.zeros(n, dtype=complex)
+    for _k, lo, v in runs:
+        d[lo:lo + v.size] += v
+    return d
+
+
+def _entries(n, runs):
+    """(row, col, val) of every nonzero entry, run by run."""
     parts = []
-    for col, val in layers:
-        row = np.flatnonzero(col[:n] != n)
-        parts.append((row, col[row], val[row]))
+    for k, lo, v in runs:
+        at = np.flatnonzero(v)
+        parts.append((at + lo, at + (lo + k), v[at]))
     if len(parts) == 1:
         return parts[0]
     if not parts:
@@ -612,7 +645,7 @@ def _component_blocks(T):
     Components are grouped by size s, sizes in order of first appearance.
     Each group is the zero-filled (g, s, s) complex array of T's entries
     inside its g components (rows and columns in ascending basis index,
-    components ordered by first index), scattered from T's layer entries.
+    components ordered by first index), scattered from T's run entries.
 
     Only the nodes that hold an entry are labelled: every other node is a
     component of its own, a zero 1 x 1 block in the size-1 group, whose
@@ -715,10 +748,11 @@ def singular_values(T):
     after an O(N) check, with no sort; a NaN fails the check.  A real
     diagonal with no sign bit set (no negative entry, no -0.0) is its own
     moduli: ``mu`` is then T's entries themselves, so it must not be
-    written.  A single layer with distinct columns needs no SVD either:
-    its singular values are its entries' moduli, padded with zeros.  Those
-    of the exact zero (an operator with no layer) are a read-only view of
-    one 0.0 with stride 0, as its eigenvalues are."""
+    written.  Runs that hold at most one entry in each row and each column
+    (one run always does) need no SVD either: the singular values are the
+    entries' moduli, padded with zeros.  Those of the exact zero (an
+    operator with no run) are a read-only view of one 0.0 with stride 0, as
+    its eigenvalues are."""
     if T.kind == "diag":
         d = T._data
         mu = np.abs(d) if np.iscomplexobj(d) or np.signbit(d).any() else d
@@ -728,14 +762,15 @@ def singular_values(T):
     if T.is_zero():
         return SingularSequence(np.broadcast_to(np.zeros(1), (T.dim,)),
                                 label=T.label)
-    if len(T._data) == 1:
-        _rows, cols, vals = _entries(T.dim, T._data)
-        if np.bincount(cols, minlength=T.dim).max() < 2:
-            # at most one entry per row and per column: T*T is diagonal, so
-            # mu is the entries' moduli and a zero for each empty column
-            mu = np.zeros(T.dim)
-            mu[:vals.size] = np.abs(vals)
-            return SingularSequence(np.sort(mu)[::-1], label=T.label)
+    rows, cols, vals = _entries(T.dim, T._data)
+    if len(T._data) == 1 or (np.bincount(rows).max() < 2
+                             and np.bincount(cols).max() < 2):
+        # at most one entry per row and per column: T*T is diagonal, so
+        # mu is the entries' moduli and a zero for each empty column
+        mu = np.zeros(T.dim)
+        mu[:vals.size] = np.abs(vals)
+        return SingularSequence(np.sort(mu)[::-1], label=T.label)
+    del rows, cols, vals
     mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
     return SingularSequence(np.sort(mu)[::-1], label=T.label)
 
@@ -801,9 +836,9 @@ def commutator(A, B):
     """[A, B] = AB - BA.
 
     Two diagonal factors commute, so their commutator is the exact zero, an
-    operator with no layer.  With one factor diagonal (entries a) and the
-    other layered, each layer's entries b_ij become (a_i - a_j) b_ij in one
-    step.
+    operator with no run.  With one factor diagonal (entries a) and the
+    other sparse, each run's entries b_ij become b_ij a_i - b_ij a_j (not
+    b_ij (a_i - a_j), which rounds differently), on slices of a.
     """
     if A.kind == "diag" and B.kind == "diag":
         A._check_dims(B)
@@ -811,19 +846,17 @@ def commutator(A, B):
     if {A.kind, B.kind} != {"diag", "sparse"}:
         return (A @ B) - (B @ A)
     A._check_dims(B)
-    n = A.dim
     a = (A if A.kind == "diag" else B)._data
-    layers = []
-    for col, val in (B if A.kind == "diag" else A)._data:
-        at_row = val[:n] * a
-        at_col = val[:n] * a.take(col[:n], mode="clip")
-        out = np.zeros(n + 1, dtype=complex)
+    runs = []
+    for k, lo, v in (B if A.kind == "diag" else A)._data:
+        at_row = np.multiply(v, a[lo:lo + v.size])
+        at_col = np.multiply(v, a[lo + k:lo + k + v.size])
         if A.kind == "diag":
-            np.subtract(at_row, at_col, out=out[:n])
+            np.subtract(at_row, at_col, out=at_row)
         else:
-            np.subtract(at_col, at_row, out=out[:n])
-        layers.append(_prune(n, col, out))
-    return _layered(n, layers)
+            np.subtract(at_col, at_row, out=at_row)
+        runs.append(_trimmed(k, lo, at_row))
+    return _from_runs(A.dim, runs)
 
 
 def anticommutator(A, B):

@@ -34,7 +34,6 @@ from .operators import (
     Operator,
     commutator,
     hermitian_calculus,
-    identity,
     phase_modulus,
     singular_values,
     weighted_shift,
@@ -574,8 +573,8 @@ def invertible_double(model):
 
 
 def _build_double(model):
-    one_plus_sq = (model.D @ model.D) + identity(model.dim)
-    root = hermitian_calculus(one_plus_sq, np.sqrt, label="(1+D^2)^{1/2}")
+    root = hermitian_calculus(model.D @ model.D, lambda x: np.sqrt(x + 1.0),
+                              label="(1+D^2)^{1/2}")
     D0 = model.F @ root
     D1 = D0 - model.D
     closed = model.F @ hermitian_calculus(
@@ -596,8 +595,8 @@ def _build_double(model):
 
 def resolvent_weight(model, q):
     """(1 + D^2)^{-q/2} for the summability exponent q."""
-    one_plus_sq = (model.D @ model.D) + identity(model.dim)
-    return hermitian_calculus(one_plus_sq, lambda x: x ** (-q / 2.0),
+    return hermitian_calculus(model.D @ model.D,
+                              lambda x: (x + 1.0) ** (-q / 2.0),
                               label=f"(1+D^2)^(-{q}/2)")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from singtrace.operators import Operator, _layered
+from singtrace.operators import Operator, weighted_shift, zero
 from singtrace.triples import build_circle, build_diagonal_toy, build_nc_torus
 
 
@@ -40,10 +40,12 @@ def random_unitary(rng, n):
 def matrix_operator(M, label="", hermitian=None):
     """An Operator with the entries of a square 2-d array or scipy matrix.
 
-    Duplicate entries are summed and exact zeros dropped; layer r then holds
-    the r-th entry of every row, in column order.  An exactly diagonal
-    matrix becomes a ``diag`` operator, and one with no entry the exact
-    zero.  ``label`` and ``hermitian`` are passed on to :class:`Operator`.
+    Duplicate entries are summed and exact zeros dropped; the r-th entry of
+    every row, in column order, goes into one :func:`weighted_shift`, and
+    the shifts are added (they hold distinct positions, so the sum is
+    exact).  An exactly diagonal matrix becomes a ``diag`` operator, and one
+    with no entry the exact zero.  ``label`` and ``hermitian`` are passed on
+    to :class:`Operator`.
     """
     csr = sp.csr_matrix(M, dtype=complex, copy=True)
     csr.sum_duplicates()  # sorts each row's columns too
@@ -52,12 +54,12 @@ def matrix_operator(M, label="", hermitian=None):
     assert csr.shape == (n, n), csr.shape
     rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     rank = np.arange(csr.nnz) - csr.indptr[rows]
-    layers = []
+    out = zero(n)
     for r in range(rank.max(initial=-1) + 1):
         mine = rank == r
-        col = np.full(n + 1, n)
-        val = np.zeros(n + 1, dtype=complex)
+        col = np.full(n, n)
+        val = np.zeros(n, dtype=complex)
         col[rows[mine]] = csr.indices[mine]
         val[rows[mine]] = csr.data[mine]
-        layers.append((col, val))
-    return Operator(_layered(n, layers), label=label, hermitian=hermitian)
+        out = out + weighted_shift(col, val, label)
+    return Operator(out, label=label, hermitian=hermitian)

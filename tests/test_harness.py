@@ -1125,13 +1125,15 @@ def test_memo_requested_after_a_run_rebuilds_equal_values(
 
 def test_circle_run_releases_what_no_later_check_reads():
     """The nine circle-large checks on circle N = 32768: the traced peak
-    stays below 21 units of 16 dim bytes (one complex vector of the working
+    stays below 15.9 units of 16 dim bytes (one complex vector of the working
     dim).
 
-    Measured: 17.4 units, set in heat (18.8 when the double kept its
-    interior |D0| and, at p = 1, |D0|^-p apart from |D0|^-1), against 26.3
-    when the memo kept every entry to the end of the run (commutators,
-    Omega(c) and the whole invertible double)."""
+    Measured: 14.94 units, set in heat, with each word and commutator
+    stored as one diagonal run ([F, u] as one value).  Column and value
+    arrays of length dim + 1 per shift gave 17.44 (set in heat too), 18.8
+    when the double also kept its interior |D0| and, at p = 1, |D0|^-p apart
+    from |D0|^-1, and 26.3 when the memo kept every entry to the end of the
+    run (commutators, Omega(c) and the whole invertible double)."""
     import tracemalloc
 
     N = 32_768
@@ -1145,4 +1147,4 @@ def test_circle_run_releases_what_no_later_check_reads():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak <= 21 * (16 * dim), f"peak {peak / (16 * dim):.2f} x 16 dim"
+    assert peak <= 15.9 * (16 * dim), f"peak {peak / (16 * dim):.2f} x 16 dim"

@@ -21,13 +21,12 @@ from singtrace.operators import (
     commutator,
     eigenvalues,
     hermitian_calculus,
-    identity,
     phase_modulus,
     singular_values,
     zero,
 )
 
-from singtrace.triples import build_diagonal_toy, build_nc_torus
+from singtrace.triples import build_diagonal_toy, build_nc_torus, summability_report
 
 from conftest import matrix_operator, random_unitary
 
@@ -38,7 +37,7 @@ def random_complex(rng, n):
 
 class TestEigenvalues:
     def test_identity(self):
-        spec = eigenvalues(identity(3))
+        spec = eigenvalues(Operator(np.ones(3)))
         np.testing.assert_allclose(spec.values, np.ones(3))
 
     def test_diagonal_canonical_order(self):
@@ -284,8 +283,9 @@ def svd_by_components(T):
 
 
 class TestDistinctColumnSingularValues:
-    """A single layer with distinct columns has a diagonal T*T: its singular
-    values are its entries' moduli, found with no component split."""
+    """Runs that hold at most one entry in each row and each column have a
+    diagonal T*T: the singular values are the entries' moduli, found with
+    no component split and no SVD."""
 
     @pytest.mark.parametrize("N, oracle", [
         (8, lambda T: np.linalg.svd(T.sparse().toarray(), compute_uv=False)),
@@ -296,18 +296,43 @@ class TestDistinctColumnSingularValues:
         want = [oracle(T) for T in ops]
 
         def refuse(T):
-            raise AssertionError("component split of a distinct-column layer")
+            raise AssertionError("component split of a partial permutation")
 
         monkeypatch.setattr(operators, "_component_blocks", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
         for T, w in zip(ops, want):
-            assert len(T._data) == 1
+            # the spinor swap F puts the two halves on two runs
+            assert len(T._data) == 2
             np.testing.assert_allclose(singular_values(T).mu, w,
                                        rtol=0, atol=1e-14)
 
+    def test_torus_summability_calls_no_svd(self, monkeypatch):
+        # the summability check takes the singular values of each compressed
+        # [F, u] and [F, delta(u)] with no SVD
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD of a partial permutation")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        report = summability_report(build_nc_torus(16))
+        assert set(report.verdicts["generator_quasi_norms"]) == {
+            "[F,U]", "[F,delta(U)]", "[F,V]", "[F,delta(V)]"}
+
+    @pytest.mark.parametrize("M", [
+        np.array([[0, 3, 4j], [0, 0, 0], [0, 0, 0]]),
+        np.array([[0, 0, 0], [3, 0, 0], [4j, 0, 0]]),
+    ], ids=["row", "column"])
+    def test_two_entries_in_a_line_are_not_moduli(self, M):
+        # one row (or column) holds 3 and 4j on two runs: its singular
+        # value is 5, not the moduli 3 and 4
+        T = matrix_operator(M)
+        assert len(T._data) == 2
+        np.testing.assert_allclose(singular_values(T).mu, [5, 0, 0],
+                                   rtol=0, atol=1e-14)
+
     def test_two_layers_go_through_the_split(self, monkeypatch):
         fu, _, fv, _ = torus_generator_commutators(8)
-        T = fu + fv  # the shifts of U and V differ: two layers
-        assert len(T._data) == 2
+        T = fu + fv  # the shifts of U and V differ: two entries a row
+        assert np.diff(T.sparse().indptr).max() == 2
         calls = []
         real = operators._component_blocks
         monkeypatch.setattr(operators, "_component_blocks",
@@ -439,7 +464,7 @@ class TestPhaseModulus:
         D = matrix_operator(np.diag(d))
         assert D.kind == "diag"
         F, absD = phase_modulus(D)
-        assert (F @ F - identity(25)).norm_bound() == 0.0
+        assert (F @ F - Operator(np.ones(25))).norm_bound() == 0.0
         assert F.hermitian
         assert (F @ absD - D).norm_bound() == 0.0
         assert min(np.linalg.eigvalsh(absD.sparse().toarray())) >= 0.0
@@ -476,7 +501,7 @@ class TestAlgebra:
     def test_commutator_with_identity(self):
         rng = np.random.default_rng(1)
         T = matrix_operator(random_complex(rng, 10))
-        assert commutator(T, identity(10)).norm_bound() == 0.0
+        assert commutator(T, Operator(np.ones(10))).norm_bound() == 0.0
 
     def test_grading_anticommutes_with_dirac(self, torus12):
         assert anticommutator(torus12.Gamma, torus12.D).norm_bound() <= 1e-10
@@ -491,9 +516,9 @@ class TestAlgebra:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            commutator(identity(3), identity(4))
+            commutator(Operator(np.ones(3)), Operator(np.ones(4)))
         with pytest.raises(ContractViolation):
-            commutator(identity(3), matrix_operator(sp.eye(4, k=1)))
+            commutator(Operator(np.ones(3)), matrix_operator(sp.eye(4, k=1)))
 
     def test_diagonal_sparse_commutator_matches_dense(self):
         rng = np.random.default_rng(5)
@@ -520,7 +545,7 @@ class TestAlgebra:
         np.testing.assert_array_equal(got.sparse().toarray(),
                                       ((A @ B) - (B @ A)).sparse().toarray())
         with pytest.raises(ContractViolation):
-            commutator(A, identity(n + 1))
+            commutator(A, Operator(np.ones(n + 1)))
 
     def test_sparse_input_with_explicit_zeros_left_untouched(self):
         mat = sp.csr_matrix((np.array([1.0, 0.0, 2.0], dtype=complex),
@@ -639,10 +664,10 @@ class TestFlags:
         assert Z.hermitian and Z.sparse().nnz == 0
         spec = eigenvalues(Z)
         assert spec.values.strides == (0,) and spec.values.tolist() == [0.0] * 5
-        assert commutator(Operator(np.arange(5.0)), identity(5)).is_zero()
+        assert commutator(Operator(np.arange(5.0)), Operator(np.ones(5))).is_zero()
         # a diagonal of zeros is stored as a diagonal, not as the exact zero
         assert not Operator(np.zeros(5)).is_zero()
-        assert not identity(5).is_zero()
+        assert not Operator(np.ones(5)).is_zero()
 
     def test_dense_input_stored_as_csr(self):
         T = matrix_operator(np.array([[1.0, 2.0], [0.0, 3.0]]))
@@ -688,7 +713,7 @@ class TestFlags:
         for data in (np.arange(5), np.arange(5.0, dtype=np.float32),
                      np.array([True, False]), [0.5, 2.0]):
             assert Operator(data).diag().dtype == np.float64
-        assert identity(3).diag().dtype == np.float64
+        assert Operator(np.ones(3)).diag().dtype == np.float64
 
     @pytest.mark.parametrize("n", [3, 70])
     def test_exact_zero_restricts_to_empty_csr(self, n):
@@ -713,17 +738,18 @@ def _same_bits(got, want):
 
 
 def _assert_same_bits(got, want):
-    """Equal entry for entry: the same kind and layer columns, and
-    :func:`_same_bits` values."""
+    """Equal entry for entry: the same kind and runs (offset and first
+    row), and :func:`_same_bits` values."""
     assert (got.kind, got.dim) == (want.kind, want.dim)
     if got.kind == "diag":
         _same_bits(got.diag(), want.diag())
         return
     assert len(got._data) == len(want._data)
-    for (got_col, got_val), (want_col, want_val) in zip(got._data, want._data):
-        assert got_val.dtype == np.complex128
-        np.testing.assert_array_equal(got_col, want_col)
-        _same_bits(got_val, want_val)
+    for (got_k, got_lo, got_v), (want_k, want_lo, want_v) in zip(
+            got._data, want._data):
+        assert got_v.dtype == np.complex128
+        assert (got_k, got_lo) == (want_k, want_lo)
+        _same_bits(got_v, want_v)
 
 
 _BINARY = {
@@ -798,9 +824,9 @@ class TestRealDiagonalParity:
 
     @pytest.mark.parametrize("name", ["circle64", "torus16"])
     def test_chained_sums(self, name, request):
-        """Real diagonals added one after another into a layered operator
-        land in one merged group, where each layer's values are added in
-        place: every layer must stay complex for that sum to exist."""
+        """Real diagonals added one after another into a sparse operator
+        land on its run of offset 0, whose values are added in place: every
+        run must stay complex for that sum to exist."""
         model = request.getfixturevalue(name)
         reals, partners = self._operands(model)
         for P in partners.values():

@@ -1,4 +1,4 @@
-"""The weighted-shift layer backend of ``Operator`` against scipy.sparse.
+"""The diagonal-run backend of ``Operator`` against scipy.sparse.
 
 scipy is the oracle here and nowhere in the package.  Each product, sum and
 commutator that the identity suite and the volume cycle form must have the
@@ -102,7 +102,8 @@ def moduli(T):
 
 
 def single_term(*ops):
-    return all(op.kind == "diag" or len(op._data) <= 1 for op in ops)
+    """Whether every row of every op holds at most one entry."""
+    return all(np.diff(op.sparse().indptr).max(initial=0) <= 1 for op in ops)
 
 
 @pytest.fixture
@@ -243,7 +244,7 @@ def test_general_input_agrees_with_scipy(seed):
 @pytest.mark.parametrize("where", ["off-diagonal", "diagonal"])
 @pytest.mark.parametrize("factor", [0.0, 0.99, 1.01])
 def test_hermitian_flag_on_repeated_columns(seed, where, factor):
-    # hermitian input whose layers hold several entries of one column,
+    # hermitian input with several entries in one column,
     # perturbed at one entry to a gap of factor * HERMITIAN_RTOL * scale:
     # the flag is scipy's on either side of the bound
     rng = np.random.default_rng(seed)
@@ -257,15 +258,14 @@ def test_hermitian_flag_on_repeated_columns(seed, where, factor):
     H[i, j] += 0.5j * delta if i == j else delta
     H = H.tocsr()
     T = matrix_operator(H)
-    assert any(np.bincount(col[:n], minlength=n + 1)[:n].max() > 1
-               for col, _ in T._data)
+    # several runs hold an entry in one column
+    assert len(T._data) > 1 and np.diff(T.sparse().tocsc().indptr).max() > 1
     assert scipy_hermitian(H) == (factor < 1.0)
     assert T.hermitian == scipy_hermitian(H)
 
 
 def test_mixed_shift_sum_keeps_positions_unique(circle64):
-    # u + u^-2 is two layers; removing each part again is exactly zero,
-    # even where a partial sum holds one position in two layers
+    # u + u^-2 is two runs; removing each part again is exactly zero
     u = circle64.factor("id", (1,))
     v = circle64.factor("id", (-2,))
     mixed = u + 0.5 * v
@@ -298,3 +298,160 @@ class TestWeightedShift:
     def test_bad_layer_is_a_contract_violation(self, col, val):
         with pytest.raises(ContractViolation, match="weighted shift"):
             weighted_shift(col, val, "bad")
+
+
+def random_banded(rng, n, offsets, density=0.6):
+    """Complex input on the given diagonals, each entry present with
+    probability ``density``."""
+    parts = []
+    for k in offsets:
+        rows = np.arange(max(0, -k), min(n, n - k))
+        rows = rows[rng.random(rows.size) < density]
+        val = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        parts.append(sp.coo_matrix((val, (rows, rows + k)), shape=(n, n)))
+    return sp.csr_matrix(sum(parts))
+
+
+def runs_of(T):
+    """(offset, first row, size) of each run of T."""
+    return [(k, lo, v.size) for k, lo, v in T._data]
+
+
+def assert_trimmed(T):
+    """Every run of a sparse T holds distinct offsets and nonzero ends, and
+    stays inside the matrix."""
+    n = T.dim
+    offsets = [k for k, _lo, _v in T._data]
+    assert len(set(offsets)) == len(offsets)
+    for k, lo, v in T._data:
+        assert v.dtype == np.complex128 and v[0] != 0 and v[-1] != 0
+        assert 0 <= lo and lo + v.size <= n
+        assert 0 <= lo + k and lo + k + v.size <= n
+
+
+class TestRunAlgebra:
+    """Products, sums, commutators and compressions of operators made of
+    several runs, against scipy on the same matrices."""
+
+    @staticmethod
+    def close(op, want):
+        want = sp.csr_matrix(want).toarray()
+        got = op.sparse().toarray()
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * (
+            1.0 + np.abs(want).max(initial=0.0))
+        if op.kind == "sparse":
+            assert_trimmed(op)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_several_offsets(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        X = random_banded(rng, n, rng.choice(np.arange(-6, 7), 3, replace=False))
+        Y = random_banded(rng, n, rng.choice(np.arange(-6, 7), 3, replace=False))
+        A, B = matrix_operator(X), matrix_operator(Y)
+        assert A.kind == B.kind == "sparse" and len(A._data) > 1
+        d = Operator(rng.standard_normal(n))
+        self.close(A, X)
+        self.close(A @ B, X @ Y)
+        self.close(A + B, X + Y)
+        self.close(A - B, X - Y)
+        self.close(1j * A, 1j * X)
+        self.close(d @ A, d.sparse() @ X)
+        self.close(A @ d, X @ d.sparse())
+        self.close(commutator(d, A), d.sparse() @ X - X @ d.sparse())
+        self.close(commutator(A, d), X @ d.sparse() - d.sparse() @ X)
+        self.close(commutator(A, B), X @ Y - Y @ X)
+        idx = np.sort(rng.choice(n, 25, replace=False))
+        self.close(A.restrict(idx), X[idx][:, idx])
+        self.close(A.restrict(np.arange(7, 31)), X[7:31, 7:31])
+        perm = rng.permutation(n)[:30]
+        self.close(A.restrict(perm), X[perm][:, perm])
+
+    def test_rows_that_never_meet(self):
+        # A holds rows 0-4 in columns 3-7, B rows 0-2 only: A @ B meets no
+        # row of B and is the exact zero; B @ A is one run
+        n = 10
+        A = weighted_shift(np.r_[np.arange(3, 8), np.full(5, n)],
+                           np.r_[np.arange(1.0, 6.0), np.zeros(5)], "A")
+        B = weighted_shift(np.r_[np.arange(1, 4), np.full(7, n)],
+                           np.r_[np.ones(3), np.zeros(7)], "B")
+        assert runs_of(A) == [(3, 0, 5)] and runs_of(B) == [(1, 0, 3)]
+        assert (A @ B).is_zero() and (A @ B).sparse().nnz == 0
+        BA = B @ A
+        assert runs_of(BA) == [(4, 0, 3)]
+        self.close(BA, B.sparse() @ A.sparse())
+        # a sum of runs on one diagonal with a gap between them keeps the
+        # gap as a zero inside one run
+        G = weighted_shift(np.r_[np.full(6, n), 9, n, n, n],
+                           np.r_[np.zeros(6), 2.0, 0, 0, 0], "G")
+        gap = A + G
+        assert runs_of(gap) == [(3, 0, 7)] and gap.sparse().nnz == 6
+        self.close(gap, A.sparse() + G.sparse())
+
+    def test_trim_to_one_entry_and_cancel_to_zero(self):
+        n = 12
+        u = weighted_shift(np.r_[np.arange(1, n), n], np.r_[np.ones(n - 1), 0],
+                           "u")
+        bump = np.zeros(n)
+        bump[5] = 3.0
+        one = Operator(bump) @ u  # row 5 only
+        assert runs_of(one) == [(1, 5, 1)]
+        self.close(one, sp.diags(bump) @ u.sparse())
+        # the difference of two shifts that agree but in one row
+        w = u + one
+        assert runs_of(w - u) == [(1, 5, 1)]
+        self.close(w - u, one.sparse())
+        # a product whose rows overlap in one row
+        tail = weighted_shift(np.r_[np.full(n - 1, n), n - 1],
+                              np.r_[np.zeros(n - 1), 2.0], "t")  # (n-1, n-1)
+        assert tail.kind == "diag"
+        last = u @ tail  # row n - 2 meets it
+        assert runs_of(last) == [(1, n - 2, 1)]
+        # exact cancellation leaves no run, in products and sums alike
+        assert (u - u).is_zero() and ((u @ u) - (u @ u)).is_zero()
+        assert (w @ u - (w @ u)).is_zero()
+        assert (0.0 * w).is_zero()
+
+    def test_restrict_splits_a_run_by_new_offset(self):
+        # offset 2 on dim 6: (0,2), (1,3), (2,4), (3,5); dropping index 3
+        # keeps (0,2) at offset 2 and moves (2,4) to (2,3), offset 1
+        n = 6
+        col = np.r_[np.arange(2, 6), n, n]
+        T = weighted_shift(col, np.r_[np.arange(1.0, 5.0), 0, 0], "T")
+        assert runs_of(T) == [(2, 0, 4)]
+        idx = np.array([0, 1, 2, 4, 5])
+        R = T.restrict(idx)
+        assert sorted(runs_of(R)) == [(1, 2, 1), (2, 0, 1)]
+        self.close(R, T.sparse()[idx][:, idx])
+        # a window keeps every offset
+        W = T.restrict(np.arange(1, 5))
+        assert runs_of(W) == [(2, 0, 2)]
+        self.close(W, T.sparse()[1:5, 1:5])
+
+    def test_weighted_shift_with_mixed_offsets(self):
+        rng = np.random.default_rng(3)
+        n = 30
+        col = np.clip(np.arange(n) + rng.choice([-3, 0, 2, 5], n), 0, n)
+        val = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        val[rng.random(n) < 0.2] = 0
+        T = weighted_shift(col, val, "mixed")
+        live = (col != n) & (val != 0)
+        rows = np.flatnonzero(live)
+        want = sp.coo_matrix((val[rows], (rows, col[rows])), shape=(n, n))
+        assert T.sparse().toarray().tobytes() == want.toarray().tobytes()
+        assert len(T._data) == np.unique(col[rows] - rows).size
+        # runs come in order of their first row
+        firsts = [lo for _k, lo, _v in T._data]
+        assert firsts == sorted(firsts)
+        assert_trimmed(T)
+
+
+@pytest.mark.parametrize("N", [8, 64, 1024, 32768])
+def test_circle_f_commutator_stores_one_entry(N):
+    # [F, u] is nonzero only where the sign of the mode changes: its run
+    # holds one value at any N
+    model = triples.build_circle(N)
+    for word in [(1,), (-1,)]:
+        fu = model.factor("F", word)
+        assert sum(v.size for _k, _lo, v in fu._data) <= 2
+        assert model.compress(fu).sparse().nnz == fu.sparse().nnz == 1
