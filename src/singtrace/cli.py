@@ -5,7 +5,7 @@ Verbs:
     singtrace model build --model circle --N 256
     singtrace cycle check --model nc_torus --N 32 --chain volume
     singtrace chern | eigen-sums | heat | dixmier | measure | reduce
-    singtrace identity-suite --model circle --N 256
+    singtrace identity-suite | concordance --model circle --N 256
     singtrace suite quick|full [--out DIR]
     singtrace run --config experiment.json
 
@@ -18,16 +18,7 @@ import argparse
 import json
 import sys
 
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    run,
-    suite,
-)
-
-# verbs that run the check of the same name
-_CHECK_VERBS = ("chern", "eigen-sums", "heat", "dixmier", "measure", "reduce",
-                "identity-suite")
+from .harness import CHECKS, ConfigError, ExperimentConfig, run, suite
 
 
 def _add_model_flags(parser):
@@ -46,13 +37,10 @@ def _add_model_flags(parser):
 
 
 def _config_from_args(args, checks):
-    tolerances = {}
-    if args.tol_identity is not None:
-        tolerances["identity"] = args.tol_identity
-    if args.tol_z is not None:
-        tolerances["heat_rel"] = args.tol_z
-    if args.tol_residual is not None:
-        tolerances["sum_tol"] = args.tol_residual
+    flags = {"identity": args.tol_identity, "heat_rel": args.tol_z,
+             "sum_tol": args.tol_residual}
+    tolerances = {key: value for key, value in flags.items()
+                  if value is not None}
     chain = args.chain
     if chain and chain.endswith(".json"):
         with open(chain) as fh:
@@ -95,9 +83,9 @@ def main(argv=None):
     p_check = cycle_sub.add_parser("check", help="exact cycle verification")
     _add_model_flags(p_check)
 
-    for verb in _CHECK_VERBS:
-        p = sub.add_parser(verb)
-        _add_model_flags(p)
+    # a verb for each check that realizes the chain's words
+    for verb in [name for name, row in CHECKS.items() if row.words == "chain"]:
+        _add_model_flags(sub.add_parser(verb))
 
     p_suite = sub.add_parser("suite", help="curated acceptance runs")
     p_suite.add_argument("which", choices=("quick", "full"))
@@ -124,8 +112,7 @@ def main(argv=None):
                 config.out = args.out
             report = run(config)
         else:  # cycle check, or a verb that runs the check of its name
-            check = "cycle" if args.verb == "cycle" else args.verb
-            report = run(_config_from_args(args, [check]))
+            report = run(_config_from_args(args, [args.verb]))
     except (ConfigError, FileNotFoundError, IsADirectoryError,
             UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,8 @@ __all__ = [
     "run",
     "suite",
     "builtin_chain",
+    "Check",
     "CHECKS",
-    "TOLERANCE_KEYS",
 ]
 
 
@@ -56,10 +57,6 @@ _BUILDER_KEYS = {"circle": ("buffer",), "nc_torus": ("theta", "buffer"),
 # identity-suite realizes a * b for words a, b drawn with exponents in
 # [-2, 2], so its words reach 4 modes past the interior
 _IDENTITY_SUITE_BUFFER = 4
-# the checks that realize the chain's words; cycle decides bc = 0 on the
-# symbols alone
-_CHAIN_CHECKS = {"chern", "eigen-sums", "heat", "dixmier", "measure", "reduce",
-                 "identity-suite", "concordance"}
 
 
 @dataclass
@@ -130,6 +127,10 @@ class ExperimentConfig:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
+        repeated = sorted({name for name in self.checks
+                           if self.checks.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"checks listed more than once: {repeated}")
         # the default buffers (8 on the circle, 4 on the torus) are enough
         if ("identity-suite" in self.checks and buffer is not None
                 and buffer < _IDENTITY_SUITE_BUFFER):
@@ -147,8 +148,7 @@ class ExperimentConfig:
         if not isinstance(self.tolerances, dict):
             raise ConfigError(
                 f"config.tolerances must be an object, got {self.tolerances!r}")
-        read = {key for name in self.checks
-                for key in TOLERANCE_KEYS.get(name, ())}
+        read = {key for name in self.checks for key in CHECKS[name].tolerances}
         unread = sorted(set(self.tolerances) - read)
         if unread:
             raise ConfigError(
@@ -433,10 +433,11 @@ class _Context:
         self.chain = _load_chain(self.model, config.chain)
         # a word the checks realize must fit the buffer: one that does not
         # is the config's fault, not a failing check
+        realized = {CHECKS[name].words for name in config.checks}
         words = set()
-        if _CHAIN_CHECKS.intersection(config.checks):
+        if "chain" in realized:
             words.update(w for ws, _m in self.chain.terms for w in ws)
-        if "summability" in config.checks:
+        if "generators" in realized:
             words.update(w for g in self.model.generators().values()
                          for w, _m in g.terms)
         for word in sorted(words):
@@ -444,9 +445,8 @@ class _Context:
                 raise ConfigError(
                     f"word {self.model.word_label(word)} exceeds buffer "
                     f"B={self.model.B}")
-        sch = dict(config.scheme)
-        self.scheme = traces.ExtendedLimitScheme(**sch) if sch else \
-            traces.ExtendedLimitScheme()
+        self.chain_key = hh._chain_key(self.chain)
+        self.scheme = traces.ExtendedLimitScheme(**config.scheme)
         # a heat grid reaches max(dim // 8, 2 n_min): past dim it samples
         # nothing but the truncation tail
         if 2 * self.scheme.n_min > self.model.dim:
@@ -461,7 +461,12 @@ class _Context:
                 f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
                 f"2*n_min past N={self.model.N}, the dim of the harmonic "
                 f"diagonal that {on_harmonic} sample")
-        self.tol = dict(config.tolerances)
+        # each requested check's tolerance keys: the config's value, else
+        # the check's default
+        self.tol = {key: default for name in config.checks
+                    for key, default in CHECKS[name].tolerances.items()}
+        self.tol.update((key, float(value))
+                        for key, value in config.tolerances.items())
         stamp = (config.digest() + self.model.model_id
                  + json.dumps(sorted(map(str, self.chain.terms.items()))))
         self.inputs_digest = hashlib.sha256(stamp.encode()).hexdigest()[:16]
@@ -471,10 +476,10 @@ class _Context:
         config, so a check's inputs do not depend on the other checks listed."""
         return np.random.default_rng(self.config.seed)
 
-    def tolerance(self, key, default):
-        """The config's value for ``key`` as a float, else ``default``."""
-        value = self.tol.get(key)
-        return default if value is None else float(value)
+    def tolerance(self, key):
+        """The config's value for ``key`` as a float, else the default its
+        check states."""
+        return self.tol[key]
 
 
 def _check_cycle(ctx):
@@ -487,7 +492,7 @@ def _check_cycle(ctx):
 def _check_chern(ctx):
     res = hh.chern(ctx.chain, ctx.model)
     deltas = res.deltas
-    tol = ctx.tolerance("chern_convergence", 0.1)
+    tol = ctx.tolerance("chern_convergence")
     converged = (not deltas) or deltas[-1] <= max(tol * abs(res.value), tol)
     rows = [(r, v.real, v.imag) for r, v in sorted(res.history.items())]
     return CheckRecord(
@@ -501,7 +506,7 @@ def _check_chern(ctx):
 def _check_eigen_sums(ctx):
     series = hh._pairing_series(ctx.chain, ctx.model)
     verdict = hh._pairing_verdict(ctx.chain, ctx.model,
-                                  ctx.tolerance("sum_tol", None))
+                                  ctx.tolerance("sum_tol"))
     rows = [(int(n), series.sums[n].real, series.sums[n].imag)
             for n in verdict.fit.grid]
     return CheckRecord(
@@ -516,7 +521,7 @@ def _check_eigen_sums(ctx):
 def _check_heat(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     res = hh.heat_cycle_trace(ctx.chain, ctx.model)
-    tol = ctx.tolerance("heat_rel", 0.15) * abs(ch)
+    tol = ctx.tolerance("heat_rel") * abs(ch)
     gap = abs(res["z"] - ch)
     rows = list(zip(res["s"], [v.real for v in res["values"]],
                     [v.imag for v in res["values"]]))
@@ -530,7 +535,7 @@ def _check_heat(ctx):
 def _check_dixmier(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
-    tol = ctx.tolerance("dixmier_rel", 0.15) * max(abs(ch), 1e-12)
+    tol = ctx.tolerance("dixmier_rel") * max(abs(ch), 1e-12)
     gap = abs(est.z - ch)
     return CheckRecord(
         "dixmier", passed=bool(gap <= tol),
@@ -563,14 +568,11 @@ def _check_reduce(ctx):
 
 def _check_identity_suite(ctx):
     model, rng = ctx.model, ctx.rng()
-    tol = ctx.tolerance("identity", 1e-10)
-    sub = {}
-    c = ctx.chain
-    sub["bob"] = hh.bob_identity_check(c, model, tol=tol)
+    tol = ctx.tolerance("identity")
+    sub = {"bob": hh.bob_identity_check(ctx.chain, model, tol=tol)}
     gens = list(model.generators().values())
-    g = gens[0]
-    h = gens[-1]
-    sub["appendix"] = hh.appendix_identity_checks(g, h, model, tol=tol)
+    sub["appendix"] = hh.appendix_identity_checks(gens[0], gens[-1], model,
+                                                  tol=tol)
     # b o b = 0 on a random chain of degree 3
     rank = model.word_rank
     def rand_elem(coeff):
@@ -623,7 +625,7 @@ def _check_identity_suite(ctx):
 def _check_summability(ctx):
     diag = triples.summability_report(ctx.model)
     slope = diag.fitted_decay_exponent
-    ok = abs(slope + 1.0) <= ctx.tolerance("decay_slope", 0.3)
+    ok = abs(slope + 1.0) <= ctx.tolerance("decay_slope")
     return CheckRecord(
         "summability", passed=bool(ok and diag.verdicts["weak_lp"]),
         values={"quasi_norm": diag.quasi_norm_pinf,
@@ -666,8 +668,8 @@ def _check_diag_oracles(ctx):
     alt = traces.measurability_criterion_check(
         _alternating(N), V,
         traces.HeatSamples(sums["grid"], sums["modulated"], 2.0))
-    tol = ctx.tolerance("diag_z", 0.05)
-    alt_tol = ctx.tolerance("alt_z", 0.02)
+    tol = ctx.tolerance("diag_z")
+    alt_tol = ctx.tolerance("alt_z")
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
           and abs(z_heat.z - 1) <= tol
           and abs(alt["z_heat"]) <= alt_tol and abs(alt["z_spec"]) <= alt_tol)
@@ -702,7 +704,7 @@ def _check_scheme_robustness(ctx):
     zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
-    tol = ctx.tolerance("scheme_drift", 0.02)
+    tol = ctx.tolerance("scheme_drift")
     return CheckRecord(
         "scheme-robustness", passed=bool(drift <= tol),
         values={f"z_r{r}": z for r, z in zs.items()},
@@ -719,9 +721,8 @@ def _check_concordance(ctx):
     ests = {"partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),
             "dixmier": (dix.z, dix.residual_sup)}
-    floor = ctx.tolerance("concordance_floor", 0.02)
+    floor = ctx.tolerance("concordance_floor")
     pairs = {}
-    ok = True
     names = list(ests)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -729,9 +730,8 @@ def _check_concordance(ctx):
             budget = ests[a][1] + ests[b][1] + floor
             pairs[f"{a}|{b}"] = {"gap": gap, "budget": budget,
                                  "passed": bool(gap <= budget)}
-            ok = ok and gap <= budget
     return CheckRecord(
-        "concordance", passed=bool(ok),
+        "concordance", passed=all(p["passed"] for p in pairs.values()),
         values={name: z for name, (z, _r) in ests.items()},
         residuals={name: r for name, (_z, r) in ests.items()},
         details=pairs)
@@ -762,45 +762,25 @@ def _check_cutoff(ctx):
     else:
         rep = traces.cesaro_cutoff_comparison(
             None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
-    tol = ctx.tolerance("cutoff_gap", 0.05)
+    tol = ctx.tolerance("cutoff_gap")
     return CheckRecord(
         "cutoff", passed=bool(rep["gap"] <= tol),
         values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]},
         residuals={"gap": rep["gap"]})
 
 
-# the keys each check reads through _Context.tolerance; a config may set
-# only keys that one of its checks reads
-TOLERANCE_KEYS = {
-    "chern": ("chern_convergence",),
-    "eigen-sums": ("sum_tol",),
-    "heat": ("heat_rel",),
-    "dixmier": ("dixmier_rel",),
-    "identity-suite": ("identity",),
-    "summability": ("decay_slope",),
-    "diag-oracles": ("diag_z", "alt_z"),
-    "scheme-robustness": ("scheme_drift",),
-    "concordance": ("concordance_floor",),
-    "cutoff": ("cutoff_gap",),
-}
+class Check(NamedTuple):
+    """One row of the check table, which validation, ``run``, the release
+    and the CLI verbs read: the check; the tolerance keys it reads through
+    ``_Context.tolerance``, with their defaults; the memo keys it requests
+    itself, not through a build (``(_DOUBLE, key)`` on the invertible
+    double); and the words it realizes, which must fit the buffer:
+    ``"chain"`` (each such check is a CLI verb), ``"generators"`` or None."""
 
-CHECKS = {
-    "cycle": _check_cycle,
-    "chern": _check_chern,
-    "eigen-sums": _check_eigen_sums,
-    "heat": _check_heat,
-    "dixmier": _check_dixmier,
-    "measure": _check_measure,
-    "reduce": _check_reduce,
-    "identity-suite": _check_identity_suite,
-    "summability": _check_summability,
-    "diag-oracles": _check_diag_oracles,
-    "scalings": _check_scalings,
-    "scheme-robustness": _check_scheme_robustness,
-    "concordance": _check_concordance,
-    "modulated": _check_modulated,
-    "cutoff": _check_cutoff,
-}
+    check: object
+    tolerances: dict
+    requests: object
+    words: object
 
 
 # the memo entries a check requests and those each entry's build requests
@@ -809,39 +789,68 @@ CHECKS = {
 _DOUBLE = ("double",)
 
 
+def _top_double(ctx):
+    """W_p(c) and the inverse powers of |D0| on the invertible double."""
+    return [(_DOUBLE, ("W", ctx.chain_key, frozenset({ctx.model.p}))),
+            (_DOUBLE, ("inverse_powers",))]
+
+
+def _harmonic_requests(ctx):
+    return [("harmonic", ctx.model.N), ("harmonic heat",)]
+
+
+CHECKS = {
+    "cycle": Check(_check_cycle, {}, lambda ctx: [], None),
+    "chern": Check(_check_chern, {"chern_convergence": 0.1},
+                   lambda ctx: [("chern", ctx.chain_key)], "chain"),
+    "eigen-sums": Check(_check_eigen_sums, {"sum_tol": None}, lambda ctx: [
+        ("pairing", ctx.chain_key),
+        ("pairing verdict", ctx.chain_key, ctx.tol["sum_tol"])], "chain"),
+    "heat": Check(_check_heat, {"heat_rel": 0.15}, lambda ctx: [
+        ("chern", ctx.chain_key)] + _top_double(ctx), "chain"),
+    "dixmier": Check(_check_dixmier, {"dixmier_rel": 0.15}, lambda ctx: [
+        ("chern", ctx.chain_key),
+        ("pairing dixmier", ctx.chain_key, ctx.scheme)], "chain"),
+    "measure": Check(_check_measure, {}, lambda ctx: [
+        ("chern", ctx.chain_key), ("pairing verdict", ctx.chain_key, None),
+        ("pairing", ctx.chain_key), ("pairing heat", ctx.chain_key),
+        ("weight_mu", ctx.chain.degree), ("weight_ideal", ctx.chain.degree)],
+        "chain"),
+    "reduce": Check(_check_reduce, {}, lambda ctx: [
+        (_DOUBLE, ("omega", ctx.chain_key))] + _top_double(ctx), "chain"),
+    "identity-suite": Check(
+        _check_identity_suite, {"identity": 1e-10},
+        lambda ctx: [("W", ctx.chain_key, frozenset())] + [
+            ("F", w) for (words, _m), _c in ctx.chain_key[1] for w in words],
+        "chain"),
+    "summability": Check(
+        _check_summability, {"decay_slope": 0.3},
+        lambda ctx: [("weight_ideal", ctx.model.p)] + [
+            (kind, w) for g in ctx.model.generators().values()
+            for w, _m in g.terms for kind in ("F", "delta")],
+        "generators"),
+    "diag-oracles": Check(_check_diag_oracles, {"diag_z": 0.05, "alt_z": 0.02},
+                          _harmonic_requests, None),
+    "scalings": Check(_check_scalings, {}, _harmonic_requests, None),
+    "scheme-robustness": Check(_check_scheme_robustness, {"scheme_drift": 0.02},
+                               lambda ctx: [("harmonic", ctx.model.N)], None),
+    "concordance": Check(
+        _check_concordance, {"concordance_floor": 0.02},
+        lambda ctx: [("pairing verdict", ctx.chain_key, None),
+                     ("pairing heat", ctx.chain_key),
+                     ("pairing dixmier", ctx.chain_key, ctx.scheme)],
+        "chain"),
+    "modulated": Check(_check_modulated, {},
+                       lambda ctx: [("harmonic", min(ctx.model.N, 4096))], None),
+    "cutoff": Check(_check_cutoff, {"cutoff_gap": 0.05}, _harmonic_requests,
+                    None),
+}
+
+
 def _requests(name, ctx):
     """The memo paths check ``name`` requests itself (not through a build)."""
-    model, chain = ctx.model, ctx.chain
-    ck, q, p, N = hh._chain_key(chain), chain.degree, model.p, model.N
-    sum_tol = ctx.tol.get("sum_tol")  # as _Context.tolerance reads it
-    sum_tol = None if sum_tol is None else float(sum_tol)
-    top = frozenset({p})
-    harmonic = [("harmonic", N), ("harmonic heat",)]
-    keys = {
-        "chern": [("chern", ck)],
-        "eigen-sums": [("pairing", ck), ("pairing verdict", ck, sum_tol)],
-        "heat": [("chern", ck), (_DOUBLE, ("W", ck, top)),
-                 (_DOUBLE, ("inverse_powers",))],
-        "dixmier": [("chern", ck), ("pairing dixmier", ck, ctx.scheme)],
-        "measure": [("chern", ck), ("pairing verdict", ck, None),
-                    ("pairing", ck), ("pairing heat", ck), ("weight_mu", q),
-                    ("weight_ideal", q)],
-        "reduce": [(_DOUBLE, ("omega", ck)), (_DOUBLE, ("W", ck, top)),
-                   (_DOUBLE, ("inverse_powers",))],
-        "identity-suite": [("W", ck, frozenset())] + [
-            ("F", w) for (words, _m), _c in ck[1] for w in words],
-        "summability": [("weight_ideal", p)] + [
-            (kind, w) for g in model.generators().values()
-            for w, _m in g.terms for kind in ("F", "delta")],
-        "diag-oracles": harmonic,
-        "scalings": harmonic,
-        "scheme-robustness": [("harmonic", N)],
-        "concordance": [("pairing verdict", ck, None), ("pairing heat", ck),
-                        ("pairing dixmier", ck, ctx.scheme)],
-        "modulated": [("harmonic", min(N, 4096))],
-        "cutoff": harmonic,
-    }.get(name, [])
-    return [path if path[0] == _DOUBLE else (path,) for path in keys]
+    return [path if path[0] == _DOUBLE else (path,)
+            for path in CHECKS[name].requests(ctx)]
 
 
 def _needs(path, N):
@@ -889,7 +898,7 @@ def run(config):
     for i, name in enumerate(config.checks):  # none: a passing report
         t0 = time.perf_counter()
         try:
-            rec = CHECKS[name](ctx)
+            rec = CHECKS[name].check(ctx)
         except OperatorError as exc:  # e.g. a model too small for the check
             rec = CheckRecord(name, passed=False,
                               details={"error": f"{type(exc).__name__}: {exc}"})

@@ -24,7 +24,7 @@ from singtrace import hochschild as hh
 from singtrace.cli import main as cli_main
 from singtrace.harness import (
     CHECKS,
-    TOLERANCE_KEYS,
+    Check,
     ConfigError,
     ExperimentConfig,
     builtin_chain,
@@ -132,7 +132,8 @@ class TestRun:
         def strict(constant):
             raise ValueError(f"report holds {constant}")
 
-        monkeypatch.setitem(CHECKS, "nonfinite", nonfinite)
+        monkeypatch.setitem(CHECKS, "nonfinite",
+                            Check(nonfinite, {}, lambda ctx: [], None))
         report = run(ExperimentConfig(model={"name": "circle", "N": 16},
                                       checks=["nonfinite", "cycle"],
                                       out=str(tmp_path)))
@@ -249,6 +250,27 @@ class TestCli:
     def test_chern_verb(self, capsys):
         rc = cli_main(["chern", "--model", "circle", "--N", "32"])
         assert rc == 0
+
+    @pytest.mark.parametrize("verb", [
+        name for name, row in CHECKS.items() if row.words == "chain"])
+    def test_every_check_verb_runs_its_check(self, verb, capsys):
+        # the CLI's default circle N = 64; at N = 32 the circle's heat fit
+        # reads 1.81 for Ch = 2, so measure and concordance fail there
+        assert cli_main([verb, "--model", "circle", "--N", "64"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"[PASS] {verb}: ")
+        assert out[1:] == ["all passed: True"]
+
+    def test_check_listed_twice_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 32},
+                                   "checks": ["chern", "cycle", "chern"],
+                                   "out": str(tmp_path / "rep")}))
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "config error: checks listed more than once: ['chern']"]
+        assert not (tmp_path / "rep").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -606,7 +628,7 @@ def _fuzzed_configs(draw):
                            unique=True))
     config["checks"] = checks
     keys = sorted({key for check in checks
-                   for key in TOLERANCE_KEYS.get(check, ())})
+                   for key in CHECKS[check].tolerances})
     values = st.one_of(st.floats(0.0, 1.0), st.floats(), st.booleans(),
                        st.text(max_size=3))
     config["tolerances"] = draw(st.dictionaries(
@@ -689,14 +711,15 @@ def test_cli_exit_code_contract(case):
 
 
 def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
-    """TOLERANCE_KEYS is exactly the set of ``ctx.tolerance`` reads, check by
-    check, over ``suite quick`` and the checks it leaves out."""
+    """The tolerance keys of the check table are exactly the set of
+    ``ctx.tolerance`` reads, check by check, over ``suite quick`` and the
+    checks it leaves out."""
     current, reads = [], set()
     real_tolerance = harness._Context.tolerance
 
-    def tolerance(ctx, key, default):
+    def tolerance(ctx, key):
         reads.add((current[-1], key))
-        return real_tolerance(ctx, key, default)
+        return real_tolerance(ctx, key)
 
     def recording(name, check):
         def wrapped(ctx):
@@ -705,8 +728,9 @@ def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(harness._Context, "tolerance", tolerance)
-    for name, check in list(CHECKS.items()):
-        monkeypatch.setitem(CHECKS, name, recording(name, check))
+    for name, row in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name,
+                            row._replace(check=recording(name, row.check)))
     suite("quick")
     ran = set(current)
     rest = [name for name in CHECKS if name not in ran]
@@ -714,8 +738,49 @@ def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
                             "modulated"]
     run(ExperimentConfig(model={"name": "circle", "N": 256}, checks=rest))
     assert set(current) == set(CHECKS)
-    assert reads == {(name, key) for name, keys in TOLERANCE_KEYS.items()
-                     for key in keys}
+    assert reads == {(name, key) for name, row in CHECKS.items()
+                     for key in row.tolerances}
+
+
+def test_a_new_check_is_one_row(monkeypatch, capsys):
+    """A check registered as one row of CHECKS, with no other edit, is
+    validated, run, released and offered as a CLI verb from that row."""
+    seen = {}
+
+    def fake(ctx):
+        # the release after chern kept the entry this row requests
+        seen["kept"] = ("chern", ctx.chain_key) in ctx.model._memo
+        seen["memo"] = ctx.model._memo
+        z = hh.chern(ctx.chain, ctx.model).value
+        tol = ctx.tolerance("fake_tol")
+        return harness.CheckRecord("fake", passed=bool(abs(z - 2) <= tol),
+                                   values={"tol": tol})
+
+    monkeypatch.setitem(CHECKS, "fake", Check(
+        fake, {"fake_tol": 1e-9},
+        lambda ctx: [("chern", ctx.chain_key)], "chain"))
+    model = {"name": "circle", "N": 32}
+    ExperimentConfig(model=model, checks=["fake"],
+                     tolerances={"fake_tol": 0.5}).validate()
+    for checks, key in [(["fake"], "chern_convergence"),
+                        (["chern"], "fake_tol")]:
+        with pytest.raises(ConfigError,
+                           match=f"tolerance keys \\['{key}'\\]"):
+            ExperimentConfig(model=model, checks=checks,
+                             tolerances={key: 0.5}).validate()
+    for tolerances, tol in [({}, 1e-9), ({"fake_tol": 0.5}, 0.5)]:
+        seen.clear()
+        report = run(ExperimentConfig(model=model, checks=["chern", "fake"],
+                                      tolerances=tolerances))
+        assert report.all_passed
+        assert [r.name for r in report.records] == ["chern", "fake"]
+        assert report.records[1].values == {"tol": tol}
+        # and the run released it after the fake check
+        assert seen["kept"] and seen["memo"] == {}
+    with pytest.raises(ConfigError, match="exceeds buffer"):
+        run(ExperimentConfig(model={**model, "buffer": 0}, checks=["fake"]))
+    assert cli_main(["fake", "--N", "32"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] fake: tol=1e-09")
 
 
 def test_pairing_estimates_are_built_once(monkeypatch):
@@ -1010,8 +1075,9 @@ def _memo_recorder(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(triples.SpectralTripleModel, "derived", derived)
-    for name, check in list(CHECKS.items()):
-        monkeypatch.setitem(CHECKS, name, recording(name, check))
+    for name, row in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, name,
+                            row._replace(check=recording(name, row.check)))
     return builds, missed
 
 
