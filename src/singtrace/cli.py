@@ -1,13 +1,16 @@
 """Command line interface.
 
-Verbs:
+Verbs, each taking only the flags it reads:
 
-    singtrace model build --model circle --N 256
+    singtrace model build --model circle --N 256 [--theta T] [--p P]
     singtrace cycle check --model nc_torus --N 32 --chain volume
     singtrace chern | eigen-sums | heat | dixmier | measure | reduce
     singtrace identity-suite | concordance --model circle --N 256
-    singtrace suite quick|full [--out DIR]
-    singtrace run --config experiment.json
+    singtrace suite quick|full [--out DIR] [--seed S]
+    singtrace run --config experiment.json [--out DIR]
+
+``cycle check`` and the check verbs add ``--chain``, ``--out`` and
+``--seed`` to the model flags; tolerances are set through a config.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 """
@@ -27,20 +30,21 @@ def _add_model_flags(parser):
     parser.add_argument("--N", type=int, default=64)
     parser.add_argument("--theta", type=float, default=None)
     parser.add_argument("--p", type=int, default=None)
+
+
+def _add_check_flags(parser):
+    _add_model_flags(parser)
     parser.add_argument("--chain", default=None,
                         help="builtin chain name or path to a chain JSON file")
     parser.add_argument("--out", default=None, help="report output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol-identity", type=float, default=None)
-    parser.add_argument("--tol-z", type=float, default=None)
-    parser.add_argument("--tol-residual", type=float, default=None)
 
 
-def _config_from_args(args, checks):
-    flags = {"identity": args.tol_identity, "heat_rel": args.tol_z,
-             "sum_tol": args.tol_residual}
-    tolerances = {key: value for key, value in flags.items()
-                  if value is not None}
+def _model_from_args(args):
+    return {"name": args.model, "N": args.N, "theta": args.theta, "p": args.p}
+
+
+def _config_from_args(args):
     chain = args.chain
     if chain and chain.endswith(".json"):
         with open(chain) as fh:
@@ -49,15 +53,8 @@ def _config_from_args(args, checks):
             except ValueError as exc:
                 raise ConfigError(f"chain file {args.chain} is not valid JSON: "
                                   f"{exc}") from exc
-    return ExperimentConfig(
-        model={"name": args.model, "N": args.N, "theta": args.theta,
-               "p": args.p},
-        chain=chain,
-        checks=checks,
-        tolerances=tolerances,
-        out=args.out,
-        seed=args.seed,
-    )
+    return ExperimentConfig(model=_model_from_args(args), chain=chain,
+                            checks=[args.verb], out=args.out, seed=args.seed)
 
 
 def _print_report(report):
@@ -81,11 +78,11 @@ def main(argv=None):
     p_cycle = sub.add_parser("cycle", help="chain utilities")
     cycle_sub = p_cycle.add_subparsers(dest="action", required=True)
     p_check = cycle_sub.add_parser("check", help="exact cycle verification")
-    _add_model_flags(p_check)
+    _add_check_flags(p_check)
 
     # a verb for each check that realizes the chain's words
     for verb in [name for name, row in CHECKS.items() if row.words == "chain"]:
-        _add_model_flags(sub.add_parser(verb))
+        _add_check_flags(sub.add_parser(verb))
 
     p_suite = sub.add_parser("suite", help="curated acceptance runs")
     p_suite.add_argument("which", choices=("quick", "full"))
@@ -100,7 +97,8 @@ def main(argv=None):
 
     try:
         if args.verb == "model":
-            model = _config_from_args(args, []).validate().build_model()
+            model = ExperimentConfig(
+                model=_model_from_args(args)).validate().build_model()
             print(model.descriptor_json())
             return 0
         if args.verb == "suite":
@@ -112,7 +110,7 @@ def main(argv=None):
                 config.out = args.out
             report = run(config)
         else:  # cycle check, or a verb that runs the check of its name
-            report = run(_config_from_args(args, [args.verb]))
+            report = run(_config_from_args(args))
     except (ConfigError, FileNotFoundError, IsADirectoryError,
             UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

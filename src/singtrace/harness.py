@@ -54,9 +54,6 @@ _MODEL_KEYS = ("name", "N", "theta", "p", "buffer")
 # the optional model keys each builder reads
 _BUILDER_KEYS = {"circle": ("buffer",), "nc_torus": ("theta", "buffer"),
                  "toy": ("p",)}
-# identity-suite realizes a * b for words a, b drawn with exponents in
-# [-2, 2], so its words reach 4 modes past the interior
-_IDENTITY_SUITE_BUFFER = 4
 
 
 @dataclass
@@ -127,16 +124,14 @@ class ExperimentConfig:
             if name not in CHECKS:
                 raise ConfigError(
                     f"unknown check {name!r}; known: {sorted(CHECKS)}")
+            # the defaults (8 on the circle, 4 on the torus) meet every row's
+            if buffer is not None and buffer < CHECKS[name].buffer:
+                raise ConfigError(f"{name} needs model buffer >= "
+                                  f"{CHECKS[name].buffer}, got {buffer!r}")
         repeated = sorted({name for name in self.checks
                            if self.checks.count(name) > 1})
         if repeated:
             raise ConfigError(f"checks listed more than once: {repeated}")
-        # the default buffers (8 on the circle, 4 on the torus) are enough
-        if ("identity-suite" in self.checks and buffer is not None
-                and buffer < _IDENTITY_SUITE_BUFFER):
-            raise ConfigError(
-                f"identity-suite needs model buffer >= "
-                f"{_IDENTITY_SUITE_BUFFER}, got {buffer!r}")
         self._validate_scheme()
         if not _integer(self.seed) or self.seed < 0:
             raise ConfigError(
@@ -228,7 +223,6 @@ def _finite_number(value):
 
 @dataclass
 class CheckRecord:
-    name: str
     passed: bool
     values: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
@@ -236,6 +230,7 @@ class CheckRecord:
     runtime_s: float = 0.0
     inputs_digest: str = ""
     curves: list = field(default_factory=list)  # (curve_name, header, rows)
+    name: str = ""  # set by run: the key of the check's row in CHECKS
 
     def as_dict(self, timing=True):
         out = {
@@ -453,14 +448,17 @@ class _Context:
             raise ConfigError(
                 f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
                 f"2*n_min past the model's dim {self.model.dim}")
-        # these checks build their heat grids on the harmonic diagonal of
-        # dim N, which on the circle and torus is below the working dim
-        on_harmonic = sorted(set(config.checks) & {"cutoff", "diag-oracles"})
-        if on_harmonic and 2 * self.scheme.n_min > self.model.N:
-            raise ConfigError(
-                f"scheme n_min={self.scheme.n_min} puts the heat grid's top "
-                f"2*n_min past N={self.model.N}, the dim of the harmonic "
-                f"diagonal that {on_harmonic} sample")
+        # a grid a check builds on the harmonic diagonal of dim N, which on
+        # the circle and torus is below the working dim, must stay on it
+        N = self.model.N
+        for name in config.checks:
+            grid = CHECKS[name].n_min
+            if grid is not None and self.scheme.n_min > grid[0](N):
+                on_grid = sorted(other for other in config.checks
+                                 if CHECKS[other].n_min is grid)
+                raise ConfigError(
+                    f"scheme n_min={self.scheme.n_min} {grid[1].format(N=N)} "
+                    f"of the harmonic diagonal that {on_grid} sample")
         # each requested check's tolerance keys: the config's value, else
         # the check's default
         self.tol = {key: default for name in config.checks
@@ -484,9 +482,8 @@ class _Context:
 
 def _check_cycle(ctx):
     ok = hh.is_cycle(ctx.chain)
-    return CheckRecord("cycle", passed=ok,
-                       values={"degree": ctx.chain.degree,
-                               "terms": len(ctx.chain.terms)})
+    return CheckRecord(passed=ok, values={"degree": ctx.chain.degree,
+                                          "terms": len(ctx.chain.terms)})
 
 
 def _check_chern(ctx):
@@ -496,8 +493,7 @@ def _check_chern(ctx):
     converged = (not deltas) or deltas[-1] <= max(tol * abs(res.value), tol)
     rows = [(r, v.real, v.imag) for r, v in sorted(res.history.items())]
     return CheckRecord(
-        "chern", passed=bool(converged),
-        values={"chern": res.value},
+        passed=bool(converged), values={"chern": res.value},
         residuals={"last_window_delta": deltas[-1] if deltas else 0.0},
         details=res.as_dict(),
         curves=[("convergence", ["radius", "re", "im"], rows)])
@@ -510,11 +506,9 @@ def _check_eigen_sums(ctx):
     rows = [(int(n), series.sums[n].real, series.sums[n].imag)
             for n in verdict.fit.grid]
     return CheckRecord(
-        "eigen-sums",
-        passed=verdict.kind != ideals.INCONCLUSIVE,
+        passed=verdict.kind != ideals.INCONCLUSIVE, details=verdict.as_dict(),
         values={"z": verdict.z, "verdict": verdict.kind},
         residuals={"residual_sup": verdict.fit.residual_sup},
-        details=verdict.as_dict(),
         curves=[("partial_sums", ["n", "re_sum", "im_sum"], rows)])
 
 
@@ -526,8 +520,7 @@ def _check_heat(ctx):
     rows = list(zip(res["s"], [v.real for v in res["values"]],
                     [v.imag for v in res["values"]]))
     return CheckRecord(
-        "heat", passed=bool(gap <= tol),
-        values={"z": res["z"], "chern": ch},
+        passed=bool(gap <= tol), values={"z": res["z"], "chern": ch},
         residuals={"gap": gap, "fit_residual": res["residual_sup"]},
         curves=[("heat_trace", ["s", "re", "im"], rows)])
 
@@ -538,8 +531,7 @@ def _check_dixmier(ctx):
     tol = ctx.tolerance("dixmier_rel") * max(abs(ch), 1e-12)
     gap = abs(est.z - ch)
     return CheckRecord(
-        "dixmier", passed=bool(gap <= tol),
-        values={"z": est.z, "chern": ch},
+        passed=bool(gap <= tol), values={"z": est.z, "chern": ch},
         residuals={"gap": gap, "oscillation": est.residual_sup},
         details=est.as_dict())
 
@@ -553,17 +545,16 @@ def _check_measure(ctx):
         values["z_heat"] = report["z_heat"]
         residuals = {"gap_spec": report["gap_spec"],
                      "gap_heat": report["gap_heat"]}
-    return CheckRecord("measure", passed=report["passed"], values=values,
+    return CheckRecord(passed=report["passed"], values=values,
                        residuals=residuals, details=report)
 
 
 def _check_reduce(ctx):
     report = hh.reduction_partial_sum_check(ctx.chain, ctx.model)
     return CheckRecord(
-        "reduce", passed=report["passed"],
+        passed=report["passed"], details=report,
         values={"z": report["z"], "sum_sup": report["sum_sup"]},
-        residuals={"residual_sup": report["residual_sup"]},
-        details=report)
+        residuals={"residual_sup": report["residual_sup"]})
 
 
 def _check_identity_suite(ctx):
@@ -617,8 +608,7 @@ def _check_identity_suite(ctx):
     worst = max(
         (v for entry in sub.values() for k, v in entry.items()
          if k != "tol" and isinstance(v, float)), default=0.0)
-    return CheckRecord("identity-suite", passed=passed,
-                       values={"checks": len(sub)},
+    return CheckRecord(passed=passed, values={"checks": len(sub)},
                        residuals={"worst_residual": worst}, details=sub)
 
 
@@ -627,7 +617,7 @@ def _check_summability(ctx):
     slope = diag.fitted_decay_exponent
     ok = abs(slope + 1.0) <= ctx.tolerance("decay_slope")
     return CheckRecord(
-        "summability", passed=bool(ok and diag.verdicts["weak_lp"]),
+        passed=bool(ok and diag.verdicts["weak_lp"]),
         values={"quasi_norm": diag.quasi_norm_pinf,
                 "lorentz_norm": diag.lorentz_norm,
                 "decay_exponent": slope},
@@ -664,17 +654,16 @@ def _check_diag_oracles(ctx):
     z_xi = traces.heat_xi(V, ctx.scheme)
     sums = _harmonic_heat(ctx.model)
     z_heat = traces.heat_fit(traces.HeatSamples(
-        sums["grid"], sums["heat"].astype(complex), 2.0))
+        sums["grid"], sums["heat"].astype(complex)))
     alt = traces.measurability_criterion_check(
-        _alternating(N), V,
-        traces.HeatSamples(sums["grid"], sums["modulated"], 2.0))
+        _alternating(N), V, traces.HeatSamples(sums["grid"], sums["modulated"]))
     tol = ctx.tolerance("diag_z")
     alt_tol = ctx.tolerance("alt_z")
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
           and abs(z_heat.z - 1) <= tol
           and abs(alt["z_heat"]) <= alt_tol and abs(alt["z_spec"]) <= alt_tol)
     return CheckRecord(
-        "diag-oracles", passed=bool(ok),
+        passed=bool(ok),
         values={"dixmier": z_dix.z, "heat_xi": z_xi.z, "heat": z_heat.z,
                 "alt_z_heat": alt["z_heat"], "alt_z_spec": alt["z_spec"]},
         residuals={"dixmier": z_dix.residual_sup, "heat_xi": z_xi.residual_sup,
@@ -689,11 +678,10 @@ def _check_scalings(ctx):
                2.0, sums["grid"], sums["saturating"], sums["counting"])}
     ok = all(rep["passed"] and rep["xi_trend_negative"] for rep in sub.values())
     return CheckRecord(
-        "scalings", passed=bool(ok),
+        passed=bool(ok), details=sub,
         values={f"slopes_a{alpha}": (sub[f"alpha={alpha}"]["slope_saturating"],
                                      sub[f"alpha={alpha}"]["slope_counting"])
-                for alpha in (1.5, 2.0)},
-        details=sub)
+                for alpha in (1.5, 2.0)})
 
 
 def _check_scheme_robustness(ctx):
@@ -705,10 +693,8 @@ def _check_scheme_robustness(ctx):
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
     tol = ctx.tolerance("scheme_drift")
-    return CheckRecord(
-        "scheme-robustness", passed=bool(drift <= tol),
-        values={f"z_r{r}": z for r, z in zs.items()},
-        residuals={"drift": drift})
+    return CheckRecord(passed=bool(drift <= tol), residuals={"drift": drift},
+                       values={f"z_r{r}": z for r, z in zs.items()})
 
 
 def _check_concordance(ctx):
@@ -731,10 +717,9 @@ def _check_concordance(ctx):
             pairs[f"{a}|{b}"] = {"gap": gap, "budget": budget,
                                  "passed": bool(gap <= budget)}
     return CheckRecord(
-        "concordance", passed=all(p["passed"] for p in pairs.values()),
+        passed=all(p["passed"] for p in pairs.values()), details=pairs,
         values={name: z for name, (z, _r) in ests.items()},
-        residuals={name: r for name, (_z, r) in ests.items()},
-        details=pairs)
+        residuals={name: r for name, (_z, r) in ests.items()})
 
 
 def _check_modulated(ctx):
@@ -743,7 +728,7 @@ def _check_modulated(ctx):
     phases = np.exp(2j * np.pi * ctx.rng().random(N))
     A = Operator(phases, label="random phases")
     rep = traces.modulated_comparison(A, V)
-    return CheckRecord("modulated", passed=rep["passed"],
+    return CheckRecord(passed=rep["passed"],
                        values={"sup_gap": rep["sup_gap"], "tol": rep["tol"]})
 
 
@@ -764,9 +749,8 @@ def _check_cutoff(ctx):
             None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
     tol = ctx.tolerance("cutoff_gap")
     return CheckRecord(
-        "cutoff", passed=bool(rep["gap"] <= tol),
-        values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]},
-        residuals={"gap": rep["gap"]})
+        passed=bool(rep["gap"] <= tol), residuals={"gap": rep["gap"]},
+        values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]})
 
 
 class Check(NamedTuple):
@@ -774,13 +758,26 @@ class Check(NamedTuple):
     and the CLI verbs read: the check; the tolerance keys it reads through
     ``_Context.tolerance``, with their defaults; the memo keys it requests
     itself, not through a build (``(_DOUBLE, key)`` on the invertible
-    double); and the words it realizes, which must fit the buffer:
-    ``"chain"`` (each such check is a CLI verb), ``"generators"`` or None."""
+    double); the words it realizes, which must fit the buffer: ``"chain"``
+    (a CLI verb), ``"generators"`` or None; the buffer its own words need;
+    and its grid on the harmonic diagonal (see ``_HEAT_GRID``) or None."""
 
     check: object
     tolerances: dict
     requests: object
     words: object
+    buffer: int
+    n_min: object
+
+
+# a check's grid on the harmonic diagonal of dim N: the largest scheme n_min
+# it admits, a function of N, and how a larger one overruns it (formatted
+# with N); the heat grid reaches max(N // 8, 2 n_min), and the Dixmier grid
+# runs from n_min to the last partial sum, N - 1
+_HEAT_GRID = (lambda N: N // 2,
+              "puts the heat grid's top 2*n_min past N={N}, the dim")
+_DIXMIER_GRID = (lambda N: N - 1, "puts the Dixmier grid's first point n_min "
+                 "past N-1, with N={N} the dim")
 
 
 # the memo entries a check requests and those each entry's build requests
@@ -800,50 +797,55 @@ def _harmonic_requests(ctx):
 
 
 CHECKS = {
-    "cycle": Check(_check_cycle, {}, lambda ctx: [], None),
+    "cycle": Check(_check_cycle, {}, lambda ctx: [], None, 0, None),
     "chern": Check(_check_chern, {"chern_convergence": 0.1},
-                   lambda ctx: [("chern", ctx.chain_key)], "chain"),
+                   lambda ctx: [("chern", ctx.chain_key)], "chain", 0, None),
     "eigen-sums": Check(_check_eigen_sums, {"sum_tol": None}, lambda ctx: [
         ("pairing", ctx.chain_key),
-        ("pairing verdict", ctx.chain_key, ctx.tol["sum_tol"])], "chain"),
+        ("pairing verdict", ctx.chain_key, ctx.tol["sum_tol"])],
+        "chain", 0, None),
     "heat": Check(_check_heat, {"heat_rel": 0.15}, lambda ctx: [
-        ("chern", ctx.chain_key)] + _top_double(ctx), "chain"),
+        ("chern", ctx.chain_key)] + _top_double(ctx), "chain", 0, None),
     "dixmier": Check(_check_dixmier, {"dixmier_rel": 0.15}, lambda ctx: [
         ("chern", ctx.chain_key),
-        ("pairing dixmier", ctx.chain_key, ctx.scheme)], "chain"),
+        ("pairing dixmier", ctx.chain_key, ctx.scheme)], "chain", 0, None),
     "measure": Check(_check_measure, {}, lambda ctx: [
         ("chern", ctx.chain_key), ("pairing verdict", ctx.chain_key, None),
         ("pairing", ctx.chain_key), ("pairing heat", ctx.chain_key),
         ("weight_mu", ctx.chain.degree), ("weight_ideal", ctx.chain.degree)],
-        "chain"),
+        "chain", 0, None),
     "reduce": Check(_check_reduce, {}, lambda ctx: [
-        (_DOUBLE, ("omega", ctx.chain_key))] + _top_double(ctx), "chain"),
+        (_DOUBLE, ("omega", ctx.chain_key))] + _top_double(ctx),
+        "chain", 0, None),
+    # its words a * b, a and b with exponents in [-2, 2], reach 4 modes out
     "identity-suite": Check(
         _check_identity_suite, {"identity": 1e-10},
         lambda ctx: [("W", ctx.chain_key, frozenset())] + [
             ("F", w) for (words, _m), _c in ctx.chain_key[1] for w in words],
-        "chain"),
+        "chain", 4, None),
     "summability": Check(
         _check_summability, {"decay_slope": 0.3},
         lambda ctx: [("weight_ideal", ctx.model.p)] + [
             (kind, w) for g in ctx.model.generators().values()
             for w, _m in g.terms for kind in ("F", "delta")],
-        "generators"),
+        "generators", 0, None),
     "diag-oracles": Check(_check_diag_oracles, {"diag_z": 0.05, "alt_z": 0.02},
-                          _harmonic_requests, None),
-    "scalings": Check(_check_scalings, {}, _harmonic_requests, None),
+                          _harmonic_requests, None, 0, _HEAT_GRID),
+    "scalings": Check(_check_scalings, {}, _harmonic_requests, None, 0, None),
     "scheme-robustness": Check(_check_scheme_robustness, {"scheme_drift": 0.02},
-                               lambda ctx: [("harmonic", ctx.model.N)], None),
+                               lambda ctx: [("harmonic", ctx.model.N)], None,
+                               0, _DIXMIER_GRID),
     "concordance": Check(
         _check_concordance, {"concordance_floor": 0.02},
         lambda ctx: [("pairing verdict", ctx.chain_key, None),
                      ("pairing heat", ctx.chain_key),
                      ("pairing dixmier", ctx.chain_key, ctx.scheme)],
-        "chain"),
+        "chain", 0, None),
     "modulated": Check(_check_modulated, {},
-                       lambda ctx: [("harmonic", min(ctx.model.N, 4096))], None),
+                       lambda ctx: [("harmonic", min(ctx.model.N, 4096))],
+                       None, 0, None),
     "cutoff": Check(_check_cutoff, {"cutoff_gap": 0.05}, _harmonic_requests,
-                    None),
+                    None, 0, _HEAT_GRID),
 }
 
 
@@ -900,8 +902,9 @@ def run(config):
         try:
             rec = CHECKS[name].check(ctx)
         except OperatorError as exc:  # e.g. a model too small for the check
-            rec = CheckRecord(name, passed=False,
+            rec = CheckRecord(passed=False,
                               details={"error": f"{type(exc).__name__}: {exc}"})
+        rec.name = name
         nonfinite = _nonfinite_fields(rec)
         if nonfinite:
             rec.passed = False

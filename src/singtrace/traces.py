@@ -157,8 +157,6 @@ class HeatSamples:
 
     ns: np.ndarray
     values: np.ndarray
-    alpha: float
-    label: str = ""
 
 
 def dixmier_logmean(series, scheme, n_max=None):
@@ -469,8 +467,7 @@ def heat_functional(A, V, alpha, grid):
         v, a = _sorted_spectrum(v, a)
         av = v if a is None else (a, v)
         values = _heat_sums(v, av, grid, -alpha).astype(complex)
-    label = f"Tr({A.label if A is not None else '1'}*{V.label}*heat)"
-    return HeatSamples(ns=grid, values=values, alpha=alpha, label=label)
+    return HeatSamples(ns=grid, values=values)
 
 
 def heat_fit(samples):

@@ -135,6 +135,52 @@ def test_default_census():
     assert count == CENSUS
 
 
+def _check_name_literals(tree, names):
+    """(line, name) of each string literal in ``tree`` that spells a check
+    name where it would name a check.  Allowed: the keys of the ``CHECKS``
+    display and the plans of ``suite``, and three places where the same
+    spelling names something else: a dict display's key or a subscript (a
+    value of a record, a sum of a result), the first element of a tuple (a
+    memo key's kind) and the first argument of ``add_parser`` (a CLI
+    subcommand)."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "suite":
+            allowed.update(map(id, ast.walk(node)))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and any(isinstance(t, ast.Name) and t.id == "CHECKS"
+                      for t in node.targets)):
+            allowed.update(map(id, node.value.keys))
+        elif isinstance(node, ast.Dict):
+            allowed.update(map(id, node.keys))
+        elif isinstance(node, ast.Subscript):
+            allowed.add(id(node.slice))
+        elif isinstance(node, ast.Tuple) and node.elts:
+            allowed.add(id(node.elts[0]))
+        elif (isinstance(node, ast.Call) and _callee(node) == "add_parser"
+              and node.args):
+            allowed.add(id(node.args[0]))
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names
+            and id(node) not in allowed]
+
+
+def test_no_rule_is_keyed_by_check_name():
+    # each rule a check obeys is read from its row of CHECKS
+    from singtrace.harness import CHECKS
+    trees = _trees()
+    found = {module: _check_name_literals(trees[module], set(CHECKS))
+             for module in ("harness", "cli")}
+    assert found == {"harness": [], "cli": []}
+    # the guard sees the forms the rules had before they were rows
+    keyed = ast.parse(
+        'if "identity-suite" in checks: pass\n'
+        'harmonic = set(checks) & {"cutoff", "diag-oracles"}\n'
+        'record = CheckRecord("heat", passed=True)\n')
+    assert sorted(_check_name_literals(keyed, set(CHECKS))) == [
+        (1, "identity-suite"), (2, "cutoff"), (2, "diag-oracles"), (3, "heat")]
+
+
 def _imports_scipy(node):
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]

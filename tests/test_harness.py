@@ -124,7 +124,7 @@ class TestRun:
     def test_nonfinite_result_fails_explicitly(self, monkeypatch, tmp_path):
         def nonfinite(ctx):
             return harness.CheckRecord(
-                "nonfinite", passed=True,
+                passed=True,
                 values={"z": complex(1.0, float("nan")), "n": 3},
                 residuals={"gaps": np.array([0.5, np.inf])},
                 details={"note": "finite"})
@@ -132,8 +132,8 @@ class TestRun:
         def strict(constant):
             raise ValueError(f"report holds {constant}")
 
-        monkeypatch.setitem(CHECKS, "nonfinite",
-                            Check(nonfinite, {}, lambda ctx: [], None))
+        monkeypatch.setitem(CHECKS, "nonfinite", Check(
+            nonfinite, {}, lambda ctx: [], None, 0, None))
         report = run(ExperimentConfig(model={"name": "circle", "N": 16},
                                       checks=["nonfinite", "cycle"],
                                       out=str(tmp_path)))
@@ -330,13 +330,19 @@ class TestCli:
         ({"model": {"name": "circle", "N": 64}, "scheme": {"n_min": 60},
           "checks": ["cutoff", "diag-oracles"]},
          "scheme n_min=60 puts the heat grid's top 2*n_min past N=64"),
+        # its Dixmier grid on the harmonic diagonal ends at N - 1 = 63
+        ({"model": {"name": "circle", "N": 64}, "scheme": {"n_min": 70},
+          "checks": ["scheme-robustness"]},
+         "scheme n_min=70 puts the Dixmier grid's first point n_min past N-1, "
+         "with N=64 the dim of the harmonic diagonal that "
+         "['scheme-robustness'] sample"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
             "seed-type", "tolerances-list", "out-type", "chain-no-terms",
             "chain-tensor-entry", "chain-file-bad-json", "model-key",
             "circle-chain-on-torus", "scheme-ratio-near-1",
             "chain-lambda-pow-huge", "scheme-n_min-past-dim",
-            "scheme-n_min-past-harmonic-N"])
+            "scheme-n_min-past-harmonic-N", "scheme-n_min-past-dixmier-grid"])
     def test_malformed_config_field_is_a_config_error(
             self, config, fragment, tmp_path, capsys):
         if isinstance(config, str):  # a --chain file holding invalid JSON
@@ -560,11 +566,21 @@ class TestCli:
             f"[FAIL] heat: ContractViolation: heat s-window empty: floor "
             f"{floor} above ceiling 0.125", "all passed: False"]
 
-    def test_tolerance_flags_reach_the_check_they_name(self, capsys):
-        assert cli_main(["heat", "--model", "circle", "--N", "64",
-                         "--tol-z", "0.2"]) == 0
-        assert cli_main(["chern", "--model", "circle", "--N", "32",
-                         "--tol-z", "0.2"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["model", "build", "--seed", "3"],
+        ["model", "build", "--chain", "volume"],
+        ["model", "build", "--out", "{dir}"],
+        ["heat", "--tol-z", "0.2"],
+    ], ids=["build-seed", "build-chain", "build-out", "check-tol-z"])
+    def test_each_subcommand_takes_only_the_flags_it_reads(
+            self, argv, tmp_path, capsys):
+        # a tolerance is set through a config; model build writes no report
+        argv = [arg.format(dir=tmp_path / "rep") for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--model", "nc_torus", "--N", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_run_config(self, tmp_path, capsys):
         cfg = tmp_path / "ok.json"
@@ -742,9 +758,10 @@ def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
                      for key in row.tolerances}
 
 
-def test_a_new_check_is_one_row(monkeypatch, capsys):
+def test_a_new_check_is_one_row(monkeypatch, capsys, tmp_path):
     """A check registered as one row of CHECKS, with no other edit, is
-    validated, run, released and offered as a CLI verb from that row."""
+    validated, run, released and offered as a CLI verb from that row, and
+    its harmonic grid bounds the scheme's n_min."""
     seen = {}
 
     def fake(ctx):
@@ -753,12 +770,13 @@ def test_a_new_check_is_one_row(monkeypatch, capsys):
         seen["memo"] = ctx.model._memo
         z = hh.chern(ctx.chain, ctx.model).value
         tol = ctx.tolerance("fake_tol")
-        return harness.CheckRecord("fake", passed=bool(abs(z - 2) <= tol),
+        return harness.CheckRecord(passed=bool(abs(z - 2) <= tol),
                                    values={"tol": tol})
 
+    grid = (lambda N: N // 4, "puts the fake grid past N/4={N}/4")
     monkeypatch.setitem(CHECKS, "fake", Check(
         fake, {"fake_tol": 1e-9},
-        lambda ctx: [("chern", ctx.chain_key)], "chain"))
+        lambda ctx: [("chern", ctx.chain_key)], "chain", 0, grid))
     model = {"name": "circle", "N": 32}
     ExperimentConfig(model=model, checks=["fake"],
                      tolerances={"fake_tol": 0.5}).validate()
@@ -781,6 +799,15 @@ def test_a_new_check_is_one_row(monkeypatch, capsys):
         run(ExperimentConfig(model={**model, "buffer": 0}, checks=["fake"]))
     assert cli_main(["fake", "--N", "32"]) == 0
     assert capsys.readouterr().out.startswith("[PASS] fake: tol=1e-09")
+    # the default n_min 8 is N // 4 at N = 32; one more overruns the grid
+    for n_min, rc in [(8, 0), (9, 2)]:
+        cfg = tmp_path / f"n_min{n_min}.json"
+        cfg.write_text(json.dumps({"model": model, "checks": ["fake"],
+                                   "scheme": {"n_min": n_min}}))
+        assert cli_main(["run", "--config", str(cfg)]) == rc
+    assert capsys.readouterr().err == (
+        "config error: scheme n_min=9 puts the fake grid past N/4=32/4 of "
+        "the harmonic diagonal that ['fake'] sample\n")
 
 
 def test_pairing_estimates_are_built_once(monkeypatch):

@@ -804,7 +804,7 @@ class TestHeatFit:
         from singtrace.traces import HeatSamples
 
         ns = np.array([8, 16, 32, 64, 128, 256])
-        samples = HeatSamples(ns=ns, values=3.0 * np.log(ns) - 7.0, alpha=2.0)
+        samples = HeatSamples(ns=ns, values=3.0 * np.log(ns) - 7.0)
         est = heat_fit(samples)
         assert est.z == pytest.approx(3.0, abs=1e-12)
         assert est.residual_sup <= 1e-12
@@ -814,7 +814,7 @@ class TestHeatFit:
 
         ns = np.unique(np.geomspace(8, 4096, 40).astype(int)).astype(float)
         values = np.log(ns) + 0.2 * np.sin(np.log(ns))
-        est = heat_fit(HeatSamples(ns=ns, values=values, alpha=2.0))
+        est = heat_fit(HeatSamples(ns=ns, values=values))
         assert abs(est.z - 1.0) <= 0.2
         assert est.residual_sup <= 0.3
 
