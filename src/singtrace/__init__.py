@@ -12,8 +12,6 @@ from .operators import (
     FactorizationError,
     Operator,
     OperatorError,
-    SingularSequence,
-    Spectrum,
     anticommutator,
     commutator,
     eigenvalues,
@@ -34,7 +32,6 @@ from .ideals import (
 )
 from .traces import (
     ExtendedLimitScheme,
-    HeatSamples,
     TraceEstimate,
     cesaro_cutoff_comparison,
     dixmier_logmean,

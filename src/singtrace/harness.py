@@ -414,7 +414,7 @@ def _load_chain(model, spec):
     if spec is None or isinstance(spec, str):
         return builtin_chain(model, spec)
     if isinstance(spec, dict):
-        return hh.chain_from_json(model, json.dumps(spec))
+        return hh.chain_from_json(model, spec)
     raise ConfigError("chain must be a builtin name or an inline JSON object")
 
 
@@ -650,13 +650,12 @@ def _check_diag_oracles(ctx):
     V = _harmonic(ctx.model, N)
     # the partial sums of V's singular values, held for this call only
     z_dix = traces.dixmier_logmean(
-        ideals.PartialSumSeries(np.cumsum(singular_values(V).mu)), ctx.scheme)
+        ideals.PartialSumSeries(np.cumsum(singular_values(V))), ctx.scheme)
     z_xi = traces.heat_xi(V, ctx.scheme)
     sums = _harmonic_heat(ctx.model)
-    z_heat = traces.heat_fit(traces.HeatSamples(
-        sums["grid"], sums["heat"].astype(complex)))
+    z_heat = traces.heat_fit(sums["grid"], sums["heat"])
     alt = traces.measurability_criterion_check(
-        _alternating(N), V, traces.HeatSamples(sums["grid"], sums["modulated"]))
+        _alternating(N), V, sums["grid"], sums["modulated"])
     tol = ctx.tolerance("diag_z")
     alt_tol = ctx.tolerance("alt_z")
     ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
@@ -688,7 +687,7 @@ def _check_scheme_robustness(ctx):
     # the partial sums of V's singular values, formed once for the three
     # ratios and held by this check only
     sums = ideals.PartialSumSeries(
-        np.cumsum(singular_values(_harmonic(ctx.model, ctx.model.N)).mu))
+        np.cumsum(singular_values(_harmonic(ctx.model, ctx.model.N))))
     zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
@@ -773,11 +772,14 @@ class Check(NamedTuple):
 # a check's grid on the harmonic diagonal of dim N: the largest scheme n_min
 # it admits, a function of N, and how a larger one overruns it (formatted
 # with N); the heat grid reaches max(N // 8, 2 n_min), and the Dixmier grid
-# runs from n_min to the last partial sum, N - 1
+# runs from n_min to the last partial sum, N - 1, and holds a point between
+# the two at ratio 2 only while 2 n_min < N - 1: past that, the grids at
+# ratios 2 and 3 are the same points
 _HEAT_GRID = (lambda N: N // 2,
               "puts the heat grid's top 2*n_min past N={N}, the dim")
-_DIXMIER_GRID = (lambda N: N - 1, "puts the Dixmier grid's first point n_min "
-                 "past N-1, with N={N} the dim")
+_DIXMIER_GRID = (lambda N: (N - 2) // 2,
+                 "puts 2*n_min, the Dixmier grid's second point at ratio 2, "
+                 "at or past its last point N-1, with N={N} the dim")
 
 
 # the memo entries a check requests and those each entry's build requests

@@ -18,7 +18,6 @@ heat-trace checks built from them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -385,13 +384,12 @@ def _pairing_heat(c, model):
     def build():
         q = c.degree
         alpha = 1.0 + 1.0 / q
-        mu = _weight_singular_values(model, q).mu
+        mu = _weight_singular_values(model, q)
         v_r = mu[min(model.reliable_count, mu.size) - 1]
         n_hi = math.log(1.0 / _HEAT_EDGE_EPS) ** (-1.0 / alpha) / v_r
-        samples = heat_functional(
-            omega(c, model), _interior_weight(model, q), alpha,
-            grid=geometric_grid(8, max(n_hi, 32), math.sqrt(2.0)))
-        return heat_fit(samples)
+        grid = geometric_grid(8, max(n_hi, 32), math.sqrt(2.0))
+        return heat_fit(grid, heat_functional(
+            omega(c, model), _interior_weight(model, q), alpha, grid=grid))
     return model.derived(("pairing heat", _chain_key(c)), build)
 
 
@@ -615,12 +613,13 @@ def _json_int(value):
 _LAMBDA_POW_MAX = 2 ** 53
 
 
-def chain_from_json(model, text):
+def chain_from_json(model, payload):
     """The chain ``{"degree": q, "terms": [{"coeff": [re, im], "lambda_pow":
     m, "tensor": [word, ...]}, ...]}`` on ``model`` (``lambda_pow`` 0 when
-    left out).  A malformed payload is a :class:`ContractViolation`."""
+    left out), from its decoded JSON ``payload``.  A malformed payload (a
+    non-``int`` exponent or degree among them) is a
+    :class:`ContractViolation`."""
     try:
-        payload = json.loads(text)
         degree = _json_int(payload["degree"])
         terms = {}
         for term in payload["terms"]:

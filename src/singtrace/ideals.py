@@ -96,7 +96,7 @@ class LogFit:
     intercept: complex
     residual_sup: float
     window: tuple
-    grid: np.ndarray = field(repr=False, default=None)
+    grid: np.ndarray = field(repr=False)
 
     def as_dict(self):
         return {
@@ -104,7 +104,7 @@ class LogFit:
             "intercept": [self.intercept.real, self.intercept.imag],
             "residual_sup": self.residual_sup,
             "window": list(self.window),
-            "grid_points": int(self.grid.size) if self.grid is not None else 0,
+            "grid_points": int(self.grid.size),
         }
 
 
@@ -188,16 +188,19 @@ def eigenvalue_partial_sums(T):
     """Partial sums of eigenvalues(T) in canonical order (float64 when T is
     hermitian).
 
-    Indices where the modulus strictly drops (relative gap above 1e-9) are
-    recorded as tie-group boundaries.  The exact zero (an operator with no
-    layer) takes no eigenvalue: its sums are a read-only view of one 0.0
-    with stride 0, and its one tie group ends at the last index.
+    An index n is a tie-group boundary when the modulus drops from n to
+    n + 1 by more than 1e-9 |lambda_0| (by more than 1e-9 when lambda_0 is
+    0): one absolute gap, scaled by the largest modulus, for the whole
+    spectrum.  The last index is always a boundary.  The exact zero (an
+    operator with no run) takes no eigenvalue: its sums are a read-only
+    view of one 0.0 with stride 0, and its one tie group ends at the last
+    index.
     """
     n = T.dim
     if T.is_zero() and n:
         return PartialSumSeries(np.broadcast_to(np.zeros(1), (n,)),
                                 boundaries=[n - 1])
-    values = eigenvalues(T).values
+    values = eigenvalues(T)
     if n == 0:
         return PartialSumSeries(values)
     top = abs(values[0])
@@ -332,10 +335,9 @@ def decay_exponent(mu):
     return _loglog_slope(grid + 1.0, mu[grid])
 
 
-def ideal_diagnostics(seq):
-    """Quasi-norm, Lorentz norm and fitted decay exponent of one
-    :class:`SingularSequence` in L_{1,inf} / M_{1,inf}."""
-    mu = seq.mu
+def ideal_diagnostics(mu):
+    """Quasi-norm, Lorentz norm and fitted decay exponent of the singular
+    values ``mu`` (an array) in L_{1,inf} / M_{1,inf}."""
     qn = quasi_norm_pinf(mu, 1.0)
     ln = lorentz_norm_m1inf(mu)
     slope = decay_exponent(mu)

@@ -44,14 +44,10 @@ zero-stride view of one 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "Operator",
-    "Spectrum",
-    "SingularSequence",
     "OperatorError",
     "FactorizationError",
     "ContractViolation",
@@ -179,50 +175,6 @@ def _non_increasing(keys):
         if not tied.any():
             return True
     return True
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of an operator, in canonical order: float64 when they
-    are real (a hermitian operator's), complex128 otherwise.  Their order is
-    checked on the moduli of one block at a time, and no moduli are kept:
-    :func:`ideals.eigenvalue_partial_sums` takes its tie boundaries from
-    them block by block too."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        values = _real_or_complex(self.values)
-        object.__setattr__(self, "values", values)
-        for _, block in _overlapping_blocks(values):
-            moduli = np.abs(block)
-            if np.any(moduli[:-1] < moduli[1:] - 1e-30):
-                raise ValueError(
-                    "spectrum not ordered by non-increasing modulus")
-
-    def __len__(self):
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class SingularSequence:
-    """Non-increasing sequence of singular values mu(k)."""
-
-    mu: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        if mu.size:
-            if mu.min() < -1e-13 * (1.0 + mu.max()):
-                raise ValueError("negative singular value")
-            if np.any(mu[:-1] < mu[1:] - 1e-13 * (1.0 + mu.max())):
-                raise ValueError("singular values not non-increasing")
-
-    def __len__(self):
-        return self.mu.size
 
 
 class Operator:
@@ -721,16 +673,17 @@ def _condition_estimate(T):
 
 
 def eigenvalues(T):
-    """All eigenvalues of ``T`` with algebraic multiplicity, canonical order.
+    """All eigenvalues of ``T`` with algebraic multiplicity, as an array in
+    canonical order.
 
     For a hermitian operator they are real and float64 (the hermitian LAPACK
-    path is used).  The real diagonal of a hermitian diagonal T that is
-    already in canonical order is returned itself, with no copy, and the
-    spectrum of the exact zero is a read-only view of one 0.0 with stride 0;
-    neither may be written.
+    path is used); otherwise they are complex128.  The real diagonal of a
+    hermitian diagonal T that is already in canonical order is returned
+    itself, with no copy, and the spectrum of the exact zero is a read-only
+    view of one 0.0 with stride 0; neither may be written.
     """
     if T.is_zero():
-        return Spectrum(np.broadcast_to(np.zeros(1), (T.dim,)), label=T.label)
+        return np.broadcast_to(np.zeros(1), (T.dim,))
     herm = T.hermitian
     if T.kind == "diag":
         vals = T._data.real if herm else T._data.copy()
@@ -738,11 +691,12 @@ def eigenvalues(T):
         vals = _split_values(T, np.linalg.eigvalsh, lambda d: d.real)
     else:
         vals = _split_values(T, np.linalg.eigvals, lambda d: d)
-    return Spectrum(canonical_order(vals), label=T.label)
+    return canonical_order(vals)
 
 
 def singular_values(T):
-    """Singular values mu(k,T): eigenvalues of |T| in non-increasing order.
+    """Singular values mu(k,T): the eigenvalues of |T| as a float64 array in
+    non-increasing order.
 
     Moduli of a diagonal T that are already non-increasing are returned
     after an O(N) check, with no sort; a NaN fails the check.  A real
@@ -758,10 +712,9 @@ def singular_values(T):
         mu = np.abs(d) if np.iscomplexobj(d) or np.signbit(d).any() else d
         if not np.all(mu[:-1] >= mu[1:]):
             mu = np.sort(mu)[::-1]
-        return SingularSequence(mu, label=T.label)
+        return mu
     if T.is_zero():
-        return SingularSequence(np.broadcast_to(np.zeros(1), (T.dim,)),
-                                label=T.label)
+        return np.broadcast_to(np.zeros(1), (T.dim,))
     rows, cols, vals = _entries(T.dim, T._data)
     if len(T._data) == 1 or (np.bincount(rows).max() < 2
                              and np.bincount(cols).max() < 2):
@@ -769,10 +722,10 @@ def singular_values(T):
         # mu is the entries' moduli and a zero for each empty column
         mu = np.zeros(T.dim)
         mu[:vals.size] = np.abs(vals)
-        return SingularSequence(np.sort(mu)[::-1], label=T.label)
+        return np.sort(mu)[::-1]
     del rows, cols, vals
-    mu = _split_values(T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs)
-    return SingularSequence(np.sort(mu)[::-1], label=T.label)
+    return np.sort(_split_values(
+        T, lambda b: np.linalg.svd(b, compute_uv=False), np.abs))[::-1]
 
 
 def _real_diagonal(T, who):

@@ -22,7 +22,7 @@ Averaging rules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .operators import ContractViolation, OperatorError, singular_values
 __all__ = [
     "ExtendedLimitScheme",
     "TraceEstimate",
-    "HeatSamples",
     "BranchError",
     "dixmier_logmean",
     "heat_functional",
@@ -140,7 +139,7 @@ class TraceEstimate:
     z: complex
     method: str
     residual_sup: float
-    grid_used: dict = field(default_factory=dict)
+    grid_used: dict
 
     def as_dict(self):
         return {
@@ -149,14 +148,6 @@ class TraceEstimate:
             "residual_sup": self.residual_sup,
             "grid_used": self.grid_used,
         }
-
-
-@dataclass
-class HeatSamples:
-    """Samples of n -> Tr(A V exp(-(nV)^-alpha))."""
-
-    ns: np.ndarray
-    values: np.ndarray
 
 
 def dixmier_logmean(series, scheme, n_max=None):
@@ -448,8 +439,8 @@ def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
 
 
 def heat_functional(A, V, alpha, grid):
-    """h(n) = Tr(A V exp(-(nV)^-alpha)) on the integer ``grid``; exp
-    vanishes on ker V."""
+    """h(n) = Tr(A V exp(-(nV)^-alpha)) on the integer ``grid``, as a
+    complex array of the grid's length; exp vanishes on ker V."""
     if not (alpha > 1.0):
         raise ContractViolation("heat_functional requires alpha > 1")
     exact_zero = A is not None and A.is_zero()
@@ -460,24 +451,23 @@ def heat_functional(A, V, alpha, grid):
     # the zero rule of _heat_sums, taken before the sort and the product
     # (and, for the exact zero, before its diagonal is read)
     if (exact_zero or a is not None and not a.any()) and not np.isnan(v).any():
-        values = np.zeros(grid.size, dtype=complex)
-    else:
-        if exact_zero:  # V holds a NaN, which makes every sum NaN
-            a = np.zeros(v.size, dtype=complex)
-        v, a = _sorted_spectrum(v, a)
-        av = v if a is None else (a, v)
-        values = _heat_sums(v, av, grid, -alpha).astype(complex)
-    return HeatSamples(ns=grid, values=values)
+        return np.zeros(grid.size, dtype=complex)
+    if exact_zero:  # V holds a NaN, which makes every sum NaN
+        a = np.zeros(v.size, dtype=complex)
+    v, a = _sorted_spectrum(v, a)
+    av = v if a is None else (a, v)
+    return _heat_sums(v, av, grid, -alpha).astype(complex)
 
 
-def heat_fit(samples):
-    """Fit h(n) ~ z*log(n) + b over the sampled grid.
+def heat_fit(ns, values):
+    """Fit h(n) ~ z*log(n) + b to the samples ``values`` of h on the grid
+    ``ns``.
 
     The fit drops the lower half of the samples in log position (keeping at
     least 4), where pre-asymptotic transients live.
     """
-    ns = np.asarray(samples.ns, dtype=float)
-    values = np.asarray(samples.values, dtype=complex)
+    ns = np.asarray(ns, dtype=float)
+    values = np.asarray(values, dtype=complex)
     if ns.size > 4:
         start = min(ns.size // 2, ns.size - 4)
         ns, values = ns[start:], values[start:]
@@ -642,12 +632,12 @@ def _heat_pass(V, alpha):
 
 
 def _classify_branch(mu, slope):
-    """'a' when the singular values ``mu`` (a SingularSequence) decay like
+    """'a' when the singular values ``mu`` (an array) decay like
     1/(k+1) (their :func:`decay_exponent` ``slope`` is at most -0.8); 'b'
     when only the log-mean is bounded."""
     if slope <= -0.8:
         return "a", slope
-    sums = np.cumsum(mu.mu)
+    sums = np.cumsum(mu)
     n = np.arange(sums.size, dtype=float)
     lam = sums / np.log(2.0 + n)
     half = lam[lam.size // 2:]
@@ -693,17 +683,17 @@ def _criterion(mu, ideal, heat, series, window):
     }
 
 
-def measurability_criterion_check(A, V, samples):
+def measurability_criterion_check(A, V, ns, heat):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
     route fits the eigenvalue partial sums of AV against log(n+1).  The two
     slopes must agree within the summed fit residuals (plus a small floor),
     which is the finite form of the statement that both compute the same
-    trace value.  ``samples`` are those of ``heat_functional(A, V, 2.0,
-    grid)`` on the caller's grid.
+    trace value.  ``heat`` holds the samples ``heat_functional(A, V, 2.0,
+    ns)`` on the caller's grid ``ns``.
     """
     mu = singular_values(V)
     product = (A @ V) if A is not None else V
-    return _criterion(mu, ideal_diagnostics(mu), heat_fit(samples),
+    return _criterion(mu, ideal_diagnostics(mu), heat_fit(ns, heat),
                       eigenvalue_partial_sums(product), None)

@@ -628,9 +628,9 @@ def summability_report(model):
         fg = model.compress(model.factor("F", word))
         fdg = model.compress(commutator(model.F, model.factor("delta", word)))
         gen_norms[f"[F,{name}]"] = quasi_norm_pinf(
-            singular_values(fg).mu, model.p)
+            singular_values(fg), model.p)
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
-            singular_values(fdg).mu, model.p)
+            singular_values(fdg), model.p)
     # a copy: the memo entry is shared with the measurability criterion
     return dataclasses.replace(diag, verdicts=dict(
         diag.verdicts, weight_decay_exponent=diag.fitted_decay_exponent,

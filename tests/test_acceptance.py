@@ -133,9 +133,9 @@ def test_criterion_2_diagonal_oracle_suite():
     V = Operator(1.0 / (np.arange(N) + 1.0), label="harmonic")
     scheme, grid = ExtendedLimitScheme(), default_heat_grid(N)
     z_dix = dixmier_logmean(
-        PartialSumSeries(np.cumsum(singular_values(V).mu)), scheme).z
+        PartialSumSeries(np.cumsum(singular_values(V))), scheme).z
     z_xi = heat_xi(V, scheme).z
-    z_heat = heat_fit(heat_functional(None, V, 2.0, grid)).z
+    z_heat = heat_fit(grid, heat_functional(None, V, 2.0, grid)).z
     slopes_ok = True
     slope_text = []
     for alpha in (1.5, 2.0):
@@ -147,7 +147,7 @@ def test_criterion_2_diagonal_oracle_suite():
                           f"{rep['slope_counting']:.3f})")
     A = Operator(((-1.0) ** np.arange(N)).astype(complex))
     alt = measurability_criterion_check(
-        A, V, heat_functional(A, V, 2.0, grid))
+        A, V, grid, heat_functional(A, V, 2.0, grid))
     elapsed = time.monotonic() - t0
     ok = (abs(z_dix - 1.0) <= 0.05 and abs(z_xi - 1.0) <= 0.05
           and abs(z_heat - 1.0) <= 0.05 and slopes_ok
@@ -215,11 +215,10 @@ def test_criterion_5_trace_estimator_concordance(circle2048, torus64):
         fit = log_fit(series, window=model.fit_window())
         dix = dixmier_logmean(series, ExtendedLimitScheme(),
                               n_max=model.reliable_count - 1)
-        samples = heat_functional(
+        grid = geometric_grid(8, max(model.reliable_count // 8, 32))
+        heat = heat_fit(grid, heat_functional(
             omega(c, model), model.compress(resolvent_weight(model, c.degree)),
-            alpha=1.0 + 1.0 / c.degree,
-            grid=geometric_grid(8, max(model.reliable_count // 8, 32)))
-        heat = heat_fit(samples)
+            alpha=1.0 + 1.0 / c.degree, grid=grid))
         results.append((model.name, {
             "partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),
@@ -228,9 +227,10 @@ def test_criterion_5_trace_estimator_concordance(circle2048, torus64):
     N = 100_000
     V = Operator(1.0 / (np.arange(N) + 1.0))
     fitd = log_fit(eigenvalue_partial_sums(V))
-    dixd = dixmier_logmean(PartialSumSeries(np.cumsum(singular_values(V).mu)),
+    dixd = dixmier_logmean(PartialSumSeries(np.cumsum(singular_values(V))),
                            ExtendedLimitScheme())
-    heatd = heat_fit(heat_functional(None, V, 2.0, default_heat_grid(N)))
+    grid = default_heat_grid(N)
+    heatd = heat_fit(grid, heat_functional(None, V, 2.0, grid))
     results.append(("diag harmonic", {
         "partial_sum": (fitd.z, fitd.residual_sup),
         "heat": (heatd.z, heatd.residual_sup),
@@ -254,7 +254,7 @@ def test_criterion_6_scheme_robustness(circle2048, torus64):
     ok = True
     N = 100_000
     sums = PartialSumSeries(np.cumsum(
-        singular_values(Operator(1.0 / (np.arange(N) + 1.0))).mu))
+        singular_values(Operator(1.0 / (np.arange(N) + 1.0)))))
     zs = [dixmier_logmean(sums, ExtendedLimitScheme(ratio=r)).z
           for r in (1.5, 2.0, 3.0)]
     drift = max(abs(a - b) for a in zs for b in zs)

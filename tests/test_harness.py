@@ -221,6 +221,23 @@ class TestChains:
                                       chain=inline, checks=["cycle"]))
         assert report.all_passed
 
+    @pytest.mark.parametrize("where", ["degree", "exponent", "lambda_pow"])
+    def test_numpy_integer_in_inline_chain_is_a_config_error(self, where):
+        # the decoded chain is read as given, with no JSON round trip: a
+        # numpy integer is not an int of the JSON format
+        term = {"coeff": [1.0, 0.0], "lambda_pow": 0, "tensor": [[-1], [1]]}
+        inline = {"degree": 1, "terms": [term]}
+        if where == "degree":
+            inline["degree"] = np.int64(1)
+        elif where == "exponent":
+            term["tensor"] = [[np.int64(-1)], [1]]
+        else:
+            term["lambda_pow"] = np.int64(0)
+        config = ExperimentConfig(model={"name": "circle", "N": 16},
+                                  chain=inline, checks=["cycle"])
+        with pytest.raises(ConfigError, match="expected an integer"):
+            run(config)
+
 
 class TestSuites:
     def test_quick_suite_passes(self):
@@ -333,9 +350,9 @@ class TestCli:
         # its Dixmier grid on the harmonic diagonal ends at N - 1 = 63
         ({"model": {"name": "circle", "N": 64}, "scheme": {"n_min": 70},
           "checks": ["scheme-robustness"]},
-         "scheme n_min=70 puts the Dixmier grid's first point n_min past N-1, "
-         "with N=64 the dim of the harmonic diagonal that "
-         "['scheme-robustness'] sample"),
+         "scheme n_min=70 puts 2*n_min, the Dixmier grid's second point at "
+         "ratio 2, at or past its last point N-1, with N=64 the dim of the "
+         "harmonic diagonal that ['scheme-robustness'] sample"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
             "seed-type", "tolerances-list", "out-type", "chain-no-terms",
@@ -363,6 +380,28 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert fragment in lines[0]
+
+    @pytest.mark.parametrize("N, n_min, rc", [
+        (64, 31, 0), (64, 32, 2), (64, 63, 2), (65, 31, 0), (65, 32, 2)])
+    def test_scheme_robustness_needs_distinct_dixmier_grids(
+            self, N, n_min, rc, tmp_path, capsys):
+        # with 2 n_min >= N - 1 the Dixmier grids at ratios 2 and 3 are the
+        # same points [n_min, N - 1], and from 1.5 n_min > N - 1 on the
+        # drift is exactly 0: such an n_min is a config error
+        cfg = tmp_path / "scheme.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": N},
+                                   "checks": ["scheme-robustness"],
+                                   "scheme": {"n_min": n_min}}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert err.startswith(f"config error: scheme n_min={n_min} puts "
+                                  "2*n_min, the Dixmier grid's second point")
+            return
+        record, = json.loads((out / "report.json").read_text())["records"]
+        zs = [z["re"] for z in record["values"].values()]
+        assert len(set(zs)) == 3 and record["residuals"]["drift"] > 0.0
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "{dir}"],
@@ -1045,7 +1084,7 @@ def test_real_diagonals_stay_float64_after_a_run(monkeypatch, model, checks):
     if m.name == "toy":
         V = memo["harmonic", m.N]
         ops["V"] = V
-        assert harness.singular_values(V).mu is V.diag()  # V is its own mu
+        assert harness.singular_values(V) is V.diag()  # V is its own mu
     for name, op in ops.items():
         assert op.kind == "diag" and op.diag().dtype == np.float64, name
     assert harness._alternating(8).diag().dtype == np.float64

@@ -23,7 +23,6 @@ from singtrace.ideals import (
 from singtrace.operators import (
     ContractViolation,
     Operator,
-    SingularSequence,
     canonical_order,
     zero,
 )
@@ -319,7 +318,7 @@ class TestDiagnostics:
         assert decay_exponent(harmonic(50_000)) == pytest.approx(-1.0, abs=0.01)
 
     def test_ideal_diagnostics_flags(self):
-        diag = ideal_diagnostics(SingularSequence(harmonic(10_000)))
+        diag = ideal_diagnostics(harmonic(10_000))
         assert diag.verdicts["weak_lp"]
         assert diag.quasi_norm_pinf == pytest.approx(1.0)
 

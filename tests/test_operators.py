@@ -12,7 +12,6 @@ from scipy.sparse.csgraph import connected_components
 from singtrace import operators
 from singtrace.operators import (
     ContractViolation,
-    Spectrum,
     _component_labels,
     canonical_order,
     DomainError,
@@ -38,21 +37,21 @@ def random_complex(rng, n):
 class TestEigenvalues:
     def test_identity(self):
         spec = eigenvalues(Operator(np.ones(3)))
-        np.testing.assert_allclose(spec.values, np.ones(3))
+        np.testing.assert_allclose(spec, np.ones(3))
 
     def test_diagonal_canonical_order(self):
         spec = eigenvalues(Operator(np.array([1.0, 3.0, -2j])))
         # modulus 3, then tie |1|=|2i| broken: no tie here; |-2i|=2 > 1
-        np.testing.assert_allclose(spec.values, [3.0, -2j, 1.0])
+        np.testing.assert_allclose(spec, [3.0, -2j, 1.0])
 
     def test_nilpotent(self):
         T = matrix_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(eigenvalues(T).values, [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(eigenvalues(T), [0.0, 0.0], atol=1e-14)
 
     def test_tie_break_real_then_imag(self):
         vals = np.array([1j, -1j, 1.0, -1.0])
         spec = eigenvalues(Operator(vals))
-        np.testing.assert_allclose(spec.values, [1.0, 1j, -1j, -1.0])
+        np.testing.assert_allclose(spec, [1.0, 1j, -1j, -1.0])
 
     def test_real_input_order_equals_three_key_order(self):
         # ties of +-x and +-0.0, with the imaginary parts of both signs
@@ -124,23 +123,20 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("block", [1, 2, 5, 64])
     def test_order_checks_see_every_adjacent_pair(self, block, monkeypatch):
-        # canonical_order and Spectrum check the order on one block of
-        # moduli at a time; a swapped pair anywhere, across a block boundary
-        # too, is out of order
+        # canonical_order checks the order on one block of moduli at a
+        # time; a swapped pair anywhere, across a block boundary too, is out
+        # of order
         monkeypatch.setattr(operators, "_MODULI_BLOCK", block)
         k = np.arange(23)
         for ordered in (np.linspace(3.0, 1.0, k.size) * np.exp(1j * k),
                         np.linspace(3.0, 1.0, k.size) * (-1.0) ** k):
             assert canonical_order(ordered) is ordered
-            Spectrum(ordered)
             for i in range(k.size - 1):
                 swapped = ordered.copy()
                 swapped[[i, i + 1]] = swapped[[i + 1, i]]
                 got = canonical_order(swapped)
                 assert got is not swapped
                 assert got.tobytes() == ordered.tobytes()
-                with pytest.raises(ValueError, match="not ordered"):
-                    Spectrum(swapped)
         for short in (np.array([]), np.array([2.0]), np.array([1.0, 2.0])):
             assert canonical_order(short).tobytes() == short[::-1].tobytes()
 
@@ -159,7 +155,7 @@ class TestEigenvalues:
         perm = rng.permutation(n)
         mat = mat[np.ix_(perm, perm)]
         T = matrix_operator(sp.csr_matrix(mat))
-        got = np.sort_complex(eigenvalues(T).values)
+        got = np.sort_complex(eigenvalues(T))
         np.testing.assert_allclose(np.sort_complex(direct), got, atol=1e-10)
 
     def test_hermitian_spectra_are_float64(self):
@@ -172,35 +168,33 @@ class TestEigenvalues:
         for T in (Operator(rng.standard_normal(300)), matrix_operator(H),
                   matrix_operator(H.astype(complex)), zero(100)):
             assert T.hermitian
-            spec = eigenvalues(T)
-            assert spec.values.dtype == np.float64
-            assert not hasattr(spec, "moduli")  # checked block by block
-        np.testing.assert_allclose(eigenvalues(matrix_operator(H)).values,
+            assert eigenvalues(T).dtype == np.float64
+        np.testing.assert_allclose(eigenvalues(matrix_operator(H)),
                                    canonical_order(np.linalg.eigvalsh(H)),
                                    atol=1e-10)
         T = matrix_operator(random_complex(rng, 20))
-        assert eigenvalues(T).values.dtype == np.complex128
+        assert eigenvalues(T).dtype == np.complex128
 
     def test_ordered_hermitian_diagonal_is_its_own_spectrum(self):
         d = np.array([3.0, -2.0, 1.0, -0.5])
-        assert eigenvalues(Operator(d)).values is d
-        assert eigenvalues(Operator(d[::-1])).values.tobytes() == d.tobytes()
+        assert eigenvalues(Operator(d)) is d
+        assert eigenvalues(Operator(d[::-1])).tobytes() == d.tobytes()
 
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(0)
         T = matrix_operator(random_complex(rng, 40))
-        total = eigenvalues(T).values.sum()
+        total = eigenvalues(T).sum()
         tr = np.trace(T.sparse().toarray())
         assert abs(total - tr) <= 1e-10 * (1.0 + abs(tr))
 
 
 class TestSingularValues:
     def test_harmonic_diagonal(self):
-        mu = singular_values(Operator(np.array([1.0, 0.5, 1 / 3]))).mu
+        mu = singular_values(Operator(np.array([1.0, 0.5, 1 / 3])))
         np.testing.assert_allclose(mu, [1.0, 0.5, 1 / 3])
 
     def test_zero_matrix(self):
-        mu = singular_values(matrix_operator(np.zeros((4, 4)))).mu
+        mu = singular_values(matrix_operator(np.zeros((4, 4))))
         np.testing.assert_allclose(mu, 0.0)
 
     def test_exact_zero_is_a_zero_stride_view(self):
@@ -208,7 +202,7 @@ class TestSingularValues:
         # values are a read-only view of one 0.0 with stride 0, as its
         # eigenvalues are, not an array of dim zeros
         n = 1000
-        mu = singular_values(zero(n)).mu
+        mu = singular_values(zero(n))
         assert mu.strides == (0,) and not mu.flags.writeable
         assert mu.tobytes() == np.zeros(n).tobytes()
 
@@ -216,7 +210,7 @@ class TestSingularValues:
         # oracle: |T| = sqrt(T^H T) = diag(0, 2) by direct computation
         T = np.array([[0.0, 2.0], [0.0, 0.0]])
         oracle = np.sqrt(np.linalg.eigvalsh(T.conj().T @ T))[::-1]
-        mu = singular_values(matrix_operator(T)).mu
+        mu = singular_values(matrix_operator(T))
         np.testing.assert_allclose(mu, oracle, atol=1e-12)
         np.testing.assert_allclose(mu, [2.0, 0.0], atol=1e-12)
 
@@ -225,8 +219,8 @@ class TestSingularValues:
         T = random_complex(rng, 30)
         U = random_unitary(rng, 30)
         W = random_unitary(rng, 30)
-        a = singular_values(matrix_operator(T)).mu
-        b = singular_values(matrix_operator(U @ T @ W)).mu
+        a = singular_values(matrix_operator(T))
+        b = singular_values(matrix_operator(U @ T @ W))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_normal_matches_eigenvalue_moduli(self):
@@ -235,7 +229,7 @@ class TestSingularValues:
         d = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         T = matrix_operator(U @ np.diag(d) @ U.conj().T)
         np.testing.assert_allclose(
-            singular_values(T).mu, np.sort(np.abs(d))[::-1], atol=1e-10)
+            singular_values(T), np.sort(np.abs(d))[::-1], atol=1e-10)
 
 
     @pytest.mark.parametrize("d, ordered", [
@@ -260,9 +254,96 @@ class TestSingularValues:
         T = Operator(d)
         if ordered:
             monkeypatch.setattr(np, "sort", None)
-        got = singular_values(T).mu
+        got = singular_values(T)
         monkeypatch.undo()
         assert got.tobytes() == want.tobytes()
+
+def _eigen_path_case(case, rng):
+    """(T, its dense matrix, the dtype of its spectrum) for one output path
+    of :func:`eigenvalues`."""
+    if case == "ordered-diagonal":
+        d = np.array([3.0, -2.0, 1.0, -0.5, 0.0])
+        return Operator(d), np.diag(d), np.float64
+    if case == "unordered-diagonal":
+        d = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        return Operator(d), np.diag(d), np.complex128
+    if case == "exact-zero":
+        return zero(7), np.zeros((7, 7)), np.float64
+    M = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    M[np.abs(M) < 1.2] = 0.0  # several components
+    if case == "hermitian-split":
+        M = M + M.conj().T
+        return matrix_operator(M), M, np.float64
+    return matrix_operator(M), M, np.complex128
+
+
+@pytest.mark.parametrize("case", [
+    "ordered-diagonal", "unordered-diagonal", "exact-zero", "hermitian-split",
+    "general-split"])
+def test_eigenvalues_output_paths(case):
+    # each path returns the plain array in canonical order, float64 for a
+    # hermitian T and complex128 otherwise; the ordered real diagonal is
+    # returned itself and the exact zero is a read-only zero-stride view
+    T, M, dtype = _eigen_path_case(case, np.random.default_rng(43))
+    got = eigenvalues(T)
+    assert type(got) is np.ndarray and got.dtype == dtype
+    assert got.shape == (T.dim,)
+    order = np.lexsort((-got.imag, -got.real, -np.abs(got)))
+    assert got[order].tobytes() == got.tobytes()
+    np.testing.assert_allclose(np.sort_complex(got),
+                               np.sort_complex(np.linalg.eigvals(M)),
+                               atol=1e-10)
+    if case == "ordered-diagonal":
+        assert got is T.diag()
+    if case == "exact-zero":
+        assert got.strides == (0,) and not got.flags.writeable
+
+
+def _singular_path_case(case, rng):
+    """(T, its dense matrix) for one output path of :func:`singular_values`."""
+    if case == "psd-diagonal":
+        d = 1.0 / (np.arange(50) + 1.0)
+        return Operator(d), np.diag(d)
+    if case == "diagonal-to-sort":
+        d = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        return Operator(d), np.diag(d)
+    if case == "exact-zero":
+        return zero(7), np.zeros((7, 7))
+    n = 30
+    if case == "one-entry-per-line":
+        M = np.zeros((n, n), dtype=complex)
+        cols = rng.permutation(n)[:n - 3]  # three empty rows and columns
+        M[np.arange(cols.size), cols] = rng.standard_normal(cols.size) + 1j
+        return matrix_operator(M), M
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M[np.abs(M) < 1.2] = 0.0  # several components, lines of many entries
+    return matrix_operator(M), M
+
+
+@pytest.mark.parametrize("case", [
+    "psd-diagonal", "diagonal-to-sort", "exact-zero", "one-entry-per-line",
+    "svd-split"])
+def test_singular_values_output_paths(case, monkeypatch):
+    # each path returns a plain float64 array in non-increasing order; the
+    # psd diagonal is returned itself and the exact zero is a read-only
+    # zero-stride view
+    T, M = _singular_path_case(case, np.random.default_rng(47))
+    if case == "one-entry-per-line":
+        assert len(T._data) > 1
+        monkeypatch.setattr(operators, "_component_blocks", None)
+    if case == "svd-split":
+        assert np.bincount(np.nonzero(M)[0]).max() > 1
+    got = singular_values(T)
+    monkeypatch.undo()
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.shape == (T.dim,) and np.all(got[:-1] >= got[1:])
+    np.testing.assert_allclose(got, np.linalg.svd(M, compute_uv=False),
+                               rtol=0, atol=1e-10)
+    if case == "psd-diagonal":
+        assert got is T.diag()
+    if case == "exact-zero":
+        assert got.strides == (0,) and not got.flags.writeable
+
 
 def torus_generator_commutators(N):
     """[F, u] and [F, [|D|, u]] of each torus generator u, compressed to the
@@ -303,7 +384,7 @@ class TestDistinctColumnSingularValues:
         for T, w in zip(ops, want):
             # the spinor swap F puts the two halves on two runs
             assert len(T._data) == 2
-            np.testing.assert_allclose(singular_values(T).mu, w,
+            np.testing.assert_allclose(singular_values(T), w,
                                        rtol=0, atol=1e-14)
 
     def test_torus_summability_calls_no_svd(self, monkeypatch):
@@ -326,7 +407,7 @@ class TestDistinctColumnSingularValues:
         # value is 5, not the moduli 3 and 4
         T = matrix_operator(M)
         assert len(T._data) == 2
-        np.testing.assert_allclose(singular_values(T).mu, [5, 0, 0],
+        np.testing.assert_allclose(singular_values(T), [5, 0, 0],
                                    rtol=0, atol=1e-14)
 
     def test_two_layers_go_through_the_split(self, monkeypatch):
@@ -337,7 +418,7 @@ class TestDistinctColumnSingularValues:
         real = operators._component_blocks
         monkeypatch.setattr(operators, "_component_blocks",
                             lambda T: calls.append(T) or real(T))
-        mu = singular_values(T).mu
+        mu = singular_values(T)
         assert len(calls) == 1
         want = np.linalg.svd(T.sparse().toarray(), compute_uv=False)
         np.testing.assert_allclose(mu, want, rtol=0, atol=1e-12)
@@ -414,7 +495,7 @@ class TestHermitianCalculus:
     def test_eigenvalue_multiset_mapped(self):
         T = real_diagonal(np.random.default_rng(13), 18)
         f = lambda s: np.cos(s) + s ** 2
-        got = np.sort(eigenvalues(hermitian_calculus(T, f, "f(T)")).values.real)
+        got = np.sort(eigenvalues(hermitian_calculus(T, f, "f(T)")).real)
         want = np.sort(f(np.linalg.eigvalsh(T.sparse().toarray())))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -562,8 +643,8 @@ def test_singular_values_unitarily_invariant_property(seed, n):
     T = random_complex(rng, n)
     U = random_unitary(rng, n)
     W = random_unitary(rng, n)
-    a = singular_values(matrix_operator(T)).mu
-    b = singular_values(matrix_operator(U @ T @ W)).mu
+    a = singular_values(matrix_operator(T))
+    b = singular_values(matrix_operator(U @ T @ W))
     np.testing.assert_allclose(a, b, atol=1e-9 * (1 + a[0]))
 
 
@@ -605,14 +686,14 @@ class TestComponentSplitReference:
         T, mat, comps = permuted_blocks(np.random.default_rng(31), backend)
         want = np.concatenate(
             [np.linalg.eigvalsh(mat[np.ix_(idx, idx)]) for idx in comps])
-        np.testing.assert_array_equal(eigenvalues(T).values,
+        np.testing.assert_array_equal(eigenvalues(T),
                                       canonical_order(want.astype(complex)))
 
     def test_singular_values_exact(self, backend):
         T, mat, comps = permuted_blocks(np.random.default_rng(32), backend)
         want = np.concatenate([np.linalg.svd(mat[np.ix_(idx, idx)],
                                              compute_uv=False) for idx in comps])
-        np.testing.assert_array_equal(singular_values(T).mu,
+        np.testing.assert_array_equal(singular_values(T),
                                       np.sort(want)[::-1])
 
 
@@ -655,15 +736,15 @@ class TestFlags:
         monkeypatch.setattr(np.linalg, "norm", refuse)
         n = 256
         Z = matrix_operator(sp.csr_matrix((n, n), dtype=complex))
-        np.testing.assert_array_equal(eigenvalues(Z).values, np.zeros(n))
-        np.testing.assert_array_equal(singular_values(Z).mu, np.zeros(n))
+        np.testing.assert_array_equal(eigenvalues(Z), np.zeros(n))
+        np.testing.assert_array_equal(singular_values(Z), np.zeros(n))
 
     def test_zero_is_the_layerless_exact_zero(self):
         Z = zero(5)
         assert Z.is_zero() and Z.kind == "sparse" and Z.dim == 5
         assert Z.hermitian and Z.sparse().nnz == 0
         spec = eigenvalues(Z)
-        assert spec.values.strides == (0,) and spec.values.tolist() == [0.0] * 5
+        assert spec.strides == (0,) and spec.tolist() == [0.0] * 5
         assert commutator(Operator(np.arange(5.0)), Operator(np.ones(5))).is_zero()
         # a diagonal of zeros is stored as a diagonal, not as the exact zero
         assert not Operator(np.zeros(5)).is_zero()
@@ -803,8 +884,8 @@ class TestRealDiagonalParity:
                     want = op(_as_complex(R), _as_complex(P))
                     _assert_same_bits(got, want)
                     if name == "circle64":
-                        _same_bits(eigenvalues(got).values,
-                                   eigenvalues(want).values)
+                        _same_bits(eigenvalues(got),
+                                   eigenvalues(want))
 
     @pytest.mark.parametrize("name", ["circle64", "torus16"])
     def test_unary_operations(self, name, request):
@@ -817,8 +898,8 @@ class TestRealDiagonalParity:
                               C.restrict(model.interior))
             _assert_same_bits(2.5 * R, 2.5 * C)
             _assert_same_bits(-R, -C)
-            _same_bits(eigenvalues(R).values, eigenvalues(C).values)
-            _same_bits(singular_values(R).mu, singular_values(C).mu)
+            _same_bits(eigenvalues(R), eigenvalues(C))
+            _same_bits(singular_values(R), singular_values(C))
             assert R.hermitian and C.hermitian
             assert R.norm_bound() == C.norm_bound()
 

@@ -52,7 +52,7 @@ class TestCircle:
 
     def test_weight_singular_value_pairs(self, circle64):
         mu = singular_values(circle64.compress(
-            resolvent_weight(circle64, 1))).mu
+            resolvent_weight(circle64, 1)))
         want = [1.0, 2 ** -0.5, 2 ** -0.5, 5 ** -0.5, 5 ** -0.5]
         np.testing.assert_allclose(mu[:5], want, atol=1e-12)
 
@@ -150,7 +150,7 @@ class TestToy:
         assert commutator(toy1000.F, toy1000.realize(a)).norm_bound() == 0.0
 
     def test_weight_is_harmonic_like(self, toy1000):
-        mu = singular_values(resolvent_weight(toy1000, 1)).mu
+        mu = singular_values(resolvent_weight(toy1000, 1))
         k = np.arange(1000) + 1.0
         np.testing.assert_allclose(mu, np.sort((1 + k ** 2) ** -0.5)[::-1])
 
@@ -309,7 +309,7 @@ class TestInvertibleDouble:
         # mu(D1) = 1, then 1/(k + sqrt(1 + k^2)) twice for each k >= 1: the
         # sup of (n+1) mu_n is at the pair k = 1, for every N
         D1 = invertible_double(circle64).D - circle64.D
-        qn = quasi_norm_pinf(singular_values(D1).mu, circle64.p)
+        qn = quasi_norm_pinf(singular_values(D1), circle64.p)
         assert qn == pytest.approx(3.0 / (1.0 + np.sqrt(2.0)), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["circle64", "torus12", "toy1000"])

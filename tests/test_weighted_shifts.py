@@ -233,7 +233,7 @@ def test_general_input_agrees_with_scipy(seed):
     for op, mat in ((A, X), (B, Y), (T, H)):
         assert op.hermitian == scipy_hermitian(mat)
     want = np.sort(np.linalg.eigvalsh(H.toarray()))
-    got = np.sort(eigenvalues(T).values.real)
+    got = np.sort(eigenvalues(T).real)
     close(got, want, 1e-14 * (1.0 + np.abs(want).max()))
     # exact cancellation leaves no entry behind
     zero = (A + B) - (B + A) + (A - A) + ((A + A) - 2 * A)
