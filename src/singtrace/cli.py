@@ -13,6 +13,7 @@ Verbs, each taking only the flags it reads:
 ``--seed`` to the model flags; tolerances are set through a config.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
+A FAIL line names the error, or each failing gate and non-finite field.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _config_from_args(args):
 def _print_report(report):
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
-        vals = rec.details.get("error") or ", ".join(
+        vals = ", ".join(rec.failures()) or ", ".join(
             f"{k}={v}" for k, v in rec.values.items())
         print(f"[{status}] {rec.name}: {vals}")
     print(f"all passed: {report.all_passed}")

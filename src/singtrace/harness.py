@@ -26,6 +26,7 @@ import numpy as np
 
 from . import hochschild as hh
 from . import ideals, traces, triples
+from .ideals import Gate
 from .operators import (
     ContractViolation,
     Operator,
@@ -223,20 +224,25 @@ def _finite_number(value):
 
 @dataclass
 class CheckRecord:
-    passed: bool
+    """A check's result: the check states its gates, and ``run`` derives
+    ``passed`` (no error, no non-finite field, every gate holds)."""
+
+    gates: list = field(default_factory=list)  # of Gate
     values: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     runtime_s: float = 0.0
     inputs_digest: str = ""
     curves: list = field(default_factory=list)  # (curve_name, header, rows)
-    name: str = ""  # set by run: the key of the check's row in CHECKS
+    name: str = ""  # the key of the check's row in CHECKS
+    passed: bool = False
 
     def as_dict(self, timing=True):
         out = {
             "name": self.name,
             "passed": self.passed,
             "inputs_digest": self.inputs_digest,
+            "gates": _jsonable(self.gates),
             "values": _jsonable(self.values),
             "residuals": _jsonable(self.residuals),
             "details": _jsonable(self.details),
@@ -244,6 +250,15 @@ class CheckRecord:
         if timing:
             out["runtime_s"] = round(self.runtime_s, 3)
         return out
+
+    def failures(self):
+        """Why the record fails: its error, else each failing gate with its
+        value and bound and each non-finite field; none if it passes."""
+        if "error" in self.details:
+            return [self.details["error"]]
+        return [f"{g.name}={_fmt(g.value)} (bound {_fmt(g.bound)})"
+                for g in self.gates if not g.holds] + [
+            f"{path} not finite" for path in self.details.get("nonfinite", [])]
 
 
 def _jsonable(obj):
@@ -326,8 +341,9 @@ class Report:
         for r in self.records:
             vals = "; ".join(f"{k}={_fmt(v)}" for k, v in r.values.items())
             res = "; ".join(f"{k}={_fmt(v)}" for k, v in r.residuals.items())
-            lines.append(f"| {r.name} | {'PASS' if r.passed else 'FAIL'} | "
-                         f"{vals} | {res} | {r.runtime_s:.2f} |")
+            status = "PASS" if r.passed else "FAIL: " + "; ".join(r.failures())
+            lines.append(f"| {r.name} | {status} | {vals} | {res} | "
+                         f"{r.runtime_s:.2f} |")
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir):
@@ -481,20 +497,19 @@ class _Context:
 
 
 def _check_cycle(ctx):
-    ok = hh.is_cycle(ctx.chain)
-    return CheckRecord(passed=ok, values={"degree": ctx.chain.degree,
-                                          "terms": len(ctx.chain.terms)})
+    return CheckRecord(
+        gates=[Gate("boundary_terms", len(hh.boundary(ctx.chain).terms), 0)],
+        values={"degree": ctx.chain.degree, "terms": len(ctx.chain.terms)})
 
 
 def _check_chern(ctx):
     res = hh.chern(ctx.chain, ctx.model)
-    deltas = res.deltas
+    delta = (res.deltas or [0.0])[-1]
     tol = ctx.tolerance("chern_convergence")
-    converged = (not deltas) or deltas[-1] <= max(tol * abs(res.value), tol)
     rows = [(r, v.real, v.imag) for r, v in sorted(res.history.items())]
     return CheckRecord(
-        passed=bool(converged), values={"chern": res.value},
-        residuals={"last_window_delta": deltas[-1] if deltas else 0.0},
+        gates=[Gate("last_window_delta", delta, max(tol * abs(res.value), tol))],
+        values={"chern": res.value}, residuals={"last_window_delta": delta},
         details=res.as_dict(),
         curves=[("convergence", ["radius", "re", "im"], rows)])
 
@@ -506,7 +521,8 @@ def _check_eigen_sums(ctx):
     rows = [(int(n), series.sums[n].real, series.sums[n].imag)
             for n in verdict.fit.grid]
     return CheckRecord(
-        passed=verdict.kind != ideals.INCONCLUSIVE, details=verdict.as_dict(),
+        gates=[Gate("residual_sup", verdict.fit.residual_sup, verdict.tol)],
+        details=verdict.as_dict(),
         values={"z": verdict.z, "verdict": verdict.kind},
         residuals={"residual_sup": verdict.fit.residual_sup},
         curves=[("partial_sums", ["n", "re_sum", "im_sum"], rows)])
@@ -515,12 +531,12 @@ def _check_eigen_sums(ctx):
 def _check_heat(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     res = hh.heat_cycle_trace(ctx.chain, ctx.model)
-    tol = ctx.tolerance("heat_rel") * abs(ch)
     gap = abs(res["z"] - ch)
     rows = list(zip(res["s"], [v.real for v in res["values"]],
                     [v.imag for v in res["values"]]))
     return CheckRecord(
-        passed=bool(gap <= tol), values={"z": res["z"], "chern": ch},
+        gates=[Gate("gap", gap, ctx.tolerance("heat_rel") * abs(ch))],
+        values={"z": res["z"], "chern": ch},
         residuals={"gap": gap, "fit_residual": res["residual_sup"]},
         curves=[("heat_trace", ["s", "re", "im"], rows)])
 
@@ -528,10 +544,11 @@ def _check_heat(ctx):
 def _check_dixmier(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
-    tol = ctx.tolerance("dixmier_rel") * max(abs(ch), 1e-12)
     gap = abs(est.z - ch)
     return CheckRecord(
-        passed=bool(gap <= tol), values={"z": est.z, "chern": ch},
+        gates=[Gate("gap", gap, ctx.tolerance("dixmier_rel")
+                    * max(abs(ch), 1e-12))],
+        values={"z": est.z, "chern": ch},
         residuals={"gap": gap, "oscillation": est.residual_sup},
         details=est.as_dict())
 
@@ -545,14 +562,14 @@ def _check_measure(ctx):
         values["z_heat"] = report["z_heat"]
         residuals = {"gap_spec": report["gap_spec"],
                      "gap_heat": report["gap_heat"]}
-    return CheckRecord(passed=report["passed"], values=values,
+    return CheckRecord(gates=report.pop("gates"), values=values,
                        residuals=residuals, details=report)
 
 
 def _check_reduce(ctx):
     report = hh.reduction_partial_sum_check(ctx.chain, ctx.model)
     return CheckRecord(
-        passed=report["passed"], details=report,
+        gates=report.pop("gates"), details=report,
         values={"z": report["z"], "sum_sup": report["sum_sup"]},
         residuals={"residual_sup": report["residual_sup"]})
 
@@ -560,10 +577,9 @@ def _check_reduce(ctx):
 def _check_identity_suite(ctx):
     model, rng = ctx.model, ctx.rng()
     tol = ctx.tolerance("identity")
-    sub = {"bob": hh.bob_identity_check(ctx.chain, model, tol=tol)}
+    sub = {"bob": hh.bob_identity_check(ctx.chain, model)}
     gens = list(model.generators().values())
-    sub["appendix"] = hh.appendix_identity_checks(gens[0], gens[-1], model,
-                                                  tol=tol)
+    sub["appendix"] = hh.appendix_identity_checks(gens[0], gens[-1], model)
     # b o b = 0 on a random chain of degree 3
     rank = model.word_rank
     def rand_elem(coeff):
@@ -576,7 +592,7 @@ def _check_identity_suite(ctx):
     rand = hh.Chain.from_elements(
         model, [(1.0, [rand_elem(gauss_int) for _ in range(4)])
                 for _ in range(3)])
-    sub["bb_zero"] = {"passed": hh.boundary(hh.boundary(rand)).is_zero()}
+    sub["bb_zero"] = {"terms": len(hh.boundary(hh.boundary(rand)).terms)}
     # Leibniz for [D, .] and [|D|, .] on interior modes
     a, b = rand_elem(normal), rand_elem(normal)
     A, Bv = model.realize(a), model.realize(b)
@@ -590,8 +606,7 @@ def _check_identity_suite(ctx):
         triples.delta(a * b, model) - (triples.delta(a, model) @ Bv)
         - (A @ triples.delta(b, model))
         - (model.absD @ (AB - A @ Bv) - (AB - A @ Bv) @ model.absD))
-    sub["leibniz"] = {"partial_d": float(leib_d), "delta": float(leib_delta),
-                      "passed": bool(leib_d <= tol and leib_delta <= tol)}
+    sub["leibniz"] = {"partial_d": float(leib_d), "delta": float(leib_delta)}
     # grading relations on even models
     if model.Gamma is not None:
         from .operators import anticommutator, commutator
@@ -602,26 +617,27 @@ def _check_identity_suite(ctx):
                 - Operator(np.ones(model.dim, complex))).norm_bound()
         sub["grading"] = {
             "anticommutator_D": float(g_anti), "commutator_algebra": float(g_comm),
-            "gamma_squared": float(g_sq),
-            "passed": bool(max(g_anti, g_comm, g_sq) <= tol)}
-    passed = all(entry["passed"] for entry in sub.values())
-    worst = max(
-        (v for entry in sub.values() for k, v in entry.items()
-         if k != "tol" and isinstance(v, float)), default=0.0)
-    return CheckRecord(passed=passed, values={"checks": len(sub)},
+            "gamma_squared": float(g_sq)}
+    # each residual within the tolerance; b o b leaves no term at all
+    gates = [Gate(f"{name}.{key}", value, 0 if name == "bb_zero" else tol)
+             for name, entry in sub.items() for key, value in entry.items()]
+    worst = max((v for entry in sub.values() for v in entry.values()
+                 if isinstance(v, float)), default=0.0)
+    return CheckRecord(gates=gates, values={"checks": len(sub)},
                        residuals={"worst_residual": worst}, details=sub)
 
 
 def _check_summability(ctx):
-    diag = triples.summability_report(ctx.model)
+    diag, generator_norms = triples.summability_report(ctx.model)
     slope = diag.fitted_decay_exponent
-    ok = abs(slope + 1.0) <= ctx.tolerance("decay_slope")
     return CheckRecord(
-        passed=bool(ok and diag.verdicts["weak_lp"]),
+        gates=[Gate("abs(decay_exponent+1)", abs(slope + 1.0),
+                    ctx.tolerance("decay_slope")),
+               Gate("decay_exponent", slope, ideals._WEAK_L1_SLOPE)],
         values={"quasi_norm": diag.quasi_norm_pinf,
                 "lorentz_norm": diag.lorentz_norm,
                 "decay_exponent": slope},
-        details={"verdicts": diag.verdicts})
+        details={"generator_quasi_norms": generator_norms})
 
 
 def _harmonic(model, N):
@@ -658,11 +674,12 @@ def _check_diag_oracles(ctx):
         _alternating(N), V, sums["grid"], sums["modulated"])
     tol = ctx.tolerance("diag_z")
     alt_tol = ctx.tolerance("alt_z")
-    ok = (abs(z_dix.z - 1) <= tol and abs(z_xi.z - 1) <= tol
-          and abs(z_heat.z - 1) <= tol
-          and abs(alt["z_heat"]) <= alt_tol and abs(alt["z_spec"]) <= alt_tol)
     return CheckRecord(
-        passed=bool(ok),
+        gates=[Gate("abs(dixmier-1)", abs(z_dix.z - 1), tol),
+               Gate("abs(heat_xi-1)", abs(z_xi.z - 1), tol),
+               Gate("abs(heat-1)", abs(z_heat.z - 1), tol),
+               Gate("abs(alt_z_heat)", abs(alt["z_heat"]), alt_tol),
+               Gate("abs(alt_z_spec)", abs(alt["z_spec"]), alt_tol)],
         values={"dixmier": z_dix.z, "heat_xi": z_xi.z, "heat": z_heat.z,
                 "alt_z_heat": alt["z_heat"], "alt_z_spec": alt["z_spec"]},
         residuals={"dixmier": z_dix.residual_sup, "heat_xi": z_xi.residual_sup,
@@ -675,9 +692,10 @@ def _check_scalings(ctx):
     sub = {"alpha=1.5": traces.lemma_estimate_scalings(V, 1.5),
            "alpha=2.0": traces._scalings_verdict(
                2.0, sums["grid"], sums["saturating"], sums["counting"])}
-    ok = all(rep["passed"] and rep["xi_trend_negative"] for rep in sub.values())
     return CheckRecord(
-        passed=bool(ok), details=sub,
+        gates=[gate._replace(name=f"{name}.{gate.name}")
+               for name, rep in sub.items() for gate in rep.pop("gates")],
+        details=sub,
         values={f"slopes_a{alpha}": (sub[f"alpha={alpha}"]["slope_saturating"],
                                      sub[f"alpha={alpha}"]["slope_counting"])
                 for alpha in (1.5, 2.0)})
@@ -691,8 +709,9 @@ def _check_scheme_robustness(ctx):
     zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
-    tol = ctx.tolerance("scheme_drift")
-    return CheckRecord(passed=bool(drift <= tol), residuals={"drift": drift},
+    return CheckRecord(gates=[Gate("drift", drift,
+                                   ctx.tolerance("scheme_drift"))],
+                       residuals={"drift": drift},
                        values={f"z_r{r}": z for r, z in zs.items()})
 
 
@@ -707,16 +726,11 @@ def _check_concordance(ctx):
             "heat": (heat.z, heat.residual_sup),
             "dixmier": (dix.z, dix.residual_sup)}
     floor = ctx.tolerance("concordance_floor")
-    pairs = {}
     names = list(ests)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            gap = abs(ests[a][0] - ests[b][0])
-            budget = ests[a][1] + ests[b][1] + floor
-            pairs[f"{a}|{b}"] = {"gap": gap, "budget": budget,
-                                 "passed": bool(gap <= budget)}
     return CheckRecord(
-        passed=all(p["passed"] for p in pairs.values()), details=pairs,
+        gates=[Gate(f"abs({a}-{b})", abs(ests[a][0] - ests[b][0]),
+                    ests[a][1] + ests[b][1] + floor)
+               for i, a in enumerate(names) for b in names[i + 1:]],
         values={name: z for name, (z, _r) in ests.items()},
         residuals={name: r for name, (_z, r) in ests.items()})
 
@@ -726,9 +740,9 @@ def _check_modulated(ctx):
     V = _harmonic(ctx.model, N)
     phases = np.exp(2j * np.pi * ctx.rng().random(N))
     A = Operator(phases, label="random phases")
-    rep = traces.modulated_comparison(A, V)
-    return CheckRecord(passed=rep["passed"],
-                       values={"sup_gap": rep["sup_gap"], "tol": rep["tol"]})
+    (gate,) = traces.modulated_comparison(A, V)["gates"]
+    return CheckRecord(gates=[gate],
+                       values={"sup_gap": gate.value, "tol": gate.bound})
 
 
 def _check_cutoff(ctx):
@@ -746,9 +760,9 @@ def _check_cutoff(ctx):
     else:
         rep = traces.cesaro_cutoff_comparison(
             None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
-    tol = ctx.tolerance("cutoff_gap")
     return CheckRecord(
-        passed=bool(rep["gap"] <= tol), residuals={"gap": rep["gap"]},
+        gates=[Gate("gap", rep["gap"], ctx.tolerance("cutoff_gap"))],
+        residuals={"gap": rep["gap"]},
         values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]})
 
 
@@ -904,13 +918,12 @@ def run(config):
         try:
             rec = CHECKS[name].check(ctx)
         except OperatorError as exc:  # e.g. a model too small for the check
-            rec = CheckRecord(passed=False,
-                              details={"error": f"{type(exc).__name__}: {exc}"})
+            rec = CheckRecord(details={"error": f"{type(exc).__name__}: {exc}"})
         rec.name = name
         nonfinite = _nonfinite_fields(rec)
         if nonfinite:
-            rec.passed = False
             rec.details["nonfinite"] = nonfinite
+        rec.passed = not rec.failures()
         rec.runtime_s = time.perf_counter() - t0
         rec.inputs_digest = ctx.inputs_digest
         records.append(rec)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ideals import (
-    MEASURABLE,
+    Gate,
     _least_squares,
     eigenvalue_partial_sums,
     geometric_grid,
@@ -403,18 +403,17 @@ def _pairing_dixmier(c, model, scheme):
 # -- identity checks ---------------------------------------------------------------
 
 
-def bob_identity_check(c, model, tol=1e-10):
+def bob_identity_check(c, model):
     """Interior norm of 2 W_0(c) - [F, F W_0(c)] - (-1)^{q-1} ch(c)."""
     q = c.degree
     w0 = w_subset(c, model, frozenset())
     chm = ch_op(c, model)
     F_int = model.compress(model.F)
     resid = (2.0 * w0) - commutator(F_int, F_int @ w0) - ((-1.0) ** (q - 1)) * chm
-    norm = resid.norm_bound()
-    return {"residual_norm": float(norm), "tol": tol, "passed": bool(norm <= tol)}
+    return {"residual_norm": float(resid.norm_bound())}
 
 
-def appendix_identity_checks(a1, a2, model, tol=1e-10):
+def appendix_identity_checks(a1, a2, model):
     """The two coboundary-kernel identities for delta^2 and [F, delta(.)].
 
     Checks, on the compressed interior,
@@ -432,14 +431,8 @@ def appendix_identity_checks(a1, a2, model, tol=1e-10):
     first = dd(dd(A12)) - (A1 @ dd(d2)) - (dd(d1) @ A2) - 2.0 * (d1 @ d2)
     second = (fc(dd(A12)) - (A1 @ fc(d2)) - (fc(d1) @ A2)
               - (fc(A1) @ d2) - (d1 @ fc(A2)))
-    n1 = model.interior_norm(first)
-    n2 = model.interior_norm(second)
-    return {
-        "delta_square_residual": float(n1),
-        "f_delta_residual": float(n2),
-        "tol": tol,
-        "passed": bool(n1 <= tol and n2 <= tol),
-    }
+    return {"delta_square_residual": float(model.interior_norm(first)),
+            "f_delta_residual": float(model.interior_norm(second))}
 
 
 # -- asymptotic checks ---------------------------------------------------------------
@@ -485,18 +478,12 @@ def reduction_partial_sum_check(c, model):
     diff = (omega_int @ abs_inv_p) - float(p) * (wp @ d0_inv)
     series = eigenvalue_partial_sums(diff)
     fit = log_fit(series, window=double.fit_window())
-    scale = 1.0 + max(abs(s) for s in series.sums[fit.grid]) if fit.grid.size else 1.0
-    resid_tol = 0.5 * scale
-    passed = bool(abs(fit.z) <= _REDUCTION_Z_TOL and fit.residual_sup <= resid_tol)
-    return {
-        "z": fit.z,
-        "residual_sup": fit.residual_sup,
-        "z_tol": _REDUCTION_Z_TOL,
-        "resid_tol": float(resid_tol),
-        "sum_sup": float(np.max(np.abs(series.sums[fit.grid]))),
-        "passed": passed,
-        "fit": fit.as_dict(),
-    }
+    sum_sup = float(np.max(np.abs(series.sums[fit.grid])))
+    return {"z": fit.z, "residual_sup": fit.residual_sup, "sum_sup": sum_sup,
+            "gates": [Gate("abs(z)", abs(fit.z), _REDUCTION_Z_TOL),
+                      Gate("residual_sup", fit.residual_sup,
+                           0.5 * (1.0 + sum_sup))],
+            "fit": fit.as_dict()}
 
 
 def _heat_floor(double):
@@ -572,31 +559,31 @@ def main_theorem_check(c, model):
         raise ContractViolation("main_theorem_check requires a cycle")
     ch = chern(c, model)
     verdict = _pairing_verdict(c, model)
-    vanishes = bool(abs(ch.value) <= _VANISHING_CH_TOL
-                    and abs(verdict.z) <= _VANISHING_Z_TOL)
+    vanishing = [Gate("abs(chern)", abs(ch.value), _VANISHING_CH_TOL),
+                 Gate("abs(z_spec)", abs(verdict.z), _VANISHING_Z_TOL)]
     report = {"chern": ch.value, "z_spec": verdict.z,
               "chern_record": ch.as_dict()}
     if (c.degree % 2 == 0) != (model.parity == "even"):
-        tolerances = {"ch": _VANISHING_CH_TOL, "z": _VANISHING_Z_TOL}
-        return dict(report, mode="parity_vanishing", passed=vanishes,
-                    tolerances=tolerances, fit=verdict.fit.as_dict())
+        return dict(report, mode="parity_vanishing", gates=vanishing,
+                    fit=verdict.fit.as_dict())
     criterion = _criterion(_weight_singular_values(model, c.degree),
                            _weight_diagnostics(model, c.degree),
-                           _pairing_heat(c, model), _pairing_series(c, model),
-                           model.fit_window())
+                           _pairing_heat(c, model), verdict.fit)
+    (budget,) = criterion.pop("gates")
     gap_spec = abs(verdict.z - ch.value)
     gap_heat = abs(criterion["z_heat"] - ch.value)
     tol_abs = _CHARACTER_REL_TOL * abs(ch.value)
-    if abs(ch.value) <= _VANISHING_CH_TOL:
-        # degenerate pairing (e.g. the diagonal toy model): 0 = 0
-        passed = vanishes and criterion["passed"]
-    else:
-        passed = bool(verdict.kind == MEASURABLE and gap_spec <= tol_abs
-                      and gap_heat <= max(tol_abs, criterion["tol"])
-                      and criterion["passed"])
+    # a degenerate pairing (e.g. the diagonal toy model) vanishes, 0 = 0;
+    # else the verdict is measurable (a fit within its residual bound, a
+    # slope at or above its floor) and both slopes match Ch(c)
+    gates = vanishing if abs(ch.value) <= _VANISHING_CH_TOL else [
+        Gate("residual_sup", verdict.fit.residual_sup, verdict.tol),
+        Gate("-abs(z_spec)", -abs(verdict.z), -verdict.z_tol),
+        Gate("gap_spec", gap_spec, tol_abs),
+        Gate("gap_heat", gap_heat, max(tol_abs, budget.bound))]
     return dict(report, mode="character", z_heat=criterion["z_heat"],
-                gap_spec=gap_spec, gap_heat=gap_heat, tol_abs=tol_abs,
-                passed=passed, verdict=verdict.as_dict(), criterion=criterion)
+                gap_spec=gap_spec, gap_heat=gap_heat, gates=gates + [budget],
+                verdict=verdict.as_dict(), criterion=criterion)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "LogFit",
     "IdealDiagnostics",
     "Verdict",
+    "Gate",
     "MEASURABLE",
     "COMMUTATOR_SUBSPACE",
     "INCONCLUSIVE",
@@ -115,8 +117,10 @@ class IdealDiagnostics:
     quasi_norm_pinf: float
     lorentz_norm: float
     fitted_decay_exponent: float
-    verdicts: dict = field(default_factory=dict)
 
+
+# singular values whose decay exponent is at most this are weak L_1
+_WEAK_L1_SLOPE = -0.8
 
 MEASURABLE = "measurable"
 COMMUTATOR_SUBSPACE = "commutator_subspace"
@@ -131,6 +135,7 @@ class Verdict:
     z: complex
     fit: LogFit
     tol: float
+    z_tol: float
     notes: str = ""
 
     def as_dict(self):
@@ -138,9 +143,23 @@ class Verdict:
             "kind": self.kind,
             "z": [self.z.real, self.z.imag],
             "tol": self.tol,
+            "z_tol": self.z_tol,
             "fit": self.fit.as_dict(),
             "notes": self.notes,
         }
+
+
+class Gate(NamedTuple):
+    """One comparison of a verdict, which holds when ``value <= bound`` (a
+    NaN fails it); a lower bound is a gate on the negated value."""
+
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def holds(self):
+        return bool(self.value <= self.bound)
 
 
 def quasi_norm_pinf(mu, p):
@@ -319,11 +338,11 @@ def universal_measurability_test(series, tol=0.5, z_tol=None, window=None):
     z = fit.z
     if fit.residual_sup <= tol:
         if abs(z) > z_tol:
-            return Verdict(MEASURABLE, z, fit, tol)
-        return Verdict(COMMUTATOR_SUBSPACE, z, fit, tol,
+            return Verdict(MEASURABLE, z, fit, tol, z_tol)
+        return Verdict(COMMUTATOR_SUBSPACE, z, fit, tol, z_tol,
                        notes="fitted slope negligible; sums bounded on window")
     return Verdict(
-        INCONCLUSIVE, z, fit, tol,
+        INCONCLUSIVE, z, fit, tol, z_tol,
         notes=f"residual_sup {fit.residual_sup:.3g} exceeds tol {tol:.3g}",
     )
 
@@ -338,16 +357,6 @@ def decay_exponent(mu):
 def ideal_diagnostics(mu):
     """Quasi-norm, Lorentz norm and fitted decay exponent of the singular
     values ``mu`` (an array) in L_{1,inf} / M_{1,inf}."""
-    qn = quasi_norm_pinf(mu, 1.0)
-    ln = lorentz_norm_m1inf(mu)
-    slope = decay_exponent(mu)
-    verdicts = {
-        "weak_lp": bool(slope <= -1.0 + 0.2),
-        "macaev": bool(np.isfinite(ln)),
-    }
-    return IdealDiagnostics(
-        quasi_norm_pinf=qn,
-        lorentz_norm=ln,
-        fitted_decay_exponent=slope,
-        verdicts=verdicts,
-    )
+    return IdealDiagnostics(quasi_norm_pinf=quasi_norm_pinf(mu, 1.0),
+                            lorentz_norm=lorentz_norm_m1inf(mu),
+                            fitted_decay_exponent=decay_exponent(mu))

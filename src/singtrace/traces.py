@@ -27,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ideals import (
+    _WEAK_L1_SLOPE,
+    Gate,
     _distinct,
     _least_squares,
     _loglog_slope,
     eigenvalue_partial_sums,
     geometric_grid,
     ideal_diagnostics,
-    universal_measurability_test,
+    log_fit,
 )
 from .operators import ContractViolation, OperatorError, singular_values
 
@@ -520,17 +522,14 @@ def _scalings_verdict(alpha, grid, saturating, counting):
     slope_sat = _loglog_slope(grid, saturating)
     slope_count = _loglog_slope(grid, counting)
     xi_trend = _loglog_slope(grid, counting / (grid * np.log(grid)))
-    bound_sat = 1.0 - alpha + 0.05
-    bound_count = 1.0 + 0.05
     return {
         "alpha": alpha,
         "slope_saturating": slope_sat,
         "slope_counting": slope_count,
-        "bound_saturating": bound_sat,
-        "bound_counting": bound_count,
         "xi_over_nlogn_slope": xi_trend,
-        "xi_trend_negative": bool(xi_trend < 0.0),
-        "passed": bool(slope_sat <= bound_sat and slope_count <= bound_count),
+        "gates": [Gate("slope_saturating", slope_sat, 1.0 - alpha + 0.05),
+                  Gate("slope_counting", slope_count, 1.0 + 0.05),
+                  Gate("xi_over_nlogn_slope", xi_trend, 0.0)],
         "grid": {"n_lo": int(grid[0]), "n_hi": int(grid[-1]),
                  "points": int(grid.size)},
     }
@@ -557,12 +556,9 @@ def modulated_comparison(A, V):
         m = v.size - int(np.searchsorted(v, 1.0 / n))
         cutoff = tail[m - 1] if m > 0 else 0.0
         gaps[j] = abs(series.sums[n] - cutoff)
-    tol = 3.0 * A.norm_bound()  # the 2-norm of a diagonal
-    sup = float(gaps.max())
     return {
-        "sup_gap": sup,
-        "tol": float(tol),
-        "passed": bool(sup <= tol),
+        "gates": [Gate("sup_gap", float(gaps.max()),
+                       float(3.0 * A.norm_bound()))],
         "ns": grid.tolist(),
         "gaps": gaps.tolist(),
     }
@@ -635,7 +631,7 @@ def _classify_branch(mu, slope):
     """'a' when the singular values ``mu`` (an array) decay like
     1/(k+1) (their :func:`decay_exponent` ``slope`` is at most -0.8); 'b'
     when only the log-mean is bounded."""
-    if slope <= -0.8:
+    if slope <= _WEAK_L1_SLOPE:
         return "a", slope
     sums = np.cumsum(mu)
     n = np.arange(sums.size, dtype=float)
@@ -656,26 +652,21 @@ def _classify_branch(mu, slope):
 _CRITERION_FLOOR = 0.02
 
 
-def _criterion(mu, ideal, heat, series, window):
+def _criterion(mu, ideal, heat, fit):
     """The measurability criterion from V's singular values ``mu`` and their
     :func:`ideal_diagnostics` ``ideal``, the heat estimate ``heat`` of
-    Tr(A V e^{-(nV)^-alpha}) and the eigenvalue partial sums ``series`` of
-    AV, fitted on ``window`` (None: the dyadic window)."""
+    Tr(A V e^{-(nV)^-alpha}) and the log fit ``fit`` of the eigenvalue
+    partial sums of AV."""
     branch, slope = _classify_branch(mu, ideal.fitted_decay_exponent)
-    verdict = universal_measurability_test(series, window=window)
-    z_spec = verdict.z
-    tol = heat.residual_sup + verdict.fit.residual_sup + _CRITERION_FLOOR
-    gap = abs(heat.z - z_spec)
+    budget = heat.residual_sup + fit.residual_sup + _CRITERION_FLOOR
     return {
         "branch": branch,
         "decay_exponent": slope,
         "z_heat": heat.z,
-        "z_spec": z_spec,
-        "gap": gap,
-        "tol": tol,
-        "passed": bool(gap <= tol),
+        "z_spec": fit.z,
+        "gates": [Gate("criterion_gap", abs(heat.z - fit.z), budget)],
         "heat_estimate": heat.as_dict(),
-        "spec_verdict": verdict.as_dict(),
+        "spec_fit": fit.as_dict(),
         "ideal": {
             "quasi_norm_1inf": ideal.quasi_norm_pinf,
             "lorentz_norm": ideal.lorentz_norm,
@@ -687,13 +678,13 @@ def measurability_criterion_check(A, V, ns, heat):
     """Compare the heat-functional slope with the partial-sum slope of AV.
 
     The heat route fits Tr(A V e^{-(nV)^-2}) against log n; the spectral
-    route fits the eigenvalue partial sums of AV against log(n+1).  The two
-    slopes must agree within the summed fit residuals (plus a small floor),
-    which is the finite form of the statement that both compute the same
-    trace value.  ``heat`` holds the samples ``heat_functional(A, V, 2.0,
-    ns)`` on the caller's grid ``ns``.
+    route fits the eigenvalue partial sums of AV against log(n+1) on the
+    dyadic window.  The two slopes must agree within the summed fit
+    residuals (plus a small floor), which is the finite form of the
+    statement that both compute the same trace value.  ``heat`` holds the
+    samples ``heat_functional(A, V, 2.0, ns)`` on the caller's grid ``ns``.
     """
     mu = singular_values(V)
     product = (A @ V) if A is not None else V
     return _criterion(mu, ideal_diagnostics(mu), heat_fit(ns, heat),
-                      eigenvalue_partial_sums(product), None)
+                      log_fit(eigenvalue_partial_sums(product)))

@@ -22,7 +22,6 @@ to N), which keeps shift-truncation artifacts out of the asymptotics.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 
@@ -620,7 +619,8 @@ def _weight_diagnostics(model, q):
 
 
 def summability_report(model):
-    """Ideal diagnostics for (1+D^2)^{-p/2} and the generator F-commutators."""
+    """The ideal diagnostics of (1+D^2)^{-p/2} (the model's memo entry) and
+    the L_{p,inf} quasi-norms of the generator F-commutators, by name."""
     diag = _weight_diagnostics(model, model.p)
     gen_norms = {}
     for name, g in model.generators().items():
@@ -631,7 +631,4 @@ def summability_report(model):
             singular_values(fg), model.p)
         gen_norms[f"[F,delta({name})]"] = quasi_norm_pinf(
             singular_values(fdg), model.p)
-    # a copy: the memo entry is shared with the measurability criterion
-    return dataclasses.replace(diag, verdicts=dict(
-        diag.verdicts, weight_decay_exponent=diag.fitted_decay_exponent,
-        generator_quasi_norms=gen_norms))
+    return diag, gen_norms

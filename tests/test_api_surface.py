@@ -7,7 +7,8 @@ is passed, by keyword or by position, in some call in ``src/singtrace`` to a
 callee of that name.  A parameter no caller sets is a fixed value, not an
 option.  The census of defaulted parameters is pinned, so a new option is
 a deliberate change of this file.  scipy is imported in one function
-only, ``Operator.sparse``.
+only, ``Operator.sparse``, and only ``harness.run`` sets a verdict: each
+check and helper states its gates.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "singtrace"
 
 # parameters with a default over every function in src/ (ROADMAP Aim 2)
-CENSUS = 35
+CENSUS = 33
 
 # (module, function, parameter) defaults that no call in src/ passes
 ALLOWED_DEFAULTS = {
@@ -179,6 +180,52 @@ def test_no_rule_is_keyed_by_check_name():
         'record = CheckRecord("heat", passed=True)\n')
     assert sorted(_check_name_literals(keyed, set(CHECKS))) == [
         (1, "identity-suite"), (2, "cutoff"), (2, "diag-oracles"), (3, "heat")]
+
+
+def _hand_verdicts(tree):
+    """(line, form) of each place in ``tree`` that sets a verdict by hand
+    rather than stating gates: a call that passes ``passed=`` (to
+    ``CheckRecord``, ``dict``, ...), a dict display with a ``"passed"``
+    key, and an assignment to an attribute ``passed``.  Allowed: the one
+    assignment in ``run``, which derives each record's ``passed``, and the
+    key of ``CheckRecord.as_dict``, which writes it."""
+    allowed = set()
+    for node in ast.walk(tree):
+        kind = {"run": ast.Assign, "CheckRecord": ast.Dict}.get(
+            getattr(node, "name", None))
+        if kind and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            allowed.update(id(n) for n in ast.walk(node) if isinstance(n, kind))
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Call):
+            sites += [(node.lineno, f"{_callee(node)}(passed=)")
+                      for kw in node.keywords if kw.arg == "passed"]
+        elif isinstance(node, ast.Dict):
+            sites += [(key.lineno, '{"passed": ...}') for key in node.keys
+                      if isinstance(key, ast.Constant) and key.value == "passed"]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            sites += [(node.lineno, ".passed =") for target in targets
+                      if isinstance(target, ast.Attribute)
+                      and target.attr == "passed"]
+    return sites
+
+
+def test_only_run_sets_a_verdict():
+    found = {module: _hand_verdicts(tree) for module, tree in _trees().items()}
+    assert found == {module: [] for module in found}
+    # the guard sees the forms the verdicts had before they were gates
+    by_hand = ast.parse(
+        'rec = CheckRecord(passed=ok, values={"degree": 1})\n'
+        'out = {"residual_norm": n, "tol": tol, "passed": bool(n <= tol)}\n'
+        'out = dict(report, mode="parity_vanishing", passed=vanishes)\n'
+        'def check(rec):\n'
+        '    rec.passed = False\n')
+    assert sorted(_hand_verdicts(by_hand)) == [
+        (1, "CheckRecord(passed=)"), (2, '{"passed": ...}'),
+        (3, "dict(passed=)"), (5, ".passed =")]
 
 
 def _imports_scipy(node):

@@ -31,6 +31,7 @@ from singtrace.harness import (
     run,
     suite,
 )
+from singtrace.ideals import Gate
 from singtrace.triples import build_circle, build_model
 
 import test_golden
@@ -121,10 +122,11 @@ class TestRun:
         # at some ratio the scheme moves the window off the default one
         assert custom != zs({})
 
-    def test_nonfinite_result_fails_explicitly(self, monkeypatch, tmp_path):
+    def test_nonfinite_result_fails_explicitly(self, monkeypatch, tmp_path,
+                                               capsys):
         def nonfinite(ctx):
             return harness.CheckRecord(
-                passed=True,
+                gates=[Gate("n", 3, 3)],
                 values={"z": complex(1.0, float("nan")), "n": 3},
                 residuals={"gaps": np.array([0.5, np.inf])},
                 details={"note": "finite"})
@@ -147,6 +149,15 @@ class TestRun:
         record = payload["records"][1]
         assert record["values"]["z"] == {"re": 1.0, "im": "nan"}
         assert record["residuals"]["gaps"] == [0.5, "inf"]
+        assert record["gates"] == [["n", 3, 3]]
+        # its gate holds, so the FAIL line names the non-finite fields
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
+                                   "checks": ["nonfinite"]}))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] nonfinite: values.z.im not finite, "
+            "residuals.gaps.1 not finite", "all passed: False"]
 
     @pytest.mark.parametrize("seed", [22, 53])
     def test_identity_suite_exact_for_every_seed(self, seed):
@@ -164,7 +175,8 @@ class TestRun:
                       d["appendix"]["delta_square_residual"],
                       d["appendix"]["f_delta_residual"],
                       d["leibniz"]["partial_d"], d["leibniz"]["delta"])
-        assert rec.residuals["worst_residual"] == largest < d["bob"]["tol"]
+        tol = CHECKS["identity-suite"].tolerances["identity"]
+        assert rec.residuals["worst_residual"] == largest < tol
 
     def test_seed_changes_randomized_checks(self):
         base = ExperimentConfig(model={"name": "circle", "N": 48},
@@ -250,6 +262,13 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
             suite("extended")
+
+    @pytest.mark.parametrize("name", ["quick", "full"])
+    def test_each_record_passes_exactly_when_its_gates_hold(self, name):
+        for rec in suite(name).as_dict(timing=False)["records"]:
+            assert rec["gates"], rec["name"]
+            assert rec["passed"] == all(value <= bound
+                                        for _name, value, bound in rec["gates"])
 
 
 class TestCli:
@@ -605,6 +624,41 @@ class TestCli:
             f"[FAIL] heat: ContractViolation: heat s-window empty: floor "
             f"{floor} above ceiling 0.125", "all passed: False"]
 
+    def test_fail_line_names_each_failing_gate(self, tmp_path, capsys):
+        # circle N = 32 is below the scale of measure and diag-oracles: the
+        # heat and partial-sum slopes of the pairing differ by more than
+        # their criterion budget, and two harmonic estimates miss 1 and 0
+        assert cli_main(["measure", "--model", "circle", "--N", "32"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] measure: criterion_gap=0.1749 (bound 0.07643)",
+            "all passed: False"]
+        cfg = tmp_path / "oracles.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 32},
+                                   "checks": ["diag-oracles"],
+                                   "out": str(tmp_path / "rep")}))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        why = ("abs(heat_xi-1)=0.1104 (bound 0.05), "
+               "abs(alt_z_spec)=0.04874 (bound 0.02)")
+        assert capsys.readouterr().out.splitlines() == [
+            f"[FAIL] diag-oracles: {why}", "all passed: False"]
+        # and report.md's row says the same
+        md = (tmp_path / "rep" / "report.md").read_text()
+        assert f"| diag-oracles | FAIL: {why.replace(', ', '; ')} |" in md
+
+    def test_zero_tolerance_fails_its_gate(self, tmp_path, capsys):
+        cfg = tmp_path / "heat0.json"
+        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 64},
+                                   "checks": ["heat"],
+                                   "tolerances": {"heat_rel": 0}}))
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        (rec,) = run(ExperimentConfig.from_json(cfg.read_text())).records
+        (gate,) = rec.gates
+        assert gate.name == "gap" and gate.value == rec.residuals["gap"] > 0
+        assert gate.bound == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"[FAIL] heat: gap={gate.value:.4g} (bound 0)",
+            "all passed: False"]
+
     @pytest.mark.parametrize("argv", [
         ["model", "build", "--seed", "3"],
         ["model", "build", "--chain", "volume"],
@@ -809,7 +863,7 @@ def test_a_new_check_is_one_row(monkeypatch, capsys, tmp_path):
         seen["memo"] = ctx.model._memo
         z = hh.chern(ctx.chain, ctx.model).value
         tol = ctx.tolerance("fake_tol")
-        return harness.CheckRecord(passed=bool(abs(z - 2) <= tol),
+        return harness.CheckRecord(gates=[Gate("abs(z-2)", abs(z - 2), tol)],
                                    values={"tol": tol})
 
     grid = (lambda N: N // 4, "puts the fake grid past N/4={N}/4")
@@ -851,13 +905,14 @@ def test_a_new_check_is_one_row(monkeypatch, capsys, tmp_path):
 
 def test_pairing_estimates_are_built_once(monkeypatch):
     """The checks that report an estimate of one pairing read one memoized
-    set of estimates: one eigenproblem of Omega(c)(1+D^2)^{-1/2}, one set of
-    heat samples and one Dixmier log-mean."""
+    set of estimates: one eigenproblem of Omega(c)(1+D^2)^{-1/2}, one log
+    fit of its partial sums (measure's criterion reads the verdict's), one
+    set of heat samples and one Dixmier log-mean."""
     calls = Counter()
     modules = [mod for name, mod in list(sys.modules.items())
                if name.startswith("singtrace")]
-    for fn in (ideals.eigenvalue_partial_sums, traces.heat_functional,
-               traces.dixmier_logmean):
+    for fn in (ideals.eigenvalue_partial_sums, ideals.log_fit,
+               traces.heat_functional, traces.dixmier_logmean):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -869,8 +924,8 @@ def test_pairing_estimates_are_built_once(monkeypatch):
         model={"name": "circle", "N": 256},
         checks=["eigen-sums", "dixmier", "measure", "concordance"]))
     assert report.all_passed
-    assert calls == {"eigenvalue_partial_sums": 1, "heat_functional": 1,
-                     "dixmier_logmean": 1}
+    assert calls == {"eigenvalue_partial_sums": 1, "log_fit": 1,
+                     "heat_functional": 1, "dixmier_logmean": 1}
 
 
 @pytest.mark.parametrize("threads", ["2", "abc"])

@@ -319,7 +319,7 @@ class TestDiagnostics:
 
     def test_ideal_diagnostics_flags(self):
         diag = ideal_diagnostics(harmonic(10_000))
-        assert diag.verdicts["weak_lp"]
+        assert diag.fitted_decay_exponent <= ideals._WEAK_L1_SLOPE
         assert diag.quasi_norm_pinf == pytest.approx(1.0)
 
     def test_distinct_equals_unique_on_sorted_input(self):
