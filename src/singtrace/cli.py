@@ -10,7 +10,7 @@ Verbs, each taking only the flags it reads:
     singtrace run --config experiment.json [--out DIR]
 
 ``cycle check`` and the check verbs add ``--chain``, ``--out`` and
-``--seed`` to the model flags; tolerances are set through a config.
+``--seed`` to the model flags.  A check's bounds are stated in its code.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 A FAIL line names the error, or each failing gate and non-finite field.

@@ -65,7 +65,6 @@ class ExperimentConfig:
     chain: object = None  # builtin name, inline dict, or None for default
     checks: list = field(default_factory=list)
     scheme: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     out: str = None
     seed: int = 0
 
@@ -78,7 +77,7 @@ class ExperimentConfig:
                               f"column {exc.colno}: {exc.msg}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"model", "chain", "checks", "scheme", "tolerances", "out", "seed"}
+        known = {"model", "chain", "checks", "scheme", "out", "seed"}
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -141,19 +140,6 @@ class ExperimentConfig:
             raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.out:
             _check_out(self.out)
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError(
-                f"config.tolerances must be an object, got {self.tolerances!r}")
-        read = {key for name in self.checks for key in CHECKS[name].tolerances}
-        unread = sorted(set(self.tolerances) - read)
-        if unread:
-            raise ConfigError(
-                f"tolerance keys {unread} are read by none of the requested "
-                f"checks; they read: {sorted(read)}")
-        for key, value in self.tolerances.items():
-            if not _finite_number(value):
-                raise ConfigError(
-                    f"tolerance {key} must be a finite number, got {value!r}")
         return self
 
     def _validate_scheme(self):
@@ -475,12 +461,6 @@ class _Context:
                 raise ConfigError(
                     f"scheme n_min={self.scheme.n_min} {grid[1].format(N=N)} "
                     f"of the harmonic diagonal that {on_grid} sample")
-        # each requested check's tolerance keys: the config's value, else
-        # the check's default
-        self.tol = {key: default for name in config.checks
-                    for key, default in CHECKS[name].tolerances.items()}
-        self.tol.update((key, float(value))
-                        for key, value in config.tolerances.items())
         stamp = (config.digest() + self.model.model_id
                  + json.dumps(sorted(map(str, self.chain.terms.items()))))
         self.inputs_digest = hashlib.sha256(stamp.encode()).hexdigest()[:16]
@@ -490,11 +470,6 @@ class _Context:
         config, so a check's inputs do not depend on the other checks listed."""
         return np.random.default_rng(self.config.seed)
 
-    def tolerance(self, key):
-        """The config's value for ``key`` as a float, else the default its
-        check states."""
-        return self.tol[key]
-
 
 def _check_cycle(ctx):
     return CheckRecord(
@@ -502,13 +477,16 @@ def _check_cycle(ctx):
         values={"degree": ctx.chain.degree, "terms": len(ctx.chain.terms)})
 
 
+_CHERN_CONVERGENCE = 0.1  # of max(|Ch(c)|, 1)
+
+
 def _check_chern(ctx):
     res = hh.chern(ctx.chain, ctx.model)
     delta = (res.deltas or [0.0])[-1]
-    tol = ctx.tolerance("chern_convergence")
     rows = [(r, v.real, v.imag) for r, v in sorted(res.history.items())]
     return CheckRecord(
-        gates=[Gate("last_window_delta", delta, max(tol * abs(res.value), tol))],
+        gates=[Gate("last_window_delta", delta,
+                    _CHERN_CONVERGENCE * max(abs(res.value), 1.0))],
         values={"chern": res.value}, residuals={"last_window_delta": delta},
         details=res.as_dict(),
         curves=[("convergence", ["radius", "re", "im"], rows)])
@@ -516,8 +494,7 @@ def _check_chern(ctx):
 
 def _check_eigen_sums(ctx):
     series = hh._pairing_series(ctx.chain, ctx.model)
-    verdict = hh._pairing_verdict(ctx.chain, ctx.model,
-                                  ctx.tolerance("sum_tol"))
+    verdict = hh._pairing_verdict(ctx.chain, ctx.model)
     rows = [(int(n), series.sums[n].real, series.sums[n].imag)
             for n in verdict.fit.grid]
     return CheckRecord(
@@ -528,6 +505,11 @@ def _check_eigen_sums(ctx):
         curves=[("partial_sums", ["n", "re_sum", "im_sum"], rows)])
 
 
+# of |Ch(c)|, at least the floor of a vanishing pairing: the truncation
+# leaks a gap into the heat trace of a cycle whose Ch(c) is 0
+_HEAT_REL = 0.15
+
+
 def _check_heat(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     res = hh.heat_cycle_trace(ctx.chain, ctx.model)
@@ -535,10 +517,14 @@ def _check_heat(ctx):
     rows = list(zip(res["s"], [v.real for v in res["values"]],
                     [v.imag for v in res["values"]]))
     return CheckRecord(
-        gates=[Gate("gap", gap, ctx.tolerance("heat_rel") * abs(ch))],
+        gates=[Gate("gap", gap,
+                    max(_HEAT_REL * abs(ch), hh._VANISHING_Z_TOL))],
         values={"z": res["z"], "chern": ch},
         residuals={"gap": gap, "fit_residual": res["residual_sup"]},
         curves=[("heat_trace", ["s", "re", "im"], rows)])
+
+
+_DIXMIER_REL = 0.15  # of |Ch(c)|
 
 
 def _check_dixmier(ctx):
@@ -546,8 +532,7 @@ def _check_dixmier(ctx):
     est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
     gap = abs(est.z - ch)
     return CheckRecord(
-        gates=[Gate("gap", gap, ctx.tolerance("dixmier_rel")
-                    * max(abs(ch), 1e-12))],
+        gates=[Gate("gap", gap, _DIXMIER_REL * max(abs(ch), 1e-12))],
         values={"z": est.z, "chern": ch},
         residuals={"gap": gap, "oscillation": est.residual_sup},
         details=est.as_dict())
@@ -574,9 +559,11 @@ def _check_reduce(ctx):
         residuals={"residual_sup": report["residual_sup"]})
 
 
+_IDENTITY_TOL = 1e-10  # exact identities in double precision
+
+
 def _check_identity_suite(ctx):
     model, rng = ctx.model, ctx.rng()
-    tol = ctx.tolerance("identity")
     sub = {"bob": hh.bob_identity_check(ctx.chain, model)}
     gens = list(model.generators().values())
     sub["appendix"] = hh.appendix_identity_checks(gens[0], gens[-1], model)
@@ -618,8 +605,9 @@ def _check_identity_suite(ctx):
         sub["grading"] = {
             "anticommutator_D": float(g_anti), "commutator_algebra": float(g_comm),
             "gamma_squared": float(g_sq)}
-    # each residual within the tolerance; b o b leaves no term at all
-    gates = [Gate(f"{name}.{key}", value, 0 if name == "bb_zero" else tol)
+    # each residual within _IDENTITY_TOL; b o b leaves no term at all
+    gates = [Gate(f"{name}.{key}", value,
+                  0 if name == "bb_zero" else _IDENTITY_TOL)
              for name, entry in sub.items() for key, value in entry.items()]
     worst = max((v for entry in sub.values() for v in entry.values()
                  if isinstance(v, float)), default=0.0)
@@ -627,12 +615,15 @@ def _check_identity_suite(ctx):
                        residuals={"worst_residual": worst}, details=sub)
 
 
+_DECAY_SLOPE_TOL = 0.3  # of the decay exponent from -1
+
+
 def _check_summability(ctx):
     diag, generator_norms = triples.summability_report(ctx.model)
     slope = diag.fitted_decay_exponent
     return CheckRecord(
         gates=[Gate("abs(decay_exponent+1)", abs(slope + 1.0),
-                    ctx.tolerance("decay_slope")),
+                    _DECAY_SLOPE_TOL),
                Gate("decay_exponent", slope, ideals._WEAK_L1_SLOPE)],
         values={"quasi_norm": diag.quasi_norm_pinf,
                 "lorentz_norm": diag.lorentz_norm,
@@ -661,6 +652,10 @@ def _harmonic_heat(model):
         _harmonic(model, N), 2.0))
 
 
+_DIAG_Z_TOL = 0.05  # of each trace of V from 1
+_ALT_Z_TOL = 0.02  # of each slope of the alternating signs from 0
+
+
 def _check_diag_oracles(ctx):
     N = ctx.model.N
     V = _harmonic(ctx.model, N)
@@ -672,14 +667,12 @@ def _check_diag_oracles(ctx):
     z_heat = traces.heat_fit(sums["grid"], sums["heat"])
     alt = traces.measurability_criterion_check(
         _alternating(N), V, sums["grid"], sums["modulated"])
-    tol = ctx.tolerance("diag_z")
-    alt_tol = ctx.tolerance("alt_z")
     return CheckRecord(
-        gates=[Gate("abs(dixmier-1)", abs(z_dix.z - 1), tol),
-               Gate("abs(heat_xi-1)", abs(z_xi.z - 1), tol),
-               Gate("abs(heat-1)", abs(z_heat.z - 1), tol),
-               Gate("abs(alt_z_heat)", abs(alt["z_heat"]), alt_tol),
-               Gate("abs(alt_z_spec)", abs(alt["z_spec"]), alt_tol)],
+        gates=[Gate("abs(dixmier-1)", abs(z_dix.z - 1), _DIAG_Z_TOL),
+               Gate("abs(heat_xi-1)", abs(z_xi.z - 1), _DIAG_Z_TOL),
+               Gate("abs(heat-1)", abs(z_heat.z - 1), _DIAG_Z_TOL),
+               Gate("abs(alt_z_heat)", abs(alt["z_heat"]), _ALT_Z_TOL),
+               Gate("abs(alt_z_spec)", abs(alt["z_spec"]), _ALT_Z_TOL)],
         values={"dixmier": z_dix.z, "heat_xi": z_xi.z, "heat": z_heat.z,
                 "alt_z_heat": alt["z_heat"], "alt_z_spec": alt["z_spec"]},
         residuals={"dixmier": z_dix.residual_sup, "heat_xi": z_xi.residual_sup,
@@ -701,6 +694,9 @@ def _check_scalings(ctx):
                 for alpha in (1.5, 2.0)})
 
 
+_SCHEME_DRIFT = 0.02
+
+
 def _check_scheme_robustness(ctx):
     # the partial sums of V's singular values, formed once for the three
     # ratios and held by this check only
@@ -709,15 +705,17 @@ def _check_scheme_robustness(ctx):
     zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
-    return CheckRecord(gates=[Gate("drift", drift,
-                                   ctx.tolerance("scheme_drift"))],
+    return CheckRecord(gates=[Gate("drift", drift, _SCHEME_DRIFT)],
                        residuals={"drift": drift},
                        values={f"z_r{r}": z for r, z in zs.items()})
 
 
+_CONCORDANCE_FLOOR = 0.02
+
+
 def _check_concordance(ctx):
     """Partial-sum, heat and Dixmier estimates of one pairing must agree
-    pairwise within their summed reported residuals."""
+    pairwise within their summed reported residuals plus a floor."""
     chain, model = ctx.chain, ctx.model
     fit = hh._pairing_verdict(chain, model).fit
     heat = hh._pairing_heat(chain, model)
@@ -725,11 +723,10 @@ def _check_concordance(ctx):
     ests = {"partial_sum": (fit.z, fit.residual_sup),
             "heat": (heat.z, heat.residual_sup),
             "dixmier": (dix.z, dix.residual_sup)}
-    floor = ctx.tolerance("concordance_floor")
     names = list(ests)
     return CheckRecord(
         gates=[Gate(f"abs({a}-{b})", abs(ests[a][0] - ests[b][0]),
-                    ests[a][1] + ests[b][1] + floor)
+                    ests[a][1] + ests[b][1] + _CONCORDANCE_FLOOR)
                for i, a in enumerate(names) for b in names[i + 1:]],
         values={name: z for name, (z, _r) in ests.items()},
         residuals={name: r for name, (_z, r) in ests.items()})
@@ -743,6 +740,9 @@ def _check_modulated(ctx):
     (gate,) = traces.modulated_comparison(A, V)["gates"]
     return CheckRecord(gates=[gate],
                        values={"sup_gap": gate.value, "tol": gate.bound})
+
+
+_CUTOFF_GAP = 0.05
 
 
 def _check_cutoff(ctx):
@@ -761,22 +761,21 @@ def _check_cutoff(ctx):
         rep = traces.cesaro_cutoff_comparison(
             None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
     return CheckRecord(
-        gates=[Gate("gap", rep["gap"], ctx.tolerance("cutoff_gap"))],
+        gates=[Gate("gap", rep["gap"], _CUTOFF_GAP)],
         residuals={"gap": rep["gap"]},
         values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]})
 
 
 class Check(NamedTuple):
     """One row of the check table, which validation, ``run``, the release
-    and the CLI verbs read: the check; the tolerance keys it reads through
-    ``_Context.tolerance``, with their defaults; the memo keys it requests
-    itself, not through a build (``(_DOUBLE, key)`` on the invertible
-    double); the words it realizes, which must fit the buffer: ``"chain"``
-    (a CLI verb), ``"generators"`` or None; the buffer its own words need;
-    and its grid on the harmonic diagonal (see ``_HEAT_GRID``) or None."""
+    and the CLI verbs read: the check, whose bounds are constants stated
+    beside it; the memo keys it requests itself, not through a build
+    (``(_DOUBLE, key)`` on the invertible double); the words it realizes,
+    which must fit the buffer: ``"chain"`` (a CLI verb), ``"generators"``
+    or None; the buffer its own words need; and its grid on the harmonic
+    diagonal (see ``_HEAT_GRID``) or None."""
 
     check: object
-    tolerances: dict
     requests: object
     words: object
     buffer: int
@@ -813,55 +812,49 @@ def _harmonic_requests(ctx):
 
 
 CHECKS = {
-    "cycle": Check(_check_cycle, {}, lambda ctx: [], None, 0, None),
-    "chern": Check(_check_chern, {"chern_convergence": 0.1},
-                   lambda ctx: [("chern", ctx.chain_key)], "chain", 0, None),
-    "eigen-sums": Check(_check_eigen_sums, {"sum_tol": None}, lambda ctx: [
-        ("pairing", ctx.chain_key),
-        ("pairing verdict", ctx.chain_key, ctx.tol["sum_tol"])],
+    "cycle": Check(_check_cycle, lambda ctx: [], None, 0, None),
+    "chern": Check(_check_chern, lambda ctx: [("chern", ctx.chain_key)],
+                   "chain", 0, None),
+    "eigen-sums": Check(_check_eigen_sums, lambda ctx: [
+        ("pairing", ctx.chain_key), ("pairing verdict", ctx.chain_key)],
         "chain", 0, None),
-    "heat": Check(_check_heat, {"heat_rel": 0.15}, lambda ctx: [
+    "heat": Check(_check_heat, lambda ctx: [
         ("chern", ctx.chain_key)] + _top_double(ctx), "chain", 0, None),
-    "dixmier": Check(_check_dixmier, {"dixmier_rel": 0.15}, lambda ctx: [
+    "dixmier": Check(_check_dixmier, lambda ctx: [
         ("chern", ctx.chain_key),
         ("pairing dixmier", ctx.chain_key, ctx.scheme)], "chain", 0, None),
-    "measure": Check(_check_measure, {}, lambda ctx: [
-        ("chern", ctx.chain_key), ("pairing verdict", ctx.chain_key, None),
+    "measure": Check(_check_measure, lambda ctx: [
+        ("chern", ctx.chain_key), ("pairing verdict", ctx.chain_key),
         ("pairing", ctx.chain_key), ("pairing heat", ctx.chain_key),
         ("weight_mu", ctx.chain.degree), ("weight_ideal", ctx.chain.degree)],
         "chain", 0, None),
-    "reduce": Check(_check_reduce, {}, lambda ctx: [
+    "reduce": Check(_check_reduce, lambda ctx: [
         (_DOUBLE, ("omega", ctx.chain_key))] + _top_double(ctx),
         "chain", 0, None),
     # its words a * b, a and b with exponents in [-2, 2], reach 4 modes out
     "identity-suite": Check(
-        _check_identity_suite, {"identity": 1e-10},
+        _check_identity_suite,
         lambda ctx: [("W", ctx.chain_key, frozenset())] + [
             ("F", w) for (words, _m), _c in ctx.chain_key[1] for w in words],
         "chain", 4, None),
     "summability": Check(
-        _check_summability, {"decay_slope": 0.3},
-        lambda ctx: [("weight_ideal", ctx.model.p)] + [
+        _check_summability, lambda ctx: [("weight_ideal", ctx.model.p)] + [
             (kind, w) for g in ctx.model.generators().values()
             for w, _m in g.terms for kind in ("F", "delta")],
         "generators", 0, None),
-    "diag-oracles": Check(_check_diag_oracles, {"diag_z": 0.05, "alt_z": 0.02},
-                          _harmonic_requests, None, 0, _HEAT_GRID),
-    "scalings": Check(_check_scalings, {}, _harmonic_requests, None, 0, None),
-    "scheme-robustness": Check(_check_scheme_robustness, {"scheme_drift": 0.02},
+    "diag-oracles": Check(_check_diag_oracles, _harmonic_requests, None, 0,
+                          _HEAT_GRID),
+    "scalings": Check(_check_scalings, _harmonic_requests, None, 0, None),
+    "scheme-robustness": Check(_check_scheme_robustness,
                                lambda ctx: [("harmonic", ctx.model.N)], None,
                                0, _DIXMIER_GRID),
-    "concordance": Check(
-        _check_concordance, {"concordance_floor": 0.02},
-        lambda ctx: [("pairing verdict", ctx.chain_key, None),
-                     ("pairing heat", ctx.chain_key),
-                     ("pairing dixmier", ctx.chain_key, ctx.scheme)],
-        "chain", 0, None),
-    "modulated": Check(_check_modulated, {},
+    "concordance": Check(_check_concordance, lambda ctx: [
+        ("pairing verdict", ctx.chain_key), ("pairing heat", ctx.chain_key),
+        ("pairing dixmier", ctx.chain_key, ctx.scheme)], "chain", 0, None),
+    "modulated": Check(_check_modulated,
                        lambda ctx: [("harmonic", min(ctx.model.N, 4096))],
                        None, 0, None),
-    "cutoff": Check(_check_cutoff, {"cutoff_gap": 0.05}, _harmonic_requests,
-                    None, 0, _HEAT_GRID),
+    "cutoff": Check(_check_cutoff, _harmonic_requests, None, 0, _HEAT_GRID),
 }
 
 

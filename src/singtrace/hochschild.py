@@ -359,16 +359,15 @@ def _pairing_series(c, model):
     return model.derived(("pairing", _chain_key(c)), build)
 
 
-def _pairing_verdict(c, model, sum_tol=None):
-    """Partial-sum verdict: fit residual below ``sum_tol`` (by default
-    max(0.5, |Ch|/4)), slope nonzero above max(min(|Ch|/2, 0.5), 0.02)."""
+def _pairing_verdict(c, model):
+    """Partial-sum verdict: fit residual below max(0.5, |Ch|/4), slope
+    nonzero above max(min(|Ch|/2, 0.5), 0.02)."""
     def build():
         ch = abs(chern(c, model).value)
-        tol = max(0.5, 0.25 * ch) if sum_tol is None else sum_tol
         return universal_measurability_test(
-            _pairing_series(c, model), tol=tol,
+            _pairing_series(c, model), tol=max(0.5, 0.25 * ch),
             z_tol=max(min(0.5 * ch, 0.5), 0.02), window=model.fit_window())
-    return model.derived(("pairing verdict", _chain_key(c), sum_tol), build)
+    return model.derived(("pairing verdict", _chain_key(c)), build)
 
 
 # the heat factor of v_R at the top of a pairing's heat grid

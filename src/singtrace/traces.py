@@ -82,6 +82,10 @@ class ExtendedLimitScheme:
                 f"scheme ratio must be at least {_MIN_RATIO}, got {self.ratio!r}")
         if self.averaging not in ("mean", "cesaro_log", "extrapolate"):
             raise ContractViolation(f"unknown averaging {self.averaging!r}")
+        if not (0.0 <= self.window_fraction <= 1.0):
+            raise ContractViolation(
+                f"scheme window_fraction must lie in [0, 1], got "
+                f"{self.window_fraction!r}")
 
     def grid(self, n_max):
         return geometric_grid(self.n_min, n_max, self.ratio)

@@ -8,7 +8,7 @@ callee of that name.  A parameter no caller sets is a fixed value, not an
 option.  The census of defaulted parameters is pinned, so a new option is
 a deliberate change of this file.  scipy is imported in one function
 only, ``Operator.sparse``, and only ``harness.run`` sets a verdict: each
-check and helper states its gates.
+check and helper states its gates, whose bounds no config sets.
 """
 
 import ast
@@ -17,7 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "singtrace"
 
 # parameters with a default over every function in src/ (ROADMAP Aim 2)
-CENSUS = 33
+CENSUS = 32
 
 # (module, function, parameter) defaults that no call in src/ passes
 ALLOWED_DEFAULTS = {
@@ -226,6 +226,74 @@ def test_only_run_sets_a_verdict():
     assert sorted(_hand_verdicts(by_hand)) == [
         (1, "CheckRecord(passed=)"), (2, '{"passed": ...}'),
         (3, "dict(passed=)"), (5, ".passed =")]
+
+
+_SETTABLE = {"ctx", "config"}
+
+
+def _rooted_in(node, names):
+    """Whether ``node`` is a name in ``names`` or an attribute, call or
+    subscript of one (``ctx.tolerance("x")``, ``config.tolerances["x"]``)."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _configured_bounds(tree):
+    """(line, bound) of each ``Gate(...)`` whose bound mentions the run
+    context or the config: by name, or through a local name that a function
+    binds to one of their attributes (``tol = ctx.tolerance("x")``)."""
+    sites = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = set(_SETTABLE)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if (isinstance(target, ast.Tuple)
+                        and isinstance(node.value, ast.Tuple)):
+                    pairs = zip(target.elts, node.value.elts)
+                names.update(t.id for t, v in pairs
+                             if isinstance(t, ast.Name)
+                             and _rooted_in(v, _SETTABLE))
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and _callee(call) == "Gate"):
+                continue
+            bounds = call.args[2:] + [kw.value for kw in call.keywords
+                                      if kw.arg == "bound"]
+            sites += [(call.lineno, ast.unparse(bound)) for bound in bounds
+                      if any(isinstance(n, ast.Name) and n.id in names
+                             for n in ast.walk(bound))]
+    return sites
+
+
+def test_no_gate_bound_is_set_by_a_config():
+    # each check states its bounds as constants in its code
+    found = {module: _configured_bounds(tree)
+             for module, tree in _trees().items()}
+    assert found == {module: [] for module in found}
+    # the guard sees the forms the bounds had while a config set them
+    configured = ast.parse(
+        'def heat(ctx):\n'
+        '    return Gate("gap", gap, ctx.tolerance("heat_rel") * abs(ch))\n'
+        'def chern(ctx):\n'
+        '    model, tol = ctx.model, ctx.tolerance("chern_convergence")\n'
+        '    return Gate("d", d, max(tol * abs(z), tol))\n'
+        'def pairs(ctx):\n'
+        '    floor = ctx.tol["concordance_floor"]\n'
+        '    return [Gate(a, v, bound=r + floor) for a, v, r in rows]\n'
+        'def validated(config):\n'
+        '    return Gate("x", x, config.tolerances["x"])\n'
+        'def stated(ctx):\n'
+        '    verdict = pairing_verdict(ctx.chain, ctx.model)\n'
+        '    return Gate("residual_sup", r, verdict.tol)\n')
+    assert _configured_bounds(configured) == [
+        (2, 'ctx.tolerance(\'heat_rel\') * abs(ch)'),
+        (5, "max(tol * abs(z), tol)"), (8, "r + floor"),
+        (10, "config.tolerances['x']")]
 
 
 def _imports_scipy(node):

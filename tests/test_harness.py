@@ -3,7 +3,6 @@ import importlib
 import importlib.util
 import io
 import json
-import math
 import os
 import platform
 import subprocess
@@ -135,7 +134,7 @@ class TestRun:
             raise ValueError(f"report holds {constant}")
 
         monkeypatch.setitem(CHECKS, "nonfinite", Check(
-            nonfinite, {}, lambda ctx: [], None, 0, None))
+            nonfinite, lambda ctx: [], None, 0, None))
         report = run(ExperimentConfig(model={"name": "circle", "N": 16},
                                       checks=["nonfinite", "cycle"],
                                       out=str(tmp_path)))
@@ -175,8 +174,24 @@ class TestRun:
                       d["appendix"]["delta_square_residual"],
                       d["appendix"]["f_delta_residual"],
                       d["leibniz"]["partial_d"], d["leibniz"]["delta"])
-        tol = CHECKS["identity-suite"].tolerances["identity"]
-        assert rec.residuals["worst_residual"] == largest < tol
+        assert (rec.residuals["worst_residual"] == largest
+                < harness._IDENTITY_TOL)
+
+    @pytest.mark.parametrize("N", [32, 256])
+    def test_heat_bound_has_a_floor_where_chern_vanishes(self, N):
+        # u* (x) u + u (x) u* is a cycle with Ch(c) = 0 exactly, but the
+        # truncation leaks a small slope into its heat trace (0.018 at
+        # N = 32, 0.0042 at 256): the gate bound is the floor of a
+        # vanishing pairing, not 0.15 |Ch(c)| = 0
+        chain = {"degree": 1, "terms": [
+            {"coeff": [1, 0], "tensor": [[-1], [1]]},
+            {"coeff": [1, 0], "tensor": [[1], [-1]]}]}
+        (rec,) = run(ExperimentConfig(model={"name": "circle", "N": N},
+                                      chain=chain, checks=["heat"])).records
+        (gate,) = rec.gates
+        assert rec.values["chern"] == 0
+        assert 0 < gate.value == rec.residuals["gap"] < gate.bound
+        assert gate.bound == hh._VANISHING_Z_TOL and rec.passed
 
     def test_seed_changes_randomized_checks(self):
         base = ExperimentConfig(model={"name": "circle", "N": 48},
@@ -343,7 +358,10 @@ class TestCli:
         ({"scheme": {"ratio": "abc"}}, "scheme ratio must be a finite number"),
         ({"scheme": {"n_min": "x"}}, "scheme n_min must be a positive integer"),
         ({"seed": "x"}, "seed must be a non-negative integer"),
-        ({"tolerances": []}, "config.tolerances must be an object"),
+        # a check's bounds are stated in its code, not set by a config
+        ({"tolerances": []}, "unknown config fields: ['tolerances']"),
+        ({"tolerances": {"heat_rel": 0.2}, "checks": ["heat"]},
+         "unknown config fields: ['tolerances']"),
         ({"out": 5}, "out must be a path string"),
         ({"chain": {"degree": 1}}, "malformed chain"),
         ({"chain": {"degree": 1, "terms": [
@@ -372,13 +390,26 @@ class TestCli:
          "scheme n_min=70 puts 2*n_min, the Dixmier grid's second point at "
          "ratio 2, at or past its last point N-1, with N=64 the dim of the "
          "harmonic diagonal that ['scheme-robustness'] sample"),
+        # the window is the upper window_fraction of the grid: 1e308 took
+        # the grid's size times it to an int, and -0.5 and 5.0 were clamped
+        ({"model": {"name": "circle", "N": 64}, "checks": ["dixmier"],
+          "scheme": {"window_fraction": 1e308}},
+         "scheme window_fraction must lie in [0, 1], got 1e+308"),
+        ({"model": {"name": "circle", "N": 64}, "checks": ["dixmier"],
+          "scheme": {"window_fraction": -0.5}},
+         "scheme window_fraction must lie in [0, 1], got -0.5"),
+        ({"model": {"name": "circle", "N": 64}, "checks": ["dixmier"],
+          "scheme": {"window_fraction": 5.0}},
+         "scheme window_fraction must lie in [0, 1], got 5.0"),
     ], ids=["top-level-list", "check-not-a-string", "checks-a-string",
             "scheme-key", "scheme-ratio-type", "scheme-n_min-type",
-            "seed-type", "tolerances-list", "out-type", "chain-no-terms",
-            "chain-tensor-entry", "chain-file-bad-json", "model-key",
-            "circle-chain-on-torus", "scheme-ratio-near-1",
+            "seed-type", "tolerances-list", "tolerances-object", "out-type",
+            "chain-no-terms", "chain-tensor-entry", "chain-file-bad-json",
+            "model-key", "circle-chain-on-torus", "scheme-ratio-near-1",
             "chain-lambda-pow-huge", "scheme-n_min-past-dim",
-            "scheme-n_min-past-harmonic-N", "scheme-n_min-past-dixmier-grid"])
+            "scheme-n_min-past-harmonic-N", "scheme-n_min-past-dixmier-grid",
+            "scheme-window-fraction-huge", "scheme-window-fraction-negative",
+            "scheme-window-fraction-above-1"])
     def test_malformed_config_field_is_a_config_error(
             self, config, fragment, tmp_path, capsys):
         if isinstance(config, str):  # a --chain file holding invalid JSON
@@ -576,40 +607,6 @@ class TestCli:
             for model in ({"name": "toy"}, {"name": "toy", "N": 64})]
         assert records[0] == records[1]
 
-    @pytest.mark.parametrize("tolerances, rc", [
-        ({"nonsense": 1}, 2),
-        ({"heat_rel": 0.2}, 2),
-        ({"chern_convergence": 0.2, "nonsense": 1}, 2),
-        ({"chern_convergence": 0.2}, 0),
-    ], ids=["misspelt", "read-by-another-check", "one-of-two-unread", "read"])
-    def test_tolerance_key_must_be_read_by_a_requested_check(
-            self, tolerances, rc, tmp_path, capsys):
-        cfg = tmp_path / "tol.json"
-        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
-                                   "checks": ["chern"],
-                                   "tolerances": tolerances}))
-        assert cli_main(["run", "--config", str(cfg)]) == rc
-        err = capsys.readouterr().err.splitlines()
-        if rc == 2:
-            assert len(err) == 1 and err[0].startswith(
-                "config error: tolerance keys ")
-            assert "nonsense" in err[0] or "heat_rel" in err[0]
-
-    @pytest.mark.parametrize("value", ["abc", float("nan"), True],
-                             ids=["string", "nan", "bool"])
-    def test_tolerance_value_must_be_a_finite_number(
-            self, value, tmp_path, capsys):
-        cfg = tmp_path / "tol.json"
-        tolerances = {"chern_convergence": value}
-        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
-                                   "checks": ["chern"],
-                                   "tolerances": tolerances}))
-        assert cli_main(["run", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.splitlines() == [
-            f"config error: tolerance chern_convergence must be a finite "
-            f"number, got {value!r}"]
-
     @pytest.mark.parametrize("argv, floor", [
         (["heat", "--model", "circle", "--N", "16"], "0.176"),
         (["heat", "--model", "toy", "--N", "100", "--p", "2"], "0.199"),
@@ -645,18 +642,20 @@ class TestCli:
         md = (tmp_path / "rep" / "report.md").read_text()
         assert f"| diag-oracles | FAIL: {why.replace(', ', '; ')} |" in md
 
-    def test_zero_tolerance_fails_its_gate(self, tmp_path, capsys):
-        cfg = tmp_path / "heat0.json"
-        cfg.write_text(json.dumps({"model": {"name": "circle", "N": 64},
-                                   "checks": ["heat"],
-                                   "tolerances": {"heat_rel": 0}}))
+    def test_estimator_limit_fails_its_gate(self, tmp_path, capsys):
+        # the plain window mean of the heat and cutoff slopes misses the
+        # Dixmier trace by b / log n, past the cutoff check's bound
+        cfg = tmp_path / "mean.json"
+        cfg.write_text(json.dumps({"model": {"name": "toy", "N": 100_000},
+                                   "checks": ["cutoff"],
+                                   "scheme": {"averaging": "mean"}}))
         assert cli_main(["run", "--config", str(cfg)]) == 1
         (rec,) = run(ExperimentConfig.from_json(cfg.read_text())).records
         (gate,) = rec.gates
-        assert gate.name == "gap" and gate.value == rec.residuals["gap"] > 0
-        assert gate.bound == 0
+        assert gate.name == "gap" and gate.value == rec.residuals["gap"] > 0.05
+        assert gate.bound == 0.05
         assert capsys.readouterr().out.splitlines() == [
-            f"[FAIL] heat: gap={gate.value:.4g} (bound 0)",
+            f"[FAIL] cutoff: gap={gate.value:.4g} (bound 0.05)",
             "all passed: False"]
 
     @pytest.mark.parametrize("argv", [
@@ -667,7 +666,8 @@ class TestCli:
     ], ids=["build-seed", "build-chain", "build-out", "check-tol-z"])
     def test_each_subcommand_takes_only_the_flags_it_reads(
             self, argv, tmp_path, capsys):
-        # a tolerance is set through a config; model build writes no report
+        # a check's bounds are stated in its code; model build writes no
+        # report
         argv = [arg.format(dir=tmp_path / "rep") for arg in argv]
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--model", "nc_torus", "--N", "8"])
@@ -730,21 +730,13 @@ def _fuzzed_configs(draw):
     if bad:
         field = draw(st.sampled_from(
             ["model", "checks", "check", "scheme", "scheme_key", "ratio",
-             "n_min", "seed", "out", "chain", "lambda_pow", "tolerances"]))
+             "n_min", "window_fraction", "seed", "out", "chain", "lambda_pow",
+             "tolerances"]))
     else:
         field = None
     checks = draw(st.lists(st.sampled_from(sorted(CHECKS)), max_size=3,
                            unique=True))
     config["checks"] = checks
-    keys = sorted({key for check in checks
-                   for key in CHECKS[check].tolerances})
-    values = st.one_of(st.floats(0.0, 1.0), st.floats(), st.booleans(),
-                       st.text(max_size=3))
-    config["tolerances"] = draw(st.dictionaries(
-        st.sampled_from(keys), values, max_size=2)) if keys else {}
-    if any(isinstance(v, (bool, str)) or not math.isfinite(v)
-           for v in config["tolerances"].values()):
-        bad = True
     config["scheme"] = draw(st.fixed_dictionaries({}, optional={
         "ratio": st.floats(1.2, 3.0), "n_min": st.integers(1, 16),
         "averaging": st.sampled_from(["mean", "cesaro_log", "extrapolate"]),
@@ -779,6 +771,11 @@ def _fuzzed_configs(draw):
     elif field == "n_min":
         # a heat grid reaching 2 n_min, past every fuzzed model's dim
         config["scheme"]["n_min"] = draw(st.integers(10 ** 4, 10 ** 12))
+    elif field == "window_fraction":
+        # a finite fraction outside [0, 1]
+        config["scheme"]["window_fraction"] = draw(st.one_of(
+            st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+            st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)))
     elif field == "seed":
         config["seed"] = draw(st.one_of(_ILL_TYPED, st.integers(max_value=-1)))
     elif field == "out":
@@ -794,8 +791,10 @@ def _fuzzed_configs(draw):
             "coeff": [1, 0], "lambda_pow": draw(st.sampled_from([1, -1])) * power,
             "tensor": [[-1] * rank, [1] * rank]}]}
     elif field == "tolerances":
-        config["tolerances"] = draw(_ILL_TYPED.filter(
-            lambda v: not isinstance(v, dict)))
+        # not a config field: a check's bounds are stated in its code
+        config["tolerances"] = draw(st.one_of(_ILL_TYPED, st.dictionaries(
+            st.sampled_from(["heat_rel", "identity"]), st.floats(0.0, 1.0),
+            max_size=1)))
     return config, bad
 
 
@@ -803,8 +802,8 @@ def _fuzzed_configs(draw):
 @given(case=_fuzzed_configs())
 def test_cli_exit_code_contract(case):
     """Any config exits 0, 1 or 2 without a traceback; a malformed field
-    (an ill-typed value, an unknown key, a tolerance value that is not a
-    finite number, a scheme whose heat grid passes the model's dim) is a
+    (an ill-typed value, an unknown key or field, a scheme window_fraction
+    outside [0, 1], a scheme whose heat grid passes the model's dim) is a
     configuration error."""
     config, bad = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -819,38 +818,6 @@ def test_cli_exit_code_contract(case):
         assert rc == 2
 
 
-def test_tolerance_keys_list_every_key_a_check_reads(monkeypatch):
-    """The tolerance keys of the check table are exactly the set of
-    ``ctx.tolerance`` reads, check by check, over ``suite quick`` and the
-    checks it leaves out."""
-    current, reads = [], set()
-    real_tolerance = harness._Context.tolerance
-
-    def tolerance(ctx, key):
-        reads.add((current[-1], key))
-        return real_tolerance(ctx, key)
-
-    def recording(name, check):
-        def wrapped(ctx):
-            current.append(name)
-            return check(ctx)
-        return wrapped
-
-    monkeypatch.setattr(harness._Context, "tolerance", tolerance)
-    for name, row in list(CHECKS.items()):
-        monkeypatch.setitem(CHECKS, name,
-                            row._replace(check=recording(name, row.check)))
-    suite("quick")
-    ran = set(current)
-    rest = [name for name in CHECKS if name not in ran]
-    assert sorted(rest) == ["concordance", "dixmier", "eigen-sums",
-                            "modulated"]
-    run(ExperimentConfig(model={"name": "circle", "N": 256}, checks=rest))
-    assert set(current) == set(CHECKS)
-    assert reads == {(name, key) for name, row in CHECKS.items()
-                     for key in row.tolerances}
-
-
 def test_a_new_check_is_one_row(monkeypatch, capsys, tmp_path):
     """A check registered as one row of CHECKS, with no other edit, is
     validated, run, released and offered as a CLI verb from that row, and
@@ -862,32 +829,20 @@ def test_a_new_check_is_one_row(monkeypatch, capsys, tmp_path):
         seen["kept"] = ("chern", ctx.chain_key) in ctx.model._memo
         seen["memo"] = ctx.model._memo
         z = hh.chern(ctx.chain, ctx.model).value
-        tol = ctx.tolerance("fake_tol")
-        return harness.CheckRecord(gates=[Gate("abs(z-2)", abs(z - 2), tol)],
-                                   values={"tol": tol})
+        return harness.CheckRecord(gates=[Gate("abs(z-2)", abs(z - 2), 1e-9)],
+                                   values={"tol": 1e-9})
 
     grid = (lambda N: N // 4, "puts the fake grid past N/4={N}/4")
     monkeypatch.setitem(CHECKS, "fake", Check(
-        fake, {"fake_tol": 1e-9},
-        lambda ctx: [("chern", ctx.chain_key)], "chain", 0, grid))
+        fake, lambda ctx: [("chern", ctx.chain_key)], "chain", 0, grid))
     model = {"name": "circle", "N": 32}
-    ExperimentConfig(model=model, checks=["fake"],
-                     tolerances={"fake_tol": 0.5}).validate()
-    for checks, key in [(["fake"], "chern_convergence"),
-                        (["chern"], "fake_tol")]:
-        with pytest.raises(ConfigError,
-                           match=f"tolerance keys \\['{key}'\\]"):
-            ExperimentConfig(model=model, checks=checks,
-                             tolerances={key: 0.5}).validate()
-    for tolerances, tol in [({}, 1e-9), ({"fake_tol": 0.5}, 0.5)]:
-        seen.clear()
-        report = run(ExperimentConfig(model=model, checks=["chern", "fake"],
-                                      tolerances=tolerances))
-        assert report.all_passed
-        assert [r.name for r in report.records] == ["chern", "fake"]
-        assert report.records[1].values == {"tol": tol}
-        # and the run released it after the fake check
-        assert seen["kept"] and seen["memo"] == {}
+    ExperimentConfig(model=model, checks=["fake"]).validate()
+    report = run(ExperimentConfig(model=model, checks=["chern", "fake"]))
+    assert report.all_passed
+    assert [r.name for r in report.records] == ["chern", "fake"]
+    assert report.records[1].values == {"tol": 1e-9}
+    # and the run released it after the fake check
+    assert seen["kept"] and seen["memo"] == {}
     with pytest.raises(ConfigError, match="exceeds buffer"):
         run(ExperimentConfig(model={**model, "buffer": 0}, checks=["fake"]))
     assert cli_main(["fake", "--N", "32"]) == 0
