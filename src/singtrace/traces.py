@@ -93,8 +93,7 @@ class ExtendedLimitScheme:
     def window(self, grid):
         start = int(math.floor(grid.size * self.window_fraction))
         keep = 4 if grid.size >= 4 else grid.size
-        start = min(start, grid.size - keep)
-        return grid[max(start, 0):]
+        return grid[min(start, grid.size - keep):]
 
     def apply(self, ns, values, averaging=None):
         """Average ``values`` sampled at ``ns``; returns (z, residual_sup)."""
