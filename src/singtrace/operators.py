@@ -29,17 +29,18 @@ oracle and for ``perfbench/child.py``, which takes the torus residuals of the
 ``suite-full`` benchmark workload (``F^2 = 1``, ``F|D| = D``,
 ``{Gamma, F} = 0``) through it, so moving ``sparse()`` into a test helper
 would make that workload fail until ``child.py`` changes with it.
-Spectra are computed with LAPACK, after an exact permutation split of the
-matrix into connected components of its nonzero pattern (a similarity
-transform, so eigenvalues are preserved exactly; the components are
-labelled by numpy alone, see :func:`_component_labels`).  Components of
-equal size are stacked into one (g, s, s) array and solved with one
-batched LAPACK call per size.  The functional calculus and the polar data
-take hermitian diagonal operators only: every model's D, |D| and F and
-every function of them are diagonal or built in closed form, so f(T) is f
-on the diagonal entries.  A psd diagonal D (no entry with its sign bit set)
-is its own |D|, sharing D's array, and its F is the identity as a read-only
-zero-stride view of one 1.0.
+Spectra are computed after an exact permutation split of the matrix into
+connected components of its nonzero pattern (a similarity transform, so
+eigenvalues are preserved exactly; the components are labelled by numpy
+alone, see :func:`_component_labels`).  Components of equal size are
+stacked into one (g, s, s) array and solved with one batched LAPACK call
+per size, except the 2 x 2 eigenvalue groups of a non-hermitian operator,
+which have a closed form (:func:`_eigvals`).  The functional calculus and
+the polar data take hermitian diagonal operators only: every model's D,
+|D| and F and every function of them are diagonal or built in closed form,
+so f(T) is f on the diagonal entries.  A psd diagonal D (no entry with its
+sign bit set) is its own |D|, sharing D's array, and its F is the identity
+as a read-only zero-stride view of one 1.0.
 """
 
 from __future__ import annotations
@@ -252,6 +253,8 @@ class Operator:
         runs = self._data
         bound = HERMITIAN_RTOL * (1.0 + max(
             (np.abs(v).max() for _k, _lo, v in runs), default=0.0))
+        if not np.isfinite(bound):  # an inf entry: any gap meets an inf bound
+            return False
         partner = {k: (lo, v) for k, lo, v in runs}
         for k, lo, v in runs:
             plo, pv = partner.get(-k, (lo + k, v[:0]))
@@ -649,15 +652,43 @@ def _component_blocks(T):
 
 def _split_values(T, solve, single):
     """Values of a sparse T, component group by component group: ``solve``
-    on each stacked (g, s, s) group and ``single`` on the g entries of the
-    size-1 components, concatenated.  A LAPACK failure is a
-    :class:`FactorizationError`."""
+    on each stacked (g, s, s) group, s > 1, to a (g, s) array, and
+    ``single`` on the g entries of the size-1 components, concatenated.  A
+    ``np.linalg.LinAlgError`` that ``solve`` raises (LAPACK's, or a
+    non-finite entry) is a :class:`FactorizationError`."""
     try:
         parts = [single(b[:, 0, 0]) if b.shape[1] == 1 else solve(b).ravel()
                  for b in _component_blocks(T)]
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(T.label, _condition_estimate(T), str(exc)) from exc
     return np.concatenate(parts)
+
+
+def _eigvals(blocks):
+    """Eigenvalues of each block of a stacked (g, s, s) group, as a (g, s)
+    array: ``np.linalg.eigvals`` for s > 2, and a closed form for s = 2.
+
+    Each 2 x 2 block [[a, b], [c, d]] is scaled by its largest modulus (a
+    zero block has eigenvalues 0, 0).  With m = (a + d)/2 and
+    q = sqrt(((a - d)/2)^2 + bc), the sign of q taken so that
+    Re(conj(m) q) >= 0, the first eigenvalue l1 = m + q is the one of
+    larger modulus, |l1| >= max(|m|, |q|), and the second is det/l1, or
+    m - q when l1 = 0 (then m = q = 0), so that no cancellation in m - q
+    costs the smaller one its accuracy.  A non-finite entry raises
+    ``LinAlgError``, as LAPACK does."""
+    if blocks.shape[1] != 2:
+        return np.linalg.eigvals(blocks)
+    if not np.isfinite(blocks).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    scale = np.abs(blocks).max(axis=(1, 2))
+    scale[scale == 0.0] = 1.0
+    a, b, c, d = (blocks.reshape(-1, 4) / scale[:, None]).T
+    m = 0.5 * (a + d)
+    q = np.sqrt((0.5 * (a - d)) ** 2 + b * c)
+    np.negative(q, out=q, where=(m.conj() * q).real < 0.0)
+    l1 = m + q
+    l2 = np.divide(a * d - b * c, l1, out=m - q, where=l1 != 0.0)
+    return np.stack([l1, l2], axis=1) * scale[:, None]
 
 
 def _condition_estimate(T):
@@ -677,7 +708,9 @@ def eigenvalues(T):
     canonical order.
 
     For a hermitian operator they are real and float64 (the hermitian LAPACK
-    path is used); otherwise they are complex128.  The real diagonal of a
+    path is used); otherwise they are complex128, and of the components of
+    the nonzero pattern the 2 x 2 ones are solved in closed form and the
+    larger ones by LAPACK, one call per size.  The real diagonal of a
     hermitian diagonal T that is already in canonical order is returned
     itself, with no copy, and the spectrum of the exact zero is a read-only
     view of one 0.0 with stride 0; neither may be written.
@@ -690,7 +723,7 @@ def eigenvalues(T):
     elif herm:
         vals = _split_values(T, np.linalg.eigvalsh, lambda d: d.real)
     else:
-        vals = _split_values(T, np.linalg.eigvals, lambda d: d)
+        vals = _split_values(T, _eigvals, lambda d: d)
     return canonical_order(vals)
 
 

@@ -5,10 +5,12 @@ import io
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
 import threading
+import types
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1032,20 +1034,45 @@ def test_platform_stamp_equals_platform_platform():
 def test_run_imports_no_subprocess(tmp_path):
     """A ``singtrace run`` in a fresh interpreter leaves ``subprocess``
     unimported: nothing in a run starts a process, the environment stamp
-    included."""
+    included.  Nor does it load ``numpy.random``, unless ``import numpy``
+    did (as older numpy versions do): ``modulated`` draws its phases from
+    the standard library's generator."""
     cfg = tmp_path / "toy.json"
     cfg.write_text(json.dumps({"model": {"name": "toy", "N": 2000},
                                "checks": _TOY_CHECKS}))
     code = ("import sys\n"
             "from singtrace.cli import main\n"
+            "rnd = 'numpy.random' in sys.modules\n"
             f"rc = main(['run', '--config', {str(cfg)!r}, "
             f"'--out', {str(tmp_path / 'out')!r}])\n"
-            "print(rc, 'subprocess' in sys.modules)\n")
+            "print(rc, 'subprocess' in sys.modules,\n"
+            "      'numpy.random' in sys.modules and not rnd)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    assert out.splitlines()[-1] == "0 False False"
+
+
+def test_checks_draw_only_through_random(monkeypatch):
+    """The checks that draw take every number from ``random()``, the one
+    method whose sequence Python keeps for a given seed: a generator that
+    offers nothing else gives the same records, bit for bit."""
+    configs = [ExperimentConfig(model=model, checks=[check], seed=3)
+               for model, check in (({"name": "circle", "N": 64}, "identity-suite"),
+                                    ({"name": "nc_torus", "N": 16}, "identity-suite"),
+                                    ({"name": "toy", "N": 2000}, "modulated"))]
+    want = [run(cfg).stable_digest() for cfg in configs]
+
+    class OnlyRandom:
+        def __init__(self, seed):
+            self.random = random.Random(seed).random
+
+    monkeypatch.setattr(harness, "random",
+                        types.SimpleNamespace(Random=OnlyRandom))
+    reports = [run(cfg) for cfg in configs]
+    assert all(rep.all_passed for rep in reports)
+    assert [rep.stable_digest() for rep in reports] == want
 
 
 def test_benchmark_layer_names_resolve():

@@ -143,7 +143,7 @@ class TestEigenvalues:
     def test_matches_dense_lapack_on_block_structure(self):
         # the component-split path must agree with a direct dense solve
         rng = np.random.default_rng(5)
-        blocks = [random_complex(rng, k) for k in (3, 5, 8)]
+        blocks = [random_complex(rng, k) for k in (2, 3, 5, 8)]
         direct = np.concatenate([np.linalg.eigvals(b) for b in blocks])
         n = sum(b.shape[0] for b in blocks)
         mat = np.zeros((n, n), dtype=complex)
@@ -157,6 +157,53 @@ class TestEigenvalues:
         T = matrix_operator(sp.csr_matrix(mat))
         got = np.sort_complex(eigenvalues(T))
         np.testing.assert_allclose(np.sort_complex(direct), got, atol=1e-10)
+
+    @staticmethod
+    def _blocks_2x2():
+        rng = np.random.default_rng(41)
+        drawn = [random_complex(rng, 2) * s
+                 for s in (1e-150, 1.0, 1e150) for _ in range(200)]
+        c = 0.0111345
+        special = [np.zeros((2, 2)),
+                   [[2.0, -1.5], [0.0, 0.5j]],  # triangular
+                   [[0.0, 1.0], [0.0, 0.0]],  # nilpotent Jordan block
+                   [[1.5 - 1j, 2.0], [-0.5, 1.5 - 1j]],  # equal diagonal, bc < 0
+                   [[1.0, -2.0], [3.0, 0.5]],  # real, a complex pair
+                   [[0.0, 1j * c], [1j * c, 0.0]],  # the parity pairing's
+                   [[0.0, -1j * c], [-1j * c, 0.0]]]
+        return np.array(drawn + special, dtype=complex)
+
+    def test_closed_form_2x2_matches_lapack(self):
+        # each block's pair, matched either way round, within 8 eps of the
+        # block's largest modulus; LAPACK's own error reaches about 6.5 eps
+        blocks = self._blocks_2x2()
+        got, want = operators._eigvals(blocks), np.linalg.eigvals(blocks)
+        assert got.shape == want.shape == (blocks.shape[0], 2)
+        gap = np.minimum(np.abs(got - want).max(axis=1),
+                         np.abs(got - want[:, ::-1]).max(axis=1))
+        bound = 8 * np.finfo(float).eps * np.abs(blocks).max(axis=(1, 2))
+        assert np.all(gap <= bound)
+        assert np.all(got[[-7, -5]] == 0.0)  # the zero and nilpotent blocks
+        np.testing.assert_array_equal(got[-2], [1j * 0.0111345, -1j * 0.0111345])
+
+    def test_closed_form_2x2_sizes_above_two_go_to_lapack(self):
+        blocks = random_complex(np.random.default_rng(43), 3)[None]
+        assert (operators._eigvals(blocks).tobytes()
+                == np.linalg.eigvals(blocks).tobytes())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
+    def test_non_finite_2x2_block_is_a_factorization_error(self, bad):
+        # never a NaN spectrum: the split raises as LAPACK does on a larger
+        # one; nor a finite one from the hermitian path, which would read one
+        # triangle only, so an operator with a non-finite entry is not
+        # hermitian
+        mat = np.zeros((5, 5), dtype=complex)
+        mat[0, 0], mat[3, 3], mat[0, 3], mat[3, 0] = 1.0, 2.0, bad, 0.5
+        mat[1, 2], mat[2, 1], mat[4, 4] = 3.0, 1j, 1.0
+        T = matrix_operator(mat, label="bad")
+        assert not T.hermitian
+        with pytest.raises(operators.FactorizationError, match="'bad'"):
+            eigenvalues(T)
 
     def test_hermitian_spectra_are_float64(self):
         # the real parts of the complex path bit for bit, on the diagonal,
@@ -1010,19 +1057,22 @@ def test_split_labels_only_touched_nodes(pattern):
 def test_cli_suite_quick_loads_no_scipy(tmp_path):
     # scipy is a test oracle only: neither the import of the CLI nor any
     # lazy import on the path of `suite quick` may load it.  Nor may the run
-    # load numpy.ma (np.unique without return_index does, in numpy 2.4);
-    # numpy 1.x loads it with numpy itself, so only the run's import counts
+    # load numpy.ma (np.unique without return_index does, in numpy 2.4), or
+    # numpy.random (identity-suite draws from the standard library's
+    # generator); older numpy versions load them with numpy itself, so only
+    # the run's imports count
     import singtrace
 
     src = os.path.dirname(os.path.dirname(singtrace.__file__))
     code = ("import sys, singtrace.cli\n"
-            "ma = 'numpy.ma' in sys.modules\n"
+            "before = {'numpy.ma', 'numpy.random'} & set(sys.modules)\n"
             "rc = singtrace.cli.main(['suite', 'quick', '--out', sys.argv[1]])\n"
             "print(rc, sorted(m for m in sys.modules\n"
             "                 if m == 'scipy' or m.startswith('scipy.')),\n"
-            "      'numpy.ma' in sys.modules and not ma)")
+            "      sorted({'numpy.ma', 'numpy.random'} & set(sys.modules)\n"
+            "             - before))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "quick")],
                          env=env, check=True, capture_output=True,
                          text=True).stdout
-    assert out.splitlines()[-1] == "0 [] False"
+    assert out.splitlines()[-1] == "0 [] []"
