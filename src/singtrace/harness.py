@@ -212,7 +212,13 @@ def _finite_number(value):
 @dataclass
 class CheckRecord:
     """A check's result: the check states its gates, and ``run`` derives
-    ``passed`` (no error, no non-finite field, every gate holds)."""
+    ``passed`` (no error, no non-finite field, every gate holds).
+
+    Each field has one job, and each number is stated once: ``gates`` hold
+    the comparisons, ``values`` the estimates, ``residuals`` the fit
+    residuals that no gate reads, and ``details`` only provenance (grids,
+    windows, fit point counts, the scheme, ``error`` and ``nonfinite``).
+    """
 
     gates: list = field(default_factory=list)  # of Gate
     values: dict = field(default_factory=dict)
@@ -239,12 +245,14 @@ class CheckRecord:
         return out
 
     def failures(self):
-        """Why the record fails: its error, else each failing gate with its
-        value and bound and each non-finite field; none if it passes."""
+        """Why the record fails: its error, else each gate that fails or
+        holds a non-finite number, with its value and bound, and each
+        non-finite field; none if it passes."""
         if "error" in self.details:
             return [self.details["error"]]
         return [f"{g.name}={_fmt(g.value)} (bound {_fmt(g.bound)})"
-                for g in self.gates if not g.holds] + [
+                for g in self.gates if not (g.holds and math.isfinite(g.value)
+                                            and math.isfinite(g.bound))] + [
             f"{path} not finite" for path in self.details.get("nonfinite", [])]
 
 
@@ -267,8 +275,9 @@ def _jsonable(obj):
 
 
 def _nonfinite_fields(rec):
-    """Dotted names of the non-finite floats in a record's values and
-    residuals (a complex number counts as its parts ``re`` and ``im``)."""
+    """Dotted names of the non-finite floats in a record's values, residuals
+    and details (a complex number counts as its parts ``re`` and ``im``);
+    :meth:`CheckRecord.failures` names a gate's own."""
     found = []
 
     def walk(obj, path):
@@ -287,6 +296,7 @@ def _nonfinite_fields(rec):
 
     walk(rec.values, "values")
     walk(rec.residuals, "residuals")
+    walk(rec.details, "details")
     return found
 
 
@@ -487,12 +497,17 @@ def _check_chern(ctx):
     res = hh.chern(ctx.chain, ctx.model)
     delta = (res.deltas or [0.0])[-1]
     rows = [(r, v.real, v.imag) for r, v in sorted(res.history.items())]
+    # the trace at each radius is a row of the convergence curve
     return CheckRecord(
         gates=[Gate("last_window_delta", delta,
                     _CHERN_CONVERGENCE * max(abs(res.value), 1.0))],
-        values={"chern": res.value}, residuals={"last_window_delta": delta},
-        details=res.as_dict(),
+        values={"chern": res.value}, details={"radii": sorted(res.history)},
         curves=[("convergence", ["radius", "re", "im"], rows)])
+
+
+def _fit_details(fit):
+    """The provenance of a log fit: its index window and grid size."""
+    return {"window": fit.window, "grid_points": fit.grid.size}
 
 
 def _check_eigen_sums(ctx):
@@ -502,9 +517,9 @@ def _check_eigen_sums(ctx):
             for n in verdict.fit.grid]
     return CheckRecord(
         gates=[Gate("residual_sup", verdict.fit.residual_sup, verdict.tol)],
-        details=verdict.as_dict(),
-        values={"z": verdict.z, "verdict": verdict.kind},
-        residuals={"residual_sup": verdict.fit.residual_sup},
+        values={"z": verdict.z, "intercept": verdict.fit.intercept,
+                "verdict": verdict.kind},
+        details=_fit_details(verdict.fit),
         curves=[("partial_sums", ["n", "re_sum", "im_sum"], rows)])
 
 
@@ -516,14 +531,13 @@ _HEAT_REL = 0.15
 def _check_heat(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     res = hh.heat_cycle_trace(ctx.chain, ctx.model)
-    gap = abs(res["z"] - ch)
     rows = list(zip(res["s"], [v.real for v in res["values"]],
                     [v.imag for v in res["values"]]))
     return CheckRecord(
-        gates=[Gate("gap", gap,
+        gates=[Gate("gap", abs(res["z"] - ch),
                     max(_HEAT_REL * abs(ch), hh._VANISHING_Z_TOL))],
         values={"z": res["z"], "chern": ch},
-        residuals={"gap": gap, "fit_residual": res["residual_sup"]},
+        residuals={"fit_residual": res["residual_sup"]},
         curves=[("heat_trace", ["s", "re", "im"], rows)])
 
 
@@ -533,33 +547,39 @@ _DIXMIER_REL = 0.15  # of |Ch(c)|
 def _check_dixmier(ctx):
     ch = hh.chern(ctx.chain, ctx.model).value
     est = hh._pairing_dixmier(ctx.chain, ctx.model, ctx.scheme)
-    gap = abs(est.z - ch)
     return CheckRecord(
-        gates=[Gate("gap", gap, _DIXMIER_REL * max(abs(ch), 1e-12))],
+        gates=[Gate("gap", abs(est.z - ch),
+                    _DIXMIER_REL * max(abs(ch), 1e-12))],
         values={"z": est.z, "chern": ch},
-        residuals={"gap": gap, "oscillation": est.residual_sup},
-        details=est.as_dict())
+        residuals={"oscillation": est.residual_sup},
+        details={"grid_used": est.grid_used})
 
 
 def _check_measure(ctx):
     report = hh.main_theorem_check(ctx.chain, ctx.model)
-    values = {"mode": report["mode"], "chern": report["chern"],
-              "z_spec": report["z_spec"]}
-    residuals = {}
+    fit = report["fit"]
+    rec = CheckRecord(gates=report["gates"], details=_fit_details(fit),
+                      values={"mode": report["mode"], "chern": report["chern"],
+                              "z_spec": fit.z, "intercept_spec": fit.intercept})
     if report["mode"] == "character":
-        values["z_heat"] = report["z_heat"]
-        residuals = {"gap_spec": report["gap_spec"],
-                     "gap_heat": report["gap_heat"]}
-    return CheckRecord(gates=report.pop("gates"), values=values,
-                       residuals=residuals, details=report)
+        heat, ideal = report["heat"], report["ideal"]
+        rec.values.update(
+            z_heat=heat.z, branch=report["branch"],
+            quasi_norm=ideal.quasi_norm_pinf, lorentz_norm=ideal.lorentz_norm,
+            decay_exponent=ideal.fitted_decay_exponent)
+        # criterion_gap's bound is this residual plus the spectral fit's
+        # and a floor
+        rec.residuals["heat_fit"] = heat.residual_sup
+        rec.details["heat_grid"] = heat.grid_used
+    return rec
 
 
 def _check_reduce(ctx):
     report = hh.reduction_partial_sum_check(ctx.chain, ctx.model)
-    return CheckRecord(
-        gates=report.pop("gates"), details=report,
-        values={"z": report["z"], "sum_sup": report["sum_sup"]},
-        residuals={"residual_sup": report["residual_sup"]})
+    fit = report["fit"]
+    return CheckRecord(gates=report["gates"], details=_fit_details(fit),
+                       values={"z": fit.z, "intercept": fit.intercept,
+                               "sum_sup": report["sum_sup"]})
 
 
 _IDENTITY_TOL = 1e-10  # exact identities in double precision
@@ -611,13 +631,11 @@ def _check_identity_suite(ctx):
             "anticommutator_D": float(g_anti), "commutator_algebra": float(g_comm),
             "gamma_squared": float(g_sq)}
     # each residual within _IDENTITY_TOL; b o b leaves no term at all
-    gates = [Gate(f"{name}.{key}", value,
-                  0 if name == "bb_zero" else _IDENTITY_TOL)
-             for name, entry in sub.items() for key, value in entry.items()]
-    worst = max((v for entry in sub.values() for v in entry.values()
-                 if isinstance(v, float)), default=0.0)
-    return CheckRecord(gates=gates, values={"checks": len(sub)},
-                       residuals={"worst_residual": worst}, details=sub)
+    return CheckRecord(
+        gates=[Gate(f"{name}.{key}", value,
+                    0 if name == "bb_zero" else _IDENTITY_TOL)
+               for name, entry in sub.items() for key, value in entry.items()],
+        values={"checks": len(sub)})
 
 
 _DECAY_SLOPE_TOL = 0.3  # of the decay exponent from -1
@@ -632,8 +650,7 @@ def _check_summability(ctx):
                Gate("decay_exponent", slope, ideals._WEAK_L1_SLOPE)],
         values={"quasi_norm": diag.quasi_norm_pinf,
                 "lorentz_norm": diag.lorentz_norm,
-                "decay_exponent": slope},
-        details={"generator_quasi_norms": generator_norms})
+                "generator_quasi_norms": generator_norms})
 
 
 def _harmonic(model, N):
@@ -687,16 +704,15 @@ def _check_diag_oracles(ctx):
 def _check_scalings(ctx):
     V = _harmonic(ctx.model, ctx.model.N)
     sums = _harmonic_heat(ctx.model)
-    sub = {"alpha=1.5": traces.lemma_estimate_scalings(V, 1.5),
-           "alpha=2.0": traces._scalings_verdict(
-               2.0, sums["grid"], sums["saturating"], sums["counting"])}
+    grid = sums["grid"]  # the default heat grid, which both alphas sample
+    sub = {1.5: traces.lemma_estimate_scalings(V, 1.5),
+           2.0: traces._scalings_verdict(2.0, grid, sums["saturating"],
+                                         sums["counting"])}
     return CheckRecord(
-        gates=[gate._replace(name=f"{name}.{gate.name}")
-               for name, rep in sub.items() for gate in rep.pop("gates")],
-        details=sub,
-        values={f"slopes_a{alpha}": (sub[f"alpha={alpha}"]["slope_saturating"],
-                                     sub[f"alpha={alpha}"]["slope_counting"])
-                for alpha in (1.5, 2.0)})
+        gates=[gate._replace(name=f"alpha={alpha}.{gate.name}")
+               for alpha, gates in sub.items() for gate in gates],
+        details={"grid": {"n_lo": grid[0], "n_hi": grid[-1],
+                          "points": grid.size}})
 
 
 _SCHEME_DRIFT = 0.02
@@ -711,7 +727,6 @@ def _check_scheme_robustness(ctx):
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())
     return CheckRecord(gates=[Gate("drift", drift, _SCHEME_DRIFT)],
-                       residuals={"drift": drift},
                        values={f"z_r{r}": z for r, z in zs.items()})
 
 
@@ -743,8 +758,7 @@ def _check_modulated(ctx):
     rng = ctx.rng()
     phases = np.exp(2j * np.pi * np.array([rng.random() for _ in range(N)]))
     A = Operator(phases, label="random phases")
-    (gate,) = traces.modulated_comparison(A, V)["gates"]
-    return CheckRecord(gates=[gate], values={"sup_gap": gate.value})
+    return CheckRecord(gates=traces.modulated_comparison(A, V)["gates"])
 
 
 _CUTOFF_GAP = 0.05
@@ -767,7 +781,6 @@ def _check_cutoff(ctx):
             None, _harmonic(ctx.model, ctx.model.N), alpha=2.0, scheme=scheme)
     return CheckRecord(
         gates=[Gate("gap", rep["gap"], _CUTOFF_GAP)],
-        residuals={"gap": rep["gap"]},
         values={"z_heat": rep["z_heat"], "z_cutoff": rep["z_cutoff"]})
 
 

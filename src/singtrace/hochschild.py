@@ -310,12 +310,6 @@ class ChernResult:
         vals = [self.history[r] for r in radii]
         return [abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
 
-    def as_dict(self):
-        return {
-            "value": [self.value.real, self.value.imag],
-            "history": {str(r): [v.real, v.imag] for r, v in self.history.items()},
-        }
-
 
 def chern(c, model):
     """Chern character Ch(c) = (-1)^{q-1} (1/2) Tr(ch(c)), q = degree.
@@ -466,7 +460,8 @@ def reduction_partial_sum_check(c, model):
     Runs on the invertible double, for a cycle c of degree p; the fitted
     log-slope must be negligible (|z| <= ``_REDUCTION_Z_TOL``) and the fit
     residual at most half of 1 + the largest sampled |partial sum|, the
-    finite surrogate for membership in the commutator subspace.
+    finite surrogate for membership in the commutator subspace.  Returns
+    the log ``fit``, that largest modulus ``sum_sup`` and the two ``gates``.
     """
     _require_top_cycle(c, model, "reduction_partial_sum_check")
     double = invertible_double(model)
@@ -478,11 +473,10 @@ def reduction_partial_sum_check(c, model):
     series = eigenvalue_partial_sums(diff)
     fit = log_fit(series, window=double.fit_window())
     sum_sup = float(np.max(np.abs(series.sums[fit.grid])))
-    return {"z": fit.z, "residual_sup": fit.residual_sup, "sum_sup": sum_sup,
+    return {"fit": fit, "sum_sup": sum_sup,
             "gates": [Gate("abs(z)", abs(fit.z), _REDUCTION_Z_TOL),
                       Gate("residual_sup", fit.residual_sup,
-                           0.5 * (1.0 + sum_sup))],
-            "fit": fit.as_dict()}
+                           0.5 * (1.0 + sum_sup))]}
 
 
 def _heat_floor(double):
@@ -553,36 +547,36 @@ def main_theorem_check(c, model):
     partial-sum slope of Omega(c)(1+D^2)^{-q/2} and the heat-functional
     slope both reproduce Ch(c).  For a parity-mismatched cycle both Ch(c)
     and the slope must vanish.
+
+    Returns the ``mode``, the value ``chern`` of Ch(c), the log ``fit`` of
+    the partial sums and the ``gates``; in the ``character`` mode also the
+    ``heat`` estimate, and the ``branch`` and ``ideal`` diagnostics of the
+    weight that the measurability criterion read.
     """
     if not is_cycle(c):
         raise ContractViolation("main_theorem_check requires a cycle")
-    ch = chern(c, model)
+    ch = chern(c, model).value
     verdict = _pairing_verdict(c, model)
-    vanishing = [Gate("abs(chern)", abs(ch.value), _VANISHING_CH_TOL),
+    vanishing = [Gate("abs(chern)", abs(ch), _VANISHING_CH_TOL),
                  Gate("abs(z_spec)", abs(verdict.z), _VANISHING_Z_TOL)]
-    report = {"chern": ch.value, "z_spec": verdict.z,
-              "chern_record": ch.as_dict()}
+    report = {"chern": ch, "fit": verdict.fit}
     if (c.degree % 2 == 0) != (model.parity == "even"):
-        return dict(report, mode="parity_vanishing", gates=vanishing,
-                    fit=verdict.fit.as_dict())
-    criterion = _criterion(_weight_singular_values(model, c.degree),
-                           _weight_diagnostics(model, c.degree),
-                           _pairing_heat(c, model), verdict.fit)
-    (budget,) = criterion.pop("gates")
-    gap_spec = abs(verdict.z - ch.value)
-    gap_heat = abs(criterion["z_heat"] - ch.value)
-    tol_abs = _CHARACTER_REL_TOL * abs(ch.value)
+        return dict(report, mode="parity_vanishing", gates=vanishing)
+    mu = _weight_singular_values(model, c.degree)
+    ideal = _weight_diagnostics(model, c.degree)
+    heat = _pairing_heat(c, model)
+    branch, budget = _criterion(mu, ideal, heat, verdict.fit)
+    tol_abs = _CHARACTER_REL_TOL * abs(ch)
     # a degenerate pairing (e.g. the diagonal toy model) vanishes, 0 = 0;
     # else the verdict is measurable (a fit within its residual bound, a
     # slope at or above its floor) and both slopes match Ch(c)
-    gates = vanishing if abs(ch.value) <= _VANISHING_CH_TOL else [
+    gates = vanishing if abs(ch) <= _VANISHING_CH_TOL else [
         Gate("residual_sup", verdict.fit.residual_sup, verdict.tol),
         Gate("-abs(z_spec)", -abs(verdict.z), -verdict.z_tol),
-        Gate("gap_spec", gap_spec, tol_abs),
-        Gate("gap_heat", gap_heat, max(tol_abs, budget.bound))]
-    return dict(report, mode="character", z_heat=criterion["z_heat"],
-                gap_spec=gap_spec, gap_heat=gap_heat, gates=gates + [budget],
-                verdict=verdict.as_dict(), criterion=criterion)
+        Gate("gap_spec", abs(verdict.z - ch), tol_abs),
+        Gate("gap_heat", abs(heat.z - ch), max(tol_abs, budget.bound))]
+    return dict(report, mode="character", heat=heat, branch=branch,
+                ideal=ideal, gates=gates + [budget])
 
 
 # -- serialization ----------------------------------------------------------------

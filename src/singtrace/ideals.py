@@ -8,8 +8,8 @@ z*log(n+1) + O(1).
 
 At a finite truncation the O(1) clause is operationalized as a residual
 supremum over a dyadic index window that excludes the top ~sqrt(N) indices,
-where compression artifacts concentrate.  Every verdict carries the fit
-record so the tolerance actually used is visible in reports.
+where compression artifacts concentrate.  Every verdict carries its fit
+and the tolerances it used, which the checks state as gates.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ class LogFit:
     window: tuple
     grid: np.ndarray = field(repr=False)
 
-    def as_dict(self):
-        return {
-            "z": [self.z.real, self.z.imag],
-            "intercept": [self.intercept.real, self.intercept.imag],
-            "residual_sup": self.residual_sup,
-            "window": list(self.window),
-            "grid_points": int(self.grid.size),
-        }
-
 
 @dataclass
 class IdealDiagnostics:
@@ -136,17 +127,6 @@ class Verdict:
     fit: LogFit
     tol: float
     z_tol: float
-    notes: str = ""
-
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "z": [self.z.real, self.z.imag],
-            "tol": self.tol,
-            "z_tol": self.z_tol,
-            "fit": self.fit.as_dict(),
-            "notes": self.notes,
-        }
 
 
 class Gate(NamedTuple):
@@ -335,16 +315,11 @@ def universal_measurability_test(series, tol=0.5, z_tol=None, window=None):
     """
     z_tol = tol if z_tol is None else z_tol
     fit = log_fit(series, window=window)
-    z = fit.z
     if fit.residual_sup <= tol:
-        if abs(z) > z_tol:
-            return Verdict(MEASURABLE, z, fit, tol, z_tol)
-        return Verdict(COMMUTATOR_SUBSPACE, z, fit, tol, z_tol,
-                       notes="fitted slope negligible; sums bounded on window")
-    return Verdict(
-        INCONCLUSIVE, z, fit, tol, z_tol,
-        notes=f"residual_sup {fit.residual_sup:.3g} exceeds tol {tol:.3g}",
-    )
+        kind = MEASURABLE if abs(fit.z) > z_tol else COMMUTATOR_SUBSPACE
+    else:
+        kind = INCONCLUSIVE
+    return Verdict(kind, fit.z, fit, tol, z_tol)
 
 
 def decay_exponent(mu):

@@ -247,7 +247,9 @@ class Operator:
             if not np.iscomplexobj(d) or not d.imag.any():
                 return True
             scale = 1.0 + (np.abs(d).max() if d.size else 0.0)
-            return bool(np.abs(d.imag).max(initial=0.0) <= HERMITIAN_RTOL * scale)
+            # an inf entry: any imaginary part meets an inf bound
+            return bool(np.isfinite(scale) and np.abs(d.imag).max(
+                initial=0.0) <= HERMITIAN_RTOL * scale)
         # T - T* run by run: run k holds T[i, i + k], and run -k, read at
         # row i + k, the conj(T[i + k, i]) that T* puts there
         runs = self._data

@@ -146,14 +146,6 @@ class TraceEstimate:
     residual_sup: float
     grid_used: dict
 
-    def as_dict(self):
-        return {
-            "z": [self.z.real, self.z.imag],
-            "method": self.method,
-            "residual_sup": self.residual_sup,
-            "grid_used": self.grid_used,
-        }
-
 
 def dixmier_logmean(series, scheme, n_max=None):
     """Dixmier log-mean estimate from the partial sums ``series`` (a
@@ -499,14 +491,14 @@ def heat_xi(V, scheme):
 
 
 def lemma_estimate_scalings(V, alpha):
-    """Log-log slopes of Tr(V^a (1-e^{-(nV)^-a})) and Tr(e^{-(nV)^-a}) on the
-    default heat grid.
+    """The gates on the log-log slopes of Tr(V^a (1-e^{-(nV)^-a})) and
+    Tr(e^{-(nV)^-a}) on the default heat grid.
 
     The first quantity must grow no faster than n^{1-alpha}, the second no
     faster than n, each up to a slack of 0.05; smaller (steeper decay) always
-    passes.  The report also carries the slope of (1/(n log n))
-    Tr(e^{-(nV)^-a}), which should trend downward on any window even though
-    its extended limit is only zero asymptotically.
+    passes.  A third gate holds the slope of (1/(n log n)) Tr(e^{-(nV)^-a})
+    to at most 0: it should trend downward on any window even though its
+    extended limit is only zero asymptotically.
     """
     if not (alpha > 1.0):
         raise ContractViolation("lemma_estimate_scalings requires alpha > 1")
@@ -519,23 +511,14 @@ def lemma_estimate_scalings(V, alpha):
 
 
 def _scalings_verdict(alpha, grid, saturating, counting):
-    """The report of :func:`lemma_estimate_scalings` from its sums on
+    """The gates of :func:`lemma_estimate_scalings` from its sums on
     ``grid``: ``saturating`` of Tr(V^a (1-e^{-(nV)^-a})) and ``counting``
     of Tr(e^{-(nV)^-a})."""
-    slope_sat = _loglog_slope(grid, saturating)
-    slope_count = _loglog_slope(grid, counting)
-    xi_trend = _loglog_slope(grid, counting / (grid * np.log(grid)))
-    return {
-        "alpha": alpha,
-        "slope_saturating": slope_sat,
-        "slope_counting": slope_count,
-        "xi_over_nlogn_slope": xi_trend,
-        "gates": [Gate("slope_saturating", slope_sat, 1.0 - alpha + 0.05),
-                  Gate("slope_counting", slope_count, 1.0 + 0.05),
-                  Gate("xi_over_nlogn_slope", xi_trend, 0.0)],
-        "grid": {"n_lo": int(grid[0]), "n_hi": int(grid[-1]),
-                 "points": int(grid.size)},
-    }
+    return [Gate("slope_saturating", _loglog_slope(grid, saturating),
+                 1.0 - alpha + 0.05),
+            Gate("slope_counting", _loglog_slope(grid, counting), 1.0 + 0.05),
+            Gate("xi_over_nlogn_slope", _loglog_slope(
+                grid, counting / (grid * np.log(grid))), 0.0)]
 
 
 def modulated_comparison(A, V):
@@ -635,7 +618,7 @@ def _classify_branch(mu, slope):
     1/(k+1) (their :func:`decay_exponent` ``slope`` is at most -0.8); 'b'
     when only the log-mean is bounded."""
     if slope <= _WEAK_L1_SLOPE:
-        return "a", slope
+        return "a"
     sums = np.cumsum(mu)
     n = np.arange(sums.size, dtype=float)
     lam = sums / np.log(2.0 + n)
@@ -643,7 +626,7 @@ def _classify_branch(mu, slope):
     growth = _loglog_slope(np.arange(half.size) + sums.size // 2 + 1.0,
                            np.abs(half) + 1e-300)
     if growth <= 0.1:
-        return "b", slope
+        return "b"
     raise BranchError(
         f"V is in neither L_1,inf nor M_1,inf at this truncation "
         f"(decay slope {slope:.3f}, log-mean growth {growth:.3f})"
@@ -656,25 +639,14 @@ _CRITERION_FLOOR = 0.02
 
 
 def _criterion(mu, ideal, heat, fit):
-    """The measurability criterion from V's singular values ``mu`` and their
-    :func:`ideal_diagnostics` ``ideal``, the heat estimate ``heat`` of
-    Tr(A V e^{-(nV)^-alpha}) and the log fit ``fit`` of the eigenvalue
-    partial sums of AV."""
-    branch, slope = _classify_branch(mu, ideal.fitted_decay_exponent)
-    budget = heat.residual_sup + fit.residual_sup + _CRITERION_FLOOR
-    return {
-        "branch": branch,
-        "decay_exponent": slope,
-        "z_heat": heat.z,
-        "z_spec": fit.z,
-        "gates": [Gate("criterion_gap", abs(heat.z - fit.z), budget)],
-        "heat_estimate": heat.as_dict(),
-        "spec_fit": fit.as_dict(),
-        "ideal": {
-            "quasi_norm_1inf": ideal.quasi_norm_pinf,
-            "lorentz_norm": ideal.lorentz_norm,
-        },
-    }
+    """The branch and the gate of the measurability criterion from V's
+    singular values ``mu`` and their :func:`ideal_diagnostics` ``ideal``,
+    the heat estimate ``heat`` of Tr(A V e^{-(nV)^-alpha}) and the log fit
+    ``fit`` of the eigenvalue partial sums of AV: the two slopes agree
+    within their summed fit residuals plus a floor."""
+    return _classify_branch(mu, ideal.fitted_decay_exponent), Gate(
+        "criterion_gap", abs(heat.z - fit.z),
+        heat.residual_sup + fit.residual_sup + _CRITERION_FLOOR)
 
 
 def measurability_criterion_check(A, V, ns, heat):
@@ -686,8 +658,13 @@ def measurability_criterion_check(A, V, ns, heat):
     residuals (plus a small floor), which is the finite form of the
     statement that both compute the same trace value.  ``heat`` holds the
     samples ``heat_functional(A, V, 2.0, ns)`` on the caller's grid ``ns``.
+    Returns the ``branch`` of V, the two slopes ``z_heat`` and ``z_spec``
+    and the criterion's ``gates``.
     """
     mu = singular_values(V)
     product = (A @ V) if A is not None else V
-    return _criterion(mu, ideal_diagnostics(mu), heat_fit(ns, heat),
-                      log_fit(eigenvalue_partial_sums(product)))
+    ideal, est = ideal_diagnostics(mu), heat_fit(ns, heat)
+    fit = log_fit(eigenvalue_partial_sums(product))
+    branch, gate = _criterion(mu, ideal, est, fit)
+    return {"branch": branch, "z_heat": est.z, "z_spec": fit.z,
+            "gates": [gate]}

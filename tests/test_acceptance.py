@@ -139,7 +139,7 @@ def test_criterion_2_diagonal_oracle_suite():
     slopes_ok = True
     slope_text = []
     for alpha in (1.5, 2.0):
-        rep = lemma_estimate_scalings(V, alpha)
+        rep = {g.name: g.value for g in lemma_estimate_scalings(V, alpha)}
         s_ok = (abs(rep["slope_saturating"] - (1.0 - alpha)) <= 0.05
                 and abs(rep["slope_counting"] - 1.0) <= 0.05)
         slopes_ok = slopes_ok and s_ok
@@ -190,7 +190,7 @@ def test_criterion_4_torus_character(torus64):
     cycle_ok = is_cycle(c)
     ch = chern(c, model).value
     rep = main_theorem_check(c, model)
-    gap_rel = abs(rep["z_spec"] - ch) / abs(ch)
+    gap_rel = abs(rep["fit"].z - ch) / abs(ch)
     model0 = build_nc_torus(64, theta=0.0)
     ch0 = chern(nc_torus_volume_cycle(model0), model0).value
     theta_rel = abs(ch - ch0) / abs(ch)
@@ -199,13 +199,13 @@ def test_criterion_4_torus_character(torus64):
         Chain.from_elements(model, [(1.0, [U.adjoint(), U])]), model)
     elapsed = time.monotonic() - t0
     ok = (cycle_ok and gap_rel <= 0.15 and theta_rel <= 0.02
-          and abs(parity["chern"]) <= 1e-8 and abs(parity["z_spec"]) <= 0.05
+          and abs(parity["chern"]) <= 1e-8 and abs(parity["fit"].z) <= 0.05
           and elapsed < 900.0)
     _report(4, ok,
             f"torus N=64: cycle exact {cycle_ok}; |z_spec-Ch|/|Ch| "
             f"{gap_rel:.4f} <= 0.15; theta-independence {theta_rel:.2e} <= 0.02; "
             f"parity |Ch| {abs(parity['chern']):.2e} <= 1e-8, "
-            f"|z| {abs(parity['z_spec']):.2e} <= 0.05; {elapsed:.1f}s < 900s")
+            f"|z| {abs(parity['fit'].z):.2e} <= 0.05; {elapsed:.1f}s < 900s")
 
 
 def test_criterion_5_trace_estimator_concordance(circle2048, torus64):

@@ -1,8 +1,8 @@
 """Golden records: both suites reproduce every record's verdict and numbers.
 
 ``tests/golden/suite-<name>.json`` holds, per record of ``suite(name)``, its
-``passed`` flag and every entry of ``values`` and ``residuals``; timings and
-the environment are left out.  Flags and strings must match exactly and
+``passed`` flag, its ``gates`` and every entry of ``values`` and
+``residuals``; timings and the environment are left out.  Flags and strings must match exactly and
 numbers to a relative 1e-9 (absolute 1e-12), which leaves room for the last
 bits that another numpy build may round differently.
 
@@ -26,10 +26,10 @@ ABS_TOL = 1e-12
 
 
 def snapshot(report):
-    """Record name -> its ``passed``, ``values`` and ``residuals``, as the
-    report's JSON writes them."""
-    return {rec["name"]: {key: rec[key]
-                          for key in ("passed", "values", "residuals")}
+    """Record name -> its ``passed``, ``gates``, ``values`` and
+    ``residuals``, as the report's JSON writes them."""
+    return {rec["name"]: {key: rec[key] for key in
+                          ("passed", "gates", "values", "residuals")}
             for rec in report.as_dict(timing=False)["records"]}
 
 

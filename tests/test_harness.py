@@ -130,35 +130,47 @@ class TestRun:
                 gates=[Gate("n", 3, 3)],
                 values={"z": complex(1.0, float("nan")), "n": 3},
                 residuals={"gaps": np.array([0.5, np.inf])},
-                details={"note": "finite"})
+                details={"note": "finite", "grid": {"n_hi": float("nan")}})
+
+        def nan_gate(ctx):
+            return harness.CheckRecord(
+                gates=[Gate("n", 3, 3), Gate("slope", float("nan"), 0.0),
+                       Gate("low", -np.inf, 1.0)])
 
         def strict(constant):
             raise ValueError(f"report holds {constant}")
 
         monkeypatch.setitem(CHECKS, "nonfinite", Check(
             nonfinite, lambda ctx: [], None, 0, None))
+        monkeypatch.setitem(CHECKS, "nan-gate", Check(
+            nan_gate, lambda ctx: [], None, 0, None))
         report = run(ExperimentConfig(model={"name": "circle", "N": 16},
                                       checks=["nonfinite", "cycle"],
                                       out=str(tmp_path)))
         cycle, record = report.records
         assert cycle.passed and "nonfinite" not in cycle.details
         assert not record.passed
-        assert record.details == {
-            "note": "finite", "nonfinite": ["values.z.im", "residuals.gaps.1"]}
+        assert list(record.details) == ["note", "grid", "nonfinite"]
+        assert record.details["nonfinite"] == [
+            "values.z.im", "residuals.gaps.1", "details.grid.n_hi"]
         payload = json.loads((tmp_path / "report.json").read_text(),
                              parse_constant=strict)
         record = payload["records"][1]
         assert record["values"]["z"] == {"re": 1.0, "im": "nan"}
         assert record["residuals"]["gaps"] == [0.5, "inf"]
+        assert record["details"]["grid"] == {"n_hi": "nan"}
         assert record["gates"] == [["n", 3, 3]]
-        # its gate holds, so the FAIL line names the non-finite fields
+        # its gate holds, so the FAIL line names the non-finite fields; a
+        # non-finite gate value fails its gate, even one below its bound
         cfg = tmp_path / "nonfinite.json"
         cfg.write_text(json.dumps({"model": {"name": "circle", "N": 16},
-                                   "checks": ["nonfinite"]}))
+                                   "checks": ["nonfinite", "nan-gate"]}))
         assert cli_main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] nan-gate: slope=nan (bound 0), low=-inf (bound 1)",
             "[FAIL] nonfinite: values.z.im not finite, "
-            "residuals.gaps.1 not finite", "all passed: False"]
+            "residuals.gaps.1 not finite, details.grid.n_hi not finite",
+            "all passed: False"]
 
     @pytest.mark.parametrize("seed", [22, 53])
     def test_identity_suite_exact_for_every_seed(self, seed):
@@ -167,17 +179,23 @@ class TestRun:
                                       checks=["identity-suite"], seed=seed))
         assert report.all_passed, report.to_markdown()
 
-    def test_identity_suite_worst_residual_is_the_largest_residual(self):
+    def test_identity_suite_gates_each_residual(self):
+        # each identity's residual is stated once, as the value of its gate
+        # at harness._IDENTITY_TOL, and b o b leaves no term
         report = run(ExperimentConfig(model={"name": "circle", "N": 64},
                                       checks=["identity-suite"]))
         (rec,) = report.records
-        d = rec.details
-        largest = max(d["bob"]["residual_norm"],
-                      d["appendix"]["delta_square_residual"],
-                      d["appendix"]["f_delta_residual"],
-                      d["leibniz"]["partial_d"], d["leibniz"]["delta"])
-        assert (rec.residuals["worst_residual"] == largest
-                < harness._IDENTITY_TOL)
+        gates = {gate.name: gate for gate in rec.gates}
+        assert list(gates) == [
+            "bob.residual_norm", "appendix.delta_square_residual",
+            "appendix.f_delta_residual", "bb_zero.terms", "leibniz.partial_d",
+            "leibniz.delta"]
+        assert gates.pop("bb_zero.terms") == ("bb_zero.terms", 0, 0)
+        assert all(isinstance(gate.value, float)
+                   and gate.value < gate.bound == harness._IDENTITY_TOL
+                   for gate in gates.values())
+        assert rec.passed and rec.values == {"checks": 4}
+        assert rec.residuals == {} and rec.details == {}
 
     @pytest.mark.parametrize("N", [32, 256])
     def test_heat_bound_has_a_floor_where_chern_vanishes(self, N):
@@ -192,7 +210,7 @@ class TestRun:
                                       chain=chain, checks=["heat"])).records
         (gate,) = rec.gates
         assert rec.values["chern"] == 0
-        assert 0 < gate.value == rec.residuals["gap"] < gate.bound
+        assert 0 < gate.value < gate.bound and "gap" not in rec.residuals
         assert gate.bound == hh._VANISHING_Z_TOL and rec.passed
 
     def test_seed_changes_randomized_checks(self):
@@ -286,6 +304,53 @@ class TestSuites:
             assert rec["gates"], rec["name"]
             assert rec["passed"] == all(value <= bound
                                         for _name, value, bound in rec["gates"])
+
+    @pytest.mark.parametrize("name", ["quick", "full"])
+    def test_no_record_states_a_number_twice(self, name):
+        # as report.json writes a record: a gate's value and bound appear
+        # in that gate only, and outside the gates no float equals another
+        # float and no complex another complex.  Zeros and integers (counts,
+        # grid points, and exact results such as the circle's generator
+        # quasi-norms, 2.0 each) are exempt, and so is a number two gates
+        # share (a tolerance, or two residuals that coincide, as the
+        # circle's Leibniz residuals do).  A complex number is one leaf,
+        # and a [re, im] pair of floats would read as one: complex numbers
+        # are written one way, as {"re", "im"}
+        repeats = []
+
+        def leaves(obj, path):
+            if isinstance(obj, dict) and set(obj) == {"re", "im"}:
+                yield path, complex(obj["re"], obj["im"])
+            elif isinstance(obj, list) and [type(x) for x in obj] == [float,
+                                                                      float]:
+                repeats.append(f"{path}: a [re, im] pair")
+                yield path, complex(*obj)
+            elif isinstance(obj, dict):
+                for key, value in obj.items():
+                    yield from leaves(value, f"{path}.{key}")
+            elif isinstance(obj, list):
+                for i, value in enumerate(obj):
+                    yield from leaves(value, f"{path}[{i}]")
+            elif type(obj) in (int, float):
+                yield path, obj
+
+        for rec in suite(name).as_dict(timing=False)["records"]:
+            in_gates = {number: f"gates.{gate_name}"
+                        for gate_name, *numbers in rec["gates"]
+                        for number in numbers}
+            seen = {}  # (is complex, number) -> its first path
+            for field in ("values", "residuals", "details"):
+                for path, x in leaves(rec[field], field):
+                    cplx = type(x) is complex
+                    if x == 0 or not cplx and float(x).is_integer():
+                        continue
+                    first = seen.get((cplx, x)) or (
+                        None if cplx else in_gates.get(x))
+                    if first:
+                        repeats.append(f"{rec['name']}: {path} = {x!r} "
+                                       f"repeats {first}")
+                    seen.setdefault((cplx, x), path)
+        assert not repeats, "\n".join(repeats)
 
 
 class TestCli:
@@ -453,7 +518,8 @@ class TestCli:
             return
         record, = json.loads((out / "report.json").read_text())["records"]
         zs = [z["re"] for z in record["values"].values()]
-        assert len(set(zs)) == 3 and record["residuals"]["drift"] > 0.0
+        ((name, drift, _bound),) = record["gates"]
+        assert len(set(zs)) == 3 and name == "drift" and drift > 0.0
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "{dir}"],
@@ -654,7 +720,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg)]) == 1
         (rec,) = run(ExperimentConfig.from_json(cfg.read_text())).records
         (gate,) = rec.gates
-        assert gate.name == "gap" and gate.value == rec.residuals["gap"] > 0.05
+        assert gate.name == "gap" and gate.value > 0.05 and not rec.residuals
         assert gate.bound == 0.05
         assert capsys.readouterr().out.splitlines() == [
             f"[FAIL] cutoff: gap={gate.value:.4g} (bound 0.05)",

@@ -489,8 +489,8 @@ class TestReduction:
         rep = reduction_partial_sum_check(
             circle_winding_cycle(circle256), circle256)
         assert all(gate.holds for gate in rep["gates"])
-        assert abs(rep["z"]) <= 1e-10
-        assert rep["residual_sup"] <= 1e-10
+        assert abs(rep["fit"].z) <= 1e-10
+        assert rep["fit"].residual_sup <= 1e-10
         assert rep["sum_sup"] <= 2.0
 
     def test_toy_trivial(self, toy1000):
@@ -505,9 +505,9 @@ class TestReduction:
         # conditions it gates are asserted with 0.2 on the slope
         rep = reduction_partial_sum_check(nc_torus_volume_cycle(torus16),
                                           torus16)
-        assert abs(rep["z"]) <= 0.2
+        assert abs(rep["fit"].z) <= 0.2
         (resid,) = [g for g in rep["gates"] if g.name == "residual_sup"]
-        assert rep["residual_sup"] == resid.value <= resid.bound
+        assert rep["fit"].residual_sup == resid.value <= resid.bound
 
     def test_rejects_non_cycle(self, torus12):
         U = torus12.monomial((1, 0))
@@ -577,8 +577,8 @@ class TestMainTheorem:
         rep = main_theorem_check(circle_winding_cycle(circle256), circle256)
         assert rep["mode"] == "character"
         assert rep["chern"] == pytest.approx(2.0, abs=1e-10)
-        assert rep["z_spec"] == pytest.approx(2.0, abs=0.1)
-        assert rep["z_heat"] == pytest.approx(2.0, abs=0.1)
+        assert rep["fit"].z == pytest.approx(2.0, abs=0.1)
+        assert rep["heat"].z == pytest.approx(2.0, abs=0.1)
         assert all(gate.holds for gate in rep["gates"])
 
     def test_torus_character(self, torus16):
@@ -595,7 +595,7 @@ class TestMainTheorem:
         for N in (32, 64, 128):
             m = build_nc_torus(N)
             rep = main_theorem_check(nc_torus_volume_cycle(m), m)
-            resid.append(rep["criterion"]["heat_estimate"]["residual_sup"])
+            resid.append(rep["heat"].residual_sup)
         assert resid[0] > resid[1] > resid[2]
 
     def test_toy_degenerate(self, toy1000):
@@ -603,7 +603,7 @@ class TestMainTheorem:
         c = Chain.from_elements(toy1000, [(1.0, [w.adjoint(), w])])
         rep = main_theorem_check(c, toy1000)
         assert rep["chern"] == 0.0
-        assert abs(rep["z_spec"]) <= 1e-10
+        assert abs(rep["fit"].z) <= 1e-10
         assert all(gate.holds for gate in rep["gates"])
 
     def test_circle_parity_vanishing(self, circle256):
@@ -612,7 +612,7 @@ class TestMainTheorem:
         rep = main_theorem_check(c, circle256)
         assert rep["mode"] == "parity_vanishing"
         assert abs(rep["chern"]) <= 1e-8
-        assert abs(rep["z_spec"]) <= 0.05
+        assert abs(rep["fit"].z) <= 0.05
         assert all(gate.holds for gate in rep["gates"])
 
     def test_torus_parity_vanishing(self, torus16):
@@ -621,7 +621,7 @@ class TestMainTheorem:
         rep = main_theorem_check(c, torus16)
         assert rep["mode"] == "parity_vanishing"
         assert abs(rep["chern"]) <= 1e-8
-        assert abs(rep["z_spec"]) <= 0.05
+        assert abs(rep["fit"].z) <= 0.05
         assert all(gate.holds for gate in rep["gates"])
 
     def test_rejects_non_cycle(self, torus12):
@@ -702,7 +702,7 @@ def test_weight_ideal_norms_are_derived_once(build, monkeypatch):
     # summability and the measurability criterion of main_theorem_check
     # read one memo entry for the quasi-norm, the Lorentz norm and the decay
     # exponent of the weight's singular values: those are read once, by its
-    # ideal_diagnostics, and both reports carry the same numbers
+    # ideal_diagnostics, and both reports carry that entry itself
     from singtrace import ideals
     from singtrace.harness import builtin_chain
 
@@ -714,11 +714,12 @@ def test_weight_ideal_norms_are_derived_once(build, monkeypatch):
     monkeypatch.setattr(ideals, "lorentz_norm_m1inf", lambda x: reads.append(
         x is mu) or real_norm(x))
     diag, _ = summability_report(model)
-    criterion = main_theorem_check(c, model)["criterion"]
+    ideal = main_theorem_check(c, model)["ideal"]
     assert sum(reads) == 1
-    assert criterion["ideal"] == {"quasi_norm_1inf": diag.quasi_norm_pinf,
-                                  "lorentz_norm": diag.lorentz_norm}
-    assert criterion["decay_exponent"] == diag.fitted_decay_exponent
+    assert ideal is diag
+    assert (ideal.quasi_norm_pinf, ideal.lorentz_norm,
+            ideal.fitted_decay_exponent) == (
+        diag.quasi_norm_pinf, diag.lorentz_norm, diag.fitted_decay_exponent)
     # the report holds the memo entry itself, which nothing writes
     assert triples._weight_diagnostics(model, c.degree) is diag
     assert summability_report(model)[0] is diag

@@ -205,6 +205,20 @@ class TestEigenvalues:
         with pytest.raises(operators.FactorizationError, match="'bad'"):
             eigenvalues(T)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(1, np.inf)])
+    def test_complex_diagonal_with_an_inf_entry_is_not_hermitian(self, bad):
+        # its bound HERMITIAN_RTOL (1 + max|d|) is inf, which every imaginary
+        # part meets: such a diagonal is not hermitian, so its spectrum keeps
+        # every entry, 2j too, where the hermitian path would take the real
+        # parts.  A real diagonal holding a NaN stays hermitian, so a NaN V
+        # makes every heat sum NaN
+        d = np.array([1, 2j, bad])
+        T = Operator(d)
+        assert not T.hermitian
+        np.testing.assert_array_equal(np.sort_complex(eigenvalues(T)),
+                                      np.sort_complex(d))
+        assert Operator(np.array([1.0, np.nan])).hermitian
+
     def test_hermitian_spectra_are_float64(self):
         # the real parts of the complex path bit for bit, on the diagonal,
         # layered and split paths; a non-hermitian spectrum stays complex
