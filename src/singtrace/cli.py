@@ -13,7 +13,8 @@ Verbs, each taking only the flags it reads:
 ``--seed`` to the model flags.  A check's bounds are stated in its code.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-A FAIL line names the error, or each failing gate and non-finite field.
+A PASS line prints the record's values, or each gate's value where it has
+none; a FAIL line names the error, or each failing gate and non-finite field.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ def _config_from_args(args):
 def _print_report(report):
     for rec in report.records:
         status = "PASS" if rec.passed else "FAIL"
+        # a record that states each of its numbers in a gate shows the gates
+        shown = rec.values or {g.name: g.value for g in rec.gates}
         vals = ", ".join(rec.failures()) or ", ".join(
-            f"{k}={v}" for k, v in rec.values.items())
+            f"{k}={v}" for k, v in shown.items())
         print(f"[{status}] {rec.name}: {vals}")
     print(f"all passed: {report.all_passed}")
 

@@ -788,7 +788,7 @@ class Check(NamedTuple):
     """One row of the check table, which validation, ``run``, the release
     and the CLI verbs read: the check, whose bounds are constants stated
     beside it; the memo keys it requests itself, not through a build
-    (``(_DOUBLE, key)`` on the invertible double); the words it realizes,
+    (``("double",) + key`` on the invertible double); the words it realizes,
     which must fit the buffer: ``"chain"`` (a CLI verb), ``"generators"``
     or None; the buffer its own words need; and its grid on the harmonic
     diagonal (see ``_HEAT_GRID``) or None."""
@@ -813,16 +813,10 @@ _DIXMIER_GRID = (lambda N: (N - 2) // 2,
                  "at or past its last point N-1, with N={N} the dim")
 
 
-# the memo entries a check requests and those each entry's build requests
-# are stated as paths for SpectralTripleModel.release: (key,) on the model
-# and (_DOUBLE, key) on its invertible double
-_DOUBLE = ("double",)
-
-
 def _top_double(ctx):
     """W_p(c) and the inverse powers of |D0| on the invertible double."""
-    return [(_DOUBLE, ("W", ctx.chain_key, frozenset({ctx.model.p}))),
-            (_DOUBLE, ("inverse_powers",))]
+    return [("double", "W", ctx.chain_key, frozenset({ctx.model.p})),
+            ("double", "inverse_powers")]
 
 
 def _harmonic_requests(ctx):
@@ -847,18 +841,14 @@ CHECKS = {
         ("weight_mu", ctx.chain.degree), ("weight_ideal", ctx.chain.degree)],
         "chain", 0, None),
     "reduce": Check(_check_reduce, lambda ctx: [
-        (_DOUBLE, ("omega", ctx.chain_key))] + _top_double(ctx),
+        ("double", "omega", ctx.chain_key)] + _top_double(ctx),
         "chain", 0, None),
     # its words a * b, a and b with exponents in [-2, 2], reach 4 modes out
     "identity-suite": Check(
         _check_identity_suite,
-        lambda ctx: [("W", ctx.chain_key, frozenset())] + [
-            ("F", w) for (words, _m), _c in ctx.chain_key[1] for w in words],
-        "chain", 4, None),
+        lambda ctx: [("W", ctx.chain_key, frozenset())], "chain", 4, None),
     "summability": Check(
-        _check_summability, lambda ctx: [("weight_ideal", ctx.model.p)] + [
-            (kind, w) for g in ctx.model.generators().values()
-            for w, _m in g.terms for kind in ("F", "delta")],
+        _check_summability, lambda ctx: [("weight_ideal", ctx.model.p)],
         "generators", 0, None),
     "diag-oracles": Check(_check_diag_oracles, _harmonic_requests, None, 0,
                           _HEAT_GRID),
@@ -876,39 +866,18 @@ CHECKS = {
 }
 
 
-def _requests(name, ctx):
-    """The memo paths check ``name`` requests itself (not through a build)."""
-    return [path if path[0] == _DOUBLE else (path,)
-            for path in CHECKS[name].requests(ctx)]
-
-
-def _needs(path, N):
-    """The memo paths the build of the entry at ``path`` requests, on the
-    model that holds it; ``N`` is the model's."""
-    owner, key = path[:-1], path[-1]
+def _needs(key, N):
+    """The memo keys the build of the entry at ``key`` requests; ``N`` is
+    the model's.  A chain map, the double and its entries request none."""
     kind, arg = key[0], key[1] if len(key) > 1 else None
-    if kind in ("chern", "omega", "W"):
-        # a chain map: slot k of each term reads the factor of kind kinds[k]
-        q = arg[0]
-        kinds = {"chern": ("F",) * (q + 1),
-                 "omega": ("id",) + ("D",) * q,
-                 "W": ("id",) + tuple("delta" if k in key[-1] else "F"
-                                      for k in range(1, q + 1))}[kind]
-        children = [(kd, w) for (words, _m), _c in arg[1]
-                    for kd, w in zip(kinds, words)]
-    elif kind.startswith("pairing"):
-        q = arg[0]  # the chain's degree
-        children = {
-            "pairing": [("omega", arg), ("weight", q)],
+    q = arg[0] if kind.startswith("pairing") else arg  # a chain's degree
+    return {"pairing": [("omega", arg), ("weight", q)],
             "pairing verdict": [("chern", arg), ("pairing", arg)],
             "pairing heat": [("omega", arg), ("weight", q), ("weight_mu", q)],
             "pairing dixmier": [("pairing", arg)],
-        }[kind]
-    else:
-        children = {"weight_mu": [("weight", arg)],
-                    "weight_ideal": [("weight_mu", arg)],
-                    "harmonic heat": [("harmonic", N)]}.get(kind, [])
-    return [owner + (child,) for child in children]
+            "weight_mu": [("weight", q)],
+            "weight_ideal": [("weight_mu", q)],
+            "harmonic heat": [("harmonic", N)]}.get(kind, [])
 
 
 def run(config):
@@ -939,9 +908,9 @@ def run(config):
         rec.inputs_digest = ctx.inputs_digest
         records.append(rec)
         ctx.model.release(
-            [path for later in config.checks[i + 1:]
-             for path in _requests(later, ctx)],
-            lambda path: _needs(path, ctx.model.N))
+            [key for later in config.checks[i + 1:]
+             for key in CHECKS[later].requests(ctx)],
+            lambda key: _needs(key, ctx.model.N))
     records.sort(key=lambda r: r.name)
     report = Report(records=records, config=config,
                     environment=_environment_stamp(config))

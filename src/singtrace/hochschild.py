@@ -241,23 +241,31 @@ def _require_top_cycle(c, model, who):
 def _chain_map(c, model, kinds, label, lead=None):
     """The interior compression of lead Gamma sum_terms coeff lam^m prod_k X_k.
 
-    X_k is ``model.factor(kinds[k], w_k)`` on the word w_k in slot k;
-    ``lead`` and Gamma are left out when None.  The commutator factors of a
-    term are taken first: when one is the exact zero, so is the term, and
-    its ``id`` word is not realized.  A zero term is still added, so that
-    the sum rounds as it would with the product formed.
+    X_k is ``model.factor(kinds[k], w_k)`` on the word w_k in slot k,
+    formed once per call however many terms share it; ``lead`` and Gamma
+    are left out when None.  The commutator factors of a term are taken
+    first: when one is the exact zero, so is the term, and its ``id`` word
+    is not realized.  A zero term is still added, so that the sum rounds as
+    it would with the product formed.
     """
+    factors = {}
+
+    def factor(kind, w):
+        if (kind, w) not in factors:
+            factors[kind, w] = model.factor(kind, w)
+        return factors[kind, w]
+
     acc = None
     for (words, m), coeff in sorted(c.terms.items()):
         slots = list(zip(kinds, words))
-        if any(kind != "id" and model.factor(kind, w).is_zero()
+        if any(kind != "id" and factor(kind, w).is_zero()
                for kind, w in slots):
             piece = zero(model.dim)
         else:
             piece = None
             for kind, w in slots:
-                factor = model.factor(kind, w)
-                piece = factor if piece is None else piece @ factor
+                piece = (factor(kind, w) if piece is None
+                         else piece @ factor(kind, w))
             piece = (coeff * model.eval_phase(m)) * piece
         acc = piece if acc is None else acc + piece
     if acc is None:  # no term left

@@ -139,10 +139,9 @@ class ExtendedLimitScheme:
 
 @dataclass
 class TraceEstimate:
-    """A singular-trace value plus the method and residual that produced it."""
+    """A singular-trace value plus the residual and grid that produced it."""
 
     z: complex
-    method: str
     residual_sup: float
     grid_used: dict
 
@@ -167,7 +166,7 @@ def dixmier_logmean(series, scheme, n_max=None):
         window = snapped
     lam = sums[window].astype(complex) / np.log(2.0 + window)
     z, resid = scheme.apply(window, lam)
-    return TraceEstimate(z=z, method="dixmier_logmean", residual_sup=resid,
+    return TraceEstimate(z=z, residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
 
 
@@ -457,8 +456,8 @@ def heat_functional(A, V, alpha, grid):
 
 
 def heat_fit(ns, values):
-    """Fit h(n) ~ z*log(n) + b to the samples ``values`` of h on the grid
-    ``ns``.
+    """Fit h(n) ~ z*log(n) + b to the samples ``values`` of h on the integer
+    grid ``ns``.
 
     The fit drops the lower half of the samples in log position (keeping at
     least 4), where pre-asymptotic transients live.
@@ -473,8 +472,8 @@ def heat_fit(ns, values):
     x = np.log(ns)
     coef, resid = _least_squares([x, np.ones_like(x)], values)
     return TraceEstimate(
-        z=complex(coef[0]), method="heat", residual_sup=resid,
-        grid_used={"n_lo": float(ns[0]), "n_hi": float(ns[-1]), "points": int(ns.size)},
+        z=complex(coef[0]), residual_sup=resid,
+        grid_used={"n_lo": int(ns[0]), "n_hi": int(ns[-1]), "points": int(ns.size)},
     )
 
 
@@ -486,7 +485,7 @@ def heat_xi(V, scheme):
     window = scheme.window(default_heat_grid(V.dim, scheme.ratio, scheme.n_min))
     values = _heat_sums(v, None, window, -1.0) / window
     z, resid = scheme.apply(window, values, averaging="cesaro_log")
-    return TraceEstimate(z=z, method="heat_xi", residual_sup=resid,
+    return TraceEstimate(z=z, residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
 
 

@@ -145,6 +145,8 @@ class AlgebraElement:
 class SpectralTripleModel:
     """A truncated spectral triple: basis geometry, D, F, |D|, grading."""
 
+    _prefix = ()  # of its memo keys; the invertible double's is ("double",)
+
     def __init__(self, name, N, B, p, parity, theta):
         self.name = name
         self.N = int(N)
@@ -154,9 +156,10 @@ class SpectralTripleModel:
         self.theta = float(theta)
         self.metadata = {}
         self._word_cache = {}
-        # everything derived from the model (realized words, commutators,
-        # chain maps, weights, the invertible double), shared by the checks
-        # of a run until the last one that reads it
+        # everything derived from the model (chain maps, weights, pairing
+        # estimates, the invertible double and, under keys that begin with
+        # "double", the double's own entries), shared by the checks of a
+        # run until the last one that reads it
         self._memo = {}
         self.D = None
         self.F = None
@@ -196,8 +199,10 @@ class SpectralTripleModel:
         the next call builds again.  Every caller gets the same object,
         which none may modify.  An entry stays until :meth:`release` drops
         it: ``harness.run`` does so after the last check that can read it,
-        and a request after that builds it again.
+        and a request after that builds it again.  The invertible double
+        stores its entries in its model's memo, under ``("double",) + key``.
         """
+        key = self._prefix + key
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
@@ -205,41 +210,28 @@ class SpectralTripleModel:
     def release(self, reads, needs):
         """Drop every memo entry that no later request can read.
 
-        A path names an entry: ``(key,)`` one of this memo, and
-        ``(key,) + rest`` one of the memo of the model stored at ``key`` (the
-        invertible double).  ``reads`` are the paths that the readers still
-        to come request, and ``needs(path)`` the paths that the build of the
-        entry at ``path`` requests.  An entry that is built is read itself,
-        and one that is not is reached through what its build requests, so
-        what is already built decides what stays: once Omega(c) exists, the
-        commutators it was built from are dead.  A release never causes a
-        second build, as long as ``reads`` and ``needs`` list every request.
+        ``reads`` are the keys that the readers still to come request, and
+        ``needs(key)`` the keys that the build of the entry at ``key``
+        requests.  An entry that is built is read itself, and one that is
+        not is reached through what its build requests, so what is already
+        built decides what stays: once the pairing series exists, the
+        Omega(c) it was built from is dead unless another reader requests
+        it.  An entry of the invertible double is read through the double,
+        so it keeps ``("double",)``.  A release never causes a second build,
+        as long as ``reads`` and ``needs`` list every request.
         """
         live, todo = set(), list(reads)
         while todo:
-            path = todo.pop()
-            if path in live:
+            key = todo.pop()
+            if key in live:
                 continue
-            live.add(path)
-            # an entry of the double is read through the double
-            todo.extend(path[:i] for i in range(1, len(path)))
-            if not self._holds(path):
-                todo.extend(needs(path))
-        self._keep(live)
-
-    def _holds(self, path):
-        head, *rest = path
-        if head not in self._memo:
-            return False
-        return not rest or self._memo[head]._holds(tuple(rest))
-
-    def _keep(self, live):
-        for key, entry in list(self._memo.items()):
-            if (key,) not in live:
-                del self._memo[key]
-            elif isinstance(entry, SpectralTripleModel):
-                entry._keep({path[1:] for path in live
-                             if len(path) > 1 and path[0] == key})
+            live.add(key)
+            if key[0] == "double" and len(key) > 1:
+                todo.append(("double",))
+            if key not in self._memo:
+                todo.extend(needs(key))
+        for key in [key for key in self._memo if key not in live]:
+            del self._memo[key]
 
     @property
     def model_id(self):
@@ -293,19 +285,18 @@ class SpectralTripleModel:
 
     def factor(self, kind, word):
         """realize(word) for kind "id", else [b, realize(word)] with b = D, |D|, F
-        for kind "D", "delta", "F"; built once per model.
+        for kind "D", "delta", "F", formed on each call; only the realized
+        word is kept (see :meth:`realize_word`).
 
         A word of band 0 is diagonal, so against a diagonal b its commutator
         is the exact zero, built without realizing the word.
         """
-        def build():
-            if kind != "id":
-                b = {"D": self.D, "delta": self.absD, "F": self.F}[kind]
-                if b.kind == "diag" and self.word_band(word) == 0:
-                    return zero(self.dim)
-            op = Operator(self.realize_word(word), label=self.word_label(word))
-            return op if kind == "id" else commutator(b, op)
-        return self.derived((kind, word), build)
+        if kind != "id":
+            b = {"D": self.D, "delta": self.absD, "F": self.F}[kind]
+            if b.kind == "diag" and self.word_band(word) == 0:
+                return zero(self.dim)
+        op = Operator(self.realize_word(word), label=self.word_label(word))
+        return op if kind == "id" else commutator(b, op)
 
     def realize(self, a):
         """Realize an algebra element as a working-dimension Operator."""
@@ -565,8 +556,10 @@ def invertible_double(model):
     lies in L_{p,inf}.  On the even torus Gamma anticommutes with F (the
     spinor swap on ker D included) and commutes with D^2, so {Gamma, D0} = 0
     exactly.  The double is a shallow copy of the model with its own D0,
-    |D0| = (1 + D^2)^{1/2}, name, metadata and memo: it shares the geometry,
-    the realized words, the phase F and the grading.  Built once per model.
+    |D0| = (1 + D^2)^{1/2}, name and metadata: it shares the geometry, the
+    realized words, the phase F and the grading, and it keeps what it
+    derives in the model's memo, under keys that begin with "double".
+    Built once per model.
     """
     return model.derived(("double",), lambda: _build_double(model))
 
@@ -587,7 +580,7 @@ def _build_double(model):
     double = copy.copy(model)
     double.name = model.name + "+double"
     double.metadata = dict(model.metadata, double_of=model.model_id)
-    double._memo = {}
+    double._prefix = model._prefix + ("double",)
     double.D, double.absD = D0.relabel("D0"), root
     return double
 

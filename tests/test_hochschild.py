@@ -725,68 +725,74 @@ def test_weight_ideal_norms_are_derived_once(build, monkeypatch):
     assert summability_report(model)[0] is diag
 
 
-def test_commutator_cache_builds_each_entry_once(monkeypatch):
+def test_memo_builds_each_entry_once(monkeypatch):
     """Every memo key of a model is built once, in any order of requests.
 
-    Commutators and the derived pairing objects are requested in several
-    random orders, each on a fresh model, then all again; chern's build asks
-    for the F commutators and the pairing series for Omega(c) and the
-    weight, so some builds nest inside others.  A word of band 0 is
-    diagonal, so its commutators are exact zeros, built through the memo
-    without a call of ``commutator``.
+    The derived objects are requested in several random orders, each on a
+    fresh model, then all again; the pairing series asks for Omega(c) and
+    the weight, so some builds nest inside others.  The invertible double's
+    entries are keys of its model's memo that begin with "double", apart
+    from the model's own.
     """
-    calls, builds = Counter(), Counter()
-    real_commutator = triples.commutator
+    builds = Counter()
     real_derived = SpectralTripleModel.derived
-
-    def counting_commutator(b, op):
-        calls[(id(b), op.label)] += 1
-        return real_commutator(b, op)
 
     def counting_derived(self, key, build):
         def counted():
-            builds[(id(self), key)] += 1
+            builds[self._prefix + key] += 1
             return build()
         return real_derived(self, key, counted)
 
-    monkeypatch.setattr(triples, "commutator", counting_commutator)
     monkeypatch.setattr(SpectralTripleModel, "derived", counting_derived)
-    comms = [(kind, (k,)) for kind in ("D", "delta", "F") for k in range(-3, 4)]
     for seed in range(4):
-        calls.clear()
         builds.clear()
         model = build_circle(16)
         c = circle_winding_cycle(model)
-        derived = {
+        tasks = {
             "chern": lambda: chern(c, model),
             "omega": lambda: omega(c, model),
             "w_p": lambda: w_subset(c, model, {1}),
             "weight": lambda: _interior_weight(model, 1),
             "double": lambda: invertible_double(model),
+            "double omega": lambda: omega(c, invertible_double(model)),
             "inverse_powers": lambda: hochschild._interior_inverse_powers(
                 invertible_double(model)),
             "pairing": lambda: hochschild._pairing_series(c, model),
         }
-        tasks = comms + list(derived)
-
-        def get(task):
-            if task in derived:
-                return derived[task]()
-            return model.factor(*task)
-
-        order = np.random.default_rng(seed).permutation(len(tasks))
-        first = {tasks[i]: get(tasks[i]) for i in order}
-        again = {task: get(task) for task in tasks}
-        assert all(again[t] is first[t] for t in tasks)
-        b = {"D": model.D, "delta": model.absD, "F": model.F}
-        assert set(calls) == {(id(b[kind]), model.word_label(w))
-                              for kind, w in comms if model.word_band(w) != 0}
-        assert set(calls.values()) == {1}
-        for kind, w in comms:
-            if model.word_band(w) == 0:
-                assert builds[(id(model), (kind, w))] == 1
-                assert first[(kind, w)].is_zero()
+        names = list(tasks)
+        order = np.random.default_rng(seed).permutation(len(names))
+        first = {names[i]: tasks[names[i]]() for i in order}
+        again = {name: tasks[name]() for name in names}
+        assert all(again[name] is first[name] for name in names)
+        assert first["double omega"] is not first["omega"]
         assert set(builds.values()) == {1}
-        assert {key[0] for _, key in builds} >= {
-            "D", "delta", "F", "id", "chern", "omega", "W", "weight",
-            "double", "inverse_powers", "pairing"}
+        assert set(builds) == set(model._memo)
+        assert {key[0] for key in builds} == {
+            "chern", "omega", "W", "weight", "double", "pairing"}
+        assert {key[1] for key in builds if key[0] == "double"
+                and len(key) > 1} == {"omega", "inverse_powers"}
+
+
+def test_chain_map_forms_each_commutator_once(monkeypatch):
+    """Omega(c) of the torus volume cycle forms [D, U] and [D, V] once each,
+    though both of the cycle's terms read them, and stores neither in the
+    memo.  A word of band 0 is diagonal, so its commutators with the
+    circle's diagonal D, |D| and F are exact zeros, formed without a call of
+    ``commutator``."""
+    calls = Counter()
+    real_commutator = triples.commutator
+
+    def counting_commutator(b, op):
+        calls[(id(b), op.label)] += 1
+        return real_commutator(b, op)
+
+    monkeypatch.setattr(triples, "commutator", counting_commutator)
+    model = build_nc_torus(8)
+    omega(nc_torus_volume_cycle(model), model)
+    assert calls == {(id(model.D), "U^1V^0"): 1, (id(model.D), "U^0V^1"): 1}
+    assert [key[0] for key in model._memo] == ["omega"]
+    calls.clear()
+    circle = build_circle(16)
+    for kind in ("D", "delta", "F"):
+        assert circle.factor(kind, (0,)).is_zero()
+    assert not calls

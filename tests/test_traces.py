@@ -66,7 +66,6 @@ def criterion(A, V):
 class TestDixmierLogMean:
     def test_harmonic_converges_to_one(self):
         est = dixmier_logmean(partial_sums(harmonic_op()), SCHEME)
-        assert est.method == "dixmier_logmean"
         assert abs(est.z - 1.0) <= 0.02
 
     def test_trace_class_vanishes(self):
@@ -818,7 +817,6 @@ class TestHeatFit:
 class TestHeatXi:
     def test_harmonic(self):
         est = heat_xi(harmonic_op(), SCHEME)
-        assert est.method == "heat_xi"
         assert abs(est.z - 1.0) <= 0.05
 
     def test_trace_class(self):

@@ -314,20 +314,24 @@ class TestInvertibleDouble:
         assert qn == pytest.approx(3.0 / (1.0 + np.sqrt(2.0)), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["circle64", "torus12", "toy1000"])
-    def test_double_is_a_copy_with_its_own_memo(self, name, request):
+    def test_double_is_a_copy_with_memo_keys_of_its_own(self, name, request):
         model = request.getfixturevalue(name)
         double = invertible_double(model)
         assert type(double) is type(model)
-        for attr in ("F", "Gamma", "_interior", "_word_cache"):
+        for attr in ("F", "Gamma", "_interior", "_word_cache", "_memo"):
             assert getattr(double, attr) is getattr(model, attr)
         assert double.D is not model.D and double.absD is not model.absD
         assert double.name == model.name + "+double"
         assert double.metadata == dict(model.metadata,
                                        double_of=model.model_id)
-        assert double._memo is not model._memo
-        probe = object()
+        # its entries are keys of the model's memo that begin with "double"
+        probe, other = object(), object()
         assert double.derived(("probe",), lambda: probe) is probe
-        assert ("probe",) not in model._memo
+        assert model.derived(("probe",), lambda: other) is other
+        assert double.derived(("probe",), lambda: other) is probe
+        assert model._memo[("double", "probe")] is probe
+        assert model._memo.pop(("probe",)) is other
+        del model._memo[("double", "probe")]  # the model is shared
 
     def test_invertible_model_keeps_phase(self, toy1000):
         # toy D is psd with |D| >= 1 already; the double keeps F = identity
