@@ -513,8 +513,9 @@ def _fit_details(fit):
 def _check_eigen_sums(ctx):
     series = hh._pairing_series(ctx.chain, ctx.model)
     verdict = hh._pairing_verdict(ctx.chain, ctx.model)
-    rows = [(int(n), series.sums[n].real, series.sums[n].imag)
-            for n in verdict.fit.grid]
+    grid = verdict.fit.grid
+    rows = [(int(n), x.real, x.imag)
+            for n, x in zip(grid, series.at(grid))]
     return CheckRecord(
         gates=[Gate("residual_sup", verdict.fit.residual_sup, verdict.tol)],
         values={"z": verdict.z, "intercept": verdict.fit.intercept,
@@ -681,9 +682,9 @@ _ALT_Z_TOL = 0.02  # of each slope of the alternating signs from 0
 def _check_diag_oracles(ctx):
     N = ctx.model.N
     V = _harmonic(ctx.model, N)
-    # the partial sums of V's singular values, held for this call only
+    # the partial sums of V's singular values, read at the scheme's window
     z_dix = traces.dixmier_logmean(
-        ideals.PartialSumSeries(np.cumsum(singular_values(V))), ctx.scheme)
+        ideals.PartialSumSeries(singular_values(V)), ctx.scheme)
     z_xi = traces.heat_xi(V, ctx.scheme)
     sums = _harmonic_heat(ctx.model)
     z_heat = traces.heat_fit(sums["grid"], sums["heat"])
@@ -719,10 +720,9 @@ _SCHEME_DRIFT = 0.02
 
 
 def _check_scheme_robustness(ctx):
-    # the partial sums of V's singular values, formed once for the three
-    # ratios and held by this check only
+    # the partial sums of V's singular values, read at each ratio's window
     sums = ideals.PartialSumSeries(
-        np.cumsum(singular_values(_harmonic(ctx.model, ctx.model.N))))
+        singular_values(_harmonic(ctx.model, ctx.model.N)))
     zs = {r: traces.dixmier_logmean(sums, replace(ctx.scheme, ratio=r)).z
           for r in (1.5, 2.0, 3.0)}
     drift = max(abs(a - b) for a in zs.values() for b in zs.values())

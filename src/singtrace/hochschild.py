@@ -480,7 +480,7 @@ def reduction_partial_sum_check(c, model):
     diff = (omega_int @ abs_inv_p) - float(p) * (wp @ d0_inv)
     series = eigenvalue_partial_sums(diff)
     fit = log_fit(series, window=double.fit_window())
-    sum_sup = float(np.max(np.abs(series.sums[fit.grid])))
+    sum_sup = float(np.max(np.abs(series.at(fit.grid))))
     return {"fit": fit, "sum_sup": sum_sup,
             "gates": [Gate("abs(z)", abs(fit.z), _REDUCTION_Z_TOL),
                       Gate("residual_sup", fit.residual_sup,
@@ -573,7 +573,8 @@ def main_theorem_check(c, model):
     mu = _weight_singular_values(model, c.degree)
     ideal = _weight_diagnostics(model, c.degree)
     heat = _pairing_heat(c, model)
-    branch, budget = _criterion(mu, ideal, heat, verdict.fit)
+    branch, budget = _criterion(mu, ideal.fitted_decay_exponent, heat,
+                                verdict.fit)
     tol_abs = _CHARACTER_REL_TOL * abs(ch)
     # a degenerate pairing (e.g. the diagonal toy model) vanishes, 0 = 0;
     # else the verdict is measurable (a fit within its residual bound, a

@@ -53,10 +53,28 @@ DEFAULT_RATIO = math.sqrt(2.0)
 _NORM_BLOCK = 1 << 16
 
 
+# block length of the running sum a :class:`PartialSumSeries` keeps: a read
+# of S(n) sums at most this many terms beyond the block prefix
+_SUM_BLOCK = 1 << 12
+
+
 @dataclass(frozen=True)
 class PartialSumSeries:
-    """Cumulative eigenvalue sums: sums[n] = sum_{k<=n} lambda(k, T), float64
-    when the eigenvalues are real and complex128 otherwise.
+    """Partial sums S(n) = sum_{k<=n} values[k], read at the indices a reader
+    asks for (:meth:`at`); float64 when the values are real and complex128
+    otherwise.
+
+    The series holds ``values`` themselves (for eigenvalue sums, the
+    eigenvalues in canonical order; for a hermitian diagonal in that order,
+    T's own entries, with no copy) and the running sum of whole blocks of
+    ``_SUM_BLOCK`` values, each block summed pairwise, so no full-length
+    cumulative array is formed.  S(n) is the prefix of the blocks below n's
+    block plus the pairwise sum of the values from that block's start to n:
+    it does not depend on which other indices a reader asks for, the sums
+    of a complex series are the sums of its real and imaginary parts bit
+    for bit, and their rounding error is at most about
+    (log2(_SUM_BLOCK) + n / _SUM_BLOCK) eps sum |values|, against n eps for
+    a cumsum.
 
     ``boundaries`` marks the indices n at which a maximal group of
     (numerically) equal-modulus eigenvalues ends.  Partial sums at those
@@ -64,22 +82,44 @@ class PartialSumSeries:
     sample there.  ``None`` means every index is a boundary.
     """
 
-    sums: np.ndarray
+    values: np.ndarray
     boundaries: np.ndarray = None
+    _prefix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sums", _real_or_complex(self.sums))
+        values = _real_or_complex(self.values)
+        object.__setattr__(self, "values", values)
         if self.boundaries is not None:
             object.__setattr__(
                 self, "boundaries",
                 np.asarray(self.boundaries, dtype=np.int64))
+        whole = values.size // _SUM_BLOCK * _SUM_BLOCK
+        prefix = np.zeros(whole // _SUM_BLOCK + 1, dtype=values.dtype)
+        np.cumsum(_pairwise_sum(values[:whole].reshape(-1, _SUM_BLOCK)),
+                  out=prefix[1:])
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def N(self):
-        return self.sums.size
+        return self.values.size
 
     def __len__(self):
-        return self.sums.size
+        return self.values.size
+
+    def at(self, indices):
+        """S(n) for each n of ``indices`` (integers in [0, N)), as an array
+        of their shape."""
+        ns = np.asarray(indices, dtype=np.int64)
+        if ns.size and not (0 <= ns.min() and ns.max() < self.N):
+            raise ContractViolation(
+                f"partial sums of {self.N} values read at indices "
+                f"{ns.min()}..{ns.max()}")
+        out = np.empty(ns.shape, dtype=self.values.dtype)
+        for i, n in enumerate(ns.flat):
+            b = int(n) // _SUM_BLOCK
+            out.flat[i] = self._prefix[b] + _pairwise_sum(
+                self.values[b * _SUM_BLOCK:n + 1])
+        return out
 
     def snap(self, indices):
         """Round sample indices down to the nearest group boundary."""
@@ -88,6 +128,17 @@ class PartialSumSeries:
         pos = np.searchsorted(self.boundaries, indices, side="right") - 1
         pos = np.clip(pos, 0, self.boundaries.size - 1)
         return self.boundaries[pos]
+
+
+def _pairwise_sum(x):
+    """np.sum of ``x`` over its last axis, a complex ``x`` part by part: np.sum
+    unrolls a complex sum otherwise than a real one, and part by part the
+    real part of a complex sum is the sum of the real parts bit for bit."""
+    if x.dtype.kind != "c":
+        return np.sum(x, axis=-1)
+    out = np.empty(x.shape[:-1], dtype=complex)
+    out.real, out.imag = np.sum(x.real, axis=-1), np.sum(x.imag, axis=-1)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -184,14 +235,16 @@ def lorentz_norm_m1inf(mu):
 
 
 def eigenvalue_partial_sums(T):
-    """Partial sums of eigenvalues(T) in canonical order (float64 when T is
-    hermitian).
+    """The :class:`PartialSumSeries` of eigenvalues(T) in canonical order
+    (float64 when T is hermitian): it holds the spectrum itself, which for a
+    hermitian diagonal in canonical order is T's own array, and forms no
+    cumulative sum of it.
 
     An index n is a tie-group boundary when the modulus drops from n to
     n + 1 by more than 1e-9 |lambda_0| (by more than 1e-9 when lambda_0 is
     0): one absolute gap, scaled by the largest modulus, for the whole
     spectrum.  The last index is always a boundary.  The exact zero (an
-    operator with no run) takes no eigenvalue: its sums are a read-only
+    operator with no run) takes no eigenvalue: its values are a read-only
     view of one 0.0 with stride 0, and its one tie group ends at the last
     index.
     """
@@ -209,7 +262,7 @@ def eigenvalue_partial_sums(T):
     for lo, block in _overlapping_blocks(values):
         moduli = np.abs(block)
         drops.append(np.flatnonzero(moduli[:-1] - moduli[1:] > gap) + lo)
-    return PartialSumSeries(np.cumsum(values),
+    return PartialSumSeries(values,
                             boundaries=np.concatenate(drops + [[n - 1]]))
 
 
@@ -269,15 +322,15 @@ def _loglog_slope(ns, values):
 
 
 def log_fit(series, window=None):
-    """Fit sums[n] ~ z*log(n+1) + b on a ratio-sqrt(2) grid inside ``window``.
+    """Fit S(n) ~ z*log(n+1) + b on a ratio-sqrt(2) grid inside ``window``,
+    reading the partial sums ``series`` at the grid alone.
 
     Grid points snap down to tie-group boundaries, which makes the fit
     exactly invariant under eigenvalue reordering inside equal-modulus
     groups.  ``residual_sup`` is the maximum modulus of the deviation over
     the grid, the finite surrogate for the O(1) clause.
     """
-    sums = series.sums
-    N = sums.size
+    N = series.N
     if window is None:
         window = dyadic_window(N)
     lo, hi = window
@@ -295,7 +348,7 @@ def log_fit(series, window=None):
     x = np.log(grid + 1.0)
     # the fit of a complex series: a real solve of real sums rounds otherwise
     coef, resid = _least_squares([x, np.ones_like(x)],
-                                 sums[grid].astype(complex))
+                                 series.at(grid).astype(complex))
     return LogFit(z=complex(coef[0]), intercept=complex(coef[1]),
                   residual_sup=resid,
                   window=(int(lo), int(hi)), grid=grid)

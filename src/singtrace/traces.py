@@ -29,12 +29,13 @@ import numpy as np
 from .ideals import (
     _WEAK_L1_SLOPE,
     Gate,
+    PartialSumSeries,
     _distinct,
     _least_squares,
     _loglog_slope,
+    decay_exponent,
     eigenvalue_partial_sums,
     geometric_grid,
-    ideal_diagnostics,
     log_fit,
 )
 from .operators import ContractViolation, OperatorError, singular_values
@@ -149,14 +150,13 @@ class TraceEstimate:
 def dixmier_logmean(series, scheme, n_max=None):
     """Dixmier log-mean estimate from the partial sums ``series`` (a
     :class:`PartialSumSeries`): the scheme average of
-    Lambda(n) = sums[n] / log(2+n), sampled up to ``n_max`` (default: the
-    last index).  The sums may be complex, which extends the estimator to
-    the eigenvalue sums of non-normal operators; sampled sums are divided as
-    complex numbers, real ones too, so real and complex series of equal
-    values round alike.
+    Lambda(n) = S(n) / log(2+n), sampled up to ``n_max`` (default: the last
+    index); the series is read at the scheme's window alone.  The sums may
+    be complex, which extends the estimator to the eigenvalue sums of
+    non-normal operators; sampled sums are divided as complex numbers, real
+    ones too, so real and complex series of equal values round alike.
     """
-    sums = series.sums
-    N = sums.size
+    N = series.N
     if n_max is None:
         n_max = N - 1
     grid = scheme.grid(min(n_max, N - 1))
@@ -164,7 +164,7 @@ def dixmier_logmean(series, scheme, n_max=None):
     snapped = _distinct(series.snap(window))
     if snapped.size >= 3:
         window = snapped
-    lam = sums[window].astype(complex) / np.log(2.0 + window)
+    lam = series.at(window).astype(complex) / np.log(2.0 + window)
     z, resid = scheme.apply(window, lam)
     return TraceEstimate(z=z, residual_sup=resid,
                          grid_used=scheme.describe(int(window[-1])))
@@ -196,18 +196,12 @@ def _psd_diagonal(A, V, who):
     return (np.maximum(d, 0.0) if np.signbit(d).any() else d), a
 
 
-# exp(-t) is exactly +0.0 in double precision for t > 745.1332 (and
-# subnormal from 708 on), so above this cut the heat kernel is known without
-# pow or exp
-_HEAT_ZERO = 746.0
-# exp(-t) is below the smallest normal double, 2**-1022, for t above this
-# limit; numpy's exp takes about a hundred times longer on such a result
-# than on a normal one, so a weight past it is written as 0.0 unevaluated
-_HEAT_FLUSH = -math.log(np.finfo(float).tiny)
-# relative widening of a slice past its computed edge: the entries a live
-# slice adds have x**e above 745.99, so their weight is 0.0, and those an
-# evaluated range adds have x**e above 708.39, so their weight is subnormal
-_EDGE_MARGIN = 1e-9
+def _heat_cut(n):
+    """The precision cut of a heat sum over ``n`` terms: a weight is live
+    where (s v)**e < 53 ln 2 + ln n.  Each weight past the cut is below
+    2**-53 / n, so the dropped terms of any sum sum_k c_k w_k add up to less
+    than 2**-53 max|c_k| < eps max|c_k|, below the rounding of the sum."""
+    return 53.0 * math.log(2.0) + math.log(max(n, 1))
 
 
 def _power(x, e):
@@ -247,21 +241,19 @@ def _sorted_spectrum(v, *coeffs):
 
 
 def _edge(vs, s, e, limit):
-    """The first index of ascending ``vs`` from which on (s v)**e, e < 0, may
-    be below ``limit``: the edge is moved down by the relative
-    ``_EDGE_MARGIN``, so the rounding of pow leaves out no such entry."""
-    edge = limit ** (1.0 / e) / s
-    return int(np.searchsorted(vs, edge * (1.0 - _EDGE_MARGIN)))
+    """The first index of ascending ``vs`` at which (s v)**e, e < 0, is below
+    ``limit``, up to the rounding of the edge."""
+    return int(np.searchsorted(vs, limit ** (1.0 / e) / s))
 
 
 def _live_slice(vs, s, e):
-    """The suffix of ascending ``vs`` outside which exp(-(s v)**e), e < 0,
-    is exactly 0.0: its live entries have (s v)**e < ``_HEAT_ZERO``, so ker V,
-    where the kernel vanishes, is left out.  NaNs sort last and are always
-    kept, so a NaN makes every sum NaN.  The weights at the bottom of the
-    slice are below 2**-1022; :func:`_heat_weights` writes them as 0.0.
+    """The suffix of ascending ``vs`` whose weights exp(-(s v)**e), e < 0,
+    a heat sum evaluates: its live entries have (s v)**e below
+    :func:`_heat_cut` of ``vs.size``, so every weight left out is below
+    2**-53 / n, and ker V, where the kernel vanishes, is left out too.
+    NaNs sort last and are always kept, so a NaN makes every sum NaN.
     """
-    return slice(_edge(vs, s, e, _HEAT_ZERO), vs.size)
+    return slice(_edge(vs, s, e, _heat_cut(vs.size)), vs.size)
 
 
 # block length of the heat sums: a sequential sum of this many products,
@@ -278,21 +270,17 @@ def _heat_weights(vs, scales, e):
     yield (lo, hi, steps) per window [lo, hi): ``steps`` yields (j, start, w)
     for each scale s_j that has weights in it, where w are the weights
     ``np.exp(-(s_j ** e) * v ** e)``, e < 0, of the entries [start,
-    start + w.size).  Each scale's steps cover its live slice in order;
+    start + w.size).  Each scale's steps cover its live slice
+    (:func:`_live_slice`) in order, and no weight outside it is evaluated;
     every step but the last of a scale holds a whole number of
     ``_DOT_BLOCK`` blocks counted from the live start, and its last ends at
     ``vs.size``, so the blocks of a heat sum do not depend on the windows.
 
-    A live slice starts with the entries whose (s v)**e is above
-    ``_HEAT_FLUSH``; their weights, subnormal or 0.0, are written as 0.0
-    with no pow or exp.  That prefix ends ``_EDGE_MARGIN`` early, so it
-    holds only weights below 2**-1022, and the few in the margin stay
-    subnormal.  Such a weight moves no sum of O(1) terms.  ``v ** e`` is
-    taken once per window, in memory order (:func:`_power`), over the
-    entries some scale evaluates; it leaves out ker V, so no ``0 ** e`` is
-    taken.  Each weight differs from ``exp(-(s v) ** e)`` only by the
-    rounding of the product ``s**e * v**e``: a relative error of order
-    eps * max(1, (s v)**e).
+    ``v ** e`` is taken once per window, in memory order
+    (:func:`_power`), over the entries some scale evaluates; it leaves out
+    ker V, so no ``0 ** e`` is taken.  Each weight differs from
+    ``exp(-(s v) ** e)`` only by the rounding of the product
+    ``s**e * v**e``: a relative error of order eps * max(1, (s v)**e).
 
     Every step writes its weights into one buffer, and each window's steps
     must be taken before the next window: a yielded array is valid only
@@ -301,9 +289,7 @@ def _heat_weights(vs, scales, e):
     scales = [float(s) for s in scales]
     n = vs.size
     pending = [_live_slice(vs, s, e).start for s in scales]
-    starts = [_edge(vs, s, e, _HEAT_FLUSH) for s in scales]
     factors = [-(s ** e) for s in scales]
-    first = min(starts, default=n)
     buf = np.empty(_HEAT_WINDOW + _DOT_BLOCK)
 
     def steps(hi, x, xlo):
@@ -312,12 +298,9 @@ def _heat_weights(vs, scales, e):
                 start + (hi - start) // _DOT_BLOCK * _DOT_BLOCK
             if end <= start:
                 continue
-            w = buf[:end - start]
-            cut = min(max(starts[j], start), end)
-            w[:cut - start] = 0.0
-            t = np.multiply(x[cut - xlo:end - xlo], factors[j],
-                            out=w[cut - start:])
-            np.exp(t, out=t)
+            w = np.multiply(x[start - xlo:end - xlo], factors[j],
+                            out=buf[:end - start])
+            np.exp(w, out=w)
             pending[j] = end
             yield j, start, w
 
@@ -325,8 +308,7 @@ def _heat_weights(vs, scales, e):
     while hi < n:
         hi = min(hi + _HEAT_WINDOW, n)
         lo = min(pending)
-        xlo = min(max(lo, first), hi)
-        yield lo, hi, steps(hi, _power(vs[xlo:hi], e), xlo)
+        yield lo, hi, steps(hi, _power(vs[lo:hi], e), lo)
 
 
 def _heat_rows(vs, cs, scales, e, saturating=False):
@@ -345,13 +327,16 @@ def _heat_rows(vs, cs, scales, e, saturating=False):
     ``_DOT_BLOCK`` by one einsum per step, the block sums are added
     pairwise, and the tail past the last whole block is added by one BLAS
     product; the weights alone (c = None) are summed the same way by np.sum.
+    The weights past each live slice are left out (:func:`_heat_cut`), so
+    each sum misses less than 2**-53 max|c_k|.
     A c with no nonzero entry (a tuple with a factor that has none) gives
     exact zeros with no sum taken for it, unless ``vs`` holds a NaN, which
     makes every sum NaN.
 
     With ``saturating`` one more array follows: sum_k v_k**(-e) (1 - w_k),
-    with the head below the live slice, where 1 - w is 1, added segment by
-    segment, never as sum(v**-e) - sum(v**-e * w), which cancels.  Each
+    with the head below the live slice, where w is below 2**-53 / n and
+    1 - w is 1, added segment by segment, never as
+    sum(v**-e) - sum(v**-e * w), which cancels.  Each
     segment between two live starts is powered and summed whole, a
     temporary of its length.
     """
@@ -436,9 +421,16 @@ def default_heat_grid(dim, ratio=math.sqrt(2.0), n_min=8):
 
 def heat_functional(A, V, alpha, grid):
     """h(n) = Tr(A V exp(-(nV)^-alpha)) on the integer ``grid``, as a
-    complex array of the grid's length; exp vanishes on ker V."""
+    complex array of the grid's length; exp vanishes on ker V.  A grid entry
+    that is not a positive integer is a :class:`ContractViolation`."""
     if not (alpha > 1.0):
         raise ContractViolation("heat_functional requires alpha > 1")
+    grid = np.asarray(grid)
+    whole = grid.dtype.kind in "iu" or grid.dtype.kind == "f" and np.all(
+        np.isfinite(grid) & (np.floor(grid) == grid))
+    if not (whole and np.all(grid > 0)):
+        raise ContractViolation(f"heat_functional grid must hold positive "
+                                f"integers, got {grid.tolist()!r}")
     exact_zero = A is not None and A.is_zero()
     v, a = _psd_diagonal(None if exact_zero else A, V, "heat_functional")
     if exact_zero:
@@ -533,14 +525,11 @@ def modulated_comparison(A, V):
     v, a = _sorted_spectrum(*_psd_diagonal(A, V, "modulated_comparison"))
     series = eigenvalue_partial_sums(A @ V)
     grid = geometric_grid(8, series.N - 1, math.sqrt(2.0))
-    # suffix sums of a * v, from the top of the spectrum down: the cutoff
-    # trace over the m largest v is tail[m - 1]
-    tail = np.cumsum((a * v)[::-1])
-    gaps = np.empty(grid.size)
-    for j, n in enumerate(grid):
-        m = v.size - int(np.searchsorted(v, 1.0 / n))
-        cutoff = tail[m - 1] if m > 0 else 0.0
-        gaps[j] = abs(series.sums[n] - cutoff)
+    # the cutoff trace over the m largest v: the partial sum of a * v from
+    # the top of the spectrum down, read at m - 1 (0 for m = 0)
+    ms = v.size - np.searchsorted(v, 1.0 / grid)
+    tail = PartialSumSeries((a * v)[::-1]).at(np.maximum(ms - 1, 0))
+    gaps = np.abs(series.at(grid) - np.where(ms > 0, tail, 0.0))
     return {
         "gates": [Gate("sup_gap", float(gaps.max()),
                        float(3.0 * A.norm_bound()))],
@@ -637,13 +626,13 @@ def _classify_branch(mu, slope):
 _CRITERION_FLOOR = 0.02
 
 
-def _criterion(mu, ideal, heat, fit):
+def _criterion(mu, slope, heat, fit):
     """The branch and the gate of the measurability criterion from V's
-    singular values ``mu`` and their :func:`ideal_diagnostics` ``ideal``,
-    the heat estimate ``heat`` of Tr(A V e^{-(nV)^-alpha}) and the log fit
+    singular values ``mu`` and their :func:`decay_exponent` ``slope``, the
+    heat estimate ``heat`` of Tr(A V e^{-(nV)^-alpha}) and the log fit
     ``fit`` of the eigenvalue partial sums of AV: the two slopes agree
     within their summed fit residuals plus a floor."""
-    return _classify_branch(mu, ideal.fitted_decay_exponent), Gate(
+    return _classify_branch(mu, slope), Gate(
         "criterion_gap", abs(heat.z - fit.z),
         heat.residual_sup + fit.residual_sup + _CRITERION_FLOOR)
 
@@ -662,8 +651,8 @@ def measurability_criterion_check(A, V, ns, heat):
     """
     mu = singular_values(V)
     product = (A @ V) if A is not None else V
-    ideal, est = ideal_diagnostics(mu), heat_fit(ns, heat)
+    est = heat_fit(ns, heat)
     fit = log_fit(eigenvalue_partial_sums(product))
-    branch, gate = _criterion(mu, ideal, est, fit)
+    branch, gate = _criterion(mu, decay_exponent(mu), est, fit)
     return {"branch": branch, "z_heat": est.z, "z_spec": fit.z,
             "gates": [gate]}

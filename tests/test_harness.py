@@ -114,8 +114,7 @@ class TestRun:
                 checks=["scheme-robustness"], scheme=sch)).records
             return rec.values
         custom = zs(scheme)
-        sums = ideals.PartialSumSeries(
-            np.cumsum(1.0 / (np.arange(10_000) + 1.0)))
+        sums = ideals.PartialSumSeries(1.0 / (np.arange(10_000) + 1.0))
         assert custom == {
             f"z_r{r}": traces.dixmier_logmean(
                 sums, traces.ExtendedLimitScheme(ratio=r, **scheme)).z
@@ -997,8 +996,10 @@ def test_run_starts_no_thread(threads, monkeypatch):
 def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
     """One toy run at N = 10^6 with the benchmark's checks: diag-oracles,
     scalings and cutoff read one alpha = 2 pass over the harmonic spectrum,
-    so no weight vector exp(-(s v)^e) of one spectrum is evaluated twice
-    (the checks used to evaluate 48.1 M weights, 27.3 M of them distinct)."""
+    so no weight vector exp(-(s v)^e) of one spectrum is evaluated twice,
+    and each only where it is above the cut: 16.32 M weights (the checks
+    used to evaluate 48.1 M weights, 27.3 M of them distinct, and 27.31 M
+    with the live slices running to exact underflow)."""
     seen = Counter()
     real = traces._heat_weights
 
@@ -1026,7 +1027,7 @@ def test_toy_run_evaluates_each_heat_weight_vector_once(monkeypatch):
     assert {s for spectrum, e, s in seen
             if spectrum == harmonic and e == -2.0} == set(
                 map(float, traces.default_heat_grid(1_000_000)))
-    assert weights <= 27.4e6
+    assert weights <= 16.4e6
 
 
 def test_toy_oracles_and_measure_hold_at_most_eight_vectors():
@@ -1054,19 +1055,20 @@ def test_toy_oracles_and_measure_hold_at_most_eight_vectors():
     assert peak <= 8 * (8 * N), f"peak {peak / (8 * N):.2f} x 8N bytes"
 
 
-def test_toy_large_checks_hold_at_most_six_vectors():
+def test_toy_large_checks_hold_at_most_five_vectors():
     """The seven checks of the toy-large benchmark workload on the toy at
-    N = 2^20: the traced peak, model build included, stays below 6 vectors
+    N = 2^20: the traced peak, model build included, stays below 5 vectors
     of N float64 (8N bytes each).
 
-    Measured: 5.13 units, set in the measurability criterion of
-    diag-oracles, which holds the toy's D, the harmonic V, A, AV and the
-    partial sums of AV; the heat engine and the tie boundaries add less
-    than a fifth of a unit.  It was 7.01 units when the alpha = 2 heat pass
-    held its (2, N) coefficient rows, V^2, V^-2 and a weight buffer at full
-    length, and 6.16 in the criterion when the spectrum kept its moduli
-    next to the partial sums, which fails the bound alone (the heat pass's
-    own scratch is bounded in tests/test_traces.py)."""
+    Measured: 4.17 units, set in the measurability criterion of
+    diag-oracles, which holds the toy's D, the harmonic V, A and AV; the
+    partial sums hold no full-length array, and the heat engine and the
+    tie boundaries add less than a fifth of a unit.  It was 5.13 units
+    when each partial-sum series held its full cumulative sum, 7.01 when
+    the alpha = 2 heat pass held its (2, N) coefficient rows, V^2, V^-2 and
+    a weight buffer at full length, and 6.16 in the criterion when the
+    spectrum kept its moduli next to the partial sums (the heat pass's own
+    scratch is bounded in tests/test_traces.py)."""
     import tracemalloc
 
     N = 2 ** 20
@@ -1079,29 +1081,35 @@ def test_toy_large_checks_hold_at_most_six_vectors():
     finally:
         tracemalloc.stop()
     assert report.all_passed
-    assert peak <= 6 * (8 * N), f"peak {peak / (8 * N):.2f} x 8N bytes"
+    assert peak <= 5 * (8 * N), f"peak {peak / (8 * N):.2f} x 8N bytes"
 
 
 def test_harmonic_partial_sums_are_formed_once_per_check(monkeypatch):
     """diag-oracles forms the partial sums of the harmonic V once and
-    scheme-robustness once for its three grid ratios: two cumulative sums
-    of V's N entries in all, four when each Dixmier log-mean formed its
-    own.  At N = 10^5 the blocks of the Lorentz norm are shorter than N, so
-    only a sum over all of V is counted."""
+    scheme-robustness once for its three grid ratios, and neither forms a
+    cumulative sum of V's N entries: each reads its series at the scheme's
+    window.  At N = 10^5 the blocks of the Lorentz norm are shorter than N,
+    so any cumulative sum of N entries is one over a whole spectrum."""
     N = 100_000
     harmonic = 1.0 / (np.arange(N) + 1.0)
-    real_cumsum = np.cumsum
-    counted = []
+    real_cumsum, real_series = np.cumsum, ideals.PartialSumSeries
+    full, formed = [], []
 
     def cumsum(a, *args, **kwargs):
-        counted.append(np.shape(a) == (N,) and np.array_equal(a, harmonic))
+        full.append(np.size(a) >= N)
         return real_cumsum(a, *args, **kwargs)
 
+    def series(values, *args, **kwargs):
+        formed.append(np.array_equal(values, harmonic))
+        return real_series(values, *args, **kwargs)
+
     monkeypatch.setattr(np, "cumsum", cumsum)
+    monkeypatch.setattr(ideals, "PartialSumSeries", series)
     report = run(ExperimentConfig(model={"name": "toy", "N": N},
                                   checks=["diag-oracles", "scheme-robustness"]))
     assert report.all_passed
-    assert sum(counted) == 2
+    assert full and not any(full)
+    assert sum(formed) == 2
 
 
 def test_platform_stamp_equals_platform_platform():

@@ -689,9 +689,9 @@ def test_toy_checks_realize_no_word_and_hold_no_full_length_sums():
     series = [entry for key, entry in model._memo.items()
               if key[0] == "pairing"]
     assert len(series) == 1
-    sums = series[0].sums
-    assert sums.size == model.dim and sums.strides == (0,)
-    assert sums.base.size == 1 and not sums.flags.writeable
+    values = series[0].values
+    assert values.size == model.dim and values.strides == (0,)
+    assert values.base.size == 1 and not values.flags.writeable
     assert series[0].boundaries.tolist() == [model.dim - 1]
 
 

@@ -48,7 +48,7 @@ SCHEME = ExtendedLimitScheme()
 
 def partial_sums(V):
     """The partial sums of V's singular values, every index a boundary."""
-    return PartialSumSeries(np.cumsum(singular_values(V)))
+    return PartialSumSeries(singular_values(V))
 
 
 def heat_samples(A, V, alpha):
@@ -184,6 +184,23 @@ class TestHeatFunctional:
         h2 = heat_functional(None, V2, 2.0, grid=grid).real
         assert np.all(h2 >= h1)
 
+    @pytest.mark.parametrize("grid", [[8, 0, 64], [8, -8], [8.5, 16],
+                                      [8, np.inf], [8, np.nan],
+                                      np.array([True, True])],
+                             ids=["zero", "negative", "fraction", "inf",
+                                  "nan", "bool"])
+    def test_grid_of_anything_but_positive_integers_is_rejected(self, grid):
+        # 0 used to raise a bare ZeroDivisionError, -8 to be read as 8 and
+        # 8.5 to be truncated to 8
+        with pytest.raises(ContractViolation, match="positive integers"):
+            heat_functional(None, harmonic_op(100), 2.0, grid=grid)
+
+    def test_grid_of_whole_floats_is_read_as_integers(self):
+        V = harmonic_op(1000)
+        got = heat_functional(None, V, 2.0, grid=[8.0, 64.0])
+        want = heat_functional(None, V, 2.0, grid=np.array([8, 64]))
+        assert got.tobytes() == want.tobytes()
+
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ContractViolation):
             heat_samples(None, harmonic_op(100), 1.0)
@@ -221,12 +238,6 @@ def engine_formula(v, s, e):
     of ``v``) and s**e per scale."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.exp(-(s ** e) * np.array(v) ** e)
-
-
-def flushed(w):
-    """The engine's weights by contract: ``w`` where it is at least 2**-1022
-    (a NaN too), 0.0 where it is below."""
-    return np.where(w < TINY, 0.0, w)
 
 
 def live_weights(vs, scales, e):
@@ -282,10 +293,11 @@ def _bits(x):
 
 class TestHeatKernel:
     """The sorted-spectrum heat engine: ``_heat_weights`` evaluates only the
-    live slice, window by window, every weight of at least 2**-1022 equals
-    the engine's formula on the unmasked spectrum bit for bit and
-    ``exp(-(s v)**e)`` to its rounding, and every smaller one is 0.0; sums
-    run over the slice, so they are checked against ``math.fsum``."""
+    live slice, window by window, where (s v)**e is below the cut
+    53 ln 2 + ln n; every live weight equals the engine's formula on the
+    unmasked spectrum bit for bit and ``exp(-(s v)**e)`` to its rounding,
+    and every weight past the cut is 0.0, its formula below 2**-53 / n;
+    sums run over the slice, so they are checked against ``math.fsum``."""
 
     # -2 and -3 are the exponents -(p+1) of the cycle heat trace
     EXPONENTS = [-1, -1.5, -2, -3]
@@ -307,29 +319,44 @@ class TestHeatKernel:
 
     @staticmethod
     def regime_scales(e):
-        # scales at which every positive entry is cut, some are, none is
-        cut = 1000.0 ** (1.0 / e)  # x**e = 1000 at x = cut
+        # scales at which every positive entry of unsorted_with_zeros is
+        # past the cut, some are, none is (its smallest positive v is 1/3000)
+        cut = traces._heat_cut(3009) ** (1.0 / e)  # (s v)**e = cut at s v = cut
         return 0.5 * cut, 40.0 * cut, 6000.0 * cut
+
+    @staticmethod
+    def bound(n):
+        """The largest weight the cut may leave out of a sum over ``n``
+        terms, 2**-53 / n, with a relative slack for the rounding of the
+        edge and of the formula."""
+        return (1.0 + 1e-9) * 2.0 ** -53 / n
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_equals_unmasked_formula_on_every_regime(self, e, monkeypatch):
+        # every live weight is the formula bit for bit; every weight past
+        # the cut is 0.0 unevaluated, and its formula is below 2**-53 / n
         v = self.unsorted_with_zeros()
         vs, = _sorted_spectrum(v)
         assert np.array_equal(vs, np.sort(v))
         pos = vs > 0
-        live_share, flushed_any = [], False
+        live_share, cut_any = [], False
         for s in self.regime_scales(e):
             want = engine_formula(vs, s, e)
             got = self.engine_weights(vs, s, e)
-            assert np.array_equal(got, flushed(want))
-            flushed_any |= bool(np.any((got == 0.0) & (want > 0.0)))
-            live_share.append(np.mean(((s * vs[pos]) ** e) < 1000.0))
-            # with no flush limit below the cut, the formula itself
+            live = traces._live_slice(vs, s, e)
+            assert np.array_equal(got[live], want[live])
+            dead = np.ones(vs.size, dtype=bool)
+            dead[live] = False
+            assert not np.any(got[dead])
+            assert np.all(want[dead] <= self.bound(vs.size))
+            cut_any |= bool(np.any(want[dead] > 0.0))
+            live_share.append(np.mean(dead[pos] == False))  # noqa: E712
+            # with the cut at exact underflow, the formula itself
             with monkeypatch.context() as m:
-                m.setattr(traces, "_HEAT_FLUSH", traces._HEAT_ZERO)
+                m.setattr(traces, "_heat_cut", lambda n: 746.0)
                 assert np.array_equal(self.engine_weights(vs, s, e), want)
         assert live_share[0] == 0.0 and 0.0 < live_share[1] < 1.0
-        assert live_share[2] == 1.0 and flushed_any
+        assert live_share[2] == 1.0 and cut_any
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_weights_match_scaled_formula_to_rounding(self, e):
@@ -338,21 +365,25 @@ class TestHeatKernel:
         # rounded within eps/2, the first is t (1 + 2.5 eps), the second
         # t (1 + (1 + |e|/2) eps), so the two t differ by (3.5 + |e|/2) eps t
         # and their exps, each rounded within eps, by
-        # (t (3.5 + |e|/2) + 2) eps w <= 7 eps max(1, t) w for |e| <= 3; a
-        # weight below 2**-1022 may be written as 0.0
+        # (t (3.5 + |e|/2) + 2) eps w <= 7 eps max(1, t) w for |e| <= 3.  A
+        # weight past the cut is 0.0, and its formula below 2**-53 / n; every
+        # weight above that is evaluated
         eps = np.finfo(float).eps
         v = self.unsorted_with_zeros()
         vs, = _sorted_spectrum(v)
         scales = self.regime_scales(e)
+        bound = self.bound(vs.size)
         for s in np.geomspace(min(scales), max(scales), 25):
             s = float(s)
             want = unmasked_heat(s * vs, e)
             with np.errstate(divide="ignore", over="ignore"):
                 t = np.where(want > 0.0, (s * vs) ** e, 1.0)
-            bound = 7.0 * eps * np.maximum(1.0, t) * want + TINY
             got = self.engine_weights(vs, s, e)
-            assert np.all(np.abs(got - want) <= bound)
-            assert np.all(got[want >= 2.0 * TINY] > 0.0)
+            live = got > 0.0
+            assert np.all(np.abs(got - want)[live]
+                          <= (7.0 * eps * np.maximum(1.0, t) * want)[live])
+            assert np.all(want[~live] <= bound)
+            assert np.all(live[want > bound])
 
     def test_heat_functions_take_no_power_of_zero(self, circle64):
         # ker V is dead for every e < 0, so no 0**e reaches a pow
@@ -367,96 +398,179 @@ class TestHeatKernel:
             cesaro_cutoff_comparison(None, V, 1.5, SCHEME)
             heat_cycle_trace(circle_winding_cycle(circle64), circle64)
 
+    @staticmethod
+    def evaluated(vs, scales, e):
+        """Every weight the steps of ``_heat_weights`` evaluate, as one
+        array."""
+        return np.concatenate([np.array(w) for _, _, steps in
+                               _heat_weights(vs, scales, e)
+                               for _, _, w in steps] + [np.zeros(0)])
+
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_subnormal_band_is_flushed(self, e):
-        # x**e in (708.4, 745]: exp(-x**e) is subnormal, so its weight is
-        # 0.0, as it is around the cut, x**e in [999.99, 1000.01]; below
-        # 708.39 every weight is normal and evaluated
-        t = np.concatenate([np.linspace(690.0, 708.39, 64),
+        # x**e in (708.4, 745]: exp(-x**e) is subnormal, and in [690, 708.39]
+        # and around 1000 it is normal but far below 2**-53 / n: none of
+        # these is evaluated, and each is 0.0; below the cut, x**e in
+        # [0.1, 30], every weight is its formula
+        t = np.concatenate([np.linspace(0.1, 30.0, 64),
+                            np.linspace(690.0, 708.39, 64),
                             np.linspace(708.5, 745.0, 64),
                             np.linspace(999.99, 1000.01, 64)])
         vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
         want = unmasked_heat(vs, e)
         assert np.sum((want > 0.0) & (want < TINY)) == 64
-        assert np.sum(want >= TINY) == 64
         got = self.engine_weights(vs, 1.0, e)
-        assert np.array_equal(got, flushed(want))
+        live = np.arange(vs.size) >= vs.size - 64  # x**e below 30.5
+        assert np.all(vs[live] ** e < 30.5)
+        assert np.array_equal(got[live], engine_formula(vs, 1.0, e)[live])
+        assert not np.any(got[~live])
+        # no weight below the bound is evaluated, subnormal or not
+        done = self.evaluated(vs, [1.0], e)
+        assert done.size == 64 and np.all(done > self.bound(vs.size) / 2.0)
 
     @pytest.mark.parametrize("e", EXPONENTS)
-    def test_flush_edge_keeps_every_normal_weight(self, e):
-        # x**e within 2e-5 of the flush limit on both sides: a weight of at
-        # least 2**-1022 is its formula, one below that is 0.0 unless x**e
-        # lies in the relative margin past the limit, where it stays the
-        # (subnormal) formula
-        limit = traces._HEAT_FLUSH
-        t = limit + np.linspace(-2e-5, 2e-5, 401)
+    def test_cut_edge_keeps_every_weight_above_the_bound(self, e):
+        # x**e within 1e-10 relative of the cut on both sides: an entry
+        # 1e-13 below it is live and its weight the formula, one 1e-13
+        # above it is 0.0; either way, a weight left out is below
+        # 2**-53 / n
+        n = 401
+        cut = traces._heat_cut(n)
+        t = cut * (1.0 + np.linspace(-1e-10, 1e-10, n))
         vs, = _sorted_spectrum(t ** (1.0 / e))
-        want = unmasked_heat(vs, e)
+        want = engine_formula(vs, 1.0, e)
         got = self.engine_weights(vs, 1.0, e)
-        normal = want >= TINY
-        assert 0 < np.sum(normal) < t.size
-        assert np.array_equal(got[normal], want[normal])
-        past = vs ** e > limit * (1.0 + 4.0 * traces._EDGE_MARGIN)
-        assert np.sum(past) > t.size // 3 and not np.any(got[past])
-        assert np.all((got == 0.0) | (got == want))
+        x = vs ** e
+        live = got > 0.0
+        assert np.all(live[x < cut * (1.0 - 1e-13)])
+        assert not np.any(live[x > cut * (1.0 + 1e-13)])
+        assert n // 3 < np.sum(live) < n - n // 3
+        assert np.array_equal(got[live], want[live])
+        assert np.all(want[~live] <= self.bound(n))
 
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_underflow_cut_band_is_zero(self, e, monkeypatch):
-        # x**e in [745.9, 746.1], on both sides of the cut, and in
+        # x**e in [745.9, 746.1], around the old underflow edge, and in
         # [745.0, 745.2], where exp(-x**e) turns from the last subnormal to
-        # 0.0: every weight is 0.0.  The live slice still starts below
-        # 745.0 (the cut lies above it), so with no flush limit below the
-        # cut the engine gives the unmasked formula there
+        # 0.0: every weight is 0.0, and none is evaluated.  With the cut
+        # moved up to 746, the engine gives the unmasked formula there
         band = np.linspace(745.9, 746.1, 65)
         t = np.concatenate([np.linspace(745.0, 745.2, 21), band])
         vs, = _sorted_spectrum(np.concatenate([t ** (1.0 / e), [0.0]]))
-        (live, _), = live_weights(vs, [1.0], e)
+        assert traces._live_slice(vs, 1.0, e).start == vs.size
+        assert not np.any(self.engine_weights(vs, 1.0, e))
         pos = vs > 0.0
         in_band = vs[pos] ** e >= 745.8
         assert np.sum(in_band) == band.size
-        assert live.start <= np.flatnonzero(pos)[~in_band].min()
-        assert not np.any(self.engine_weights(vs, 1.0, e))
         with monkeypatch.context() as m:
-            m.setattr(traces, "_HEAT_FLUSH", traces._HEAT_ZERO)
+            m.setattr(traces, "_heat_cut", lambda n: 746.0)
+            live = traces._live_slice(vs, 1.0, e)
             full = self.engine_weights(vs, 1.0, e)
+        assert live.start <= np.flatnonzero(pos)[~in_band].min()
         assert np.array_equal(full, unmasked_heat(vs, e))
         assert not np.any(full[pos][in_band])
         assert np.any(full[pos][~in_band] > 0.0)
 
-    def test_flush_moves_no_heat_sum(self, circle64, monkeypatch):
-        # the sums with every weight below 2**-1022 written as 0.0 and with
-        # those weights evaluated (no flush limit below the cut) agree bit
-        # for bit, on the harmonic spectrum and on the circle's |D0|^-1
+    @staticmethod
+    def recorded_rows(monkeypatch, run):
+        """(vs, terms, scales, e, sums) of each row of every ``_heat_rows``
+        call that ``run`` makes, where ``terms(w)`` gives the row's terms
+        c_k w_k (c_k (1 - w_k) for the saturating row) from full-length
+        weights ``w``."""
+        seen = []
+        real_rows = traces._heat_rows
+
+        def rows(vs, cs, scales, e, saturating=False):
+            out = real_rows(vs, cs, scales, e, saturating)
+            for c, sums in zip(list(cs) + ["saturating"] * saturating, out):
+                if isinstance(c, str):
+                    terms = (lambda w, c=vs ** -e: c * (1.0 - w))
+                else:
+                    c = 1.0 if c is None else np.prod(
+                        np.broadcast_arrays(*c) if isinstance(c, tuple)
+                        else [c], axis=0)
+                    terms = (lambda w, c=c: c * w)
+                seen.append((vs, terms, np.array(scales, dtype=float), e,
+                             sums))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_heat_rows", rows)
+            run()
+        return seen
+
+    def assert_cut_bound(self, monkeypatch, run):
+        """Each sum ``run`` takes, against the same sum with the cut at
+        exact underflow (746): the terms the cut leaves out add up to at
+        most 2**-53 max|c| (by math.fsum), and the two sums differ by less
+        than eps max|c| plus their rounding.  Blocked from different live
+        starts, the two sums round apart by up to about 2 eps sum |c_k w_k|
+        (1.7 measured on the harmonic V), so 4 eps of it is allowed."""
+        eps = np.finfo(float).eps
+        cut = self.recorded_rows(monkeypatch, run)
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_heat_cut", lambda n: 746.0)
+            full = self.recorded_rows(monkeypatch, run)
+        assert len(cut) == len(full) > 0
+        for (vs, terms, scales, e, got), (*_, want) in zip(cut, full):
+            top = np.max(np.abs(terms(np.ones(vs.size))))
+            for j, s in enumerate(scales):
+                w = engine_formula(vs, s, e)
+                x = terms(w)
+                live = traces._live_slice(vs, s, e)
+                out = np.abs(x - terms(np.where(
+                    np.arange(vs.size) >= live.start, w, 0.0)))
+                assert math.fsum(out) <= 2.0 ** -53 * top
+                scale = math.fsum(np.abs(x))
+                assert abs(got[j] - want[j]) <= eps * top + 4 * eps * scale
+
+    def test_cut_moves_each_heat_sum_by_less_than_eps_max_c(
+            self, circle64, monkeypatch):
+        # every heat sum of the toy's passes on the harmonic V at N = 1e5,
+        # and the cycle heat trace of circle64
         V = harmonic_op()
         cycle = circle_winding_cycle(circle64)
-        zeros = []
-        real_weights = traces._heat_weights
+        self.assert_cut_bound(monkeypatch, lambda: (
+            traces._heat_pass(V, 2.0), lemma_estimate_scalings(V, 1.5),
+            heat_xi(V, SCHEME), heat_cycle_trace(cycle, circle64)))
 
-        def count(steps):
-            for j, start, w in steps:
-                zeros[-1] += int(np.count_nonzero(w == 0.0))
-                yield j, start, w
+    @pytest.mark.parametrize("e", [-1, -2])
+    def test_cut_bound_holds_with_every_entry_just_past_the_cut(
+            self, e, monkeypatch):
+        # the worst case: all but one entry a hair past the cut, so the
+        # left-out terms add up to nearly 2**-53 max|c|
+        n = 4096
+        s = 1.0
+        x = traces._heat_cut(n) * (1.0 + 1e-12 * np.arange(1, n))
+        v = np.concatenate([[1.0], x ** (1.0 / e)])
+        vs, = _sorted_spectrum(v)
+        assert traces._live_slice(vs, s, e).start == n - 1
+        w = engine_formula(vs, s, e)
+        assert math.fsum(w[:-1]) > 0.99 * 2.0 ** -53 * (n - 1) / n
+        self.assert_cut_bound(monkeypatch, lambda: (
+            traces._heat_rows(vs, [None, vs, -vs], [s, 2.0 * s], e,
+                              saturating=True)))
+
+    def test_toy_passes_evaluate_only_the_live_weights(self, monkeypatch):
+        # the toy's three passes over the harmonic V at N = 1e5 (alpha = 2,
+        # 1.5 and 1) evaluate 1 692 404 weights; with the live slices
+        # running to exact underflow they evaluated 2 656 931.  A cut half
+        # a bit wider (53.5 ln 2 + ln n) evaluates 1 696 163, past this
+        # bound
+        V = harmonic_op()
+        count = []
+        real_weights = traces._heat_weights
 
         def counted(vs, scales, e):
             for lo, hi, steps in real_weights(vs, scales, e):
-                yield lo, hi, count(steps)
+                yield lo, hi, ((j, start, count.append(w.size) or w)
+                               for j, start, w in steps)
 
         monkeypatch.setattr(traces, "_heat_weights", counted)
-        runs = []
-        for limit in (traces._HEAT_FLUSH, traces._HEAT_ZERO):
-            zeros.append(0)
-            with monkeypatch.context() as m:
-                m.setattr(traces, "_HEAT_FLUSH", limit)
-                pass_ = traces._heat_pass(V, 2.0)
-                runs.append(_bits([
-                    [pass_[k] for k in ("heat", "modulated", "counting",
-                                        "saturating")],
-                    lemma_estimate_scalings(V, 1.5),
-                    heat_xi(V, SCHEME).z,
-                    heat_cycle_trace(cycle, circle64)["values"],
-                ]))
-        assert runs[0] == runs[1]
-        assert zeros[0] > zeros[1]
+        traces._heat_pass(V, 2.0)
+        lemma_estimate_scalings(V, 1.5)
+        heat_xi(V, SCHEME)
+        assert sum(count) <= 1_694_000
 
     @pytest.mark.parametrize("stride", [1, -1, 2, -2])
     def test_power_equals_contiguous_pow(self, stride):
@@ -692,7 +806,11 @@ class TestHeatKernel:
         for s in self.regime_scales(e):
             full = self.engine_weights(vs, s, e)
             assert np.isnan(full[-1])
-            assert np.array_equal(full[:-1], engine_formula(vs[:-1], s, e))
+            live = traces._live_slice(vs, s, e)
+            want = engine_formula(vs, s, e)
+            assert np.array_equal(full[live], want[live], equal_nan=True)
+            assert not np.any(full[:live.start])
+            assert np.all(want[:live.start] <= self.bound(vs.size))
             assert np.all(np.isnan(_heat_sums(vs, cs, [s, 2.0 * s], e)))
             assert np.all(np.isnan(_heat_sums(vs, None, [s], e)))
 
@@ -732,9 +850,11 @@ class TestHeatKernel:
         vs, cs = _sorted_spectrum(v, c)
         for coeff, sorted_coeff in ((c, cs), (np.ones(v.size), None)):
             got = _heat_sums(vs, sorted_coeff, scales, e)
+            # the cut leaves out less than 2**-53 max|c|
+            top = 2.0 ** -53 * np.max(np.abs(coeff))
             for s, value in zip(scales, got):
                 want, scale = fsum_reference(coeff, unmasked_heat(s * v, e))
-                assert abs(value - want) <= 1e-14 * scale
+                assert abs(value - want) <= 1e-14 * scale + top
 
     @pytest.mark.parametrize("imag", [0.0, 0.3])
     def test_long_decaying_sum_matches_fsum_reference(self, imag):
@@ -895,10 +1015,10 @@ class TestModulated:
         a = np.exp(2j * np.pi * rng.random(v.size))
         A, V = Operator(a), Operator(v)
         rep = modulated_comparison(A, V)
-        sums = eigenvalue_partial_sums(A @ V).sums
-        for n, gap in zip(rep["ns"], rep["gaps"]):
+        sums = eigenvalue_partial_sums(A @ V).at(rep["ns"])
+        for s_n, n, gap in zip(sums, rep["ns"], rep["gaps"]):
             want, _ = fsum_reference(a, np.where(v >= 1.0 / n, v, 0.0))
-            assert abs(gap - abs(sums[n] - want)) <= 1e-12
+            assert abs(gap - abs(s_n - want)) <= 1e-12
         assert all(gate.holds for gate in rep["gates"])
 
     def test_non_diagonal_A_is_rejected(self):
