@@ -21,10 +21,17 @@ exactly, so its result equals the one of the complex diagonal bit for bit
 (up to the sign of a zero imaginary part).  Products are slice multiplies,
 sums add the runs of one offset, and a run whose entries all cancel to
 exactly 0 is dropped, so an exact zero stays an exact, empty operator.  An
-Operator is built from a 1-d array of diagonal entries, by
-:func:`weighted_shift`, or by the algebra; there is no general-entry
-constructor.  The package needs numpy
-only: :meth:`Operator.sparse` imports scipy, for tests that use it as an
+Operator is built from a 1-d array of diagonal entries, from runs the
+models write in closed form (:func:`_from_runs`: each word, and the torus's
+D and F), or by the algebra; there is no general-entry constructor.  A run
+whose values are all one number may hold them as a read-only view of that
+one number with stride 0 (the circle's words hold 1 so).  Nothing is copied
+that can be shared: 1 * T is T relabelled, sharing its arrays (a complex
+multiply by 1 + 0j would differ only by turning an inf part into NaN or
+flipping the sign of a zero), T - S of two diagonals is one subtraction,
+and compressing onto a window of the basis (the circle's interior) keeps a
+view of a diagonal's entries and of each run's values.  The package needs
+numpy only: :meth:`Operator.sparse` imports scipy, for tests that use it as an
 oracle and for ``perfbench/child.py``, which takes the torus residuals of the
 ``suite-full`` benchmark workload (``F^2 = 1``, ``F|D| = D``,
 ``{Gamma, F} = 0``) through it, so moving ``sparse()`` into a test helper
@@ -60,7 +67,6 @@ __all__ = [
     "commutator",
     "anticommutator",
     "canonical_order",
-    "weighted_shift",
     "zero",
 ]
 
@@ -142,24 +148,15 @@ def _order_keys(values):
 
 
 def _descending_order(keys):
-    """``np.lexsort`` of the negated ``keys``, bit for bit, from one stable
-    sort on the last key and one lexsort of the runs it leaves tied (NaNs
-    tie with each other, as in ``np.lexsort``)."""
-    *minor, major = keys
-    order = np.argsort(-major, kind="stable")
-    k = major[order]
-    tied = k[1:] == k[:-1]
-    tied |= np.isnan(k[1:]) & np.isnan(k[:-1])
-    at = np.zeros(k.size, dtype=bool)  # the slots in a run of ties
-    at[1:] = tied
-    at[:-1] |= tied
-    del tied
-    at = np.flatnonzero(at)
-    if at.size:
-        # the sorted major key keeps each run together and in place
-        sub, runs = order[at], -k[at]
-        del k
-        order[at] = sub[np.lexsort([-m[sub] for m in minor] + [runs])]
+    """``np.lexsort`` of the negated ``keys``, bit for bit: one stable sort
+    per key, the least significant (the first) first, each on the key
+    gathered in the order so far (NaNs tie with each other and sort last,
+    as in ``np.lexsort``)."""
+    first, *rest = keys
+    order = np.argsort(-first, kind="stable")
+    for key in rest:
+        k = key[order]
+        order = order[np.argsort(np.negative(k, out=k), kind="stable")]
     return order
 
 
@@ -186,8 +183,8 @@ class Operator:
     data : array_like or Operator
         1-d array of diagonal entries, or an Operator, whose matrix is
         shared.  Anything else (a 2-d array, a scipy matrix) is a
-        :class:`ContractViolation`: sparse operators are built by
-        :func:`weighted_shift` and the algebra.
+        :class:`ContractViolation`: sparse operators are built from runs
+        (see :func:`_from_runs`) and by the algebra.
         A 1-d array keeps its kind: a float64 or complex128 array is wrapped
         without a copy, so it must not be modified afterwards; any other
         real (integer, boolean, float32) array is stored as float64 and any
@@ -318,11 +315,18 @@ class Operator:
         return out
 
     def restrict(self, indices):
-        """Compression P T P* onto the given distinct basis indices (in order)."""
+        """Compression P T P* onto the given distinct basis indices (in order).
+
+        On a window [s, s + m) of the basis (indices contiguous and
+        ascending) a diagonal keeps a view of its entries, as each run
+        keeps a view of its values."""
         indices = np.asarray(indices)
+        s = _window_start(indices)
         if self._kind == "diag":
-            return Operator(self._data[indices], label=self.label)
-        terms = _restrict_runs(self._dim, self._data, indices)
+            return Operator(self._data[indices] if s is None
+                            else self._data[s:s + indices.size],
+                            label=self.label)
+        terms = _restrict_runs(self._dim, self._data, indices, s)
         return _from_runs(indices.size, _runs_of(terms), self.label)
 
     # -- arithmetic ------------------------------------------------------------
@@ -373,9 +377,15 @@ class Operator:
         return _from_runs(a._dim, _runs_of(terms))
 
     def __sub__(self, other):
+        if (isinstance(other, Operator) and self._kind == "diag"
+                and other._kind == "diag"):
+            self._check_dims(other)
+            return Operator(self._data - other._data)
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
+        if scalar == 1:  # 1 * T is T, sharing its arrays
+            return self.relabel(self.label)
         if self._kind == "diag":
             return Operator(self._data * scalar, label=self.label)
         runs = [_trimmed(k, lo, v * scalar) for k, lo, v in self._data]
@@ -398,29 +408,6 @@ def zero(dim):
     return _from_runs(dim, [])
 
 
-def weighted_shift(col, val, label):
-    """The operator whose row i holds ``val[i]`` in column ``col[i]``.
-
-    ``col[i] == len(col)`` marks an empty row, as does ``val[i] == 0``.  The
-    rows are split by offset ``col[i] - i`` into one run per offset: every
-    shift and diagonal weight the models build is one run, and the torus's
-    spinor swap two.  An operator whose entries are all diagonal is a
-    ``diag`` operator.
-    """
-    col = np.asarray(col)
-    n = col.size
-    if (col.ndim != 1 or np.shape(val) != col.shape
-            or not np.issubdtype(col.dtype, np.integer)
-            or (n and not 0 <= col.min() <= col.max() <= n)):
-        raise ContractViolation(
-            f"weighted shift {label!r} needs one column in [0, {n}] and one "
-            f"value per row")
-    val = np.asarray(val)
-    rows = np.flatnonzero((col != n) & (val != 0))
-    terms = _by_offset(rows, col[rows] - rows, val[rows])
-    return _from_runs(n, _runs_of(terms), label)
-
-
 # -- diagonal runs -------------------------------------------------------------
 #
 # A run on dim n is a triple (k, lo, v): row i holds v[i - lo] in column
@@ -428,11 +415,13 @@ def weighted_shift(col, val, label):
 # in [0, n).  v is complex, and its first and last entries are nonzero; an
 # entry inside may be 0 (of either sign), which every reader takes as no
 # entry: entries are read by adding them into 0, and the eigen engine and
-# ``sparse()`` skip them.  An operator is the sum of its runs, no two of
-# which share an offset, so no two hold an entry at one position.  Products
-# and sums take numpy's complex arithmetic, so their last bits may depend on
-# the CPU's multiply kernel (fused or not); tests/test_weighted_shifts.py
-# bounds them against a compiled CSR product and sum.
+# ``sparse()`` skip them.  v may be shared: a view of another run's values,
+# or a read-only view of one value with stride 0, so no run is written in
+# place.  An operator is the sum of its runs, no two of which share an
+# offset, so no two hold an entry at one position.  Products and sums take
+# numpy's complex arithmetic, so their last bits may depend on the CPU's
+# multiply kernel (fused or not); the tests bound them against scipy's
+# compiled CSR product and sum.
 
 
 def _from_runs(n, runs, label=""):
@@ -516,17 +505,25 @@ def _by_offset(rows, shift, val):
     return terms
 
 
-def _restrict_runs(n, runs, indices):
-    """The terms of P T P* for distinct ``indices`` in any order.  On a
-    window [s, s + m) of the basis every run keeps its offset, and its
-    values are a view; otherwise each entry moves to its row's and column's
-    new indices, and each run splits by new offset where that offset
-    varies."""
+def _window_start(indices):
+    """s when ``indices`` are the window [s, s + m) of the basis, in order,
+    else None."""
     m = indices.size
-    terms = {}
     if m and indices[-1] - indices[0] == m - 1 and np.all(
             indices[1:] > indices[:-1]):
-        s = int(indices[0])
+        return int(indices[0])
+    return None
+
+
+def _restrict_runs(n, runs, indices, s):
+    """The terms of P T P* for distinct ``indices`` in any order, ``s`` the
+    start of their window (see :func:`_window_start`).  On a window every
+    run keeps its offset, and its values are a view; otherwise each entry
+    moves to its row's and column's new indices, and each run splits by new
+    offset where that offset varies."""
+    m = indices.size
+    terms = {}
+    if s is not None:
         for k, lo, v in runs:
             first = max(lo, s, s - k)
             end = min(lo + v.size, s + m, s + m - k)

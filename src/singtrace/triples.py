@@ -13,8 +13,9 @@ Three concrete models are provided:
 
 Algebra elements are kept symbolic: finitely supported combinations of
 lattice words, with twist phases tracked as exact integer powers of lam.
-Realization maps a word to a weighted shift Operator on the working
-dimension N + B per axis (a toy word to its diagonal, as a 1-d array);
+Realization maps a word to an Operator on the working dimension N + B per
+axis, one diagonal run written in closed form (a toy word to its diagonal,
+as a 1-d array);
 spectral statistics are read only from the compressed interior (modes up
 to N), which keeps shift-truncation artifacts out of the asymptotics.
 """
@@ -31,11 +32,12 @@ from .ideals import ideal_diagnostics, quasi_norm_pinf
 from .operators import (
     ContractViolation,
     Operator,
+    _from_runs,
+    _trimmed,
     commutator,
     hermitian_calculus,
     phase_modulus,
     singular_values,
-    weighted_shift,
     zero,
 )
 
@@ -380,11 +382,13 @@ class _CircleModel(_RankOneModel):
         return np.flatnonzero(np.abs(self.modes) <= radius)
 
     def _realize_word(self, word):
-        # u^k: row i holds 1 in column i - k
-        M = self.dim
-        col = np.arange(M) - word[0]
-        inside = (col >= 0) & (col < M)
-        return weighted_shift(np.where(inside, col, M), inside, "")
+        # u^k: row i holds 1 in column i - k, for the M - |k| rows from
+        # max(k, 0); the ones are a read-only view of one 1 + 0j, stride 0
+        M, k = self.dim, word[0]
+        if abs(k) >= M:
+            return zero(M)
+        ones = np.broadcast_to(np.ones(1, dtype=complex), (M - abs(k),))
+        return _from_runs(M, [(-k, max(k, 0), ones)])
 
 
 class _ToyModel(_RankOneModel):
@@ -426,21 +430,32 @@ class _TorusModel(SpectralTripleModel):
 
     def _realize_word(self, word):
         """U^a V^b on both spinor halves:
-        e_n -> exp(2 pi i theta b n1) e_{n+(a,b)}."""
+        e_n -> exp(2 pi i theta b n1) e_{n+(a,b)}.
+
+        One run of offset -(a L + b), L = 2R + 1 the lattice side: the row
+        of each target n (index (n1 + R) L + n2 + R on each half) holds the
+        phase of its source column n1 - a where the source n - (a, b) lies
+        in the lattice, and 0 elsewhere; it spans both halves, from the
+        upper half's first such row to the lower half's last."""
         a, b = word
         R = self.N + self.B
-        n1, n2 = self.lattice  # each row's lattice point, the target
-        inside = (np.abs(n1 - a) <= R) & (np.abs(n2 - b) <= R)
-        half = n1.size
-        col = np.where(inside, np.arange(half) - a * (2 * R + 1) - b, 2 * half)
+        L = 2 * R + 1
+        half = L * L
+        # the targets' indices n_j + R whose sources lie in the lattice
+        i1 = slice(max(a, 0), L + min(a, 0))
+        i2 = slice(max(b, 0), L + min(b, 0))
+        if i1.start >= i1.stop or i2.start >= i2.stop:
+            return zero(2 * half)
         # the phase of each source column n1 - a, times the (1+0j) of the
         # spinor identity factor
-        phase = np.ones(2 * R + 1, dtype=complex) * np.exp(
+        phase = np.ones(L, dtype=complex) * np.exp(
             2j * np.pi * self.theta * b * np.arange(-R, R + 1))
-        val = np.where(inside, phase[np.clip(n1 - a + R, 0, 2 * R)], 0)
-        lower = np.where(inside, col + half, col)
-        return weighted_shift(np.concatenate([col, lower]),
-                              np.concatenate([val, val]), "")
+        grid = np.zeros((2, L, L), dtype=complex)
+        grid[:, i1, i2] = phase[i1.start - a:i1.stop - a, None]
+        first = i1.start * L + i2.start
+        end = half + (i1.stop - 1) * L + i2.stop
+        return _from_runs(2 * half,
+                          [(-(a * L + b), first, grid.reshape(-1)[first:end])])
 
 
 def build_circle(N, buffer=None):
@@ -463,10 +478,15 @@ def build_circle(N, buffer=None):
 
 
 def _spinor_offdiag(x, label):
-    """The operator [[0, diag(x)], [diag(x)*, 0]] on the two spinor halves."""
-    half = np.arange(x.size)
-    return weighted_shift(np.concatenate([half + x.size, half]),
-                          np.concatenate([x, np.conj(x)]), label)
+    """The operator [[0, diag(x)], [diag(x)*, 0]] on the two spinor halves:
+    the run of offset +half holds x itself and that of -half conj(x), whose
+    zeros (no entry; the torus's w has one, at n = 0) are +0, as x's are,
+    not the -0 imaginary part that conj gives them."""
+    half = x.size
+    lower = np.conj(x)
+    lower[x == 0] = 0
+    return _from_runs(2 * half, [_trimmed(half, 0, x),
+                                 _trimmed(-half, half, lower)], label)
 
 
 def build_nc_torus(N, theta=None, buffer=None):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from singtrace.operators import Operator, weighted_shift, zero
+from singtrace.operators import Operator, _by_offset, _from_runs, _runs_of, zero
 from singtrace.triples import build_circle, build_diagonal_toy, build_nc_torus
 
 
@@ -29,6 +29,23 @@ def torus16():
 @pytest.fixture(scope="session")
 def toy1000():
     return build_diagonal_toy(1000, decay_exponent=1)
+
+
+def weighted_shift(col, val, label):
+    """The operator whose row i holds ``val[i]`` in column ``col[i]``, for
+    integer columns in [0, n] and one value per row.
+
+    ``col[i] == len(col)`` marks an empty row, as does ``val[i] == 0``.  The
+    rows are split by offset ``col[i] - i`` into one run per offset; an
+    operator whose entries are all diagonal is a ``diag`` operator.  It is
+    the reference that the models' closed-form runs (their words, and the
+    torus's D and F) equal bit for bit.
+    """
+    col, val = np.asarray(col), np.asarray(val)
+    n = col.size
+    rows = np.flatnonzero((col != n) & (val != 0))
+    terms = _by_offset(rows, col[rows] - rows, val[rows])
+    return _from_runs(n, _runs_of(terms), label)
 
 
 def random_unitary(rng, n):

@@ -651,6 +651,21 @@ class TestCli:
             assert run(ExperimentConfig(model=ok, checks=["identity-suite"],
                                         seed=seed)).all_passed
 
+    def test_circle_too_small_for_the_pairing_estimates_is_a_config_error(
+            self, capsys):
+        # below circle N = 40 measure and concordance fail by the pairing's
+        # heat fit, and below 32 heat has too few s points: no FAIL line,
+        # exit 2; from the bounds up the checks run and pass
+        assert cli_main(["measure", "--N", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: measure needs circle N >= 40, got 32\n")
+        for verb, N in [("concordance", 39), ("heat", 31)]:
+            assert cli_main([verb, "--N", str(N)]) == 2
+        capsys.readouterr()
+        for verb, N in [("measure", 40), ("concordance", 40), ("heat", 32)]:
+            assert cli_main([verb, "--N", str(N)]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["measure", "--model", "toy", "--N", "0"],
         ["measure", "--model", "toy", "--N", "2"],
@@ -694,26 +709,36 @@ class TestCli:
         assert records[0] == records[1]
 
     @pytest.mark.parametrize("argv, floor", [
-        (["heat", "--model", "circle", "--N", "16"], "0.176"),
+        (["heat", "--model", "circle", "--N", "16"], None),
+        (["heat", "--model", "nc_torus", "--N", "8"], "0.176"),
         (["heat", "--model", "toy", "--N", "100", "--p", "2"], "0.199"),
-    ], ids=["circle-16", "toy-100-p2"])
+    ], ids=["circle-16", "torus-8", "toy-100-p2"])
     def test_check_too_big_for_its_model_fails_cleanly(
             self, argv, floor, capsys):
-        # the builder accepts the model, but its heat s-window is empty
-        assert cli_main(argv) == 1
+        # the builder accepts the model, but its heat s-window is empty: the
+        # check fails and names why, or, below the least circle N that the
+        # check table states for heat, the config is refused before it runs
+        rc = cli_main(argv)
         captured = capsys.readouterr()
+        if floor is None:
+            assert rc == 2 and captured.out == ""
+            assert captured.err == (
+                "config error: heat needs circle N >= 32, got 16\n")
+            return
+        assert rc == 1
         assert captured.err == ""
         assert captured.out.splitlines() == [
             f"[FAIL] heat: ContractViolation: heat s-window empty: floor "
             f"{floor} above ceiling 0.125", "all passed: False"]
 
     def test_fail_line_names_each_failing_gate(self, tmp_path, capsys):
-        # circle N = 32 is below the scale of measure and diag-oracles: the
-        # heat and partial-sum slopes of the pairing differ by more than
-        # their criterion budget, and two harmonic estimates miss 1 and 0
-        assert cli_main(["measure", "--model", "circle", "--N", "32"]) == 1
+        # torus N = 8 is below the scale of measure, and circle N = 32
+        # below that of diag-oracles: the heat and partial-sum slopes of the
+        # pairing differ by more than their criterion budget, and two
+        # harmonic estimates miss 1 and 0
+        assert cli_main(["measure", "--model", "nc_torus", "--N", "8"]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            "[FAIL] measure: criterion_gap=0.1749 (bound 0.07643)",
+            "[FAIL] measure: criterion_gap=0.6388 (bound 0.4951)",
             "all passed: False"]
         cfg = tmp_path / "oracles.json"
         cfg.write_text(json.dumps({"model": {"name": "circle", "N": 32},
@@ -1392,14 +1417,19 @@ def test_circle_run_releases_what_no_later_check_reads():
     stays below 14.9 units of 16 dim bytes (one complex vector of the working
     dim).
 
-    Measured: 13.94 units, with each word and commutator stored as one
-    diagonal run ([F, u] as one value) and each commutator held only while
-    its chain map is formed; 14.94 (set in heat) when the memo kept the
-    commutators until their last reader.  Column and value arrays of length
-    dim + 1 per shift gave 17.44 (set in heat too), 18.8 when the double
-    also kept its interior |D0| and, at p = 1, |D0|^-p apart from |D0|^-1,
-    and 26.3 when the memo kept every entry to the end of the run
-    (commutators, Omega(c) and the whole invertible double)."""
+    Measured: 11.88 units, with each word one run of shared ones, a unit
+    coefficient sharing its operand's arrays, the interior of a diagonal a
+    view and a difference of diagonals one array (see
+    test_circle_large_checks_hold_at_most_eleven_vectors below); 13.94
+    when each word was split from column and value arrays, with each word
+    and commutator stored as one diagonal run ([F, u] as one value) and
+    each commutator held only while its chain map is formed; 14.94 (set in
+    heat) when the memo kept the commutators until their last reader.
+    Column and value arrays of length dim + 1 per shift gave 17.44 (set in
+    heat too), 18.8 when the double also kept its interior |D0| and, at
+    p = 1, |D0|^-p apart from |D0|^-1, and 26.3 when the memo kept every
+    entry to the end of the run (commutators, Omega(c) and the whole
+    invertible double)."""
     import tracemalloc
 
     N = 32_768
@@ -1414,3 +1444,30 @@ def test_circle_run_releases_what_no_later_check_reads():
         tracemalloc.stop()
     assert report.all_passed
     assert peak <= 14.9 * (16 * dim), f"peak {peak / (16 * dim):.2f} x 16 dim"
+
+
+def test_circle_large_checks_hold_at_most_eleven_vectors():
+    """The nine checks of the circle-large benchmark workload on circle
+    N = 131072: the traced peak, model build included, stays below 11 units
+    of 16 dim bytes (one complex vector of the working dim).
+
+    Measured: 10.57 units, set in heat, with each word one run whose ones
+    are a read-only zero-stride view, a unit coefficient sharing its
+    operand's arrays, the interior of a diagonal a view and a difference of
+    two diagonals one array.  It was 13.01 units (set in reduce) when each
+    word was built from per-row column and value arrays and those
+    operations copied."""
+    import tracemalloc
+
+    N = 131_072
+    dim = build_circle(N).dim
+    config = ExperimentConfig(model={"name": "circle", "N": N},
+                              checks=_CIRCLE_CHECKS, seed=1)
+    tracemalloc.start()
+    try:
+        report = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert peak <= 11 * (16 * dim), f"peak {peak / (16 * dim):.2f} x 16 dim"

@@ -769,8 +769,8 @@ class TestFlags:
         ids=["2-d", "2-d-zero", "3-d", "0-d", "csr-matrix", "csr-array",
              "dia-matrix"])
     def test_only_a_diagonal_or_an_operator_is_data(self, data):
-        # general entries have no constructor: layered operators come from
-        # weighted_shift and the algebra
+        # general entries have no constructor: sparse operators come from
+        # runs written in closed form and the algebra
         with pytest.raises(ContractViolation, match="1-d array"):
             Operator(data, label="T")
 
@@ -1090,3 +1090,73 @@ def test_cli_suite_quick_loads_no_scipy(tmp_path):
                          env=env, check=True, capture_output=True,
                          text=True).stdout
     assert out.splitlines()[-1] == "0 [] []"
+
+
+@st.composite
+def tied_values(draw):
+    """Real or complex values drawn from a few numbers, so that the sort
+    keys tie often, with +-0.0, NaN and inf among them."""
+    numbers = st.sampled_from([2.5, -2.5, 1.0, -1.0, 0.0, -0.0, np.nan,
+                               np.inf, -np.inf, 0.6, 0.8])
+    n = draw(st.integers(0, 60))
+    re = draw(st.lists(numbers, min_size=n, max_size=n))
+    if not draw(st.booleans()):
+        return np.array(re, dtype=float)
+    im = draw(st.lists(numbers, min_size=n, max_size=n))
+    return np.array([complex(x, y) for x, y in zip(re, im)], dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_values())
+def test_descending_order_is_the_lexsort_of_the_negated_keys(vals):
+    # one stable sort per key, the least significant first, is np.lexsort's
+    # permutation: NaNs tie with each other, +0.0 and -0.0 tie
+    keys = operators._order_keys(vals)
+    want = np.lexsort([-key for key in keys])
+    np.testing.assert_array_equal(operators._descending_order(keys), want)
+
+
+class TestSharedArrays:
+    """Operations whose result is an operand, or a view of one, copy
+    nothing."""
+
+    @pytest.mark.parametrize("one", [1, 1.0, 1 + 0j, np.float64(1.0)],
+                             ids=["int", "float", "complex", "numpy"])
+    def test_a_unit_scalar_shares_the_operands_arrays(self, one):
+        rng = np.random.default_rng(41)
+        S = matrix_operator(sp.random(12, 12, density=0.2, random_state=42,
+                                      format="csr") * (1 - 2j), label="S")
+        assert S.kind == "sparse"
+        for T in (Operator(rng.standard_normal(12), label="d"),
+                  Operator(rng.standard_normal(12) + 1j, label="z"), S):
+            for got in (one * T, T * one):
+                assert (got.kind, got.dim, got.label) == (T.kind, T.dim,
+                                                          T.label)
+                assert got._data is T._data
+
+    def test_a_difference_of_diagonals_is_one_subtraction(self):
+        rng = np.random.default_rng(43)
+        real = rng.standard_normal(40)
+        real[:4] = [0.0, -0.0, np.inf, -np.inf]
+        cplx = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        cplx[:3] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.0, 0.0)]
+        finite = [rng.standard_normal(40),
+                  np.full(40, complex(-0.0, -0.0))]
+        for a in (real, cplx):
+            for b in finite:
+                T, S = Operator(a), Operator(b)
+                got = T - S
+                assert got.kind == "diag"
+                assert got.diag().tobytes() == (T.diag() - S.diag()).tobytes()
+
+    def test_a_window_of_a_diagonal_is_a_view(self):
+        d = np.arange(10.0) - 4.0
+        T = Operator(d, label="T")
+        W = T.restrict(np.arange(2, 7))
+        assert W.label == "T" and np.shares_memory(W.diag(), d)
+        assert W.diag().tobytes() == d[2:7].tobytes()
+        # any other choice of indices gathers the entries
+        for idx in ([2, 3, 5], [3, 2, 4], [6]):
+            P = T.restrict(np.array(idx))
+            assert P.diag().tobytes() == d[idx].tobytes()
+            assert np.shares_memory(P.diag(), d) == (len(idx) == 1)

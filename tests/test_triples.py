@@ -32,7 +32,7 @@ from singtrace.triples import (
     summability_report,
 )
 
-from conftest import matrix_operator
+from conftest import matrix_operator, weighted_shift
 
 
 class TestCircle:
@@ -445,3 +445,87 @@ class TestDescriptor:
         with pytest.raises(ContractViolation, match="integer p >= 1"):
             build_model("toy", 64, p=p)
         assert build_diagonal_toy(64, decay_exponent=np.int64(3)).p == 3
+
+
+def _same_runs(got, want):
+    """The same kind and runs, offset, first row and values bit for bit
+    (signs of zeros included)."""
+    assert (got.kind, got.dim, got.label) == (want.kind, want.dim, want.label)
+    if got.kind == "diag":
+        assert got.diag().tobytes() == want.diag().tobytes()
+        return
+    assert [(k, lo) for k, lo, _v in got._data] == [
+        (k, lo) for k, lo, _v in want._data]
+    for (_k, _lo, v), (_wk, _wlo, w) in zip(got._data, want._data):
+        assert v.dtype == w.dtype == np.complex128
+        assert v.tobytes() == w.tobytes()
+
+
+class TestClosedFormRuns:
+    """Each model writes its words, and the torus its D and F, as runs in
+    closed form; they equal, bit for bit, the runs that ``weighted_shift``
+    splits from per-row column and value arrays, the form the models built
+    before."""
+
+    @staticmethod
+    def circle_word(model, k):
+        M = model.dim
+        col = np.arange(M) - k
+        inside = (col >= 0) & (col < M)
+        return weighted_shift(np.where(inside, col, M), inside, "")
+
+    @staticmethod
+    def torus_word(model, a, b):
+        R = model.N + model.B
+        n1, n2 = model.lattice
+        inside = (np.abs(n1 - a) <= R) & (np.abs(n2 - b) <= R)
+        half = n1.size
+        col = np.where(inside, np.arange(half) - a * (2 * R + 1) - b, 2 * half)
+        phase = np.ones(2 * R + 1, dtype=complex) * np.exp(
+            2j * np.pi * model.theta * b * np.arange(-R, R + 1))
+        val = np.where(inside, phase[np.clip(n1 - a + R, 0, 2 * R)], 0)
+        lower = np.where(inside, col + half, col)
+        return weighted_shift(np.concatenate([col, lower]),
+                              np.concatenate([val, val]), "")
+
+    @staticmethod
+    def spinor_offdiag(x, label):
+        half = np.arange(x.size)
+        return weighted_shift(np.concatenate([half + x.size, half]),
+                              np.concatenate([x, np.conj(x)]), label)
+
+    def test_circle_words(self):
+        model = build_circle(16)
+        M = model.dim
+        for k in [*range(-model.B, model.B + 1), M - 1, 1 - M, M, -M, M + 3]:
+            got = model._realize_word((k,))
+            _same_runs(got, self.circle_word(model, k))
+            assert got.is_zero() == (abs(k) >= M)
+            if k and not got.is_zero():
+                ((_k, _lo, ones),) = got._data
+                assert ones.strides == (0,) and not ones.flags.writeable
+        # the realized word shares its ones, and so does its unit multiple
+        u = model.realize(model.monomial((1,)))
+        assert u._data[0][2].strides == (0,)
+
+    @pytest.mark.parametrize("theta", [0.0, None], ids=["theta-0", "default"])
+    def test_torus_words(self, theta):
+        model = build_nc_torus(8, theta=theta)
+        for a in range(-model.B, model.B + 1):
+            for b in range(-model.B, model.B + 1):
+                _same_runs(model._realize_word((a, b)),
+                           self.torus_word(model, a, b))
+        L = 2 * (model.N + model.B) + 1
+        for a, b in [(L, 0), (0, -L), (L - 1, 1 - L)]:
+            got = model._realize_word((a, b))
+            _same_runs(got, self.torus_word(model, a, b))
+            assert got.is_zero() == (max(abs(a), abs(b)) >= L)
+
+    def test_torus_dirac_and_phase(self, torus12):
+        n1, n2 = torus12.lattice
+        w = 1j * n1 - n2
+        modulus = np.abs(w)
+        unit = np.divide(w, modulus, out=np.ones(w.size, dtype=complex),
+                         where=modulus > 0)
+        _same_runs(torus12.D, self.spinor_offdiag(w, "D"))
+        _same_runs(torus12.F, self.spinor_offdiag(unit, "F"))

@@ -21,14 +21,12 @@ from singtrace import hochschild, operators, triples
 from singtrace.harness import ExperimentConfig, run
 from singtrace.operators import (
     HERMITIAN_RTOL,
-    ContractViolation,
     Operator,
     commutator,
     eigenvalues,
-    weighted_shift,
 )
 
-from conftest import matrix_operator
+from conftest import matrix_operator, weighted_shift
 
 # Each part of a complex product a * b, rounded with or without a fused
 # multiply-add, lies within one unit (2**-52) of |a||b| of the exact part,
@@ -288,16 +286,6 @@ class TestWeightedShift:
         np.testing.assert_array_equal(D.diag(), [1j, 0, 2])
         Z = weighted_shift(np.full(4, 4), np.ones(4), "0")
         assert Z.kind == "sparse" and Z.sparse().nnz == 0
-
-    @pytest.mark.parametrize("col, val", [
-        (np.array([0, 4, 1]), np.ones(3)),
-        (np.array([0, -1, 1]), np.ones(3)),
-        (np.array([0.0, 1.0, 2.0]), np.ones(3)),
-        (np.array([0, 1, 2]), np.ones(2)),
-    ], ids=["past-n", "negative", "float", "short-values"])
-    def test_bad_layer_is_a_contract_violation(self, col, val):
-        with pytest.raises(ContractViolation, match="weighted shift"):
-            weighted_shift(col, val, "bad")
 
 
 def random_banded(rng, n, offsets, density=0.6):
